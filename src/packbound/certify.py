@@ -1,7 +1,7 @@
-"""Verification primitives: exact Sturm root counting, positivity of
-q-series on intervals by head-polynomial + tail-bound + Sturm, Poisson
-summation residuals with explicit tails, and the composite certificate for
-the optimal test functions.
+"""Verification primitives: positivity of q-series on intervals by
+head-polynomial + tail-bound + Sturm, Poisson summation residuals with
+explicit tails, and the composite certificate for the optimal test
+functions.
 
 Every certificate step is labeled ``exact`` (rational arithmetic all the
 way) or ``numerical`` (high-precision evaluation with a posteriori error
@@ -18,7 +18,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import exact
-from .exact import frac, poly_eval, poly_trim
+from .exact import frac, poly_eval
 from .lattices import (
     LatticeDescription, covolume, dual_lattice, lattice_properties,
     vectors_by_norm,
@@ -152,28 +152,6 @@ class Certificate:
     def to_json(self) -> str:
         return json.dumps({"claim": self.claim, "status": self.status,
                            "log": self.log}, sort_keys=True, indent=1)
-
-
-# ---------------------------------------------------------------------------
-# Sturm root counting
-# ---------------------------------------------------------------------------
-
-def sturm_count(poly, interval: RationalInterval) -> int:
-    """Distinct real roots of the rational polynomial in the open interval.
-
-    Endpoint roots are divided out exactly (they do not belong to the open
-    interval), so the count is always well defined.
-    """
-    p = poly_trim([frac(c) for c in poly])
-    if not p:
-        raise CertifyError("zero polynomial")
-    for endpoint in (interval.lo, interval.hi):
-        while len(p) > 1 and poly_eval(p, endpoint) == 0:
-            p, rem = exact.poly_divmod(p, [-endpoint, Fraction(1)])
-            assert not rem
-    if len(p) == 1:
-        return 0
-    return exact.sturm_count(p, interval.lo, interval.hi)
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,28 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import __version__
-from .codes import code_properties, golay24, hamming8, weight_enumerator
-from .lattices import (
-    covolume, density, lattice_properties, standard_lattice, vectors_by_norm,
+from .codes import (
+    CodeError, code_properties, golay24, hamming8, weight_enumerator,
 )
-from .qseries import named_form
-from .certify import certify_magic, poisson_check
-from .magic import ce_bound_from_function, magic_spec
+from .lattices import (
+    LatticeError, ball_volume, covolume, density, lattice_properties,
+    standard_lattice, vectors_by_norm,
+)
+from .qseries import QSeriesError, named_form
+from .certify import CertifyError, certify_magic, poisson_check
+from .magic import MagicError, ce_bound_from_function, magic_spec
+from .simplex import SimplexError
 from . import lpbound as lp
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+
+# errors raised on bad input; dispatch maps them to EXIT_USAGE, so they can
+# never surface as a traceback with exit 1 ("refuted")
+PACKAGE_ERRORS = (CertifyError, CodeError, LatticeError, lp.LpError,
+                  MagicError, QSeriesError, SimplexError)
 
 
 @dataclass(frozen=True)
@@ -243,17 +252,19 @@ def _cmd_lpbound(args, cfg):
             else "violations remain",
             "feasible_report": res["feasible_report"],
         }
+        key = "bound"
     else:
+        # nothing on these paths certifies the sign conditions, so f(0)
+        # times the ball volume is reported as an estimate, not a bound
         roots_f, roots_h = _default_schedule(dim, degree)
         degree_eff = 1 + 2 * (len(roots_f) + len(roots_h))
         if args.method == "forced":
             sol = lp.forced_roots_solve(dim, degree_eff, 1.0, roots_f, roots_h,
                                         dps=cfg.precision)
-            from .lattices import ball_volume
-            bound = float(sol["f0"]) * ball_volume(
+            estimate = float(sol["f0"]) * ball_volume(
                 dim, Fraction(1, 4)).to_float()
             payload = {"n": dim, "d": degree_eff, "method": "forced",
-                       "bound": bound, "f0": float(sol["f0"]),
+                       "estimate": estimate, "f0": float(sol["f0"]),
                        "residual": _nstr(sol["residual"], 3),
                        "condition": _nstr(sol["condition"], 3),
                        "certificate_status": "uncertified"}
@@ -261,15 +272,14 @@ def _cmd_lpbound(args, cfg):
             res = lp.newton_refine(dim, degree_eff, roots_f, roots_h,
                                    dps=cfg.precision)
             payload = {"n": dim, "d": degree_eff, "method": "newton",
-                       "bound": res["bound"], "f0": float(res["f0"]),
+                       "estimate": res["estimate"], "f0": float(res["f0"]),
                        "roots_f": res["roots_f"],
                        "roots_fhat": res["roots_fhat"],
                        "certificate_status": "uncertified"}
-    from .lattices import density
-    opt = density(standard_lattice("e8" if dim == 8 else "leech")).to_float() \
-        if dim in (8, 24) else None
-    if opt:
-        payload["bound_over_optimal"] = payload["bound"] / opt
+        key = "estimate"
+    if dim in (8, 24):
+        opt = density(standard_lattice("e8" if dim == 8 else "leech"))
+        payload[f"{key}_over_optimal"] = payload[key] / opt.to_float()
     _emit(_artifact(payload, cfg) if cfg.fmt != "text"
           else "\n".join(f"{k}: {v}" for k, v in payload.items()),
           args.out)
@@ -299,6 +309,9 @@ def _cmd_verify(args, cfg):
         _emit(_artifact(payload, cfg), args.out)
         return EXIT_OK if ok else EXIT_REFUTED
     # sos
+    if args.cert is None:
+        sys.stderr.write("packbound: verify sos requires --cert\n")
+        return EXIT_USAGE
     with open(args.cert) as fh:
         cert = sos_certificate_from_json(fh.read())
     result = lp.verify_sos(cert)
@@ -319,13 +332,16 @@ def sos_certificate_to_json(cert: lp.SosCertificate) -> str:
 
 
 def sos_certificate_from_json(text: str) -> lp.SosCertificate:
-    obj = json.loads(text)
-    return lp.SosCertificate(
-        obj["n"], obj["d"],
-        tuple(Fraction(x) for x in obj["a"]),
-        Fraction(obj["y0"]),
-        tuple(tuple(Fraction(x) for x in row) for row in obj["q1"]),
-        tuple(tuple(Fraction(x) for x in row) for row in obj["q2"]))
+    try:
+        obj = json.loads(text)
+        return lp.SosCertificate(
+            obj["n"], obj["d"],
+            tuple(Fraction(x) for x in obj["a"]),
+            Fraction(obj["y0"]),
+            tuple(tuple(Fraction(x) for x in row) for row in obj["q1"]),
+            tuple(tuple(Fraction(x) for x in row) for row in obj["q2"]))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise lp.LpError(f"malformed certificate: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +437,11 @@ def dispatch(argv) -> int:
         "lpbound": _cmd_lpbound,
         "verify": _cmd_verify,
     }[args.command]
-    return handler(args, cfg)
+    try:
+        return handler(args, cfg)
+    except (PACKAGE_ERRORS + (OSError,)) as exc:
+        sys.stderr.write(f"packbound: {' '.join(str(exc).split())}\n")
+        return EXIT_USAGE
 
 
 def main():

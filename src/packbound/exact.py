@@ -300,7 +300,8 @@ def _sign_variations(chain, x):
 def sturm_count(p, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi).
 
-    Endpoints must not be roots of p.
+    Endpoint roots are divided out exactly (they do not belong to the open
+    interval), so the count is always well defined.
     """
     p = poly_trim([frac(c) for c in p])
     if not p:
@@ -308,8 +309,12 @@ def sturm_count(p, lo: Fraction, hi: Fraction) -> int:
     lo, hi = frac(lo), frac(hi)
     if lo > hi:
         raise ValueError("empty interval")
-    if poly_eval(p, lo) == 0 or poly_eval(p, hi) == 0:
-        raise ValueError("interval endpoint is a root")
+    for endpoint in (lo, hi):
+        while len(p) > 1 and poly_eval(p, endpoint) == 0:
+            p, rem = poly_divmod(p, [-endpoint, Fraction(1)])
+            assert not rem
+    if len(p) == 1:
+        return 0
     chain = sturm_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 

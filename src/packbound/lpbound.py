@@ -1,7 +1,8 @@
 """The numerical pipeline for the linear-programming density bound:
 Laguerre-parametrized test functions, a sampled LP solved by exact dual
-simplex, forced-root linear solves with Newton refinement of the root
-locations, and exact sum-of-squares certificates with SDPA export.
+simplex, forced-root linear solves and the least-squares projection of the
+optimal function onto the family (both uncertified, so they give estimates,
+not bounds), and exact sum-of-squares certificates with SDPA export.
 
 Normalization: throughout this module the minimal root is scaled to r1 = 1,
 so a feasible function certifies density <= f(0) * vol(B_n(1/2)).
@@ -343,7 +344,7 @@ def sampled_lp(n: int, d: int, samples=None, dps=30, refine_rounds=4,
 
 
 # ---------------------------------------------------------------------------
-# Forced roots and Newton refinement
+# Forced roots and the collocation projection
 # ---------------------------------------------------------------------------
 
 def _root_system(ans: RadialAnsatz, simple_root, droots_f, droots_fhat):
@@ -392,149 +393,6 @@ def forced_roots_solve(n: int, d: int, simple_root=1.0, double_roots_f=(),
                 "f0": f0}
 
 
-def _profile_rows(ans, r, order=0):
-    """Gaussian-free profile basis: lam_k(r) = k! pi^-k L_k(pi r^2) or its
-    first radial derivative, k = 1..d."""
-    rv = mp.mpf(r)
-    s = mp.pi * rv * rv
-    a = ans._alpha_mpf()
-    scales = ans._scales()
-    if order == 0:
-        lag = laguerre_all(ans.d, a, s)
-        return [scales[k] * lag[k] for k in range(1, ans.d + 1)]
-    lag1 = laguerre_all(ans.d - 1, a + 1, s)
-    out = [mp.mpf(0)] * ans.d
-    for k in range(1, ans.d + 1):
-        out[k - 1] = -scales[k] * 2 * mp.pi * rv * lag1[k - 1]
-    return out
-
-
-def _transform_rows(ans, u, order=0):
-    uv = mp.mpf(u)
-    if order == 0:
-        return [uv ** (2 * k) for k in range(1, ans.d + 1)]
-    return [2 * k * uv ** (2 * k - 1) for k in range(1, ans.d + 1)]
-
-
-def _kkt_residual(ans, simple_root, z, w, a, mu, cvec):
-    """Scaled residual of the primal-dual touching system.
-
-    Forced block: the Gaussian-free profiles P(r) = 1 + sum a_k lam_k(r)
-    and H(u) = 1 + sum a_k u^(2k) vanish to the required orders at the
-    touch points.  Stationarity block (one equation per coefficient,
-    normalized by c_k): 1 + (m0 lam_k(1) + sum m_i lam_k(z_i)
-    - sum n_j w_j^(2k)) / c_k = 0, where m, n absorb the Gaussian factors
-    of the true multipliers.
-    """
-    d = ans.d
-    res = []
-
-    def apply(row):
-        return 1 + sum(row[kk] * a[kk] for kk in range(d))
-
-    def apply0(row):
-        return sum(row[kk] * a[kk] for kk in range(d))
-
-    res.append(apply(_profile_rows(ans, simple_root, 0)))
-    for zi in z:
-        res.append(apply(_profile_rows(ans, zi, 0)))
-        res.append(apply0(_profile_rows(ans, zi, 1)))
-    for wj in w:
-        res.append(apply(_transform_rows(ans, wj, 0)))
-        res.append(apply0(_transform_rows(ans, wj, 1)))
-    act = [_profile_rows(ans, simple_root, 0)]
-    act += [_profile_rows(ans, zi, 0) for zi in z]
-    act += [_transform_rows(ans, wj, 0) for wj in w]
-    nf = 1 + len(z)
-    for kk in range(d):
-        s = mp.mpf(1)
-        for i, row in enumerate(act):
-            sgn = 1 if i < nf else -1
-            s += sgn * mu[i] * row[kk] / cvec[kk]
-        res.append(s)
-    return res
-
-
-def newton_touching_system(ans, simple_root, z0, w0, dps, max_iter=40,
-                           tol=None, a_init=None):
-    """Damped Newton on the primal-dual system, numerical Jacobian."""
-    d = ans.d
-    k, l = len(z0), len(w0)
-    with mp.workdps(dps):
-        tol = tol or mp.mpf(10) ** (-dps // 2)
-        if a_init is not None:
-            a0 = mp.matrix([mp.mpf(float(v)) for v in a_init])
-        else:
-            rows, rhs = _root_system(ans, simple_root, z0, w0)
-            a0 = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
-        cvec = ans.f0_coeffs()
-        # starting multipliers: least-squares fit of the stationarity block
-        act = mp.zeros(d, 1 + k + l)
-        arows = [_profile_rows(ans, simple_root, 0)] + \
-            [_profile_rows(ans, zi, 0) for zi in z0] + \
-            [_transform_rows(ans, wj, 0) for wj in w0]
-        for col, row in enumerate(arows):
-            sgn = 1 if col < 1 + k else -1
-            for kk in range(d):
-                act[kk, col] = -sgn * row[kk] / cvec[kk]
-        ones = mp.matrix([mp.mpf(1)] * d)
-        mu0 = mp.qr_solve(act, ones)[0]
-        x = ([a0[i] for i in range(d)] + [mp.mpf(v) for v in z0]
-             + [mp.mpf(v) for v in w0] + [mu0[i] for i in range(1 + k + l)])
-
-        def unpack(vec):
-            a = vec[:d]
-            z = vec[d:d + k]
-            w = vec[d + k:d + k + l]
-            mu = vec[d + k + l:]
-            return a, z, w, mu
-
-        def residual(vec):
-            a, z, w, mu = unpack(vec)
-            return _kkt_residual(ans, simple_root, z, w, a, mu, cvec)
-
-        res = residual(x)
-        rnorm = max(abs(v) for v in res)
-        nvar = len(x)
-        h = mp.mpf(10) ** (-dps // 3)
-        for _ in range(max_iter):
-            if rnorm < tol:
-                break
-            jac = mp.zeros(nvar)
-            for j in range(nvar):
-                xp = list(x)
-                step = h * max(1, abs(x[j]))
-                xp[j] += step
-                rp = residual(xp)
-                for i in range(nvar):
-                    jac[i, j] = (rp[i] - res[i]) / step
-            try:
-                delta = mp.lu_solve(jac, mp.matrix(res))
-            except ZeroDivisionError:
-                break
-            lam = mp.mpf(1)
-            improved = False
-            for _ in range(16):
-                xt = [x[i] - lam * delta[i] for i in range(nvar)]
-                _, zt, wt, _ = unpack(xt)
-                ordered = all(v > simple_root for v in zt) and \
-                    all(v > mp.mpf(1) / 4 for v in wt)
-                if ordered:
-                    rt = residual(xt)
-                    rtn = max(abs(v) for v in rt)
-                    if rtn < rnorm:
-                        x, res, rnorm = xt, rt, rtn
-                        improved = True
-                        break
-                lam /= 2
-            if not improved:
-                break
-        a, z, w, mu = unpack(x)
-        return {"a": list(a), "z": [mp.mpf(v) for v in z],
-                "w": [mp.mpf(v) for v in w], "mu": list(mu),
-                "residual": rnorm}
-
-
 def _sign_sweep(ans, a_list, r_max=8.0, step_inv=64):
     """Worst sign violations of the pair on dense grids (f beyond 1,
     transform everywhere)."""
@@ -551,7 +409,6 @@ def _sign_sweep(ans, a_list, r_max=8.0, step_inv=64):
         worst_h = max(worst_h, -ans.fhat_value(av, r))
         r += step
     return worst_f, worst_h
-
 
 def _collocation_seed(ans, n, dps, points=200, r_max=5, u_max=8,
                       transform_points=0):
@@ -589,162 +446,42 @@ def _collocation_seed(ans, n, dps, points=200, r_max=5, u_max=8,
                 amat[i, kk] = row[kk]
             rhs[i] = t
         a = mp.qr_solve(amat, rhs)[0]
-        return [a[i] for i in range(d)], amat, rhs
-
-
-def _detect_touches(ans, a_list, r_max=8, depth=1e-3, steps=128):
-    """Near-touching points: local maxima of the scaled profile close to
-    zero, and local minima of the scaled transform close to zero."""
-    zs, ws = [], []
-    step = mp.mpf(1) / steps
-    prof = []
-    r = mp.mpf(1)
-    while r <= r_max:
-        prof.append((r, ans.f_value(a_list, r) * mp.exp(mp.pi * r * r)))
-        r += step
-    for i in range(1, len(prof) - 1):
-        if prof[i][1] >= prof[i - 1][1] and prof[i][1] >= prof[i + 1][1] \
-                and prof[i][1] > -depth:
-            zs.append(prof[i][0])
-    tr = []
-    u = mp.mpf(0)
-    while u <= r_max:
-        tr.append((u, ans.fhat_value(a_list, u) * mp.exp(mp.pi * u * u)))
-        u += step
-    for i in range(1, len(tr) - 1):
-        if tr[i][1] <= tr[i - 1][1] and tr[i][1] <= tr[i + 1][1] \
-                and tr[i][1] < depth:
-            ws.append(tr[i][0])
-    return zs, ws
-
-
-def _touch_constrained_fit(ans, amat, rhs, simple_root, zs, ws):
-    """Collocation least squares with the root conditions enforced exactly
-    (nullspace method): minimize the collocation residual over the affine
-    space where f has its simple root and the prescribed double roots.
-    The minimization metric is the well-conditioned collocation system, so
-    the solution stays near the seed (a-space minimal-norm corrections blow
-    up along the nearly-singular interpolation directions)."""
-    d = ans.d
-    rows, rr = _root_system(ans, simple_root, zs, ws)
-    m = mp.matrix(rows)
-    meq = m.rows
-    if meq >= d:
-        return mp.lu_solve(m, mp.matrix(rr))
-    q, r2 = mp.qr(m.T)
-    # particular solution from the triangular factor
-    yv = mp.zeros(meq, 1)
-    for i in range(meq):
-        s = rr[i]
-        for j in range(i):
-            s -= r2[j, i] * yv[j]
-        yv[i] = s / r2[i, i]
-    a_p = mp.zeros(d, 1)
-    for i in range(d):
-        a_p[i] = sum(q[i, j] * yv[j] for j in range(meq))
-    nz = d - meq
-    zmat = mp.zeros(d, nz)
-    for i in range(d):
-        for j in range(nz):
-            zmat[i, j] = q[i, meq + j]
-    t = mp.qr_solve(amat * zmat, rhs - amat * a_p)[0]
-    a = a_p + zmat * t
-    return a
+        return [a[i] for i in range(d)]
 
 
 def newton_refine(n: int, d: int, double_roots_f, double_roots_fhat,
-                  simple_root=1.0, dps=60, max_iter=40, slack=1e-9):
-    """Perturb the root locations of the forced-root family and return the
-    best near-feasible configuration.
+                  simple_root=1.0, dps=60, slack=1e-9):
+    """One degree-d member of the family near the optimal function, with
+    its sign sweep.
 
-    Pipeline: a collocation seed (least-squares projection of the certified
-    optimal function, when available for this dimension) replaces the cold
-    interpolation, which is violently ill-conditioned; the observed
-    near-touching points then become the forced roots and are enforced
-    exactly by a constrained refit; finally a damped Newton pass on the
-    primal-dual touching system polishes the configuration when it improves
-    the sign sweep.  The reported bound inflates f_a(0) by an allowance
-    proportional to the residual sign violations, so it stays a valid
-    desk-scale upper bound; `feasible` records whether the sweep met the
-    strict slack.
+    For n = 8, 24 the member is the collocation seed (least-squares
+    projection of the certified optimal function; no roots are enforced);
+    otherwise it is the forced-root solve at the given schedule.  Nothing on
+    this path certifies the sign conditions, so f_a(0) * vol(B_n(1/2)) is
+    reported as an `estimate`, never as a bound.  `violations` holds the
+    worst grid violations of f <= 0 beyond the root and of fhat >= 0;
+    `feasible` records whether both stay within `slack`.
     """
     ans = RadialAnsatz(n, d)
-    count = 1 + 2 * len(double_roots_f) + 2 * len(double_roots_fhat)
-    if count > d:
-        raise LpError(f"constraint count {count} exceeds degree {d}")
-    vol = ball_volume(n, Fraction(1, 4))
     with mp.workdps(dps):
-        cvec = ans.f0_coeffs()
-
-        def assess(a_list):
-            f0 = 1 + sum(ak * ck for ak, ck in zip(a_list, cvec))
-            wf, wh = _sign_sweep(ans, a_list)
-            return f0, wf, wh
-
-        candidates = []
-        zs = [mp.mpf(z) for z in double_roots_f]
-        ws = [mp.mpf(w) for w in double_roots_fhat]
         if n in (8, 24):
-            seed, amat, rhs = _collocation_seed(
+            roots_f, roots_fhat = [], []
+            a_list = _collocation_seed(
                 ans, n, dps, transform_points=0 if n == 8 else 80)
-            candidates.append(("collocation seed", seed))
-            z_obs, w_obs = _detect_touches(ans, seed)
-            if z_obs:
-                zs, ws = z_obs, w_obs
-                a_t = _touch_constrained_fit(ans, amat, rhs,
-                                             mp.mpf(simple_root), zs, ws)
-                candidates.append(("forced roots at observed touches",
-                                   [a_t[i] for i in range(d)]))
         else:
-            start = forced_roots_solve(n, d, simple_root, double_roots_f,
-                                       double_roots_fhat, dps=dps)
-            candidates.append(("forced roots at schedule",
-                               [mp.mpf(v) for v in start["a"]]))
-        # Newton polish on the touching system (kept only on improvement)
-        try:
-            sol = newton_touching_system(
-                ans, mp.mpf(simple_root), zs, ws, dps, max_iter=max_iter,
-                a_init=candidates[-1][1])
-            candidates.append(("touching-system Newton", sol["a"]))
-        except (ZeroDivisionError, ValueError, LpError):
-            sol = None
-        # reference: any valid bound must sit above the density of the best
-        # known packing in this dimension (exact, in-package)
-        floor = None
-        if n in (8, 24):
-            from .lattices import density, standard_lattice
-            floor = density(standard_lattice(
-                "e8" if n == 8 else "leech")).to_float()
-        volf = vol.to_float()
-        best = None
-        for label, a_list in candidates:
-            f0, wf, wh = assess(a_list)
-            scale_ref = max(mp.mpf(1), abs(f0))
-            viol_rel = (wf + wh) / scale_ref
-            plausible = floor is None or \
-                float(f0) * volf >= floor * (1 - 1e-5)
-            # the violation allowance is only meaningful for candidates that
-            # are nearly feasible at their own scale and not vacuous
-            if viol_rel <= mp.mpf("1e-6") and plausible:
-                key = (0, float(f0 * (1 + 100 * viol_rel)))
-            else:
-                key = (1, float(viol_rel))
-            if best is None or key < best[0]:
-                best = (key, label, a_list, f0, wf, wh)
-        key, label, a_best, f0, wf, wh = best
-        score = f0 * (1 + 100 * (wf + wh) / max(mp.mpf(1), abs(f0)))
-        feasible = bool(wf <= slack and wh <= slack)
+            roots_f, roots_fhat = double_roots_f, double_roots_fhat
+            a_list = forced_roots_solve(n, d, simple_root, roots_f,
+                                        roots_fhat, dps=dps)["a"]
+        f0 = 1 + sum(ak * ck for ak, ck in zip(a_list, ans.f0_coeffs()))
+        wf, wh = _sign_sweep(ans, a_list)
         return {
-            "roots_f": [float(t) for t in zs],
-            "roots_fhat": [float(t) for t in ws],
-            "ansatz": a_best,
+            "roots_f": [float(t) for t in roots_f],
+            "roots_fhat": [float(t) for t in roots_fhat],
+            "ansatz": a_list,
             "f0": f0,
-            "f0_reported": score,
-            "bound": float(score) * vol.to_float(),
-            "stage": label,
+            "estimate": float(f0) * ball_volume(n, Fraction(1, 4)).to_float(),
             "violations": (float(wf), float(wh)),
-            "kkt_residual": float(sol["residual"]) if sol else None,
-            "feasible": feasible,
+            "feasible": bool(wf <= slack and wh <= slack),
         }
 
 
@@ -795,14 +532,27 @@ def _gram_poly(q, shift=None):
 
 
 def verify_sos(cert: SosCertificate) -> Certificate:
-    """Exact rational verification: the interval endpoint sits below pi,
+    """Exact rational verification of every hypothesis of the claim: a >= 0
+    entrywise (the transform side), the interval endpoint sits below pi,
     the polynomial identity holds coefficientwise, and both Gram matrices
     admit nonnegative-pivot LDL^T factorizations.
 
-    (Transform-side nonnegativity is the a >= 0 design constraint of the
-    family and is enforced where ansatz vectors are produced.)
+    A certificate of the wrong shape (len(a) != d, Q1 not a symmetric
+    (d//2+1)-square matrix, Q2 not a symmetric ((d+1)//2)-square matrix)
+    is malformed rather than refuted and raises LpError.
     """
+    if len(cert.a) != cert.d:
+        raise LpError(f"malformed certificate: {len(cert.a)} coefficients "
+                      f"for degree {cert.d}")
+    for name, q, m in (("Q1", cert.q1, cert.d // 2 + 1),
+                       ("Q2", cert.q2, (cert.d + 1) // 2)):
+        if len(q) != m or any(len(row) != m for row in q) or any(
+                q[i][j] != q[j][i] for i in range(m) for j in range(i)):
+            raise LpError(f"malformed certificate: {name} must be a "
+                          f"symmetric {m}x{m} matrix")
     out = Certificate(claim=f"SOS sign certificate n={cert.n} d={cert.d}")
+    out.add_step("transform coefficients a >= 0", "exact",
+                 min(cert.a, default=0), all(x >= 0 for x in cert.a))
     out.add_step("y0 lies below pi", "exact",
                  str(cert.y0), cert.y0 <= PI_LO)
     # coefficientwise identity
@@ -874,6 +624,12 @@ def _outer(vecs, size):
             for j in range(size):
                 q[i][j] += vv[i] * vv[j]
     return q
+
+
+def _pad(q, size):
+    m = len(q)
+    return tuple(tuple(q[i][j] if i < m and j < m else Fraction(0)
+                       for j in range(size)) for i in range(size))
 
 
 def _shift_gram(q, y0):
@@ -963,9 +719,9 @@ def build_toy_certificate(n: int = 1, d: int = 4, y0=Fraction(157, 50),
             delta = (rem[cdeg] - cur) / len(positions)
             for i, j in positions:
                 q1[i][j] += delta
+        # zero rows and columns pad the Grams to the full degree-d shape
         cert = SosCertificate(n, d, tuple(alpha), frac(y0),
-                              tuple(tuple(r) for r in q1),
-                              tuple(tuple(r) for r in q2))
+                              _pad(q1, d // 2 + 1), _pad(q2, (d + 1) // 2))
         result = verify_sos(cert)
         if result.status != "verified":
             raise LpError(f"toy certificate failed repair: {result.to_json()}")

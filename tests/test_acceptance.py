@@ -148,10 +148,15 @@ def test_criterion_7_lp_pipeline():
     detail = f"sampled d=30 bound/optimal {res['bound'] / OPT8:.6f}"
     refined = newton_refine(8, 45, [math.sqrt(2 + j) for j in range(11)],
                             [math.sqrt(1 + j) for j in range(11)], dps=60)
-    ok &= refined["bound"] <= 1.01 * OPT8
-    detail += f"; refined d=45 bound/optimal {refined['bound'] / OPT8:.10f}"
-    # validity: every reported bound sits above the known optimal density
-    ok &= res["bound"] >= OPT8 and refined["bound"] >= OPT8
+    # the refinement is uncertified: an estimate close to the optimum,
+    # never labelled a bound
+    ok &= "bound" not in refined
+    ok &= abs(refined["estimate"] / OPT8 - 1) < 1e-6
+    ok &= refined["violations"][0] < 1e-6
+    detail += (f"; refined d=45 estimate/optimal "
+               f"{refined['estimate'] / OPT8:.10f}")
+    # validity: the reported bound sits above the known optimal density
+    ok &= res["bound"] >= OPT8
     report(7, ok, detail)
 
 

@@ -7,9 +7,8 @@ import pytest
 from packbound.certify import (
     Certificate, CertifyError, RationalInterval, certify_magic,
     certify_positive_tail, exp_interval, nth_root_bounds, poisson_check,
-    sturm_count,
 )
-from packbound.exact import poly_eval, poly_mul
+from packbound.exact import poly_eval, poly_mul, sturm_count
 from packbound.lattices import standard_lattice
 from packbound.qseries import QSeries, conjugate_psi_minus
 
@@ -53,8 +52,8 @@ def test_nth_root_bounds():
 
 def test_sturm_simple():
     p = [Fraction(-2), Fraction(0), Fraction(1)]  # x^2 - 2
-    assert sturm_count(p, RationalInterval(1, 2)) == 1
-    assert sturm_count(p, RationalInterval(-2, 2)) == 2
+    assert sturm_count(p, 1, 2) == 1
+    assert sturm_count(p, -2, 2) == 2
 
 
 def test_sturm_cubic():
@@ -62,14 +61,14 @@ def test_sturm_cubic():
     p = poly_mul(poly_mul([Fraction(-1), Fraction(1)],
                           [Fraction(-2), Fraction(1)]),
                  [Fraction(-3), Fraction(1)])
-    assert sturm_count(p, RationalInterval(0, Fraction(5, 2))) == 2
+    assert sturm_count(p, 0, Fraction(5, 2)) == 2
 
 
 def test_sturm_endpoint_root_deflated():
     p = [Fraction(-2), Fraction(0), Fraction(1)]
     # sqrt(2) is interior; endpoint root at 2 of (x-2)(x^2-2)
     q = poly_mul(p, [Fraction(-2), Fraction(1)])
-    assert sturm_count(q, RationalInterval(1, 2)) == 1
+    assert sturm_count(q, 1, 2) == 1
 
 
 def test_sturm_agrees_with_bisection():
@@ -127,7 +126,7 @@ def test_sturm_agrees_with_bisection():
             hi += Fraction(1, 7)
         sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
         count = bisection_count(sf, lo, hi)
-        got = sturm_count(p, RationalInterval(lo, hi))
+        got = sturm_count(p, lo, hi)
         assert got == count
 
 

@@ -117,6 +117,54 @@ def test_verify_sos_roundtrip(tmp_path, capsys):
     assert code == EXIT_REFUTED
 
 
+NEGATIVE_A_CERT = {"n": 1, "d": 2, "a": ["0", "-3"], "y0": "3",
+                   "q1": [["109/8", "-9/2"], ["-9/2", "3/2"]],
+                   "q2": [["9/2"]]}
+
+
+def test_verify_sos_negative_a_refuted(tmp_path, capsys):
+    # identity, y0 and both Grams check out, but a_2 = -3 breaks the
+    # transform side: cert.bound() would be -1/8
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(NEGATIVE_A_CERT))
+    code, out = run(["verify", "sos", "--cert", str(path)], capsys)
+    assert code == EXIT_REFUTED
+    doc = json.loads(out)["certificate"]
+    assert doc["status"] == "refuted"
+    failed = [s["statement"] for s in doc["log"] if not s["passed"]]
+    assert failed == ["transform coefficients a >= 0"]
+
+
+MALFORMED_CERTS = {
+    "short_a": dict(NEGATIVE_A_CERT, a=["0"]),
+    "asymmetric_q1": dict(NEGATIVE_A_CERT, q1=[["1", "2"], ["3", "4"]]),
+    "no_q2": {k: v for k, v in NEGATIVE_A_CERT.items() if k != "q2"},
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "sos"],
+    ["lpbound", "run", "--dim", "8", "--degree", "0"],
+    ["magic", "eval", "--dim", "8", "--r", "-1"],
+    ["qseries", "show", "nope"],
+    ["verify", "sos", "--cert", "{short_a}"],
+    ["verify", "sos", "--cert", "{asymmetric_q1}"],
+    ["verify", "sos", "--cert", "{no_q2}"],
+    ["verify", "sos", "--cert", "{absent}"],
+])
+def test_bad_input_is_usage_error(argv, tmp_path, capsys):
+    paths = {"absent": tmp_path / "absent.json"}
+    for name, doc in MALFORMED_CERTS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    argv = [a.format(**paths) for a in argv]
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.err.startswith("packbound: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_lpbound_run_small(capsys):
     code, out = run(["--format", "json", "lpbound", "run", "--dim", "1",
                      "--degree", "4", "--method", "sampled"], capsys)
@@ -133,6 +181,17 @@ def test_lpbound_forced_small(capsys):
     doc = json.loads(out)
     assert doc["method"] == "forced"
     assert float(doc["residual"]) < 1e-20
+    assert "bound" not in doc and "estimate" in doc
+
+
+@pytest.mark.slow
+def test_lpbound_newton_reports_estimate(capsys):
+    code, out = run(["--format", "json", "lpbound", "run", "--dim", "8",
+                     "--degree", "30", "--method", "newton"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert "estimate" in doc and "bound" not in doc
+    assert doc["certificate_status"] == "uncertified"
 
 
 def test_lpbound_export_sdp(tmp_path, capsys):

@@ -4,9 +4,9 @@ import pytest
 
 from packbound.codes import golay24, hamming8, zero_code
 from packbound.lattices import (
-    EnumerationBudgetError, SymbolicVolume, ball_volume, construction_a,
-    covolume, density, dual_lattice, lattice_properties, standard_lattice,
-    theta_coefficients, vectors_by_norm,
+    EnumerationBudgetError, SymbolicVolume, _build_leech_from_shift,
+    ball_volume, construction_a, covolume, density, dual_lattice,
+    lattice_properties, standard_lattice, theta_coefficients, vectors_by_norm,
 )
 
 
@@ -77,10 +77,12 @@ def test_leech_has_no_norm2_vectors():
 
 
 def test_leech_accepted_shift_is_validated():
-    leech = standard_lattice("leech")
-    assert leech.metadata["shift_scale_exp"] == 3
-    report = leech.metadata["scaling_report"]
-    assert all(fails for s, fails in report.items() if s != 3)
+    # the pinned glue scale 1 is the Leech lattice (test_leech_lattice);
+    # scale 2, the other shift integral in the frame, misses minimum 4 and
+    # kissing number 196560
+    assert standard_lattice("leech").counting == ("leech_glue", 1)
+    props = lattice_properties(_build_leech_from_shift(2))
+    assert props["min_sq_norm"] == 2 and props["kissing"] == 48
 
 
 def test_zn_density_is_one():
