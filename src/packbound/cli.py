@@ -110,14 +110,8 @@ def _cmd_code(args, cfg):
     return EXIT_OK
 
 
-def _lattice_by_name(name, n):
-    if name == "zn":
-        return standard_lattice("zn", n or 1)
-    return standard_lattice(name)
-
-
 def _cmd_lattice(args, cfg):
-    lat = _lattice_by_name(args.name, args.n)
+    lat = standard_lattice(args.name, args.n)
     if args.action == "info":
         props = lattice_properties(lat)
         dens = density(lat)
@@ -255,19 +249,23 @@ def _cmd_lpbound(args, cfg):
         key = "bound"
     else:
         # nothing on these paths certifies the sign conditions, so f(0)
-        # times the ball volume is reported as an estimate, not a bound
+        # times the ball volume is reported as an estimate, not a bound,
+        # with the sign sweep that says whether it is vacuous
         roots_f, roots_h = _default_schedule(dim, degree)
         degree_eff = 1 + 2 * (len(roots_f) + len(roots_h))
         if args.method == "forced":
             sol = lp.forced_roots_solve(dim, degree_eff, 1.0, roots_f, roots_h,
                                         dps=cfg.precision)
+            with mp.workdps(cfg.precision):
+                sweep = lp.sign_sweep(lp.RadialAnsatz(dim, degree_eff),
+                                      sol["a"])
             estimate = float(sol["f0"]) * ball_volume(
                 dim, Fraction(1, 4)).to_float()
             payload = {"n": dim, "d": degree_eff, "method": "forced",
                        "estimate": estimate, "f0": float(sol["f0"]),
                        "residual": _nstr(sol["residual"], 3),
                        "condition": _nstr(sol["condition"], 3),
-                       "certificate_status": "uncertified"}
+                       "certificate_status": "uncertified", **sweep}
         else:
             res = lp.newton_refine(dim, degree_eff, roots_f, roots_h,
                                    dps=cfg.precision)
@@ -275,6 +273,8 @@ def _cmd_lpbound(args, cfg):
                        "estimate": res["estimate"], "f0": float(res["f0"]),
                        "roots_f": res["roots_f"],
                        "roots_fhat": res["roots_fhat"],
+                       "violations": res["violations"],
+                       "feasible": res["feasible"],
                        "certificate_status": "uncertified"}
         key = "estimate"
     if dim in (8, 24):
@@ -297,7 +297,7 @@ def _cmd_verify(args, cfg):
         return {"verified": EXIT_OK, "refuted": EXIT_REFUTED}.get(
             cert.status, EXIT_INCONCLUSIVE)
     if args.target == "poisson":
-        lat = _lattice_by_name(args.name, args.n)
+        lat = standard_lattice(args.name, args.n)
         res = poisson_check(lat, Fraction(args.sigma), args.cutoff)
         ok = res["residual"] <= args.tolerance
         payload = {"lattice": lat.name, "sigma": res["sigma"],

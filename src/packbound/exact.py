@@ -18,26 +18,6 @@ def frac(x) -> Fraction:
     return Fraction(x)
 
 
-def isqrt_exact(n: int):
-    """Integer square root if n is a perfect square, else None."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
-def sqrt_exact(x: Fraction):
-    """Exact rational square root of x, or None if x is not a square."""
-    x = frac(x)
-    if x < 0:
-        return None
-    p = isqrt_exact(x.numerator)
-    q = isqrt_exact(x.denominator)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
-
-
 def sqrt_decompose(x: Fraction):
     """Write sqrt(x) = c * sqrt(r) with c rational and r a squarefree integer.
 
@@ -77,17 +57,6 @@ def mat_identity(n):
 
 def mat_transpose(a):
     return [list(col) for col in zip(*a)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    bt = mat_transpose(b)
-    return [[sum(a[i][t] * bt[j][t] for t in range(k)) for j in range(m)]
-            for i in range(n)]
-
-
-def mat_vec(a, v):
-    return [sum(ai[j] * v[j] for j in range(len(v))) for ai in a]
 
 
 def mat_det(a):
@@ -158,7 +127,6 @@ def hermite_row_basis(rows):
     pivot_row = 0
     for col in range(ncols):
         # gcd-reduce all entries in this column below pivot_row
-        r = pivot_row
         while True:
             nz = [i for i in range(pivot_row, nrows) if m[i][col] != 0]
             if not nz:
@@ -179,7 +147,6 @@ def hermite_row_basis(rows):
             if m[pivot_row][col] < 0:
                 m[pivot_row] = [-x for x in m[pivot_row]]
             pivot_row += 1
-        del r
     basis = [row for row in m[:pivot_row]]
     return basis
 
@@ -202,15 +169,6 @@ def poly_add(p, q):
 
 def poly_neg(p):
     return [-c for c in p]
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_neg(q))
-
-
-def poly_scale(p, s):
-    s = frac(s)
-    return poly_trim([c * s for c in p])
 
 
 def poly_mul(p, q):
@@ -289,16 +247,19 @@ def sturm_chain(p):
 
 
 def _sign_variations(chain, x):
+    """Sign changes along the chain at x; x = None stands for +inf, where
+    each sign is that of the leading coefficient."""
     signs = []
     for p in chain:
-        v = poly_eval(p, x)
+        v = p[-1] if x is None else poly_eval(p, x)
         if v != 0:
             signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(p, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi).
+def sturm_count(p, lo: Fraction, hi: Fraction = None) -> int:
+    """Number of distinct real roots of p in the open interval (lo, hi);
+    leaving hi out means hi = +inf.
 
     Endpoint roots are divided out exactly (they do not belong to the open
     interval), so the count is always well defined.
@@ -306,10 +267,11 @@ def sturm_count(p, lo: Fraction, hi: Fraction) -> int:
     p = poly_trim([frac(c) for c in p])
     if not p:
         raise ValueError("zero polynomial")
-    lo, hi = frac(lo), frac(hi)
-    if lo > hi:
+    lo = frac(lo)
+    hi = None if hi is None else frac(hi)
+    if hi is not None and lo > hi:
         raise ValueError("empty interval")
-    for endpoint in (lo, hi):
+    for endpoint in (lo,) if hi is None else (lo, hi):
         while len(p) > 1 and poly_eval(p, endpoint) == 0:
             p, rem = poly_divmod(p, [-endpoint, Fraction(1)])
             assert not rem
@@ -317,26 +279,6 @@ def sturm_count(p, lo: Fraction, hi: Fraction) -> int:
         return 0
     chain = sturm_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def sturm_count_beyond(p, lo: Fraction) -> int:
-    """Number of distinct real roots in the open interval (lo, +inf).
-
-    The variation count at +inf uses the signs of the chain's leading
-    coefficients.  lo must not be a root.
-    """
-    p = poly_trim([frac(c) for c in p])
-    if not p:
-        raise ValueError("zero polynomial")
-    if poly_eval(p, lo) == 0:
-        raise ValueError("endpoint is a root")
-    chain = sturm_chain(p)
-    at_inf = []
-    for q in chain:
-        s = 1 if q[-1] > 0 else -1
-        at_inf.append(s)
-    v_inf = sum(1 for a, b in zip(at_inf, at_inf[1:]) if a != b)
-    return _sign_variations(chain, lo) - v_inf
 
 
 def poly_positive_on(p, lo: Fraction, hi: Fraction) -> bool:

@@ -10,11 +10,15 @@ of the true basis is therefore the exact rational matrix
 ``scaled_basis @ scaled_basis.T / 2**scale_exp``.  All lattices built here
 live in a dyadic frame, so duals stay representable.
 
-Vector counting never lists vectors: counts by squared length are extracted
-from per-coordinate generating polynomials, with cosets of Construction-A
-lattices grouped by codeword weight (the per-coordinate factors depend only
-on the codeword bit).  The Leech count additionally tracks the coordinate sum
-mod 8, which encodes the two glue conditions.
+Vector counting never lists vectors.  Z^n, the Construction-A lifts and the
+Leech lattice are each a union of code cosets
+{w : w = offset + step*c mod M for a codeword c, sum(w) = target mod S} with
+squared length w.w/D, and one counter (``_count_cosets``) extracts their
+counts by squared length from per-coordinate generating polynomials, grouped
+by codeword weight.  Z^n is the zero code with M = D = 1, Construction A has
+M = D = 2, and the Leech glue has M = 4, D = 8 and S = 8, the sum condition
+encoding the two glue conditions.  Duals and other lattices are counted by
+exact recursive enumeration.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .codes import BinaryCode, golay24, hamming8, weight_enumerator
+from .codes import BinaryCode, golay24, hamming8, weight_enumerator, zero_code
 from .exact import (
     frac, hermite_row_basis, mat_det, mat_identity, mat_inverse,
-    mat_is_integral, mat_mul, mat_transpose, sqrt_decompose,
+    mat_is_integral, mat_transpose, sqrt_decompose,
 )
 
 
@@ -330,136 +334,44 @@ def density(lat: LatticeDescription) -> SymbolicVolume:
 # Vector counting
 # ---------------------------------------------------------------------------
 
-def _poly_mul_trunc(a, b, limit):
-    out = [0] * limit
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        jmax = limit - i
-        for j, y in enumerate(b[:jmax]):
-            if y != 0:
-                out[i + j] += x * y
-    return out
+def _count_cosets(code: BinaryCode, modulus: int, denom: int, parts,
+                  max_norm: Fraction, sum_mod: int = 1):
+    """Counts by squared length w.w/denom of the union over ``parts``
+    (offset, step, target) of {w in Z^n : w = offset + step*c mod modulus
+    for some codeword c, sum(w) = target mod sum_mod}.
 
-
-def _coordinate_poly(residue: int, modulus: int, sq_limit: int):
-    """Generating polynomial of {m in residue + modulus*Z}: sum y^(m^2)."""
-    out = [0] * (sq_limit + 1)
-    m = residue
-    while m * m <= sq_limit:
-        out[m * m] += 1
-        m += modulus
-    m = residue - modulus
-    while m * m <= sq_limit:
-        out[m * m] += 1
-        m -= modulus
-    return out
-
-
-def _count_construction_a(code: BinaryCode, max_norm: Fraction):
-    """Counts by squared length for the Construction-A lift of ``code``.
-
-    Vectors are x/sqrt(2), so squared length x.x/2; cosets are grouped by
-    codeword weight since the per-coordinate factor depends only on the bit.
+    The per-coordinate factor depends only on the codeword bit, so cosets
+    are grouped by codeword weight.  Each factor is the multiset of
+    (m^2, m mod sum_mod) over m in the coordinate's residue class.
     """
-    n = code.length
-    x_limit = int(2 * max_norm)  # x.x <= 2 * max_norm
-    even = _coordinate_poly(0, 2, x_limit)
-    odd = _coordinate_poly(1, 2, x_limit)
+    limit = int(denom * max_norm)
     weights = weight_enumerator(code).as_dict()
-    total = [0] * (x_limit + 1)
-    for w, mult in weights.items():
-        acc = [1] + [0] * x_limit
-        for _ in range(w):
-            acc = _poly_mul_trunc(acc, odd, x_limit + 1)
-        for _ in range(n - w):
-            acc = _poly_mul_trunc(acc, even, x_limit + 1)
-        for e, cval in enumerate(acc):
-            total[e] += mult * cval
     counts = {}
-    for e, cval in enumerate(total):
-        counts[Fraction(e, 2)] = counts.get(Fraction(e, 2), 0) + cval
-    return counts
-
-
-def _leech_coordinate_factor(residue4: int, sq_limit: int):
-    """(m^2, m mod 8) multiset for m in residue4 + 4Z, m^2 <= sq_limit."""
-    out = {}
-    m = residue4
-    while m * m <= sq_limit:
-        key = (m * m, m % 8)
-        out[key] = out.get(key, 0) + 1
-        m += 4
-    m = residue4 - 4
-    while m * m <= sq_limit:
-        key = (m * m, m % 8)
-        out[key] = out.get(key, 0) + 1
-        m -= 4
-    return out
-
-
-def _count_leech_glue(shift_scale: int, max_norm: Fraction):
-    """Counts by squared length for the glued lattice built by
-    ``_build_leech_from_shift`` in the w-frame (squared length = w.w / 8).
-
-    Part one is the even-sum part {w = 2c mod 4, sum(w) = 0 mod 8}; part two
-    is its glue coset {w = shift*(1,..,1) + 2c mod 4,
-    sum(w) = 24*shift + 4 mod 8}.  ``shift_scale`` = 1 gives the Leech
-    lattice; 2 gives back the plain Golay lift.
-    """
-    w_limit = int(8 * max_norm)
-    weights = weight_enumerator(golay24()).as_dict()
-    counts = {}
-
-    def run_part(res_bit0, res_bit1, target_mod8):
-        f0 = _leech_coordinate_factor(res_bit0 % 4, w_limit)
-        f1 = _leech_coordinate_factor(res_bit1 % 4, w_limit)
+    for offset, step, target in parts:
+        factors = []
+        for bit in (0, 1):
+            residue = (offset + step * bit) % modulus
+            factor = {}
+            for m in range(-math.isqrt(limit), math.isqrt(limit) + 1):
+                if m % modulus == residue:
+                    key = (m * m, m % sum_mod)
+                    factor[key] = factor.get(key, 0) + 1
+            factors.append(factor)
         for w, mult in weights.items():
             state = {(0, 0): 1}
-            for _ in range(w):
-                state = _apply_leech_factor(state, f1, w_limit)
-            for _ in range(24 - w):
-                state = _apply_leech_factor(state, f0, w_limit)
-            for (e, s8), cval in state.items():
-                if s8 == target_mod8:
-                    key = Fraction(e, 8)
+            for factor in [factors[1]] * w + [factors[0]] * (code.length - w):
+                nxt = {}
+                for (e, s), cval in state.items():
+                    for (de, dm), fcnt in factor.items():
+                        if e + de <= limit:
+                            key = (e + de, (s + dm) % sum_mod)
+                            nxt[key] = nxt.get(key, 0) + cval * fcnt
+                state = nxt
+            for (e, s), cval in state.items():
+                if s == target % sum_mod:
+                    key = Fraction(e, denom)
                     counts[key] = counts.get(key, 0) + mult * cval
-
-    run_part(0, 2, 0)
-    run_part(shift_scale, shift_scale + 2, (24 * shift_scale + 4) % 8)
     return counts
-
-
-def _apply_leech_factor(state, factor, w_limit):
-    out = {}
-    for (e, s8), cval in state.items():
-        for (de, dm), fcnt in factor.items():
-            e2 = e + de
-            if e2 > w_limit:
-                continue
-            key = (e2, (s8 + dm) % 8)
-            out[key] = out.get(key, 0) + cval * fcnt
-    return out
-
-
-def _count_diagonal(lat: LatticeDescription, max_norm: Fraction):
-    """Counts for a lattice with diagonal Gram matrix."""
-    n = lat.dimension
-    diag = [frac(lat.gram[i][i]) for i in range(n)]
-    den = 1
-    for d in diag:
-        den = den * d.denominator // math.gcd(den, d.denominator)
-    limit = int(max_norm * den)
-    total = [1] + [0] * limit
-    for d in diag:
-        step = int(d * den)
-        poly = [0] * (limit + 1)
-        m = 0
-        while m * m * step <= limit:
-            poly[m * m * step] += 1 if m == 0 else 2
-            m += 1
-        total = _poly_mul_trunc(total, poly, limit + 1)
-    return {Fraction(e, den): cval for e, cval in enumerate(total)}
 
 
 def _count_generic(lat: LatticeDescription, max_norm: Fraction):
@@ -516,12 +428,17 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
     if lat.dimension > 24:
         raise EnumerationBudgetError("dimension too large")
     scheme = lat.counting[0]
-    if scheme == "construction_a":
-        raw = _count_construction_a(lat.counting[1], max_norm)
+    if scheme == "diagonal":
+        raw = _count_cosets(zero_code(lat.dimension), 1, 1, [(0, 0, 0)],
+                            max_norm)
+    elif scheme == "construction_a":
+        raw = _count_cosets(lat.counting[1], 2, 2, [(0, 1, 0)], max_norm)
     elif scheme == "leech_glue":
-        raw = _count_leech_glue(lat.counting[1], max_norm)
-    elif scheme == "diagonal":
-        raw = _count_diagonal(lat, max_norm)
+        # the even part {w = 2c mod 4, sum(w) = 0 mod 8} and its coset by
+        # the glue vector s*(1,...,1) + 4*e1 (see _build_leech_from_shift)
+        s = lat.counting[1]
+        raw = _count_cosets(golay24(), 4, 8, [(0, 2, 0), (s, 2, 24 * s + 4)],
+                            max_norm, sum_mod=8)
     else:
         raw = _count_generic(lat, max_norm)
     quantum = lat.norm_quantum()
@@ -541,16 +458,8 @@ def lattice_properties(lat: LatticeDescription) -> dict:
     n = lat.dimension
     even = (mat_is_integral(lat.gram)
             and all(frac(lat.gram[i][i]) % 2 == 0 for i in range(n)))
-    unimodular = False
-    if lat.true_gram_det() == 1:
-        dual = dual_lattice(lat)
-        if (dual.scale_exp - lat.scale_exp) % 2 == 0:
-            shift = (lat.scale_exp - dual.scale_exp) // 2
-            m = mat_mul([list(r) for r in dual.scaled_basis],
-                        mat_inverse([list(r) for r in lat.scaled_basis]))
-            m = [[x * Fraction(2 ** max(shift, 0), 2 ** max(-shift, 0))
-                  for x in row] for row in m]
-            unimodular = mat_is_integral(m) and abs(mat_det(m)) == 1
+    # integral with determinant 1 means L is inside its dual with index 1
+    unimodular = mat_is_integral(lat.gram) and lat.true_gram_det() == 1
     # some basis vector realizes the smallest diagonal entry, so the minimum
     # is found within that cutoff
     cutoff = min(frac(lat.gram[i][i]) for i in range(n))

@@ -26,8 +26,7 @@ import mpmath as mp
 
 from .certify import Certificate
 from .exact import (
-    frac, ldlt_psd, poly_add, poly_eval, poly_mul, poly_trim,
-    sturm_count_beyond,
+    frac, ldlt_psd, poly_add, poly_eval, poly_mul, poly_trim, sturm_count,
 )
 from .lattices import ball_volume
 from .simplex import solve_min
@@ -45,23 +44,6 @@ class LpError(ValueError):
 # Laguerre polynomials
 # ---------------------------------------------------------------------------
 
-def laguerre_value(k: int, alpha, x):
-    """L_k^alpha(x) by the stable three-term recurrence.
-
-    Works over exact rationals or mpmath floats, following the input types.
-    """
-    if k < 0:
-        raise LpError("degree must be nonnegative")
-    if k == 0:
-        return x * 0 + 1
-    prev = x * 0 + 1
-    cur = 1 + alpha - x
-    for j in range(1, k):
-        prev, cur = cur, ((2 * j + 1 + alpha - x) * cur - (j + alpha) * prev) \
-            / (j + 1)
-    return cur
-
-
 def laguerre_coeffs(k: int, alpha) -> list:
     """Exact coefficient list of L_k^alpha: sum_j (-1)^j C(k+a, k-j) x^j / j!."""
     alpha = frac(alpha)
@@ -74,17 +56,10 @@ def laguerre_coeffs(k: int, alpha) -> list:
     return coeffs
 
 
-def laguerre_zero_value(k: int, alpha) -> Fraction:
-    """L_k^alpha(0) = C(k + alpha, k), exact."""
-    alpha = frac(alpha)
-    out = Fraction(1)
-    for t in range(k):
-        out *= (alpha + 1 + t) / (t + 1)
-    return out
-
-
 def laguerre_all(kmax: int, alpha, x):
-    """[L_0^alpha(x), ..., L_kmax^alpha(x)] in one recurrence pass."""
+    """[L_0^alpha(x), ..., L_kmax^alpha(x)] in one pass of the three-term
+    recurrence, over exact rationals or mpmath floats following the input
+    types."""
     out = [x * 0 + 1]
     if kmax == 0:
         return out
@@ -93,6 +68,15 @@ def laguerre_all(kmax: int, alpha, x):
         out.append(((2 * j + 1 + alpha - x) * out[-1]
                     - (j + alpha) * out[-2]) / (j + 1))
     return out
+
+
+def profile_polynomial(n: int, alpha) -> list:
+    """Exact coefficients of p(y) = 1 + sum_k alpha_k L_k^(n/2-1)(y)."""
+    poly = [Fraction(1)] + [Fraction(0)] * len(alpha)
+    for k, a_k in enumerate(alpha, start=1):
+        lk = laguerre_coeffs(k, Fraction(n, 2) - 1)
+        poly = poly_add(poly, [a_k * c for c in lk])
+    return poly_trim(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -132,51 +116,32 @@ class RadialAnsatz:
         return [scales[k] * lag[k] for k in range(1, self.d + 1)]
 
     def f_rows(self, r, order=0):
-        """Basis row of f_a (order 0), f_a' (1) or f_a'' (2) at radius r,
-        including the constant member at index 0."""
+        """Basis row of f_a (order 0) or f_a' (1) at radius r, including the
+        constant member at index 0."""
         rv = mp.mpf(r)
         s = mp.pi * rv * rv
         a = self._alpha_mpf()
         es = mp.exp(-s)
         scales = self._scales()
         lag = laguerre_all(self.d, a, s)
-        if order >= 1:
-            lag1 = laguerre_all(self.d - 1, a + 1, s) if self.d >= 1 else []
-        if order >= 2:
-            lag2 = laguerre_all(self.d - 2, a + 2, s) if self.d >= 2 else []
-        rows = []
-        for k in range(0, self.d + 1):
-            scale = scales[k]
-            p = lag[k]
-            if order == 0:
-                rows.append(scale * p * es)
-                continue
-            dp = -lag1[k - 1] if k >= 1 else mp.mpf(0)
-            if order == 1:
-                rows.append(scale * 2 * mp.pi * rv * (dp - p) * es)
-                continue
-            ddp = lag2[k - 2] if k >= 2 else mp.mpf(0)
-            rows.append(scale * (2 * mp.pi * (dp - p)
-                                 + 4 * mp.pi ** 2 * rv * rv
-                                 * (ddp - 2 * dp + p)) * es)
-        return rows
+        if order == 0:
+            return [scales[k] * lag[k] * es for k in range(self.d + 1)]
+        # d/ds L_k^a(s) = -L_(k-1)^(a+1)(s)
+        lag1 = laguerre_all(self.d - 1, a + 1, s)
+        return [scales[k] * 2 * mp.pi * rv
+                * ((-lag1[k - 1] if k >= 1 else mp.mpf(0)) - lag[k]) * es
+                for k in range(self.d + 1)]
 
     def fhat_rows(self, u, order=0):
-        """Transform-side basis row (1, u^2, u^4, ...) times the Gaussian."""
+        """Transform-side basis row (1, u^2, u^4, ...) times the Gaussian
+        (order 0), or its u-derivative (order 1)."""
         uv = mp.mpf(u)
         eu = mp.exp(-mp.pi * uv * uv)
-        rows = []
-        for k in range(0, self.d + 1):
-            if order == 0:
-                rows.append(uv ** (2 * k) * eu)
-            elif order == 1:
-                rows.append((2 * k * uv ** max(2 * k - 1, 0)
-                             - 2 * mp.pi * uv ** (2 * k + 1)) * eu)
-            else:
-                rows.append((2 * k * (2 * k - 1) * uv ** max(2 * k - 2, 0)
-                             - 2 * mp.pi * (4 * k + 1) * uv ** (2 * k)
-                             + 4 * mp.pi ** 2 * uv ** (2 * k + 2)) * eu)
-        return rows
+        if order == 0:
+            return [uv ** (2 * k) * eu for k in range(self.d + 1)]
+        return [(2 * k * uv ** max(2 * k - 1, 0)
+                 - 2 * mp.pi * uv ** (2 * k + 1)) * eu
+                for k in range(self.d + 1)]
 
     def f_value(self, a_vec, r):
         row = self.f_rows(r, 0)
@@ -307,20 +272,11 @@ def sampled_lp(n: int, d: int, samples=None, dps=30, refine_rounds=4,
         # far tail: the radial profile is a polynomial in y = pi r^2 times a
         # Gaussian; check by Sturm that the (rationalized) profile stays
         # negative beyond the swept range
-        alpha_f = [Fraction(float(
+        poly = profile_polynomial(n, [Fraction(float(
             av[k - 1] * mp.factorial(k) * mp.pi ** (-k)))
-            for k in range(1, d + 1)]
-        poly = [Fraction(1)] + [Fraction(0)] * d
-        for k in range(1, d + 1):
-            lk = laguerre_coeffs(k, ans.alpha)
-            poly = poly_add(poly, [alpha_f[k - 1] * c for c in lk])
-        poly = poly_trim(poly)
+            for k in range(1, d + 1)])
         y_far = PI_HI * frac(r_check) ** 2
-        try:
-            far_ok = (poly_eval(poly, y_far) < 0
-                      and sturm_count_beyond(poly, y_far) == 0)
-        except ValueError:
-            far_ok = False
+        far_ok = poly_eval(poly, y_far) < 0 and sturm_count(poly, y_far) == 0
         max_grid_violation = max([w for w, _ in worst], default=0.0)
         feasible = (not worst) and far_ok
         f0_true = 1 + sum(av_k * ck
@@ -393,22 +349,24 @@ def forced_roots_solve(n: int, d: int, simple_root=1.0, double_roots_f=(),
                 "f0": f0}
 
 
-def _sign_sweep(ans, a_list, r_max=8.0, step_inv=64):
-    """Worst sign violations of the pair on dense grids (f beyond 1,
-    transform everywhere)."""
+def sign_sweep(ans, a_list, slack=1e-9):
+    """Worst sign violations of the pair on a grid of step 1/64 up to r = 8
+    (f beyond 1, transform everywhere), and whether both stay within
+    `slack`."""
     av = list(a_list)
     worst_f = mp.mpf(0)
     r = mp.mpf(1)
-    step = mp.mpf(1) / step_inv
-    while r <= r_max:
+    step = mp.mpf(1) / 64
+    while r <= 8:
         worst_f = max(worst_f, ans.f_value(av, r))
         r += step
     worst_h = mp.mpf(0)
     r = mp.mpf(0)
-    while r <= r_max:
+    while r <= 8:
         worst_h = max(worst_h, -ans.fhat_value(av, r))
         r += step
-    return worst_f, worst_h
+    return {"violations": (float(worst_f), float(worst_h)),
+            "feasible": bool(worst_f <= slack and worst_h <= slack)}
 
 def _collocation_seed(ans, n, dps, points=200, r_max=5, u_max=8,
                       transform_points=0):
@@ -473,15 +431,13 @@ def newton_refine(n: int, d: int, double_roots_f, double_roots_fhat,
             a_list = forced_roots_solve(n, d, simple_root, roots_f,
                                         roots_fhat, dps=dps)["a"]
         f0 = 1 + sum(ak * ck for ak, ck in zip(a_list, ans.f0_coeffs()))
-        wf, wh = _sign_sweep(ans, a_list)
         return {
             "roots_f": [float(t) for t in roots_f],
             "roots_fhat": [float(t) for t in roots_fhat],
             "ansatz": a_list,
             "f0": f0,
             "estimate": float(f0) * ball_volume(n, Fraction(1, 4)).to_float(),
-            "violations": (float(wf), float(wh)),
-            "feasible": bool(wf <= slack and wh <= slack),
+            **sign_sweep(ans, a_list, slack),
         }
 
 
@@ -504,17 +460,10 @@ class SosCertificate:
     q2: tuple
 
     def polynomial(self) -> list:
-        poly = [Fraction(1)] + [Fraction(0)] * self.d
-        alpha = Fraction(self.n, 2) - 1
-        for k in range(1, self.d + 1):
-            lk = laguerre_coeffs(k, alpha)
-            poly = poly_add(poly, [self.a[k - 1] * c for c in lk])
-        return poly_trim(poly)
+        return profile_polynomial(self.n, self.a)
 
     def bound(self):
-        p0 = Fraction(1) + sum(
-            self.a[k - 1] * laguerre_zero_value(k, Fraction(self.n, 2) - 1)
-            for k in range(1, self.d + 1))
+        p0 = poly_eval(self.polynomial(), 0)
         return p0 * ball_volume(self.n, Fraction(1, 4)).to_float(), p0
 
 
@@ -671,8 +620,7 @@ def build_toy_certificate(n: int = 1, d: int = 4, y0=Fraction(157, 50),
         )).limit_denominator(denom) for k in range(1, d + 1)]
         if any(x < 0 for x in alpha):
             raise LpError("toy LP produced negative coefficients")
-        cert0 = SosCertificate(n, d, tuple(alpha), frac(y0), (), ())
-        poly = cert0.polynomial()
+        poly = profile_polynomial(n, alpha)
         # the nonnegativity constraint on the family zeroes top coefficients
         # whose Laguerre lead has the wrong sign, so work with the effective
         # degree of the rounded profile
@@ -753,7 +701,7 @@ def export_sos_sdp(n: int, d: int, y0=Fraction(157, 50)) -> str:
              f"({m1}, {m2}, -{2 * ncoef}) = bLOCKsTRUCT"]
     obj = []
     for k in range(1, d + 1):
-        obj.append(repr(float(laguerre_zero_value(k, alpha))))
+        obj.append(repr(float(laguerre_coeffs(k, alpha)[0])))
     obj += ["0.0"] * (nvar - d)
     lines.append("{" + ", ".join(obj) + "}")
     entries = []

@@ -44,14 +44,13 @@ coefficient envelopes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 from .exact import frac
 from .lattices import ball_volume
-from .qseries import GRID, psi_forms, s_transform_terms
+from .qseries import CertifiedValue, GRID, psi_forms, s_transform_terms
 
 DEFAULT_TRUNC = 300
 DEFAULT_DPS = 60
@@ -59,18 +58,6 @@ DEFAULT_DPS = 60
 
 class MagicError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CertifiedValue:
-    value: object  # mpf
-    error: object  # mpf, bound on |true - value|
-
-    def __float__(self):
-        return float(self.value)
-
-    def within(self, target, tol) -> bool:
-        return abs(self.value - target) <= tol + self.error
 
 
 class ExactConst:
@@ -119,48 +106,37 @@ _TABLE_BETA = {8: ExactConst(Fraction(1, 240), -1),
 _GL_CACHE = {}
 
 
+def _legendre(order: int, x):
+    """P_order(x) and its derivative by the three-term recurrence."""
+    p0, p1 = mp.mpf(1), x
+    for k in range(2, order + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, order * (x * p1 - p0) / (x * x - 1)
+
+
 def legendre_nodes(order: int, dps: int):
     """Nodes and weights on [-1, 1], computed once per (order, dps)."""
     key = (order, dps)
     if key in _GL_CACHE:
         return _GL_CACHE[key]
     with mp.workdps(dps + 20):
-        nodes = []
-        weights = []
+        upper = []  # the positive nodes, largest first
         for i in range(1, order // 2 + 1):
             x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (order + mp.mpf(1) / 2))
             for _ in range(120):
-                p0, p1 = mp.mpf(1), x
-                for k in range(2, order + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = order * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
+                p, dp = _legendre(order, x)
+                dx = p / dp
                 x -= dx
                 if abs(dx) < mp.mpf(10) ** (-dps - 12):
                     break
-            p0, p1 = mp.mpf(1), x
-            for k in range(2, order + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append(x)
-            weights.append(w)
-        full_nodes, full_weights = [], []
-        for x, w in zip(nodes, weights):
-            full_nodes.append(-x)
-            full_weights.append(w)
-        if order % 2 == 1:
-            x = mp.mpf(0)
-            p0, p1 = mp.mpf(1), x
-            for k in range(2, order + 1):
-                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-            dp = order * (x * p1 - p0) / (x * x - 1)
-            full_nodes.append(x)
-            full_weights.append(2 / (dp * dp))
-        for x, w in zip(reversed(nodes), reversed(weights)):
-            full_nodes.append(x)
-            full_weights.append(w)
-    _GL_CACHE[key] = (full_nodes, full_weights)
+            upper.append(x)
+        nodes = ([-x for x in upper] + [mp.mpf(0)] * (order % 2)
+                 + upper[::-1])
+        weights = []
+        for x in nodes:
+            dp = _legendre(order, x)[1]
+            weights.append(2 / ((1 - x * x) * dp * dp))
+    _GL_CACHE[key] = (nodes, weights)
     return _GL_CACHE[key]
 
 

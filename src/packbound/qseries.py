@@ -389,44 +389,41 @@ def psi_forms(n: int, trunc: int = DEFAULT_TRUNC) -> dict:
     if n not in (8, 24):
         raise QSeriesError("dimension must be 8 or 24")
     e2, e4, e6 = (eisenstein(k, trunc) for k in (2, 4, 6))
-    t01, t10 = theta01(trunc), theta10(trunc)
     dlt = delta(trunc)
     a = _psi_envelope_scale(n)
     if n == 8:
         plus = (e2 * e4 - e6) ** 2 / dlt
-        minus = ((t01 ** 12) * (t10 ** 8) * 5
-                 + (t01 ** 16) * (t10 ** 4) * 5
-                 + (t01 ** 20) * 2) / dlt
     else:
         num_plus = (e4 ** 4 * 25 - e6 ** 2 * e4 * 49 + e6 * e4 ** 2 * e2 * 48
                     + e6 ** 2 * e2 ** 2 * 25 - e4 ** 3 * e2 ** 2 * 49)
         plus = num_plus / dlt ** 2
-        minus = ((t01 ** 20) * (t10 ** 8) * 7
-                 + (t01 ** 24) * (t10 ** 4) * 7
-                 + (t01 ** 28) * 2) / dlt ** 2
     return {
         "psi_plus": plus.with_envelope(_fit_envelope(plus, a)),
-        "psi_minus": minus.with_envelope(_fit_envelope(minus, a)),
+        "psi_minus": _minus_kernel(n, theta01(trunc), theta10(trunc)),
     }
+
+
+def _minus_kernel(n: int, ta: QSeries, tb: QSeries) -> QSeries:
+    """psi_minus for n in {8, 24} in ta = Theta01 and tb = Theta10, with its
+    envelope; swapping the two thetas gives the S-transform partner."""
+    dlt = delta(ta.trunc)
+    if n == 8:
+        s = ((ta ** 12) * (tb ** 8) * 5
+             + (ta ** 16) * (tb ** 4) * 5
+             + (ta ** 20) * 2) / dlt
+    elif n == 24:
+        s = ((ta ** 20) * (tb ** 8) * 7
+             + (ta ** 24) * (tb ** 4) * 7
+             + (ta ** 28) * 2) / dlt ** 2
+    else:
+        raise QSeriesError("dimension must be 8 or 24")
+    return s.with_envelope(_fit_envelope(s, _psi_envelope_scale(n)))
 
 
 @lru_cache(maxsize=None)
 def conjugate_psi_minus(n: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
     """psi_minus with the theta constants swapped (its S-transform partner)."""
-    t01, t10 = theta01(trunc), theta10(trunc)
-    dlt = delta(trunc)
-    a = _psi_envelope_scale(n)
-    if n == 8:
-        s = ((t10 ** 12) * (t01 ** 8) * 5
-             + (t10 ** 16) * (t01 ** 4) * 5
-             + (t10 ** 20) * 2) / dlt
-    elif n == 24:
-        s = ((t10 ** 20) * (t01 ** 8) * 7
-             + (t10 ** 24) * (t01 ** 4) * 7
-             + (t10 ** 28) * 2) / dlt ** 2
-    else:
-        raise QSeriesError("dimension must be 8 or 24")
-    return s.with_envelope(_fit_envelope(s, a))
+    return _minus_kernel(n, theta10(trunc), theta01(trunc))
 
 
 @dataclass(frozen=True)
@@ -496,19 +493,22 @@ def s_transform_terms(n: int, trunc: int = DEFAULT_TRUNC) -> dict:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EvalResult:
-    value: object   # mpf
-    error: object   # mpf upper bound on |true - value|
+class CertifiedValue:
+    value: object  # mpf
+    error: object  # mpf, bound on |true - value|
 
     def __float__(self):
         return float(self.value)
+
+    def within(self, target, tol) -> bool:
+        return abs(self.value - target) <= tol + self.error
 
 
 DEFAULT_T_MIN = Fraction(1, 2)
 
 
 def evaluate_at_it(series: QSeries, t, dps: int = 30,
-                   t_min=DEFAULT_T_MIN) -> EvalResult:
+                   t_min=DEFAULT_T_MIN) -> CertifiedValue:
     """Evaluate the series at z = it (t > 0 real): sum c_E exp(-pi t E / 4).
 
     The reported error covers the truncation tail (from the series envelope)
@@ -535,7 +535,7 @@ def evaluate_at_it(series: QSeries, t, dps: int = 30,
         if not mp.isfinite(tail):
             raise QSeriesError("tail bound does not close at this t")
         guard = (abs_total + 1) * mp.mpf(10) ** (-dps - 5)
-        return EvalResult(+total, +(tail + guard))
+        return CertifiedValue(+total, +(tail + guard))
 
 
 def evaluate_terms_at_it(terms, t, dps: int = 30):

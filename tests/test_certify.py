@@ -69,6 +69,10 @@ def test_sturm_endpoint_root_deflated():
     # sqrt(2) is interior; endpoint root at 2 of (x-2)(x^2-2)
     q = poly_mul(p, [Fraction(-2), Fraction(1)])
     assert sturm_count(q, 1, 2) == 1
+    # without hi the count runs to +inf; a root at lo is divided out
+    r = poly_mul(q, [Fraction(1), Fraction(1)])  # roots -sqrt2, -1, sqrt2, 2
+    assert sturm_count(r, -1) == 2
+    assert sturm_count(q, 2) == 0
 
 
 def test_sturm_agrees_with_bisection():

@@ -151,6 +151,8 @@ MALFORMED_CERTS = {
     ["verify", "sos", "--cert", "{asymmetric_q1}"],
     ["verify", "sos", "--cert", "{no_q2}"],
     ["verify", "sos", "--cert", "{absent}"],
+    ["lattice", "info", "--name", "zn"],
+    ["verify", "poisson", "--name", "zn"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
@@ -182,6 +184,19 @@ def test_lpbound_forced_small(capsys):
     assert doc["method"] == "forced"
     assert float(doc["residual"]) < 1e-20
     assert "bound" not in doc and "estimate" in doc
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dim", "8", "--degree", "2", "--method", "forced"],
+    ["--dim", "3", "--degree", "7", "--method", "newton"],
+])
+def test_lpbound_vacuous_estimate_reports_infeasible(argv, capsys):
+    code, out = run(["--format", "json", "lpbound", "run"] + argv, capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["estimate"] < 0
+    assert doc["feasible"] is False
+    assert max(doc["violations"]) > 0
 
 
 @pytest.mark.slow

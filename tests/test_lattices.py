@@ -5,8 +5,9 @@ import pytest
 from packbound.codes import golay24, hamming8, zero_code
 from packbound.lattices import (
     EnumerationBudgetError, SymbolicVolume, _build_leech_from_shift,
-    ball_volume, construction_a, covolume, density, dual_lattice,
-    lattice_properties, standard_lattice, theta_coefficients, vectors_by_norm,
+    _make_lattice, ball_volume, construction_a, covolume, density,
+    dual_lattice, lattice_properties, standard_lattice, theta_coefficients,
+    vectors_by_norm,
 )
 
 
@@ -144,17 +145,23 @@ def test_zn2_properties():
     props = lattice_properties(standard_lattice("zn", 2))
     assert props == {"even": False, "unimodular": True,
                      "min_sq_norm": 1, "kissing": 4}
+    # determinant 1 but not integral, so not unimodular
+    lat = _make_lattice([[2, 0], [0, 1]], 1)
+    assert lat.gram == ((2, 0), (0, Fraction(1, 2)))
+    assert lat.true_gram_det() == 1
+    assert lattice_properties(lat)["unimodular"] is False
 
 
 def test_generic_counting_agrees_with_diagonal():
-    # exercise the recursive path on a small construction-A lattice by
-    # stripping its counting hint
-    e8 = standard_lattice("e8")
-    stripped = type(e8)(e8.dimension, e8.scale_exp, e8.scaled_basis, e8.gram,
-                        counting=("generic",))
-    a = vectors_by_norm(stripped, 4).as_dict()
-    b = vectors_by_norm(e8, 4).as_dict()
-    assert a == b
+    # the coset counter against the recursive path, on lattices with their
+    # counting hint stripped (Construction A, the zero code, Z^n)
+    for lat in (standard_lattice("e8"), construction_a(zero_code(8)),
+                standard_lattice("zn", 4)):
+        stripped = type(lat)(lat.dimension, lat.scale_exp, lat.scaled_basis,
+                             lat.gram, counting=("generic",))
+        a = vectors_by_norm(stripped, 4).as_dict()
+        b = vectors_by_norm(lat, 4).as_dict()
+        assert a == b
 
 
 def test_enumeration_budget():

@@ -7,9 +7,8 @@ import pytest
 from packbound.lattices import standard_lattice, vectors_by_norm
 from packbound.lpbound import (
     LpError, RadialAnsatz, SosCertificate, ansatz_eval, build_toy_certificate,
-    default_samples, export_sos_sdp, forced_roots_solve, laguerre_coeffs,
-    laguerre_value, laguerre_zero_value, newton_refine, sampled_lp,
-    verify_sos,
+    default_samples, export_sos_sdp, forced_roots_solve, laguerre_all,
+    laguerre_coeffs, newton_refine, sampled_lp, verify_sos,
 )
 from packbound.magic import radial_fourier_oracle
 from packbound.simplex import Infeasible, solve_min
@@ -20,15 +19,15 @@ OPT8 = math.pi ** 4 / 384
 # -- Laguerre -----------------------------------------------------------------
 
 def test_laguerre_base_cases():
-    assert laguerre_value(0, Fraction(3), Fraction(7)) == 1
+    assert laguerre_all(0, Fraction(3), Fraction(7))[0] == 1
     x = Fraction(2, 3)
-    assert laguerre_value(1, Fraction(1, 2), x) == 1 + Fraction(1, 2) - x
+    assert laguerre_all(1, Fraction(1, 2), x)[1] == 1 + Fraction(1, 2) - x
 
 
 def test_laguerre_at_zero():
     # L_2^3(0) = C(5, 2) = 10
-    assert laguerre_value(2, Fraction(3), Fraction(0)) == 10
-    assert laguerre_zero_value(2, Fraction(3)) == 10
+    assert laguerre_all(2, Fraction(3), Fraction(0))[2] == 10
+    assert laguerre_coeffs(2, Fraction(3))[0] == 10
 
 
 def test_laguerre_coeffs_match_recurrence():
@@ -37,7 +36,7 @@ def test_laguerre_coeffs_match_recurrence():
         coeffs = laguerre_coeffs(k, alpha)
         x = Fraction(7, 11)
         direct = sum(c * x ** j for j, c in enumerate(coeffs))
-        assert direct == laguerre_value(k, alpha, x)
+        assert direct == laguerre_all(k, alpha, x)[k]
 
 
 # -- ansatz -------------------------------------------------------------------
