@@ -275,7 +275,9 @@ _LATTICE_CACHE = {}
 
 
 def standard_lattice(name: str, n: int = None) -> LatticeDescription:
-    """Named lattices: zn(n), e8, l24, leech."""
+    """Named lattices: zn(n), e8, l24, leech; only zn takes a dimension."""
+    if n is not None and name != "zn":
+        raise LatticeError(f"{name} takes no dimension")
     key = (name, n)
     if key in _LATTICE_CACHE:
         return _LATTICE_CACHE[key]

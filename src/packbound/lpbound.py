@@ -349,10 +349,10 @@ def forced_roots_solve(n: int, d: int, simple_root=1.0, double_roots_f=(),
                 "f0": f0}
 
 
-def sign_sweep(ans, a_list, slack=1e-9):
+def sign_sweep(ans, a_list):
     """Worst sign violations of the pair on a grid of step 1/64 up to r = 8
     (f beyond 1, transform everywhere), and whether both stay within
-    `slack`."""
+    1e-9."""
     av = list(a_list)
     worst_f = mp.mpf(0)
     r = mp.mpf(1)
@@ -366,7 +366,7 @@ def sign_sweep(ans, a_list, slack=1e-9):
         worst_h = max(worst_h, -ans.fhat_value(av, r))
         r += step
     return {"violations": (float(worst_f), float(worst_h)),
-            "feasible": bool(worst_f <= slack and worst_h <= slack)}
+            "feasible": bool(worst_f <= 1e-9 and worst_h <= 1e-9)}
 
 def _collocation_seed(ans, n, dps, points=200, r_max=5, u_max=8,
                       transform_points=0):
@@ -408,7 +408,7 @@ def _collocation_seed(ans, n, dps, points=200, r_max=5, u_max=8,
 
 
 def newton_refine(n: int, d: int, double_roots_f, double_roots_fhat,
-                  simple_root=1.0, dps=60, slack=1e-9):
+                  simple_root=1.0, dps=60):
     """One degree-d member of the family near the optimal function, with
     its sign sweep.
 
@@ -418,7 +418,7 @@ def newton_refine(n: int, d: int, double_roots_f, double_roots_fhat,
     this path certifies the sign conditions, so f_a(0) * vol(B_n(1/2)) is
     reported as an `estimate`, never as a bound.  `violations` holds the
     worst grid violations of f <= 0 beyond the root and of fhat >= 0;
-    `feasible` records whether both stay within `slack`.
+    `feasible` records whether both stay within 1e-9.
     """
     ans = RadialAnsatz(n, d)
     with mp.workdps(dps):
@@ -437,7 +437,7 @@ def newton_refine(n: int, d: int, double_roots_f, double_roots_fhat,
             "ansatz": a_list,
             "f0": f0,
             "estimate": float(f0) * ball_volume(n, Fraction(1, 4)).to_float(),
-            **sign_sweep(ans, a_list, slack),
+            **sign_sweep(ans, a_list),
         }
 
 

@@ -153,6 +153,7 @@ MALFORMED_CERTS = {
     ["verify", "sos", "--cert", "{absent}"],
     ["lattice", "info", "--name", "zn"],
     ["verify", "poisson", "--name", "zn"],
+    ["lattice", "info", "--name", "e8", "--n", "5"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
