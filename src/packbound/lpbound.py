@@ -92,14 +92,20 @@ class RadialAnsatz:
         self.n = n
         self.d = d
         self.alpha = Fraction(n, 2) - 1
+        self._scale_cache = {}
 
     def _alpha_mpf(self):
         return mp.mpf(self.alpha.numerator) / self.alpha.denominator
 
     def _scales(self):
-        out = [mp.mpf(1)]
-        for k in range(1, self.d + 1):
-            out.append(out[-1] * k / mp.pi)
+        """k! pi^-k for k = 0..d at the working precision, computed once
+        per precision (the sign sweep asks at every radius)."""
+        out = self._scale_cache.get(mp.mp.prec)
+        if out is None:
+            out = [mp.mpf(1)]
+            for k in range(1, self.d + 1):
+                out.append(out[-1] * k / mp.pi)
+            out = self._scale_cache[mp.mp.prec] = tuple(out)
         return out
 
     def f_basis_scaled(self, r):
@@ -196,7 +202,7 @@ def _rationalize(x, bits=24):
 
 def _dyadic_row(values, rel_floor_bits=50):
     """Exact dyadic rationalization of a row, flushing entries below the
-    row's relative floor to zero (keeps the exact tableau integers small)."""
+    row's relative floor to zero (keeps the exact LP's integers small)."""
     floats = [float(v) for v in values]
     top = max(abs(v) for v in floats) if floats else 0.0
     floor = top * 2.0 ** (-rel_floor_bits)
@@ -221,7 +227,7 @@ def sampled_lp(n: int, d: int, samples=None, dps=30, refine_rounds=4,
     samples = list(samples) if samples is not None else default_samples(n, d)
     with mp.workdps(dps):
         # column equilibration: the basis entries grow like r^(2k), so the
-        # variables are rescaled by powers of two to keep the exact tableau
+        # variables are rescaled by powers of two to keep the exact LP's
         # entries small (recovered after the solve)
         probes = [ans.f_basis_scaled(mp.mpf(r)) for r in (2, 4, 8)]
         scales = [Fraction(1) / _pow2_scale(max(abs(p[k]) for p in probes))

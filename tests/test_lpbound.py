@@ -1,9 +1,17 @@
+import itertools
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+import packbound
+from packbound.exact import mat_inverse
 from packbound.lattices import standard_lattice, vectors_by_norm
 from packbound.lpbound import (
     LpError, RadialAnsatz, SosCertificate, ansatz_eval, build_toy_certificate,
@@ -11,7 +19,13 @@ from packbound.lpbound import (
     laguerre_coeffs, newton_refine, sampled_lp, verify_sos,
 )
 from packbound.magic import radial_fourier_oracle
-from packbound.simplex import Infeasible, solve_min
+from packbound.simplex import Infeasible, _adjugate, solve_min
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
 
 OPT8 = math.pi ** 4 / 384
 
@@ -106,8 +120,31 @@ def test_sampled_lp_monotone_in_samples():
 @pytest.mark.slow
 def test_sampled_lp_e8_window():
     res = sampled_lp(8, 30)
-    assert res["feasible_report"]["feasible"], res["feasible_report"]
+    report = res["feasible_report"]
+    assert report["feasible"], report
     assert OPT8 <= res["bound"] <= 1.5 * OPT8
+    # the pivoting rules fix the walk: three solves, 565 pivots in all
+    assert report["iterations"] == 565
+    assert report["rounds"] == 3
+    assert report["samples_used"] == 169
+
+
+def test_lp_path_imports_no_numpy_or_scipy():
+    # the whole lp8 benchmark peaks near 28 MB RSS; importing numpy alone
+    # takes a process to 27-31 MB and scipy.optimize to 76-80 MB
+    code = ("import sys\n"
+            "import packbound.cli\n"
+            "from packbound.lpbound import sampled_lp\n"
+            "sampled_lp(1, 4, refine_rounds=0)\n"
+            "print([m for m in ('numpy', 'scipy') if m in sys.modules])\n")
+    src = str(pathlib.Path(packbound.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    assert proc.stdout.strip() == "[]"
 
 
 # -- forced roots and refinement -------------------------------------------------
@@ -156,6 +193,88 @@ def test_simplex_small():
 def test_simplex_infeasible():
     with pytest.raises(Infeasible):
         solve_min([1], [[1]], [-1])  # x <= -1 with x >= 0
+
+
+def test_adjugate_is_det_times_inverse():
+    # zero pivots force row swaps; 60-bit entries check that every
+    # fraction-free division is exact
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        block = [[rng.choice([0, 0, rng.randint(-9, 9),
+                              rng.randint(-2 ** 60, 2 ** 60)])
+                  for _ in range(k)] for _ in range(k)]
+        try:
+            inv = mat_inverse(block)
+        except ValueError:
+            continue
+        adj, det = _adjugate(block)
+        assert det > 0
+        assert [[Fraction(v, det) for v in row] for row in adj] == inv
+        checked += 1
+    assert checked > 100
+
+
+def _vertex_minimum(c, rows, b):
+    """min c.x over {rows x <= b, x >= 0} by enumerating vertices, or None
+    when the set is empty.  The set lies in x >= 0, so it has a vertex
+    whenever it is nonempty, and c >= 0 bounds c.x below, so the minimum is
+    attained at a vertex: a point of the set where n of the m + n
+    constraints hold with equality and are linearly independent."""
+    n = len(c)
+    cons = list(zip(rows, b)) + [([-int(i == j) for j in range(n)], 0)
+                                 for i in range(n)]
+    best = None
+    for pick in itertools.combinations(cons, n):
+        try:
+            inv = mat_inverse([r for r, _ in pick])
+        except ValueError:
+            continue
+        x = [sum(v * bi for v, (_, bi) in zip(inv_row, pick))
+             for inv_row in inv]
+        if all(v >= 0 for v in x) and all(
+                sum(a * v for a, v in zip(r, x)) <= bi
+                for r, bi in zip(rows, b)):
+            val = sum(ci * v for ci, v in zip(c, x))
+            best = val if best is None else min(best, val)
+    return best
+
+
+if HAVE_HYPOTHESIS:
+    small_q = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+    @st.composite
+    def small_lps(draw):
+        n = draw(st.integers(1, 4))
+        m = draw(st.integers(1, 6))
+        c = draw(st.lists(st.fractions(min_value=0, max_value=3,
+                                       max_denominator=3),
+                          min_size=n, max_size=n))
+        rows = draw(st.lists(st.lists(small_q, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+        for src, dst in draw(st.lists(st.tuples(
+                st.integers(0, m - 1), st.integers(0, m - 1)), max_size=2)):
+            rows[dst] = list(rows[src])  # repeated rows
+        b = draw(st.lists(small_q, min_size=m, max_size=m))
+        return c, rows, b
+
+    @given(small_lps())
+    @settings(max_examples=200, deadline=None)
+    def test_simplex_matches_vertex_enumeration(lp):
+        c, rows, b = lp
+        best = _vertex_minimum(c, rows, b)
+        if best is None:
+            with pytest.raises(Infeasible):
+                solve_min(c, rows, b)
+            return
+        res = solve_min(c, rows, b)
+        x = res["x"]
+        assert res["objective"] == best
+        assert res["objective"] == sum(ci * v for ci, v in zip(c, x))
+        assert all(v >= 0 for v in x)
+        assert all(sum(a * v for a, v in zip(r, x)) <= bi
+                   for r, bi in zip(rows, b))
 
 
 # -- SOS certificates ------------------------------------------------------------
