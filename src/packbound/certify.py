@@ -370,6 +370,14 @@ def certify_magic(n: int, spec=None, config: dict = None) -> Certificate:
         cfg.update(config)
     spec = spec or magic_spec(n)
     cert = Certificate(claim=f"test-function feasibility, dimension {n}")
+    # a failed step refutes only when its failure exceeds its error bar
+    definite = []
+
+    def check(statement, method, bound, passed, exceeds_error=True):
+        cert.add_step(statement, method, bound, passed)
+        if not passed and exceeds_error:
+            definite.append(statement)
+
     with mp.workdps(spec.dps + 10):
         r1 = mp.sqrt(spec.r1_sq)
         tol = cfg["tol_endpoint"]
@@ -377,9 +385,9 @@ def certify_magic(n: int, spec=None, config: dict = None) -> Certificate:
         # (i) normalization at the origin
         for side in ("f", "f_hat"):
             v = spec.eval(side, 0)
-            cert.add_step(f"{side}(0) = 1", "numerical (certified error)",
-                          f"{float(abs(v.value - 1)):.3e}",
-                          abs(v.value - 1) <= tol + v.error)
+            check(f"{side}(0) = 1", "numerical (certified error)",
+                  f"{float(abs(v.value - 1)):.3e}",
+                  abs(v.value - 1) <= tol + v.error)
 
         # (ii) sign conditions on grids
         slack = cfg["grid_slack"]
@@ -394,8 +402,8 @@ def certify_magic(n: int, spec=None, config: dict = None) -> Certificate:
             if v.value - v.error > slack:
                 ok_f = False
             r += step
-        cert.add_step(f"f <= 0 on [r1, {rmax}]", "numerical grid",
-                      f"max lower bound {float(worst_f):.3e}", ok_f)
+        check(f"f <= 0 on [r1, {rmax}]", "numerical grid",
+              f"max lower bound {float(worst_f):.3e}", ok_f)
         worst_h = mp.inf
         r = mp.mpf(0)
         ok_h = True
@@ -405,62 +413,65 @@ def certify_magic(n: int, spec=None, config: dict = None) -> Certificate:
             if v.value + v.error < -slack:
                 ok_h = False
             r += step
-        cert.add_step(f"fhat >= 0 on [0, {rmax}]", "numerical grid",
-                      f"min upper bound {float(worst_h):.3e}", ok_h)
+        check(f"fhat >= 0 on [0, {rmax}]", "numerical grid",
+              f"min upper bound {float(worst_h):.3e}", ok_h)
 
         # far tail: decaying kernel dominates all error terms by a margin;
         # sample just past the grid (the value decays toward the certified
         # error floor), away from even squared radii where both vanish
         far_ok = True
+        far_wrong = False  # a sign certainly wrong
         margin = mp.inf
         for rr in (rmax + 0.21, rmax + 0.46, rmax + 0.71):
             vf = spec.eval("f", rr)
             vh = spec.eval("f_hat", rr)
             if vf.value >= 0 or vh.value <= 0:
                 far_ok = False
+            if vf.value - vf.error >= 0 or vh.value + vh.error <= 0:
+                far_wrong = True
             margin = min(margin,
                          abs(vf.value) / max(vf.error, mp.mpf("1e-300")),
                          abs(vh.value) / max(vh.error, mp.mpf("1e-300")))
         far_ok = far_ok and margin >= cfg["far_margin"]
-        cert.add_step(
+        check(
             f"far decay beyond {rmax}: signs with margin >= {cfg['far_margin']}",
-            "numerical", f"margin {float(margin):.1e}", far_ok)
+            "numerical", f"margin {float(margin):.1e}", far_ok, far_wrong)
 
         # (iii) roots and parities at the first four vector lengths
         lengths = [mp.sqrt(spec.r1_sq + 2 * j) for j in range(4)]
         for rr in lengths:
             for side in ("f", "f_hat"):
                 v = spec.eval(side, rr)
-                cert.add_step(f"{side}({mp.nstr(rr, 6)}) = 0",
-                              "numerical (certified error)",
-                              f"{float(abs(v.value)):.3e}",
-                              abs(v.value) <= tol + v.error)
+                check(f"{side}({mp.nstr(rr, 6)}) = 0",
+                      "numerical (certified error)",
+                      f"{float(abs(v.value)):.3e}",
+                      abs(v.value) <= tol + v.error)
         d1 = spec.derivative("f", r1)
-        cert.add_step("f has a transversal sign change at r1",
-                      "numerical", f"|f'(r1)| = {float(abs(d1.value)):.3e}",
-                      abs(d1.value) >= _SLOPE_FLOOR[n])
+        check("f has a transversal sign change at r1",
+              "numerical", f"|f'(r1)| = {float(abs(d1.value)):.3e}",
+              abs(d1.value) >= _SLOPE_FLOOR[n],
+              abs(d1.value) + d1.error < _SLOPE_FLOOR[n])
         for rr in lengths[1:3]:
             d = spec.derivative("f", rr)
-            cert.add_step(f"double root of f at {mp.nstr(rr, 6)}",
-                          "numerical", f"{float(abs(d.value)):.3e}",
-                          abs(d.value) <= cfg["double_root_tol"] + d.error)
+            check(f"double root of f at {mp.nstr(rr, 6)}",
+                  "numerical", f"{float(abs(d.value)):.3e}",
+                  abs(d.value) <= cfg["double_root_tol"] + d.error)
         dh = spec.derivative("f_hat", r1)
-        cert.add_step("double root of fhat at r1", "numerical",
-                      f"{float(abs(dh.value)):.3e}",
-                      abs(dh.value) <= cfg["double_root_tol"] + dh.error)
+        check("double root of fhat at r1", "numerical",
+              f"{float(abs(dh.value)):.3e}",
+              abs(dh.value) <= cfg["double_root_tol"] + dh.error)
 
         # (iv) quadratic Taylor coefficients
         for side in ("f", "f_hat"):
             target = _TAYLOR_TARGETS[(n, side)]
             t = taylor_quadratic(side, n, spec)
             err = abs(t.value - mp.mpf(target.numerator) / target.denominator)
-            cert.add_step(f"quadratic coefficient of {side} is {target}",
-                          "numerical (Richardson)", f"{float(err):.3e}",
-                          err <= cfg["taylor_tol"] + t.error)
+            check(f"quadratic coefficient of {side} is {target}",
+                  "numerical (Richardson)", f"{float(err):.3e}",
+                  err <= cfg["taylor_tol"] + t.error)
 
     if all(s["passed"] for s in cert.log):
         cert.status = "verified"
     else:
-        definite = any(not s["passed"] for s in cert.log)
         cert.status = "refuted" if definite else "inconclusive"
     return cert

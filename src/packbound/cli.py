@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -163,6 +164,11 @@ def _cmd_qseries(args, cfg):
 
 
 def _cmd_magic(args, cfg):
+    if args.action == "table" and not (
+            math.isfinite(args.step) and args.step > 0
+            and math.isfinite(args.rmax)):
+        raise MagicError("--step must be finite and positive, "
+                         "--rmax finite")
     spec = magic_spec(args.dim, trunc=cfg.trunc, dps=cfg.precision)
     if args.action == "eval":
         with mp.workdps(cfg.precision + 10):

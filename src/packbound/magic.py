@@ -35,16 +35,22 @@ integrates in closed form: int_{t*}^inf t^m e^(-st) dt with s = pi (r^2 +
 E/4); the analytic continuation in s is the same expression, and the
 sin^2 prefactor cancels the poles at s = 0 (a power-series branch is used
 inside |s| < 1e-3, where W(r) coincides with sin(s/2)^2 because all pole
-exponents are divisible by 8).  On (0, t*] the substitution u = 1/t and the
-S-transform turn the integrand into u^(-n/2) * (decaying series) *
-e^(-pi r^2 / u), integrated by fixed-order Gauss-Legendre panels with an
-order-doubling error estimate.  Series truncation tails ride along from the
-coefficient envelopes.
+exponents are divisible by 8).  The terms are folded once per spec into a
+table over the distinct grid exponents E (pi E/4, base^E and the combined
+coefficients of 1/s, 1/s^2, 1/s^3), so a radius costs one reciprocal of s
+per exponent and one dot product per side.  On (0, t*] the substitution
+u = 1/t and the S-transform turn the integrand into u^(-n/2) * (decaying
+series) * e^(-pi r^2 / u), integrated by fixed-order Gauss-Legendre panels
+with an order-doubling error estimate.  Both kernels share one node set,
+so e^(-pi r^2 / u) is computed once per node, and each quadrature sum is
+one mp.fdot (exact products, one rounding).  Series truncation tails ride
+along from the coefficient envelopes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 import mpmath as mp
 
@@ -151,86 +157,201 @@ def _series_eval_terms(series, dps):
                 for e, c in series.items()]
 
 
-class _TsideTerm:
-    __slots__ = ("m", "const", "terms", "envelope", "trunc")
+def _sinc2(s, dps):
+    """sin(s/2)^2 / s^2, an entire function, by its power series."""
+    acc = mp.mpf(0)
+    term = mp.mpf(1) / 4
+    k = 1
+    while abs(term) > mp.mpf(10) ** (-dps - 15):
+        acc += term
+        k += 1
+        term = (-1) ** (k + 1) * s ** (2 * k - 2) / (2 * mp.factorial(2 * k))
+    return acc
 
-    def __init__(self, m, const, series, dps):
-        self.m = m
-        self.const = const
-        self.terms = _series_eval_terms(series, dps)
-        self.envelope = series.envelope
-        self.trunc = series.trunc
+
+class _TsideTable:
+    """W * int_{t*}^inf of every t-side series sum, folded once per spec.
+
+    Each side is a list of terms const * t^m * series(it).  For every
+    distinct grid exponent E the terms collapse to C_m = sum const * c_E
+    (one per power m), so outside the pole band the side is a polynomial in
+    x = 1/s, s = pi r^2 + pi E/4:
+
+        W e^(-pi r^2 t*) * sum_E sum_j D_{E,j} x^(j+1),
+        D_{E,j} = base^E sum_m C_m m!/(m-j)! t*^(m-j).
+
+    The same polynomial with |const * c_E| in place of C_m bounds the sum of
+    the absolute summands, which sizes the round-off guard.
+    """
+
+    __slots__ = ("dps", "tstar", "band", "shift", "bpow", "width", "sides")
+
+    def __init__(self, sides, tstar, base, band, dps):
+        self.dps = dps
+        self.tstar = tstar
+        with mp.workdps(dps + 10):
+            self.band = mp.mpf(band)
+            exps = sorted({e for side in sides for _, _, series in side
+                           for e in series.coeffs})
+            index = {e: k for k, e in enumerate(exps)}
+            self.shift = [mp.pi * e / 4 for e in exps]
+            self.bpow = [base ** e for e in exps]
+            self.width = 1 + max(m for side in sides for m, _, _ in side)
+            self.sides = []
+            for side in sides:
+                width = 1 + max(m for m, _, _ in side)
+                # C_m and sum |const * c_E| per exponent; at least m = 0, 1
+                # for the pole band
+                c = [[mp.mpf(0)] * max(width, 2) for _ in exps]
+                c_abs = [[mp.mpf(0)] * max(width, 2) for _ in exps]
+                tail = mp.mpf(0)
+                for m, const, series in side:
+                    cm = const.mpf()
+                    for e, v in _series_eval_terms(series, dps):
+                        c[index[e]][m] += cm * v
+                        c_abs[index[e]][m] += abs(cm * v)
+                    if series.envelope is not None:
+                        tail += abs(cm) * 8 * (1 + tstar) ** m * \
+                            series.envelope.tail_bound(series.trunc, base)
+
+                def fold(cs):
+                    # flat over (j, E): the x^(j+1) coefficients D_{E,j}
+                    return [bp * mp.fsum(cm[m] * perm(m, j) * tstar ** (m - j)
+                                         for m in range(j, width))
+                            for j in range(width)
+                            for bp, cm in zip(self.bpow, cs)]
+
+                self.sides.append((fold(c), fold(c_abs), c, c_abs, tail))
+
+    def evaluate(self, pi_r2, w_r, g):
+        """[(value, error)] per side at s = pi r^2 + pi E/4 for every E,
+        with g = e^(-pi r^2 t*)."""
+        ts = self.tstar
+        x, in_band = [], []
+        for k, shift in enumerate(self.shift):
+            s = pi_r2 + shift
+            if abs(s) > self.band:
+                x.append(1 / s)
+            else:
+                # inside the pole band (reachable only where 8 | E, so
+                # W(r) = sin(s/2)^2 exactly) the sine factor is folded in by
+                # series
+                x.append(mp.mpf(0))
+                in_band.append((k, s, g * self.bpow[k], _sinc2(s, self.dps)))
+        powers = [x]
+        for _ in range(1, self.width):
+            powers.append([p * v for p, v in zip(powers[-1], x)])
+        flat = [v for row in powers for v in row]
+        flat_abs = [abs(v) for v in flat]
+        scale = w_r * g
+        out = []
+        for coef, coef_abs, c, c_abs, tail in self.sides:
+            # fdot stops at the shorter list, so a side reads as many
+            # powers of x as it has coefficients
+            total = scale * mp.fdot(coef, flat)
+            abs_total = scale * mp.fdot(coef_abs, flat_abs)
+            for k, s, est, sinc2 in in_band:
+                if any(c_abs[k][2:]):
+                    raise MagicError("pole band reached with quadratic weight")
+                c0, c1 = c[k][:2]
+                a0, a1 = c_abs[k][:2]
+                total += est * sinc2 * (c0 * s + c1 * (ts * s + 1))
+                abs_total += est * abs(sinc2) * (
+                    a0 * abs(s) + a1 * (ts * abs(s) + 1))
+            guard = (abs_total + 1) * mp.mpf(10) ** (-(self.dps - 8))
+            out.append((total, tail + guard))
+        return out
 
 
 class _UsideKernel:
-    """Cached Gauss-Legendre data for int_{u0}^inf u^(-p) Phi(iu) e^(-b/u) du."""
+    """Gauss-Legendre data for int_{u0}^inf u^(-p) Phi(iu) e^(-b/u) du.
 
-    __slots__ = ("nodes_lo", "vals_lo", "nodes_hi", "vals_hi",
-                 "series_err", "tail_err")
+    `nodes` holds -1/u at the low- and the high-order nodes.  Every kernel
+    of a spec holds the same two lists, so e^(-b/u) is computed once per
+    node and radius.
+    """
 
-    def __init__(self, series, p, u0, orders, dps):
-        terms = _series_eval_terms(series, dps)
-        e1 = min(e for e, _ in terms)
-        if e1 < 1:
-            raise MagicError("u-side kernel must decay at the cusp")
-        with mp.workdps(dps + 10):
-            u0 = mp.mpf(u0.numerator) / u0.denominator
-            u_max = u0 + (dps + 12) * mp.log(10) * 4 / (mp.pi * e1)
-            # panel breakpoints: geometric growth
-            breaks = [mp.mpf(u0)]
-            while breaks[-1] < u_max:
-                breaks.append(breaks[-1] * mp.mpf(2) + 1)
-            breaks[-1] = u_max
+    __slots__ = ("nodes", "vals", "series_err", "tail_err")
 
-            def phi(u):
-                y = mp.exp(-mp.pi * u / 4)
-                acc = mp.mpf(0)
-                for e, c in terms:
-                    acc += c * y ** e
-                return acc
+    def __init__(self, nodes, vals, series_err, tail_err):
+        self.nodes = nodes
+        self.vals = vals
+        self.series_err = series_err
+        self.tail_err = tail_err
 
-            def kernel(u):
-                return u ** (-p) * phi(u)
+    def integral(self, decay):
+        """Certified value of the integral, from e^(-b/u) at `nodes`."""
+        q_lo = mp.fdot(self.vals[0], decay[0])
+        q_hi = mp.fdot(self.vals[1], decay[1])
+        return q_hi, abs(q_hi - q_lo) + self.series_err + self.tail_err
 
-            def build(order):
-                xs, ws = legendre_nodes(order, dps)
-                nodes, vals = [], []
-                env_tail = mp.mpf(0)
-                for a, b in zip(breaks, breaks[1:]):
-                    half = (b - a) / 2
-                    mid = (b + a) / 2
-                    for x, w in zip(xs, ws):
-                        u = mid + half * x
-                        nodes.append(u)
-                        vals.append(w * half * kernel(u))
-                        if series.envelope is not None:
-                            env_tail += abs(w * half) * u ** (-p) * \
-                                series.envelope.tail_bound(
-                                    series.trunc, mp.exp(-mp.pi * u / 4))
-                return nodes, vals, env_tail
 
-            self.nodes_lo, self.vals_lo, _ = build(orders[0])
-            self.nodes_hi, self.vals_hi, env_tail = build(orders[1])
-            # series truncation integrated along the contour (e^(-b/u) <= 1)
-            self.series_err = env_tail
+def _uside_kernels(series_list, p, u0, orders, dps):
+    """One _UsideKernel per series, all on one node set.
+
+    The panel breaks grow geometrically from u0 up to the u_max of the most
+    slowly decaying series, so all kernels are cut at the same point (a
+    later cut only shrinks a faster kernel's tail bound).  One pass over the
+    nodes takes y = e^(-pi u/4) once per node and its powers at the union of
+    the exponents, and evaluates every series and envelope tail from them.
+    """
+    terms = [_series_eval_terms(series, dps) for series in series_list]
+    e1s = [min(e for e, _ in t) for t in terms]
+    if min(e1s) < 1:
+        raise MagicError("u-side kernel must decay at the cusp")
+    exps = sorted({e for t in terms for e, _ in t})
+    with mp.workdps(dps + 10):
+        u0 = mp.mpf(u0.numerator) / u0.denominator
+        u_max = u0 + (dps + 12) * mp.log(10) * 4 / (mp.pi * min(e1s))
+        breaks = [u0]
+        while breaks[-1] < u_max:
+            breaks.append(breaks[-1] * 2 + 1)
+        breaks[-1] = u_max
+
+        def evaluate(u, tails):
+            """[(Phi(iu), envelope tail at iu or 0)] for every series."""
+            y = mp.exp(-mp.pi * u / 4)
+            steps, powers = {}, {}
+            prev, acc = 0, mp.mpf(1)
+            for e in exps:
+                if e - prev not in steps:
+                    steps[e - prev] = y ** (e - prev)
+                acc *= steps[e - prev]
+                powers[e] = acc
+                prev = e
+            out = []
+            for series, t in zip(series_list, terms):
+                phi = mp.fdot((c, powers[e]) for e, c in t)
+                env = (series.envelope.tail_bound(series.trunc, y)
+                       if tails and series.envelope is not None
+                       else mp.mpf(0))
+                out.append((phi, env))
+            return out
+
+        nodes = ([], [])
+        vals = [([], []) for _ in series_list]
+        series_err = [mp.mpf(0)] * len(series_list)
+        for part, order in enumerate(orders):
+            xs, ws = legendre_nodes(order, dps)
+            for a, b in zip(breaks, breaks[1:]):
+                half = (b - a) / 2
+                mid = (b + a) / 2
+                for x, w in zip(xs, ws):
+                    u = mid + half * x
+                    wu = w * half * u ** (-p)
+                    nodes[part].append(-1 / u)
+                    # series truncation along the contour (e^(-b/u) <= 1)
+                    # is integrated at the high order
+                    for k, (phi, env) in enumerate(evaluate(u, part == 1)):
+                        vals[k][part].append(wu * phi)
+                        series_err[k] += abs(wu) * env
+        kernels = []
+        for k, (phi, env) in enumerate(evaluate(u_max, True)):
             # contour tail beyond u_max: |Phi(iu)| <= A_U e^(-pi e1 (u-U)/4)
-            a_u = phi(u_max)
-            if series.envelope is not None:
-                a_u += series.envelope.tail_bound(
-                    series.trunc, mp.exp(-mp.pi * u_max / 4))
-            self.tail_err = abs(a_u) * u_max ** (-p) * 4 / (mp.pi * e1)
-
-    def integrate(self, b, dps):
-        """Certified value of the integral with e^(-b/u) weight."""
-        with mp.workdps(dps + 10):
-            q_lo = mp.mpf(0)
-            for u, wv in zip(self.nodes_lo, self.vals_lo):
-                q_lo += wv * mp.exp(-b / u)
-            q_hi = mp.mpf(0)
-            for u, wv in zip(self.nodes_hi, self.vals_hi):
-                q_hi += wv * mp.exp(-b / u)
-            err = abs(q_hi - q_lo) + self.series_err + self.tail_err
-            return q_hi, err
+            tail_err = abs(phi + env) * u_max ** (-p) * 4 / (mp.pi * e1s[k])
+            kernels.append(_UsideKernel(nodes, vals[k], series_err[k],
+                                        tail_err))
+        return kernels
 
 
 class MagicFunctionSpec:
@@ -246,7 +367,6 @@ class MagicFunctionSpec:
         self.dps = dps
         self.tstar = frac(tstar)
         self.quad_orders = quad_orders
-        self.band = band
         self._cache = {}
 
         terms = s_transform_terms(n, trunc)
@@ -263,11 +383,8 @@ class MagicFunctionSpec:
             const = ExactConst(sign * it.rat, it.pi_pow)
             plus_terms.append((it.z_power, const, it.series))
         self._assert_pole_structure(plus_terms)
-        self.tside_plus = [_TsideTerm(m, c, s, dps) for m, c, s in plus_terms]
-        self.tside_minus = [
-            _TsideTerm(0, ExactConst(1), psis["psi_minus"], dps)]
-        self._assert_pole_structure(
-            [(0, ExactConst(1), psis["psi_minus"])])
+        minus_terms = [(0, ExactConst(1), psis["psi_minus"])]
+        self._assert_pole_structure(minus_terms)
 
         # u-side kernels (both carry coefficient +1 after i-absorption)
         minus_term = terms["psi_minus"][0]
@@ -277,11 +394,9 @@ class MagicFunctionSpec:
         usign = (1 if ipow == 0 else -1) * (1 if minus_term.rat > 0 else -1)
         if usign != 1 or abs(minus_term.rat) != 1:
             raise MagicError("unexpected minus-kernel normalization")
-        u0 = 1 / self.tstar
-        self.uside_plus = _UsideKernel(psis["psi_plus"], n // 2, u0,
-                                       quad_orders, dps)
-        self.uside_minus = _UsideKernel(minus_term.series, n // 2, u0,
-                                        quad_orders, dps)
+        self.uside_plus, self.uside_minus = _uside_kernels(
+            [psis["psi_plus"], minus_term.series], n // 2, 1 / self.tstar,
+            quad_orders, dps)
 
         # combination constants
         kappa1 = plus_terms[1][1]
@@ -313,6 +428,8 @@ class MagicFunctionSpec:
                                / self.tstar.denominator)
             self._A = self.A.mpf()
             self._B = self.B.mpf()
+        self._tside = _TsideTable([plus_terms, minus_terms], self._tstar_mpf,
+                                  self._base, band, dps)
 
     def _assert_pole_structure(self, term_list):
         for m, _, series in term_list:
@@ -323,76 +440,30 @@ class MagicFunctionSpec:
             if m == 2 and series.min_exp < 1:
                 raise MagicError("quadratic-weight series must vanish at the cusp")
 
-    # -- closed forms on [t*, inf) ------------------------------------------
-
-    def _cf(self, m, s, est, w_r):
-        """W * int_{t*}^inf t^m e^(-st) dt, with est = e^(-s t*).
-
-        Outside the pole band this is w_r * est * sum_j m!/(m-j)! t*^(m-j)
-        / s^(j+1).  Inside the band (only reachable when the series exponent
-        is divisible by 8, where W(r) = sin(s/2)^2 exactly) the sine factor
-        is folded in by series to cancel the pole.
-        """
-        ts = self._tstar_mpf
-        if abs(s) > self.band:
-            acc = mp.mpf(0)
-            fact = mp.mpf(1)
-            for j in range(m + 1):
-                acc += fact * ts ** (m - j) / s ** (j + 1)
-                fact *= m - j
-            return w_r * est * acc
-        if m > 1:
-            raise MagicError("pole band reached with quadratic weight")
-        # sinc2(s) = sin(s/2)^2 / s^2, entire
-        sinc2 = mp.mpf(0)
-        term = mp.mpf(1) / 4
-        k = 1
-        while abs(term) > mp.mpf(10) ** (-self.dps - 15):
-            sinc2 += term
-            k += 1
-            term = (-1) ** (k + 1) * s ** (2 * k - 2) / (2 * mp.factorial(2 * k))
-        if m == 0:
-            return est * s * sinc2
-        return est * (ts * s * sinc2 + sinc2)
-
-    def _tside(self, term_list, r2, w_r):
-        total = mp.mpf(0)
-        abs_total = mp.mpf(0)
-        tail = mp.mpf(0)
-        g = mp.exp(-mp.pi * r2 * self._tstar_mpf)
-        for term in term_list:
-            cmp_ = term.const.mpf()
-            for e, c in term.terms:
-                s = mp.pi * (r2 + mp.mpf(e) / 4)
-                est = g * self._base ** e
-                cf = self._cf(term.m, s, est, w_r)
-                total += cmp_ * c * cf
-                abs_total += abs(cmp_ * c * cf)
-            if term.envelope is not None:
-                cm = 8 * (1 + self._tstar_mpf) ** term.m
-                tail += abs(cmp_) * cm * term.envelope.tail_bound(
-                    term.trunc, self._base)
-        guard = (abs_total + 1) * mp.mpf(10) ** (-(self.dps - 8))
-        return total, tail + guard
-
     # -- public evaluation ----------------------------------------------------
 
     def pair(self, r):
         """Certified (P, M) = (W*I_plus, W*I_minus) at radius r >= 0."""
-        key = mp.nstr(mp.mpf(r), self.dps)
-        if key in self._cache:
-            return self._cache[key]
         with mp.workdps(self.dps + 10):
             rv = mp.mpf(r)
+            if not mp.isfinite(rv):
+                raise MagicError("radius must be finite")
             if rv < 0:
                 raise MagicError("radius must be nonnegative")
-            r2 = rv * rv
-            w_r = mp.sin(mp.pi * r2 / 2) ** 2
-            p_t, p_terr = self._tside(self.tside_plus, r2, w_r)
-            m_t, m_terr = self._tside(self.tside_minus, r2, w_r)
-            b = mp.pi * r2
-            p_u, p_uerr = self.uside_plus.integrate(b, self.dps)
-            m_u, m_uerr = self.uside_minus.integrate(b, self.dps)
+            # keyed on the radius at working precision, not as the caller
+            # would print it
+            key = rv._mpf_
+            if key in self._cache:
+                return self._cache[key]
+            pi_r2 = mp.pi * (rv * rv)
+            w_r = mp.sin(pi_r2 / 2) ** 2
+            g = mp.exp(-pi_r2 * self._tstar_mpf)
+            (p_t, p_terr), (m_t, m_terr) = self._tside.evaluate(
+                pi_r2, w_r, g)
+            decay = [[mp.exp(pi_r2 * v) for v in part]
+                     for part in self.uside_plus.nodes]
+            p_u, p_uerr = self.uside_plus.integral(decay)
+            m_u, m_uerr = self.uside_minus.integral(decay)
             p = CertifiedValue(p_t + w_r * p_u, p_terr + w_r * p_uerr)
             m = CertifiedValue(m_t + w_r * m_u, m_terr + w_r * m_uerr)
         self._cache[key] = (p, m)

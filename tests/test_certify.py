@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from packbound import certify as certify_mod
 from packbound.certify import (
     Certificate, CertifyError, RationalInterval, certify_magic,
     certify_positive_tail, exp_interval, nth_root_bounds, poisson_check,
@@ -207,6 +208,30 @@ def test_poisson_residual_decreases_with_cutoff():
 def test_certify_magic_8(spec8):
     cert = certify_magic(8, spec8, {"grid_step": 0.05})
     assert cert.status == "verified", cert.to_json()
+
+
+def test_certify_magic_margin_shortfall_is_inconclusive(spec8):
+    # every sign is right, but no margin reaches 1e300: not a refutation
+    cert = certify_magic(8, spec8, {"grid_step": 0.05, "far_margin": 1e300})
+    assert cert.status == "inconclusive"
+    failing = [s["statement"] for s in cert.log if not s["passed"]]
+    assert failing == ["far decay beyond 8.0: signs with margin >= 1e+300"]
+
+
+def test_certify_magic_slope_floor(spec8, monkeypatch):
+    with mp.workdps(spec8.dps + 10):
+        d1 = spec8.derivative("f", mp.sqrt(2))
+        slope, err = abs(d1.value), d1.error
+    assert err > 0
+    # a floor above the slope but within its error bar is inconclusive,
+    # one beyond the error bar refutes
+    for floor, status in ((slope + err / 2, "inconclusive"),
+                          (slope + 2 * err, "refuted")):
+        monkeypatch.setitem(certify_mod._SLOPE_FLOOR, 8, floor)
+        cert = certify_magic(8, spec8, {"grid_step": 0.05})
+        assert cert.status == status
+        failing = [s["statement"] for s in cert.log if not s["passed"]]
+        assert failing == ["f has a transversal sign change at r1"]
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -154,6 +155,14 @@ MALFORMED_CERTS = {
     ["lattice", "info", "--name", "zn"],
     ["verify", "poisson", "--name", "zn"],
     ["lattice", "info", "--name", "e8", "--n", "5"],
+    ["magic", "eval", "--dim", "8", "--r", "inf"],
+    ["magic", "eval", "--dim", "8", "--r", "nan"],
+    ["magic", "table", "--dim", "8", "--step", "0"],
+    ["magic", "table", "--dim", "8", "--step", "-0.5"],
+    ["magic", "table", "--dim", "8", "--step", "nan"],
+    ["magic", "table", "--dim", "8", "--step", "inf"],
+    ["magic", "table", "--dim", "8", "--rmax", "inf"],
+    ["magic", "table", "--dim", "8", "--rmax", "nan"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
@@ -161,7 +170,19 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     argv = [a.format(**paths) for a in argv]
-    code = dispatch(argv)
+
+    # a table whose radius never advances must fail the test, not hang it;
+    # pytest's Failed is no OSError, so dispatch does not turn it into exit 2
+    def expire(signum, frame):
+        pytest.fail(f"{argv} did not return within 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(120)
+    try:
+        code = dispatch(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.err.startswith("packbound: ")

@@ -210,3 +210,216 @@ def test_module_level_wrappers(spec8):
 def test_invalid_dimension():
     with pytest.raises(MagicError):
         magic_spec(9)
+
+
+# Values and errors of (P, M) from the per-term t-side loop and the separate
+# u-side quadratures that the exponent table and the shared nodes replaced.
+# Radii are sqrt(r2 + edge * 1.01e-3 / pi): r2 in {0, 2, 4, 6} meets a pole
+# of the t-side sums (the pole band), edge = -1/+1 lands just outside the
+# band, and the last four are ordinary grid radii (0.5, 1.3, 2.9, 7.9).
+PINNED_PAIRS = {
+    8: {
+        ("0", 0): (
+            "-6.8754935415698785052157785776926204398886566959877185859e+2",
+            "6.88584e-50",
+            "0",
+            "1.18288e-52",
+        ),
+        ("2", 0): (
+            "-5.19e-71",
+            "1.03483e-52",
+            "-2.84e-71",
+            "1.18288e-52",
+        ),
+        ("4", 0): (
+            "7.78e-145",
+            "1.03483e-52",
+            "2.47e-144",
+            "1.18288e-52",
+        ),
+        ("6", 0): (
+            "4.15e-145",
+            "1.03483e-52",
+            "4.33e-144",
+            "1.18288e-52",
+        ),
+        ("2", -1): (
+            "-9.219418338440086880896491432007236423678e-4",
+            "1.18409e-38",
+            "-5.053087083031864572129304810455574822641e-4",
+            "6.49632e-39",
+        ),
+        ("2", 1): (
+            "9.200781400520143569339832647984720427675e-4",
+            "1.17925e-38",
+            "5.046913946511912982839763483379044690967e-4",
+            "6.46973e-39",
+        ),
+        ("4", -1): (
+            "7.4530901833847423790556821938672101e-10",
+            "1.08949e-39",
+            "2.36058036803462211824391215922976272e-9",
+            "5.95874e-40",
+        ),
+        ("4", 1): (
+            "7.4397483409381285797422335549150473e-10",
+            "1.08656e-39",
+            "2.35738373360461070205086093808196845e-9",
+            "5.94268e-40",
+        ),
+        ("0.25", 0): (
+            "-3.9011501557312623578002236332649e+2",
+            "8.94107e-25",
+            "1.687174220085563956195283257739e+1",
+            "4.90249e-25",
+        ),
+        ("1.69", 0): (
+            "-2.259543319941977450317267912808772943",
+            "2.72262e-32",
+            "-8.077554531943649446338807596557627826e-1",
+            "4.70585e-32",
+        ),
+        ("8.41", 0): (
+            "8.164381378530021609821438085757866e-8",
+            "2.51755e-36",
+            "2.74244984888561100252668092629902433e-6",
+            "1.37841e-36",
+        ),
+        ("62.41", 0): (
+            "1.11335221986128668593219650909e-28",
+            "1.03484e-52",
+            "1.611718539236693353651750768142245054e-21",
+            "1.20298e-52",
+        ),
+    },
+    24: {
+        ("0", 0): (
+            "9.00964673687316879323475624820840982443009573442e+6",
+            "4.36804e-36",
+            "0",
+            "4.47007e-36",
+        ),
+        ("2", 0): (
+            "5.775414574918697944381254005261801169506471625e+4",
+            "4.36804e-36",
+            "6.6e-69",
+            "4.47007e-36",
+        ),
+        ("4", 0): (
+            "3.61e-141",
+            "4.36804e-36",
+            "4.86e-143",
+            "4.47007e-36",
+        ),
+        ("6", 0): (
+            "-5.28e-142",
+            "4.36804e-36",
+            "4.12e-143",
+            "4.47007e-36",
+        ),
+        ("2", -1): (
+            "5.7810935439078903268907496083343259921e+4",
+            "3.29225e-28",
+            "1.172620616653101361220257984695329e-1",
+            "7.5216e-30",
+        ),
+        ("2", 1): (
+            "5.7697408101963968200364486970868037946e+4",
+            "3.27438e-28",
+            "-1.170580182873475359843528625685794e-1",
+            "7.48077e-30",
+        ),
+        ("4", -1): (
+            "2.2130025965297335543853557507289599955e-2",
+            "3.47038e-35",
+            "-5.054637136351341802211242883214550579e-4",
+            "5.16218e-36",
+        ),
+        ("4", 1): (
+            "-2.2078461018160264324774526264314096634e-2",
+            "3.4677e-35",
+            "5.045366540467951729554828603967588349e-4",
+            "5.16157e-36",
+        ),
+        ("0.25", 0): (
+            "5.38568303836437708567797053e+6",
+            "7.90796e-17",
+            "1.41639591858555758612961191e+4",
+            "1.80898e-18",
+        ),
+        ("1.69", 0): (
+            "1.447694042778106436990882333064e+5",
+            "3.6041e-21",
+            "2.52658000107211398401563620771e+2",
+            "8.23409e-23",
+        ),
+        ("8.41", 0): (
+            "-1.5682760115654679776229000403973e-5",
+            "2.3007e-32",
+            "3.68963926248479862181528589299105e-6",
+            "5.14495e-34",
+        ),
+        ("62.41", 0): (
+            "-1.8264022044e-30",
+            "4.36806e-36",
+            "1.158166405200268e-25",
+            "4.47007e-36",
+        ),
+    },
+}
+
+
+def _pinned_radius(r2, edge):
+    with mp.workdps(70):
+        return mp.sqrt(mp.mpf(r2) + edge * mp.mpf("1.01e-3") / mp.pi)
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_pair_matches_pinned_values(n, request):
+    spec = request.getfixturevalue(f"spec{n}")
+    with mp.workdps(80):
+        for (r2, edge), pinned in PINNED_PAIRS[n].items():
+            p, m = spec.pair(_pinned_radius(r2, edge))
+            for got, value, err in ((p, pinned[0], pinned[1]),
+                                    (m, pinned[2], pinned[3])):
+                value, err = mp.mpf(value), mp.mpf(err)
+                assert abs(got.value - value) <= got.error + err, (r2, edge)
+                assert abs(got.error / err - 1) <= 0.01, (r2, edge)
+
+
+@pytest.mark.parametrize("r", ["inf", "-inf", "nan"])
+def test_pair_rejects_nonfinite_radius(spec8, r):
+    with pytest.raises(MagicError):
+        spec8.pair(mp.mpf(r))
+
+
+def test_pair_cache_keys_on_working_precision(spec8):
+    # at the default 15 digits both radii print as 1.7, but f differs
+    # between them by about 1e-30, far beyond the certified errors
+    with mp.workdps(70):
+        a = mp.mpf("1.7")
+        b = a + mp.mpf("1e-30")
+    with mp.workdps(15):
+        pb, mb = spec8.pair(b)
+        pa, ma = spec8.pair(a)
+    with mp.workdps(70):
+        assert abs(pa.value - pb.value) > pa.error + pb.error
+        assert abs(ma.value - mb.value) > ma.error + mb.error
+
+
+def test_pair_shares_uside_nodes(spec8, monkeypatch):
+    plus, minus = spec8.uside_plus, spec8.uside_minus
+    assert plus.nodes is minus.nodes
+    shared = sum(len(part) for part in plus.nodes)
+    assert shared == 5 * (32 + 64)
+    calls = []
+    exp = mp.exp
+
+    def counting_exp(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(mp, "exp", counting_exp)
+    spec8.pair(mp.mpf("1.2345678"))  # a radius no other test evaluates
+    # e^(-b/u) once per shared node, plus e^(-pi r^2 t*)
+    assert 0 < len(calls) <= shared + 2
