@@ -236,23 +236,23 @@ def _default_schedule(dim, degree):
 
 
 def _cmd_lpbound(args, cfg):
-    if args.action == "export-sdp":
-        text = lp.export_sos_sdp(args.dim, args.degree)
-        _emit(text, args.out)
-        return EXIT_OK
     dim, degree = args.dim, args.degree
+    code = EXIT_OK
     if args.method == "sampled":
-        res = lp.sampled_lp(dim, degree, dps=cfg.precision // 2 + 10)
-        feasible = res["feasible_report"]["feasible"]
-        payload = {
-            "n": dim, "d": degree, "method": "sampled",
-            "bound": res["bound"],
-            "f0": res["f0"],
-            "certificate_status": "grid-feasible" if feasible
-            else "violations remain",
-            "feasible_report": res["feasible_report"],
-        }
-        key = "bound"
+        res = lp.sampled_lp(dim, degree)
+        payload = {"n": dim, "d": degree, "method": "sampled",
+                   "certificate_status": res["certificate_status"],
+                   "feasible_report": res["feasible_report"]}
+        if "certificate" in res:
+            payload.update(f0=res["f0"],
+                           certificate=res["certificate"].to_dict())
+        key = next((k for k in ("bound", "estimate") if k in res), None)
+        if key:
+            payload[key] = res[key]
+        # without the Sturm proof (or without any LP solution) nothing is
+        # bounded: inconclusive
+        if key != "bound":
+            code = EXIT_INCONCLUSIVE
     else:
         # nothing on these paths certifies the sign conditions, so f(0)
         # times the ball volume is reported as an estimate, not a bound,
@@ -283,13 +283,13 @@ def _cmd_lpbound(args, cfg):
                        "feasible": res["feasible"],
                        "certificate_status": "uncertified"}
         key = "estimate"
-    if dim in (8, 24):
+    if dim in (8, 24) and key:
         opt = density(standard_lattice("e8" if dim == 8 else "leech"))
         payload[f"{key}_over_optimal"] = payload[key] / opt.to_float()
     _emit(_artifact(payload, cfg) if cfg.fmt != "text"
           else "\n".join(f"{k}: {v}" for k, v in payload.items()),
           args.out)
-    return EXIT_OK
+    return code
 
 
 def _cmd_verify(args, cfg):
@@ -314,40 +314,17 @@ def _cmd_verify(args, cfg):
                              f"--sigma {args.sigma} --cutoff {args.cutoff}"}
         _emit(_artifact(payload, cfg), args.out)
         return EXIT_OK if ok else EXIT_REFUTED
-    # sos
+    # lp
     if args.cert is None:
-        sys.stderr.write("packbound: verify sos requires --cert\n")
+        sys.stderr.write("packbound: verify lp requires --cert\n")
         return EXIT_USAGE
     with open(args.cert) as fh:
-        cert = sos_certificate_from_json(fh.read())
-    result = lp.verify_sos(cert)
+        cert = lp.LpCertificate.from_json(fh.read())
+    result = lp.verify_lp(cert)
     _emit(_artifact({"certificate": json.loads(result.to_json()),
-                     "replay": f"packbound verify sos --cert {args.cert}"},
+                     "replay": f"packbound verify lp --cert {args.cert}"},
                     cfg), args.out)
     return EXIT_OK if result.status == "verified" else EXIT_REFUTED
-
-
-def sos_certificate_to_json(cert: lp.SosCertificate) -> str:
-    return json.dumps({
-        "n": cert.n, "d": cert.d,
-        "a": [str(x) for x in cert.a],
-        "y0": str(cert.y0),
-        "q1": [[str(x) for x in row] for row in cert.q1],
-        "q2": [[str(x) for x in row] for row in cert.q2],
-    }, sort_keys=True, indent=1)
-
-
-def sos_certificate_from_json(text: str) -> lp.SosCertificate:
-    try:
-        obj = json.loads(text)
-        return lp.SosCertificate(
-            obj["n"], obj["d"],
-            tuple(Fraction(x) for x in obj["a"]),
-            Fraction(obj["y0"]),
-            tuple(tuple(Fraction(x) for x in row) for row in obj["q1"]),
-            tuple(tuple(Fraction(x) for x in row) for row in obj["q2"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise lp.LpError(f"malformed certificate: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +379,7 @@ def build_parser():
 
     p = sub.add_parser("lpbound", help="linear-programming bound pipeline")
     p.add_argument("action", nargs="?", default="run",
-                   choices=("run", "export-sdp"))
+                   choices=("run",))
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--method", choices=("sampled", "forced", "newton"),
@@ -410,7 +387,7 @@ def build_parser():
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("verify", help="verification pipelines")
-    p.add_argument("target", choices=("magic", "poisson", "sos"))
+    p.add_argument("target", choices=("magic", "poisson", "lp"))
     p.add_argument("--dim", type=int, default=8, choices=(8, 24))
     p.add_argument("--name", default="e8",
                    choices=("e8", "l24", "leech", "zn"))

@@ -1,6 +1,6 @@
 """Exact rational arithmetic helpers: integer/rational square roots, linear
-algebra over Q, Hermite reduction over Z, rational polynomials and Sturm
-chains, and LDL^T positive-semidefiniteness checks.
+algebra over Q, Hermite reduction over Z, rational polynomials, and Sturm
+chains for root counting and root isolation.
 
 Everything in this module is exact; no floating point.
 """
@@ -281,6 +281,45 @@ def sturm_count(p, lo: Fraction, hi: Fraction = None) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
+def sturm_roots(p, lo: Fraction, hi: Fraction = None,
+                rel_width=Fraction(1, 2 ** 30)) -> list:
+    """The distinct real roots of p in (lo, hi], in increasing order, each
+    as the midpoint of an interval of width at most rel_width * max(1, |y|)
+    that Sturm bisection shows to hold exactly that root.  Leaving hi out
+    means hi = +inf.
+    """
+    p = poly_trim([frac(c) for c in p])
+    if not p:
+        raise ValueError("zero polynomial")
+    lo = frac(lo)
+    if len(p) == 1:
+        return []
+    if hi is None:
+        # Cauchy: every root has |y| < 1 + max |c_i / c_d|
+        hi = max(lo, 1 + max(abs(c / p[-1]) for c in p[:-1]))
+    hi = frac(hi)
+    chain = sturm_chain(p)
+    if len(chain[-1]) > 1:
+        # the chain ends in gcd(p, p'): bisect the square-free part, whose
+        # chain has no common zero at a multiple root
+        chain = sturm_chain(poly_divmod(p, chain[-1])[0])
+    roots = []
+    # V(a) - V(b) counts the roots in (a, b], endpoint roots included
+    stack = [(lo, _sign_variations(chain, lo), hi,
+              _sign_variations(chain, hi))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        m = (a + b) / 2
+        if va - vb == 1 and b - a <= rel_width * max(1, abs(m)):
+            roots.append(m)
+            continue
+        vm = _sign_variations(chain, m)
+        stack += [(m, vm, b, vb), (a, va, m, vm)]
+    return sorted(roots)
+
+
 def poly_positive_on(p, lo: Fraction, hi: Fraction) -> bool:
     """Exact check p > 0 on the closed interval [lo, hi]."""
     p = poly_trim([frac(c) for c in p])
@@ -292,40 +331,3 @@ def poly_positive_on(p, lo: Fraction, hi: Fraction) -> bool:
     if lo == hi:
         return True
     return sturm_count(p, lo, hi) == 0
-
-
-# ---------------------------------------------------------------------------
-# Rational LDL^T / PSD certificates
-# ---------------------------------------------------------------------------
-
-def ldlt_psd(q):
-    """Pivot-free LDL^T test for positive semidefiniteness over Q.
-
-    Processes diagonal entries in order.  A zero pivot is acceptable only if
-    its whole remaining row is zero (otherwise Q is indefinite).  Returns
-    (ok, detail) where detail is the pivot list on success, or the offending
-    1-based leading-minor index on failure.
-    """
-    n = len(q)
-    a = [[frac(x) for x in row] for row in q]
-    for i, row in enumerate(a):
-        for j in range(n):
-            if row[j] != a[j][i]:
-                raise ValueError("matrix not symmetric")
-    pivots = []
-    for k in range(n):
-        d = a[k][k]
-        if d < 0:
-            return False, k + 1
-        if d == 0:
-            if any(a[k][j] != 0 for j in range(k, n)):
-                return False, k + 1
-            pivots.append(Fraction(0))
-            continue
-        pivots.append(d)
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] / d
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return True, pivots

@@ -1,23 +1,27 @@
 """The numerical pipeline for the linear-programming density bound:
-Laguerre-parametrized test functions, a sampled LP solved by exact dual
-simplex, forced-root linear solves and the least-squares projection of the
-optimal function onto the family (both uncertified, so they give estimates,
-not bounds), and exact sum-of-squares certificates with SDPA export.
+Laguerre-parametrized test functions; a sampled LP, solved by exact dual
+simplex, whose solution an exact Sturm check proves feasible; and
+forced-root linear solves and the least-squares projection of the optimal
+function onto the family (both uncertified, so they give estimates, not
+bounds).
 
 Normalization: throughout this module the minimal root is scaled to r1 = 1,
 so a feasible function certifies density <= f(0) * vol(B_n(1/2)).
 
 Parametrization: f_a(x) = (1 + sum a_k k! pi^-k L_k^(n/2-1)(pi|x|^2)) e^(-pi|x|^2)
 has transform (1 + sum a_k |u|^(2k)) e^(-pi|u|^2), so a >= 0 keeps the
-transform nonnegative.  Certificates use the equivalent rational
-parametrization p(y) = 1 + sum alpha_k L_k^(n/2-1)(y) in y = pi r^2 (the
-Laguerre coefficients absorb the powers of pi), since exact identities need
-rational data; the sign condition r >= 1 becomes y >= pi and is imposed on
-[y0, inf) for a rational y0 slightly below pi.
+transform nonnegative.  With the profile coefficients b_k = a_k k! / pi^k,
+f(r) = p(pi r^2) e^(-pi r^2) for the polynomial
+p(y) = 1 + sum_k b_k L_k^(n/2-1)(y), so f(0) = p(0), and f <= 0 for r >= 1
+is p <= 0 on y >= pi.  The sampled LP takes b as its variables, so b, p
+and p(0) are exact rationals, and the sign condition is proved on
+[PI_LO, inf) for the rational PI_LO just below pi: p(PI_LO) < 0 and a Sturm
+count of no root of p beyond PI_LO.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,10 +30,10 @@ import mpmath as mp
 
 from .certify import Certificate
 from .exact import (
-    frac, ldlt_psd, poly_add, poly_eval, poly_mul, poly_trim, sturm_count,
+    frac, poly_add, poly_deriv, poly_eval, sturm_count, sturm_roots,
 )
 from .lattices import ball_volume
-from .simplex import solve_min
+from .simplex import Infeasible, solve_min
 
 # proven bounds pi > PI_LO, pi < PI_HI
 PI_LO = Fraction(314159265358979, 10 ** 14)
@@ -70,13 +74,14 @@ def laguerre_all(kmax: int, alpha, x):
     return out
 
 
-def profile_polynomial(n: int, alpha) -> list:
-    """Exact coefficients of p(y) = 1 + sum_k alpha_k L_k^(n/2-1)(y)."""
-    poly = [Fraction(1)] + [Fraction(0)] * len(alpha)
-    for k, a_k in enumerate(alpha, start=1):
-        lk = laguerre_coeffs(k, Fraction(n, 2) - 1)
-        poly = poly_add(poly, [a_k * c for c in lk])
-    return poly_trim(poly)
+def profile_polynomial(n: int, b) -> list:
+    """Exact coefficients of p(y) = 1 + sum_k b_k L_k^(n/2-1)(y)."""
+    poly = [Fraction(1)]
+    for k, b_k in enumerate(b, start=1):
+        if b_k:  # an LP vertex has few nonzero coefficients
+            lk = laguerre_coeffs(k, Fraction(n, 2) - 1)
+            poly = poly_add(poly, [b_k * c for c in lk])
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +112,6 @@ class RadialAnsatz:
                 out.append(out[-1] * k / mp.pi)
             out = self._scale_cache[mp.mp.prec] = tuple(out)
         return out
-
-    def f_basis_scaled(self, r):
-        """k! pi^-k L_k(pi r^2), k = 1..d (the Gaussian factor scaled away)."""
-        s = mp.pi * mp.mpf(r) ** 2
-        lag = laguerre_all(self.d, self._alpha_mpf(), s)
-        scales = self._scales()
-        return [scales[k] * lag[k] for k in range(1, self.d + 1)]
 
     def f0_coeffs(self):
         """Coefficients of a in f_a(0) (all positive)."""
@@ -196,10 +194,6 @@ def default_samples(n: int, d: int, r_max=8.0, count=96, cluster_roots=12):
     return sorted(pts)
 
 
-def _rationalize(x, bits=24):
-    return Fraction(float(x)).limit_denominator(2 ** bits)
-
-
 def _dyadic_row(values, rel_floor_bits=50):
     """Exact dyadic rationalization of a row, flushing entries below the
     row's relative floor to zero (keeps the exact LP's integers small)."""
@@ -218,91 +212,165 @@ def _pow2_scale(value) -> Fraction:
     return Fraction(2) ** e
 
 
-def sampled_lp(n: int, d: int, samples=None, dps=30, refine_rounds=4,
-               grid_slack=1e-9, r_check=10.0):
-    """Minimize f_a(0) over a >= 0 with f_a <= 0 at the samples, then verify
-    on a dense grid and re-solve with the violations appended until the
-    grid is clean (or rounds run out)."""
-    ans = RadialAnsatz(n, d)
+@dataclass(frozen=True)
+class LpCertificate:
+    """Exact witness for a density bound: profile coefficients b (length d)
+    and a rational y0 with b >= 0 (so the transform is nonnegative) and
+    p < 0 on [y0, inf) for y0 <= pi (so f <= 0 for r >= 1), where
+    p(y) = 1 + sum_k b_k L_k^(n/2-1)(y).  The bound is
+    p(0) * vol(B_n(1/2))."""
+
+    n: int
+    d: int
+    b: tuple          # Fractions, length d
+    y0: Fraction
+
+    def polynomial(self) -> list:
+        return profile_polynomial(self.n, self.b)
+
+    def to_dict(self) -> dict:
+        return {"n": self.n, "d": self.d, "b": [str(x) for x in self.b],
+                "y0": str(self.y0)}
+
+    @classmethod
+    def from_json(cls, text: str) -> "LpCertificate":
+        """Parse the `certificate` object {n, d, b, y0} of an `lpbound run`
+        JSON artifact: n, d positive integers, b and y0 exact rational
+        strings.  Anything else raises LpError."""
+        try:
+            obj = json.loads(text)["certificate"]
+            n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
+            if not (all(type(v) is int and v >= 1 for v in (n, d))
+                    and all(isinstance(x, str) for x in b + [y0])):
+                raise TypeError("n, d must be positive integers and b, y0 "
+                                "rational strings")
+            return cls(n, d, tuple(Fraction(x) for x in b), Fraction(y0))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise LpError(f"malformed certificate: {exc!r}") from exc
+
+
+def verify_lp(cert: LpCertificate) -> Certificate:
+    """Exact check of every hypothesis of the certificate's claim: b >= 0,
+    y0 <= PI_LO < pi, p(y0) < 0, and no root of p in (y0, inf) by a Sturm
+    count, which together give p < 0 on [y0, inf).
+
+    A b of the wrong length is malformed rather than refuted and raises
+    LpError.
+    """
+    if len(cert.b) != cert.d:
+        raise LpError(f"malformed certificate: {len(cert.b)} coefficients "
+                      f"for degree {cert.d}")
+    poly = cert.polynomial()
+    p_y0 = poly_eval(poly, cert.y0)
+    roots = sturm_count(poly, cert.y0)
+    out = Certificate(claim=f"Sturm sign certificate n={cert.n} d={cert.d}")
+    out.add_step("profile coefficients b >= 0", "exact",
+                 float(min(cert.b, default=0)), all(x >= 0 for x in cert.b))
+    out.add_step("y0 lies below pi", "exact", str(cert.y0), cert.y0 <= PI_LO)
+    out.add_step("p(y0) < 0", "exact", float(p_y0), p_y0 < 0)
+    out.add_step("no root of p in (y0, inf)", "exact",
+                 f"{roots} roots (Sturm count)", roots == 0)
+    out.status = ("verified" if all(s["passed"] for s in out.log)
+                  else "refuted")
+    return out
+
+
+def _positive_maxima(poly, lo):
+    """One point near the maximum of p on each stretch of [lo, inf) where
+    p > 0, by Sturm bisection: the stretches lie between the roots of p
+    beyond lo, and the maximum of a bounded one sits at lo or at a root of
+    p'.  A stretch without end (p grows) gets the point twice its start."""
+    roots = sturm_roots(poly, lo)
+    dpoly = poly_deriv(poly)
+    points = []
+    for a, b in zip([lo] + roots, roots + [None]):
+        if b is None:
+            if poly[-1] > 0:
+                points.append(2 * a)
+            continue
+        if poly_eval(poly, (a + b) / 2) <= 0:
+            continue
+        candidates = sturm_roots(dpoly, a, b) + ([a] if a == lo else [])
+        points.append(max(candidates or [(a + b) / 2],
+                          key=lambda y: poly_eval(poly, y)))
+    return points
+
+
+def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
+    """Minimize p(0) = f(0) over b >= 0 with p(pi r^2) < 0 at the sample
+    radii, by exact dual simplex, then check the solution with verify_lp
+    on [PI_LO, inf).  While the check fails, add a sample at the maximum of
+    each stretch where p > 0 and solve again, for at most refine_rounds
+    more rounds.
+
+    The result carries `bound` only when the check passed and `estimate`
+    otherwise; an LP without solution carries neither, with
+    certificate_status "infeasible".  All of it is exact or plain float
+    arithmetic, independent of the mpmath working precision.
+    """
+    if d < 1:
+        raise LpError("degree must be >= 1")
+    alpha = Fraction(n, 2) - 1
     samples = list(samples) if samples is not None else default_samples(n, d)
-    with mp.workdps(dps):
-        # column equilibration: the basis entries grow like r^(2k), so the
-        # variables are rescaled by powers of two to keep the exact LP's
-        # entries small (recovered after the solve)
-        probes = [ans.f_basis_scaled(mp.mpf(r)) for r in (2, 4, 8)]
-        scales = [Fraction(1) / _pow2_scale(max(abs(p[k]) for p in probes))
-                  for k in range(d)]
-        cvec = [Fraction(float(v * mp.mpf(s.numerator) / s.denominator))
-                for v, s in zip(ans.f0_coeffs(), scales)]
-        rows = {}
+    # column equilibration: L_k grows like y^k, so the variables are
+    # rescaled by powers of two to keep the exact LP's entries small
+    # (b_k = scales[k-1] * x_k)
+    probes = [laguerre_all(d, alpha, Fraction(math.pi * r * r))
+              for r in (2, 4, 8)]
+    scales = [1 / _pow2_scale(max(abs(p[k]) for p in probes))
+              for k in range(1, d + 1)]
+    at_zero = laguerre_all(d, alpha, Fraction(0))
+    cvec = [at_zero[k] * scales[k - 1] for k in range(1, d + 1)]
+    rows = {}
 
-        def add_sample(r):
-            key = round(float(r), 12)
-            if key not in rows:
-                vals = [v * mp.mpf(s.numerator) / s.denominator for v, s in
-                        zip(ans.f_basis_scaled(r), scales)]
-                rows[key] = _dyadic_row(vals)
+    def add_sample(y):
+        y = Fraction(float(y))
+        if y not in rows:
+            lag = laguerre_all(d, alpha, y)
+            rows[y] = _dyadic_row([lag[k] * scales[k - 1]
+                                   for k in range(1, d + 1)])
+            return True
+        return False
 
-        for r in samples:
-            add_sample(r)
-
-        report = {"rounds": 0, "added": [], "iterations": 0}
-        sol = None
-        for round_no in range(refine_rounds + 1):
-            keys = sorted(rows)
-            a_mat = [rows[k] for k in keys]
-            # distinct tiny right-hand sides break the massive degeneracy of
-            # the uniform constraint scaling
-            b = [Fraction(-1) - Fraction(i + 1, 2 ** 24)
-                 for i in range(len(keys))]
-            sol = solve_min(cvec, a_mat, b)
-            report["iterations"] += sol["iterations"]
-            report["rounds"] = round_no + 1
-            # dense sign sweep (solution mapped back to unscaled variables)
-            a_vec = [x * s for x, s in zip(sol["x"], scales)]
-            av = [mp.mpf(x.numerator) / x.denominator for x in a_vec]
-            worst = []
-            r = mp.mpf(1)
-            step = mp.mpf(1) / 256
-            while r <= r_check:
-                v = ans.f_value(av, r)
-                if v > grid_slack:
-                    worst.append((float(v), float(r)))
-                r += step
-            if not worst:
-                break
-            worst.sort(reverse=True)
-            for _, rbad in worst[:8]:
-                add_sample(rbad)
-                report["added"].append(rbad)
-        # far tail: the radial profile is a polynomial in y = pi r^2 times a
-        # Gaussian; check by Sturm that the (rationalized) profile stays
-        # negative beyond the swept range
-        poly = profile_polynomial(n, [Fraction(float(
-            av[k - 1] * mp.factorial(k) * mp.pi ** (-k)))
-            for k in range(1, d + 1)])
-        y_far = PI_HI * frac(r_check) ** 2
-        far_ok = poly_eval(poly, y_far) < 0 and sturm_count(poly, y_far) == 0
-        max_grid_violation = max([w for w, _ in worst], default=0.0)
-        feasible = (not worst) and far_ok
-        f0_true = 1 + sum(av_k * ck
-                          for av_k, ck in zip(av, ans.f0_coeffs()))
-        vol = ball_volume(n, Fraction(1, 4))
-        bound = float(f0_true) * vol.to_float()
-        report.update({
-            "grid_max_violation": float(max_grid_violation),
-            "far_tail_ok": far_ok,
-            "feasible": feasible,
-            "samples_used": len(rows),
-        })
-        return {
-            "ansatz": a_vec,
-            "f0": float(f0_true),
-            "f0_lp_exact": 1 + sol["objective"],
-            "bound": bound,
-            "feasible_report": report,
-            "method": "sampled",
-        }
+    for r in samples:
+        add_sample(math.pi * r * r)
+    report = {"rounds": 0, "added": [], "iterations": 0}
+    for round_no in range(refine_rounds + 1):
+        keys = sorted(rows)
+        # distinct tiny right-hand sides break the massive degeneracy of
+        # the uniform constraint scaling
+        rhs = [Fraction(-1) - Fraction(i + 1, 2 ** 24)
+               for i in range(len(keys))]
+        report["rounds"] = round_no + 1
+        try:
+            sol = solve_min(cvec, [rows[y] for y in keys], rhs)
+        except Infeasible:
+            report.update(feasible=False, samples_used=len(rows))
+            return {"method": "sampled", "certificate_status": "infeasible",
+                    "feasible_report": report}
+        report["iterations"] += sol["iterations"]
+        cert = LpCertificate(n, d, tuple(x * s for x, s in
+                                         zip(sol["x"], scales)), PI_LO)
+        proved = verify_lp(cert).status == "verified"
+        if proved or round_no == refine_rounds:
+            break
+        added = [y for y in _positive_maxima(cert.polynomial(), PI_LO)
+                 if add_sample(y)]
+        if not added:
+            break
+        report["added"] += [math.sqrt(y / math.pi) for y in added]
+    p0 = 1 + sol["objective"]
+    report.update(feasible=proved, samples_used=len(rows))
+    return {
+        "method": "sampled",
+        "certificate": cert,
+        "certificate_status": "sturm-certified" if proved else "uncertified",
+        "p0": p0,
+        "f0": float(p0),
+        "bound" if proved else "estimate":
+            float(p0) * ball_volume(n, Fraction(1, 4)).to_float(),
+        "feasible_report": report,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -445,313 +513,3 @@ def newton_refine(n: int, d: int, double_roots_f, double_roots_fhat,
             "estimate": float(f0) * ball_volume(n, Fraction(1, 4)).to_float(),
             **sign_sweep(ans, a_list),
         }
-
-
-# ---------------------------------------------------------------------------
-# Sum-of-squares certificates
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SosCertificate:
-    """Exact witness that p(y) = 1 + sum a_k L_k^(n/2-1)(y) is <= 0 on
-    [y0, inf):  -p(y) = b(y)^T Q1 b(y) + (y - y0) b(y)^T Q2 b(y) with
-    Q1, Q2 positive semidefinite and y0 <= pi, plus a >= 0 entrywise for
-    the transform side."""
-
-    n: int
-    d: int
-    a: tuple          # Fractions, length d
-    y0: Fraction
-    q1: tuple         # (d//2+1) x (d//2+1) symmetric Fractions
-    q2: tuple
-
-    def polynomial(self) -> list:
-        return profile_polynomial(self.n, self.a)
-
-    def bound(self):
-        p0 = poly_eval(self.polynomial(), 0)
-        return p0 * ball_volume(self.n, Fraction(1, 4)).to_float(), p0
-
-
-def _gram_poly(q, shift=None):
-    """Coefficients of b(y)^T Q b(y), optionally multiplied by (y - shift)."""
-    m = len(q)
-    out = [Fraction(0)] * (2 * m - 1)
-    for i in range(m):
-        for j in range(m):
-            out[i + j] += frac(q[i][j])
-    if shift is not None:
-        out = poly_add(poly_mul(out, [Fraction(0), Fraction(1)]),
-                       [-frac(shift) * c for c in out])
-    return poly_trim(out)
-
-
-def verify_sos(cert: SosCertificate) -> Certificate:
-    """Exact rational verification of every hypothesis of the claim: a >= 0
-    entrywise (the transform side), the interval endpoint sits below pi,
-    the polynomial identity holds coefficientwise, and both Gram matrices
-    admit nonnegative-pivot LDL^T factorizations.
-
-    A certificate of the wrong shape (len(a) != d, Q1 not a symmetric
-    (d//2+1)-square matrix, Q2 not a symmetric ((d+1)//2)-square matrix)
-    is malformed rather than refuted and raises LpError.
-    """
-    if len(cert.a) != cert.d:
-        raise LpError(f"malformed certificate: {len(cert.a)} coefficients "
-                      f"for degree {cert.d}")
-    for name, q, m in (("Q1", cert.q1, cert.d // 2 + 1),
-                       ("Q2", cert.q2, (cert.d + 1) // 2)):
-        if len(q) != m or any(len(row) != m for row in q) or any(
-                q[i][j] != q[j][i] for i in range(m) for j in range(i)):
-            raise LpError(f"malformed certificate: {name} must be a "
-                          f"symmetric {m}x{m} matrix")
-    out = Certificate(claim=f"SOS sign certificate n={cert.n} d={cert.d}")
-    out.add_step("transform coefficients a >= 0", "exact",
-                 min(cert.a, default=0), all(x >= 0 for x in cert.a))
-    out.add_step("y0 lies below pi", "exact",
-                 str(cert.y0), cert.y0 <= PI_LO)
-    # coefficientwise identity
-    target = [-c for c in cert.polynomial()]
-    got = poly_add(_gram_poly(cert.q1), _gram_poly(cert.q2, shift=cert.y0))
-    diff = poly_trim(poly_add(got, [-c for c in target]))
-    if diff:
-        bad = next(i for i, c in enumerate(diff) if c != 0)
-        out.add_step("polynomial identity", "exact",
-                     f"coefficient mismatch at degree {bad}", False,
-                     f"difference {diff[bad]}")
-    else:
-        out.add_step("polynomial identity", "exact", 0, True)
-    for name, q in (("Q1", cert.q1), ("Q2", cert.q2)):
-        ok, detail = ldlt_psd([list(r) for r in q])
-        out.add_step(f"{name} positive semidefinite (rational LDL^T)",
-                     "exact",
-                     "pivots ok" if ok else f"negative leading minor {detail}",
-                     ok)
-    if all(s["passed"] for s in out.log):
-        out.status = "verified"
-    else:
-        out.status = "refuted"
-    return out
-
-
-def _fejer_riesz(gcoeffs, dps=40):
-    """Split G(w) >= 0 on [0, inf) as s1(w) + w s2(w), two squares each.
-
-    Works through G(t^2) = |h(t)|^2 with h built from the upper-half-plane
-    roots; requires G strictly positive on the reals (no real roots of
-    G(t^2)).
-    """
-    with mp.workdps(dps):
-        g = [mp.mpf(c.numerator) / c.denominator for c in gcoeffs]
-        # G(t^2): interleave zeros
-        gt = []
-        for c in g:
-            gt.append(c)
-            gt.append(mp.mpf(0))
-        gt = gt[:-1]
-        roots = mp.polyroots([x for x in reversed(gt)], maxsteps=200,
-                             extraprec=120)
-        upper = [r for r in roots if mp.im(r) > 0]
-        if 2 * len(upper) != len(roots):
-            raise LpError("real roots obstruct the square split")
-        lead = g[-1]
-        if lead <= 0:
-            raise LpError("leading coefficient must be positive")
-        h = [mp.mpc(1)]
-        for r in upper:
-            h = [mp.mpc(0)] + h
-            h = [h[i] - (r * h[i + 1] if i + 1 < len(h) else 0)
-                 for i in range(len(h))]
-        scale = mp.sqrt(lead)
-        h = [scale * c for c in h]
-        re = [mp.re(c) for c in h]
-        im = [mp.im(c) for c in h]
-        e1, o1 = re[0::2], re[1::2]
-        e2, o2 = im[0::2], im[1::2]
-        return (e1, e2), (o1, o2)
-
-
-def _outer(vecs, size):
-    q = [[Fraction(0)] * size for _ in range(size)]
-    for v in vecs:
-        vv = [frac(x) for x in v] + [Fraction(0)] * (size - len(v))
-        for i in range(size):
-            for j in range(size):
-                q[i][j] += vv[i] * vv[j]
-    return q
-
-
-def _pad(q, size):
-    m = len(q)
-    return tuple(tuple(q[i][j] if i < m and j < m else Fraction(0)
-                       for j in range(size)) for i in range(size))
-
-
-def _shift_gram(q, y0):
-    """Rewrite b(w)^T Q b(w) with w = y - y0 in the y-monomial basis."""
-    m = len(q)
-    t = [[Fraction(0)] * m for _ in range(m)]
-    for j in range(m):
-        # w^j = sum_i C(j, i) (-y0)^(j-i) y^i
-        for i in range(j + 1):
-            t[j][i] = Fraction(math.comb(j, i)) * (-frac(y0)) ** (j - i)
-    out = [[Fraction(0)] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if q[i][j] == 0:
-                continue
-            for bi in range(m):
-                for bj in range(m):
-                    out[bi][bj] += q[i][j] * t[i][bi] * t[j][bj]
-    return out
-
-
-def build_toy_certificate(n: int = 1, d: int = 4, y0=Fraction(157, 50),
-                          dps=40, denom=10 ** 10) -> SosCertificate:
-    """Round-then-repair: run a slightly tightened sampled LP, round the
-    rational profile, split it by Fejer-Riesz, round the Gram matrices, and
-    repair the identity exactly through Q1's antidiagonals."""
-    ans = RadialAnsatz(n, d)
-    with mp.workdps(dps):
-        samples = [0.97 + i * 0.01 for i in range(9)] + \
-            [1.05 + 0.05 * i for i in range(120)]
-        cvec = [_rationalize(v) for v in ans.f0_coeffs()]
-        rows = [[_rationalize(v) for v in ans.f_basis_scaled(r)]
-                for r in samples]
-        b = [Fraction(-21, 20)] * len(rows)  # margin below zero
-        sol = solve_min(cvec, rows, b)
-        # rational profile coefficients alpha_k = a_k k! / pi^k
-        alpha = [Fraction(float(
-            sol["x"][k - 1] * mp.factorial(k) * mp.pi ** (-k)
-        )).limit_denominator(denom) for k in range(1, d + 1)]
-        if any(x < 0 for x in alpha):
-            raise LpError("toy LP produced negative coefficients")
-        poly = profile_polynomial(n, alpha)
-        # the nonnegativity constraint on the family zeroes top coefficients
-        # whose Laguerre lead has the wrong sign, so work with the effective
-        # degree of the rounded profile
-        deg_eff = len(poly) - 1
-        if deg_eff < 1:
-            raise LpError("degenerate toy profile")
-        # G(w) = -p(y0 + w)
-        shifted = [Fraction(0)] * len(poly)
-        for j, c in enumerate(poly):
-            for i in range(j + 1):
-                shifted[i] += c * math.comb(j, i) * frac(y0) ** (j - i)
-        g = [-c for c in shifted]
-        (e_pair, o_pair) = _fejer_riesz(g, dps=dps)
-        m1 = deg_eff // 2 + 1
-        m2 = (deg_eff + 1) // 2
-        q1w = _outer([[Fraction(float(x)).limit_denominator(denom)
-                       for x in v] for v in e_pair], m1)
-        q2w = _outer([[Fraction(float(x)).limit_denominator(denom)
-                       for x in v] for v in o_pair], m2)
-        q1 = _shift_gram(q1w, y0)
-        q2 = _shift_gram(q2w, y0)
-        # exact repair.  Coefficients above Q1's degree range are reachable
-        # only through the (y - y0) Q2 part: fix those antidiagonals of Q2
-        # from the top down, then close the rest through Q1.
-        target = [-c for c in poly] + [Fraction(0)] * max(
-            0, 2 * m2 - len(poly))
-        for cdeg in range(2 * m2 - 1, 2 * m1 - 2, -1):
-            got = _gram_poly(q2, shift=y0)
-            got = got + [Fraction(0)] * (cdeg + 1 - len(got))
-            positions = [(i, cdeg - 1 - i) for i in range(m2)
-                         if 0 <= cdeg - 1 - i < m2]
-            delta = (target[cdeg] - got[cdeg]) / len(positions)
-            for i, j in positions:
-                q2[i][j] += delta
-        rem = poly_add(target, [-c for c in _gram_poly(q2, shift=y0)])
-        rem = rem + [Fraction(0)] * (2 * m1 - 1 - len(rem))
-        if poly_trim(rem[2 * m1 - 1:]):
-            raise LpError("repair left residue beyond the Gram range")
-        for cdeg in range(2 * m1 - 1):
-            cur = sum(q1[i][cdeg - i] for i in range(m1)
-                      if 0 <= cdeg - i < m1)
-            positions = [(i, cdeg - i) for i in range(m1)
-                         if 0 <= cdeg - i < m1]
-            delta = (rem[cdeg] - cur) / len(positions)
-            for i, j in positions:
-                q1[i][j] += delta
-        # zero rows and columns pad the Grams to the full degree-d shape
-        cert = SosCertificate(n, d, tuple(alpha), frac(y0),
-                              _pad(q1, d // 2 + 1), _pad(q2, (d + 1) // 2))
-        result = verify_sos(cert)
-        if result.status != "verified":
-            raise LpError(f"toy certificate failed repair: {result.to_json()}")
-        return cert
-
-
-# ---------------------------------------------------------------------------
-# SDPA export
-# ---------------------------------------------------------------------------
-
-def export_sos_sdp(n: int, d: int, y0=Fraction(157, 50)) -> str:
-    """Write the SOS formulation in SDPA sparse format (.dat-s).
-
-    Problem: min sum_k C(k+n/2-1, k) alpha_k (the affine part of f(0));
-    variables x = (alpha_1..alpha_d, vech Q1, vech Q2); constraints
-    Q1 >= 0, Q2 >= 0 as matrix blocks plus the coefficientwise identity
-    p_alpha(y) + b^T Q1 b + (y - y0) b^T Q2 b = 0 as paired diagonal
-    inequalities.  Layout: comment, m, nblock, blocksizes, objective row,
-    then "matno block i j value" entries with matno 0 the constant F0.
-    """
-    m1 = d // 2 + 1
-    m2 = (d + 1) // 2
-    alpha = Fraction(n, 2) - 1
-    nvar = d + m1 * (m1 + 1) // 2 + m2 * (m2 + 1) // 2
-    ncoef = 2 * m1  # identity degrees 0 .. 2*m1-1
-    lines = [f'"SOS sign certificate export: n={n} d={d} y0={y0}"',
-             f"{nvar} = mDIM",
-             "3 = nBLOCK",
-             f"({m1}, {m2}, -{2 * ncoef}) = bLOCKsTRUCT"]
-    obj = []
-    for k in range(1, d + 1):
-        obj.append(repr(float(laguerre_coeffs(k, alpha)[0])))
-    obj += ["0.0"] * (nvar - d)
-    lines.append("{" + ", ".join(obj) + "}")
-    entries = []
-
-    def var_q1(i, j):
-        i, j = min(i, j), max(i, j)
-        return d + i * m1 - i * (i - 1) // 2 + (j - i) + 1
-
-    base_q2 = d + m1 * (m1 + 1) // 2
-
-    def var_q2(i, j):
-        i, j = min(i, j), max(i, j)
-        return base_q2 + i * m2 - i * (i - 1) // 2 + (j - i) + 1
-
-    # PSD blocks tie the matrix variables to blocks 1 and 2
-    for i in range(m1):
-        for j in range(i, m1):
-            entries.append((var_q1(i, j), 1, i + 1, j + 1, 1.0))
-    for i in range(m2):
-        for j in range(i, m2):
-            entries.append((var_q2(i, j), 2, i + 1, j + 1, 1.0))
-
-    # identity rows: for each coefficient c, h_c(x) = -1_{c=0} twice (>= / <=)
-    def emit(var, cdeg, coef):
-        if coef == 0:
-            return
-        entries.append((var, 3, 2 * cdeg + 1, 2 * cdeg + 1, float(coef)))
-        entries.append((var, 3, 2 * cdeg + 2, 2 * cdeg + 2, -float(coef)))
-
-    for k in range(1, d + 1):
-        for cdeg, coef in enumerate(laguerre_coeffs(k, alpha)):
-            emit(k, cdeg, coef)
-    for i in range(m1):
-        for j in range(i, m1):
-            mult = 1 if i == j else 2
-            emit(var_q1(i, j), i + j, mult)
-    for i in range(m2):
-        for j in range(i, m2):
-            mult = 1 if i == j else 2
-            emit(var_q2(i, j), i + j + 1, mult)
-            emit(var_q2(i, j), i + j, -mult * float(frac(y0)))
-    # F0 diagonal: rhs -1 at degree 0 (the constant of the profile)
-    entries.append((0, 3, 1, 1, 1.0))
-    entries.append((0, 3, 2, 2, -1.0))
-    for matno, blk, i, j, val in entries:
-        lines.append(f"{matno} {blk} {i} {j} {val!r}")
-    return "\n".join(lines) + "\n"

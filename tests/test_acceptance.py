@@ -9,14 +9,14 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import pytest
 
 from packbound.certify import certify_magic, poisson_check
 from packbound.cli import dispatch
 from packbound.codes import code_properties, golay24, hamming8, weight_enumerator
 from packbound.lattices import covolume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    SosCertificate, build_toy_certificate, newton_refine, sampled_lp,
-    verify_sos,
+    PI_HI, LpCertificate, newton_refine, sampled_lp, verify_lp,
 )
 from packbound.magic import ce_bound_from_function, taylor_quadratic
 from packbound.qseries import (
@@ -141,9 +141,15 @@ def test_criterion_6_magic_dimension_24(spec24):
            + (f" FAILING: {failing}" if failing else ""))
 
 
-def test_criterion_7_lp_pipeline():
-    res = sampled_lp(8, 30)
+@pytest.fixture(scope="module")
+def lp8():
+    return sampled_lp(8, 30)
+
+
+def test_criterion_7_lp_pipeline(lp8):
+    res = lp8
     ok = res["feasible_report"]["feasible"]
+    ok &= res["certificate_status"] == "sturm-certified"
     ok &= OPT8 <= res["bound"] <= 1.5 * OPT8
     detail = f"sampled d=30 bound/optimal {res['bound'] / OPT8:.6f}"
     refined = newton_refine(8, 45, [math.sqrt(2 + j) for j in range(11)],
@@ -160,30 +166,25 @@ def test_criterion_7_lp_pipeline():
     report(7, ok, detail)
 
 
-def test_criterion_8_certificate_soundness(spec8):
-    cert = build_toy_certificate()
-    ok = verify_sos(cert).status == "verified"
-    rejected = 0
-    total = 0
-    for which in ("q1", "q2"):
-        q = getattr(cert, which)
-        for i in range(len(q)):
-            for j in range(i, len(q)):
-                newq = [list(row) for row in q]
-                newq[i][j] += Fraction(1, 9)
-                newq[j][i] = newq[i][j]
-                fields = {"n": cert.n, "d": cert.d, "a": cert.a,
-                          "y0": cert.y0, "q1": cert.q1, "q2": cert.q2}
-                fields[which] = tuple(tuple(r) for r in newq)
-                total += 1
-                if verify_sos(SosCertificate(**fields)).status == "refuted":
-                    rejected += 1
-    ok &= rejected == total
+def test_criterion_8_certificate_soundness(spec8, lp8):
+    cert = lp8["certificate"]
+    ok = verify_lp(cert).status == "verified"
+    # each tampering breaks one hypothesis: a negative coefficient, a root
+    # of p beyond y0 (a positive lead for the even degree), y0 above pi
+    tiny = Fraction(1, 10 ** 40)
+    tampered = [
+        LpCertificate(8, 30, cert.b[:-1] + (-tiny,), cert.y0),
+        LpCertificate(8, 30, cert.b[:-1] + (tiny,), cert.y0),
+        LpCertificate(8, 30, cert.b, PI_HI),
+    ]
+    rejected = sum(verify_lp(t).status == "refuted" for t in tampered)
+    ok &= rejected == len(tampered)
     flipped = spec8.flipped_minus_copy()
     sabotage = certify_magic(8, flipped, {"grid_step": 0.25})
     ok &= sabotage.status == "refuted"
-    report(8, ok, f"toy certificate accepted, {rejected}/{total} tamperings "
-                  f"rejected, sign-flipped spec refuted")
+    report(8, ok, f"d=30 Sturm certificate accepted, {rejected}/"
+                  f"{len(tampered)} tamperings rejected, sign-flipped spec "
+                  f"refuted")
 
 
 def test_criterion_9_determinism(tmp_path, spec8):

@@ -9,7 +9,7 @@ from packbound.certify import (
     Certificate, CertifyError, RationalInterval, certify_magic,
     certify_positive_tail, exp_interval, nth_root_bounds, poisson_check,
 )
-from packbound.exact import poly_eval, poly_mul, sturm_count
+from packbound.exact import poly_eval, poly_mul, sturm_count, sturm_roots
 from packbound.lattices import standard_lattice
 from packbound.qseries import QSeries, conjugate_psi_minus
 
@@ -63,6 +63,19 @@ def test_sturm_cubic():
                           [Fraction(-2), Fraction(1)]),
                  [Fraction(-3), Fraction(1)])
     assert sturm_count(p, 0, Fraction(5, 2)) == 2
+
+
+def test_sturm_roots_isolates_each_root_once():
+    # (x-1)(x-2)(x-3)^2: the double root is one root; hi = +inf by default
+    p = [Fraction(1)]
+    for r in (1, 2, 3, 3):
+        p = poly_mul(p, [Fraction(-r), Fraction(1)])
+    roots = sturm_roots(p, 0)
+    assert len(roots) == 3
+    assert all(abs(y - r) <= Fraction(r, 2 ** 30)
+               for y, r in zip(roots, (1, 2, 3)))
+    # a root at lo is outside (lo, hi]
+    assert len(sturm_roots(p, 1, 3)) == 2
 
 
 def test_sturm_endpoint_root_deflated():
@@ -133,6 +146,7 @@ def test_sturm_agrees_with_bisection():
         count = bisection_count(sf, lo, hi)
         got = sturm_count(p, lo, hi)
         assert got == count
+        assert len(sturm_roots(p, lo, hi)) == count
 
 
 # -- positivity ---------------------------------------------------------------

@@ -1,12 +1,14 @@
 import json
 import signal
+from fractions import Fraction
 
 import pytest
 
 from packbound.cli import (
-    EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig, dispatch,
-    sos_certificate_to_json,
+    EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig, dispatch,
 )
+from packbound.exact import poly_eval
+from packbound.lpbound import PI_HI, PI_LO, LpCertificate, laguerre_all
 
 
 def run(argv, capsys):
@@ -102,56 +104,88 @@ def test_verify_poisson(capsys):
     assert doc["passed"] is True
 
 
-def test_verify_sos_roundtrip(tmp_path, capsys):
-    from packbound.lpbound import build_toy_certificate
-    cert = build_toy_certificate()
-    path = tmp_path / "cert.json"
-    path.write_text(sos_certificate_to_json(cert))
-    code, out = run(["verify", "sos", "--cert", str(path)], capsys)
+@pytest.fixture(scope="module")
+def lp8_artifacts(tmp_path_factory):
+    """`lpbound run --dim 8 --degree 30` artifacts at two precisions."""
+    paths = {}
+    for precision in (30, 80):
+        paths[precision] = tmp_path_factory.mktemp("lp8") / "lp8.json"
+        code = dispatch(["--precision", str(precision), "--format", "json",
+                         "lpbound", "run", "--dim", "8", "--degree", "30",
+                         "--out", str(paths[precision])])
+        assert code == EXIT_OK
+    return paths
+
+
+def test_lpbound_sampled_ignores_precision(lp8_artifacts):
+    docs = [json.loads(p.read_text()) for p in lp8_artifacts.values()]
+    assert [d.pop("config")["precision"] for d in docs] == [30, 80]
+    assert docs[0] == docs[1]
+    assert docs[0]["certificate_status"] == "sturm-certified"
+
+
+def test_verify_lp_roundtrip(lp8_artifacts, capsys):
+    code, out = run(["verify", "lp", "--cert", str(lp8_artifacts[30])],
+                    capsys)
     assert code == EXIT_OK
-    # tamper one entry and expect refutation
-    doc = json.loads(sos_certificate_to_json(cert))
-    doc["q1"][0][0] = str(doc["q1"][0][0]) + "1"
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    code, _ = run(["verify", "sos", "--cert", str(bad)], capsys)
-    assert code == EXIT_REFUTED
+    assert json.loads(out)["certificate"]["status"] == "verified"
 
 
-NEGATIVE_A_CERT = {"n": 1, "d": 2, "a": ["0", "-3"], "y0": "3",
-                   "q1": [["109/8", "-9/2"], ["-9/2", "3/2"]],
-                   "q2": [["9/2"]]}
+def test_verify_lp_tampering_refuted(lp8_artifacts, tmp_path, capsys):
+    doc = json.loads(lp8_artifacts[30].read_text())
+    cert = LpCertificate.from_json(json.dumps(doc))
+    assert cert.y0 == PI_LO and cert.d % 2 == 0
+
+    def with_b(k, value):
+        b = list(cert.b)
+        b[k - 1] = value
+        return LpCertificate(cert.n, cert.d, tuple(b), cert.y0)
+
+    # raising b_1 by this lifts p(y0) to exactly 0, since L_1(y0) > 0
+    lift = -poly_eval(cert.polynomial(), cert.y0) / laguerre_all(
+        1, Fraction(cert.n, 2) - 1, cert.y0)[1]
+    tiny = Fraction(1, 10 ** 40)  # L_d has a positive lead for d even
+    # each tampering breaks exactly one hypothesis
+    tampered = {
+        "profile coefficients b >= 0": with_b(cert.d, -tiny),
+        "y0 lies below pi": LpCertificate(cert.n, cert.d, cert.b, PI_HI),
+        "p(y0) < 0": with_b(1, cert.b[0] + lift),
+        "no root of p in (y0, inf)": with_b(cert.d, tiny),
+    }
+    for step, bad in tampered.items():
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(dict(doc, certificate=bad.to_dict())))
+        code, out = run(["verify", "lp", "--cert", str(path)], capsys)
+        assert code == EXIT_REFUTED, step
+        log = json.loads(out)["certificate"]["log"]
+        assert [s["statement"] for s in log if not s["passed"]] == [step]
 
 
-def test_verify_sos_negative_a_refuted(tmp_path, capsys):
-    # identity, y0 and both Grams check out, but a_2 = -3 breaks the
-    # transform side: cert.bound() would be -1/8
-    path = tmp_path / "neg.json"
-    path.write_text(json.dumps(NEGATIVE_A_CERT))
-    code, out = run(["verify", "sos", "--cert", str(path)], capsys)
-    assert code == EXIT_REFUTED
-    doc = json.loads(out)["certificate"]
-    assert doc["status"] == "refuted"
-    failed = [s["statement"] for s in doc["log"] if not s["passed"]]
-    assert failed == ["transform coefficients a >= 0"]
+def test_lpbound_infeasible_is_inconclusive(capsys):
+    code, out = run(["--format", "json", "lpbound", "run", "--dim", "24",
+                     "--degree", "30"], capsys)
+    assert code == EXIT_INCONCLUSIVE
+    doc = json.loads(out)
+    assert doc["certificate_status"] == "infeasible"
+    assert "bound" not in doc and "estimate" not in doc
 
 
 MALFORMED_CERTS = {
-    "short_a": dict(NEGATIVE_A_CERT, a=["0"]),
-    "asymmetric_q1": dict(NEGATIVE_A_CERT, q1=[["1", "2"], ["3", "4"]]),
-    "no_q2": {k: v for k, v in NEGATIVE_A_CERT.items() if k != "q2"},
+    "short_b": {"n": 1, "d": 2, "b": ["1/2"], "y0": "3"},
+    "nonrational_b": {"n": 1, "d": 1, "b": ["x"], "y0": "3"},
+    "no_y0": {"n": 1, "d": 1, "b": ["1/2"]},
 }
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "sos"],
+    ["verify", "lp"],
     ["lpbound", "run", "--dim", "8", "--degree", "0"],
     ["magic", "eval", "--dim", "8", "--r", "-1"],
     ["qseries", "show", "nope"],
-    ["verify", "sos", "--cert", "{short_a}"],
-    ["verify", "sos", "--cert", "{asymmetric_q1}"],
-    ["verify", "sos", "--cert", "{no_q2}"],
-    ["verify", "sos", "--cert", "{absent}"],
+    ["verify", "lp", "--cert", "{short_b}"],
+    ["verify", "lp", "--cert", "{nonrational_b}"],
+    ["verify", "lp", "--cert", "{no_y0}"],
+    ["verify", "lp", "--cert", "{absent}"],
     ["lattice", "info", "--name", "zn"],
     ["verify", "poisson", "--name", "zn"],
     ["lattice", "info", "--name", "e8", "--n", "5"],
@@ -166,9 +200,9 @@ MALFORMED_CERTS = {
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
-    for name, doc in MALFORMED_CERTS.items():
+    for name, cert in MALFORMED_CERTS.items():
         paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(doc))
+        paths[name].write_text(json.dumps({"certificate": cert}))
     argv = [a.format(**paths) for a in argv]
 
     # a table whose radius never advances must fail the test, not hang it;
@@ -229,15 +263,6 @@ def test_lpbound_newton_reports_estimate(capsys):
     doc = json.loads(out)
     assert "estimate" in doc and "bound" not in doc
     assert doc["certificate_status"] == "uncertified"
-
-
-def test_lpbound_export_sdp(tmp_path, capsys):
-    target = tmp_path / "prob.dat-s"
-    code, _ = run(["lpbound", "export-sdp", "--dim", "8", "--degree", "12",
-                   "-o", str(target)], capsys)
-    assert code == EXIT_OK
-    lines = target.read_text().splitlines()
-    assert lines[2] == "3 = nBLOCK"
 
 
 def test_runconfig_validation():

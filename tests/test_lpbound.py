@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -11,12 +12,12 @@ import mpmath as mp
 import pytest
 
 import packbound
-from packbound.exact import mat_inverse
-from packbound.lattices import standard_lattice, vectors_by_norm
+from packbound.exact import mat_inverse, poly_eval, sturm_count, sturm_roots
+from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    LpError, RadialAnsatz, SosCertificate, ansatz_eval, build_toy_certificate,
-    default_samples, export_sos_sdp, forced_roots_solve, laguerre_all,
-    laguerre_coeffs, newton_refine, sampled_lp, verify_sos,
+    PI_HI, PI_LO, LpCertificate, LpError, RadialAnsatz, ansatz_eval,
+    default_samples, forced_roots_solve, laguerre_all, laguerre_coeffs,
+    newton_refine, sampled_lp, verify_lp,
 )
 from packbound.magic import radial_fourier_oracle
 from packbound.simplex import Infeasible, _adjugate, solve_min
@@ -114,7 +115,7 @@ def test_sampled_lp_monotone_in_samples():
     small = sampled_lp(1, 4, samples=base, refine_rounds=0)
     big = sampled_lp(1, 4, samples=default_samples(1, 4), refine_rounds=0)
     # supersets of constraints cannot lower the minimum
-    assert big["f0_lp_exact"] >= small["f0_lp_exact"] - Fraction(1, 10 ** 9)
+    assert big["p0"] >= small["p0"] - Fraction(1, 10 ** 9)
 
 
 @pytest.mark.slow
@@ -122,11 +123,40 @@ def test_sampled_lp_e8_window():
     res = sampled_lp(8, 30)
     report = res["feasible_report"]
     assert report["feasible"], report
+    assert res["certificate_status"] == "sturm-certified"
+    # the proof itself: b >= 0, p(PI_LO) < 0 and no root of p beyond PI_LO
+    cert = res["certificate"]
+    poly = cert.polynomial()
+    assert cert.y0 == PI_LO and all(x >= 0 for x in cert.b)
+    assert poly_eval(poly, PI_LO) < 0 and sturm_count(poly, PI_LO) == 0
+    # vol(B_8(1/2)) = pi^4/6144, so bound/optimum is p(0)/16 exactly
+    assert res["p0"] == poly_eval(poly, 0)
+    assert res["bound"] == pytest.approx(float(res["p0"] / 16) * OPT8,
+                                         rel=1e-15)
     assert OPT8 <= res["bound"] <= 1.5 * OPT8
-    # the pivoting rules fix the walk: three solves, 565 pivots in all
-    assert report["iterations"] == 565
-    assert report["rounds"] == 3
-    assert report["samples_used"] == 169
+    # the pivoting rules and the refinement fix the walk: eight solves,
+    # 1,544 pivots, 13 samples added to the 153 defaults
+    assert report["iterations"] == 1544
+    assert report["rounds"] == 8
+    assert report["samples_used"] == 166
+
+
+def test_sampled_lp_one_round_bump_refuted():
+    # the first solve's f is positive between samples: on r in
+    # (1.5157, 1.5493), where a check on a grid of step 1/256 once passed a
+    # bound with f(1.5215) = +3.6e-8 between two grid points, and on
+    # (2.1514, 2.1990)
+    res = sampled_lp(8, 30, refine_rounds=0)
+    assert "bound" not in res and res["estimate"] > 0
+    assert res["feasible_report"]["feasible"] is False
+    assert res["certificate_status"] == "uncertified"
+    poly = res["certificate"].polynomial()
+    roots = [math.sqrt(y / math.pi) for y in sturm_roots(poly, PI_LO)]
+    assert [round(r, 4) for r in roots] == [1.5157, 1.5493, 2.1514, 2.199]
+    assert poly_eval(poly, Fraction(math.pi * 1.5215 ** 2)) > 0
+    failed = [s["statement"] for s in verify_lp(res["certificate"]).log
+              if not s["passed"]]
+    assert failed == ["no root of p in (y0, inf)"]
 
 
 def test_lp_path_imports_no_numpy_or_scipy():
@@ -277,85 +307,68 @@ if HAVE_HYPOTHESIS:
                    for r, bi in zip(rows, b))
 
 
-# -- SOS certificates ------------------------------------------------------------
+# -- Sturm certificates ----------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def toy_cert():
-    return build_toy_certificate()
+    """The proved certificate of a small LP: dimension 1, degree 4."""
+    return sampled_lp(1, 4)["certificate"]
+
+
+def _failed_steps(cert):
+    result = verify_lp(cert)
+    assert result.status == "refuted"
+    return [s["statement"] for s in result.log if not s["passed"]]
+
+
+def _with_b(cert, k, value):
+    b = list(cert.b)
+    b[k - 1] = value
+    return LpCertificate(cert.n, cert.d, tuple(b), cert.y0)
 
 
 def test_toy_certificate_accepted(toy_cert):
-    assert verify_sos(toy_cert).status == "verified"
+    assert verify_lp(toy_cert).status == "verified"
 
 
 def test_toy_certificate_bound(toy_cert):
-    bound, p0 = toy_cert.bound()
-    assert bound >= 1  # valid bound for dimension 1
-    assert p0 > 0
+    p0 = poly_eval(toy_cert.polynomial(), 0)
+    assert p0 * ball_volume(1, Fraction(1, 4)).to_float() >= 1  # Z packs
+    assert toy_cert.y0 == PI_LO
 
 
 def test_tampering_rejected(toy_cert):
-    cert = toy_cert
-    perturb = Fraction(1, 7)
-    for which in ("q1", "q2"):
-        q = getattr(cert, which)
-        for i in range(len(q)):
-            for j in range(i, len(q)):
-                newq = [list(row) for row in q]
-                newq[i][j] += perturb
-                newq[j][i] = newq[i][j]
-                fields = {"n": cert.n, "d": cert.d, "a": cert.a,
-                          "y0": cert.y0, "q1": cert.q1, "q2": cert.q2}
-                fields[which] = tuple(tuple(r) for r in newq)
-                tampered = SosCertificate(**fields)
-                assert verify_sos(tampered).status == "refuted", (which, i, j)
-
-
-def test_identity_gram_is_psd():
-    from packbound.exact import ldlt_psd
-    ok, pivots = ldlt_psd([[Fraction(1), Fraction(0)],
-                           [Fraction(0), Fraction(1)]])
-    assert ok and all(p == 1 for p in pivots)
+    # each tampering breaks exactly one hypothesis
+    d = toy_cert.d  # even: L_d has a positive leading coefficient
+    tiny = Fraction(1, 10 ** 12)
+    assert _failed_steps(_with_b(toy_cert, d, -tiny)) == [
+        "profile coefficients b >= 0"]
+    # p grows without bound, so it has a root far beyond y0
+    assert _failed_steps(_with_b(toy_cert, d, tiny)) == [
+        "no root of p in (y0, inf)"]
+    # y0 at the only root of the linear profile: p(y0) = 0
+    b1 = toy_cert.b[0]
+    root = LpCertificate(1, d, toy_cert.b, Fraction(1, 2) + 1 / b1)
+    assert _failed_steps(root) == ["p(y0) < 0"]
 
 
 def test_bad_endpoint_rejected(toy_cert):
-    cert = SosCertificate(toy_cert.n, toy_cert.d, toy_cert.a,
-                          Fraction(16, 5), toy_cert.q1, toy_cert.q2)
-    result = verify_sos(cert)
-    assert result.status == "refuted"
-    assert any("pi" in s["statement"] and not s["passed"] for s in result.log)
-
-
-def test_sdpa_export_deterministic_and_structured():
-    text1 = export_sos_sdp(1, 4)
-    text2 = export_sos_sdp(1, 4)
-    assert text1 == text2
-    lines = text1.strip().splitlines()
-    assert lines[1].endswith("= mDIM")
-    assert lines[2] == "3 = nBLOCK"
-    nvar = int(lines[1].split()[0])
-    assert nvar == 4 + 3 * 4 // 2 + 2 * 3 // 2
-    # every data line parses as "matno block i j value"
-    for line in lines[5:]:
-        parts = line.split()
-        assert len(parts) == 5
-        int(parts[0]), int(parts[1]), int(parts[2]), int(parts[3])
-        float(parts[4])
+    cert = LpCertificate(toy_cert.n, toy_cert.d, toy_cert.b, PI_HI)
+    assert _failed_steps(cert) == ["y0 lies below pi"]
 
 
 def test_accepted_certificate_implies_grid_signs(toy_cert):
     # certificate soundness, checked empirically: the certified profile is
-    # nonpositive on a dense grid of [y0, 40]
-    from packbound.exact import poly_eval
+    # negative on a dense grid of [y0, 40]
     poly = toy_cert.polynomial()
     y = toy_cert.y0
     while y <= 40:
-        assert poly_eval(poly, y) <= 0
+        assert poly_eval(poly, y) < 0
         y += Fraction(1, 8)
 
 
-def test_sos_json_roundtrip(toy_cert):
-    from packbound.cli import sos_certificate_from_json, sos_certificate_to_json
-    again = sos_certificate_from_json(sos_certificate_to_json(toy_cert))
+def test_certificate_json_roundtrip(toy_cert):
+    text = json.dumps({"certificate": toy_cert.to_dict()})
+    again = LpCertificate.from_json(text)
     assert again == toy_cert
-    assert verify_sos(again).status == "verified"
+    assert verify_lp(again).status == "verified"
