@@ -319,7 +319,11 @@ def _cmd_verify(args, cfg):
         sys.stderr.write("packbound: verify lp requires --cert\n")
         return EXIT_USAGE
     with open(args.cert) as fh:
-        cert = lp.LpCertificate.from_json(fh.read())
+        try:
+            obj = json.load(fh)["certificate"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise lp.LpError(f"not an lpbound run artifact: {exc!r}") from exc
+    cert = lp.LpCertificate.from_dict(obj)
     result = lp.verify_lp(cert)
     _emit(_artifact({"certificate": json.loads(result.to_json()),
                      "replay": f"packbound verify lp --cert {args.cert}"},

@@ -171,19 +171,6 @@ def poly_neg(p):
     return [-c for c in p]
 
 
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
-    return poly_trim(out)
-
-
 def poly_eval(p, x):
     acc = Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
     for c in reversed(p):
@@ -281,10 +268,13 @@ def sturm_count(p, lo: Fraction, hi: Fraction = None) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-def sturm_roots(p, lo: Fraction, hi: Fraction = None,
-                rel_width=Fraction(1, 2 ** 30)) -> list:
+# relative width to which sturm_roots isolates each root
+_ROOT_WIDTH = Fraction(1, 2 ** 30)
+
+
+def sturm_roots(p, lo: Fraction, hi: Fraction = None) -> list:
     """The distinct real roots of p in (lo, hi], in increasing order, each
-    as the midpoint of an interval of width at most rel_width * max(1, |y|)
+    as the midpoint of an interval of width at most _ROOT_WIDTH * max(1, |y|)
     that Sturm bisection shows to hold exactly that root.  Leaving hi out
     means hi = +inf.
     """
@@ -312,7 +302,7 @@ def sturm_roots(p, lo: Fraction, hi: Fraction = None,
         if va == vb:
             continue
         m = (a + b) / 2
-        if va - vb == 1 and b - a <= rel_width * max(1, abs(m)):
+        if va - vb == 1 and b - a <= _ROOT_WIDTH * max(1, abs(m)):
             roots.append(m)
             continue
         vm = _sign_variations(chain, m)

@@ -21,7 +21,6 @@ count of no root of p beyond PI_LO.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,12 +232,10 @@ class LpCertificate:
                 "y0": str(self.y0)}
 
     @classmethod
-    def from_json(cls, text: str) -> "LpCertificate":
-        """Parse the `certificate` object {n, d, b, y0} of an `lpbound run`
-        JSON artifact: n, d positive integers, b and y0 exact rational
-        strings.  Anything else raises LpError."""
+    def from_dict(cls, obj) -> "LpCertificate":
+        """Inverse of to_dict: n, d positive integers, b and y0 exact
+        rational strings.  Anything else raises LpError."""
         try:
-            obj = json.loads(text)["certificate"]
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))
                     and all(isinstance(x, str) for x in b + [y0])):

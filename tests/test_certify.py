@@ -9,7 +9,7 @@ from packbound.certify import (
     Certificate, CertifyError, RationalInterval, certify_magic,
     certify_positive_tail, exp_interval, nth_root_bounds, poisson_check,
 )
-from packbound.exact import poly_eval, poly_mul, sturm_count, sturm_roots
+from packbound.exact import poly_eval, sturm_count, sturm_roots
 from packbound.lattices import standard_lattice
 from packbound.qseries import QSeries, conjugate_psi_minus
 
@@ -50,6 +50,14 @@ def test_nth_root_bounds():
 
 
 # -- Sturm --------------------------------------------------------------------
+
+def poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
 
 def test_sturm_simple():
     p = [Fraction(-2), Fraction(0), Fraction(1)]  # x^2 - 2

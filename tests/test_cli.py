@@ -133,7 +133,7 @@ def test_verify_lp_roundtrip(lp8_artifacts, capsys):
 
 def test_verify_lp_tampering_refuted(lp8_artifacts, tmp_path, capsys):
     doc = json.loads(lp8_artifacts[30].read_text())
-    cert = LpCertificate.from_json(json.dumps(doc))
+    cert = LpCertificate.from_dict(doc["certificate"])
     assert cert.y0 == PI_LO and cert.d % 2 == 0
 
     def with_b(k, value):

@@ -368,7 +368,6 @@ def test_accepted_certificate_implies_grid_signs(toy_cert):
 
 
 def test_certificate_json_roundtrip(toy_cert):
-    text = json.dumps({"certificate": toy_cert.to_dict()})
-    again = LpCertificate.from_json(text)
+    again = LpCertificate.from_dict(json.loads(json.dumps(toy_cert.to_dict())))
     assert again == toy_cert
     assert verify_lp(again).status == "verified"
