@@ -389,32 +389,22 @@ def certify_magic(n: int, spec=None, config: dict = None) -> Certificate:
                   f"{float(abs(v.value - 1)):.3e}",
                   abs(v.value - 1) <= tol + v.error)
 
-        # (ii) sign conditions on grids
+        # (ii) sign conditions on grids r0 + k*step <= rmax, one sweep each
         slack = cfg["grid_slack"]
-        step = cfg["grid_step"]
+        step = mp.mpf(cfg["grid_step"])
         rmax = _GRID_END[n]
-        worst_f = -mp.inf
-        r = r1
-        ok_f = True
-        while r <= rmax:
-            v = spec.eval("f", r)
-            worst_f = max(worst_f, v.value - v.error)
-            if v.value - v.error > slack:
-                ok_f = False
-            r += step
+
+        def grid(side, r0):
+            count = int(mp.floor((rmax - r0) / step)) + 1
+            return [spec.combine(side, p, m)
+                    for p, m in spec.sweep(r0, step, count)]
+
+        worst_f = max(v.value - v.error for v in grid("f", r1))
         check(f"f <= 0 on [r1, {rmax}]", "numerical grid",
-              f"max lower bound {float(worst_f):.3e}", ok_f)
-        worst_h = mp.inf
-        r = mp.mpf(0)
-        ok_h = True
-        while r <= rmax:
-            v = spec.eval("f_hat", r)
-            worst_h = min(worst_h, v.value + v.error)
-            if v.value + v.error < -slack:
-                ok_h = False
-            r += step
+              f"max lower bound {float(worst_f):.3e}", worst_f <= slack)
+        worst_h = min(v.value + v.error for v in grid("f_hat", mp.mpf(0)))
         check(f"fhat >= 0 on [0, {rmax}]", "numerical grid",
-              f"min upper bound {float(worst_h):.3e}", ok_h)
+              f"min upper bound {float(worst_h):.3e}", worst_h >= -slack)
 
         # far tail: decaying kernel dominates all error terms by a margin;
         # sample just past the grid (the value decays toward the certified

@@ -166,9 +166,9 @@ def _cmd_qseries(args, cfg):
 def _cmd_magic(args, cfg):
     if args.action == "table" and not (
             math.isfinite(args.step) and args.step > 0
-            and math.isfinite(args.rmax)):
+            and math.isfinite(args.rmax) and args.rmax >= 0):
         raise MagicError("--step must be finite and positive, "
-                         "--rmax finite")
+                         "--rmax finite and nonnegative")
     spec = magic_spec(args.dim, trunc=cfg.trunc, dps=cfg.precision)
     if args.action == "eval":
         with mp.workdps(cfg.precision + 10):
@@ -187,15 +187,14 @@ def _cmd_magic(args, cfg):
     if args.action == "table":
         lines = ["r,f,f_err,fhat,fhat_err"]
         with mp.workdps(cfg.precision + 10):
-            r = mp.mpf(0)
             step = mp.mpf(args.step)
-            while r <= args.rmax + 1e-12:
-                f = spec.eval("f", r)
-                fh = spec.eval("f_hat", r)
+            count = int(mp.floor((args.rmax + 1e-12) / step)) + 1
+            for k, (p, m) in enumerate(spec.sweep(0, step, count)):
+                f = spec.combine("f", p, m)
+                fh = spec.combine("f_hat", p, m)
                 lines.append(",".join([
-                    _nstr(r, 12), _nstr(f.value), _nstr(f.error, 3),
+                    _nstr(k * step, 12), _nstr(f.value), _nstr(f.error, 3),
                     _nstr(fh.value), _nstr(fh.error, 3)]))
-                r += step
         _emit("\n".join(lines) + "\n", args.out)
         return EXIT_OK
     # check

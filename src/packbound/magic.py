@@ -42,15 +42,22 @@ per exponent and one dot product per side.  On (0, t*] the substitution
 u = 1/t and the S-transform turn the integrand into u^(-n/2) * (decaying
 series) * e^(-pi r^2 / u), integrated by fixed-order Gauss-Legendre panels
 with an order-doubling error estimate.  Both kernels share one node set,
-so e^(-pi r^2 / u) is computed once per node, and each quadrature sum is
-one mp.fdot (exact products, one rounding).  Series truncation tails ride
-along from the coefficient envelopes.
+where e^(-pi r^2 / u) is held as integers scaled by 2^fix (fix is the bit
+precision of dps + 10).  One exp per node anchors a radius; on an
+arithmetic grid r_k = r0 + k h, `sweep` takes three exps per node once and
+then two integer products per node and radius (see `_decays`).  The
+weighted integrand values are stored in the same fixed point, so each
+quadrature sum is an exact integer dot product, and the u-side error
+carries a proven round-off term for the value truncation and the decays'
+2 (k + 2)^2 units.  `pair(r)` is a one-radius sweep.  Series truncation
+tails ride along from the coefficient envelopes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from math import perm
+from operator import mul
 
 import mpmath as mp
 
@@ -113,35 +120,44 @@ _GL_CACHE = {}
 
 
 def _legendre(order: int, x):
-    """P_order(x) and its derivative by the three-term recurrence."""
-    p0, p1 = mp.mpf(1), x
+    """P_order(x) and its derivative by the three-term recurrence, in the
+    arithmetic of x (float or mpf)."""
+    p0, p1 = 1, x
     for k in range(2, order + 1):
         p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
     return p1, order * (x * p1 - p0) / (x * x - 1)
 
 
 def legendre_nodes(order: int, dps: int):
-    """Nodes and weights on [-1, 1], computed once per (order, dps)."""
+    """Nodes and weights on [-1, 1], computed once per (order, dps).
+
+    Each positive node is solved by Newton's method in float64 first, so the
+    mpmath solve starts 16 digits in and needs about four steps.  The
+    negative nodes and their weights are mirrored: P_k(-x) = (-1)^k P_k(x)
+    rounds symmetrically, so their weights are bit-identical.
+    """
     key = (order, dps)
     if key in _GL_CACHE:
         return _GL_CACHE[key]
     with mp.workdps(dps + 20):
-        upper = []  # the positive nodes, largest first
+        upper, upper_w = [], []  # the positive nodes, largest first
         for i in range(1, order // 2 + 1):
-            x = mp.cos(mp.pi * (i - mp.mpf(1) / 4) / (order + mp.mpf(1) / 2))
-            for _ in range(120):
-                p, dp = _legendre(order, x)
-                dx = p / dp
-                x -= dx
-                if abs(dx) < mp.mpf(10) ** (-dps - 12):
-                    break
-            upper.append(x)
-        nodes = ([-x for x in upper] + [mp.mpf(0)] * (order % 2)
-                 + upper[::-1])
-        weights = []
-        for x in nodes:
+            x = math.cos(math.pi * (i - 0.25) / (order + 0.5))
+            for tol in (1e-12, mp.mpf(10) ** (-dps - 12)):
+                for _ in range(120):
+                    p, dp = _legendre(order, x)
+                    dx = p / dp
+                    x -= dx
+                    if abs(dx) < tol:
+                        break
+                x = mp.mpf(x)
             dp = _legendre(order, x)[1]
-            weights.append(2 / ((1 - x * x) * dp * dp))
+            upper.append(x)
+            upper_w.append(2 / ((1 - x * x) * dp * dp))
+        middle = [mp.mpf(0)] * (order % 2)
+        nodes = [-x for x in upper] + middle + upper[::-1]
+        weights = (upper_w + [2 / _legendre(order, x)[1] ** 2 for x in middle]
+                   + upper_w[::-1])
     _GL_CACHE[key] = (nodes, weights)
     return _GL_CACHE[key]
 
@@ -216,7 +232,8 @@ class _TsideTable:
 
                 def fold(cs):
                     # flat over (j, E): the x^(j+1) coefficients D_{E,j}
-                    return [bp * mp.fsum(cm[m] * perm(m, j) * tstar ** (m - j)
+                    return [bp * mp.fsum(cm[m] * math.perm(m, j)
+                                         * tstar ** (m - j)
                                          for m in range(j, width))
                             for j in range(width)
                             for bp, cm in zip(self.bpow, cs)]
@@ -251,8 +268,6 @@ class _TsideTable:
             total = scale * mp.fdot(coef, flat)
             abs_total = scale * mp.fdot(coef_abs, flat_abs)
             for k, s, est, sinc2 in in_band:
-                if any(c_abs[k][2:]):
-                    raise MagicError("pole band reached with quadratic weight")
                 c0, c1 = c[k][:2]
                 a0, a1 = c_abs[k][:2]
                 total += est * sinc2 * (c0 * s + c1 * (ts * s + 1))
@@ -263,27 +278,50 @@ class _TsideTable:
         return out
 
 
+def _fixed(x, fix):
+    """0 <= x <= 1 as an integer scaled by 2^fix, truncated."""
+    _, man, exp, _ = x._mpf_
+    return man << (exp + fix) if exp + fix >= 0 else man >> -(exp + fix)
+
+
 class _UsideKernel:
     """Gauss-Legendre data for int_{u0}^inf u^(-p) Phi(iu) e^(-b/u) du.
 
     `nodes` holds -1/u at the low- and the high-order nodes.  Every kernel
-    of a spec holds the same two lists, so e^(-b/u) is computed once per
-    node and radius.
+    of a spec holds the same two lists, so e^(-b/u) is held once per node
+    and radius for all of them.  `vals` holds the weighted integrand values
+    at the nodes as integers scaled by 2^fix (truncated), so each quadrature
+    sum against decays in the same fixed point is an exact integer dot
+    product.
     """
 
-    __slots__ = ("nodes", "vals", "series_err", "tail_err")
+    __slots__ = ("nodes", "fix", "vals", "abs_vals", "series_err",
+                 "tail_err")
 
-    def __init__(self, nodes, vals, series_err, tail_err):
+    def __init__(self, nodes, fix, vals, series_err, tail_err):
         self.nodes = nodes
-        self.vals = vals
+        self.fix = fix
+        self.vals = [[int(mp.ldexp(v, fix)) for v in part] for part in vals]
+        self.abs_vals = sum(abs(v) for part in self.vals for v in part)
         self.series_err = series_err
         self.tail_err = tail_err
 
-    def integral(self, decay):
-        """Certified value of the integral, from e^(-b/u) at `nodes`."""
-        q_lo = mp.fdot(self.vals[0], decay[0])
-        q_hi = mp.fdot(self.vals[1], decay[1])
-        return q_hi, abs(q_hi - q_lo) + self.series_err + self.tail_err
+    def integral(self, decay, units):
+        """Certified value of the integral from e^(-b/u) at `nodes`, given
+        as integers scaled by 2^fix within `units` units of the exact
+        decay."""
+        fix = self.fix
+        q_lo, q_hi = (mp.ldexp(sum(map(mul, v, d)), -2 * fix)
+                      for v, d in zip(self.vals, decay))
+        # per node: the value's truncation (under a unit, against a decay of
+        # at most 1) and the decay's error against the value; per sum: its
+        # rounding to working precision.  q_hi carries it twice, once more
+        # through the order-doubling estimate.
+        count = sum(map(len, decay))
+        roundoff = mp.ldexp((count << fix)
+                            + (units + 2) * (self.abs_vals + count), -2 * fix)
+        return q_hi, (abs(q_hi - q_lo) + 2 * roundoff + self.series_err
+                      + self.tail_err)
 
 
 def _uside_kernels(series_list, p, u0, orders, dps):
@@ -349,8 +387,8 @@ def _uside_kernels(series_list, p, u0, orders, dps):
         for k, (phi, env) in enumerate(evaluate(u_max, True)):
             # contour tail beyond u_max: |Phi(iu)| <= A_U e^(-pi e1 (u-U)/4)
             tail_err = abs(phi + env) * u_max ** (-p) * 4 / (mp.pi * e1s[k])
-            kernels.append(_UsideKernel(nodes, vals[k], series_err[k],
-                                        tail_err))
+            kernels.append(_UsideKernel(nodes, mp.mp.prec, vals[k],
+                                        series_err[k], tail_err))
         return kernels
 
 
@@ -445,29 +483,76 @@ class MagicFunctionSpec:
     def pair(self, r):
         """Certified (P, M) = (W*I_plus, W*I_minus) at radius r >= 0."""
         with mp.workdps(self.dps + 10):
-            rv = mp.mpf(r)
-            if not mp.isfinite(rv):
-                raise MagicError("radius must be finite")
-            if rv < 0:
-                raise MagicError("radius must be nonnegative")
             # keyed on the radius at working precision, not as the caller
             # would print it
-            key = rv._mpf_
-            if key in self._cache:
-                return self._cache[key]
-            pi_r2 = mp.pi * (rv * rv)
-            w_r = mp.sin(pi_r2 / 2) ** 2
-            g = mp.exp(-pi_r2 * self._tstar_mpf)
-            (p_t, p_terr), (m_t, m_terr) = self._tside.evaluate(
-                pi_r2, w_r, g)
-            decay = [[mp.exp(pi_r2 * v) for v in part]
-                     for part in self.uside_plus.nodes]
-            p_u, p_uerr = self.uside_plus.integral(decay)
-            m_u, m_uerr = self.uside_minus.integral(decay)
-            p = CertifiedValue(p_t + w_r * p_u, p_terr + w_r * p_uerr)
-            m = CertifiedValue(m_t + w_r * m_u, m_terr + w_r * m_uerr)
-        self._cache[key] = (p, m)
-        return p, m
+            key = mp.mpf(r)._mpf_
+        if key in self._cache:
+            return self._cache[key]
+        return self.sweep(r, 0, 1)[0]
+
+    def sweep(self, r0, step, count):
+        """Certified (P, M) at r_k = r0 + k*step for k < count, with r0 and
+        step >= 0; every pair is also put in the pair cache."""
+        with mp.workdps(self.dps + 10):
+            r0, step = mp.mpf(r0), mp.mpf(step)
+            if not (mp.isfinite(r0) and mp.isfinite(step)):
+                raise MagicError("radius and step must be finite")
+            if r0 < 0 or step < 0:
+                raise MagicError("radius and step must be nonnegative")
+            out = []
+            for k, decay in enumerate(self._decays(r0, step, count)):
+                rv = r0 + k * step
+                key = rv._mpf_
+                if key not in self._cache:
+                    pi_r2 = mp.pi * (rv * rv)
+                    w_r = mp.sin(pi_r2 / 2) ** 2
+                    g = mp.exp(-pi_r2 * self._tstar_mpf)
+                    (p_t, p_terr), (m_t, m_terr) = self._tside.evaluate(
+                        pi_r2, w_r, g)
+                    units = 2 * (k + 2) ** 2
+                    p_u, p_uerr = self.uside_plus.integral(decay, units)
+                    m_u, m_uerr = self.uside_minus.integral(decay, units)
+                    self._cache[key] = (
+                        CertifiedValue(p_t + w_r * p_u, p_terr + w_r * p_uerr),
+                        CertifiedValue(m_t + w_r * m_u, m_terr + w_r * m_uerr))
+                out.append(self._cache[key])
+        return out
+
+    def _decays(self, r0, h, count):
+        """e^(-pi r_k^2 / u) at the shared u-side nodes for r_k = r0 + k*h,
+        k < count, as integers scaled by 2^fix.
+
+        One anchor per node and sweep: E_0 by exp and, for more radii,
+        R_0 = e^(-pi (2 r0 h + h^2) / u) and Q = e^(-2 pi h^2 / u).  Then
+        E_(k+1) = E_k R_k and R_(k+1) = R_k Q, each product truncated to fix
+        bits.  With r0, h >= 0 every factor is at most 1, so an anchor is
+        off by at most 3 units (exp's rounding, its argument's, the
+        truncation) and a product adds the errors of its factors plus one:
+        E_k is within 2k^2 + 2k + 3 units of the decay at the exact
+        r0 + k h, and rounding r_k moves that decay by under two more, so
+        E_k is within 2 (k + 2)^2 units of the decay at r_k.  Iterated at
+        the spec's working precision, dps + 10.
+        """
+        kernel = self.uside_plus
+        fix = kernel.fix
+
+        def anchor(scale):
+            return [[_fixed(mp.exp(scale * v), fix) for v in part]
+                    for part in kernel.nodes]
+
+        decay = anchor(mp.pi * (r0 * r0))
+        if count > 1:
+            ratio = anchor(mp.pi * h * (2 * r0 + h))
+        if count > 2:
+            q = anchor(2 * mp.pi * h * h)
+        for k in range(count):
+            yield decay
+            if k + 1 < count:
+                decay = [[e * r >> fix for e, r in zip(ep, rp)]
+                         for ep, rp in zip(decay, ratio)]
+            if k + 2 < count:
+                ratio = [[r * c >> fix for r, c in zip(rp, cp)]
+                         for rp, cp in zip(ratio, q)]
 
     def flipped_minus_copy(self) -> "MagicFunctionSpec":
         """Copy with the minus-kernel constant negated (sabotage testing)."""
@@ -480,7 +565,10 @@ class MagicFunctionSpec:
         return clone
 
     def eval(self, side, r) -> CertifiedValue:
-        p, m = self.pair(r)
+        return self.combine(side, *self.pair(r))
+
+    def combine(self, side, p, m) -> CertifiedValue:
+        """f (side "f") or fhat ("f_hat") from a certified pair (P, M)."""
         with mp.workdps(self.dps + 10):
             if side == "f":
                 v = self._A * p.value + self._B * m.value

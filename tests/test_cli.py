@@ -197,6 +197,7 @@ MALFORMED_CERTS = {
     ["magic", "table", "--dim", "8", "--step", "inf"],
     ["magic", "table", "--dim", "8", "--rmax", "inf"],
     ["magic", "table", "--dim", "8", "--rmax", "nan"],
+    ["magic", "table", "--dim", "8", "--rmax", "-1"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 
 import mpmath as mp
@@ -11,10 +12,12 @@ from packbound.magic import (
 
 
 def test_legendre_nodes_integrate_polynomial():
-    xs, ws = legendre_nodes(8, 30)
-    with mp.workdps(30):
-        val = sum(w * x ** 6 for x, w in zip(xs, ws))
-        assert abs(val - mp.mpf(2) / 7) < 1e-25
+    # an odd order has the node 0, whose weight is not mirrored
+    for order in (7, 8):
+        xs, ws = legendre_nodes(order, 30)
+        with mp.workdps(30):
+            val = sum(w * x ** 6 for x, w in zip(xs, ws))
+            assert abs(val - mp.mpf(2) / 7) < 1e-25
 
 
 def test_combination_constants_8(spec8):
@@ -423,3 +426,69 @@ def test_pair_shares_uside_nodes(spec8, monkeypatch):
     spec8.pair(mp.mpf("1.2345678"))  # a radius no other test evaluates
     # e^(-b/u) once per shared node, plus e^(-pi r^2 t*)
     assert 0 < len(calls) <= shared + 2
+
+
+def _fresh_copy(spec):
+    """The spec with an empty pair cache of its own."""
+    clone = copy.copy(spec)
+    clone._cache = {}
+    return clone
+
+
+@pytest.mark.parametrize("n", [8, 24])
+@pytest.mark.parametrize("start", ["0", "sqrt2"])
+def test_sweep_matches_pair(n, start, request):
+    spec = _fresh_copy(request.getfixturevalue(f"spec{n}"))
+    single = _fresh_copy(spec)
+    with mp.workdps(spec.dps + 10):
+        r0 = mp.sqrt(2) if start == "sqrt2" else mp.mpf(0)
+        step = mp.mpf("0.02")
+        swept = spec.sweep(r0, step, 400)
+        for k in (0, 1, 2, 71, 200, 399):
+            for got, want in zip(swept[k], single.pair(r0 + k * step)):
+                assert abs(got.value - want.value) <= got.error + want.error
+            assert spec.pair(r0 + k * step) is swept[k]
+
+
+def test_sweep_decays_within_stated_units(spec8):
+    # the fixed-point recurrence against exp at 30 more digits, every node
+    fix = spec8.uside_plus.fix
+    nodes = spec8.uside_plus.nodes
+    with mp.workdps(spec8.dps + 10):
+        r0, step = mp.sqrt(2), mp.mpf("0.02")
+        decays = list(spec8._decays(r0, step, 401))
+        radii = [r0 + k * step for k in range(401)]
+    worst = 0
+    with mp.workdps(spec8.dps + 40):
+        for k, (r, decay) in enumerate(zip(radii, decays)):
+            units = 2 * (k + 2) ** 2
+            for part, fixed in zip(nodes, decay):
+                for v, e in zip(part, fixed):
+                    exact = mp.ldexp(mp.exp(mp.pi * r * r * v), fix)
+                    assert abs(e - exact) <= units, (k, v)
+                    worst = max(worst, abs(e - exact))
+    assert worst > 1  # the products do round
+
+
+def test_sweep_calls_exp_three_times_per_node(spec8, monkeypatch):
+    shared = sum(len(part) for part in spec8.uside_plus.nodes)
+    calls = []
+    exp = mp.exp
+
+    def counting_exp(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(mp, "exp", counting_exp)
+    # radii no other test evaluates
+    assert len(spec8.sweep(mp.mpf("2.3456789"), mp.mpf("0.01"), 50)) == 50
+    assert 3 * shared < len(calls) <= 3 * shared + 2 * 50
+
+
+@pytest.mark.parametrize("r0, step", [
+    (-1, "0.02"), ("inf", "0.02"), ("nan", "0.02"), ("-inf", "0.02"),
+    (1, "inf"), (1, "nan"), (1, "-0.02"),
+])
+def test_sweep_rejects_bad_radius_or_step(spec8, r0, step):
+    with pytest.raises(MagicError):
+        spec8.sweep(mp.mpf(r0), mp.mpf(step), 3)
