@@ -303,7 +303,12 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int,
     lattice sum and the dual sum are truncated there, and explicit Gaussian
     tail bounds are folded into the reported residual.
     """
-    sigma = frac(sigma)
+    try:
+        sigma = frac(sigma)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CertifyError(f"sigma is not a rational number: {exc}") from exc
+    if sigma <= 0 or cutoff < 1:
+        raise CertifyError("sigma must be positive and cutoff at least 1")
     max_norm = Fraction(2 * cutoff)
     with mp.workdps(dps + 10):
         table = vectors_by_norm(lat, max_norm, budget=max_norm)

@@ -143,6 +143,8 @@ def _cmd_lattice(args, cfg):
 
 
 def _cmd_qseries(args, cfg):
+    if args.terms < 1:
+        raise QSeriesError("--terms must be at least 1")
     series = named_form(args.name, trunc=cfg.trunc)
     if cfg.fmt == "csv" or args.csv:
         _emit(series.dump_csv(), args.out)
@@ -303,7 +305,7 @@ def _cmd_verify(args, cfg):
             cert.status, EXIT_INCONCLUSIVE)
     if args.target == "poisson":
         lat = standard_lattice(args.name, args.n)
-        res = poisson_check(lat, Fraction(args.sigma), args.cutoff)
+        res = poisson_check(lat, args.sigma, args.cutoff)
         ok = res["residual"] <= args.tolerance
         payload = {"lattice": lat.name, "sigma": res["sigma"],
                    "cutoff": res["cutoff"],

@@ -424,6 +424,8 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
     cutoff, including zero counts.
     """
     max_norm = frac(max_sq_norm)
+    if max_norm < 0:
+        raise LatticeError(f"negative squared-norm cutoff {max_norm}")
     if max_norm > budget:
         raise EnumerationBudgetError(
             f"cutoff {max_norm} exceeds enumeration budget {budget}")

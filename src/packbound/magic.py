@@ -36,21 +36,22 @@ E/4); the analytic continuation in s is the same expression, and the
 sin^2 prefactor cancels the poles at s = 0 (a power-series branch is used
 inside |s| < 1e-3, where W(r) coincides with sin(s/2)^2 because all pole
 exponents are divisible by 8).  The terms are folded once per spec into a
-table over the distinct grid exponents E (pi E/4, base^E and the combined
-coefficients of 1/s, 1/s^2, 1/s^3), so a radius costs one reciprocal of s
-per exponent and one dot product per side.  On (0, t*] the substitution
-u = 1/t and the S-transform turn the integrand into u^(-n/2) * (decaying
-series) * e^(-pi r^2 / u), integrated by fixed-order Gauss-Legendre panels
-with an order-doubling error estimate.  Both kernels share one node set,
-where e^(-pi r^2 / u) is held as integers scaled by 2^fix (fix is the bit
-precision of dps + 10).  One exp per node anchors a radius; on an
-arithmetic grid r_k = r0 + k h, `sweep` takes three exps per node once and
-then two integer products per node and radius (see `_decays`).  The
-weighted integrand values are stored in the same fixed point, so each
-quadrature sum is an exact integer dot product, and the u-side error
-carries a proven round-off term for the value truncation and the decays'
-2 (k + 2)^2 units.  `pair(r)` is a one-radius sweep.  Series truncation
-tails ride along from the coefficient envelopes.
+table over the distinct grid exponents E (pi E/4 and the combined
+coefficients of 1/s, 1/s^2, 1/s^3), held as integers scaled by 2^fix (fix
+is the bit precision of dps + 10): outside the band a radius costs one
+integer reciprocal per exponent, integer products for its powers and one
+integer dot product per side, with a proven truncation term (see
+`_TsideTable`).  On (0, t*] the substitution u = 1/t and the S-transform
+turn the integrand into u^(-n/2) * (decaying series) * e^(-pi r^2 / u),
+integrated by fixed-order Gauss-Legendre panels with an order-doubling
+error estimate.  Both kernels share one node set, where e^(-pi r^2 / u) and
+the weighted integrand values are held in the same fixed point, so each
+quadrature sum is an exact integer dot product.  One exp per node anchors a
+radius; on an arithmetic grid r_k = r0 + k h, `sweep` takes three exps per
+node once and then two integer products per node and radius (see
+`_decays`).  The u-side error carries a proven round-off term for the value
+truncation and the decays' 2 (k + 2)^2 units.  `pair(r)` is a one-radius
+sweep.  Series truncation tails ride along from the coefficient envelopes.
 """
 
 from __future__ import annotations
@@ -196,21 +197,40 @@ class _TsideTable:
         W e^(-pi r^2 t*) * sum_E sum_j D_{E,j} x^(j+1),
         D_{E,j} = base^E sum_m C_m m!/(m-j)! t*^(m-j).
 
-    The same polynomial with |const * c_E| in place of C_m bounds the sum of
-    the absolute summands, which sizes the round-off guard.
+    The same polynomial with |const * c_E| in place of C_m, |D|, bounds the
+    sum of the absolute summands, which sizes the round-off guard.
+
+    Outside the band it is evaluated in integers scaled by 2^fix: per spec
+    pi E/4 (floored), D (to nearest) and |D| (rounded up); per radius
+    S = P + SHIFT with P the truncated pi r^2, X = 2^(2 fix) // S and each
+    further power X_(k+1) = X_k X >> fix; each sum is an integer dot product.
+    In units of 2^-fix, with |x| <= m (m from max |X|): S is within 2 units
+    of the mpf pi r^2 plus the exact pi E/4, so X is within 1 + 2 x^2 /
+    (1 - 2 |x| 2^-fix) < e_1 = 2 + 2 m^2; x^k is within e_k = m^(k-1) e_1 +
+    m e_(k-1) + 2 (each factor's error against the other factor, their
+    product under a unit, the floor); D is under a unit off.  So D X_k is
+    within |D| e_k + m^k 2^fix + e_k units of 2^-2fix: summed over E and j,
+    times W g <= 1, that is the truncation term.  The guard (abs_total + 1)
+    10^-(dps-8) still covers the mpf inputs (D, pi r^2, W, g).
     """
 
-    __slots__ = ("dps", "tstar", "band", "shift", "bpow", "width", "sides")
+    __slots__ = ("dps", "fix", "tstar", "band", "exps", "shift", "bpow",
+                 "width", "sides")
 
-    def __init__(self, sides, tstar, base, band, dps):
+    def __init__(self, sides, tstar, base, band, dps, fix):
         self.dps = dps
+        self.fix = fix
         self.tstar = tstar
-        with mp.workdps(dps + 10):
-            self.band = mp.mpf(band)
+        # well beyond fix bits, so the fixed-point constants are rounded
+        # from the mpf inputs, not from rounded intermediates
+        with mp.workprec(fix + 64):
             exps = sorted({e for side in sides for _, _, series in side
                            for e in series.coeffs})
             index = {e: k for k, e in enumerate(exps)}
-            self.shift = [mp.pi * e / 4 for e in exps]
+            self.exps = exps
+            self.band = int(mp.ldexp(band, fix))
+            self.shift = [int(mp.floor(mp.ldexp(mp.pi * e / 4, fix)))
+                          for e in exps]
             self.bpow = [base ** e for e in exps]
             self.width = 1 + max(m for side in sides for m, _, _ in side)
             self.sides = []
@@ -230,43 +250,55 @@ class _TsideTable:
                         tail += abs(cm) * 8 * (1 + tstar) ** m * \
                             series.envelope.tail_bound(series.trunc, base)
 
-                def fold(cs):
-                    # flat over (j, E): the x^(j+1) coefficients D_{E,j}
-                    return [bp * mp.fsum(cm[m] * math.perm(m, j)
-                                         * tstar ** (m - j)
-                                         for m in range(j, width))
-                            for j in range(width)
-                            for bp, cm in zip(self.bpow, cs)]
+                def fold(cs, rnd):
+                    # rows over j of the x^(j+1) coefficients D_{E,j}
+                    return [[rnd(mp.ldexp(bp * mp.fsum(
+                        cm[m] * math.perm(m, j) * tstar ** (m - j)
+                        for m in range(j, width)), fix))
+                        for bp, cm in zip(self.bpow, cs)]
+                        for j in range(width)]
 
-                self.sides.append((fold(c), fold(c_abs), c, c_abs, tail))
+                coef = fold(c, lambda d: int(mp.nint(d)))
+                coef_abs = fold(c_abs, lambda d: int(d) + 1)
+                self.sides.append((sum(coef, []), sum(coef_abs, []),
+                                   list(map(sum, coef_abs)), c, c_abs, tail))
 
     def evaluate(self, pi_r2, w_r, g):
-        """[(value, error)] per side at s = pi r^2 + pi E/4 for every E,
-        with g = e^(-pi r^2 t*)."""
-        ts = self.tstar
-        x, in_band = [], []
-        for k, shift in enumerate(self.shift):
-            s = pi_r2 + shift
-            if abs(s) > self.band:
-                x.append(1 / s)
-            else:
-                # inside the pole band (reachable only where 8 | E, so
-                # W(r) = sin(s/2)^2 exactly) the sine factor is folded in by
-                # series
-                x.append(mp.mpf(0))
-                in_band.append((k, s, g * self.bpow[k], _sinc2(s, self.dps)))
+        """[(value, error, truncation)] per side at s = pi r^2 + pi E/4 for
+        every E, with g = e^(-pi r^2 t*); the error includes the fixed-point
+        truncation term."""
+        ts, fix, band = self.tstar, self.fix, self.band
+        one = 1 << 2 * fix
+        p = _fixed(pi_r2, fix)
+        x = [one // s if abs(s) > band else 0
+             for s in [p + shift for shift in self.shift]]
+        # inside the pole band (reachable only where 8 | E, so W(r) =
+        # sin(s/2)^2 exactly) the sine factor is folded in by series
+        in_band = []
+        for k in [k for k, v in enumerate(x) if not v]:
+            s = pi_r2 + mp.pi * self.exps[k] / 4
+            in_band.append((k, s, g * self.bpow[k], _sinc2(s, self.dps)))
         powers = [x]
         for _ in range(1, self.width):
-            powers.append([p * v for p, v in zip(powers[-1], x)])
+            powers.append([a * b >> fix for a, b in zip(powers[-1], x)])
         flat = [v for row in powers for v in row]
-        flat_abs = [abs(v) for v in flat]
+        flat_abs = list(map(abs, flat))
+        # the truncation per power (see the class docstring)
+        m = (max(map(abs, x)) >> fix) + 1
+        units = [2 + 2 * m * m]
+        for k in range(1, self.width):
+            units.append(m ** k * units[0] + m * units[-1] + 2)
         scale = w_r * g
         out = []
-        for coef, coef_abs, c, c_abs, tail in self.sides:
-            # fdot stops at the shorter list, so a side reads as many
-            # powers of x as it has coefficients
-            total = scale * mp.fdot(coef, flat)
-            abs_total = scale * mp.fdot(coef_abs, flat_abs)
+        for coef, coef_abs, abs_sums, c, c_abs, tail in self.sides:
+            # map stops at the shorter list, so a side reads as many powers
+            # of x as it has coefficients
+            total = scale * mp.ldexp(sum(map(mul, coef, flat)), -2 * fix)
+            abs_total = scale * mp.ldexp(sum(map(mul, coef_abs, flat_abs)),
+                                         -2 * fix)
+            trunc = scale * mp.ldexp(sum(
+                (d + len(x)) * e + (len(x) * m ** (j + 1) << fix)
+                for j, (d, e) in enumerate(zip(abs_sums, units))), -2 * fix)
             for k, s, est, sinc2 in in_band:
                 c0, c1 = c[k][:2]
                 a0, a1 = c_abs[k][:2]
@@ -274,12 +306,12 @@ class _TsideTable:
                 abs_total += est * abs(sinc2) * (
                     a0 * abs(s) + a1 * (ts * abs(s) + 1))
             guard = (abs_total + 1) * mp.mpf(10) ** (-(self.dps - 8))
-            out.append((total, tail + guard))
+            out.append((total, tail + guard + trunc, trunc))
         return out
 
 
 def _fixed(x, fix):
-    """0 <= x <= 1 as an integer scaled by 2^fix, truncated."""
+    """x >= 0 as an integer scaled by 2^fix, truncated."""
     _, man, exp, _ = x._mpf_
     return man << (exp + fix) if exp + fix >= 0 else man >> -(exp + fix)
 
@@ -467,7 +499,7 @@ class MagicFunctionSpec:
             self._A = self.A.mpf()
             self._B = self.B.mpf()
         self._tside = _TsideTable([plus_terms, minus_terms], self._tstar_mpf,
-                                  self._base, band, dps)
+                                  self._base, band, dps, self.uside_plus.fix)
 
     def _assert_pole_structure(self, term_list):
         for m, _, series in term_list:
@@ -507,7 +539,7 @@ class MagicFunctionSpec:
                     pi_r2 = mp.pi * (rv * rv)
                     w_r = mp.sin(pi_r2 / 2) ** 2
                     g = mp.exp(-pi_r2 * self._tstar_mpf)
-                    (p_t, p_terr), (m_t, m_terr) = self._tside.evaluate(
+                    (p_t, p_terr, _), (m_t, m_terr, _) = self._tside.evaluate(
                         pi_r2, w_r, g)
                     units = 2 * (k + 2) ** 2
                     p_u, p_uerr = self.uside_plus.integral(decay, units)

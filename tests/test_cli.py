@@ -198,6 +198,14 @@ MALFORMED_CERTS = {
     ["magic", "table", "--dim", "8", "--rmax", "inf"],
     ["magic", "table", "--dim", "8", "--rmax", "nan"],
     ["magic", "table", "--dim", "8", "--rmax", "-1"],
+    ["verify", "poisson", "--name", "e8", "--sigma", "abc"],
+    ["verify", "poisson", "--name", "e8", "--sigma", "0"],
+    ["verify", "poisson", "--name", "e8", "--sigma", "1/0"],
+    ["verify", "poisson", "--name", "e8", "--sigma", "-1"],
+    ["verify", "poisson", "--name", "e8", "--cutoff", "-3"],
+    ["lattice", "theta", "--name", "e8", "--max-norm", "-2"],
+    ["qseries", "show", "e4", "--terms", "-1"],
+    ["qseries", "show", "e4", "--terms", "0"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}

@@ -1,4 +1,5 @@
 import copy
+import math
 from fractions import Fraction
 
 import mpmath as mp
@@ -468,6 +469,57 @@ def test_sweep_decays_within_stated_units(spec8):
                     assert abs(e - exact) <= units, (k, v)
                     worst = max(worst, abs(e - exact))
     assert worst > 1  # the products do round
+
+
+def _tside_reference(table, pi_r2, dps):
+    """Both t-side sums at pi r^2 = pi_r2 from the table's exponents and C_m,
+    term by term in mpf: W(r) * C_m * int_{t*}^inf t^m e^(-st) dt in closed
+    form.  Where 8 | E, W = sin(s/2)^2 cancels the pole at s = 0."""
+    with mp.workdps(dps):
+        w = mp.sin(pi_r2 / 2) ** 2
+        ts = table.tstar
+        out = []
+        for side in table.sides:
+            total = 0
+            for e, cm in zip(table.exps, side[3]):
+                s = pi_r2 + mp.pi * e / 4
+                decay = mp.exp(-s * ts)
+                for m, c in enumerate(cm):
+                    for j in range(m + 1):
+                        if not c:
+                            continue
+                        if e % 8 == 0 and j < 2:
+                            ws = mp.sinc(s / 2) ** 2 / 4 * s ** (1 - j)
+                        else:
+                            ws = w / s ** (j + 1)
+                        total += (c * math.perm(m, j) * ts ** (m - j)
+                                  * decay * ws)
+            out.append(total)
+        return out
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_tside_fixed_point_matches_mpf(n, request):
+    spec = request.getfixturevalue(f"spec{n}")
+    table = spec._tside
+    with mp.workdps(spec.dps + 10):
+        grid = [k * mp.mpf("0.02") for k in range(0, 400, 7)]
+        # just outside the band around each pole, r^2 = -E/4
+        edges = [mp.sqrt(-e / mp.mpf(4) + sign * mp.mpf("1.01e-3") / mp.pi)
+                 for e in table.exps if e < 0 for sign in (-1, 1)]
+    for r in grid + edges + [mp.mpf("7.9")]:
+        with mp.workdps(spec.dps + 10):
+            pi_r2 = mp.pi * (r * r)
+            got = table.evaluate(pi_r2, mp.sin(pi_r2 / 2) ** 2,
+                                 mp.exp(-pi_r2 * spec._tstar_mpf))
+        # the same pi r^2: its rounding is an mpf input, which the guard covers
+        want = _tside_reference(table, pi_r2, spec.dps + 40)
+        with mp.workdps(spec.dps + 40):
+            for (value, error, trunc), exact in zip(got, want):
+                assert abs(value - exact) <= error, r
+                if r in edges:
+                    # there the fixed-point truncation dominates
+                    assert 0 < abs(value - exact) <= trunc, r
 
 
 def test_sweep_calls_exp_three_times_per_node(spec8, monkeypatch):
