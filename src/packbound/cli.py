@@ -24,7 +24,7 @@ from .codes import (
     CodeError, code_properties, golay24, hamming8, weight_enumerator,
 )
 from .lattices import (
-    LatticeError, ball_volume, covolume, density, lattice_properties,
+    LatticeError, covolume, density, lattice_properties,
     standard_lattice, vectors_by_norm,
 )
 from .qseries import QSeriesError, named_form
@@ -48,7 +48,6 @@ PACKAGE_ERRORS = (CertifyError, CodeError, LatticeError, lp.LpError,
 class RunConfig:
     precision: int = 60
     trunc: int = 300
-    budget: int = 64
     fmt: str = "text"
 
     def validate(self):
@@ -56,8 +55,6 @@ class RunConfig:
             raise ValueError("precision out of range [10, 200]")
         if not (50 <= self.trunc <= 2000):
             raise ValueError("trunc out of range [50, 2000]")
-        if not (1 <= self.budget <= 512):
-            raise ValueError("budget out of range [1, 512]")
         if self.fmt not in ("json", "csv", "text"):
             raise ValueError("format must be json, csv or text")
         return self
@@ -137,7 +134,7 @@ def _cmd_lattice(args, cfg):
         return EXIT_OK
     # theta table
     table = vectors_by_norm(lat, Fraction(args.max_norm),
-                            budget=Fraction(max(args.max_norm, cfg.budget)))
+                            budget=Fraction(args.max_norm))
     _emit(table.to_csv(), args.out)
     return EXIT_OK
 
@@ -222,20 +219,6 @@ def _cmd_magic(args, cfg):
         cert.status, EXIT_INCONCLUSIVE)
 
 
-def _default_schedule(dim, degree):
-    """Double-root placements at the normalized vector lengths: the function
-    side starts at the second length (the first carries the simple root),
-    the transform side at the first."""
-    r1_sq = 2 if dim == 8 else 4
-    pairs = (degree - 1) // 2
-    k_f = (pairs + 1) // 2
-    k_h = pairs - k_f
-    base = r1_sq // 2
-    roots_f = [(2 * (base + 1 + j) / r1_sq) ** 0.5 for j in range(k_f)]
-    roots_h = [(2 * (base + j) / r1_sq) ** 0.5 for j in range(k_h)]
-    return roots_f, roots_h
-
-
 def _cmd_lpbound(args, cfg):
     dim, degree = args.dim, args.degree
     code = EXIT_OK
@@ -258,31 +241,18 @@ def _cmd_lpbound(args, cfg):
         # nothing on these paths certifies the sign conditions, so f(0)
         # times the ball volume is reported as an estimate, not a bound,
         # with the sign sweep that says whether it is vacuous
-        roots_f, roots_h = _default_schedule(dim, degree)
-        degree_eff = 1 + 2 * (len(roots_f) + len(roots_h))
+        res = lp.estimate(dim, degree, args.method, cfg.precision)
+        payload = {"n": dim, "d": res["d"], "method": args.method,
+                   "estimate": res["estimate"], "f0": float(res["f0"]),
+                   "certificate_status": "uncertified",
+                   "violations": res["violations"],
+                   "feasible": res["feasible"]}
         if args.method == "forced":
-            sol = lp.forced_roots_solve(dim, degree_eff, 1.0, roots_f, roots_h,
-                                        dps=cfg.precision)
-            with mp.workdps(cfg.precision):
-                sweep = lp.sign_sweep(lp.RadialAnsatz(dim, degree_eff),
-                                      sol["a"])
-            estimate = float(sol["f0"]) * ball_volume(
-                dim, Fraction(1, 4)).to_float()
-            payload = {"n": dim, "d": degree_eff, "method": "forced",
-                       "estimate": estimate, "f0": float(sol["f0"]),
-                       "residual": _nstr(sol["residual"], 3),
-                       "condition": _nstr(sol["condition"], 3),
-                       "certificate_status": "uncertified", **sweep}
+            payload.update(residual=_nstr(res["residual"], 3),
+                           condition=_nstr(res["condition"], 3))
         else:
-            res = lp.newton_refine(dim, degree_eff, roots_f, roots_h,
-                                   dps=cfg.precision)
-            payload = {"n": dim, "d": degree_eff, "method": "newton",
-                       "estimate": res["estimate"], "f0": float(res["f0"]),
-                       "roots_f": res["roots_f"],
-                       "roots_fhat": res["roots_fhat"],
-                       "violations": res["violations"],
-                       "feasible": res["feasible"],
-                       "certificate_status": "uncertified"}
+            payload.update(roots_f=res["roots_f"],
+                           roots_fhat=res["roots_fhat"])
         key = "estimate"
     if dim in (8, 24) and key:
         opt = density(standard_lattice("e8" if dim == 8 else "leech"))
@@ -304,6 +274,8 @@ def _cmd_verify(args, cfg):
         return {"verified": EXIT_OK, "refuted": EXIT_REFUTED}.get(
             cert.status, EXIT_INCONCLUSIVE)
     if args.target == "poisson":
+        if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+            raise CertifyError("--tolerance must be finite and nonnegative")
         lat = standard_lattice(args.name, args.n)
         res = poisson_check(lat, args.sigma, args.cutoff)
         ok = res["residual"] <= args.tolerance
@@ -345,8 +317,6 @@ def build_parser():
                         help="working precision in decimal digits")
     parser.add_argument("--trunc", type=int, default=300,
                         help="series truncation in grid units (eighths)")
-    parser.add_argument("--budget", type=int, default=64,
-                        help="enumeration budget (max squared norm)")
     parser.add_argument("--format", dest="fmt", default="text",
                         choices=("json", "csv", "text"))
     sub = parser.add_subparsers(dest="command", required=True)
@@ -413,7 +383,7 @@ def dispatch(argv) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         cfg = RunConfig(precision=args.precision, trunc=args.trunc,
-                        budget=args.budget, fmt=args.fmt).validate()
+                        fmt=args.fmt).validate()
     except ValueError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_USAGE

@@ -84,24 +84,9 @@ class BinaryCode:
             yield w
 
     def contains(self, word: int) -> bool:
-        # echelon basis keyed by highest set bit, then reduce the word
-        basis = {}
-        for row in self.generator:
-            cur = row
-            while cur:
-                top = cur.bit_length() - 1
-                if top in basis:
-                    cur ^= basis[top]
-                else:
-                    basis[top] = cur
-                    break
-        cur = word
-        while cur:
-            top = cur.bit_length() - 1
-            if top not in basis:
-                return False
-            cur ^= basis[top]
-        return True
+        # in the code exactly when appending it leaves the rank at k
+        return _f2_rank([*self.generator, word], self.length) == \
+            self.dimension
 
     def generator_strings(self):
         return [_string_from_bits(row, self.length) for row in self.generator]

@@ -1,22 +1,26 @@
 """The numerical pipeline for the linear-programming density bound:
 Laguerre-parametrized test functions; a sampled LP, solved by exact dual
-simplex, whose solution an exact Sturm check proves feasible; and
-forced-root linear solves and the least-squares projection of the optimal
+simplex, whose solution an exact Sturm check proves feasible; and the
+forced-root linear solve and the least-squares projection of the optimal
 function onto the family (both uncertified, so they give estimates, not
 bounds).
 
 Normalization: throughout this module the minimal root is scaled to r1 = 1,
 so a feasible function certifies density <= f(0) * vol(B_n(1/2)).
 
-Parametrization: f_a(x) = (1 + sum a_k k! pi^-k L_k^(n/2-1)(pi|x|^2)) e^(-pi|x|^2)
-has transform (1 + sum a_k |u|^(2k)) e^(-pi|u|^2), so a >= 0 keeps the
-transform nonnegative.  With the profile coefficients b_k = a_k k! / pi^k,
-f(r) = p(pi r^2) e^(-pi r^2) for the polynomial
-p(y) = 1 + sum_k b_k L_k^(n/2-1)(y), so f(0) = p(0), and f <= 0 for r >= 1
-is p <= 0 on y >= pi.  The sampled LP takes b as its variables, so b, p
-and p(0) are exact rationals, and the sign condition is proved on
-[PI_LO, inf) for the rational PI_LO just below pi: p(PI_LO) < 0 and a Sturm
-count of no root of p beyond PI_LO.
+Parametrization: every path works on the profile coefficients b_1..b_d.
+With y = pi r^2 and z = pi u^2,
+
+    f(r) = p(y) e^(-y),      p(y) = 1 + sum_k b_k L_k^(n/2-1)(y),
+    fhat(u) = q(z) e^(-z),   q(z) = 1 + sum_k b_k z^k / k!,
+
+so f(0) = p(0), b >= 0 keeps the transform positive, and f <= 0 for r >= 1
+is p <= 0 on y >= pi.  The sampled LP solves for exact rational b, so p and
+p(0) are exact, and it proves the sign condition on [PI_LO, inf) for the
+rational PI_LO just below pi: p(PI_LO) < 0 and a Sturm count of no root of
+p beyond PI_LO.  The forced solve and the projection give b in mpmath
+floats; their rows evaluate L_k by the three-term recurrence, which stays
+accurate where the monomial form of p cancels (y near 200, r = 8).
 """
 
 from __future__ import annotations
@@ -88,87 +92,56 @@ def profile_polynomial(n: int, b) -> list:
 # ---------------------------------------------------------------------------
 
 class RadialAnsatz:
-    """Evaluation helpers for the degree-d family in dimension n."""
+    """Rows of the degree-d family in dimension n at the mpmath working
+    precision: member k of f(r) is L_k^(n/2-1)(y) e^(-y) at y = pi r^2, and
+    of its transform z^k / k! e^(-z) at z = pi u^2, with the constant member
+    first.  The profile coefficients b weight members 1..d."""
 
     def __init__(self, n: int, d: int):
         if d < 1:
             raise LpError("degree must be >= 1")
         self.n = n
         self.d = d
-        self.alpha = Fraction(n, 2) - 1
-        self._scale_cache = {}
-
-    def _alpha_mpf(self):
-        return mp.mpf(self.alpha.numerator) / self.alpha.denominator
-
-    def _scales(self):
-        """k! pi^-k for k = 0..d at the working precision, computed once
-        per precision (the sign sweep asks at every radius)."""
-        out = self._scale_cache.get(mp.mp.prec)
-        if out is None:
-            out = [mp.mpf(1)]
-            for k in range(1, self.d + 1):
-                out.append(out[-1] * k / mp.pi)
-            out = self._scale_cache[mp.mp.prec] = tuple(out)
-        return out
-
-    def f0_coeffs(self):
-        """Coefficients of a in f_a(0) (all positive)."""
-        lag = laguerre_all(self.d, self._alpha_mpf(), mp.mpf(0))
-        scales = self._scales()
-        return [scales[k] * lag[k] for k in range(1, self.d + 1)]
+        self.alpha = mp.mpf(n) / 2 - 1  # a half-integer: exact
 
     def f_rows(self, r, order=0):
-        """Basis row of f_a (order 0) or f_a' (1) at radius r, including the
-        constant member at index 0."""
+        """Row of f (order 0) or f' (1) at radius r."""
         rv = mp.mpf(r)
-        s = mp.pi * rv * rv
-        a = self._alpha_mpf()
-        es = mp.exp(-s)
-        scales = self._scales()
-        lag = laguerre_all(self.d, a, s)
+        y = mp.pi * rv * rv
+        ey = mp.exp(-y)
+        lag = laguerre_all(self.d, self.alpha, y)
         if order == 0:
-            return [scales[k] * lag[k] * es for k in range(self.d + 1)]
-        # d/ds L_k^a(s) = -L_(k-1)^(a+1)(s)
-        lag1 = laguerre_all(self.d - 1, a + 1, s)
-        return [scales[k] * 2 * mp.pi * rv
-                * ((-lag1[k - 1] if k >= 1 else mp.mpf(0)) - lag[k]) * es
-                for k in range(self.d + 1)]
+            return [lk * ey for lk in lag]
+        # d/dy L_k^a(y) = -L_(k-1)^(a+1)(y)
+        lag1 = [0] + laguerre_all(self.d - 1, self.alpha + 1, y)
+        scale = -2 * mp.pi * rv * ey
+        return [scale * (l1 + lk) for l1, lk in zip(lag1, lag)]
 
     def fhat_rows(self, u, order=0):
-        """Transform-side basis row (1, u^2, u^4, ...) times the Gaussian
-        (order 0), or its u-derivative (order 1)."""
+        """Row of the transform (order 0) or its u-derivative (1) at u."""
         uv = mp.mpf(u)
-        eu = mp.exp(-mp.pi * uv * uv)
+        z = mp.pi * uv * uv
+        ez = mp.exp(-z)
+        powers = [mp.mpf(1)]  # z^k / k!
+        for k in range(1, self.d + 1):
+            powers.append(powers[-1] * z / k)
         if order == 0:
-            return [uv ** (2 * k) * eu for k in range(self.d + 1)]
-        return [(2 * k * uv ** max(2 * k - 1, 0)
-                 - 2 * mp.pi * uv ** (2 * k + 1)) * eu
-                for k in range(self.d + 1)]
+            return [zk * ez for zk in powers]
+        scale = 2 * mp.pi * uv * ez
+        return [scale * (zl - zk) for zl, zk in zip([0] + powers, powers)]
 
-    def f_value(self, a_vec, r):
-        row = self.f_rows(r, 0)
-        return row[0] + sum(ak * rk for ak, rk in zip(a_vec, row[1:]))
+    @staticmethod
+    def _combine(b, row):
+        return row[0] + sum(bk * rk for bk, rk in zip(b, row[1:]))
 
-    def f_deriv(self, a_vec, r):
-        row = self.f_rows(r, 1)
-        return row[0] + sum(ak * rk for ak, rk in zip(a_vec, row[1:]))
+    def f_value(self, b, r):
+        return self._combine(b, self.f_rows(r, 0))
 
-    def fhat_value(self, a_vec, u):
-        row = self.fhat_rows(u, 0)
-        return row[0] + sum(ak * rk for ak, rk in zip(a_vec, row[1:]))
+    def f_deriv(self, b, r):
+        return self._combine(b, self.f_rows(r, 1))
 
-
-def ansatz_eval(side, n, d, a_vec, r):
-    """f_a or its transform at radius r (a may be floats or Fractions)."""
-    ans = RadialAnsatz(n, d)
-    av = [mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction)
-          else mp.mpf(x) for x in a_vec]
-    if side == "f":
-        return ans.f_value(av, r)
-    if side == "f_hat":
-        return ans.fhat_value(av, r)
-    raise LpError(f"unknown side {side!r}")
+    def fhat_value(self, b, u):
+        return self._combine(b, self.fhat_rows(u, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +164,22 @@ def default_samples(n: int, d: int, r_max=8.0, count=96, cluster_roots=12):
             if 1 <= root + eps <= r_max:
                 pts.add(round(root + eps, 9))
     return sorted(pts)
+
+
+def default_schedule(n: int, d: int):
+    """Double-root placements at the normalized vector lengths for the
+    forced solve of degree d: the function side starts at the second length
+    (the first carries the simple root), the transform side at the first."""
+    if d < 1:
+        raise LpError("degree must be >= 1")
+    r1_sq = 2 if n == 8 else 4
+    pairs = (d - 1) // 2
+    k_f = (pairs + 1) // 2
+    k_h = pairs - k_f
+    base = r1_sq // 2
+    roots_f = [(2 * (base + 1 + j) / r1_sq) ** 0.5 for j in range(k_f)]
+    roots_h = [(2 * (base + j) / r1_sq) ** 0.5 for j in range(k_h)]
+    return roots_f, roots_h
 
 
 def _dyadic_row(values, rel_floor_bits=50):
@@ -374,139 +363,104 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
 # Forced roots and the collocation projection
 # ---------------------------------------------------------------------------
 
-def _root_system(ans: RadialAnsatz, simple_root, droots_f, droots_fhat):
-    rows = []
-    rhs = []
-
-    def push(row):
-        rows.append(row[1:])
-        rhs.append(-row[0])
-
-    push(ans.f_rows(simple_root, 0))
-    for z in droots_f:
-        push(ans.f_rows(z, 0))
-        push(ans.f_rows(z, 1))
-    for w in droots_fhat:
-        push(ans.fhat_rows(w, 0))
-        push(ans.fhat_rows(w, 1))
-    return rows, rhs
-
-
 def forced_roots_solve(n: int, d: int, simple_root=1.0, double_roots_f=(),
                        double_roots_fhat=(), dps=50):
-    """Square linear solve forcing f_a(r1) = 0 and double roots at the given
-    radii of f_a and of the transform."""
+    """Square linear solve for the b that force f(r1) = 0 and double roots
+    at the given radii of f and of the transform."""
     count = 1 + 2 * len(double_roots_f) + 2 * len(double_roots_fhat)
     if count != d:
         raise LpError(f"constraint count {count} != degree {d}")
     ans = RadialAnsatz(n, d)
     with mp.workdps(dps):
-        rows, rhs = _root_system(ans, simple_root, double_roots_f,
-                                 double_roots_fhat)
-        m = mp.matrix(rows)
-        v = mp.matrix(rhs)
+        rows = [ans.f_rows(simple_root, 0)]
+        for z in double_roots_f:
+            rows += [ans.f_rows(z, 0), ans.f_rows(z, 1)]
+        for w in double_roots_fhat:
+            rows += [ans.fhat_rows(w, 0), ans.fhat_rows(w, 1)]
+        m = mp.matrix([row[1:] for row in rows])
+        v = mp.matrix([-row[0] for row in rows])
         try:
-            a = mp.lu_solve(m, v)
+            b = mp.lu_solve(m, v)
         except ZeroDivisionError as exc:
             raise LpError(f"singular root system: {exc}")
-        residual = max(abs(x) for x in (m * a - v))
+        residual = max(abs(x) for x in (m * b - v))
         try:
             cond = mp.mnorm(m, 1) * mp.mnorm(m ** -1, 1)
         except ZeroDivisionError:
             cond = mp.inf
-        a_list = [a[i] for i in range(d)]
-        f0 = 1 + sum(ak * ck for ak, ck in zip(a_list, ans.f0_coeffs()))
-        return {"a": a_list, "residual": residual, "condition": cond,
-                "f0": f0}
+        return {"b": [b[i] for i in range(d)], "residual": residual,
+                "condition": cond}
 
 
-def sign_sweep(ans, a_list):
+def sign_sweep(ans, b):
     """Worst sign violations of the pair on a grid of step 1/64 up to r = 8
     (f beyond 1, transform everywhere), and whether both stay within
     1e-9."""
-    av = list(a_list)
-    worst_f = mp.mpf(0)
-    r = mp.mpf(1)
-    step = mp.mpf(1) / 64
-    while r <= 8:
-        worst_f = max(worst_f, ans.f_value(av, r))
-        r += step
-    worst_h = mp.mpf(0)
-    r = mp.mpf(0)
-    while r <= 8:
-        worst_h = max(worst_h, -ans.fhat_value(av, r))
-        r += step
+    grid = [mp.mpf(k) / 64 for k in range(8 * 64 + 1)]
+    worst_f = max([mp.mpf(0)] + [ans.f_value(b, r) for r in grid[64:]])
+    worst_h = max([mp.mpf(0)] + [-ans.fhat_value(b, u) for u in grid])
     return {"violations": (float(worst_f), float(worst_h)),
             "feasible": bool(worst_f <= 1e-9 and worst_h <= 1e-9)}
 
-def _collocation_seed(ans, n, dps, points=200, r_max=5, u_max=8,
-                      transform_points=0):
+
+def _collocation_seed(ans):
     """Least-squares projection of the certified optimal function onto the
-    degree-d family: collocation of the function on a radial grid,
-    optionally augmented with transform-side rows (these pin the top
-    coefficients when the pure fit leaves them at noise level, at the cost
-    of function-side accuracy).
+    degree-d family, at the working precision: collocation of the function
+    at 200 radii up to 5, for n = 24 augmented with the transform at 80
+    radii up to 8 (these pin the top coefficients when the pure fit leaves
+    them at noise level, at the cost of function-side accuracy).
 
     Normalization maps the minimal vector length to 1: the target pair is
-    g(r) = r1^n f(r1 r), ghat(u) = fhat(u / r1).  Rows are equilibrated.
+    g(r) = r1^n f(r1 r), ghat(u) = fhat(u / r1).
     """
     from .magic import magic_spec
+    n = ans.n
     spec = magic_spec(n)
-    d = ans.d
-    with mp.workdps(dps):
-        s = mp.sqrt(spec.r1_sq)
-        scale = s ** n
-        rows = []
-        targets = []
-        for j in range(1, points + 1):
-            r = mp.mpf(j) * r_max / points
-            row = ans.f_rows(r, 0)
-            rows.append(row[1:])
-            targets.append(scale * spec.eval("f", s * r).value - row[0])
-        for j in range(1, transform_points + 1):
-            u = mp.mpf(j) * u_max / transform_points
-            row = ans.fhat_rows(u, 0)
-            rows.append(row[1:])
-            targets.append(spec.eval("f_hat", u / s).value - row[0])
-        amat = mp.zeros(len(rows), d)
-        rhs = mp.zeros(len(rows), 1)
-        for i, (row, t) in enumerate(zip(rows, targets)):
-            for kk in range(d):
-                amat[i, kk] = row[kk]
-            rhs[i] = t
-        a = mp.qr_solve(amat, rhs)[0]
-        return [a[i] for i in range(d)]
+    s = mp.sqrt(spec.r1_sq)
+    scale = s ** n
+    rows = []
+    targets = []
+    for j in range(1, 201):
+        r = mp.mpf(j) * 5 / 200
+        row = ans.f_rows(r, 0)
+        rows.append(row[1:])
+        targets.append(scale * spec.eval("f", s * r).value - row[0])
+    for j in range(1, 81 if n == 24 else 1):
+        u = mp.mpf(j) * 8 / 80
+        row = ans.fhat_rows(u, 0)
+        rows.append(row[1:])
+        targets.append(spec.eval("f_hat", u / s).value - row[0])
+    b = mp.qr_solve(mp.matrix(rows), mp.matrix(targets))[0]
+    return [b[i] for i in range(ans.d)]
 
 
-def newton_refine(n: int, d: int, double_roots_f, double_roots_fhat,
-                  simple_root=1.0, dps=60):
-    """One degree-d member of the family near the optimal function, with
-    its sign sweep.
+def estimate(n: int, degree: int, method: str, dps: int) -> dict:
+    """One member of the family near the optimal function, at dps digits,
+    with its sign sweep.
 
-    For n = 8, 24 the member is the collocation seed (least-squares
-    projection of the certified optimal function; no roots are enforced);
-    otherwise it is the forced-root solve at the given schedule.  Nothing on
-    this path certifies the sign conditions, so f_a(0) * vol(B_n(1/2)) is
-    reported as an `estimate`, never as a bound.  `violations` holds the
-    worst grid violations of f <= 0 beyond the root and of fhat >= 0;
-    `feasible` records whether both stay within 1e-9.
+    `newton` in dimension 8 or 24 takes the collocation projection of the
+    certified optimal function, which forces no roots; every other case
+    solves for the forced roots of default_schedule(n, degree) and reports
+    the solve's residual and condition number.  Nothing on this path
+    certifies the sign conditions, so f(0) * vol(B_n(1/2)) is reported as
+    an `estimate`, never as a bound.  `violations` holds the worst grid
+    violations of f <= 0 beyond the root and of fhat >= 0; `feasible`
+    records whether both stay within 1e-9.
     """
+    roots_f, roots_fhat = default_schedule(n, degree)
+    d = 1 + 2 * (len(roots_f) + len(roots_fhat))
     ans = RadialAnsatz(n, d)
     with mp.workdps(dps):
-        if n in (8, 24):
+        if method == "newton" and n in (8, 24):
             roots_f, roots_fhat = [], []
-            a_list = _collocation_seed(
-                ans, n, dps, transform_points=0 if n == 8 else 80)
+            out = {"b": _collocation_seed(ans)}
         else:
-            roots_f, roots_fhat = double_roots_f, double_roots_fhat
-            a_list = forced_roots_solve(n, d, simple_root, roots_f,
-                                        roots_fhat, dps=dps)["a"]
-        f0 = 1 + sum(ak * ck for ak, ck in zip(a_list, ans.f0_coeffs()))
-        return {
-            "roots_f": [float(t) for t in roots_f],
-            "roots_fhat": [float(t) for t in roots_fhat],
-            "ansatz": a_list,
-            "f0": f0,
-            "estimate": float(f0) * ball_volume(n, Fraction(1, 4)).to_float(),
-            **sign_sweep(ans, a_list),
-        }
+            out = forced_roots_solve(n, d, 1.0, roots_f, roots_fhat, dps=dps)
+        f0 = ans.f_value(out["b"], 0)
+        out.update(
+            d=d, f0=f0,
+            roots_f=[float(t) for t in roots_f],
+            roots_fhat=[float(t) for t in roots_fhat],
+            estimate=float(f0) * ball_volume(n, Fraction(1, 4)).to_float(),
+            **sign_sweep(ans, out["b"]))
+    return out

@@ -68,6 +68,9 @@ from .qseries import CertifiedValue, GRID, psi_forms, s_transform_terms
 
 DEFAULT_TRUNC = 300
 DEFAULT_DPS = 60
+# half-width in s = pi (r^2 + E/4) of the band around each t-side pole where
+# the power-series branch replaces the closed form
+POLE_BAND = 1e-3
 
 
 class MagicError(ValueError):
@@ -217,7 +220,7 @@ class _TsideTable:
     __slots__ = ("dps", "fix", "tstar", "band", "exps", "shift", "bpow",
                  "width", "sides")
 
-    def __init__(self, sides, tstar, base, band, dps, fix):
+    def __init__(self, sides, tstar, base, dps, fix):
         self.dps = dps
         self.fix = fix
         self.tstar = tstar
@@ -228,7 +231,7 @@ class _TsideTable:
                            for e in series.coeffs})
             index = {e: k for k, e in enumerate(exps)}
             self.exps = exps
-            self.band = int(mp.ldexp(band, fix))
+            self.band = int(mp.ldexp(POLE_BAND, fix))
             self.shift = [int(mp.floor(mp.ldexp(mp.pi * e / 4, fix)))
                           for e in exps]
             self.bpow = [base ** e for e in exps]
@@ -428,7 +431,7 @@ class MagicFunctionSpec:
     """Precomputed evaluation pipeline for one dimension."""
 
     def __init__(self, n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS,
-                 tstar=Fraction(1), quad_orders=(32, 64), band=1e-3):
+                 tstar=Fraction(1), quad_orders=(32, 64)):
         if n not in (8, 24):
             raise MagicError("dimension must be 8 or 24")
         self.n = n
@@ -499,7 +502,7 @@ class MagicFunctionSpec:
             self._A = self.A.mpf()
             self._B = self.B.mpf()
         self._tside = _TsideTable([plus_terms, minus_terms], self._tstar_mpf,
-                                  self._base, band, dps, self.uside_plus.fix)
+                                  self._base, dps, self.uside_plus.fix)
 
     def _assert_pole_structure(self, term_list):
         for m, _, series in term_list:
@@ -635,11 +638,10 @@ class MagicFunctionSpec:
 _SPEC_CACHE = {}
 
 
-def magic_spec(n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS, tstar=Fraction(1),
-               quad_orders=(32, 64)) -> MagicFunctionSpec:
-    key = (n, trunc, dps, frac(tstar), quad_orders)
+def magic_spec(n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS) -> MagicFunctionSpec:
+    key = (n, trunc, dps)
     if key not in _SPEC_CACHE:
-        _SPEC_CACHE[key] = MagicFunctionSpec(n, trunc, dps, tstar, quad_orders)
+        _SPEC_CACHE[key] = MagicFunctionSpec(n, trunc, dps)
     return _SPEC_CACHE[key]
 
 

@@ -16,7 +16,7 @@ from packbound.cli import dispatch
 from packbound.codes import code_properties, golay24, hamming8, weight_enumerator
 from packbound.lattices import covolume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    PI_HI, LpCertificate, newton_refine, sampled_lp, verify_lp,
+    PI_HI, LpCertificate, estimate, sampled_lp, verify_lp,
 )
 from packbound.magic import ce_bound_from_function, taylor_quadratic
 from packbound.qseries import (
@@ -152,8 +152,7 @@ def test_criterion_7_lp_pipeline(lp8):
     ok &= res["certificate_status"] == "sturm-certified"
     ok &= OPT8 <= res["bound"] <= 1.5 * OPT8
     detail = f"sampled d=30 bound/optimal {res['bound'] / OPT8:.6f}"
-    refined = newton_refine(8, 45, [math.sqrt(2 + j) for j in range(11)],
-                            [math.sqrt(1 + j) for j in range(11)], dps=60)
+    refined = estimate(8, 45, "newton", 60)
     # the refinement is uncertified: an estimate close to the optimum,
     # never labelled a bound
     ok &= "bound" not in refined

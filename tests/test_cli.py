@@ -180,6 +180,9 @@ MALFORMED_CERTS = {
 @pytest.mark.parametrize("argv", [
     ["verify", "lp"],
     ["lpbound", "run", "--dim", "8", "--degree", "0"],
+    ["lpbound", "run", "--dim", "8", "--degree", "0", "--method", "forced"],
+    ["lpbound", "run", "--dim", "8", "--degree", "-5", "--method", "newton"],
+    ["lpbound", "run", "--dim", "3", "--degree", "0", "--method", "newton"],
     ["magic", "eval", "--dim", "8", "--r", "-1"],
     ["qseries", "show", "nope"],
     ["verify", "lp", "--cert", "{short_b}"],
@@ -203,6 +206,9 @@ MALFORMED_CERTS = {
     ["verify", "poisson", "--name", "e8", "--sigma", "1/0"],
     ["verify", "poisson", "--name", "e8", "--sigma", "-1"],
     ["verify", "poisson", "--name", "e8", "--cutoff", "-3"],
+    ["verify", "poisson", "--name", "e8", "--tolerance", "nan"],
+    ["verify", "poisson", "--name", "e8", "--tolerance", "-1"],
+    ["verify", "poisson", "--name", "e8", "--tolerance", "inf"],
     ["lattice", "theta", "--name", "e8", "--max-norm", "-2"],
     ["qseries", "show", "e4", "--terms", "-1"],
     ["qseries", "show", "e4", "--terms", "0"],

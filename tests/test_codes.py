@@ -86,6 +86,14 @@ def test_weight_counts_sum_to_size():
         assert weight_enumerator(c).total() == 2 ** c.dimension
 
 
+def test_contains_codewords_only():
+    c = hamming8()
+    assert all(c.contains(w) for w in c.codewords())
+    # minimum weight 4: no word of weight 1 or 2 is in the code
+    assert not any(c.contains(1 << i) for i in range(8))
+    assert not c.contains(0b11)
+
+
 def test_dependent_rows_rejected():
     with pytest.raises(CodeError):
         BinaryCode(4, 2, (0b0011, 0b0011))

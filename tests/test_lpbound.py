@@ -15,9 +15,9 @@ import packbound
 from packbound.exact import mat_inverse, poly_eval, sturm_count, sturm_roots
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    PI_HI, PI_LO, LpCertificate, LpError, RadialAnsatz, ansatz_eval,
-    default_samples, forced_roots_solve, laguerre_all, laguerre_coeffs,
-    newton_refine, sampled_lp, verify_lp,
+    PI_HI, PI_LO, LpCertificate, LpError, RadialAnsatz, default_samples,
+    estimate, forced_roots_solve, laguerre_all, laguerre_coeffs, sampled_lp,
+    verify_lp,
 )
 from packbound.magic import radial_fourier_oracle
 from packbound.simplex import Infeasible, _adjugate, solve_min
@@ -57,39 +57,60 @@ def test_laguerre_coeffs_match_recurrence():
 # -- ansatz -------------------------------------------------------------------
 
 def test_zero_ansatz_is_gaussian():
+    ans = RadialAnsatz(8, 3)
     with mp.workdps(30):
         for r in (0, mp.mpf("0.7"), 2):
-            f = ansatz_eval("f", 8, 3, [0, 0, 0], r)
-            h = ansatz_eval("f_hat", 8, 3, [0, 0, 0], r)
             g = mp.exp(-mp.pi * mp.mpf(r) ** 2)
-            assert abs(f - g) < 1e-25
-            assert abs(h - g) < 1e-25
+            assert abs(ans.f_value([0, 0, 0], r) - g) < 1e-25
+            assert abs(ans.fhat_value([0, 0, 0], r) - g) < 1e-25
 
 
 def test_ansatz_value_at_zero():
+    # f(0) = p(0) = 1 + sum_k b_k L_k^3(0), with L_1^3(0) = 4, L_2^3(0) = 10
     with mp.workdps(30):
-        a = [mp.mpf("0.3"), mp.mpf("0.1")]
-        ans = RadialAnsatz(8, 2)
-        expected = 1 + sum(ak * ck for ak, ck in zip(a, ans.f0_coeffs()))
-        assert abs(ansatz_eval("f", 8, 2, a, 0) - expected) < 1e-25
+        b = [mp.mpf("0.3"), mp.mpf("0.1")]
+        expected = 1 + 4 * b[0] + 10 * b[1]
+        assert abs(RadialAnsatz(8, 2).f_value(b, 0) - expected) < 1e-25
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_ansatz_is_the_certified_profile(d):
+    # the rows that the forced solve, the projection and the sign sweep
+    # use evaluate the same p as the exact certificate of the sampled LP
+    cert = sampled_lp(1, d)["certificate"]
+    ans = RadialAnsatz(cert.n, cert.d)
+    with mp.workdps(40):
+        poly = [mp.mpf(c.numerator) / c.denominator
+                for c in cert.polynomial()]
+        h = mp.mpf(10) ** -12
+        for r in (0, mp.mpf("0.5"), 1, mp.mpf("1.5"), 3):
+            y = mp.pi * mp.mpf(r) ** 2
+            value = ans.f_value(cert.b, r)
+            assert abs(value - poly_eval(poly, y) * mp.exp(-y)) < 1e-25, r
+            slope = (ans.f_value(cert.b, r + h)
+                     - ans.f_value(cert.b, r - h)) / (2 * h)
+            assert abs(ans.f_deriv(cert.b, r) - slope) < 1e-20, r
 
 
 def test_fourier_pairing_oracle():
+    # q(z) e^(-z) at z = pi u^2 is the transform of p(y) e^(-y)
     with mp.workdps(25):
-        a = [mp.mpf("0.013"), mp.mpf("-0.008"), mp.mpf("0.004")]
+        b = [mp.mpf("0.004"), mp.mpf("-0.0016"), mp.mpf("0.0008")]
         for n in (1, 8):
-            f = lambda r: ansatz_eval("f", n, 3, a, r)
+            ans = RadialAnsatz(n, 3)
+            f = lambda r: ans.f_value(b, r)
             for u in (0, mp.mpf("0.5"), 1, 2):
                 oracle = radial_fourier_oracle(n, f, u, dps=20, order=10)
-                direct = ansatz_eval("f_hat", n, 3, a, u)
+                direct = ans.fhat_value(b, u)
                 assert abs(oracle - direct) < 1e-6, (n, u)
 
 
 def test_poisson_pairing_on_e8():
-    # sum over the lattice of f_a equals the dual sum for a unimodular
+    # sum over the lattice of f equals the dual sum for a unimodular
     # lattice, up to Gaussian-tail truncation at squared length 50
+    ans = RadialAnsatz(8, 3)
     with mp.workdps(40):
-        a = [mp.mpf("0.02"), mp.mpf("0.007"), mp.mpf("0.001")]
+        b = [mp.mpf("0.3"), mp.mpf("-0.2"), mp.mpf("0.1")]
         table = vectors_by_norm(standard_lattice("e8"), 50, budget=Fraction(50))
         s_f = mp.mpf(0)
         s_h = mp.mpf(0)
@@ -97,8 +118,8 @@ def test_poisson_pairing_on_e8():
             if cnt == 0:
                 continue
             r = mp.sqrt(mp.mpf(v.numerator) / v.denominator)
-            s_f += cnt * ansatz_eval("f", 8, 3, a, r)
-            s_h += cnt * ansatz_eval("f_hat", 8, 3, a, r)
+            s_f += cnt * ans.f_value(b, r)
+            s_h += cnt * ans.fhat_value(b, r)
         assert abs(s_f - s_h) < 1e-10
 
 
@@ -184,10 +205,11 @@ def test_forced_roots_residuals():
     assert sol["residual"] < 1e-30
     with mp.workdps(40):
         ans = RadialAnsatz(8, 5)
-        a = sol["a"]
-        assert abs(ans.f_value(a, 1.0)) < 1e-25
-        assert abs(ans.f_value(a, 2.0)) < 1e-25
-        assert abs(ans.f_deriv(a, 2.0)) < 1e-20
+        b = sol["b"]
+        assert abs(ans.f_value(b, 1.0)) < 1e-25
+        assert abs(ans.f_value(b, 2.0)) < 1e-25
+        assert abs(ans.f_deriv(b, 2.0)) < 1e-20
+        assert abs(ans.fhat_value(b, math.sqrt(2))) < 1e-25
 
 
 def test_forced_roots_count_mismatch():
@@ -196,19 +218,19 @@ def test_forced_roots_count_mismatch():
 
 
 @pytest.mark.slow
-def test_newton_refine_e8_close_to_optimal():
-    res = newton_refine(8, 45, [math.sqrt(2 + j) for j in range(11)],
-                        [math.sqrt(1 + j) for j in range(11)], dps=60)
+def test_estimate_newton_e8_close_to_optimal():
+    res = estimate(8, 45, "newton", 60)
     # uncertified: reported as an estimate, never as a bound
     assert "bound" not in res
+    assert res["roots_f"] == res["roots_fhat"] == []
     assert abs(res["estimate"] / OPT8 - 1) < 1e-6
     assert res["violations"][0] < 1e-6
 
 
 @pytest.mark.slow
-def test_newton_refine_leech_within_factor():
+def test_estimate_newton_leech_within_factor():
     opt24 = math.pi ** 12 / math.factorial(12)
-    res = newton_refine(24, 45, [], [], dps=60)
+    res = estimate(24, 45, "newton", 60)
     assert "bound" not in res
     assert abs(res["estimate"] / opt24 - 1) < 1e-5
 
