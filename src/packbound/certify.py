@@ -130,11 +130,20 @@ def nth_root_bounds(x, n: int, bits: int = 64) -> RationalInterval:
 
 @dataclass
 class Certificate:
-    claim: str
-    status: str = "inconclusive"   # verified | refuted | inconclusive
-    log: list = field(default_factory=list)
+    """A claim and the log of the steps that check it.
 
-    def add_step(self, statement, method, bound, passed, detail=""):
+    The status follows from the log alone: ``verified`` when there is at
+    least one step and every step passed, ``refuted`` when some failed step
+    is definite (its failure goes beyond the step's error bar), and
+    ``inconclusive`` otherwise.
+    """
+
+    claim: str
+    log: list = field(default_factory=list)
+    _definite_failures: int = field(default=0, init=False, repr=False)
+
+    def add_step(self, statement, method, bound, passed, detail="",
+                 definite=True):
         self.log.append({
             "statement": statement,
             "method": method,
@@ -142,12 +151,16 @@ class Certificate:
             "passed": bool(passed),
             "detail": detail,
         })
-        return passed
+        if not passed and definite:
+            self._definite_failures += 1
 
-    def finalize(self):
-        if all(step["passed"] for step in self.log):
-            self.status = "verified"
-        return self
+    @property
+    def status(self) -> str:
+        if self._definite_failures:
+            return "refuted"
+        if self.log and all(step["passed"] for step in self.log):
+            return "verified"
+        return "inconclusive"
 
     def to_json(self) -> str:
         return json.dumps({"claim": self.claim, "status": self.status,
@@ -173,7 +186,6 @@ def certify_positive_tail(series, q_interval: RationalInterval,
     items = series.items()
     if not items:
         cert.add_step("series is identically zero", "exact", 0, False)
-        cert.status = "refuted"
         return cert
     shift = min(0, items[0][0])
     if shift < 0 and lo == 0:
@@ -217,7 +229,8 @@ def certify_positive_tail(series, q_interval: RationalInterval,
             Fraction(n0), 2).lo)).hi
         if ratio >= 1:
             cert.add_step("envelope tail closes", "exact", "ratio >= 1", False,
-                          "tail ratio not contracting on this interval")
+                          "tail ratio not contracting on this interval",
+                          definite=False)
             return cert
         t_env = env.c * growth * x_hi ** n0 / (1 - ratio) * scale_hi
     t_total = _round_up(t_rest + t_env, 10 ** 30)
@@ -235,17 +248,13 @@ def certify_positive_tail(series, q_interval: RationalInterval,
             cert.add_step(
                 f"series value provably negative at y={float(y0):.6f}",
                 "exact", float(poly_eval(p, y0) + t_total), False)
-            cert.status = "refuted"
             return cert
 
     positive = exact.poly_positive_on(shifted, y_lo, y_hi)
     cert.add_step(
         "head minus tail positive on the interval (Sturm)", "exact",
-        0, positive)
-    if positive:
-        return cert.finalize()
-    cert.status = "inconclusive"
-    cert.log[-1]["detail"] = "increase head_terms"
+        0, positive, "" if positive else "increase head_terms",
+        definite=False)
     return cert
 
 
@@ -347,14 +356,12 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int,
 # Composite certificate for the optimal test functions
 # ---------------------------------------------------------------------------
 
-DEFAULT_CONFIG = {
-    "tol_endpoint": 1e-6,
-    "grid_slack": 1e-9,
-    "grid_step": 0.02,
-    "taylor_tol": 1e-3,
-    "double_root_tol": 1e-5,
-    "far_margin": 10.0,
-}
+_TOL_ENDPOINT = 1e-6
+_GRID_SLACK = 1e-9
+_GRID_STEP = 0.02
+_TAYLOR_TOL = 1e-3
+_DOUBLE_ROOT_TOL = 1e-5
+_FAR_MARGIN = 10.0
 
 _TAYLOR_TARGETS = {
     (8, "f"): Fraction(-27, 10), (8, "f_hat"): Fraction(-3, 2),
@@ -367,36 +374,28 @@ _SLOPE_FLOOR = {8: 1e-2, 24: 1e-5}
 _GRID_END = {8: 8.0, 24: 10.0}
 
 
-def certify_magic(n: int, spec=None, config: dict = None) -> Certificate:
+def certify_magic(n: int, spec=None) -> Certificate:
     """Composite check: normalization, sign conditions on grids with a far
-    argument, forced roots with parities, and the quadratic coefficients."""
-    cfg = dict(DEFAULT_CONFIG)
-    if config:
-        cfg.update(config)
+    argument, forced roots with parities, and the quadratic coefficients.
+
+    Every step compares a certified value against its threshold widened by
+    the value's error, so its failure refutes; the far-decay margin and the
+    r1 slope floor refute only when they fail beyond that error."""
     spec = spec or magic_spec(n)
     cert = Certificate(claim=f"test-function feasibility, dimension {n}")
-    # a failed step refutes only when its failure exceeds its error bar
-    definite = []
-
-    def check(statement, method, bound, passed, exceeds_error=True):
-        cert.add_step(statement, method, bound, passed)
-        if not passed and exceeds_error:
-            definite.append(statement)
 
     with mp.workdps(spec.dps + 10):
         r1 = mp.sqrt(spec.r1_sq)
-        tol = cfg["tol_endpoint"]
 
         # (i) normalization at the origin
         for side in ("f", "f_hat"):
             v = spec.eval(side, 0)
-            check(f"{side}(0) = 1", "numerical (certified error)",
-                  f"{float(abs(v.value - 1)):.3e}",
-                  abs(v.value - 1) <= tol + v.error)
+            cert.add_step(f"{side}(0) = 1", "numerical (certified error)",
+                          f"{float(abs(v.value - 1)):.3e}",
+                          v.within(1, _TOL_ENDPOINT))
 
         # (ii) sign conditions on grids r0 + k*step <= rmax, one sweep each
-        slack = cfg["grid_slack"]
-        step = mp.mpf(cfg["grid_step"])
+        step = mp.mpf(_GRID_STEP)
         rmax = _GRID_END[n]
 
         def grid(side, r0):
@@ -405,11 +404,13 @@ def certify_magic(n: int, spec=None, config: dict = None) -> Certificate:
                     for p, m in spec.sweep(r0, step, count)]
 
         worst_f = max(v.value - v.error for v in grid("f", r1))
-        check(f"f <= 0 on [r1, {rmax}]", "numerical grid",
-              f"max lower bound {float(worst_f):.3e}", worst_f <= slack)
+        cert.add_step(f"f <= 0 on [r1, {rmax}]", "numerical grid",
+                      f"max lower bound {float(worst_f):.3e}",
+                      worst_f <= _GRID_SLACK)
         worst_h = min(v.value + v.error for v in grid("f_hat", mp.mpf(0)))
-        check(f"fhat >= 0 on [0, {rmax}]", "numerical grid",
-              f"min upper bound {float(worst_h):.3e}", worst_h >= -slack)
+        cert.add_step(f"fhat >= 0 on [0, {rmax}]", "numerical grid",
+                      f"min upper bound {float(worst_h):.3e}",
+                      worst_h >= -_GRID_SLACK)
 
         # far tail: decaying kernel dominates all error terms by a margin;
         # sample just past the grid (the value decays toward the certified
@@ -427,46 +428,42 @@ def certify_magic(n: int, spec=None, config: dict = None) -> Certificate:
             margin = min(margin,
                          abs(vf.value) / max(vf.error, mp.mpf("1e-300")),
                          abs(vh.value) / max(vh.error, mp.mpf("1e-300")))
-        far_ok = far_ok and margin >= cfg["far_margin"]
-        check(
-            f"far decay beyond {rmax}: signs with margin >= {cfg['far_margin']}",
-            "numerical", f"margin {float(margin):.1e}", far_ok, far_wrong)
+        cert.add_step(
+            f"far decay beyond {rmax}: signs with margin >= {_FAR_MARGIN}",
+            "numerical", f"margin {float(margin):.1e}",
+            far_ok and margin >= _FAR_MARGIN, definite=far_wrong)
 
         # (iii) roots and parities at the first four vector lengths
         lengths = [mp.sqrt(spec.r1_sq + 2 * j) for j in range(4)]
         for rr in lengths:
             for side in ("f", "f_hat"):
                 v = spec.eval(side, rr)
-                check(f"{side}({mp.nstr(rr, 6)}) = 0",
-                      "numerical (certified error)",
-                      f"{float(abs(v.value)):.3e}",
-                      abs(v.value) <= tol + v.error)
+                cert.add_step(f"{side}({mp.nstr(rr, 6)}) = 0",
+                              "numerical (certified error)",
+                              f"{float(abs(v.value)):.3e}",
+                              v.within(0, _TOL_ENDPOINT))
         d1 = spec.derivative("f", r1)
-        check("f has a transversal sign change at r1",
-              "numerical", f"|f'(r1)| = {float(abs(d1.value)):.3e}",
-              abs(d1.value) >= _SLOPE_FLOOR[n],
-              abs(d1.value) + d1.error < _SLOPE_FLOOR[n])
+        cert.add_step("f has a transversal sign change at r1",
+                      "numerical", f"|f'(r1)| = {float(abs(d1.value)):.3e}",
+                      abs(d1.value) >= _SLOPE_FLOOR[n],
+                      definite=abs(d1.value) + d1.error < _SLOPE_FLOOR[n])
         for rr in lengths[1:3]:
             d = spec.derivative("f", rr)
-            check(f"double root of f at {mp.nstr(rr, 6)}",
-                  "numerical", f"{float(abs(d.value)):.3e}",
-                  abs(d.value) <= cfg["double_root_tol"] + d.error)
+            cert.add_step(f"double root of f at {mp.nstr(rr, 6)}",
+                          "numerical", f"{float(abs(d.value)):.3e}",
+                          d.within(0, _DOUBLE_ROOT_TOL))
         dh = spec.derivative("f_hat", r1)
-        check("double root of fhat at r1", "numerical",
-              f"{float(abs(dh.value)):.3e}",
-              abs(dh.value) <= cfg["double_root_tol"] + dh.error)
+        cert.add_step("double root of fhat at r1", "numerical",
+                      f"{float(abs(dh.value)):.3e}",
+                      dh.within(0, _DOUBLE_ROOT_TOL))
 
         # (iv) quadratic Taylor coefficients
         for side in ("f", "f_hat"):
             target = _TAYLOR_TARGETS[(n, side)]
+            target_v = mp.mpf(target.numerator) / target.denominator
             t = taylor_quadratic(side, n, spec)
-            err = abs(t.value - mp.mpf(target.numerator) / target.denominator)
-            check(f"quadratic coefficient of {side} is {target}",
-                  "numerical (Richardson)", f"{float(err):.3e}",
-                  err <= cfg["taylor_tol"] + t.error)
-
-    if all(s["passed"] for s in cert.log):
-        cert.status = "verified"
-    else:
-        cert.status = "refuted" if definite else "inconclusive"
+            cert.add_step(f"quadratic coefficient of {side} is {target}",
+                          "numerical (Richardson)",
+                          f"{float(abs(t.value - target_v)):.3e}",
+                          t.within(target_v, _TAYLOR_TOL))
     return cert

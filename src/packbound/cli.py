@@ -3,9 +3,13 @@
 Subcommands: code, lattice, qseries, magic, lpbound, verify.  Exit codes:
 0 success/verified, 1 refuted, 2 usage error, 3 numerically inconclusive.
 
+The global ``--format`` is the only output switch.  Each (command, action)
+writes the formats listed in ``FORMATS``, the first by default; asking for
+any other format is a usage error, caught before any work is done.
+
 Artifacts are deterministic: JSON is emitted with sorted keys, numbers are
 rendered at fixed precision, no timestamps, and every artifact embeds the
-run configuration and library version.
+run configuration (with the format written) and library version.
 """
 
 from __future__ import annotations
@@ -38,10 +42,28 @@ EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+# a certificate's status decides the exit code of the command that made it
+STATUS_EXIT = {"verified": EXIT_OK, "refuted": EXIT_REFUTED,
+               "inconclusive": EXIT_INCONCLUSIVE}
+
 # errors raised on bad input; dispatch maps them to EXIT_USAGE, so they can
 # never surface as a traceback with exit 1 ("refuted")
 PACKAGE_ERRORS = (CertifyError, CodeError, LatticeError, lp.LpError,
                   MagicError, QSeriesError, SimplexError)
+
+# the formats each (command, action) writes; the first is its default
+FORMATS = {
+    ("code", "info"): ("text", "json"),
+    ("lattice", "info"): ("text", "json"),
+    ("lattice", "theta"): ("csv",),
+    ("qseries", "show"): ("text", "json", "csv"),
+    ("magic", "eval"): ("text", "json"),
+    ("magic", "table"): ("csv",),
+    ("magic", "check"): ("text", "json"),
+    ("lpbound", "run"): ("text", "json"),
+    ("verify", "poisson"): ("json",),
+    ("verify", "lp"): ("json",),
+}
 
 
 @dataclass(frozen=True)
@@ -55,25 +77,34 @@ class RunConfig:
             raise ValueError("precision out of range [10, 200]")
         if not (50 <= self.trunc <= 2000):
             raise ValueError("trunc out of range [50, 2000]")
-        if self.fmt not in ("json", "csv", "text"):
-            raise ValueError("format must be json, csv or text")
         return self
 
 
-def _emit(text: str, out_path):
+def output_format(args) -> str:
+    """The format the parsed command line asks for: --format, or the
+    command's default.  A format the command does not write raises
+    ValueError."""
+    formats = FORMATS[args.command, args.action]
+    fmt = args.fmt or formats[0]
+    if fmt not in formats:
+        raise ValueError(f"{args.command} {args.action} writes "
+                         f"{' or '.join(formats)}, not {fmt}")
+    return fmt
+
+
+def _emit(rendering, cfg: RunConfig, out_path):
+    """Write one rendering; a JSON one is the artifact's payload, next to
+    the library version and the run configuration."""
+    if cfg.fmt == "json":
+        rendering = json.dumps(
+            {"version": __version__, "config": asdict(cfg), **rendering},
+            sort_keys=True, indent=1) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            fh.write(rendering)
     else:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-
-
-def _artifact(payload: dict, cfg: RunConfig) -> str:
-    doc = {"version": __version__, "config": asdict(cfg)}
-    doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        sys.stdout.write(rendering if rendering.endswith("\n")
+                         else rendering + "\n")
 
 
 def _nstr(x, digits=17):
@@ -81,7 +112,8 @@ def _nstr(x, digits=17):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns its exit code and its renderings, one
+# per format in FORMATS (a JSON rendering is the artifact's payload)
 # ---------------------------------------------------------------------------
 
 def _cmd_code(args, cfg):
@@ -97,69 +129,50 @@ def _cmd_code(args, cfg):
         "self_dual": props["self_dual"],
         "doubly_even": props["doubly_even"],
     }
-    if cfg.fmt == "json" or args.json:
-        _emit(_artifact(payload, cfg), args.out)
-    else:
-        lines = [f"{args.name}: [{code.length}, {code.dimension}] binary code",
-                 f"weights: {weights}",
-                 f"self-dual: {props['self_dual']}, doubly even: "
-                 f"{props['doubly_even']}"]
-        _emit("\n".join(lines), args.out)
-    return EXIT_OK
+    text = (f"{args.name}: [{code.length}, {code.dimension}] binary code\n"
+            f"weights: {weights}\n"
+            f"self-dual: {props['self_dual']}, doubly even: "
+            f"{props['doubly_even']}")
+    return EXIT_OK, {"text": text, "json": payload}
 
 
 def _cmd_lattice(args, cfg):
     lat = standard_lattice(args.name, args.n)
-    if args.action == "info":
-        props = lattice_properties(lat)
-        dens = density(lat)
-        min_norm = props["min_sq_norm"]
-        payload = {
-            "name": lat.name,
-            "dimension": lat.dimension,
-            "min_sq_norm": int(min_norm) if min_norm.denominator == 1
-            else str(min_norm),
-            "kissing": props["kissing"],
-            "even": props["even"],
-            "unimodular": props["unimodular"],
-            "covolume": str(covolume(lat)),
-            "density": str(dens),
-            "density_float": float(dens.to_float()),
-        }
-        if cfg.fmt == "json" or args.json:
-            _emit(_artifact(payload, cfg), args.out)
-        else:
-            _emit("\n".join(f"{k}: {v}" for k, v in payload.items()),
-                  args.out)
-        return EXIT_OK
-    # theta table
-    table = vectors_by_norm(lat, Fraction(args.max_norm),
-                            budget=Fraction(args.max_norm))
-    _emit(table.to_csv(), args.out)
-    return EXIT_OK
+    if args.action == "theta":
+        table = vectors_by_norm(lat, Fraction(args.max_norm),
+                                budget=Fraction(args.max_norm))
+        return EXIT_OK, {"csv": table.to_csv()}
+    props = lattice_properties(lat)
+    dens = density(lat)
+    min_norm = props["min_sq_norm"]
+    payload = {
+        "name": lat.name,
+        "dimension": lat.dimension,
+        "min_sq_norm": int(min_norm) if min_norm.denominator == 1
+        else str(min_norm),
+        "kissing": props["kissing"],
+        "even": props["even"],
+        "unimodular": props["unimodular"],
+        "covolume": str(covolume(lat)),
+        "density": str(dens),
+        "density_float": float(dens.to_float()),
+    }
+    return EXIT_OK, {"text": "\n".join(f"{k}: {v}"
+                                       for k, v in payload.items()),
+                     "json": payload}
 
 
 def _cmd_qseries(args, cfg):
     if args.terms < 1:
         raise QSeriesError("--terms must be at least 1")
     series = named_form(args.name, trunc=cfg.trunc)
-    if cfg.fmt == "csv" or args.csv:
-        _emit(series.dump_csv(), args.out)
-        return EXIT_OK
-    terms = []
-    shown = 0
-    for e, c in series.items():
-        if shown >= args.terms:
-            break
-        terms.append({"exponent_eighths": e, "coefficient": str(c)})
-        shown += 1
-    payload = {"name": args.name, "trunc": series.trunc, "terms": terms}
-    if cfg.fmt == "json":
-        _emit(_artifact(payload, cfg), args.out)
-    else:
-        body = ", ".join(t["coefficient"] for t in terms)
-        _emit(f"{args.name}: {body}", args.out)
-    return EXIT_OK
+    terms = [{"exponent_eighths": e, "coefficient": str(c)}
+             for e, c in series.items()[:args.terms]]
+    body = ", ".join(t["coefficient"] for t in terms)
+    return EXIT_OK, {
+        "text": f"{args.name}: {body}",
+        "json": {"name": args.name, "trunc": series.trunc, "terms": terms},
+        "csv": series.dump_csv()}
 
 
 def _cmd_magic(args, cfg):
@@ -176,13 +189,10 @@ def _cmd_magic(args, cfg):
         payload = {"dim": args.dim, "r": _nstr(args.r),
                    "f": _nstr(f.value), "f_err": _nstr(f.error, 3),
                    "fhat": _nstr(fh.value), "fhat_err": _nstr(fh.error, 3)}
-        if cfg.fmt == "json":
-            _emit(_artifact(payload, cfg), args.out)
-        else:
-            _emit(f"f({payload['r']}) = {payload['f']} (+- {payload['f_err']})\n"
-                  f"fhat({payload['r']}) = {payload['fhat']} "
-                  f"(+- {payload['fhat_err']})", args.out)
-        return EXIT_OK
+        text = (f"f({payload['r']}) = {payload['f']} (+- {payload['f_err']})"
+                f"\nfhat({payload['r']}) = {payload['fhat']} "
+                f"(+- {payload['fhat_err']})")
+        return EXIT_OK, {"text": text, "json": payload}
     if args.action == "table":
         lines = ["r,f,f_err,fhat,fhat_err"]
         with mp.workdps(cfg.precision + 10):
@@ -194,8 +204,7 @@ def _cmd_magic(args, cfg):
                 lines.append(",".join([
                     _nstr(k * step, 12), _nstr(f.value), _nstr(f.error, 3),
                     _nstr(fh.value), _nstr(fh.error, 3)]))
-        _emit("\n".join(lines) + "\n", args.out)
-        return EXIT_OK
+        return EXIT_OK, {"csv": "\n".join(lines) + "\n"}
     # check
     cert = certify_magic(args.dim, spec)
     bound = None
@@ -205,18 +214,13 @@ def _cmd_magic(args, cfg):
     payload = {"dim": args.dim,
                "certificate": json.loads(cert.to_json()),
                "replay": f"packbound --precision {cfg.precision} "
-                         f"--trunc {cfg.trunc} magic check --dim {args.dim} "
-                         f"--report json",
+                         f"--trunc {cfg.trunc} --format json magic check "
+                         f"--dim {args.dim}",
                "bound": bound}
-    if args.report == "json" or cfg.fmt == "json":
-        _emit(_artifact(payload, cfg), args.out)
-    else:
-        _emit(f"certificate: {cert.status}\n"
-              + "\n".join(f"  [{'ok' if s['passed'] else 'FAIL'}] "
-                          f"{s['statement']} ({s['bound']})"
-                          for s in cert.log), args.out)
-    return {"verified": EXIT_OK, "refuted": EXIT_REFUTED}.get(
-        cert.status, EXIT_INCONCLUSIVE)
+    text = (f"certificate: {cert.status}\n"
+            + "\n".join(f"  [{'ok' if s['passed'] else 'FAIL'}] "
+                        f"{s['statement']} ({s['bound']})" for s in cert.log))
+    return STATUS_EXIT[cert.status], {"text": text, "json": payload}
 
 
 def _cmd_lpbound(args, cfg):
@@ -257,23 +261,12 @@ def _cmd_lpbound(args, cfg):
     if dim in (8, 24) and key:
         opt = density(standard_lattice("e8" if dim == 8 else "leech"))
         payload[f"{key}_over_optimal"] = payload[key] / opt.to_float()
-    _emit(_artifact(payload, cfg) if cfg.fmt != "text"
-          else "\n".join(f"{k}: {v}" for k, v in payload.items()),
-          args.out)
-    return code
+    return code, {"text": "\n".join(f"{k}: {v}" for k, v in payload.items()),
+                  "json": payload}
 
 
 def _cmd_verify(args, cfg):
-    if args.target == "magic":
-        cert = certify_magic(args.dim, magic_spec(args.dim, trunc=cfg.trunc,
-                                                  dps=cfg.precision))
-        replay = (f"packbound --precision {cfg.precision} --trunc "
-                  f"{cfg.trunc} verify magic --dim {args.dim}")
-        _emit(_artifact({"certificate": json.loads(cert.to_json()),
-                         "replay": replay}, cfg), args.out)
-        return {"verified": EXIT_OK, "refuted": EXIT_REFUTED}.get(
-            cert.status, EXIT_INCONCLUSIVE)
-    if args.target == "poisson":
+    if args.action == "poisson":
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
             raise CertifyError("--tolerance must be finite and nonnegative")
         lat = standard_lattice(args.name, args.n)
@@ -285,23 +278,19 @@ def _cmd_verify(args, cfg):
                    "tolerance": args.tolerance, "passed": bool(ok),
                    "replay": f"packbound verify poisson --name {args.name} "
                              f"--sigma {args.sigma} --cutoff {args.cutoff}"}
-        _emit(_artifact(payload, cfg), args.out)
-        return EXIT_OK if ok else EXIT_REFUTED
+        return (EXIT_OK if ok else EXIT_REFUTED), {"json": payload}
     # lp
     if args.cert is None:
-        sys.stderr.write("packbound: verify lp requires --cert\n")
-        return EXIT_USAGE
+        raise lp.LpError("verify lp requires --cert")
     with open(args.cert) as fh:
         try:
             obj = json.load(fh)["certificate"]
         except (KeyError, TypeError, ValueError) as exc:
             raise lp.LpError(f"not an lpbound run artifact: {exc!r}") from exc
-    cert = lp.LpCertificate.from_dict(obj)
-    result = lp.verify_lp(cert)
-    _emit(_artifact({"certificate": json.loads(result.to_json()),
-                     "replay": f"packbound verify lp --cert {args.cert}"},
-                    cfg), args.out)
-    return EXIT_OK if result.status == "verified" else EXIT_REFUTED
+    result = lp.verify_lp(lp.LpCertificate.from_dict(obj))
+    return STATUS_EXIT[result.status], {"json": {
+        "certificate": json.loads(result.to_json()),
+        "replay": f"packbound verify lp --cert {args.cert}"}}
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +306,14 @@ def build_parser():
                         help="working precision in decimal digits")
     parser.add_argument("--trunc", type=int, default=300,
                         help="series truncation in grid units (eighths)")
-    parser.add_argument("--format", dest="fmt", default="text",
-                        choices=("json", "csv", "text"))
+    parser.add_argument("--format", dest="fmt",
+                        choices=("json", "csv", "text"),
+                        help="output format (default: the command's own)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("code", help="binary code constructions")
     p.add_argument("action", choices=("info",))
     p.add_argument("--name", required=True, choices=("hamming8", "golay24"))
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("lattice", help="lattice constructions")
@@ -333,14 +322,12 @@ def build_parser():
                    choices=("e8", "l24", "leech", "zn"))
     p.add_argument("--n", type=int, help="dimension for zn")
     p.add_argument("--max-norm", dest="max_norm", type=int, default=10)
-    p.add_argument("--json", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("qseries", help="named q-series")
     p.add_argument("action", choices=("show",))
     p.add_argument("name")
     p.add_argument("--terms", type=int, default=8)
-    p.add_argument("--csv", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("magic", help="optimal test functions")
@@ -349,7 +336,6 @@ def build_parser():
     p.add_argument("--r", type=float, default=0.0)
     p.add_argument("--rmax", type=float, default=4.0)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--report", choices=("json", "text"), default="text")
     p.add_argument("--out")
 
     p = sub.add_parser("lpbound", help="linear-programming bound pipeline")
@@ -362,8 +348,7 @@ def build_parser():
     p.add_argument("-o", "--out")
 
     p = sub.add_parser("verify", help="verification pipelines")
-    p.add_argument("target", choices=("magic", "poisson", "lp"))
-    p.add_argument("--dim", type=int, default=8, choices=(8, 24))
+    p.add_argument("action", metavar="target", choices=("poisson", "lp"))
     p.add_argument("--name", default="e8",
                    choices=("e8", "l24", "leech", "zn"))
     p.add_argument("--n", type=int)
@@ -383,20 +368,15 @@ def dispatch(argv) -> int:
         return EXIT_USAGE if exc.code not in (0,) else 0
     try:
         cfg = RunConfig(precision=args.precision, trunc=args.trunc,
-                        fmt=args.fmt).validate()
+                        fmt=output_format(args)).validate()
     except ValueError as exc:
         sys.stderr.write(f"configuration error: {exc}\n")
         return EXIT_USAGE
-    handler = {
-        "code": _cmd_code,
-        "lattice": _cmd_lattice,
-        "qseries": _cmd_qseries,
-        "magic": _cmd_magic,
-        "lpbound": _cmd_lpbound,
-        "verify": _cmd_verify,
-    }[args.command]
+    handler = globals()[f"_cmd_{args.command}"]  # _cmd_code, _cmd_lattice, ...
     try:
-        return handler(args, cfg)
+        code, renderings = handler(args, cfg)
+        _emit(renderings[cfg.fmt], cfg, args.out)
+        return code
     except (PACKAGE_ERRORS + (OSError,)) as exc:
         sys.stderr.write(f"packbound: {' '.join(str(exc).split())}\n")
         return EXIT_USAGE

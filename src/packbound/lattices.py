@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath as mp
+
 from .codes import BinaryCode, golay24, hamming8, weight_enumerator, zero_code
 from .exact import (
     frac, hermite_row_basis, mat_det, mat_identity, mat_inverse,
@@ -86,6 +88,13 @@ class SymbolicVolume:
             -other.pi_power, other.radicand)
         return self * inv
 
+    def __neg__(self):
+        return SymbolicVolume(-self.coefficient, self.pi_power, self.radicand)
+
+    def __abs__(self):
+        return SymbolicVolume(abs(self.coefficient), self.pi_power,
+                              self.radicand)
+
     def is_rational(self) -> bool:
         return self.pi_power == 0 and self.radicand == 1
 
@@ -93,6 +102,12 @@ class SymbolicVolume:
         if not self.is_rational():
             raise LatticeError(f"{self} is not rational")
         return self.coefficient
+
+    def mpf(self):
+        """The value at the mpmath working precision."""
+        c, p = self.coefficient, Fraction(self.pi_power)
+        return (mp.mpf(c.numerator) / c.denominator * mp.sqrt(self.radicand)
+                * mp.pi ** (mp.mpf(p.numerator) / p.denominator))
 
     def to_float(self) -> float:
         return (float(self.coefficient) * math.sqrt(self.radicand)

@@ -47,6 +47,14 @@ class LpError(ValueError):
     pass
 
 
+def _check_family(n: int, d: int):
+    """The family is defined for dimension n >= 1 and degree d >= 1."""
+    if n < 1:
+        raise LpError("dimension must be >= 1")
+    if d < 1:
+        raise LpError("degree must be >= 1")
+
+
 # ---------------------------------------------------------------------------
 # Laguerre polynomials
 # ---------------------------------------------------------------------------
@@ -98,8 +106,7 @@ class RadialAnsatz:
     first.  The profile coefficients b weight members 1..d."""
 
     def __init__(self, n: int, d: int):
-        if d < 1:
-            raise LpError("degree must be >= 1")
+        _check_family(n, d)
         self.n = n
         self.d = d
         self.alpha = mp.mpf(n) / 2 - 1  # a half-integer: exact
@@ -170,8 +177,6 @@ def default_schedule(n: int, d: int):
     """Double-root placements at the normalized vector lengths for the
     forced solve of degree d: the function side starts at the second length
     (the first carries the simple root), the transform side at the first."""
-    if d < 1:
-        raise LpError("degree must be >= 1")
     r1_sq = 2 if n == 8 else 4
     pairs = (d - 1) // 2
     k_f = (pairs + 1) // 2
@@ -256,8 +261,6 @@ def verify_lp(cert: LpCertificate) -> Certificate:
     out.add_step("p(y0) < 0", "exact", float(p_y0), p_y0 < 0)
     out.add_step("no root of p in (y0, inf)", "exact",
                  f"{roots} roots (Sturm count)", roots == 0)
-    out.status = ("verified" if all(s["passed"] for s in out.log)
-                  else "refuted")
     return out
 
 
@@ -294,8 +297,7 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     certificate_status "infeasible".  All of it is exact or plain float
     arithmetic, independent of the mpmath working precision.
     """
-    if d < 1:
-        raise LpError("degree must be >= 1")
+    _check_family(n, d)
     alpha = Fraction(n, 2) - 1
     samples = list(samples) if samples is not None else default_samples(n, d)
     # column equilibration: L_k grows like y^k, so the variables are
@@ -447,6 +449,7 @@ def estimate(n: int, degree: int, method: str, dps: int) -> dict:
     violations of f <= 0 beyond the root and of fhat >= 0; `feasible`
     records whether both stay within 1e-9.
     """
+    _check_family(n, degree)
     roots_f, roots_fhat = default_schedule(n, degree)
     d = 1 + 2 * (len(roots_f) + len(roots_fhat))
     ans = RadialAnsatz(n, d)

@@ -63,7 +63,7 @@ from operator import mul
 import mpmath as mp
 
 from .exact import frac
-from .lattices import ball_volume
+from .lattices import SymbolicVolume, ball_volume
 from .qseries import CertifiedValue, GRID, psi_forms, s_transform_terms
 
 DEFAULT_TRUNC = 300
@@ -77,43 +77,11 @@ class MagicError(ValueError):
     pass
 
 
-class ExactConst:
-    """Exact constant rat * pi^pi_pow."""
-
-    __slots__ = ("rat", "pi_pow")
-
-    def __init__(self, rat, pi_pow=0):
-        self.rat = frac(rat)
-        self.pi_pow = int(pi_pow)
-
-    def __mul__(self, other):
-        return ExactConst(self.rat * other.rat, self.pi_pow + other.pi_pow)
-
-    def __truediv__(self, other):
-        return ExactConst(self.rat / other.rat, self.pi_pow - other.pi_pow)
-
-    def __neg__(self):
-        return ExactConst(-self.rat, self.pi_pow)
-
-    def __abs__(self):
-        return ExactConst(abs(self.rat), self.pi_pow)
-
-    def __eq__(self, other):
-        return self.rat == other.rat and self.pi_pow == other.pi_pow
-
-    def mpf(self):
-        return (mp.mpf(self.rat.numerator) / self.rat.denominator
-                * mp.pi ** self.pi_pow)
-
-    def __repr__(self):
-        return f"ExactConst({self.rat}, pi^{self.pi_pow})"
-
-
 # Published combination constants (magnitudes) for the two dimensions.
-_TABLE_ALPHA = {8: ExactConst(Fraction(1, 8640), 1),
-                24: ExactConst(Fraction(1, 113218560), 1)}
-_TABLE_BETA = {8: ExactConst(Fraction(1, 240), -1),
-               24: ExactConst(Fraction(1, 262080), -1)}
+_TABLE_ALPHA = {8: SymbolicVolume(Fraction(1, 8640), Fraction(1)),
+                24: SymbolicVolume(Fraction(1, 113218560), Fraction(1))}
+_TABLE_BETA = {8: SymbolicVolume(Fraction(1, 240), Fraction(-1)),
+               24: SymbolicVolume(Fraction(1, 262080), Fraction(-1))}
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +421,10 @@ class MagicFunctionSpec:
             if ipow % 2:
                 raise MagicError("i-absorption failed: complex residue")
             sign = 1 if ipow == 0 else -1
-            const = ExactConst(sign * it.rat, it.pi_pow)
+            const = SymbolicVolume(sign * it.rat, Fraction(it.pi_pow))
             plus_terms.append((it.z_power, const, it.series))
         self._assert_pole_structure(plus_terms)
-        minus_terms = [(0, ExactConst(1), psis["psi_minus"])]
+        minus_terms = [(0, SymbolicVolume.of(1), psis["psi_minus"])]
         self._assert_pole_structure(minus_terms)
 
         # u-side kernels (both carry coefficient +1 after i-absorption)
@@ -476,8 +444,8 @@ class MagicFunctionSpec:
         gamma1 = plus_terms[1][2].coeffs.get(0, Fraction(0))
         if gamma1 == 0:
             raise MagicError("middle S-transform series has no constant term")
-        self.A = ExactConst(Fraction(4), 0) / (kappa1 * ExactConst(gamma1))
-        if abs(self.A) != abs(_TABLE_ALPHA[n] * ExactConst(4)):
+        self.A = SymbolicVolume.of(4) / (kappa1 * gamma1)
+        if abs(self.A) != _TABLE_ALPHA[n] * 4:
             raise MagicError(
                 f"derived plus constant {self.A!r} does not match the table")
         kappa0 = plus_terms[2][1]
@@ -489,10 +457,10 @@ class MagicFunctionSpec:
             raise MagicError("minus kernel has no pole at the minimal length")
         if g1_res != 0:
             raise MagicError("value constraint at r1 violated")
-        self.B = self.A * kappa0 * ExactConst(Fraction(g2_res, psi_minus_res))
-        table_b = _TABLE_BETA[n] * ExactConst(4)
-        self.beta_table_ratio = abs(self.B).rat / table_b.rat \
-            if abs(self.B).pi_pow == table_b.pi_pow else None
+        self.B = self.A * kappa0 * Fraction(g2_res, psi_minus_res)
+        table_b = _TABLE_BETA[n] * 4
+        self.beta_table_ratio = abs(self.B.coefficient / table_b.coefficient) \
+            if self.B.pi_power == table_b.pi_power else None
 
         with mp.workdps(dps + 10):
             self._base = mp.exp(-mp.pi / 4 * self.tstar.numerator
@@ -645,16 +613,6 @@ def magic_spec(n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS) -> MagicFunctionSpec:
     return _SPEC_CACHE[key]
 
 
-def eigenfunction_eval(sign, n, r, spec=None) -> CertifiedValue:
-    spec = spec or magic_spec(n)
-    return spec.eigenfunction(sign, r)
-
-
-def magic_eval(side, n, r, spec=None) -> CertifiedValue:
-    spec = spec or magic_spec(n)
-    return spec.eval(side, r)
-
-
 def taylor_quadratic(side, n, spec=None, levels=5):
     """Coefficient of r^2 at the origin via Richardson-extrapolated
     differences (the functions are even in r)."""
@@ -687,16 +645,11 @@ def ce_bound_from_function(n, spec=None, certificate=None,
     """
     spec = spec or magic_spec(n)
     if not allow_unverified:
-        status = getattr(certificate, "status", None)
-        if status != "verified":
+        if getattr(certificate, "status", None) != "verified":
             raise MagicError("feasibility certificate missing or not verified")
     with mp.workdps(spec.dps + 10):
         f0 = spec.eval("f", 0)
-        vol = ball_volume(n, Fraction(spec.r1_sq, 4))
-        volv = (mp.mpf(vol.coefficient.numerator) / vol.coefficient.denominator
-                * mp.sqrt(vol.radicand)
-                * mp.pi ** (mp.mpf(vol.pi_power.numerator)
-                            / vol.pi_power.denominator))
+        volv = ball_volume(n, Fraction(spec.r1_sq, 4)).mpf()
         return CertifiedValue(f0.value * volv, f0.error * volv)
 
 

@@ -6,6 +6,7 @@ report lines.
 
 import json
 import math
+import shlex
 from fractions import Fraction
 
 import mpmath as mp
@@ -179,7 +180,7 @@ def test_criterion_8_certificate_soundness(spec8, lp8):
     rejected = sum(verify_lp(t).status == "refuted" for t in tampered)
     ok &= rejected == len(tampered)
     flipped = spec8.flipped_minus_copy()
-    sabotage = certify_magic(8, flipped, {"grid_step": 0.25})
+    sabotage = certify_magic(8, flipped)
     ok &= sabotage.status == "refuted"
     report(8, ok, f"d=30 Sturm certificate accepted, {rejected}/"
                   f"{len(tampered)} tamperings rejected, sign-flipped spec "
@@ -193,14 +194,17 @@ def test_criterion_9_determinism(tmp_path, spec8):
     # first run in-process (warm caches), second in a fresh interpreter:
     # byte-identity across cold and warm runs is the determinism contract
     target = tmp_path / "one.json"
-    code = dispatch(["magic", "check", "--dim", "8", "--report", "json",
+    code = dispatch(["--format", "json", "magic", "check", "--dim", "8",
                      "--out", str(target)])
     assert code == 0
     outputs.append(target.read_bytes())
+    # the cold run is the artifact's own replay command
+    program, *replay = shlex.split(json.loads(outputs[0])["replay"])
+    assert program == "packbound"
     target2 = tmp_path / "two.json"
     proc = subprocess.run(
-        [sys.executable, "-m", "packbound.cli", "magic", "check", "--dim",
-         "8", "--report", "json", "--out", str(target2)],
+        [sys.executable, "-m", "packbound.cli", *replay, "--out",
+         str(target2)],
         capture_output=True, text=True, timeout=900)
     assert proc.returncode == 0, proc.stderr[-500:]
     outputs.append(target2.read_bytes())

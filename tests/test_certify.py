@@ -228,13 +228,14 @@ def test_poisson_residual_decreases_with_cutoff():
 
 @pytest.mark.slow
 def test_certify_magic_8(spec8):
-    cert = certify_magic(8, spec8, {"grid_step": 0.05})
+    cert = certify_magic(8, spec8)
     assert cert.status == "verified", cert.to_json()
 
 
-def test_certify_magic_margin_shortfall_is_inconclusive(spec8):
+def test_certify_magic_margin_shortfall_is_inconclusive(spec8, monkeypatch):
     # every sign is right, but no margin reaches 1e300: not a refutation
-    cert = certify_magic(8, spec8, {"grid_step": 0.05, "far_margin": 1e300})
+    monkeypatch.setattr(certify_mod, "_FAR_MARGIN", 1e300)
+    cert = certify_magic(8, spec8)
     assert cert.status == "inconclusive"
     failing = [s["statement"] for s in cert.log if not s["passed"]]
     assert failing == ["far decay beyond 8.0: signs with margin >= 1e+300"]
@@ -250,7 +251,7 @@ def test_certify_magic_slope_floor(spec8, monkeypatch):
     for floor, status in ((slope + err / 2, "inconclusive"),
                           (slope + 2 * err, "refuted")):
         monkeypatch.setitem(certify_mod._SLOPE_FLOOR, 8, floor)
-        cert = certify_magic(8, spec8, {"grid_step": 0.05})
+        cert = certify_magic(8, spec8)
         assert cert.status == status
         failing = [s["statement"] for s in cert.log if not s["passed"]]
         assert failing == ["f has a transversal sign change at r1"]
@@ -259,7 +260,7 @@ def test_certify_magic_slope_floor(spec8, monkeypatch):
 @pytest.mark.slow
 def test_certify_magic_sabotage(spec8):
     bad = spec8.flipped_minus_copy()
-    cert = certify_magic(8, bad, {"grid_step": 0.05})
+    cert = certify_magic(8, bad)
     assert cert.status == "refuted"
     failing = [s for s in cert.log if not s["passed"]]
     assert failing
@@ -268,7 +269,26 @@ def test_certify_magic_sabotage(spec8):
 def test_certificate_json_roundtrip():
     cert = Certificate(claim="demo")
     cert.add_step("trivial", "exact", 0, True)
-    cert.finalize()
     import json
     obj = json.loads(cert.to_json())
     assert obj["status"] == "verified"
+    # the definite flag decides the status but is not part of the record
+    assert set(obj["log"][0]) == {"statement", "method", "bound", "passed",
+                                  "detail"}
+
+
+def test_certificate_status_follows_the_steps():
+    cert = Certificate(claim="demo")
+    assert cert.status == "inconclusive"  # nothing checked, nothing proved
+    with pytest.raises(AttributeError):
+        cert.status = "verified"
+    cert.add_step("within its error bar", "numerical", 0, False,
+                  definite=False)
+    assert cert.status == "inconclusive"
+    cert.add_step("passes", "exact", 0, True)
+    assert cert.status == "inconclusive"
+    cert.add_step("beyond its error bar", "numerical", 0, False)
+    assert cert.status == "refuted"
+    with pytest.raises(AttributeError):
+        cert.status = "verified"
+    assert cert.status == "refuted"

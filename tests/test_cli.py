@@ -1,11 +1,15 @@
 import json
+import shlex
 import signal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from packbound import cli
 from packbound.cli import (
-    EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig, dispatch,
+    EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig,
+    build_parser, dispatch, output_format,
 )
 from packbound.exact import poly_eval
 from packbound.lpbound import PI_HI, PI_LO, LpCertificate, laguerre_all
@@ -42,7 +46,8 @@ def test_code_info_json(capsys):
 
 
 def test_lattice_info_e8(capsys):
-    code, out = run(["lattice", "info", "--name", "e8", "--json"], capsys)
+    code, out = run(["--format", "json", "lattice", "info", "--name", "e8"],
+                    capsys)
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["min_sq_norm"] == 2
@@ -65,7 +70,8 @@ def test_qseries_show(capsys):
 
 
 def test_qseries_csv(capsys):
-    code, out = run(["qseries", "show", "theta10", "--csv"], capsys)
+    code, out = run(["--format", "csv", "qseries", "show", "theta10"],
+                    capsys)
     assert code == EXIT_OK
     assert out.splitlines()[1] == "1,2,1"
 
@@ -102,6 +108,7 @@ def test_verify_poisson(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["passed"] is True
+    assert doc["config"]["fmt"] == "json"  # the format written
 
 
 @pytest.fixture(scope="module")
@@ -212,6 +219,9 @@ MALFORMED_CERTS = {
     ["lattice", "theta", "--name", "e8", "--max-norm", "-2"],
     ["qseries", "show", "e4", "--terms", "-1"],
     ["qseries", "show", "e4", "--terms", "0"],
+    ["lpbound", "run", "--dim", "0", "--degree", "30"],
+    ["lpbound", "run", "--dim", "-2", "--degree", "30"],
+    ["lpbound", "run", "--dim", "0", "--degree", "45", "--method", "forced"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
@@ -236,6 +246,52 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert captured.err.startswith("packbound: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["--format", "csv", "lpbound", "run", "--dim", "8", "--degree", "30"],
+    ["--format", "json", "lattice", "theta", "--name", "e8"],
+    ["--format", "json", "magic", "table", "--dim", "8"],
+    ["--format", "csv", "code", "info", "--name", "golay24"],
+    ["--format", "text", "verify", "poisson", "--name", "e8"],
+])
+def test_format_not_written_is_usage_error(argv, monkeypatch, capsys):
+    # the format is checked before any handler runs
+    for name in ("code", "lattice", "qseries", "magic", "lpbound", "verify"):
+        monkeypatch.setattr(cli, f"_cmd_{name}",
+                            lambda *a: pytest.fail("handler ran"))
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "writes" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["code", "info", "--name", "golay24", "--json"],
+    ["lattice", "info", "--name", "e8", "--json"],
+    ["qseries", "show", "e4", "--csv"],
+    ["magic", "check", "--dim", "8", "--report", "json"],
+    ["verify", "magic", "--dim", "8"],
+])
+def test_removed_format_flags_are_usage_errors(argv, capsys):
+    assert dispatch(argv) == EXIT_USAGE
+
+
+def test_readme_command_lines_parse():
+    # each line of the "Command line" block parses and asks for a format
+    # its command writes; nothing is executed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("packbound ")]
+    assert len(lines) >= 10
+    for line in lines:
+        try:
+            output_format(build_parser().parse_args(shlex.split(line)[1:]))
+        except (SystemExit, ValueError) as exc:
+            pytest.fail(f"README line {line!r}: {exc!r}")
 
 
 def test_lpbound_run_small(capsys):

@@ -5,10 +5,10 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from packbound.lattices import SymbolicVolume
 from packbound.magic import (
-    CertifiedValue, ExactConst, MagicError, MagicFunctionSpec, magic_eval,
-    ce_bound_from_function, eigenfunction_eval, legendre_nodes, magic_spec,
-    radial_fourier_oracle, taylor_quadratic,
+    MagicError, MagicFunctionSpec, ce_bound_from_function, legendre_nodes,
+    magic_spec, radial_fourier_oracle, taylor_quadratic,
 )
 
 
@@ -22,8 +22,8 @@ def test_legendre_nodes_integrate_polynomial():
 
 
 def test_combination_constants_8(spec8):
-    assert spec8.A == ExactConst(Fraction(-1, 2160), 1)
-    assert spec8.B == ExactConst(Fraction(-1, 120), -1)
+    assert spec8.A == SymbolicVolume(Fraction(-1, 2160), Fraction(1))
+    assert spec8.B == SymbolicVolume(Fraction(-1, 120), Fraction(-1))
     # the minus-side magnitude is half the published one; only the product
     # with the minus kernel enters the function, and the Taylor/root tests
     # below pin the product
@@ -31,8 +31,8 @@ def test_combination_constants_8(spec8):
 
 
 def test_combination_constants_24(spec24):
-    assert spec24.A == ExactConst(Fraction(1, 28304640), 1)
-    assert spec24.B == ExactConst(Fraction(-1, 65520), -1)
+    assert spec24.A == SymbolicVolume(Fraction(1, 28304640), Fraction(1))
+    assert spec24.B == SymbolicVolume(Fraction(-1, 65520), Fraction(-1))
     assert spec24.beta_table_ratio == 1
 
 
@@ -202,13 +202,6 @@ def test_ce_bound_unverified_24(spec24):
         b = ce_bound_from_function(24, spec24, allow_unverified=True)
         target = mp.pi ** 12 / mp.factorial(12)
         assert abs(b.value - target) / target < 1e-9
-
-
-def test_module_level_wrappers(spec8):
-    v = magic_eval("f", 8, 0, spec8)
-    assert abs(v.value - 1) < 1e-20
-    e = eigenfunction_eval("-", 8, 2, spec8)
-    assert isinstance(e, CertifiedValue)
 
 
 def test_invalid_dimension():
