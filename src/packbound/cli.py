@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -272,12 +273,14 @@ def _cmd_verify(args, cfg):
         lat = standard_lattice(args.name, args.n)
         res = poisson_check(lat, args.sigma, args.cutoff)
         ok = res["residual"] <= args.tolerance
+        dim = "" if args.n is None else f" --n {args.n}"
         payload = {"lattice": lat.name, "sigma": res["sigma"],
                    "cutoff": res["cutoff"],
                    "residual": _nstr(res["residual"], 6),
                    "tolerance": args.tolerance, "passed": bool(ok),
-                   "replay": f"packbound verify poisson --name {args.name} "
-                             f"--sigma {args.sigma} --cutoff {args.cutoff}"}
+                   "replay": f"packbound verify poisson --name {args.name}"
+                             f"{dim} --sigma {args.sigma} --cutoff "
+                             f"{args.cutoff} --tolerance {args.tolerance!r}"}
         return (EXIT_OK if ok else EXIT_REFUTED), {"json": payload}
     # lp
     if args.cert is None:
@@ -290,7 +293,7 @@ def _cmd_verify(args, cfg):
     result = lp.verify_lp(lp.LpCertificate.from_dict(obj))
     return STATUS_EXIT[result.status], {"json": {
         "certificate": json.loads(result.to_json()),
-        "replay": f"packbound verify lp --cert {args.cert}"}}
+        "replay": f"packbound verify lp --cert {shlex.quote(args.cert)}"}}
 
 
 # ---------------------------------------------------------------------------

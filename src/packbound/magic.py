@@ -44,14 +44,18 @@ integer dot product per side, with a proven truncation term (see
 `_TsideTable`).  On (0, t*] the substitution u = 1/t and the S-transform
 turn the integrand into u^(-n/2) * (decaying series) * e^(-pi r^2 / u),
 integrated by fixed-order Gauss-Legendre panels with an order-doubling
-error estimate.  Both kernels share one node set, where e^(-pi r^2 / u) and
-the weighted integrand values are held in the same fixed point, so each
-quadrature sum is an exact integer dot product.  One exp per node anchors a
-radius; on an arithmetic grid r_k = r0 + k h, `sweep` takes three exps per
-node once and then two integer products per node and radius (see
-`_decays`).  The u-side error carries a proven round-off term for the value
-truncation and the decays' 2 (k + 2)^2 units.  `pair(r)` is a one-radius
-sweep.  Series truncation tails ride along from the coefficient envelopes.
+error estimate.  At spec build each series is summed at every node as an
+integer dot product of its exact coefficients with the powers of
+y = e^(-pi u/4), held in a wider fixed point with a proven round-off bound
+(see `_NodeSeries`).  Both kernels share one node set, where
+e^(-pi r^2 / u) and the weighted integrand values are held in the same
+fixed point, so each quadrature sum is an exact integer dot product.  One
+exp per node anchors a radius; on an arithmetic grid r_k = r0 + k h,
+`sweep` takes three exps per node once and then two integer products per
+node and radius (see `_decays`).  The u-side error carries proven round-off
+terms for the node values (in the series error), their truncation and the
+decays' 2 (k + 2)^2 units.  `pair(r)` is a one-radius sweep.  Series
+truncation tails ride along from the coefficient envelopes.
 """
 
 from __future__ import annotations
@@ -138,13 +142,6 @@ def legendre_nodes(order: int, dps: int):
 # Spec construction
 # ---------------------------------------------------------------------------
 
-def _series_eval_terms(series, dps):
-    """Sorted (E, mpf coefficient) pairs at working precision."""
-    with mp.workdps(dps + 10):
-        return [(e, mp.mpf(c.numerator) / c.denominator)
-                for e, c in series.items()]
-
-
 def _sinc2(s, dps):
     """sin(s/2)^2 / s^2, an entire function, by its power series."""
     acc = mp.mpf(0)
@@ -214,7 +211,7 @@ class _TsideTable:
                 tail = mp.mpf(0)
                 for m, const, series in side:
                     cm = const.mpf()
-                    for e, v in _series_eval_terms(series, dps):
+                    for e, v in series.items():
                         c[index[e]][m] += cm * v
                         c_abs[index[e]][m] += abs(cm * v)
                     if series.envelope is not None:
@@ -293,9 +290,10 @@ class _UsideKernel:
     `nodes` holds -1/u at the low- and the high-order nodes.  Every kernel
     of a spec holds the same two lists, so e^(-b/u) is held once per node
     and radius for all of them.  `vals` holds the weighted integrand values
-    at the nodes as integers scaled by 2^fix (truncated), so each quadrature
-    sum against decays in the same fixed point is an exact integer dot
-    product.
+    at the nodes as integers scaled by 2^fix (floored from the fixed-point
+    series values; their round-off is part of `series_err`), so each
+    quadrature sum against decays in the same fixed point is an exact
+    integer dot product.
     """
 
     __slots__ = ("nodes", "fix", "vals", "abs_vals", "series_err",
@@ -304,8 +302,8 @@ class _UsideKernel:
     def __init__(self, nodes, fix, vals, series_err, tail_err):
         self.nodes = nodes
         self.fix = fix
-        self.vals = [[int(mp.ldexp(v, fix)) for v in part] for part in vals]
-        self.abs_vals = sum(abs(v) for part in self.vals for v in part)
+        self.vals = vals
+        self.abs_vals = sum(abs(v) for part in vals for v in part)
         self.series_err = series_err
         self.tail_err = tail_err
 
@@ -316,8 +314,8 @@ class _UsideKernel:
         fix = self.fix
         q_lo, q_hi = (mp.ldexp(sum(map(mul, v, d)), -2 * fix)
                       for v, d in zip(self.vals, decay))
-        # per node: the value's truncation (under a unit, against a decay of
-        # at most 1) and the decay's error against the value; per sum: its
+        # per node: the value's floor (under a unit, against a decay of at
+        # most 1) and the decay's error against the value; per sum: its
         # rounding to working precision.  q_hi carries it twice, once more
         # through the order-doubling estimate.
         count = sum(map(len, decay))
@@ -327,21 +325,79 @@ class _UsideKernel:
                       + self.tail_err)
 
 
+class _NodeSeries:
+    """Integer-coefficient series evaluated at z = iu in fixed point.
+
+    Every series is an integer dot product of its exact coefficients with
+    y^E, y = e^(-pi u/4), at the exponents E = E0 + g k of the union grid,
+    held in a fixed point of F = fix + (bits of the largest |c_E|) +
+    _GUARD_BITS bits, so each term's round-off stays below 2^-fix.
+    y^g and y^E0 are truncated from mpf values at F + 10 bits: rounding
+    the argument x moves e^-x by at most x e^-x 2^-(F+10) < 2^-(F+10), and
+    exp and the power add a few units of 2^-(F+10), so with the truncation
+    each is within 2 units of 2^-F.  A power P_(k+1) = P_k y^g >> F is
+    then within rho d_k + 4 units, d_k being P_k's error and rho = y^g <=
+    (Y + 2) 2^-F, Y the stored y^g: rho d_k from P_k, 2 from y^g's error
+    against P_k <= 1, under 1 from the product of the two errors and under
+    1 from the floor.  By induction every power is within d = 4 / (1 - rho)
+    >= 2 units, and the dot product S of a series within d sum |c_E| units.
+    """
+
+    __slots__ = ("e0", "g", "rows", "abs_sums", "prec")
+
+    def __init__(self, series_list, fix):
+        exps = sorted({e for series in series_list for e in series.coeffs})
+        self.e0 = exps[0]
+        self.g = math.gcd(*(e - self.e0 for e in exps)) or 1
+        self.rows = [series.dense(self.e0, exps[-1] + 1, self.g)
+                     for series in series_list]
+        self.abs_sums = [sum(map(abs, row)) for row in self.rows]
+        self.prec = fix + max(abs(c).bit_length() for row in self.rows
+                              for c in row) + _GUARD_BITS
+
+    def at(self, u):
+        """y = e^(-pi u/4) (an mpf) and, per series, (S, bound): the value
+        scaled by 2^F and the bound on its round-off in units of 2^-F."""
+        prec = self.prec
+        with mp.workprec(prec + 10):
+            y = mp.exp(-mp.pi * u / 4)
+            step = _fixed(y ** self.g, prec)
+            power = _fixed(y ** self.e0, prec)
+        powers = [power]
+        for _ in range(1, len(self.rows[0])):
+            power = power * step >> prec
+            powers.append(power)
+        d = -(-(4 << prec) // ((1 << prec) - step - 2))
+        return y, [(sum(map(mul, row, powers)), d * a)
+                   for row, a in zip(self.rows, self.abs_sums)]
+
+
+# bits of the u-side series evaluation beyond fix + (bits of the largest
+# |c_E|): they absorb d times the number of terms in its round-off
+_GUARD_BITS = 16
+
+
 def _uside_kernels(series_list, p, u0, orders, dps):
     """One _UsideKernel per series, all on one node set.
 
     The panel breaks grow geometrically from u0 up to the u_max of the most
     slowly decaying series, so all kernels are cut at the same point (a
-    later cut only shrinks a faster kernel's tail bound).  One pass over the
-    nodes takes y = e^(-pi u/4) once per node and its powers at the union of
-    the exponents, and evaluates every series and envelope tail from them.
+    later cut only shrinks a faster kernel's tail bound).  At each node the
+    series are evaluated in the fixed point of `_NodeSeries`.  The weighted
+    value is floor(S W 2^-F), W the weight truncated to fix bits (under a
+    unit low): off by at most (b (W + 1) + |S|) 2^-F units of 2^-fix
+    before the floor (which `integral` counts), b being S's round-off bound.
+    Summed over all nodes and doubled (once for the high-order sum, once
+    more through the order-doubling estimate), that is the round-off term
+    of `series_err`.
     """
-    terms = [_series_eval_terms(series, dps) for series in series_list]
-    e1s = [min(e for e, _ in t) for t in terms]
+    e1s = [series.min_exp for series in series_list]
     if min(e1s) < 1:
         raise MagicError("u-side kernel must decay at the cusp")
-    exps = sorted({e for t in terms for e, _ in t})
     with mp.workdps(dps + 10):
+        fix = mp.mp.prec
+        fixed = _NodeSeries(series_list, fix)
+        prec = fixed.prec
         u0 = mp.mpf(u0.numerator) / u0.denominator
         u_max = u0 + (dps + 12) * mp.log(10) * 4 / (mp.pi * min(e1s))
         breaks = [u0]
@@ -349,29 +405,10 @@ def _uside_kernels(series_list, p, u0, orders, dps):
             breaks.append(breaks[-1] * 2 + 1)
         breaks[-1] = u_max
 
-        def evaluate(u, tails):
-            """[(Phi(iu), envelope tail at iu or 0)] for every series."""
-            y = mp.exp(-mp.pi * u / 4)
-            steps, powers = {}, {}
-            prev, acc = 0, mp.mpf(1)
-            for e in exps:
-                if e - prev not in steps:
-                    steps[e - prev] = y ** (e - prev)
-                acc *= steps[e - prev]
-                powers[e] = acc
-                prev = e
-            out = []
-            for series, t in zip(series_list, terms):
-                phi = mp.fdot((c, powers[e]) for e, c in t)
-                env = (series.envelope.tail_bound(series.trunc, y)
-                       if tails and series.envelope is not None
-                       else mp.mpf(0))
-                out.append((phi, env))
-            return out
-
         nodes = ([], [])
         vals = [([], []) for _ in series_list]
         series_err = [mp.mpf(0)] * len(series_list)
+        roundoff = [0] * len(series_list)
         for part, order in enumerate(orders):
             xs, ws = legendre_nodes(order, dps)
             for a, b in zip(breaks, breaks[1:]):
@@ -380,18 +417,31 @@ def _uside_kernels(series_list, p, u0, orders, dps):
                 for x, w in zip(xs, ws):
                     u = mid + half * x
                     wu = w * half * u ** (-p)
+                    weight = _fixed(wu, fix)
                     nodes[part].append(-1 / u)
-                    # series truncation along the contour (e^(-b/u) <= 1)
-                    # is integrated at the high order
-                    for k, (phi, env) in enumerate(evaluate(u, part == 1)):
-                        vals[k][part].append(wu * phi)
-                        series_err[k] += abs(wu) * env
+                    y, phis = fixed.at(u)
+                    for k, (s, bound) in enumerate(phis):
+                        vals[k][part].append(s * weight >> prec)
+                        roundoff[k] += (bound * (weight + 1) + abs(s)
+                                        >> prec) + 1
+                        # series truncation along the contour (e^(-b/u) <= 1)
+                        # is integrated at the high order
+                        series = series_list[k]
+                        if part == 1 and series.envelope is not None:
+                            series_err[k] += wu * series.envelope.tail_bound(
+                                series.trunc, y)
         kernels = []
-        for k, (phi, env) in enumerate(evaluate(u_max, True)):
+        y, phis = fixed.at(u_max)
+        for k, (s, bound) in enumerate(phis):
+            series = series_list[k]
+            env = (series.envelope.tail_bound(series.trunc, y)
+                   if series.envelope is not None else 0)
             # contour tail beyond u_max: |Phi(iu)| <= A_U e^(-pi e1 (u-U)/4)
-            tail_err = abs(phi + env) * u_max ** (-p) * 4 / (mp.pi * e1s[k])
-            kernels.append(_UsideKernel(nodes, mp.mp.prec, vals[k],
-                                        series_err[k], tail_err))
+            tail_err = ((mp.ldexp(abs(s) + bound, -prec) + env)
+                        * u_max ** (-p) * 4 / (mp.pi * e1s[k]))
+            kernels.append(_UsideKernel(
+                nodes, fix, vals[k],
+                series_err[k] + mp.ldexp(2 * roundoff[k], -fix), tail_err))
         return kernels
 
 
@@ -441,7 +491,7 @@ class MagicFunctionSpec:
 
         # combination constants
         kappa1 = plus_terms[1][1]
-        gamma1 = plus_terms[1][2].coeffs.get(0, Fraction(0))
+        gamma1 = plus_terms[1][2].coeffs.get(0, 0)
         if gamma1 == 0:
             raise MagicError("middle S-transform series has no constant term")
         self.A = SymbolicVolume.of(4) / (kappa1 * gamma1)
@@ -450,9 +500,9 @@ class MagicFunctionSpec:
                 f"derived plus constant {self.A!r} does not match the table")
         kappa0 = plus_terms[2][1]
         e1 = -self.r1_sq * 4  # grid exponent of the r1 pole
-        g2_res = plus_terms[2][2].coeffs.get(e1, Fraction(0))
-        psi_minus_res = psis["psi_minus"].coeffs.get(e1, Fraction(0))
-        g1_res = plus_terms[1][2].coeffs.get(e1, Fraction(0))
+        g2_res = plus_terms[2][2].coeffs.get(e1, 0)
+        psi_minus_res = psis["psi_minus"].coeffs.get(e1, 0)
+        g1_res = plus_terms[1][2].coeffs.get(e1, 0)
         if psi_minus_res == 0:
             raise MagicError("minus kernel has no pole at the minimal length")
         if g1_res != 0:

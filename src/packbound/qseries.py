@@ -1,7 +1,12 @@
 """Exact truncated Laurent series in the nome and the named modular forms.
 
 Series live on the exponent grid q^(1/8) (q = e^(2 pi i z)): a term with grid
-exponent E is the monomial q^(E/8).  Coefficients are exact rationals.  A
+exponent E is the monomial q^(E/8).  Coefficients are integers: every
+series built here is integral (E2, E4 and E6 carry -24, 240 and -504, the
+thetas +-2, and the discriminant form has leading coefficient 1, so dividing
+by it stays integral).  A rational coefficient, a scaling that leaves a
+fraction and the inverse of a series whose leading coefficient is not +-1
+raise QSeriesError.  Products use Kronecker substitution (`_kronecker`).  A
 series carries a truncation bound ``trunc``: coefficients are known exactly
 for all grid exponents < trunc, and arithmetic propagates the correct
 validity window (division by a series with leading exponent o costs 2o grid
@@ -20,6 +25,7 @@ polynomial envelope would undershoot the true tail).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,6 +52,7 @@ class Envelope:
     def __init__(self, c: Fraction, a: Fraction):
         self.c = frac(c)
         self.a = frac(a)
+        self._tail = {}  # (N, precision) -> the two factors of tail_bound
 
     def bound_at(self, e: int):
         return mp.mpf(self.c.numerator) / self.c.denominator * mp.exp(
@@ -67,12 +74,26 @@ class Envelope:
         dominated by a geometric series with ratio x * exp(a / (2 sqrt(N))).
         """
         n = max(n_start, 1)
-        a = mp.mpf(self.a.numerator) / self.a.denominator
-        c = mp.mpf(self.c.numerator) / self.c.denominator
-        ratio = x * mp.exp(a / (2 * mp.sqrt(n)))
+        key = (n, mp.mp.prec)
+        if key not in self._tail:
+            a = mp.mpf(self.a.numerator) / self.a.denominator
+            c = mp.mpf(self.c.numerator) / self.c.denominator
+            self._tail[key] = (c * mp.exp(a * mp.sqrt(n)),
+                               mp.exp(a / (2 * mp.sqrt(n))))
+        growth, rate = self._tail[key]
+        ratio = x * rate
         if ratio >= 1:
             return mp.inf
-        return c * mp.exp(a * mp.sqrt(n)) * x ** n / (1 - ratio)
+        return growth * x ** n / (1 - ratio)
+
+
+def _integer(c) -> int:
+    """An integer coefficient; a Fraction must have denominator 1."""
+    if isinstance(c, int):
+        return int(c)
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    raise QSeriesError(f"coefficient {c!r} is not an integer")
 
 
 class QSeries:
@@ -81,7 +102,7 @@ class QSeries:
     def __init__(self, coeffs, trunc, envelope=None):
         cc = {}
         for e, c in coeffs.items():
-            c = frac(c)
+            c = _integer(c)
             if c != 0 and e < trunc:
                 cc[int(e)] = c
         self.coeffs = cc
@@ -97,12 +118,12 @@ class QSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, e: int) -> Fraction:
+    def coeff(self, e: int) -> int:
         if e >= self.trunc:
             raise QSeriesError(f"grid exponent {e} beyond validity {self.trunc}")
-        return self.coeffs.get(e, Fraction(0))
+        return self.coeffs.get(e, 0)
 
-    def q_coeff(self, p) -> Fraction:
+    def q_coeff(self, p) -> int:
         """Coefficient of q^p (p rational with denominator dividing 8)."""
         e = frac(p) * GRID
         if e.denominator != 1:
@@ -127,7 +148,7 @@ class QSeries:
         t = min(self.trunc, other.trunc)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return QSeries(out, t)
 
     __radd__ = __add__
@@ -142,28 +163,46 @@ class QSeries:
         return _coerce(other, self.trunc) - self
 
     def __mul__(self, other):
+        """Product by Kronecker substitution: both operands are packed on
+        their common exponent subgrid into one integer each, multiplied
+        once and unpacked (see `_kronecker`)."""
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         a, b = self, other
-        if a.is_zero() or b.is_zero():
-            t = min(a.trunc + b.min_exp, b.trunc + a.min_exp)
-            return QSeries({}, t)
         t = min(a.trunc + b.min_exp, b.trunc + a.min_exp)
-        out = {}
-        bi = b.items()
-        for ea, ca in a.coeffs.items():
-            for eb, cb in bi:
-                e = ea + eb
-                if e >= t:
-                    break
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return QSeries(out, t)
+        if a.is_zero() or b.is_zero():
+            return QSeries({}, t)
+        a0, b0 = a.min_exp, b.min_exp
+        step = math.gcd(*(e - a0 for e in a.coeffs),
+                        *(e - b0 for e in b.coeffs)) or 1
+        # only exponents below t contribute to the kept window
+        prod = _kronecker(a.dense(a0, t - b0, step),
+                          b.dense(b0, t - a0, step), -((a0 + b0 - t) // step))
+        return QSeries({a0 + b0 + step * k: c for k, c in enumerate(prod)}, t)
 
     __rmul__ = __mul__
 
+    def dense(self, start, stop, step):
+        """Coefficients at start, start + step, ... below stop; every
+        exponent of the series below stop must lie on that grid."""
+        out = [0] * -((start - stop) // step)
+        for e, c in self.coeffs.items():
+            if e < stop:
+                out[(e - start) // step] = c
+        return out
+
     def scale(self, s):
+        """Multiply by a rational s; the result must stay integral."""
         s = frac(s)
-        return QSeries({e: c * s for e, c in self.coeffs.items()}, self.trunc)
+        num, den = s.numerator, s.denominator
+        out = {}
+        for e, c in self.coeffs.items():
+            v, rem = divmod(c * num, den)
+            if rem:
+                raise QSeriesError(f"scaling by {s} leaves a fraction at "
+                                   f"grid exponent {e}")
+            out[e] = v
+        return QSeries(out, self.trunc)
 
     def shift(self, de: int):
         """Multiply by q^(de/8)."""
@@ -171,28 +210,33 @@ class QSeries:
                        self.trunc + de)
 
     def inverse(self):
+        """1 / self for a leading coefficient of +-1, by the power-series
+        recurrence on the exponent subgrid of self."""
         if self.is_zero():
             raise QSeriesError("division by zero series")
         o = self.min_exp
+        c0 = self.coeffs[o]
+        if c0 not in (1, -1):
+            raise QSeriesError(
+                f"inverse needs a leading coefficient of +-1, not {c0}")
         window = self.trunc - o
-        u = {e - o: c for e, c in self.coeffs.items()}
-        c0 = u[0]
-        v = [Fraction(0)] * window
-        v[0] = 1 / c0
-        nonzero = sorted(e for e in u if e > 0)
-        for k in range(1, window):
-            s = Fraction(0)
-            for e in nonzero:
-                if e > k:
+        step = math.gcd(*(e - o for e in self.coeffs)) or 1
+        u = self.dense(o, self.trunc, step)
+        nonzero = [j for j in range(1, len(u)) if u[j]]
+        v = [0] * len(u)
+        v[0] = c0
+        for k in range(1, len(u)):
+            s = 0
+            for j in nonzero:
+                if j > k:
                     break
-                s += u[e] * v[k - e]
-            if s:
-                v[k] = -s / c0
-        return QSeries({k - o: c for k, c in enumerate(v) if c}, window - o)
+                s += u[j] * v[k - j]
+            v[k] = -s * c0
+        return QSeries({step * k - o: c for k, c in enumerate(v)}, window - o)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(1) / frac(other))
+            return self.scale(1 / frac(other))
         return self * other.inverse()
 
     def __pow__(self, k: int):
@@ -209,7 +253,7 @@ class QSeries:
             if kk:
                 b = b * b
         if out is None:
-            return QSeries({0: Fraction(1)}, self.trunc - self.min_exp
+            return QSeries({0: 1}, self.trunc - self.min_exp
                            if not self.is_zero() else self.trunc)
         return out
 
@@ -224,10 +268,43 @@ class QSeries:
         return "\n".join(lines) + "\n"
 
 
+def _kronecker(xs, ys, count):
+    """The first `count` coefficients of the product of the integer
+    polynomials xs and ys (coefficient lists), by one big-integer product.
+
+    Every product coefficient is a sum of at most min(len) terms, so its
+    absolute value is below 2^(bits of max|x| + bits of max|y| + bits of
+    min(len)) <= 2^(8 width - 1).  Each list is packed into width-byte slots
+    (positive and negative parts separately, so each packing is one
+    `from_bytes`); after the product, adding 2^(8 width - 1) to each of the
+    low `count` slots makes every slot nonnegative and below 2^(8 width), so
+    the slots read off without carries.
+    """
+    count = min(count, len(xs) + len(ys) - 1)
+    width = (max(map(abs, xs)).bit_length() + max(map(abs, ys)).bit_length()
+             + min(len(xs), len(ys)).bit_length() + 8) // 8
+    prod = _pack(xs, width) * _pack(ys, width)
+    half = 1 << (8 * width - 1)
+    size = width * count
+    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    raw = ((prod + bias) & ((1 << 8 * size) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(raw[i:i + width], "little") - half
+            for i in range(0, size, width)]
+
+
+def _pack(cs, width):
+    """sum c_k 2^(8 width k) for integers |c_k| < 2^(8 width)."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in cs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero
+                   for c in cs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 def _coerce(x, trunc):
     if isinstance(x, QSeries):
         return x
-    return QSeries({0: frac(x)}, trunc)
+    return QSeries({0: x}, trunc)
 
 
 def one(trunc=DEFAULT_TRUNC):
@@ -283,14 +360,14 @@ def eisenstein(k: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
     """
     if k < 2 or k % 2:
         raise QSeriesError("Eisenstein index must be even and >= 2")
-    factor = Fraction(2) / (-bernoulli(k) / k)
+    # -24, 240 and -504 for k = 2, 4, 6; k = 12 (65520/691) raises
+    factor = _integer(2 / zeta_at_negative(k - 1))
     nmax = (trunc - 1) // GRID
     sums = _divisor_sums(k - 1, nmax)
-    coeffs = {0: Fraction(1)}
+    coeffs = {0: 1}
     for n in range(1, nmax + 1):
         coeffs[GRID * n] = factor * sums[n]
-    env = Envelope(Fraction(2 * abs(factor.numerator), factor.denominator),
-                   Fraction(k, 4))
+    env = Envelope(Fraction(2 * abs(factor)), Fraction(k, 4))
     return QSeries(coeffs, trunc, env)
 
 
@@ -306,10 +383,10 @@ def delta(trunc: int = DEFAULT_TRUNC) -> QSeries:
 @lru_cache(maxsize=None)
 def theta01(trunc: int = DEFAULT_TRUNC) -> QSeries:
     """Theta01 = sum_n (-1)^n q^(n^2/2): alternating-sign theta constant."""
-    coeffs = {0: Fraction(1)}
+    coeffs = {0: 1}
     n = 1
     while 4 * n * n < trunc:
-        coeffs[4 * n * n] = Fraction(2 if n % 2 == 0 else -2)
+        coeffs[4 * n * n] = 2 if n % 2 == 0 else -2
         n += 1
     return QSeries(coeffs, trunc, Envelope(Fraction(2), Fraction(1, 2)))
 
@@ -320,7 +397,7 @@ def theta10(trunc: int = DEFAULT_TRUNC) -> QSeries:
     coeffs = {}
     n = 0
     while (2 * n + 1) ** 2 < trunc:
-        coeffs[(2 * n + 1) ** 2] = Fraction(2)
+        coeffs[(2 * n + 1) ** 2] = 2
         n += 1
     return QSeries(coeffs, trunc, Envelope(Fraction(2), Fraction(1, 2)))
 
@@ -436,12 +513,6 @@ class IntegrandTerm:
     pi_pow: int = 0
     i_pow: int = 0
 
-    def coefficient_mpc(self):
-        c = mp.mpc(self.rat.numerator) / self.rat.denominator
-        c *= mp.pi ** self.pi_pow
-        c *= mp.mpc(0, 1) ** (self.i_pow % 4)
-        return c
-
 
 @lru_cache(maxsize=None)
 def s_transform_terms(n: int, trunc: int = DEFAULT_TRUNC) -> dict:
@@ -536,17 +607,3 @@ def evaluate_at_it(series: QSeries, t, dps: int = 30,
             raise QSeriesError("tail bound does not close at this t")
         guard = (abs_total + 1) * mp.mpf(10) ** (-dps - 5)
         return CertifiedValue(+total, +(tail + guard))
-
-
-def evaluate_terms_at_it(terms, t, dps: int = 30):
-    """Evaluate sum coeff * (it)^m * series(it) as a complex number."""
-    with mp.workdps(dps + 10):
-        z = mp.mpc(0, 1) * (mp.mpf(t.numerator) / t.denominator
-                            if isinstance(t, Fraction) else mp.mpf(t))
-        total = mp.mpc(0)
-        err = mp.mpf(0)
-        for term in terms:
-            ev = evaluate_at_it(term.series, t, dps=dps)
-            total += term.coefficient_mpc() * z ** term.z_power * ev.value
-            err += abs(term.coefficient_mpc() * z ** term.z_power) * ev.error
-        return total, err

@@ -21,9 +21,9 @@ from packbound.lpbound import (
 )
 from packbound.magic import ce_bound_from_function, taylor_quadratic
 from packbound.qseries import (
-    eisenstein, evaluate_at_it, evaluate_terms_at_it, leech_theta, psi_forms,
-    s_transform_terms,
+    eisenstein, evaluate_at_it, leech_theta, psi_forms, s_transform_terms,
 )
+from series_terms import evaluate_terms_at_it
 
 OPT8 = math.pi ** 4 / 384
 OPT24 = math.pi ** 12 / math.factorial(12)

@@ -138,6 +138,24 @@ def test_verify_lp_roundtrip(lp8_artifacts, capsys):
     assert json.loads(out)["certificate"]["status"] == "verified"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "poisson", "--name", "zn", "--n", "4", "--tolerance", "1e-05",
+     "--cutoff", "10"],
+    ["verify", "poisson", "--name", "e8", "--tolerance", "1e-09"],
+    ["verify", "lp", "--cert", "LP8"],
+], ids=["poisson-zn", "poisson-e8", "lp"])
+def test_replay_reproduces_artifact(argv, lp8_artifacts, tmp_path):
+    """Each artifact's `replay` command writes the same artifact with the
+    same exit code (`magic check`'s replay is criterion 9's cold run)."""
+    argv = [str(lp8_artifacts[30]) if a == "LP8" else a for a in argv]
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    code = dispatch([*argv, "--out", str(first)])
+    program, *replay = shlex.split(json.loads(first.read_text())["replay"])
+    assert program == "packbound"
+    assert dispatch([*replay, "--out", str(second)]) == code == EXIT_OK
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_verify_lp_tampering_refuted(lp8_artifacts, tmp_path, capsys):
     doc = json.loads(lp8_artifacts[30].read_text())
     cert = LpCertificate.from_dict(doc["certificate"])

@@ -7,9 +7,10 @@ import pytest
 
 from packbound.lattices import SymbolicVolume
 from packbound.magic import (
-    MagicError, MagicFunctionSpec, ce_bound_from_function, legendre_nodes,
-    magic_spec, radial_fourier_oracle, taylor_quadratic,
+    MagicError, MagicFunctionSpec, _NodeSeries, ce_bound_from_function,
+    legendre_nodes, magic_spec, radial_fourier_oracle, taylor_quadratic,
 )
+from packbound.qseries import conjugate_psi_minus, psi_forms
 
 
 def test_legendre_nodes_integrate_polynomial():
@@ -462,6 +463,31 @@ def test_sweep_decays_within_stated_units(spec8):
                     assert abs(e - exact) <= units, (k, v)
                     worst = max(worst, abs(e - exact))
     assert worst > 1  # the products do round
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_uside_series_within_stated_roundoff(n, request):
+    # the fixed-point series values at the nodes of the first panel, where
+    # the round-off is largest, against the exact coefficients at 300 more
+    # bits
+    spec = request.getfixturevalue(f"spec{n}")
+    series = [psi_forms(n)["psi_plus"], conjugate_psi_minus(n)]
+    fixed = _NodeSeries(series, spec.uside_plus.fix)
+    worst = 0
+    for part, order in zip(spec.uside_plus.nodes, spec.quad_orders):
+        for v in part[:order:3]:
+            with mp.workdps(spec.dps + 10):
+                u = -1 / v
+            _, values = fixed.at(u)
+            with mp.workprec(fixed.prec + 300):
+                y = mp.exp(-mp.pi * u / 4)
+                for s, (got, bound) in zip(series, values):
+                    exact = mp.ldexp(mp.fsum(c * y ** e for e, c in s.items()),
+                                     fixed.prec)
+                    assert abs(got - exact) <= bound, (u, s.min_exp)
+                    worst = max(worst, abs(got - exact) / bound)
+    # the bound is sharp enough that one understated 2^8-fold fails
+    assert worst > mp.mpf(2) ** -6
 
 
 def _tside_reference(table, pi_r2, dps):

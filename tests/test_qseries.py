@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -5,10 +6,11 @@ import pytest
 
 from packbound.qseries import (
     GRID, QSeries, QSeriesError, bernoulli, conjugate_psi_minus,
-    delta, eisenstein, evaluate_at_it, evaluate_terms_at_it, leech_theta,
+    delta, eisenstein, evaluate_at_it, leech_theta,
     named_form, one, psi_forms, q_power, s_transform_terms, theta01, theta10,
     zeta_at_negative,
 )
+from series_terms import evaluate_terms_at_it
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -247,21 +249,129 @@ def test_csv_dump():
     assert lines[1] == "1,2,1"
 
 
+# sha256 of dump_csv() as the rational-coefficient implementation wrote it
+DUMP_SHA256 = {
+    ("delta", 300):
+        "f9e81a2d57fd37e7c75373f8b1f4a10c6deeec0f58641025beb5ebc8de8b4f4a",
+    ("theta01", 300):
+        "dc09e8d0a94ec03e0a02c67dc3eb688254631d338fcaeea63ca0aa581301dfd5",
+    ("theta10", 300):
+        "04c8f55174658447b3e700d2c18e3312b654f65d9b58be14f651f4eb45653b3c",
+    ("leech_theta", 300):
+        "a33fb423c163b58ee6b4999d857a63f8759c92c48efd8b71ea11a916c676915b",
+    ("e2", 300):
+        "56d21bdb7f06a36f9692bd401235f1f94ad8ab821977028e3344e8506eb4426a",
+    ("e4", 300):
+        "cb6475bfcf0ca2915bc0eb2190b29ece37f0f3a446e0e50ec87b520f2c09a9de",
+    ("e6", 300):
+        "a37fb6b5ab25855b9ebbf1ae88dc937e7de05a751c90614db4e427ff337677e6",
+    ("psi8_plus", 300):
+        "46f5a58a9658a550552e270d427ca179be629e50f6e4b6c5eefa6794a1aaf32e",
+    ("psi8_minus", 300):
+        "6cdb883a6f8c051931bca11060360078340ff10017f248c816a292da2dfda3d4",
+    ("psi24_plus", 300):
+        "48bd94ee53d4e83e71df25a56036eee468d884dfc65a9a52bdb072c92c3e720d",
+    ("psi24_minus", 300):
+        "18aac60edf41bbfed3d7f128e8453593167c00e872542bd000ae2ea2b8d9963c",
+    ("psi8_plus", 900):
+        "27a73f55a69362513bf4ac9662ef835013cfc32c9733c203a082f6e373ba4beb",
+    ("psi24_plus", 900):
+        "bff11c199534f83f47355979aff7a6790ba8207d26a10696d51fd7b2b4324228",
+}
+
+
+@pytest.mark.parametrize("name, trunc", sorted(DUMP_SHA256))
+def test_dump_csv_pinned(name, trunc):
+    text = named_form(name, trunc).dump_csv().encode()
+    assert hashlib.sha256(text).hexdigest() == DUMP_SHA256[name, trunc]
+
+
+# -- the integer ring ---------------------------------------------------------
+
+def schoolbook(a, b):
+    """The product by the direct integer convolution, on the same validity
+    window as QSeries.__mul__."""
+    t = min(a.trunc + b.min_exp, b.trunc + a.min_exp)
+    out = {}
+    for ea, ca in a.coeffs.items():
+        for eb, cb in b.coeffs.items():
+            if ea + eb < t:
+                out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return QSeries(out, t)
+
+
+def test_mixed_subgrid_product():
+    # Theta01 lives on multiples of 4, Theta10 on the odd squares; unequal
+    # truncations cut the product at the shorter window
+    for a, b in ((theta01(300), theta10(300)), (theta01(200), theta10(120)),
+                 (theta01(120) ** 3, theta10(200) ** 5)):
+        assert a * b == schoolbook(a, b)
+        assert (a * b).trunc == min(a.trunc + b.min_exp, b.trunc + a.min_exp)
+
+
+def test_laurent_product():
+    inv = delta(200).inverse()
+    assert inv.min_exp < 0
+    for b in (eisenstein(4, 150), theta10(90), inv):
+        assert inv * b == schoolbook(inv, b)
+
+
+def test_zero_product_keeps_window():
+    z = QSeries({}, 50)
+    assert z * theta10(80) == QSeries({}, 51)
+
+
+def test_rational_coefficient_raises():
+    with pytest.raises(QSeriesError):
+        QSeries({0: Fraction(1, 7)}, 10)
+
+
+def test_inexact_division_raises():
+    s = one(40) * 14 + q_power(1, 40) * 7
+    assert s / 7 == one(40) * 2 + q_power(1, 40)
+    with pytest.raises(QSeriesError):
+        (s + 1) / 7
+    with pytest.raises(QSeriesError):
+        s.scale(Fraction(1, 3))
+
+
+def test_non_unit_inverse_raises():
+    with pytest.raises(QSeriesError):
+        (one(40) * 2 + q_power(1, 40)).inverse()
+    assert (q_power(1, 40) - 1).inverse().q_coeff(0) == -1
+
+
 if HAVE_HYPOTHESIS:
     small_series = st.builds(
-        lambda d: QSeries({e: Fraction(c, 7) for e, c in d.items()}, 40),
+        lambda d: QSeries(d, 40),
         st.dictionaries(st.integers(min_value=0, max_value=12),
                         st.integers(min_value=-20, max_value=20), max_size=6))
+
+    # Laurent series on a subgrid: exponents offset + step * k, coefficients
+    # wide enough to need multi-byte slots, truncations of their own
+    laurent_series = st.builds(
+        lambda offset, step, d, trunc: QSeries(
+            {offset + step * k: c for k, c in d.items()}, offset + trunc),
+        st.integers(min_value=-16, max_value=8), st.sampled_from((1, 2, 4, 8)),
+        st.dictionaries(st.integers(min_value=0, max_value=30),
+                        st.integers(min_value=-2 ** 90, max_value=2 ** 90),
+                        min_size=1, max_size=12),
+        st.integers(min_value=1, max_value=120))
+
+    @given(laurent_series, laurent_series)
+    @settings(max_examples=200, deadline=None)
+    def test_kronecker_equals_schoolbook(a, b):
+        assert a * b == schoolbook(a, b)
 
     @given(small_series, small_series)
     @settings(max_examples=50, deadline=None)
     def test_mul_commutes(a, b):
         assert a * b == b * a
 
-    @given(small_series)
+    @given(small_series, st.sampled_from((1, -1)))
     @settings(max_examples=50, deadline=None)
-    def test_inverse_roundtrip_property(a):
-        a = a + one(40)  # force a unit
+    def test_inverse_roundtrip_property(a, unit):
+        a = QSeries({**a.coeffs, 0: unit}, a.trunc)  # a unit constant term
         prod = a * a.inverse()
         assert prod.q_coeff(0) == 1
         assert all(c == 0 for e, c in prod.coeffs.items() if e != 0)
