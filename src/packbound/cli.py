@@ -243,21 +243,15 @@ def _cmd_lpbound(args, cfg):
         if key != "bound":
             code = EXIT_INCONCLUSIVE
     else:
-        # nothing on these paths certifies the sign conditions, so f(0)
+        # nothing on this path certifies the sign conditions, so f(0)
         # times the ball volume is reported as an estimate, not a bound,
         # with the sign sweep that says whether it is vacuous
-        res = lp.estimate(dim, degree, args.method, cfg.precision)
-        payload = {"n": dim, "d": res["d"], "method": args.method,
+        res = lp.estimate(dim, degree, cfg.precision)
+        payload = {"n": dim, "d": res["d"], "method": "newton",
                    "estimate": res["estimate"], "f0": float(res["f0"]),
                    "certificate_status": "uncertified",
                    "violations": res["violations"],
                    "feasible": res["feasible"]}
-        if args.method == "forced":
-            payload.update(residual=_nstr(res["residual"], 3),
-                           condition=_nstr(res["condition"], 3))
-        else:
-            payload.update(roots_f=res["roots_f"],
-                           roots_fhat=res["roots_fhat"])
         key = "estimate"
     if dim in (8, 24) and key:
         opt = density(standard_lattice("e8" if dim == 8 else "leech"))
@@ -346,7 +340,7 @@ def build_parser():
                    choices=("run",))
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--method", choices=("sampled", "forced", "newton"),
+    p.add_argument("--method", choices=("sampled", "newton"),
                    default="sampled")
     p.add_argument("-o", "--out")
 

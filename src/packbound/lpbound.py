@@ -1,9 +1,8 @@
 """The numerical pipeline for the linear-programming density bound:
 Laguerre-parametrized test functions; a sampled LP, solved by exact dual
-simplex, whose solution an exact Sturm check proves feasible; and the
-forced-root linear solve and the least-squares projection of the optimal
-function onto the family (both uncertified, so they give estimates, not
-bounds).
+simplex, whose solution an exact Sturm check proves feasible; and, in
+dimensions 8 and 24, the least-squares projection of the optimal function
+onto the family (uncertified, so it gives an estimate, not a bound).
 
 Normalization: throughout this module the minimal root is scaled to r1 = 1,
 so a feasible function certifies density <= f(0) * vol(B_n(1/2)).
@@ -18,9 +17,9 @@ so f(0) = p(0), b >= 0 keeps the transform positive, and f <= 0 for r >= 1
 is p <= 0 on y >= pi.  The sampled LP solves for exact rational b, so p and
 p(0) are exact, and it proves the sign condition on [PI_LO, inf) for the
 rational PI_LO just below pi: p(PI_LO) < 0 and a Sturm count of no root of
-p beyond PI_LO.  The forced solve and the projection give b in mpmath
-floats; their rows evaluate L_k by the three-term recurrence, which stays
-accurate where the monomial form of p cancels (y near 200, r = 8).
+p beyond PI_LO.  The projection gives b in mpmath floats; its rows
+evaluate L_k by the three-term recurrence, which stays accurate where the
+monomial form of p cancels (y near 200, r = 8).
 """
 
 from __future__ import annotations
@@ -111,88 +110,72 @@ class RadialAnsatz:
         self.d = d
         self.alpha = mp.mpf(n) / 2 - 1  # a half-integer: exact
 
-    def f_rows(self, r, order=0):
-        """Row of f (order 0) or f' (1) at radius r."""
+    def f_rows(self, r):
+        """Row of f at radius r."""
         rv = mp.mpf(r)
         y = mp.pi * rv * rv
         ey = mp.exp(-y)
-        lag = laguerre_all(self.d, self.alpha, y)
-        if order == 0:
-            return [lk * ey for lk in lag]
-        # d/dy L_k^a(y) = -L_(k-1)^(a+1)(y)
-        lag1 = [0] + laguerre_all(self.d - 1, self.alpha + 1, y)
-        scale = -2 * mp.pi * rv * ey
-        return [scale * (l1 + lk) for l1, lk in zip(lag1, lag)]
+        return [lk * ey for lk in laguerre_all(self.d, self.alpha, y)]
 
-    def fhat_rows(self, u, order=0):
-        """Row of the transform (order 0) or its u-derivative (1) at u."""
+    def fhat_rows(self, u):
+        """Row of the transform at u."""
         uv = mp.mpf(u)
         z = mp.pi * uv * uv
         ez = mp.exp(-z)
         powers = [mp.mpf(1)]  # z^k / k!
         for k in range(1, self.d + 1):
             powers.append(powers[-1] * z / k)
-        if order == 0:
-            return [zk * ez for zk in powers]
-        scale = 2 * mp.pi * uv * ez
-        return [scale * (zl - zk) for zl, zk in zip([0] + powers, powers)]
+        return [zk * ez for zk in powers]
 
     @staticmethod
     def _combine(b, row):
         return row[0] + sum(bk * rk for bk, rk in zip(b, row[1:]))
 
     def f_value(self, b, r):
-        return self._combine(b, self.f_rows(r, 0))
-
-    def f_deriv(self, b, r):
-        return self._combine(b, self.f_rows(r, 1))
+        return self._combine(b, self.f_rows(r))
 
     def fhat_value(self, b, u):
-        return self._combine(b, self.fhat_rows(u, 0))
+        return self._combine(b, self.fhat_rows(u))
 
 
 # ---------------------------------------------------------------------------
 # Sampled LP
 # ---------------------------------------------------------------------------
 
-def default_samples(n: int, d: int, r_max=8.0, count=96, cluster_roots=12):
-    """Geometric grid on [1, r_max] plus clusters at the first expected root
-    locations (the normalized vector lengths sqrt(2j)/r1), where the
-    optimal profile nearly touches zero and naive grids sample poorly."""
+# the default sample set: a geometric grid of SAMPLE_COUNT radii on
+# [1, SAMPLE_R_MAX] plus clusters at the first CLUSTER_ROOTS vector lengths
+SAMPLE_R_MAX = 8.0
+SAMPLE_COUNT = 96
+CLUSTER_ROOTS = 12
+# entries of an LP row below 2^-ROW_FLOOR_BITS of its largest are dropped
+ROW_FLOOR_BITS = 50
+
+
+def default_samples(n: int):
+    """Geometric grid on [1, SAMPLE_R_MAX] plus clusters at the first
+    expected root locations (the normalized vector lengths sqrt(2j)/r1),
+    where the optimal profile nearly touches zero and naive grids sample
+    poorly."""
     pts = set()
-    for i in range(count):
-        pts.add(round(r_max ** (i / (count - 1)), 9))
-    r1_sq = 2 if n == 8 else (4 if n == 24 else 2)
-    for j in range(1, cluster_roots + 1):
+    for i in range(SAMPLE_COUNT):
+        pts.add(round(SAMPLE_R_MAX ** (i / (SAMPLE_COUNT - 1)), 9))
+    r1_sq = 4 if n == 24 else 2
+    for j in range(1, CLUSTER_ROOTS + 1):
         root = math.sqrt(2 * j / r1_sq)
-        if root > r_max:
+        if root > SAMPLE_R_MAX:
             break
         for eps in (-0.012, -0.004, 0.0, 0.004, 0.012):
-            if 1 <= root + eps <= r_max:
+            if 1 <= root + eps <= SAMPLE_R_MAX:
                 pts.add(round(root + eps, 9))
     return sorted(pts)
 
 
-def default_schedule(n: int, d: int):
-    """Double-root placements at the normalized vector lengths for the
-    forced solve of degree d: the function side starts at the second length
-    (the first carries the simple root), the transform side at the first."""
-    r1_sq = 2 if n == 8 else 4
-    pairs = (d - 1) // 2
-    k_f = (pairs + 1) // 2
-    k_h = pairs - k_f
-    base = r1_sq // 2
-    roots_f = [(2 * (base + 1 + j) / r1_sq) ** 0.5 for j in range(k_f)]
-    roots_h = [(2 * (base + j) / r1_sq) ** 0.5 for j in range(k_h)]
-    return roots_f, roots_h
-
-
-def _dyadic_row(values, rel_floor_bits=50):
+def _dyadic_row(values):
     """Exact dyadic rationalization of a row, flushing entries below the
     row's relative floor to zero (keeps the exact LP's integers small)."""
     floats = [float(v) for v in values]
     top = max(abs(v) for v in floats) if floats else 0.0
-    floor = top * 2.0 ** (-rel_floor_bits)
+    floor = top * 2.0 ** -ROW_FLOOR_BITS
     return [Fraction(v) if abs(v) >= floor else Fraction(0) for v in floats]
 
 
@@ -299,7 +282,7 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     """
     _check_family(n, d)
     alpha = Fraction(n, 2) - 1
-    samples = list(samples) if samples is not None else default_samples(n, d)
+    samples = list(samples) if samples is not None else default_samples(n)
     # column equilibration: L_k grows like y^k, so the variables are
     # rescaled by powers of two to keep the exact LP's entries small
     # (b_k = scales[k-1] * x_k)
@@ -362,37 +345,8 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
 
 
 # ---------------------------------------------------------------------------
-# Forced roots and the collocation projection
+# The collocation projection
 # ---------------------------------------------------------------------------
-
-def forced_roots_solve(n: int, d: int, simple_root=1.0, double_roots_f=(),
-                       double_roots_fhat=(), dps=50):
-    """Square linear solve for the b that force f(r1) = 0 and double roots
-    at the given radii of f and of the transform."""
-    count = 1 + 2 * len(double_roots_f) + 2 * len(double_roots_fhat)
-    if count != d:
-        raise LpError(f"constraint count {count} != degree {d}")
-    ans = RadialAnsatz(n, d)
-    with mp.workdps(dps):
-        rows = [ans.f_rows(simple_root, 0)]
-        for z in double_roots_f:
-            rows += [ans.f_rows(z, 0), ans.f_rows(z, 1)]
-        for w in double_roots_fhat:
-            rows += [ans.fhat_rows(w, 0), ans.fhat_rows(w, 1)]
-        m = mp.matrix([row[1:] for row in rows])
-        v = mp.matrix([-row[0] for row in rows])
-        try:
-            b = mp.lu_solve(m, v)
-        except ZeroDivisionError as exc:
-            raise LpError(f"singular root system: {exc}")
-        residual = max(abs(x) for x in (m * b - v))
-        try:
-            cond = mp.mnorm(m, 1) * mp.mnorm(m ** -1, 1)
-        except ZeroDivisionError:
-            cond = mp.inf
-        return {"b": [b[i] for i in range(d)], "residual": residual,
-                "condition": cond}
-
 
 def sign_sweep(ans, b):
     """Worst sign violations of the pair on a grid of step 1/64 up to r = 8
@@ -424,46 +378,39 @@ def _collocation_seed(ans):
     targets = []
     for j in range(1, 201):
         r = mp.mpf(j) * 5 / 200
-        row = ans.f_rows(r, 0)
+        row = ans.f_rows(r)
         rows.append(row[1:])
         targets.append(scale * spec.eval("f", s * r).value - row[0])
     for j in range(1, 81 if n == 24 else 1):
         u = mp.mpf(j) * 8 / 80
-        row = ans.fhat_rows(u, 0)
+        row = ans.fhat_rows(u)
         rows.append(row[1:])
         targets.append(spec.eval("f_hat", u / s).value - row[0])
     b = mp.qr_solve(mp.matrix(rows), mp.matrix(targets))[0]
     return [b[i] for i in range(ans.d)]
 
 
-def estimate(n: int, degree: int, method: str, dps: int) -> dict:
-    """One member of the family near the optimal function, at dps digits,
-    with its sign sweep.
+def estimate(n: int, degree: int, dps: int) -> dict:
+    """The collocation projection of the certified optimal function onto
+    the family, at dps digits, with its sign sweep; dimensions 8 and 24
+    only, since no optimal function is known elsewhere.
 
-    `newton` in dimension 8 or 24 takes the collocation projection of the
-    certified optimal function, which forces no roots; every other case
-    solves for the forced roots of default_schedule(n, degree) and reports
-    the solve's residual and condition number.  Nothing on this path
-    certifies the sign conditions, so f(0) * vol(B_n(1/2)) is reported as
-    an `estimate`, never as a bound.  `violations` holds the worst grid
-    violations of f <= 0 beyond the root and of fhat >= 0; `feasible`
-    records whether both stay within 1e-9.
+    Nothing here certifies the sign conditions, so f(0) * vol(B_n(1/2)) is
+    reported as an `estimate`, never as a bound.  `violations` holds the
+    worst grid violations of f <= 0 beyond the root and of fhat >= 0;
+    `feasible` records whether both stay within 1e-9.
     """
+    if n not in (8, 24):
+        raise LpError(f"the collocation estimate needs dimension 8 or 24, "
+                      f"not {n}")
     _check_family(n, degree)
-    roots_f, roots_fhat = default_schedule(n, degree)
-    d = 1 + 2 * (len(roots_f) + len(roots_fhat))
+    # the largest odd d <= degree, kept so that estimates and artifacts stay
+    d = 1 + 2 * ((degree - 1) // 2)
     ans = RadialAnsatz(n, d)
     with mp.workdps(dps):
-        if method == "newton" and n in (8, 24):
-            roots_f, roots_fhat = [], []
-            out = {"b": _collocation_seed(ans)}
-        else:
-            out = forced_roots_solve(n, d, 1.0, roots_f, roots_fhat, dps=dps)
-        f0 = ans.f_value(out["b"], 0)
-        out.update(
-            d=d, f0=f0,
-            roots_f=[float(t) for t in roots_f],
-            roots_fhat=[float(t) for t in roots_fhat],
+        b = _collocation_seed(ans)
+        f0 = ans.f_value(b, 0)
+        return dict(
+            b=b, d=d, f0=f0,
             estimate=float(f0) * ball_volume(n, Fraction(1, 4)).to_float(),
-            **sign_sweep(ans, out["b"]))
-    return out
+            **sign_sweep(ans, b))

@@ -632,12 +632,6 @@ class MagicFunctionSpec:
             e = abs(self._A) * p.error + abs(self._B) * m.error
             return CertifiedValue(v, e)
 
-    def eigenfunction(self, sign, r) -> CertifiedValue:
-        """Real-normalized eigenfunctions: -4 W(r) I_sign(r)."""
-        p, m = self.pair(r)
-        base = p if sign == "+" else m
-        return CertifiedValue(-4 * base.value, 4 * base.error)
-
     def derivative(self, side, r, h=None) -> CertifiedValue:
         """Central-difference radial derivative on certified values."""
         with mp.workdps(self.dps + 10):
@@ -701,43 +695,3 @@ def ce_bound_from_function(n, spec=None, certificate=None,
         f0 = spec.eval("f", 0)
         volv = ball_volume(n, Fraction(spec.r1_sq, 4)).mpf()
         return CertifiedValue(f0.value * volv, f0.error * volv)
-
-
-# ---------------------------------------------------------------------------
-# Independent radial Fourier transform (oracle)
-# ---------------------------------------------------------------------------
-
-def radial_fourier_oracle(n, sampler, u, dps=30, rmax=None, order=14):
-    """n-dimensional radial Fourier transform of a rapidly decaying radial
-    sampler, by direct Bessel-kernel quadrature.  Convention:
-    fhat(y) = int f(x) e^(-2 pi i x.y) dx.
-    """
-    with mp.workdps(dps + 10):
-        uv = mp.mpf(u)
-        if rmax is None:
-            rmax = mp.sqrt((dps + 10) * mp.log(10) / mp.pi) + 1
-        # panel width resolves the Bessel oscillation
-        width = mp.mpf(1) / (4 * (uv + 1))
-        xs, ws = legendre_nodes(order, dps)
-        nu = mp.mpf(n) / 2 - 1
-
-        def transform_integrand(r):
-            fr = sampler(r)
-            if uv == 0:
-                return fr * r ** (n - 1)
-            return fr * mp.besselj(nu, 2 * mp.pi * r * uv) \
-                * r ** (mp.mpf(n) / 2)
-
-        total = mp.mpf(0)
-        a = mp.mpf(0)
-        while a < rmax:
-            b = min(a + width, rmax)
-            half = (b - a) / 2
-            mid = (b + a) / 2
-            for x, w in zip(xs, ws):
-                total += w * half * transform_integrand(mid + half * x)
-            a = b
-        if uv == 0:
-            surface = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
-            return surface * total
-        return 2 * mp.pi * uv ** (-(mp.mpf(n) / 2 - 1)) * total

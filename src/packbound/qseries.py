@@ -16,8 +16,8 @@ The grid is the coarsest one housing both theta constants
 (Theta01 has exponents 4n^2, Theta10 has (2n+1)^2) together with the
 integer-exponent Eisenstein series and the discriminant form.
 
-Evaluation on the imaginary axis z = it is a plain exponential sum with a
-rigorous tail bound: every named series gets a coefficient envelope
+A sum over a series on the imaginary axis z = it gets a rigorous tail
+bound: every named series carries a coefficient envelope
 |c_E| <= C * exp(a * sqrt(E)), fitted with margin on the computed range and
 checked against it (eta-quotient coefficients grow subexponentially, so a
 polynomial envelope would undershoot the true tail).
@@ -560,7 +560,7 @@ def s_transform_terms(n: int, trunc: int = DEFAULT_TRUNC) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation on the imaginary axis
+# Certified values
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -573,37 +573,3 @@ class CertifiedValue:
 
     def within(self, target, tol) -> bool:
         return abs(self.value - target) <= tol + self.error
-
-
-DEFAULT_T_MIN = Fraction(1, 2)
-
-
-def evaluate_at_it(series: QSeries, t, dps: int = 30,
-                   t_min=DEFAULT_T_MIN) -> CertifiedValue:
-    """Evaluate the series at z = it (t > 0 real): sum c_E exp(-pi t E / 4).
-
-    The reported error covers the truncation tail (from the series envelope)
-    plus a crude working-precision guard.  Fails if t is below the validity
-    floor or if the envelope cannot close the tail.
-    """
-    if frac(t) < frac(t_min):
-        raise QSeriesError(f"t={t} below validity floor {t_min}")
-    with mp.workdps(dps + 10):
-        tv = mp.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) \
-            else mp.mpf(t)
-        x = mp.exp(-mp.pi * tv / 4)
-        total = mp.mpf(0)
-        abs_total = mp.mpf(0)
-        for e, c in series.items():
-            term = mp.mpf(c.numerator) / c.denominator * x ** e
-            total += term
-            abs_total += abs(term)
-        if series.envelope is not None:
-            series.envelope.check(series)
-            tail = series.envelope.tail_bound(series.trunc, x)
-        else:
-            tail = mp.inf
-        if not mp.isfinite(tail):
-            raise QSeriesError("tail bound does not close at this t")
-        guard = (abs_total + 1) * mp.mpf(10) ** (-dps - 5)
-        return CertifiedValue(+total, +(tail + guard))

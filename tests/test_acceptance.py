@@ -21,9 +21,9 @@ from packbound.lpbound import (
 )
 from packbound.magic import ce_bound_from_function, taylor_quadratic
 from packbound.qseries import (
-    eisenstein, evaluate_at_it, leech_theta, psi_forms, s_transform_terms,
+    eisenstein, leech_theta, psi_forms, s_transform_terms,
 )
-from series_terms import evaluate_terms_at_it
+from series_terms import evaluate_at_it, evaluate_terms_at_it
 
 OPT8 = math.pi ** 4 / 384
 OPT24 = math.pi ** 12 / math.factorial(12)
@@ -153,7 +153,7 @@ def test_criterion_7_lp_pipeline(lp8):
     ok &= res["certificate_status"] == "sturm-certified"
     ok &= OPT8 <= res["bound"] <= 1.5 * OPT8
     detail = f"sampled d=30 bound/optimal {res['bound'] / OPT8:.6f}"
-    refined = estimate(8, 45, "newton", 60)
+    refined = estimate(8, 45, 60)
     # the refinement is uncertified: an estimate close to the optimum,
     # never labelled a bound
     ok &= "bound" not in refined

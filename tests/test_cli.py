@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from packbound import cli
+from packbound import cli, lpbound
 from packbound.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig,
     build_parser, dispatch, output_format,
@@ -205,7 +205,6 @@ MALFORMED_CERTS = {
 @pytest.mark.parametrize("argv", [
     ["verify", "lp"],
     ["lpbound", "run", "--dim", "8", "--degree", "0"],
-    ["lpbound", "run", "--dim", "8", "--degree", "0", "--method", "forced"],
     ["lpbound", "run", "--dim", "8", "--degree", "-5", "--method", "newton"],
     ["lpbound", "run", "--dim", "3", "--degree", "0", "--method", "newton"],
     ["magic", "eval", "--dim", "8", "--r", "-1"],
@@ -239,7 +238,8 @@ MALFORMED_CERTS = {
     ["qseries", "show", "e4", "--terms", "0"],
     ["lpbound", "run", "--dim", "0", "--degree", "30"],
     ["lpbound", "run", "--dim", "-2", "--degree", "30"],
-    ["lpbound", "run", "--dim", "0", "--degree", "45", "--method", "forced"],
+    ["lpbound", "run", "--dim", "3", "--degree", "7", "--method", "newton"],
+    ["lpbound", "run", "--dim", "1", "--degree", "7", "--method", "newton"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
@@ -292,6 +292,7 @@ def test_format_not_written_is_usage_error(argv, monkeypatch, capsys):
     ["qseries", "show", "e4", "--csv"],
     ["magic", "check", "--dim", "8", "--report", "json"],
     ["verify", "magic", "--dim", "8"],
+    ["lpbound", "run", "--dim", "8", "--degree", "30", "--method", "forced"],
 ])
 def test_removed_format_flags_are_usage_errors(argv, capsys):
     assert dispatch(argv) == EXIT_USAGE
@@ -321,27 +322,33 @@ def test_lpbound_run_small(capsys):
     assert doc["method"] == "sampled"
 
 
-def test_lpbound_forced_small(capsys):
-    code, out = run(["--format", "json", "lpbound", "run", "--dim", "8",
-                     "--degree", "5", "--method", "forced"], capsys)
-    assert code == EXIT_OK
-    doc = json.loads(out)
-    assert doc["method"] == "forced"
-    assert float(doc["residual"]) < 1e-20
-    assert "bound" not in doc and "estimate" in doc
-
-
 @pytest.mark.parametrize("argv", [
-    ["--dim", "8", "--degree", "2", "--method", "forced"],
-    ["--dim", "3", "--degree", "7", "--method", "newton"],
+    ["--dim", "8", "--degree", "2", "--method", "newton"],
+    ["--dim", "24", "--degree", "2", "--method", "newton"],
 ])
 def test_lpbound_vacuous_estimate_reports_infeasible(argv, capsys):
+    # a degree-1 projection undercuts the optimum only because it breaks
+    # the sign conditions, and says so
     code, out = run(["--format", "json", "lpbound", "run"] + argv, capsys)
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["estimate"] < 0
+    assert doc["d"] == 1
+    assert doc["estimate_over_optimal"] < 1
     assert doc["feasible"] is False
     assert max(doc["violations"]) > 0
+
+
+def test_lpbound_newton_other_dimension_fails_before_work(monkeypatch,
+                                                          capsys):
+    # only dimensions 8 and 24 have an optimal function to project
+    monkeypatch.setattr(lpbound, "_collocation_seed",
+                        lambda *a: pytest.fail("projection ran"))
+    code = dispatch(["lpbound", "run", "--dim", "3", "--degree", "7",
+                     "--method", "newton"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "dimension 8 or 24" in captured.err
 
 
 @pytest.mark.slow

@@ -8,9 +8,10 @@ import pytest
 from packbound.lattices import SymbolicVolume
 from packbound.magic import (
     MagicError, MagicFunctionSpec, _NodeSeries, ce_bound_from_function,
-    legendre_nodes, magic_spec, radial_fourier_oracle, taylor_quadratic,
+    legendre_nodes, magic_spec, taylor_quadratic,
 )
 from packbound.qseries import conjugate_psi_minus, psi_forms
+from series_terms import eigenfunction, radial_fourier_oracle
 
 
 def test_legendre_nodes_integrate_polynomial():
@@ -131,12 +132,12 @@ def test_minus_eigenfunction_at_sqrt2(spec8):
     # the pole of the transform meets the double zero of the sine factor:
     # the limit is finite (zero value, transversal slope)
     with mp.workdps(70):
-        v = spec8.eigenfunction("-", mp.sqrt(2))
+        v = eigenfunction(spec8, "-", mp.sqrt(2))
         assert mp.isfinite(v.value)
         assert abs(v.value) < 1e-12
         h = mp.mpf("1e-4")
-        lo = spec8.eigenfunction("-", mp.sqrt(2) - h).value
-        hi = spec8.eigenfunction("-", mp.sqrt(2) + h).value
+        lo = eigenfunction(spec8, "-", mp.sqrt(2) - h).value
+        hi = eigenfunction(spec8, "-", mp.sqrt(2) + h).value
         extrapolated = (lo + hi) / 2
         assert abs(extrapolated - v.value) < 1e-6
         slope = (hi - lo) / (2 * h)
@@ -179,9 +180,9 @@ def test_eigenfunction_identities_sampled(spec8):
     with mp.workdps(30):
         for u in (mp.mpf(1), mp.sqrt(2), mp.mpf(2)):
             for sign, eig in (("+", 1), ("-", -1)):
-                direct = spec8.eigenfunction(sign, u).value
+                direct = eigenfunction(spec8, sign, u).value
                 oracle = radial_fourier_oracle(
-                    8, lambda r: spec8.eigenfunction(sign, r).value, u,
+                    8, lambda r: eigenfunction(spec8, sign, r).value, u,
                     dps=20, order=10)
                 assert abs(oracle - eig * direct) < 1e-4
 

@@ -6,11 +6,11 @@ import pytest
 
 from packbound.qseries import (
     GRID, QSeries, QSeriesError, bernoulli, conjugate_psi_minus,
-    delta, eisenstein, evaluate_at_it, leech_theta,
+    delta, eisenstein, leech_theta,
     named_form, one, psi_forms, q_power, s_transform_terms, theta01, theta10,
     zeta_at_negative,
 )
-from series_terms import evaluate_terms_at_it
+from series_terms import evaluate_at_it, evaluate_terms_at_it
 
 try:
     from hypothesis import given, settings, strategies as st
