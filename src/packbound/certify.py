@@ -19,10 +19,7 @@ import mpmath as mp
 
 from . import exact
 from .exact import frac, poly_eval
-from .lattices import (
-    LatticeDescription, covolume, dual_lattice, lattice_properties,
-    vectors_by_norm,
-)
+from .lattices import LatticeDescription, vectors_by_norm
 from .magic import magic_spec, taylor_quadratic
 
 
@@ -265,12 +262,12 @@ def certify_positive_tail(series, q_interval: RationalInterval,
 def _shell_count_bound(lat: LatticeDescription, table, quantum):
     """Envelope n(v) <= C * (v/quantum)^p valid beyond the computed range.
 
-    For coordinate lattices the crude ball bound 3^n (v)^~(n/2) is proven;
-    for the modular-form lattices the divisor-sum structure gives degree
-    n/2 - 1, fitted with margin on the computed range.
+    For Z^n (identity Gram matrix) the crude ball bound 3^n (v)^~(n/2) is
+    proven; for the modular-form lattices the divisor-sum structure gives
+    degree n/2 - 1, fitted with margin on the computed range.
     """
     n = lat.dimension
-    if lat.counting[0] == "diagonal":
+    if all(lat.gram[i][j] == (i == j) for i in range(n) for j in range(n)):
         return Fraction(3) ** n, Fraction(n, 2)
     p = Fraction(n, 2) - 1
     c = Fraction(1)
@@ -306,7 +303,8 @@ def _tail_bound(c, p, quantum, cutoff_norm, rate):
 
 def poisson_check(lat: LatticeDescription, sigma, cutoff: int,
                   dps: int = 40) -> dict:
-    """Residual of Poisson summation for the Gaussian exp(-pi |x|^2/sigma^2).
+    """Residual of Poisson summation for the Gaussian exp(-pi |x|^2/sigma^2)
+    on a unimodular lattice, which is its own dual with covolume 1.
 
     ``cutoff`` counts in theta-series index r (squared length 2r); both the
     lattice sum and the dual sum are truncated there, and explicit Gaussian
@@ -318,29 +316,22 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int,
         raise CertifyError(f"sigma is not a rational number: {exc}") from exc
     if sigma <= 0 or cutoff < 1:
         raise CertifyError("sigma must be positive and cutoff at least 1")
+    if not lat.is_unimodular():
+        raise CertifyError(
+            f"the Poisson check needs a unimodular lattice; "
+            f"{lat.name or 'this one'} has Gram determinant {lat.gram_det}")
     max_norm = Fraction(2 * cutoff)
     with mp.workdps(dps + 10):
         table = vectors_by_norm(lat, max_norm, budget=max_norm)
         quantum = lat.norm_quantum()
-        props = lattice_properties(lat)
-        cov = covolume(lat)
-        if props["unimodular"]:
-            dual_table = table
-            cov_value = mp.mpf(1)
-        else:
-            dual = dual_lattice(lat)
-            dual_table = vectors_by_norm(dual, max_norm, budget=max_norm)
-            cov_value = (mp.mpf(cov.coefficient.numerator)
-                         / cov.coefficient.denominator * mp.sqrt(cov.radicand))
         rate_g = mp.pi / (mp.mpf(sigma.numerator) / sigma.denominator) ** 2
         rate_gh = mp.pi * (mp.mpf(sigma.numerator) / sigma.denominator) ** 2
         sig_n = (mp.mpf(sigma.numerator) / sigma.denominator) ** lat.dimension
         s_lat = _lattice_sum(table, rate_g, dps)
-        s_dual = sig_n * _lattice_sum(dual_table, rate_gh, dps) / cov_value
+        s_dual = sig_n * _lattice_sum(table, rate_gh, dps)
         c, p = _shell_count_bound(lat, table, quantum)
         tail_lat = _tail_bound(c, p, quantum, max_norm, rate_g)
-        tail_dual = sig_n * _tail_bound(c, p, quantum, max_norm, rate_gh) \
-            / cov_value
+        tail_dual = sig_n * _tail_bound(c, p, quantum, max_norm, rate_gh)
         residual = abs(s_lat - s_dual) + tail_lat + tail_dual
         return {
             "residual": residual,

@@ -246,7 +246,7 @@ def _cmd_lpbound(args, cfg):
         # nothing on this path certifies the sign conditions, so f(0)
         # times the ball volume is reported as an estimate, not a bound,
         # with the sign sweep that says whether it is vacuous
-        res = lp.estimate(dim, degree, cfg.precision)
+        res = lp.estimate(dim, degree, cfg.precision, cfg.trunc)
         payload = {"n": dim, "d": res["d"], "method": "newton",
                    "estimate": res["estimate"], "f0": float(res["f0"]),
                    "certificate_status": "uncertified",

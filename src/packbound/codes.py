@@ -1,5 +1,5 @@
 """Binary linear codes: the length-8 Hamming code, the extended binary Golay
-code, weight enumeration, duality.
+code, weight enumeration, self-duality read off the generator.
 
 Codewords are stored as machine integers (bit i = coordinate i, i < length),
 so full enumeration of a dimension-k code walks 2^k XOR combinations.
@@ -83,11 +83,6 @@ class BinaryCode:
                 i += 1
             yield w
 
-    def contains(self, word: int) -> bool:
-        # in the code exactly when appending it leaves the rank at k
-        return _f2_rank([*self.generator, word], self.length) == \
-            self.dimension
-
     def generator_strings(self):
         return [_string_from_bits(row, self.length) for row in self.generator]
 
@@ -166,49 +161,16 @@ def weight_enumerator(code: BinaryCode) -> WeightEnumerator:
     return WeightEnumerator(tuple(sorted(counts.items())))
 
 
-def dual_code(code: BinaryCode) -> BinaryCode:
-    """Generator of {y : x.y = 0 mod 2 for all codewords x}; dimension n-k."""
-    n = code.length
-    # nullspace of the generator matrix over F2, computed by eliminating
-    # the k x n system row-reduced to pivot/free columns
-    rows = list(code.generator)
-    pivots = []
-    reduced = []
-    for row in rows:
-        cur = row
-        for p, r in zip(pivots, reduced):
-            if cur >> p & 1:
-                cur ^= r
-        if cur == 0:
-            continue
-        p = min(i for i in range(n) if cur >> i & 1)
-        for j, (pj, rj) in enumerate(zip(pivots, reduced)):
-            if rj >> p & 1:
-                reduced[j] = rj ^ cur
-        pivots.append(p)
-        reduced.append(cur)
-    free_cols = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free_cols:
-        y = 1 << f
-        for p, r in zip(pivots, reduced):
-            # parity of row r restricted to free column f plus pivot solve
-            if r >> f & 1:
-                y |= 1 << p
-        basis.append(y)
-    return BinaryCode(n, n - code.dimension, tuple(basis))
-
-
-def same_code(a: BinaryCode, b: BinaryCode) -> bool:
-    """Equality of codeword sets."""
-    if a.length != b.length or a.dimension != b.dimension:
-        return False
-    return all(b.contains(row) for row in a.generator)
-
-
 def code_properties(code: BinaryCode) -> dict:
-    """self_dual: equals its dual as a set; doubly_even: 4 | every weight."""
+    """self_dual: equals its dual; doubly_even: 4 | every weight.
+
+    The code lies in its dual exactly when every pair of generator rows has
+    an even overlap, and the dual has dimension n - k, so the code is
+    self-dual exactly when, in addition, 2k = n.
+    """
     wts = weight_enumerator(code).as_dict()
     doubly_even = all(w % 4 == 0 for w in wts)
-    self_dual = same_code(code, dual_code(code))
+    rows = code.generator
+    self_dual = 2 * code.dimension == code.length and all(
+        bin(a & b).count("1") % 2 == 0 for a in rows for b in rows)
     return {"self_dual": self_dual, "doubly_even": doubly_even}

@@ -55,10 +55,6 @@ def mat_identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_det(a):
     """Determinant by fraction Gaussian elimination."""
     n = len(a)
@@ -82,29 +78,6 @@ def mat_det(a):
                 f = m[r][col] * inv
                 m[r] = [m[r][j] - f * m[col][j] for j in range(n)]
     return det
-
-
-def mat_inverse(a):
-    """Exact inverse over Q; raises ValueError if singular."""
-    n = len(a)
-    m = [[frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [m[r][j] - f * m[col][j] for j in range(2 * n)]
-    return [row[n:] for row in m]
 
 
 def mat_is_integral(a) -> bool:

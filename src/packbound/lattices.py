@@ -7,8 +7,10 @@ Conventions
 A lattice is stored as an integer matrix ``scaled_basis`` whose rows, scaled
 by ``2**(-scale_exp/2)``, form a basis of the true lattice.  The Gram matrix
 of the true basis is therefore the exact rational matrix
-``scaled_basis @ scaled_basis.T / 2**scale_exp``.  All lattices built here
-live in a dyadic frame, so duals stay representable.
+``scaled_basis @ scaled_basis.T / 2**scale_exp``, and its determinant is
+det(scaled_basis)^2 / 2^(scale_exp * n), computed once when the lattice is
+built (the bases built here are triangular, so the elimination has
+nothing to eliminate).
 
 Vector counting never lists vectors.  Z^n, the Construction-A lifts and the
 Leech lattice are each a union of code cosets
@@ -17,8 +19,9 @@ squared length w.w/D, and one counter (``_count_cosets``) extracts their
 counts by squared length from per-coordinate generating polynomials, grouped
 by codeword weight.  Z^n is the zero code with M = D = 1, Construction A has
 M = D = 2, and the Leech glue has M = 4, D = 8 and S = 8, the sum condition
-encoding the two glue conditions.  Duals and other lattices are counted by
-exact recursive enumeration.
+encoding the two glue conditions.  The coset data, the code's weight
+enumerator included, is fixed when the lattice is built (``Cosets``).
+Other lattices are counted by exact recursive enumeration.
 """
 
 from __future__ import annotations
@@ -27,13 +30,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 
-from .codes import BinaryCode, golay24, hamming8, weight_enumerator, zero_code
+from .codes import (
+    BinaryCode, WeightEnumerator, golay24, hamming8, weight_enumerator,
+    zero_code,
+)
 from .exact import (
-    frac, hermite_row_basis, mat_det, mat_identity, mat_inverse,
-    mat_is_integral, mat_transpose, sqrt_decompose,
+    frac, hermite_row_basis, mat_det, mat_identity, mat_is_integral,
+    sqrt_decompose,
 )
 
 
@@ -162,17 +169,32 @@ def ball_volume(n: int, sq_radius) -> SymbolicVolume:
 # Lattice descriptions
 # ---------------------------------------------------------------------------
 
+class Cosets(NamedTuple):
+    """A lattice as the union over ``parts`` (offset, step, target) of
+    {w in Z^n : w = offset + step*c mod modulus for some codeword c,
+    sum(w) = target mod sum_mod}, with squared length w.w/denom; ``weights``
+    is the code's weight enumerator."""
+
+    weights: WeightEnumerator
+    modulus: int
+    denom: int
+    parts: tuple
+    sum_mod: int = 1
+
+
 @dataclass(frozen=True)
 class LatticeDescription:
     dimension: int
     scale_exp: int
     scaled_basis: tuple  # rows of ints; true basis = rows * 2^(-scale_exp/2)
     gram: tuple          # rows of Fractions
+    gram_det: Fraction   # det(gram), fixed when the lattice is built
     name: str = ""
-    counting: tuple = ("generic",)
+    counting: Cosets = None  # None: recursive enumeration
 
-    def true_gram_det(self) -> Fraction:
-        return mat_det([list(r) for r in self.gram])
+    def is_unimodular(self) -> bool:
+        """Integral with determinant 1: the lattice is its own dual."""
+        return mat_is_integral(self.gram) and self.gram_det == 1
 
     def norm_quantum(self) -> Fraction:
         """Rational g with every squared vector length in g*Z."""
@@ -204,7 +226,7 @@ class LatticeDescription:
         }, sort_keys=True)
 
 
-def _make_lattice(rows, scale_exp, name="", counting=("generic",)):
+def _make_lattice(rows, scale_exp, name="", counting=None):
     n = len(rows)
     rows = tuple(tuple(int(x) for x in r) for r in rows)
     two_s = 2 ** scale_exp
@@ -212,10 +234,10 @@ def _make_lattice(rows, scale_exp, name="", counting=("generic",)):
         tuple(Fraction(sum(rows[i][k] * rows[j][k] for k in range(n)), two_s)
               for j in range(n))
         for i in range(n))
-    det = mat_det([list(r) for r in gram])
-    if det <= 0:
+    det = mat_det(rows) ** 2 / two_s ** n
+    if det == 0:
         raise LatticeError("degenerate basis")
-    return LatticeDescription(n, scale_exp, rows, gram, name=name,
+    return LatticeDescription(n, scale_exp, rows, gram, det, name=name,
                               counting=counting)
 
 
@@ -254,7 +276,8 @@ def construction_a(code: BinaryCode, name="") -> LatticeDescription:
     basis = hermite_row_basis(gens)
     if len(basis) != n:
         raise LatticeError("degenerate generator")
-    return _make_lattice(basis, 1, name=name, counting=("construction_a", code))
+    return _make_lattice(basis, 1, name=name, counting=Cosets(
+        weight_enumerator(code), 2, 2, ((0, 1, 0),)))
 
 
 def _build_leech_from_shift(shift_scale: int) -> LatticeDescription:
@@ -262,7 +285,9 @@ def _build_leech_from_shift(shift_scale: int) -> LatticeDescription:
     u = shift_scale*(1,...,1) + 4*e1, in the w = 2*sqrt(2)*x frame.
 
     The span is the even part {w = 2c mod 4, sum(w) = 0 mod 8} glued with
-    u (index 2: 2u lands back in the even part for every integer scale).
+    u (index 2: 2u lands back in the even part for every integer scale),
+    so it is counted as that part and its coset u + 2c mod 4 with
+    sum(w) = sum(u) mod 8.
     """
     code = golay24()
     n = 24
@@ -282,8 +307,9 @@ def _build_leech_from_shift(shift_scale: int) -> LatticeDescription:
     basis = hermite_row_basis(gens)
     if len(basis) != n:
         raise LatticeError("Leech candidate basis degenerate")
-    return _make_lattice(basis, 3, name="leech",
-                         counting=("leech_glue", shift_scale))
+    return _make_lattice(basis, 3, name="leech", counting=Cosets(
+        weight_enumerator(code), 4, 8,
+        ((0, 2, 0), (shift_scale, 2, sum(u))), sum_mod=8))
 
 
 _LATTICE_CACHE = {}
@@ -299,8 +325,8 @@ def standard_lattice(name: str, n: int = None) -> LatticeDescription:
     if name == "zn":
         if not n or n < 1:
             raise LatticeError("zn requires a dimension")
-        lat = _make_lattice(mat_identity(n), 0, name=f"z{n}",
-                            counting=("diagonal",))
+        lat = _make_lattice(mat_identity(n), 0, name=f"z{n}", counting=Cosets(
+            weight_enumerator(zero_code(n)), 1, 1, ((0, 0, 0),)))
     elif name == "e8":
         lat = construction_a(hamming8(), name="e8")
     elif name == "l24":
@@ -317,27 +343,12 @@ def standard_lattice(name: str, n: int = None) -> LatticeDescription:
 
 
 # ---------------------------------------------------------------------------
-# Covolume, dual, density
+# Covolume, density
 # ---------------------------------------------------------------------------
 
 def covolume(lat: LatticeDescription) -> SymbolicVolume:
     """sqrt(det(gram)), exact (rational times a square root)."""
-    return SymbolicVolume.from_sqrt(lat.true_gram_det())
-
-
-def dual_lattice(lat: LatticeDescription) -> LatticeDescription:
-    """Inverse-transpose basis; covolume(dual) * covolume(lat) = 1."""
-    s = lat.scale_exp
-    inv_t = mat_transpose(mat_inverse([list(r) for r in lat.scaled_basis]))
-    # dual true basis = inv_t * 2^(s/2); find minimal s' >= 0 of the same
-    # parity with inv_t * 2^((s+s')/2) integral
-    for s_dual in range(s % 2, s % 2 + 65, 2):
-        scale = 2 ** ((s + s_dual) // 2)
-        scaled = [[x * scale for x in row] for row in inv_t]
-        if mat_is_integral(scaled):
-            rows = [[int(x) for x in row] for row in scaled]
-            return _make_lattice(rows, s_dual, name=f"{lat.name}*" if lat.name else "")
-    raise LatticeError("dual not representable in a dyadic frame")
+    return SymbolicVolume.from_sqrt(lat.gram_det)
 
 
 def density(lat: LatticeDescription) -> SymbolicVolume:
@@ -351,18 +362,16 @@ def density(lat: LatticeDescription) -> SymbolicVolume:
 # Vector counting
 # ---------------------------------------------------------------------------
 
-def _count_cosets(code: BinaryCode, modulus: int, denom: int, parts,
-                  max_norm: Fraction, sum_mod: int = 1):
-    """Counts by squared length w.w/denom of the union over ``parts``
-    (offset, step, target) of {w in Z^n : w = offset + step*c mod modulus
-    for some codeword c, sum(w) = target mod sum_mod}.
+def _count_cosets(n: int, cosets: Cosets, max_norm: Fraction):
+    """Counts by squared length of the length-n union of code cosets
+    ``cosets`` describes.
 
     The per-coordinate factor depends only on the codeword bit, so cosets
     are grouped by codeword weight.  Each factor is the multiset of
     (m^2, m mod sum_mod) over m in the coordinate's residue class.
     """
+    weights, modulus, denom, parts, sum_mod = cosets
     limit = int(denom * max_norm)
-    weights = weight_enumerator(code).as_dict()
     counts = {}
     for offset, step, target in parts:
         factors = []
@@ -374,9 +383,9 @@ def _count_cosets(code: BinaryCode, modulus: int, denom: int, parts,
                     key = (m * m, m % sum_mod)
                     factor[key] = factor.get(key, 0) + 1
             factors.append(factor)
-        for w, mult in weights.items():
+        for w, mult in weights.counts:
             state = {(0, 0): 1}
-            for factor in [factors[1]] * w + [factors[0]] * (code.length - w):
+            for factor in [factors[1]] * w + [factors[0]] * (n - w):
                 nxt = {}
                 for (e, s), cval in state.items():
                     for (de, dm), fcnt in factor.items():
@@ -446,18 +455,8 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
             f"cutoff {max_norm} exceeds enumeration budget {budget}")
     if lat.dimension > 24:
         raise EnumerationBudgetError("dimension too large")
-    scheme = lat.counting[0]
-    if scheme == "diagonal":
-        raw = _count_cosets(zero_code(lat.dimension), 1, 1, [(0, 0, 0)],
-                            max_norm)
-    elif scheme == "construction_a":
-        raw = _count_cosets(lat.counting[1], 2, 2, [(0, 1, 0)], max_norm)
-    elif scheme == "leech_glue":
-        # the even part {w = 2c mod 4, sum(w) = 0 mod 8} and its coset by
-        # the glue vector s*(1,...,1) + 4*e1 (see _build_leech_from_shift)
-        s = lat.counting[1]
-        raw = _count_cosets(golay24(), 4, 8, [(0, 2, 0), (s, 2, 24 * s + 4)],
-                            max_norm, sum_mod=8)
+    if lat.counting:
+        raw = _count_cosets(lat.dimension, lat.counting, max_norm)
     else:
         raw = _count_generic(lat, max_norm)
     quantum = lat.norm_quantum()
@@ -477,15 +476,13 @@ def lattice_properties(lat: LatticeDescription) -> dict:
     n = lat.dimension
     even = (mat_is_integral(lat.gram)
             and all(frac(lat.gram[i][i]) % 2 == 0 for i in range(n)))
-    # integral with determinant 1 means L is inside its dual with index 1
-    unimodular = mat_is_integral(lat.gram) and lat.true_gram_det() == 1
     # some basis vector realizes the smallest diagonal entry, so the minimum
     # is found within that cutoff
     cutoff = min(frac(lat.gram[i][i]) for i in range(n))
     table = vectors_by_norm(lat, cutoff)
     nonzero = [(v, c) for v, c in table.counts if v > 0 and c > 0]
     min_norm, kissing = nonzero[0]
-    return {"even": even, "unimodular": unimodular,
+    return {"even": even, "unimodular": lat.is_unimodular(),
             "min_sq_norm": min_norm, "kissing": kissing}
 
 

@@ -359,19 +359,20 @@ def sign_sweep(ans, b):
             "feasible": bool(worst_f <= 1e-9 and worst_h <= 1e-9)}
 
 
-def _collocation_seed(ans):
-    """Least-squares projection of the certified optimal function onto the
-    degree-d family, at the working precision: collocation of the function
-    at 200 radii up to 5, for n = 24 augmented with the transform at 80
-    radii up to 8 (these pin the top coefficients when the pure fit leaves
-    them at noise level, at the cost of function-side accuracy).
+def _collocation_seed(ans, trunc, dps):
+    """Least-squares projection of the certified optimal function, its spec
+    built at series truncation trunc and dps digits, onto the degree-d
+    family, at the working precision: collocation of the function at 200
+    radii up to 5, for n = 24 augmented with the transform at 80 radii up
+    to 8 (these pin the top coefficients when the pure fit leaves them at
+    noise level, at the cost of function-side accuracy).
 
     Normalization maps the minimal vector length to 1: the target pair is
     g(r) = r1^n f(r1 r), ghat(u) = fhat(u / r1).
     """
     from .magic import magic_spec
     n = ans.n
-    spec = magic_spec(n)
+    spec = magic_spec(n, trunc, dps)
     s = mp.sqrt(spec.r1_sq)
     scale = s ** n
     rows = []
@@ -390,10 +391,11 @@ def _collocation_seed(ans):
     return [b[i] for i in range(ans.d)]
 
 
-def estimate(n: int, degree: int, dps: int) -> dict:
-    """The collocation projection of the certified optimal function onto
-    the family, at dps digits, with its sign sweep; dimensions 8 and 24
-    only, since no optimal function is known elsewhere.
+def estimate(n: int, degree: int, dps: int, trunc: int) -> dict:
+    """The collocation projection of the certified optimal function, built
+    at series truncation trunc, onto the family, at dps digits, with its
+    sign sweep; dimensions 8 and 24 only, since no optimal function is
+    known elsewhere.
 
     Nothing here certifies the sign conditions, so f(0) * vol(B_n(1/2)) is
     reported as an `estimate`, never as a bound.  `violations` holds the
@@ -408,7 +410,7 @@ def estimate(n: int, degree: int, dps: int) -> dict:
     d = 1 + 2 * ((degree - 1) // 2)
     ans = RadialAnsatz(n, d)
     with mp.workdps(dps):
-        b = _collocation_seed(ans)
+        b = _collocation_seed(ans, trunc, dps)
         f0 = ans.f_value(b, 0)
         return dict(
             b=b, d=d, f0=f0,

@@ -23,10 +23,9 @@ A and B:
   order.  Killing the linear term of W * I at the r1 pole gives
   B = A * kappa_0 * g2[E1] / psi_minus[E1], again exact.
 
-Both constants are cross-checked against the published table values; the
-derived magnitudes agree exactly for n = 24 and differ by a factor 2 on the
-minus side for n = 8 (only the product B * psi_minus enters the function,
-and the root/Taylor tests confirm the derived product).
+A is cross-checked against the published table value, and a spec whose A
+differs is not built.  B is only derived: only the product B * psi_minus
+enters the function, and the root-order and Taylor checks confirm it.
 
 Numerics
 --------
@@ -81,11 +80,9 @@ class MagicError(ValueError):
     pass
 
 
-# Published combination constants (magnitudes) for the two dimensions.
+# Published plus-side combination constants (magnitudes).
 _TABLE_ALPHA = {8: SymbolicVolume(Fraction(1, 8640), Fraction(1)),
                 24: SymbolicVolume(Fraction(1, 113218560), Fraction(1))}
-_TABLE_BETA = {8: SymbolicVolume(Fraction(1, 240), Fraction(-1)),
-               24: SymbolicVolume(Fraction(1, 262080), Fraction(-1))}
 
 
 # ---------------------------------------------------------------------------
@@ -508,9 +505,6 @@ class MagicFunctionSpec:
         if g1_res != 0:
             raise MagicError("value constraint at r1 violated")
         self.B = self.A * kappa0 * Fraction(g2_res, psi_minus_res)
-        table_b = _TABLE_BETA[n] * 4
-        self.beta_table_ratio = abs(self.B.coefficient / table_b.coefficient) \
-            if self.B.pi_power == table_b.pi_power else None
 
         with mp.workdps(dps + 10):
             self._base = mp.exp(-mp.pi / 4 * self.tstar.numerator

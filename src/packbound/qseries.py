@@ -319,26 +319,11 @@ def q_power(p, trunc=DEFAULT_TRUNC):
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and Eisenstein series
+# Eisenstein series
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def bernoulli(k: int) -> Fraction:
-    """Exact Bernoulli number B_k (B_1 = -1/2 convention)."""
-    if k < 0:
-        raise QSeriesError("negative index")
-    row = [Fraction(0)] * (k + 1)
-    for m in range(k + 1):
-        row[m] = Fraction(1, m + 1)
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-    return row[0]
-
-
-def zeta_at_negative(m: int) -> Fraction:
-    """zeta(-m) for integer m >= 1, via zeta(1-k) = -B_k / k with k = m+1."""
-    k = m + 1
-    return -bernoulli(k) / k
+# 2 / zeta(1 - k) = -2k / B_k for the three Eisenstein series in use
+_EISENSTEIN_FACTOR = {2: -24, 4: 240, 6: -504}
 
 
 @lru_cache(maxsize=None)
@@ -353,15 +338,14 @@ def _divisor_sums(power: int, count: int):
 
 @lru_cache(maxsize=None)
 def eisenstein(k: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
-    """E_k = 1 + (2 / zeta(1-k)) sum sigma_{k-1}(n) q^n for even k >= 2.
+    """E_k = 1 + (2 / zeta(1-k)) sum sigma_{k-1}(n) q^n for k = 2, 4, 6.
 
-    k = 2 is the quasi-modular series 1 - 24 sum sigma_1(n) q^n; even
-    k >= 4 are modular.
+    k = 2 is the quasi-modular series 1 - 24 sum sigma_1(n) q^n; k = 4 and
+    6 are modular.
     """
-    if k < 2 or k % 2:
-        raise QSeriesError("Eisenstein index must be even and >= 2")
-    # -24, 240 and -504 for k = 2, 4, 6; k = 12 (65520/691) raises
-    factor = _integer(2 / zeta_at_negative(k - 1))
+    if k not in _EISENSTEIN_FACTOR:
+        raise QSeriesError(f"Eisenstein index must be 2, 4 or 6, not {k}")
+    factor = _EISENSTEIN_FACTOR[k]
     nmax = (trunc - 1) // GRID
     sums = _divisor_sums(k - 1, nmax)
     coeffs = {0: 1}

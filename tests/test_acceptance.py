@@ -153,7 +153,7 @@ def test_criterion_7_lp_pipeline(lp8):
     ok &= res["certificate_status"] == "sturm-certified"
     ok &= OPT8 <= res["bound"] <= 1.5 * OPT8
     detail = f"sampled d=30 bound/optimal {res['bound'] / OPT8:.6f}"
-    refined = estimate(8, 45, 60)
+    refined = estimate(8, 45, 60, 300)
     # the refinement is uncertified: an estimate close to the optimum,
     # never labelled a bound
     ok &= "bound" not in refined

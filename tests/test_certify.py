@@ -10,7 +10,8 @@ from packbound.certify import (
     certify_positive_tail, exp_interval, nth_root_bounds, poisson_check,
 )
 from packbound.exact import poly_eval, sturm_count, sturm_roots
-from packbound.lattices import standard_lattice
+from packbound.codes import zero_code
+from packbound.lattices import construction_a, standard_lattice
 from packbound.qseries import QSeries, conjugate_psi_minus
 
 
@@ -197,6 +198,12 @@ def test_positive_tail_monotone_in_head_terms():
 def test_poisson_zn8():
     res = poisson_check(standard_lattice("zn", 8), Fraction(1), 25)
     assert res["residual"] <= 1e-10
+
+
+def test_poisson_refuses_non_unimodular():
+    # sqrt(2) Z has determinant 2: its dual is not the lattice itself
+    with pytest.raises(CertifyError, match="unimodular"):
+        poisson_check(construction_a(zero_code(1)), Fraction(1), 5)
 
 
 def test_poisson_e8():

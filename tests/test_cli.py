@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from packbound import cli, lpbound
+from packbound import cli, lpbound, magic
 from packbound.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig,
     build_parser, dispatch, output_format,
@@ -349,6 +349,21 @@ def test_lpbound_newton_other_dimension_fails_before_work(monkeypatch,
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "dimension 8 or 24" in captured.err
+
+
+def test_lpbound_newton_builds_spec_at_run_trunc(monkeypatch):
+    # the projected function is built at the run's --trunc and --precision
+    class Built(Exception):
+        pass
+
+    def fake_spec(*args):
+        raise Built(args)
+
+    monkeypatch.setattr(magic, "magic_spec", fake_spec)
+    with pytest.raises(Built) as info:
+        dispatch(["--trunc", "120", "--precision", "30", "lpbound", "run",
+                  "--dim", "8", "--degree", "7", "--method", "newton"])
+    assert info.value.args == ((8, 120, 30),)
 
 
 @pytest.mark.slow

@@ -1,8 +1,8 @@
 import pytest
 
 from packbound.codes import (
-    BinaryCode, CodeError, code_properties, dual_code, golay24, hamming8,
-    same_code, weight_enumerator, zero_code,
+    BinaryCode, CodeError, code_properties, golay24, hamming8,
+    weight_enumerator, zero_code,
 )
 
 try:
@@ -52,14 +52,15 @@ def test_zero_code_weights():
 
 
 def test_self_duality():
-    assert same_code(dual_code(hamming8()), hamming8())
-    assert same_code(dual_code(golay24()), golay24())
-
-
-def test_dual_of_zero_code_is_full_space():
-    d = dual_code(zero_code(3))
-    assert d.dimension == 3
-    assert sum(1 for _ in d.codewords()) == 8
+    # 2k = n and every pair of generator rows overlaps evenly
+    assert code_properties(hamming8())["self_dual"]
+    assert code_properties(golay24())["self_dual"]
+    # k = 0 < n/2; 2k < n with an even row; 2k = n with an odd row; 2k = n
+    # with even rows of odd overlap
+    for code in (zero_code(2), BinaryCode(4, 1, (0b1111,)),
+                 BinaryCode(2, 1, (0b01,)),
+                 BinaryCode(4, 2, (0b0011, 0b0110))):
+        assert not code_properties(code)["self_dual"], code
 
 
 def test_code_properties():
@@ -84,14 +85,6 @@ def test_generator_self_orthogonality():
 def test_weight_counts_sum_to_size():
     for c in (hamming8(), golay24(), zero_code(4)):
         assert weight_enumerator(c).total() == 2 ** c.dimension
-
-
-def test_contains_codewords_only():
-    c = hamming8()
-    assert all(c.contains(w) for w in c.codewords())
-    # minimum weight 4: no word of weight 1 or 2 is in the code
-    assert not any(c.contains(1 << i) for i in range(8))
-    assert not c.contains(0b11)
 
 
 def test_dependent_rows_rejected():
@@ -124,12 +117,30 @@ if HAVE_HYPOTHESIS:
             kept = [1]
         return BinaryCode(n, len(kept), tuple(kept))
 
-    @given(small_codes())
-    @settings(max_examples=40, deadline=None)
-    def test_double_dual_is_identity(code):
-        assert same_code(dual_code(dual_code(code)), code)
+    @st.composite
+    def self_dual_codes(draw):
+        # coordinate pairs {11} on a random permutation, optionally with the
+        # Hamming code on the first eight, then random row additions (the
+        # same code on another generator)
+        half = draw(st.integers(min_value=1, max_value=5))
+        perm = draw(st.permutations(range(2 * half)))
+        rows = [1 << perm[2 * i] | 1 << perm[2 * i + 1] for i in range(half)]
+        if half >= 4 and draw(st.booleans()):
+            rows[:4] = [sum((h >> j & 1) << perm[j] for j in range(8))
+                        for h in hamming8().generator]
+        index = st.integers(min_value=0, max_value=half - 1)
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            i, j = draw(index), draw(index)
+            if i != j:
+                rows[i] ^= rows[j]
+        return BinaryCode(2 * half, half, tuple(rows))
 
-    @given(small_codes())
-    @settings(max_examples=40, deadline=None)
-    def test_dual_dimension(code):
-        assert dual_code(code).dimension == code.length - code.dimension
+    @given(st.one_of(small_codes(), self_dual_codes()))
+    @settings(max_examples=80, deadline=None)
+    def test_self_duality_matches_brute_force(code):
+        # self-dual: the code is the set of words orthogonal to all its
+        # codewords
+        words = set(code.codewords())
+        orthogonal = {y for y in range(1 << code.length)
+                      if all(bin(x & y).count("1") % 2 == 0 for x in words)}
+        assert code_properties(code)["self_dual"] == (words == orthogonal)

@@ -1,12 +1,16 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from packbound import codes, exact, lattices
+from packbound.certify import poisson_check
 from packbound.codes import golay24, hamming8, zero_code
+from packbound.exact import mat_det
 from packbound.lattices import (
     EnumerationBudgetError, SymbolicVolume, _build_leech_from_shift,
     _make_lattice, ball_volume, construction_a, covolume, density,
-    dual_lattice, lattice_properties, standard_lattice, theta_coefficients,
+    lattice_properties, standard_lattice, theta_coefficients,
     vectors_by_norm,
 )
 
@@ -81,7 +85,9 @@ def test_leech_accepted_shift_is_validated():
     # the pinned glue scale 1 is the Leech lattice (test_leech_lattice);
     # scale 2, the other shift integral in the frame, misses minimum 4 and
     # kissing number 196560
-    assert standard_lattice("leech").counting == ("leech_glue", 1)
+    leech = standard_lattice("leech")
+    assert leech == _build_leech_from_shift(1)
+    assert leech.counting.parts == ((0, 2, 0), (1, 2, 28))
     props = lattice_properties(_build_leech_from_shift(2))
     assert props["min_sq_norm"] == 2 and props["kissing"] == 48
 
@@ -104,33 +110,37 @@ def test_leech_density():
     assert d.coefficient == Fraction(1, 479001600) and d.pi_power == 12
 
 
-def test_dual_of_e8_is_e8():
-    e8 = standard_lattice("e8")
-    d = dual_lattice(e8)
-    assert covolume(d).rational_value() == 1
-    dprops = lattice_properties(d)
-    assert dprops["min_sq_norm"] == 2 and dprops["kissing"] == 240
+def test_scaled_z_covolume():
+    # sqrt(2) Z and sqrt(2) Z^2, the non-unit covolumes among the tests
+    assert str(covolume(construction_a(zero_code(1)))) == "sqrt(2)"
+    cv = covolume(construction_a(zero_code(2)))
+    assert cv.is_rational() and cv.rational_value() == 2
 
 
-def test_dual_of_zn():
-    z3 = standard_lattice("zn", 3)
-    d = dual_lattice(z3)
-    assert d.gram == z3.gram
+def test_stored_determinant_is_the_gram_determinant():
+    for lat in (standard_lattice("zn", 3), standard_lattice("e8"),
+                standard_lattice("l24"), standard_lattice("leech"),
+                _build_leech_from_shift(2), construction_a(zero_code(2)),
+                _make_lattice([[1, 1], [1, -1]], 0)):
+        assert lat.gram_det == mat_det(lat.gram), lat.name
 
 
-def test_dual_scaled_z():
-    lat = construction_a(zero_code(1))  # sqrt(2) Z
-    d = dual_lattice(lat)
-    cv_prod = covolume(lat) * covolume(d)
-    assert cv_prod.is_rational() and cv_prod.rational_value() == 1
-    assert d.gram[0][0] == Fraction(1, 2)
+def test_built_lattice_runs_no_elimination_or_enumeration(monkeypatch):
+    # the determinant and the weight enumerator are fixed at construction
+    built = [standard_lattice("zn", 8), standard_lattice("e8"),
+             standard_lattice("leech")]
 
+    def fail(*args):
+        raise AssertionError("recomputed after construction")
 
-def test_covolume_product_with_dual():
-    for lat in (standard_lattice("e8"), standard_lattice("zn", 4),
-                construction_a(zero_code(2))):
-        prod = covolume(lat) * covolume(dual_lattice(lat))
-        assert prod.is_rational() and prod.rational_value() == 1
+    for module in (exact, lattices):
+        monkeypatch.setattr(module, "mat_det", fail)
+    for module in (codes, lattices):
+        monkeypatch.setattr(module, "weight_enumerator", fail)
+    for lat in built:
+        assert covolume(lat).rational_value() == 1
+        assert lattice_properties(lat)["unimodular"]
+        assert poisson_check(lat, 1, 6)["residual"] < 1e-3
 
 
 def test_counts_are_centrally_symmetric():
@@ -148,7 +158,7 @@ def test_zn2_properties():
     # determinant 1 but not integral, so not unimodular
     lat = _make_lattice([[2, 0], [0, 1]], 1)
     assert lat.gram == ((2, 0), (0, Fraction(1, 2)))
-    assert lat.true_gram_det() == 1
+    assert lat.gram_det == 1
     assert lattice_properties(lat)["unimodular"] is False
 
 
@@ -157,8 +167,7 @@ def test_generic_counting_agrees_with_diagonal():
     # counting hint stripped (Construction A, the zero code, Z^n)
     for lat in (standard_lattice("e8"), construction_a(zero_code(8)),
                 standard_lattice("zn", 4)):
-        stripped = type(lat)(lat.dimension, lat.scale_exp, lat.scaled_basis,
-                             lat.gram, counting=("generic",))
+        stripped = dataclasses.replace(lat, counting=None)
         a = vectors_by_norm(stripped, 4).as_dict()
         b = vectors_by_norm(lat, 4).as_dict()
         assert a == b

@@ -25,17 +25,14 @@ def test_legendre_nodes_integrate_polynomial():
 
 def test_combination_constants_8(spec8):
     assert spec8.A == SymbolicVolume(Fraction(-1, 2160), Fraction(1))
+    # only the product of B with the minus kernel enters the function, and
+    # the Taylor/root tests below pin the product
     assert spec8.B == SymbolicVolume(Fraction(-1, 120), Fraction(-1))
-    # the minus-side magnitude is half the published one; only the product
-    # with the minus kernel enters the function, and the Taylor/root tests
-    # below pin the product
-    assert spec8.beta_table_ratio == Fraction(1, 2)
 
 
 def test_combination_constants_24(spec24):
     assert spec24.A == SymbolicVolume(Fraction(1, 28304640), Fraction(1))
     assert spec24.B == SymbolicVolume(Fraction(-1, 65520), Fraction(-1))
-    assert spec24.beta_table_ratio == 1
 
 
 def test_normalization_at_zero_8(spec8):

@@ -5,10 +5,9 @@ import mpmath as mp
 import pytest
 
 from packbound.qseries import (
-    GRID, QSeries, QSeriesError, bernoulli, conjugate_psi_minus,
+    GRID, QSeries, QSeriesError, conjugate_psi_minus,
     delta, eisenstein, leech_theta,
     named_form, one, psi_forms, q_power, s_transform_terms, theta01, theta10,
-    zeta_at_negative,
 )
 from series_terms import evaluate_at_it, evaluate_terms_at_it
 
@@ -50,17 +49,15 @@ def test_zero_division_raises():
         QSeries({}, 50).inverse()
 
 
-# -- Bernoulli / Eisenstein -------------------------------------------------
-
-def test_bernoulli_values():
-    assert bernoulli(2) == Fraction(1, 6)
-    assert bernoulli(4) == Fraction(-1, 30)
-    assert bernoulli(6) == Fraction(1, 42)
-    assert bernoulli(12) == Fraction(-691, 2730)
-
+# -- Eisenstein -------------------------------------------------------------
 
 def test_normalization_constant_240():
-    assert Fraction(2) / zeta_at_negative(3) == 240
+    # 2 / zeta(1 - k) is pinned: -24, 240, -504 for k = 2, 4, 6; no other k
+    # is built
+    assert [eisenstein(k).q_coeff(1) for k in (2, 4, 6)] == [-24, 240, -504]
+    for k in (0, 8, 12):
+        with pytest.raises(QSeriesError):
+            eisenstein(k)
 
 
 def test_e4_coefficients():
