@@ -366,8 +366,13 @@ _GRID_END = {8: 8.0, 24: 10.0}
 
 
 def certify_magic(n: int, spec=None) -> Certificate:
-    """Composite check: normalization, sign conditions on grids with a far
-    argument, forced roots with parities, and the quadratic coefficients.
+    """Composite check: normalization, sign conditions with a far argument,
+    forced roots with parities, and the quadratic coefficients.
+
+    Both sign conditions read one sweep of certified pairs (P, M), since
+    f = A*P + B*M and fhat = A*P - B*M: fhat >= 0 at every grid point on
+    [0, rmax], f <= 0 at the grid points in [r1, rmax] and at r1 itself,
+    which the root step evaluates as well.
 
     Every step compares a certified value against its threshold widened by
     the value's error, so its failure refutes; the far-decay margin and the
@@ -385,20 +390,20 @@ def certify_magic(n: int, spec=None) -> Certificate:
                           f"{float(abs(v.value - 1)):.3e}",
                           v.within(1, _TOL_ENDPOINT))
 
-        # (ii) sign conditions on grids r0 + k*step <= rmax, one sweep each
+        # (ii) sign conditions on one grid k*step <= rmax: fhat at every
+        # point, f at the points beyond r1 and at r1 itself
         step = mp.mpf(_GRID_STEP)
         rmax = _GRID_END[n]
-
-        def grid(side, r0):
-            count = int(mp.floor((rmax - r0) / step)) + 1
-            return [spec.combine(side, p, m)
-                    for p, m in spec.sweep(r0, step, count)]
-
-        worst_f = max(v.value - v.error for v in grid("f", r1))
+        pairs = spec.sweep(0, step, int(mp.floor(rmax / step)) + 1)
+        f_vals = [spec.eval("f", r1)] + [
+            spec.combine("f", p, m) for k, (p, m) in enumerate(pairs)
+            if k * step >= r1]
+        worst_f = max(v.value - v.error for v in f_vals)
         cert.add_step(f"f <= 0 on [r1, {rmax}]", "numerical grid",
                       f"max lower bound {float(worst_f):.3e}",
                       worst_f <= _GRID_SLACK)
-        worst_h = min(v.value + v.error for v in grid("f_hat", mp.mpf(0)))
+        worst_h = min(v.value + v.error
+                      for v in (spec.combine("f_hat", p, m) for p, m in pairs))
         cert.add_step(f"fhat >= 0 on [0, {rmax}]", "numerical grid",
                       f"min upper bound {float(worst_h):.3e}",
                       worst_h >= -_GRID_SLACK)

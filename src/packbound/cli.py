@@ -144,7 +144,7 @@ def _cmd_lattice(args, cfg):
                                 budget=Fraction(args.max_norm))
         return EXIT_OK, {"csv": table.to_csv()}
     props = lattice_properties(lat)
-    dens = density(lat)
+    dens = props["density"]
     min_norm = props["min_sq_norm"]
     payload = {
         "name": lat.name,

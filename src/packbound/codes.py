@@ -1,5 +1,6 @@
 """Binary linear codes: the length-8 Hamming code, the extended binary Golay
-code, weight enumeration, self-duality read off the generator.
+code, weight enumeration, self-duality and double evenness read off the
+generator.
 
 Codewords are stored as machine integers (bit i = coordinate i, i < length),
 so full enumeration of a dimension-k code walks 2^k XOR combinations.
@@ -7,7 +8,6 @@ so full enumeration of a dimension-k code walks 2^k XOR combinations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 MAX_ENUM_DIMENSION = 24
@@ -86,18 +86,6 @@ class BinaryCode:
     def generator_strings(self):
         return [_string_from_bits(row, self.length) for row in self.generator]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"length": self.length, "dimension": self.dimension,
-             "generator": self.generator_strings()},
-            sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "BinaryCode":
-        obj = json.loads(text)
-        rows = tuple(_bits_from_string(s) for s in obj["generator"])
-        return BinaryCode(obj["length"], obj["dimension"], rows)
-
 
 @dataclass(frozen=True)
 class WeightEnumerator:
@@ -162,15 +150,17 @@ def weight_enumerator(code: BinaryCode) -> WeightEnumerator:
 
 
 def code_properties(code: BinaryCode) -> dict:
-    """self_dual: equals its dual; doubly_even: 4 | every weight.
+    """self_dual: equals its dual; doubly_even: 4 | every weight.  Both are
+    read off the generator, without enumerating the code.
 
     The code lies in its dual exactly when every pair of generator rows has
     an even overlap, and the dual has dimension n - k, so the code is
-    self-dual exactly when, in addition, 2k = n.
+    self-dual exactly when, in addition, 2k = n.  Since
+    wt(a + b) = wt(a) + wt(b) - 2 wt(a & b), the code is doubly even exactly
+    when it lies in its dual and 4 divides the weight of every row.
     """
-    wts = weight_enumerator(code).as_dict()
-    doubly_even = all(w % 4 == 0 for w in wts)
     rows = code.generator
-    self_dual = 2 * code.dimension == code.length and all(
-        bin(a & b).count("1") % 2 == 0 for a in rows for b in rows)
-    return {"self_dual": self_dual, "doubly_even": doubly_even}
+    in_dual = all(bin(a & b).count("1") % 2 == 0 for a in rows for b in rows)
+    return {"self_dual": in_dual and 2 * code.dimension == code.length,
+            "doubly_even": in_dual and all(
+                bin(a).count("1") % 4 == 0 for a in rows)}

@@ -26,7 +26,6 @@ Other lattices are counted by exact recursive enumeration.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,14 +216,6 @@ class LatticeDescription:
                              g.denominator * v.denominator)
         return g if g else Fraction(1)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "dimension": self.dimension,
-            "scale_exponent": self.scale_exp,
-            "scaled_basis": [list(r) for r in self.scaled_basis],
-            "gram": [[str(x) for x in row] for row in self.gram],
-        }, sort_keys=True)
-
 
 def _make_lattice(rows, scale_exp, name="", counting=None):
     n = len(rows)
@@ -353,9 +344,7 @@ def covolume(lat: LatticeDescription) -> SymbolicVolume:
 
 def density(lat: LatticeDescription) -> SymbolicVolume:
     """Ball of radius r1/2 over the covolume."""
-    props = lattice_properties(lat)
-    r1_sq = props["min_sq_norm"]
-    return ball_volume(lat.dimension, frac(r1_sq) / 4) / covolume(lat)
+    return lattice_properties(lat)["density"]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +461,8 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
 
 
 def lattice_properties(lat: LatticeDescription) -> dict:
-    """even / unimodular flags plus minimum squared norm and kissing number."""
+    """even / unimodular flags plus minimum squared norm, kissing number and
+    density, from one count of the shortest vectors."""
     n = lat.dimension
     even = (mat_is_integral(lat.gram)
             and all(frac(lat.gram[i][i]) % 2 == 0 for i in range(n)))
@@ -483,10 +473,5 @@ def lattice_properties(lat: LatticeDescription) -> dict:
     nonzero = [(v, c) for v, c in table.counts if v > 0 and c > 0]
     min_norm, kissing = nonzero[0]
     return {"even": even, "unimodular": lat.is_unimodular(),
-            "min_sq_norm": min_norm, "kissing": kissing}
-
-
-def theta_coefficients(lat: LatticeDescription, max_index: int, budget=Fraction(64)):
-    """Counts n(r) of vectors with x.x = 2r for r = 0..max_index."""
-    table = vectors_by_norm(lat, 2 * max_index, budget=budget)
-    return [table.count(Fraction(2 * r)) for r in range(max_index + 1)]
+            "min_sq_norm": min_norm, "kissing": kissing,
+            "density": ball_volume(n, frac(min_norm) / 4) / covolume(lat)}

@@ -143,31 +143,20 @@ class RadialAnsatz:
 # ---------------------------------------------------------------------------
 
 # the default sample set: a geometric grid of SAMPLE_COUNT radii on
-# [1, SAMPLE_R_MAX] plus clusters at the first CLUSTER_ROOTS vector lengths
+# [1, SAMPLE_R_MAX]
 SAMPLE_R_MAX = 8.0
 SAMPLE_COUNT = 96
-CLUSTER_ROOTS = 12
 # entries of an LP row below 2^-ROW_FLOOR_BITS of its largest are dropped
 ROW_FLOOR_BITS = 50
 
 
-def default_samples(n: int):
-    """Geometric grid on [1, SAMPLE_R_MAX] plus clusters at the first
-    expected root locations (the normalized vector lengths sqrt(2j)/r1),
-    where the optimal profile nearly touches zero and naive grids sample
-    poorly."""
-    pts = set()
-    for i in range(SAMPLE_COUNT):
-        pts.add(round(SAMPLE_R_MAX ** (i / (SAMPLE_COUNT - 1)), 9))
-    r1_sq = 4 if n == 24 else 2
-    for j in range(1, CLUSTER_ROOTS + 1):
-        root = math.sqrt(2 * j / r1_sq)
-        if root > SAMPLE_R_MAX:
-            break
-        for eps in (-0.012, -0.004, 0.0, 0.004, 0.012):
-            if 1 <= root + eps <= SAMPLE_R_MAX:
-                pts.add(round(root + eps, 9))
-    return sorted(pts)
+def default_samples():
+    """Geometric grid of SAMPLE_COUNT radii on [1, SAMPLE_R_MAX].  No sample
+    is placed by hand near the vector lengths, where the optimal profile
+    nearly touches zero: the refinement of sampled_lp adds one at the
+    maximum of every stretch where p > 0."""
+    return [round(SAMPLE_R_MAX ** (i / (SAMPLE_COUNT - 1)), 9)
+            for i in range(SAMPLE_COUNT)]
 
 
 def _dyadic_row(values):
@@ -282,7 +271,7 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     """
     _check_family(n, d)
     alpha = Fraction(n, 2) - 1
-    samples = list(samples) if samples is not None else default_samples(n)
+    samples = list(samples) if samples is not None else default_samples()
     # column equilibration: L_k grows like y^k, so the variables are
     # rescaled by powers of two to keep the exact LP's entries small
     # (b_k = scales[k-1] * x_k)

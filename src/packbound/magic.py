@@ -675,16 +675,14 @@ def taylor_quadratic(side, n, spec=None, levels=5):
         return CertifiedValue(est, err)
 
 
-def ce_bound_from_function(n, spec=None, certificate=None,
-                           allow_unverified=False):
+def ce_bound_from_function(n, spec=None, certificate=None):
     """Density bound f(0) * vol(B_n(r1/2)) with certified error.
 
-    Requires a verified feasibility certificate unless explicitly waived.
+    Requires a verified feasibility certificate.
     """
     spec = spec or magic_spec(n)
-    if not allow_unverified:
-        if getattr(certificate, "status", None) != "verified":
-            raise MagicError("feasibility certificate missing or not verified")
+    if getattr(certificate, "status", None) != "verified":
+        raise MagicError("feasibility certificate missing or not verified")
     with mp.workdps(spec.dps + 10):
         f0 = spec.eval("f", 0)
         volv = ball_volume(n, Fraction(spec.r1_sq, 4)).mpf()

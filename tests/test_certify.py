@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from packbound.certify import (
 from packbound.exact import poly_eval, sturm_count, sturm_roots
 from packbound.codes import zero_code
 from packbound.lattices import construction_a, standard_lattice
-from packbound.qseries import QSeries, conjugate_psi_minus
+from packbound.qseries import CertifiedValue, QSeries, conjugate_psi_minus
 
 
 # -- rational intervals -------------------------------------------------------
@@ -262,6 +263,40 @@ def test_certify_magic_slope_floor(spec8, monkeypatch):
         assert cert.status == status
         failing = [s["statement"] for s in cert.log if not s["passed"]]
         assert failing == ["f has a transversal sign change at r1"]
+
+
+def test_certify_magic_sweeps_one_grid(spec8):
+    # both sign steps read one sweep from r = 0; the f step reads r1 as the
+    # root step does, by a single-radius pair()
+    spec = copy.copy(spec8)
+    spec._cache = {}
+    grids = []
+    sweep = spec.sweep
+
+    def counting(r0, step, count):
+        if count > 1:
+            grids.append((r0, count))
+        return sweep(r0, step, count)
+
+    spec.sweep = counting
+    assert certify_magic(8, spec).status == "verified"
+    assert grids == [(0, 400)]
+    assert len(spec._cache) <= 424
+
+
+def test_certify_magic_f_step_reads_the_grid_beyond_r1(spec8):
+    # a planted pair at the grid point r = 4 with f = fhat = |A| > 0 breaks
+    # f <= 0 there and no other step
+    spec = copy.copy(spec8)
+    spec._cache = {}
+    with mp.workdps(spec.dps + 10):
+        key = (200 * mp.mpf(certify_mod._GRID_STEP))._mpf_
+        spec._cache[key] = (CertifiedValue(mp.sign(spec._A), 0),
+                            CertifiedValue(0, 0))
+    cert = certify_magic(8, spec)
+    assert cert.status == "refuted"
+    assert [s["statement"] for s in cert.log if not s["passed"]] == [
+        "f <= 0 on [r1, 8.0]"]
 
 
 @pytest.mark.slow

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from packbound import cli, lpbound, magic
+from packbound import cli, codes, lattices, lpbound, magic
 from packbound.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig,
     build_parser, dispatch, output_format,
@@ -54,6 +54,34 @@ def test_lattice_info_e8(capsys):
     assert doc["kissing"] == 240
     assert doc["covolume"] == "1"
     assert doc["density"] == "pi^4/384"
+
+
+def _count_calls(monkeypatch, module, name):
+    """Calls of module.name through its own binding and the CLI's."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in (module, cli):
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_code_info_enumerates_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, codes, "weight_enumerator")
+    code, _ = run(["code", "info", "--name", "golay24"], capsys)
+    assert code == EXIT_OK and len(calls) == 1
+
+
+def test_lattice_info_counts_once(monkeypatch, capsys):
+    lattices.standard_lattice("leech")  # the build is not the command's count
+    calls = _count_calls(monkeypatch, lattices, "vectors_by_norm")
+    code, out = run(["lattice", "info", "--name", "leech"], capsys)
+    assert code == EXIT_OK and len(calls) == 1
+    assert "kissing: 196560" in out and "density: pi^12/479001600" in out
 
 
 def test_lattice_theta_csv(capsys):

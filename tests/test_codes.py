@@ -74,6 +74,12 @@ def test_repetition_code_length2():
     assert code_properties(c) == {"self_dual": True, "doubly_even": False}
 
 
+def test_weight_four_rows_with_an_odd_overlap_are_not_doubly_even():
+    # 0001111 + 1111000 = 1110111 has weight 6
+    c = BinaryCode(7, 2, (0b0001111, 0b1111000))
+    assert code_properties(c) == {"self_dual": False, "doubly_even": False}
+
+
 def test_generator_self_orthogonality():
     # G G^T = 0 mod 2 for both named codes
     for c in (hamming8(), golay24()):
@@ -90,12 +96,6 @@ def test_weight_counts_sum_to_size():
 def test_dependent_rows_rejected():
     with pytest.raises(CodeError):
         BinaryCode(4, 2, (0b0011, 0b0011))
-
-
-def test_json_roundtrip():
-    c = golay24()
-    c2 = BinaryCode.from_json(c.to_json())
-    assert c2 == c
 
 
 if HAVE_HYPOTHESIS:
@@ -144,3 +144,9 @@ if HAVE_HYPOTHESIS:
         orthogonal = {y for y in range(1 << code.length)
                       if all(bin(x & y).count("1") % 2 == 0 for x in words)}
         assert code_properties(code)["self_dual"] == (words == orthogonal)
+
+    @given(st.one_of(small_codes(), self_dual_codes()))
+    @settings(max_examples=80, deadline=None)
+    def test_doubly_even_matches_brute_force(code):
+        assert code_properties(code)["doubly_even"] == all(
+            bin(x).count("1") % 4 == 0 for x in code.codewords())

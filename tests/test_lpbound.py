@@ -127,9 +127,9 @@ def test_sampled_lp_dimension_one():
 
 
 def test_sampled_lp_monotone_in_samples():
-    base = default_samples(1)[::4]
+    base = default_samples()[::4]
     small = sampled_lp(1, 4, samples=base, refine_rounds=0)
-    big = sampled_lp(1, 4, samples=default_samples(1), refine_rounds=0)
+    big = sampled_lp(1, 4, samples=default_samples(), refine_rounds=0)
     # supersets of constraints cannot lower the minimum
     assert big["p0"] >= small["p0"] - Fraction(1, 10 ** 9)
 
@@ -151,10 +151,22 @@ def test_sampled_lp_e8_window():
                                          rel=1e-15)
     assert OPT8 <= res["bound"] <= 1.5 * OPT8
     # the pivoting rules and the refinement fix the walk: eight solves,
-    # 1,544 pivots, 13 samples added to the 153 defaults
-    assert report["iterations"] == 1544
+    # 1,535 pivots, 13 samples added to the 96 defaults
+    assert report["iterations"] == 1535
     assert report["rounds"] == 8
-    assert report["samples_used"] == 166
+    assert report["samples_used"] == 109
+    assert len(report["added"]) == 13
+
+
+def test_sampled_lp_certified_from_the_plain_grid():
+    # the geometric grid has no sample near the vector lengths; the
+    # refinement alone places them, over eight rounds for n = 6, d = 16
+    assert default_samples() == sorted(set(default_samples()))
+    assert len(default_samples()) == 96
+    res = sampled_lp(6, 16)
+    assert res["certificate_status"] == "sturm-certified"
+    assert verify_lp(res["certificate"]).status == "verified"
+    assert res["feasible_report"]["rounds"] == 8
 
 
 def test_sampled_lp_one_round_bump_refuted():

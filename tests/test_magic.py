@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from packbound.certify import Certificate
 from packbound.lattices import SymbolicVolume
 from packbound.magic import (
     MagicError, MagicFunctionSpec, _NodeSeries, ce_bound_from_function,
@@ -187,18 +188,27 @@ def test_eigenfunction_identities_sampled(spec8):
 def test_ce_bound_requires_certificate(spec8):
     with pytest.raises(MagicError):
         ce_bound_from_function(8, spec8)
+    with pytest.raises(MagicError):  # no step yet: inconclusive
+        ce_bound_from_function(8, spec8, certificate=Certificate("claim"))
 
 
-def test_ce_bound_unverified_8(spec8):
+def _verified():
+    cert = Certificate(claim="stand-in feasibility")
+    cert.add_step("one passed step", "exact", 0, True)
+    assert cert.status == "verified"
+    return cert
+
+
+def test_ce_bound_8(spec8):
     with mp.workdps(70):
-        b = ce_bound_from_function(8, spec8, allow_unverified=True)
+        b = ce_bound_from_function(8, spec8, certificate=_verified())
         target = mp.pi ** 4 / 384
         assert abs(b.value - target) / target < 1e-9
 
 
-def test_ce_bound_unverified_24(spec24):
+def test_ce_bound_24(spec24):
     with mp.workdps(70):
-        b = ce_bound_from_function(24, spec24, allow_unverified=True)
+        b = ce_bound_from_function(24, spec24, certificate=_verified())
         target = mp.pi ** 12 / mp.factorial(12)
         assert abs(b.value - target) / target < 1e-9
 
