@@ -20,7 +20,7 @@ import mpmath as mp
 from . import exact
 from .exact import frac, poly_eval
 from .lattices import LatticeDescription, vectors_by_norm
-from .magic import magic_spec, taylor_quadratic
+from .magic import magic_spec
 
 
 class CertifyError(ValueError):
@@ -347,21 +347,14 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int,
 # Composite certificate for the optimal test functions
 # ---------------------------------------------------------------------------
 
-_TOL_ENDPOINT = 1e-6
 _GRID_SLACK = 1e-9
 _GRID_STEP = 0.02
-_TAYLOR_TOL = 1e-3
-_DOUBLE_ROOT_TOL = 1e-5
 _FAR_MARGIN = 10.0
 
 _TAYLOR_TARGETS = {
     (8, "f"): Fraction(-27, 10), (8, "f_hat"): Fraction(-3, 2),
     (24, "f"): Fraction(-14347, 5460), (24, "f_hat"): Fraction(-205, 156),
 }
-
-# the simple-root slope at r1 scales like the function size near r1, which
-# drops by e^(-pi r1^2): order 1e-2 for n = 8 but only ~6e-5 for n = 24
-_SLOPE_FLOOR = {8: 1e-2, 24: 1e-5}
 _GRID_END = {8: 8.0, 24: 10.0}
 
 
@@ -369,26 +362,29 @@ def certify_magic(n: int, spec=None) -> Certificate:
     """Composite check: normalization, sign conditions with a far argument,
     forced roots with parities, and the quadratic coefficients.
 
+    Every step at an even squared radius (normalization, the roots at the
+    first four vector lengths, the transversal slope at r1, the double roots
+    and the Taylor coefficients) compares the exact value and slope of
+    `MagicFunctionSpec.jet` with its rational target, so it is ``exact``.
+
     Both sign conditions read one sweep of certified pairs (P, M), since
     f = A*P + B*M and fhat = A*P - B*M: fhat >= 0 at every grid point on
-    [0, rmax], f <= 0 at the grid points in [r1, rmax] and at r1 itself,
-    which the root step evaluates as well.
-
-    Every step compares a certified value against its threshold widened by
-    the value's error, so its failure refutes; the far-decay margin and the
-    r1 slope floor refute only when they fail beyond that error."""
+    [0, rmax], f <= 0 at the grid points in [r1, rmax] and at r1 itself.
+    A grid step compares a certified value against its threshold widened by
+    the value's error, so its failure refutes; the far-decay margin refutes
+    only when a sign fails beyond that error."""
     spec = spec or magic_spec(n)
     cert = Certificate(claim=f"test-function feasibility, dimension {n}")
+
+    def exact_step(statement, value, target, detail):
+        cert.add_step(statement, "exact", value, value == target, detail)
 
     with mp.workdps(spec.dps + 10):
         r1 = mp.sqrt(spec.r1_sq)
 
         # (i) normalization at the origin
         for side in ("f", "f_hat"):
-            v = spec.eval(side, 0)
-            cert.add_step(f"{side}(0) = 1", "numerical (certified error)",
-                          f"{float(abs(v.value - 1)):.3e}",
-                          v.within(1, _TOL_ENDPOINT))
+            exact_step(f"{side}(0) = 1", spec.jet(side, 0)[0], 1, "value")
 
         # (ii) sign conditions on one grid k*step <= rmax: fhat at every
         # point, f at the points beyond r1 and at r1 itself
@@ -429,37 +425,26 @@ def certify_magic(n: int, spec=None) -> Certificate:
             "numerical", f"margin {float(margin):.1e}",
             far_ok and margin >= _FAR_MARGIN, definite=far_wrong)
 
-        # (iii) roots and parities at the first four vector lengths
-        lengths = [mp.sqrt(spec.r1_sq + 2 * j) for j in range(4)]
-        for rr in lengths:
+        # (iii) roots and parities at the first four vector lengths; a
+        # slope is d/d(r^2), which has the sign of d/dr at r > 0
+        squares = [spec.r1_sq + 2 * j for j in range(4)]
+        names = [mp.nstr(mp.sqrt(r_sq), 6) for r_sq in squares]
+        for r_sq, name in zip(squares, names):
             for side in ("f", "f_hat"):
-                v = spec.eval(side, rr)
-                cert.add_step(f"{side}({mp.nstr(rr, 6)}) = 0",
-                              "numerical (certified error)",
-                              f"{float(abs(v.value)):.3e}",
-                              v.within(0, _TOL_ENDPOINT))
-        d1 = spec.derivative("f", r1)
-        cert.add_step("f has a transversal sign change at r1",
-                      "numerical", f"|f'(r1)| = {float(abs(d1.value)):.3e}",
-                      abs(d1.value) >= _SLOPE_FLOOR[n],
-                      definite=abs(d1.value) + d1.error < _SLOPE_FLOOR[n])
-        for rr in lengths[1:3]:
-            d = spec.derivative("f", rr)
-            cert.add_step(f"double root of f at {mp.nstr(rr, 6)}",
-                          "numerical", f"{float(abs(d.value)):.3e}",
-                          d.within(0, _DOUBLE_ROOT_TOL))
-        dh = spec.derivative("f_hat", r1)
-        cert.add_step("double root of fhat at r1", "numerical",
-                      f"{float(abs(dh.value)):.3e}",
-                      dh.within(0, _DOUBLE_ROOT_TOL))
+                exact_step(f"{side}({name}) = 0", spec.jet(side, r_sq)[0], 0,
+                           "value")
+        slope = spec.jet("f", spec.r1_sq)[1]
+        cert.add_step("f has a transversal sign change at r1", "exact", slope,
+                      slope != 0, "d/d(r^2)")
+        for r_sq, name in zip(squares[1:3], names[1:3]):
+            exact_step(f"double root of f at {name}", spec.jet("f", r_sq)[1],
+                       0, "d/d(r^2)")
+        exact_step("double root of fhat at r1",
+                   spec.jet("f_hat", spec.r1_sq)[1], 0, "d/d(r^2)")
 
-        # (iv) quadratic Taylor coefficients
+        # (iv) quadratic Taylor coefficients: d/d(r^2) at the origin
         for side in ("f", "f_hat"):
             target = _TAYLOR_TARGETS[(n, side)]
-            target_v = mp.mpf(target.numerator) / target.denominator
-            t = taylor_quadratic(side, n, spec)
-            cert.add_step(f"quadratic coefficient of {side} is {target}",
-                          "numerical (Richardson)",
-                          f"{float(abs(t.value - target_v)):.3e}",
-                          t.within(target_v, _TAYLOR_TOL))
+            exact_step(f"quadratic coefficient of {side} is {target}",
+                       spec.jet(side, 0)[1], target, "d/d(r^2) at 0")
     return cert

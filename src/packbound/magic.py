@@ -55,6 +55,22 @@ node and radius (see `_decays`).  The u-side error carries proven round-off
 terms for the node values (in the series error), their truncation and the
 decays' 2 (k + 2)^2 units.  `pair(r)` is a one-radius sweep.  Series
 truncation tails ride along from the coefficient envelopes.
+
+Even squared radii
+------------------
+At r^2 = r_sq in 2Z>=0 the value and the slope d f/d(r^2) are exact
+rationals (`MagicFunctionSpec.jet`).  With E = -4 r_sq and s = pi (r^2 +
+E/4), W(r) = sin(s/2)^2 = s^2/4 + O(s^4) because 8 | E.  The u-side
+integral and every t-side term with another exponent are analytic there, so
+W times them is O(s^2).  The term at E is e^(-s t*) (C_0/s + C_1 (t*/s +
+1/s^2)), where C_m sums A or +-B times const * c_E over the terms of weight
+t^m (C_2 = 0: the m = 2 series vanish at the cusp).  So
+
+    f = C_1/4 + (pi C_0/4) (r^2 - r_sq) + O((r^2 - r_sq)^2)
+
+for any t*, and each product is rational because the pi powers cancel.
+The normalization, the roots at the vector lengths, their orders and the
+quadratic Taylor coefficients (the slopes at r_sq = 0) are read off it.
 """
 
 from __future__ import annotations
@@ -78,6 +94,9 @@ POLE_BAND = 1e-3
 
 class MagicError(ValueError):
     pass
+
+
+_PI = SymbolicVolume(Fraction(1), Fraction(1))
 
 
 # Published plus-side combination constants (magnitudes).
@@ -235,12 +254,14 @@ class _TsideTable:
         ts, fix, band = self.tstar, self.fix, self.band
         one = 1 << 2 * fix
         p = _fixed(pi_r2, fix)
-        x = [one // s if abs(s) > band else 0
-             for s in [p + shift for shift in self.shift]]
+        ss = [p + shift for shift in self.shift]
+        # x underflows to 0 far outside the band as well (pi r^2 > 2^fix),
+        # so the band is marked by s itself
+        x = [one // s if abs(s) > band else 0 for s in ss]
         # inside the pole band (reachable only where 8 | E, so W(r) =
         # sin(s/2)^2 exactly) the sine factor is folded in by series
         in_band = []
-        for k in [k for k, v in enumerate(x) if not v]:
+        for k in [k for k, s in enumerate(ss) if abs(s) <= band]:
             s = pi_r2 + mp.pi * self.exps[k] / 4
             in_band.append((k, s, g * self.bpow[k], _sinc2(s, self.dps)))
         powers = [x]
@@ -473,6 +494,7 @@ class MagicFunctionSpec:
         self._assert_pole_structure(plus_terms)
         minus_terms = [(0, SymbolicVolume.of(1), psis["psi_minus"])]
         self._assert_pole_structure(minus_terms)
+        self._terms = (plus_terms, minus_terms)
 
         # u-side kernels (both carry coefficient +1 after i-absorption)
         minus_term = terms["psi_minus"][0]
@@ -626,19 +648,31 @@ class MagicFunctionSpec:
             e = abs(self._A) * p.error + abs(self._B) * m.error
             return CertifiedValue(v, e)
 
-    def derivative(self, side, r, h=None) -> CertifiedValue:
-        """Central-difference radial derivative on certified values."""
-        with mp.workdps(self.dps + 10):
-            h = mp.mpf(h) if h is not None else mp.mpf("1e-6")
-            hi = self.eval(side, mp.mpf(r) + h)
-            lo = self.eval(side, mp.mpf(r) - h)
-            v = (hi.value - lo.value) / (2 * h)
-            # third-derivative truncation guessed from a coarser step
-            hi2 = self.eval(side, mp.mpf(r) + 2 * h)
-            lo2 = self.eval(side, mp.mpf(r) - 2 * h)
-            v2 = (hi2.value - lo2.value) / (4 * h)
-            err = (hi.error + lo.error) / (2 * h) + abs(v - v2)
-            return CertifiedValue(v, err)
+    def jet(self, side, r_sq):
+        """Exact (f, d f/d(r^2)) of side "f" or "f_hat" at an even squared
+        radius r_sq >= 0, as Fractions, from the t-side pole at E = -4 r_sq
+        (see the module docstring)."""
+        q = frac(r_sq)
+        if q < 0 or q.denominator != 1 or q.numerator % 2:
+            raise MagicError(
+                f"the jet needs an even squared radius >= 0, not {r_sq}")
+        if side not in ("f", "f_hat"):
+            raise MagicError(f"unknown side {side!r}")
+        minus = self.B if side == "f" else -self.B
+        out = [Fraction(0), Fraction(0)]
+        for coef, terms in ((self.A, self._terms[0]), (minus, self._terms[1])):
+            for m, const, series in terms:
+                c = series.coeff(-4 * q.numerator)
+                # the m = 2 series vanish at the cusp, so m = 2 has no pole
+                if not c or m > 1:
+                    continue
+                part = coef * const * c / 4 * (_PI if m == 0 else 1)
+                if not part.is_rational():
+                    raise MagicError(f"jet term {part!r} is not rational")
+                # the 1/s^2 pole (m = 1) gives the value, 1/s (m = 0) the
+                # slope
+                out[1 - m] += part.coefficient
+        return tuple(out)
 
 
 _SPEC_CACHE = {}
@@ -651,28 +685,10 @@ def magic_spec(n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS) -> MagicFunctionSpec:
     return _SPEC_CACHE[key]
 
 
-def taylor_quadratic(side, n, spec=None, levels=5):
-    """Coefficient of r^2 at the origin via Richardson-extrapolated
-    differences (the functions are even in r)."""
-    spec = spec or magic_spec(n)
-    with mp.workdps(spec.dps + 10):
-        f0 = spec.eval(side, 0)
-        table = []
-        errs = []
-        for j in range(levels):
-            h = mp.mpf(2) / 5 / 2 ** j
-            fj = spec.eval(side, h)
-            table.append((fj.value - f0.value) / h ** 2)
-            errs.append((fj.error + f0.error) / h ** 2)
-        for k in range(1, levels):
-            nxt = []
-            for j in range(levels - k):
-                nxt.append((4 ** k * table[j + 1] - table[j]) / (4 ** k - 1))
-            prev_last = table[-1]
-            table = nxt
-        est = table[-1]
-        err = max(errs) * 4 + abs(est - prev_last)
-        return CertifiedValue(est, err)
+def taylor_quadratic(side, n, spec=None) -> Fraction:
+    """Exact coefficient of r^2 at the origin: d/d(r^2) there, since the
+    functions are even in r."""
+    return (spec or magic_spec(n)).jet(side, 0)[1]
 
 
 def ce_bound_from_function(n, spec=None, certificate=None):

@@ -554,6 +554,3 @@ class CertifiedValue:
 
     def __float__(self):
         return float(self.value)
-
-    def within(self, target, tol) -> bool:
-        return abs(self.value - target) <= tol + self.error

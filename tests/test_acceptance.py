@@ -94,7 +94,7 @@ def test_criterion_4_poisson_residuals():
                   f"Leech {mp.nstr(r_leech['residual'], 3)}")
 
 
-def _magic_criterion(n, spec, slope_floor, taylor_targets, opt):
+def _magic_criterion(n, spec, taylor_targets, opt):
     with mp.workdps(spec.dps + 10):
         r1 = mp.sqrt(spec.r1_sq)
         checks = {}
@@ -103,19 +103,12 @@ def _magic_criterion(n, spec, slope_floor, taylor_targets, opt):
         for rr, name in ((r1, "r1"), (mp.sqrt(spec.r1_sq + 2), "r2")):
             checks[f"f({name})"] = abs(spec.eval("f", rr).value) <= 1e-6
             checks[f"fhat({name})"] = abs(spec.eval("f_hat", rr).value) <= 1e-6
-        second = mp.sqrt(spec.r1_sq + 2)
-        checks["f'(second) double"] = abs(
-            spec.derivative("f", second).value) <= 1e-5
-        checks["f'(r1) transversal"] = abs(
-            spec.derivative("f", r1).value) >= slope_floor
-        t_f = taylor_quadratic("f", n, spec)
-        t_h = taylor_quadratic("f_hat", n, spec)
-        checks["taylor f"] = abs(
-            t_f.value - mp.mpf(taylor_targets[0].numerator)
-            / taylor_targets[0].denominator) <= 1e-3
-        checks["taylor fhat"] = abs(
-            t_h.value - mp.mpf(taylor_targets[1].numerator)
-            / taylor_targets[1].denominator) <= 1e-3
+        # slopes in r^2, exact at the even squared radii
+        checks["f'(second) double"] = spec.jet("f", spec.r1_sq + 2)[1] == 0
+        checks["f'(r1) transversal"] = spec.jet("f", spec.r1_sq)[1] != 0
+        checks["taylor f"] = taylor_quadratic("f", n, spec) == taylor_targets[0]
+        checks["taylor fhat"] = (taylor_quadratic("f_hat", n, spec)
+                                 == taylor_targets[1])
         cert = certify_magic(n, spec)
         checks["grid signs + roots certificate"] = cert.status == "verified"
         bound = ce_bound_from_function(n, spec, certificate=cert)
@@ -125,18 +118,15 @@ def _magic_criterion(n, spec, slope_floor, taylor_targets, opt):
 
 def test_criterion_5_magic_dimension_8(spec8):
     checks = _magic_criterion(
-        8, spec8, 1e-2, (Fraction(-27, 10), Fraction(-3, 2)), OPT8)
+        8, spec8, (Fraction(-27, 10), Fraction(-3, 2)), OPT8)
     failing = [k for k, v in checks.items() if not v]
     report(5, not failing, f"n=8 checks: {', '.join(checks)}"
            + (f" FAILING: {failing}" if failing else ""))
 
 
 def test_criterion_6_magic_dimension_24(spec24):
-    # the transversal slope for n = 24 is exactly -1/16380 ~ 6.1e-5: the
-    # floor scales with the function size at the minimal length
     checks = _magic_criterion(
-        24, spec24, 1e-5, (Fraction(-14347, 5460), Fraction(-205, 156)),
-        OPT24)
+        24, spec24, (Fraction(-14347, 5460), Fraction(-205, 156)), OPT24)
     failing = [k for k, v in checks.items() if not v]
     report(6, not failing, f"n=24 checks: {', '.join(checks)}"
            + (f" FAILING: {failing}" if failing else ""))

@@ -111,6 +111,15 @@ def test_magic_eval(capsys, spec8):
     assert "-0.000494" in out
 
 
+def test_magic_eval_far_radius(capsys, spec8):
+    # far beyond the pole band: zero within its error, not a hang
+    code, out = run(["--format", "json", "magic", "eval", "--dim", "8",
+                     "--r", "1e300"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert float(doc["f"]) == 0 and float(doc["f_err"]) < 1e-40
+
+
 def test_magic_table(tmp_path, capsys, spec8):
     target = tmp_path / "f.csv"
     code, _ = run(["magic", "table", "--dim", "8", "--rmax", "1",

@@ -5,6 +5,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from packbound import magic
 from packbound.certify import Certificate
 from packbound.lattices import SymbolicVolume
 from packbound.magic import (
@@ -65,42 +66,128 @@ def test_roots_at_vector_lengths_24(spec24):
                 assert abs(v.value) < 1e-12
 
 
+def _central_difference(spec, side, r, h=mp.mpf("1e-6")):
+    """d/dr of a side at r from certified values, and an error bar: the
+    values' errors over 2h plus the change to a step twice as coarse."""
+    hi, lo = spec.eval(side, r + h), spec.eval(side, r - h)
+    hi2, lo2 = spec.eval(side, r + 2 * h), spec.eval(side, r - 2 * h)
+    v = (hi.value - lo.value) / (2 * h)
+    v2 = (hi2.value - lo2.value) / (4 * h)
+    return v, (hi.error + lo.error) / (2 * h) + abs(v - v2)
+
+
+def _richardson(spec, side, levels=5):
+    """The r^2 coefficient at the origin by Richardson extrapolation of
+    certified values, and an error bar: four times the largest error of a
+    difference quotient plus the last change of the table."""
+    f0 = spec.eval(side, 0)
+    table, errs = [], []
+    for j in range(levels):
+        h = mp.mpf(2) / 5 / 2 ** j
+        fj = spec.eval(side, h)
+        table.append((fj.value - f0.value) / h ** 2)
+        errs.append((fj.error + f0.error) / h ** 2)
+    for k in range(1, levels):
+        last = table[-1]
+        table = [(4 ** k * table[j + 1] - table[j]) / (4 ** k - 1)
+                 for j in range(levels - k)]
+    return table[-1], 4 * max(errs) + abs(table[-1] - last)
+
+
+def _slope_against_difference(spec, side, r_sq, slope, bar):
+    """The exact d/d(r^2) is `slope`, and 2 r times it lies within the
+    central difference's error bar, which is below `bar`."""
+    assert spec.jet(side, r_sq) == (0, slope)
+    with mp.workdps(spec.dps + 10):
+        r = mp.sqrt(r_sq)
+        d, err = _central_difference(spec, side, r)
+        assert err < bar
+        assert abs(d - 2 * r * mp.mpf(slope.numerator) / slope.denominator) \
+            <= err
+
+
 def test_simple_root_slope_8(spec8):
-    with mp.workdps(70):
-        d = spec8.derivative("f", mp.sqrt(2))
-        # exact slope of the leading pole term: -sqrt(2)/60
-        assert abs(d.value + mp.sqrt(2) / 60) < 1e-10
-        assert abs(d.value) > 1e-2
-        dd = spec8.derivative("f", 2)
-        assert abs(dd.value) < 1e-10
+    # f'(r1) = 2 sqrt(2) (-1/120) = -sqrt(2)/60
+    _slope_against_difference(spec8, "f", 2, Fraction(-1, 120), 1.2e-12)
+    _slope_against_difference(spec8, "f", 4, Fraction(0), 3e-14)
 
 
 def test_simple_root_slope_24(spec24):
-    with mp.workdps(70):
-        d = spec24.derivative("f", 2)
-        assert abs(d.value + Fraction(1, 16380)) < 1e-10
-        dd = spec24.derivative("f", mp.sqrt(6))
-        assert abs(dd.value) < 1e-10
+    # f'(r1) = 4 (-1/65520) = -1/16380
+    _slope_against_difference(spec24, "f", 4, Fraction(-1, 65520), 1.3e-14)
+    _slope_against_difference(spec24, "f", 6, Fraction(0), 4e-17)
 
 
 def test_fhat_double_root_at_r1(spec8):
-    with mp.workdps(70):
-        d = spec8.derivative("f_hat", mp.sqrt(2))
-        assert abs(d.value) < 1e-10
+    _slope_against_difference(spec8, "f_hat", 2, Fraction(0), 1e-12)
+
+
+def _taylor_against_richardson(spec, side, n, target):
+    assert taylor_quadratic(side, n, spec) == target
+    with mp.workdps(spec.dps + 10):
+        est, err = _richardson(spec, side)
+        assert err < 1e-8
+        assert abs(est - mp.mpf(target.numerator) / target.denominator) <= err
 
 
 def test_taylor_quadratic_8(spec8):
-    t_f = taylor_quadratic("f", 8, spec8)
-    t_fh = taylor_quadratic("f_hat", 8, spec8)
-    assert abs(t_f.value - Fraction(-27, 10)) < 1e-6
-    assert abs(t_fh.value - Fraction(-3, 2)) < 1e-6
+    _taylor_against_richardson(spec8, "f", 8, Fraction(-27, 10))
+    _taylor_against_richardson(spec8, "f_hat", 8, Fraction(-3, 2))
 
 
 def test_taylor_quadratic_24(spec24):
-    t_f = taylor_quadratic("f", 24, spec24)
-    t_fh = taylor_quadratic("f_hat", 24, spec24)
-    assert abs(t_f.value - Fraction(-14347, 5460)) < 1e-6
-    assert abs(t_fh.value - Fraction(-205, 156)) < 1e-6
+    _taylor_against_richardson(spec24, "f", 24, Fraction(-14347, 5460))
+    _taylor_against_richardson(spec24, "f_hat", 24, Fraction(-205, 156))
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_jet_value_matches_certified_eval(n, request):
+    spec = request.getfixturevalue(f"spec{n}")
+    with mp.workdps(spec.dps + 10):
+        for j in range(5):
+            for side in ("f", "f_hat"):
+                exact = spec.jet(side, 2 * j)[0]
+                v = spec.eval(side, mp.sqrt(2 * j))
+                assert abs(v.value - mp.mpf(exact.numerator)
+                           / exact.denominator) <= v.error
+
+
+def test_jet_rejects_other_radii(spec8):
+    for r_sq in (1, -2, 2.5):
+        with pytest.raises(MagicError):
+            spec8.jet("f", r_sq)
+    with pytest.raises(MagicError):
+        spec8.jet("g", 2)
+
+
+def test_jet_reads_the_constants_at_call_time(spec8):
+    # f and fhat trade places when the minus constant flips sign
+    flipped = spec8.flipped_minus_copy()
+    for r_sq in (0, 2):
+        assert flipped.jet("f", r_sq) == spec8.jet("f_hat", r_sq)
+        assert flipped.jet("f_hat", r_sq) == spec8.jet("f", r_sq)
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_eval_far_out_stays_out_of_the_pole_band(n, request, monkeypatch):
+    # far out, 2^(2 fix) // s underflows to 0 for every exponent; only a
+    # small s may reach the band's power series, which would not end at
+    # s ~ 1e600
+    spec = request.getfixturevalue(f"spec{n}")
+    spec = copy.copy(spec)
+    spec._cache = {}
+    sinc2 = magic._sinc2
+
+    def in_band_only(s, dps):
+        assert abs(s) <= 2 * magic.POLE_BAND
+        return sinc2(s, dps)
+
+    monkeypatch.setattr(magic, "_sinc2", in_band_only)
+    for r in (mp.mpf("1e36"), mp.mpf("1e300")):
+        for side in ("f", "f_hat"):
+            v = spec.eval(side, r)
+            assert mp.isfinite(v.value) and mp.isfinite(v.error)
+            assert abs(v.value) <= v.error < 1e-40
 
 
 def test_value_at_sqrt2_24(spec24):
