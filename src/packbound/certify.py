@@ -347,7 +347,6 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int,
 # Composite certificate for the optimal test functions
 # ---------------------------------------------------------------------------
 
-_GRID_SLACK = 1e-9
 _GRID_STEP = 0.02
 _FAR_MARGIN = 10.0
 
@@ -397,12 +396,12 @@ def certify_magic(n: int, spec=None) -> Certificate:
         worst_f = max(v.value - v.error for v in f_vals)
         cert.add_step(f"f <= 0 on [r1, {rmax}]", "numerical grid",
                       f"max lower bound {float(worst_f):.3e}",
-                      worst_f <= _GRID_SLACK)
+                      worst_f <= 0)
         worst_h = min(v.value + v.error
                       for v in (spec.combine("f_hat", p, m) for p, m in pairs))
         cert.add_step(f"fhat >= 0 on [0, {rmax}]", "numerical grid",
                       f"min upper bound {float(worst_h):.3e}",
-                      worst_h >= -_GRID_SLACK)
+                      worst_h >= 0)
 
         # far tail: decaying kernel dominates all error terms by a margin;
         # sample just past the grid (the value decays toward the certified

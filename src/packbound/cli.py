@@ -266,16 +266,19 @@ def _cmd_verify(args, cfg):
             raise CertifyError("--tolerance must be finite and nonnegative")
         lat = standard_lattice(args.name, args.n)
         res = poisson_check(lat, args.sigma, args.cutoff)
-        ok = res["residual"] <= args.tolerance
+        # refuted only if the truncated sums differ beyond both tails
+        excess = res["difference"] - res["tail_lattice"] - res["tail_dual"]
+        status = ("verified" if res["residual"] <= args.tolerance else
+                  "refuted" if excess > args.tolerance else "inconclusive")
         dim = "" if args.n is None else f" --n {args.n}"
         payload = {"lattice": lat.name, "sigma": res["sigma"],
-                   "cutoff": res["cutoff"],
+                   "cutoff": res["cutoff"], "status": status,
                    "residual": _nstr(res["residual"], 6),
-                   "tolerance": args.tolerance, "passed": bool(ok),
+                   "tolerance": args.tolerance, "passed": status == "verified",
                    "replay": f"packbound verify poisson --name {args.name}"
                              f"{dim} --sigma {args.sigma} --cutoff "
                              f"{args.cutoff} --tolerance {args.tolerance!r}"}
-        return (EXIT_OK if ok else EXIT_REFUTED), {"json": payload}
+        return STATUS_EXIT[status], {"json": payload}
     # lp
     if args.cert is None:
         raise lp.LpError("verify lp requires --cert")

@@ -42,19 +42,20 @@ integer reciprocal per exponent, integer products for its powers and one
 integer dot product per side, with a proven truncation term (see
 `_TsideTable`).  On (0, t*] the substitution u = 1/t and the S-transform
 turn the integrand into u^(-n/2) * (decaying series) * e^(-pi r^2 / u),
-integrated by fixed-order Gauss-Legendre panels with an order-doubling
-error estimate.  At spec build each series is summed at every node as an
-integer dot product of its exact coefficients with the powers of
-y = e^(-pi u/4), held in a wider fixed point with a proven round-off bound
-(see `_NodeSeries`).  Both kernels share one node set, where
-e^(-pi r^2 / u) and the weighted integrand values are held in the same
-fixed point, so each quadrature sum is an exact integer dot product.  One
-exp per node anchors a radius; on an arithmetic grid r_k = r0 + k h,
-`sweep` takes three exps per node once and then two integer products per
-node and radius (see `_decays`).  The u-side error carries proven round-off
-terms for the node values (in the series error), their truncation and the
-decays' 2 (k + 2)^2 units.  `pair(r)` is a one-radius sweep.  Series
-truncation tails ride along from the coefficient envelopes.
+integrated by 64-point Gauss-Legendre panels with a proven Bernstein-ellipse
+error bound, one constant per kernel for every radius (see `_uside_kernels`).
+At spec build each series is summed at every node as an integer dot product
+of its exact coefficients with the powers of y = e^(-pi u/4), held in a
+wider fixed point with a proven round-off bound (see `_NodeSeries`).  Both
+kernels share one node set, where e^(-pi r^2 / u) and the weighted
+integrand values are held in the same fixed point, so each quadrature sum
+is an exact integer dot product.  One exp per node anchors a radius; on an
+arithmetic grid r_k = r0 + k h, `sweep` takes three exps per node once and
+then two integer products per node and radius (see `_decays`).  The u-side
+error carries proven round-off terms for the node values (in the series
+error), their truncation and the decays' 2 (k + 2)^2 units.  `pair(r)` is a
+one-radius sweep.  Series truncation tails ride along from the coefficient
+envelopes.
 
 Even squared radii
 ------------------
@@ -83,7 +84,8 @@ import mpmath as mp
 
 from .exact import frac
 from .lattices import SymbolicVolume, ball_volume
-from .qseries import CertifiedValue, GRID, psi_forms, s_transform_terms
+from .qseries import (CertifiedValue, GRID, QSeries, psi_forms,
+                      s_transform_terms)
 
 DEFAULT_TRUNC = 300
 DEFAULT_DPS = 60
@@ -109,6 +111,7 @@ _TABLE_ALPHA = {8: SymbolicVolume(Fraction(1, 8640), Fraction(1)),
 # ---------------------------------------------------------------------------
 
 _GL_CACHE = {}
+_ORDER = 64  # of the u-side rule
 
 
 def _legendre(order: int, x):
@@ -121,7 +124,7 @@ def _legendre(order: int, x):
 
 
 def legendre_nodes(order: int, dps: int):
-    """Nodes and weights on [-1, 1], computed once per (order, dps).
+    """Nodes and weights of an even order on [-1, 1], once per (order, dps).
 
     Each positive node is solved by Newton's method in float64 first, so the
     mpmath solve starts 16 digits in and needs about four steps.  The
@@ -146,10 +149,8 @@ def legendre_nodes(order: int, dps: int):
             dp = _legendre(order, x)[1]
             upper.append(x)
             upper_w.append(2 / ((1 - x * x) * dp * dp))
-        middle = [mp.mpf(0)] * (order % 2)
-        nodes = [-x for x in upper] + middle + upper[::-1]
-        weights = (upper_w + [2 / _legendre(order, x)[1] ** 2 for x in middle]
-                   + upper_w[::-1])
+        nodes = [-x for x in upper] + upper[::-1]
+        weights = upper_w + upper_w[::-1]
     _GL_CACHE[key] = (nodes, weights)
     return _GL_CACHE[key]
 
@@ -305,42 +306,40 @@ def _fixed(x, fix):
 class _UsideKernel:
     """Gauss-Legendre data for int_{u0}^inf u^(-p) Phi(iu) e^(-b/u) du.
 
-    `nodes` holds -1/u at the low- and the high-order nodes.  Every kernel
-    of a spec holds the same two lists, so e^(-b/u) is held once per node
-    and radius for all of them.  `vals` holds the weighted integrand values
-    at the nodes as integers scaled by 2^fix (floored from the fixed-point
-    series values; their round-off is part of `series_err`), so each
-    quadrature sum against decays in the same fixed point is an exact
-    integer dot product.
+    `nodes` holds -1/u at the nodes.  Every kernel of a spec holds the same
+    list, so e^(-b/u) is held once per node and radius for all of them.
+    `vals` holds the weighted integrand values at the nodes as integers
+    scaled by 2^fix (floored from the fixed-point series values; their
+    round-off is part of `series_err`), so each quadrature sum against
+    decays in the same fixed point is an exact integer dot product.
+    `quad_err` bounds the rule's error for every b >= 0.
     """
 
     __slots__ = ("nodes", "fix", "vals", "abs_vals", "series_err",
-                 "tail_err")
+                 "tail_err", "quad_err")
 
-    def __init__(self, nodes, fix, vals, series_err, tail_err):
+    def __init__(self, nodes, fix, vals, series_err, tail_err, quad_err):
         self.nodes = nodes
         self.fix = fix
         self.vals = vals
-        self.abs_vals = sum(abs(v) for part in vals for v in part)
+        self.abs_vals = sum(map(abs, vals))
         self.series_err = series_err
         self.tail_err = tail_err
+        self.quad_err = quad_err
 
     def integral(self, decay, units):
         """Certified value of the integral from e^(-b/u) at `nodes`, given
         as integers scaled by 2^fix within `units` units of the exact
         decay."""
         fix = self.fix
-        q_lo, q_hi = (mp.ldexp(sum(map(mul, v, d)), -2 * fix)
-                      for v, d in zip(self.vals, decay))
+        q = mp.ldexp(sum(map(mul, self.vals, decay)), -2 * fix)
         # per node: the value's floor (under a unit, against a decay of at
         # most 1) and the decay's error against the value; per sum: its
-        # rounding to working precision.  q_hi carries it twice, once more
-        # through the order-doubling estimate.
-        count = sum(map(len, decay))
+        # rounding to working precision
+        count = len(decay)
         roundoff = mp.ldexp((count << fix)
                             + (units + 2) * (self.abs_vals + count), -2 * fix)
-        return q_hi, (abs(q_hi - q_lo) + 2 * roundoff + self.series_err
-                      + self.tail_err)
+        return q, roundoff + self.series_err + self.tail_err + self.quad_err
 
 
 class _NodeSeries:
@@ -395,7 +394,7 @@ class _NodeSeries:
 _GUARD_BITS = 16
 
 
-def _uside_kernels(series_list, p, u0, orders, dps):
+def _uside_kernels(series_list, p, u0, dps):
     """One _UsideKernel per series, all on one node set.
 
     The panel breaks grow geometrically from u0 up to the u_max of the most
@@ -405,16 +404,26 @@ def _uside_kernels(series_list, p, u0, orders, dps):
     value is floor(S W 2^-F), W the weight truncated to fix bits (under a
     unit low): off by at most (b (W + 1) + |S|) 2^-F units of 2^-fix
     before the floor (which `integral` counts), b being S's round-off bound.
-    Summed over all nodes and doubled (once for the high-order sum, once
-    more through the order-doubling estimate), that is the round-off term
-    of `series_err`.
+    Summed over all nodes, that is the round-off term of `series_err`.
+
+    On a panel [a, b] the N-point rule is off by at most (b - a)/2 * 64 M /
+    (15 (rho^2 - 1) rho^(2N - 2)) if |integrand| <= M on the ellipse with
+    foci a, b through sigma in (0, a) (Trefethen, SIAM Rev. 50 (2008), Thm
+    4.5).  There Re u >= sigma: |e^(-pi r^2/u)| <= 1 for every radius, |u^-p|
+    <= sigma^-p and |Phi(iu)| <= sum |c_E| e^(-pi sigma E/4) plus the
+    envelope tail, so M is one constant per kernel; the least bound over
+    sigma = a/8, ..., 7a/8 is kept, and a relative 2^-20 covers its rounding.
     """
     e1s = [series.min_exp for series in series_list]
-    if min(e1s) < 1:
-        raise MagicError("u-side kernel must decay at the cusp")
+    if min(e1s) < 1 or any(s.envelope is None for s in series_list):
+        raise MagicError("u-side kernel must decay at the cusp and carry a "
+                         "tail envelope")
     with mp.workdps(dps + 10):
         fix = mp.mp.prec
         fixed = _NodeSeries(series_list, fix)
+        # the same sums with |c_E|: at u they bound |Phi(iz)| for Re z >= u
+        majorant = _NodeSeries([QSeries({e: abs(c) for e, c in s.items()},
+                                        s.trunc) for s in series_list], fix)
         prec = fixed.prec
         u0 = mp.mpf(u0.numerator) / u0.denominator
         u_max = u0 + (dps + 12) * mp.log(10) * 4 / (mp.pi * min(e1s))
@@ -423,51 +432,57 @@ def _uside_kernels(series_list, p, u0, orders, dps):
             breaks.append(breaks[-1] * 2 + 1)
         breaks[-1] = u_max
 
-        nodes = ([], [])
-        vals = [([], []) for _ in series_list]
+        def tails(y):
+            # sum_{E >= trunc} |c_E| y^E by the envelopes, per series
+            return [s.envelope.tail_bound(s.trunc, y) for s in series_list]
+
+        def bound_phi(u):
+            y, sums = majorant.at(u)
+            return [mp.ldexp(s + b, -prec) + t
+                    for (s, b), t in zip(sums, tails(y))]
+
+        xs, ws = legendre_nodes(_ORDER, dps)
+        nodes = []
+        vals = [[] for _ in series_list]
         series_err = [mp.mpf(0)] * len(series_list)
+        quad_err = [mp.mpf(0)] * len(series_list)
         roundoff = [0] * len(series_list)
-        for part, order in enumerate(orders):
-            xs, ws = legendre_nodes(order, dps)
-            for a, b in zip(breaks, breaks[1:]):
-                half = (b - a) / 2
-                mid = (b + a) / 2
-                for x, w in zip(xs, ws):
-                    u = mid + half * x
-                    wu = w * half * u ** (-p)
-                    weight = _fixed(wu, fix)
-                    nodes[part].append(-1 / u)
-                    y, phis = fixed.at(u)
-                    for k, (s, bound) in enumerate(phis):
-                        vals[k][part].append(s * weight >> prec)
-                        roundoff[k] += (bound * (weight + 1) + abs(s)
-                                        >> prec) + 1
-                        # series truncation along the contour (e^(-b/u) <= 1)
-                        # is integrated at the high order
-                        series = series_list[k]
-                        if part == 1 and series.envelope is not None:
-                            series_err[k] += wu * series.envelope.tail_bound(
-                                series.trunc, y)
-        kernels = []
-        y, phis = fixed.at(u_max)
-        for k, (s, bound) in enumerate(phis):
-            series = series_list[k]
-            env = (series.envelope.tail_bound(series.trunc, y)
-                   if series.envelope is not None else 0)
-            # contour tail beyond u_max: |Phi(iu)| <= A_U e^(-pi e1 (u-U)/4)
-            tail_err = ((mp.ldexp(abs(s) + bound, -prec) + env)
-                        * u_max ** (-p) * 4 / (mp.pi * e1s[k]))
-            kernels.append(_UsideKernel(
-                nodes, fix, vals[k],
-                series_err[k] + mp.ldexp(2 * roundoff[k], -fix), tail_err))
-        return kernels
+        for a, b in zip(breaks, breaks[1:]):
+            half = (b - a) / 2
+            mid = (b + a) / 2
+            for x, w in zip(xs, ws):
+                u = mid + half * x
+                wu = w * half * u ** (-p)
+                weight = _fixed(wu, fix)
+                nodes.append(-1 / u)
+                y, phis = fixed.at(u)
+                for k, ((s, bound), tail) in enumerate(zip(phis, tails(y))):
+                    vals[k].append(s * weight >> prec)
+                    roundoff[k] += (bound * (weight + 1) + abs(s) >> prec) + 1
+                    # series truncation along the contour (e^(-b/u) <= 1)
+                    series_err[k] += wu * tail
+            panel = [mp.inf] * len(series_list)
+            for sigma in (a * j / 8 for j in range(1, 8)):
+                c = (mid - sigma) / half
+                rho = c + mp.sqrt(c * c - 1)
+                scale = half * 64 / (15 * (rho * rho - 1) * sigma ** p
+                                     * rho ** (2 * _ORDER - 2))
+                panel = [min(e, scale * m)
+                         for e, m in zip(panel, bound_phi(sigma))]
+            quad_err = [q + e for q, e in zip(quad_err, panel)]
+        # contour tail beyond u_max: |Phi(iu)| <= A_U e^(-pi e1 (u-U)/4)
+        return [_UsideKernel(nodes, fix, vals[k],
+                             series_err[k] + mp.ldexp(roundoff[k], -fix),
+                             phi * u_max ** (-p) * 4 / (mp.pi * e1s[k]),
+                             quad_err[k] * (1 + mp.mpf(2) ** -20))
+                for k, phi in enumerate(bound_phi(u_max))]
 
 
 class MagicFunctionSpec:
     """Precomputed evaluation pipeline for one dimension."""
 
     def __init__(self, n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS,
-                 tstar=Fraction(1), quad_orders=(32, 64)):
+                 tstar=Fraction(1)):
         if n not in (8, 24):
             raise MagicError("dimension must be 8 or 24")
         self.n = n
@@ -475,7 +490,6 @@ class MagicFunctionSpec:
         self.trunc = trunc
         self.dps = dps
         self.tstar = frac(tstar)
-        self.quad_orders = quad_orders
         self._cache = {}
 
         terms = s_transform_terms(n, trunc)
@@ -505,8 +519,7 @@ class MagicFunctionSpec:
         if usign != 1 or abs(minus_term.rat) != 1:
             raise MagicError("unexpected minus-kernel normalization")
         self.uside_plus, self.uside_minus = _uside_kernels(
-            [psis["psi_plus"], minus_term.series], n // 2, 1 / self.tstar,
-            quad_orders, dps)
+            [psis["psi_plus"], minus_term.series], n // 2, 1 / self.tstar, dps)
 
         # combination constants
         kappa1 = plus_terms[1][1]
@@ -606,8 +619,7 @@ class MagicFunctionSpec:
         fix = kernel.fix
 
         def anchor(scale):
-            return [[_fixed(mp.exp(scale * v), fix) for v in part]
-                    for part in kernel.nodes]
+            return [_fixed(mp.exp(scale * v), fix) for v in kernel.nodes]
 
         decay = anchor(mp.pi * (r0 * r0))
         if count > 1:
@@ -617,11 +629,9 @@ class MagicFunctionSpec:
         for k in range(count):
             yield decay
             if k + 1 < count:
-                decay = [[e * r >> fix for e, r in zip(ep, rp)]
-                         for ep, rp in zip(decay, ratio)]
+                decay = [e * r >> fix for e, r in zip(decay, ratio)]
             if k + 2 < count:
-                ratio = [[r * c >> fix for r, c in zip(rp, cp)]
-                         for rp, cp in zip(ratio, q)]
+                ratio = [r * c >> fix for r, c in zip(ratio, q)]
 
     def flipped_minus_copy(self) -> "MagicFunctionSpec":
         """Copy with the minus-kernel constant negated (sabotage testing)."""

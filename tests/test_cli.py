@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from packbound import cli, codes, lattices, lpbound, magic
+from packbound import certify, cli, codes, lattices, lpbound, magic
 from packbound.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig,
     build_parser, dispatch, output_format,
@@ -145,7 +145,39 @@ def test_verify_poisson(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["passed"] is True
+    assert doc["status"] == "verified"
     assert doc["config"]["fmt"] == "json"  # the format written
+
+
+@pytest.mark.parametrize("sigma, cutoff", [("1/10", 5), ("1", 2), ("3", 3)])
+def test_verify_poisson_tails_alone_are_inconclusive(sigma, cutoff, capsys):
+    # Poisson summation holds on E8; these residuals exceed the tolerance
+    # only through the tail bounds (+inf, or 2.5e-4 each with a difference
+    # of 0)
+    code, out = run(["verify", "poisson", "--name", "e8", "--sigma", sigma,
+                     "--cutoff", str(cutoff)], capsys)
+    assert code == EXIT_INCONCLUSIVE
+    doc = json.loads(out)
+    assert (doc["status"], doc["passed"]) == ("inconclusive", False)
+
+
+def test_verify_poisson_sabotaged_counts_refuted(monkeypatch, capsys):
+    # one norm-2 vector too many: the truncated sums differ by more than
+    # both tails (2.95e-3 beyond them at sigma = 4/5; at sigma = 1 the two
+    # sums coincide, so the sabotage would not show)
+    vectors_by_norm = certify.vectors_by_norm
+
+    def sabotaged(lat, max_norm, budget):
+        table = vectors_by_norm(lat, max_norm, budget=budget)
+        counts = tuple((v, c + (v == 2)) for v, c in table.counts)
+        assert dict(counts)[2] == 241
+        return lattices.NormCountTable(counts, table.max_norm)
+
+    monkeypatch.setattr(certify, "vectors_by_norm", sabotaged)
+    code, out = run(["verify", "poisson", "--name", "e8", "--sigma", "4/5",
+                     "--cutoff", "25"], capsys)
+    assert code == EXIT_REFUTED
+    assert json.loads(out)["status"] == "refuted"
 
 
 @pytest.fixture(scope="module")
