@@ -259,6 +259,10 @@ def certify_positive_tail(series, q_interval: RationalInterval,
 # Poisson summation residual
 # ---------------------------------------------------------------------------
 
+# digits of the Poisson sums
+_POISSON_DPS = 40
+
+
 def _shell_count_bound(lat: LatticeDescription, table, quantum):
     """Envelope n(v) <= C * (v/quantum)^p valid beyond the computed range.
 
@@ -278,7 +282,7 @@ def _shell_count_bound(lat: LatticeDescription, table, quantum):
     return 4 * c, Fraction(math.ceil(p))
 
 
-def _lattice_sum(table, rate, dps):
+def _lattice_sum(table, rate):
     """sum counts(v) * exp(-rate * v) over the table."""
     total = mp.mpf(0)
     for v, cnt in table.counts:
@@ -301,8 +305,7 @@ def _tail_bound(c, p, quantum, cutoff_norm, rate):
     return first / (1 - ratio)
 
 
-def poisson_check(lat: LatticeDescription, sigma, cutoff: int,
-                  dps: int = 40) -> dict:
+def poisson_check(lat: LatticeDescription, sigma, cutoff: int) -> dict:
     """Residual of Poisson summation for the Gaussian exp(-pi |x|^2/sigma^2)
     on a unimodular lattice, which is its own dual with covolume 1.
 
@@ -321,14 +324,14 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int,
             f"the Poisson check needs a unimodular lattice; "
             f"{lat.name or 'this one'} has Gram determinant {lat.gram_det}")
     max_norm = Fraction(2 * cutoff)
-    with mp.workdps(dps + 10):
+    with mp.workdps(_POISSON_DPS + 10):
         table = vectors_by_norm(lat, max_norm, budget=max_norm)
         quantum = lat.norm_quantum()
         rate_g = mp.pi / (mp.mpf(sigma.numerator) / sigma.denominator) ** 2
         rate_gh = mp.pi * (mp.mpf(sigma.numerator) / sigma.denominator) ** 2
         sig_n = (mp.mpf(sigma.numerator) / sigma.denominator) ** lat.dimension
-        s_lat = _lattice_sum(table, rate_g, dps)
-        s_dual = sig_n * _lattice_sum(table, rate_gh, dps)
+        s_lat = _lattice_sum(table, rate_g)
+        s_dual = sig_n * _lattice_sum(table, rate_gh)
         c, p = _shell_count_bound(lat, table, quantum)
         tail_lat = _tail_bound(c, p, quantum, max_norm, rate_g)
         tail_dual = sig_n * _tail_bound(c, p, quantum, max_norm, rate_gh)
@@ -368,7 +371,8 @@ def certify_magic(n: int, spec=None) -> Certificate:
 
     Both sign conditions read one sweep of certified pairs (P, M), since
     f = A*P + B*M and fhat = A*P - B*M: fhat >= 0 at every grid point on
-    [0, rmax], f <= 0 at the grid points in [r1, rmax] and at r1 itself.
+    [0, rmax] and f <= 0 at the grid points in [r1, rmax] (f(r1) = 0 is an
+    exact step).
     A grid step compares a certified value against its threshold widened by
     the value's error, so its failure refutes; the far-decay margin refutes
     only when a sign fails beyond that error."""
@@ -386,14 +390,13 @@ def certify_magic(n: int, spec=None) -> Certificate:
             exact_step(f"{side}(0) = 1", spec.jet(side, 0)[0], 1, "value")
 
         # (ii) sign conditions on one grid k*step <= rmax: fhat at every
-        # point, f at the points beyond r1 and at r1 itself
+        # point, f at the points beyond r1
         step = mp.mpf(_GRID_STEP)
         rmax = _GRID_END[n]
         pairs = spec.sweep(0, step, int(mp.floor(rmax / step)) + 1)
-        f_vals = [spec.eval("f", r1)] + [
+        worst_f = max(v.value - v.error for v in (
             spec.combine("f", p, m) for k, (p, m) in enumerate(pairs)
-            if k * step >= r1]
-        worst_f = max(v.value - v.error for v in f_vals)
+            if k * step >= r1))
         cert.add_step(f"f <= 0 on [r1, {rmax}]", "numerical grid",
                       f"max lower bound {float(worst_f):.3e}",
                       worst_f <= 0)

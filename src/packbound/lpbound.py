@@ -153,8 +153,8 @@ ROW_FLOOR_BITS = 50
 def default_samples():
     """Geometric grid of SAMPLE_COUNT radii on [1, SAMPLE_R_MAX].  No sample
     is placed by hand near the vector lengths, where the optimal profile
-    nearly touches zero: the refinement of sampled_lp adds one at the
-    maximum of every stretch where p > 0."""
+    nearly touches zero: the refinement of sampled_lp adds one near every
+    maximum of p where p > 0."""
     return [round(SAMPLE_R_MAX ** (i / (SAMPLE_COUNT - 1)), 9)
             for i in range(SAMPLE_COUNT)]
 
@@ -237,32 +237,25 @@ def verify_lp(cert: LpCertificate) -> Certificate:
 
 
 def _positive_maxima(poly, lo):
-    """One point near the maximum of p on each stretch of [lo, inf) where
-    p > 0, by Sturm bisection: the stretches lie between the roots of p
-    beyond lo, and the maximum of a bounded one sits at lo or at a root of
-    p'.  A stretch without end (p grows) gets the point twice its start."""
-    roots = sturm_roots(poly, lo)
-    dpoly = poly_deriv(poly)
-    points = []
-    for a, b in zip([lo] + roots, roots + [None]):
-        if b is None:
-            if poly[-1] > 0:
-                points.append(2 * a)
-            continue
-        if poly_eval(poly, (a + b) / 2) <= 0:
-            continue
-        candidates = sturm_roots(dpoly, a, b) + ([a] if a == lo else [])
-        points.append(max(candidates or [(a + b) / 2],
-                          key=lambda y: poly_eval(poly, y)))
+    """Points near the maxima of p on the stretches of [lo, inf) where
+    p > 0, from one Sturm search: the roots of p' beyond lo where p > 0, lo
+    if p(lo) > 0, and, if p grows without end, the Cauchy bound
+    1 + max |c_i / c_d|, beyond which p has no root."""
+    points = [y for y in sturm_roots(poly_deriv(poly), lo)
+              if poly_eval(poly, y) > 0]
+    if poly_eval(poly, lo) > 0:
+        points.append(lo)
+    if poly[-1] > 0:
+        points.append(1 + max(abs(c / poly[-1]) for c in poly[:-1]))
     return points
 
 
 def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     """Minimize p(0) = f(0) over b >= 0 with p(pi r^2) < 0 at the sample
     radii, by exact dual simplex, then check the solution with verify_lp
-    on [PI_LO, inf).  While the check fails, add a sample at the maximum of
-    each stretch where p > 0 and solve again, for at most refine_rounds
-    more rounds.
+    on [PI_LO, inf).  While the check fails, add a sample near every
+    maximum of p where p > 0 (`_positive_maxima`) and solve again, for at
+    most refine_rounds more rounds.
 
     The result carries `bound` only when the check passed and `estimate`
     otherwise; an LP without solution carries neither, with
@@ -394,14 +387,11 @@ def estimate(n: int, degree: int, dps: int, trunc: int) -> dict:
     if n not in (8, 24):
         raise LpError(f"the collocation estimate needs dimension 8 or 24, "
                       f"not {n}")
-    _check_family(n, degree)
-    # the largest odd d <= degree, kept so that estimates and artifacts stay
-    d = 1 + 2 * ((degree - 1) // 2)
-    ans = RadialAnsatz(n, d)
+    ans = RadialAnsatz(n, degree)
     with mp.workdps(dps):
         b = _collocation_seed(ans, trunc, dps)
         f0 = ans.f_value(b, 0)
         return dict(
-            b=b, d=d, f0=f0,
+            b=b, d=degree, f0=f0,
             estimate=float(f0) * ball_volume(n, Fraction(1, 4)).to_float(),
             **sign_sweep(ans, b))

@@ -196,13 +196,17 @@ class _TsideTable:
     product under a unit, the floor); D is under a unit off.  So D X_k is
     within |D| e_k + m^k 2^fix + e_k units of 2^-2fix: summed over E and j,
     times W g <= 1, that is the truncation term.  The guard (abs_total + 1)
-    10^-(dps-8) still covers the mpf inputs (D, pi r^2, W, g).
+    10^-(dps-8) still covers the mpf inputs (D, pi r^2, W, g).  The series
+    tails beyond trunc come from the envelopes, so every series must carry
+    one.
     """
 
     __slots__ = ("dps", "fix", "tstar", "band", "exps", "shift", "bpow",
                  "width", "sides")
 
     def __init__(self, sides, tstar, base, dps, fix):
+        if any(s.envelope is None for side in sides for _, _, s in side):
+            raise MagicError("t-side series must carry a tail envelope")
         self.dps = dps
         self.fix = fix
         self.tstar = tstar
@@ -231,9 +235,8 @@ class _TsideTable:
                     for e, v in series.items():
                         c[index[e]][m] += cm * v
                         c_abs[index[e]][m] += abs(cm * v)
-                    if series.envelope is not None:
-                        tail += abs(cm) * 8 * (1 + tstar) ** m * \
-                            series.envelope.tail_bound(series.trunc, base)
+                    tail += abs(cm) * 8 * (1 + tstar) ** m * \
+                        series.envelope.tail_bound(series.trunc, base)
 
                 def fold(cs, rnd):
                     # rows over j of the x^(j+1) coefficients D_{E,j}
@@ -702,7 +705,8 @@ def taylor_quadratic(side, n, spec=None) -> Fraction:
 
 
 def ce_bound_from_function(n, spec=None, certificate=None):
-    """Density bound f(0) * vol(B_n(r1/2)) with certified error.
+    """Density bound f(0) * vol(B_n(r1/2)), exact: f(0) is the exact value
+    of the jet at the origin, which a verified certificate proves is 1.
 
     Requires a verified feasibility certificate.
     """
@@ -710,6 +714,5 @@ def ce_bound_from_function(n, spec=None, certificate=None):
     if getattr(certificate, "status", None) != "verified":
         raise MagicError("feasibility certificate missing or not verified")
     with mp.workdps(spec.dps + 10):
-        f0 = spec.eval("f", 0)
-        volv = ball_volume(n, Fraction(spec.r1_sq, 4)).mpf()
-        return CertifiedValue(f0.value * volv, f0.error * volv)
+        bound = ball_volume(n, Fraction(spec.r1_sq, 4)) * spec.jet("f", 0)[0]
+        return CertifiedValue(bound.mpf(), 0)

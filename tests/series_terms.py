@@ -35,7 +35,6 @@ def evaluate_at_it(series: QSeries, t, dps: int = 30,
             total += term
             abs_total += abs(term)
         if series.envelope is not None:
-            series.envelope.check(series)
             tail = series.envelope.tail_bound(series.trunc, x)
         else:
             tail = mp.inf

@@ -250,9 +250,9 @@ def test_certify_magic_margin_shortfall_is_inconclusive(spec8, monkeypatch):
 
 
 def test_certify_magic_sweeps_one_grid(spec8):
-    # both sign steps read one sweep from r = 0; besides it only f(r1) and
-    # the three far samples are single-radius pair() calls, since every
-    # step at an even squared radius reads the exact jet
+    # both sign steps read one sweep from r = 0; besides it only the three
+    # far samples are single-radius pair() calls, since every step at an
+    # even squared radius, f(r1) = 0 among them, reads the exact jet
     spec = copy.copy(spec8)
     spec._cache = {}
     grids = []
@@ -266,7 +266,7 @@ def test_certify_magic_sweeps_one_grid(spec8):
     spec.sweep = counting
     assert certify_magic(8, spec).status == "verified"
     assert grids == [(0, 400)]
-    assert len(spec._cache) <= 404
+    assert len(spec._cache) <= 403
 
 
 def test_certify_magic_f_step_reads_the_grid_beyond_r1(spec8):

@@ -396,12 +396,12 @@ def test_lpbound_run_small(capsys):
     ["--dim", "24", "--degree", "2", "--method", "newton"],
 ])
 def test_lpbound_vacuous_estimate_reports_infeasible(argv, capsys):
-    # a degree-1 projection undercuts the optimum only because it breaks
+    # a degree-2 projection undercuts the optimum only because it breaks
     # the sign conditions, and says so
     code, out = run(["--format", "json", "lpbound", "run"] + argv, capsys)
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["d"] == 1
+    assert doc["d"] == 2
     assert doc["estimate_over_optimal"] < 1
     assert doc["feasible"] is False
     assert max(doc["violations"]) > 0

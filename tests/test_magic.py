@@ -12,7 +12,7 @@ from packbound.magic import (
     MagicError, MagicFunctionSpec, _NodeSeries, ce_bound_from_function,
     legendre_nodes, magic_spec, taylor_quadratic,
 )
-from packbound.qseries import conjugate_psi_minus, psi_forms
+from packbound.qseries import QSeries, conjugate_psi_minus, psi_forms
 from series_terms import eigenfunction, radial_fourier_oracle
 
 
@@ -304,6 +304,15 @@ def test_eigenfunction_identities_sampled(spec8):
                 assert abs(oracle - eig * direct) < 1e-4
 
 
+def test_tside_table_refuses_series_without_envelope():
+    # its truncation tail comes from the envelope, so a series without one
+    # would silently get a zero tail
+    series = QSeries({-8: 1, 8: 1}, 100)
+    with pytest.raises(MagicError):
+        magic._TsideTable([[(0, SymbolicVolume.of(1), series)]], mp.mpf(1),
+                          mp.exp(-mp.pi / 4), 30, 100)
+
+
 def test_ce_bound_requires_certificate(spec8):
     with pytest.raises(MagicError):
         ce_bound_from_function(8, spec8)
@@ -323,6 +332,7 @@ def test_ce_bound_8(spec8):
         b = ce_bound_from_function(8, spec8, certificate=_verified())
         target = mp.pi ** 4 / 384
         assert abs(b.value - target) / target < 1e-9
+        assert b.error == 0
 
 
 def test_ce_bound_24(spec24):
@@ -330,6 +340,7 @@ def test_ce_bound_24(spec24):
         b = ce_bound_from_function(24, spec24, certificate=_verified())
         target = mp.pi ** 12 / mp.factorial(12)
         assert abs(b.value - target) / target < 1e-9
+        assert b.error == 0
 
 
 def test_invalid_dimension():

@@ -175,6 +175,36 @@ def test_conjugate_psi_minus_decays():
     assert conjugate_psi_minus(24).min_exp == 4
 
 
+# -- envelopes ----------------------------------------------------------------
+
+def _enveloped_series(trunc):
+    """Every series with an envelope whose tail some sum reads, by name."""
+    out = {f"e{k}": eisenstein(k, trunc) for k in (2, 4, 6)}
+    out.update(theta01=theta01(trunc), theta10=theta10(trunc))
+    for n in (8, 24):
+        psi = psi_forms(n, trunc)
+        plus = s_transform_terms(n, trunc)["psi_plus"]
+        out.update({f"psi{n}_plus": psi["psi_plus"],
+                    f"psi{n}_minus": psi["psi_minus"],
+                    f"conjugate_psi{n}_minus": conjugate_psi_minus(n, trunc),
+                    f"g1_{n}": plus[1].series, f"g2_{n}": plus[2].series})
+    return out
+
+
+def test_envelopes_bound_coefficients_to_three_times_trunc():
+    # each envelope is set or fitted at trunc 300; it must also bound every
+    # coefficient of the same series built at 900, beyond the fitted range
+    wide = _enveloped_series(900)
+    with mp.workdps(30):
+        for name, series in _enveloped_series(300).items():
+            env = series.envelope
+            c = mp.mpf(env.c.numerator) / env.c.denominator
+            a = mp.mpf(env.a.numerator) / env.a.denominator
+            worst = max(abs(mp.mpf(v)) / (c * mp.exp(a * mp.sqrt(e)))
+                        for e, v in wide[name].items() if e >= 1)
+            assert worst <= 1, (name, worst)
+
+
 # -- evaluation ---------------------------------------------------------------
 
 def test_evaluate_cusp_limit():
