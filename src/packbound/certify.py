@@ -20,7 +20,7 @@ import mpmath as mp
 from . import exact
 from .exact import frac, poly_eval
 from .lattices import LatticeDescription, vectors_by_norm
-from .magic import magic_spec
+from .magic import FEASIBILITY_CLAIM, grid_count, spec_for
 
 
 class CertifyError(ValueError):
@@ -376,8 +376,8 @@ def certify_magic(n: int, spec=None) -> Certificate:
     A grid step compares a certified value against its threshold widened by
     the value's error, so its failure refutes; the far-decay margin refutes
     only when a sign fails beyond that error."""
-    spec = spec or magic_spec(n)
-    cert = Certificate(claim=f"test-function feasibility, dimension {n}")
+    spec = spec_for(n, spec)
+    cert = Certificate(claim=FEASIBILITY_CLAIM.format(n))
 
     def exact_step(statement, value, target, detail):
         cert.add_step(statement, "exact", value, value == target, detail)
@@ -393,7 +393,7 @@ def certify_magic(n: int, spec=None) -> Certificate:
         # point, f at the points beyond r1
         step = mp.mpf(_GRID_STEP)
         rmax = _GRID_END[n]
-        pairs = spec.sweep(0, step, int(mp.floor(rmax / step)) + 1)
+        pairs = spec.sweep(0, step, grid_count(rmax, step))
         worst_f = max(v.value - v.error for v in (
             spec.combine("f", p, m) for k, (p, m) in enumerate(pairs)
             if k * step >= r1))

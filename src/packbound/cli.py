@@ -34,7 +34,8 @@ from .lattices import (
 )
 from .qseries import QSeriesError, named_form
 from .certify import CertifyError, certify_magic, poisson_check
-from .magic import MagicError, ce_bound_from_function, magic_spec
+from .magic import (DEFAULT_DPS, DEFAULT_TRUNC, MagicError,
+                    ce_bound_from_function, grid_count, magic_spec)
 from .simplex import SimplexError
 from . import lpbound as lp
 
@@ -69,8 +70,8 @@ FORMATS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    precision: int = 60
-    trunc: int = 300
+    precision: int = DEFAULT_DPS
+    trunc: int = DEFAULT_TRUNC
     fmt: str = "text"
 
     def validate(self):
@@ -198,8 +199,8 @@ def _cmd_magic(args, cfg):
         lines = ["r,f,f_err,fhat,fhat_err"]
         with mp.workdps(cfg.precision + 10):
             step = mp.mpf(args.step)
-            count = int(mp.floor((args.rmax + 1e-12) / step)) + 1
-            for k, (p, m) in enumerate(spec.sweep(0, step, count)):
+            pairs = spec.sweep(0, step, grid_count(args.rmax, step))
+            for k, (p, m) in enumerate(pairs):
                 f = spec.combine("f", p, m)
                 fh = spec.combine("f_hat", p, m)
                 lines.append(",".join([
@@ -302,9 +303,9 @@ def build_parser():
         prog="packbound",
         description="Exact constructions and certified numerics for the "
                     "sphere-packing bounds in dimensions 8 and 24.")
-    parser.add_argument("--precision", type=int, default=60,
+    parser.add_argument("--precision", type=int, default=DEFAULT_DPS,
                         help="working precision in decimal digits")
-    parser.add_argument("--trunc", type=int, default=300,
+    parser.add_argument("--trunc", type=int, default=DEFAULT_TRUNC,
                         help="series truncation in grid units (eighths)")
     parser.add_argument("--format", dest="fmt",
                         choices=("json", "csv", "text"),

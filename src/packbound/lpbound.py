@@ -347,7 +347,8 @@ def _collocation_seed(ans, trunc, dps):
     family, at the working precision: collocation of the function at 200
     radii up to 5, for n = 24 augmented with the transform at 80 radii up
     to 8 (these pin the top coefficients when the pure fit leaves them at
-    noise level, at the cost of function-side accuracy).
+    noise level, at the cost of function-side accuracy).  Each set of
+    radii is one arithmetic sweep of the spec.
 
     Normalization maps the minimal vector length to 1: the target pair is
     g(r) = r1^n f(r1 r), ghat(u) = fhat(u / r1).
@@ -359,16 +360,18 @@ def _collocation_seed(ans, trunc, dps):
     scale = s ** n
     rows = []
     targets = []
-    for j in range(1, 201):
-        r = mp.mpf(j) * 5 / 200
-        row = ans.f_rows(r)
+    # f at s r_j, r_j = j/40 for j = 1..200
+    for j, pair in enumerate(spec.sweep(s / 40, s / 40, 200), 1):
+        row = ans.f_rows(mp.mpf(j) / 40)
         rows.append(row[1:])
-        targets.append(scale * spec.eval("f", s * r).value - row[0])
-    for j in range(1, 81 if n == 24 else 1):
-        u = mp.mpf(j) * 8 / 80
-        row = ans.fhat_rows(u)
-        rows.append(row[1:])
-        targets.append(spec.eval("f_hat", u / s).value - row[0])
+        targets.append(scale * spec.combine("f", *pair).value - row[0])
+    if n == 24:
+        # fhat at u_j / s, u_j = j/10 for j = 1..80
+        h = 1 / (10 * s)
+        for j, pair in enumerate(spec.sweep(h, h, 80), 1):
+            row = ans.fhat_rows(mp.mpf(j) / 10)
+            rows.append(row[1:])
+            targets.append(spec.combine("f_hat", *pair).value - row[0])
     b = mp.qr_solve(mp.matrix(rows), mp.matrix(targets))[0]
     return [b[i] for i in range(ans.d)]
 

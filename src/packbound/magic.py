@@ -29,18 +29,18 @@ enters the function, and the root-order and Taylor checks confirm it.
 
 Numerics
 --------
-The integral is split at t* (default 1).  On [t*, inf) every series term
-integrates in closed form: int_{t*}^inf t^m e^(-st) dt with s = pi (r^2 +
-E/4); the analytic continuation in s is the same expression, and the
-sin^2 prefactor cancels the poles at s = 0 (a power-series branch is used
-inside |s| < 1e-3, where W(r) coincides with sin(s/2)^2 because all pole
-exponents are divisible by 8).  The terms are folded once per spec into a
+The integral is split at t = 1, the fixed point of t -> 1/t.  On [1, inf)
+every series term integrates in closed form: int_1^inf t^m e^(-st) dt with
+s = pi (r^2 + E/4); the analytic continuation in s is the same expression,
+and the sin^2 prefactor cancels the poles at s = 0 (inside |s| < 1e-3,
+where W(r) = sin(s/2)^2 because all pole exponents are divisible by 8,
+W / s^2 is read off sinc(s/2)).  The terms are folded once per spec into a
 table over the distinct grid exponents E (pi E/4 and the combined
 coefficients of 1/s, 1/s^2, 1/s^3), held as integers scaled by 2^fix (fix
 is the bit precision of dps + 10): outside the band a radius costs one
 integer reciprocal per exponent, integer products for its powers and one
 integer dot product per side, with a proven truncation term (see
-`_TsideTable`).  On (0, t*] the substitution u = 1/t and the S-transform
+`_TsideTable`).  On (0, 1] the substitution u = 1/t and the S-transform
 turn the integrand into u^(-n/2) * (decaying series) * e^(-pi r^2 / u),
 integrated by 64-point Gauss-Legendre panels with a proven Bernstein-ellipse
 error bound, one constant per kernel for every radius (see `_uside_kernels`).
@@ -63,13 +63,13 @@ At r^2 = r_sq in 2Z>=0 the value and the slope d f/d(r^2) are exact
 rationals (`MagicFunctionSpec.jet`).  With E = -4 r_sq and s = pi (r^2 +
 E/4), W(r) = sin(s/2)^2 = s^2/4 + O(s^4) because 8 | E.  The u-side
 integral and every t-side term with another exponent are analytic there, so
-W times them is O(s^2).  The term at E is e^(-s t*) (C_0/s + C_1 (t*/s +
+W times them is O(s^2).  The term at E is e^(-s) (C_0/s + C_1 (1/s +
 1/s^2)), where C_m sums A or +-B times const * c_E over the terms of weight
 t^m (C_2 = 0: the m = 2 series vanish at the cusp).  So
 
-    f = C_1/4 + (pi C_0/4) (r^2 - r_sq) + O((r^2 - r_sq)^2)
+    f = C_1/4 + (pi C_0/4) (r^2 - r_sq) + O((r^2 - r_sq)^2),
 
-for any t*, and each product is rational because the pi powers cancel.
+and each product is rational because the pi powers cancel.
 The normalization, the roots at the vector lengths, their orders and the
 quadratic Taylor coefficients (the slopes at r_sq = 0) are read off it.
 """
@@ -84,13 +84,14 @@ import mpmath as mp
 
 from .exact import frac
 from .lattices import SymbolicVolume, ball_volume
-from .qseries import (CertifiedValue, GRID, QSeries, psi_forms,
-                      s_transform_terms)
+from .qseries import (CertifiedValue, DEFAULT_TRUNC, GRID, QSeries,
+                      psi_forms, s_transform_terms)
 
-DEFAULT_TRUNC = 300
 DEFAULT_DPS = 60
+# the claim of the feasibility certificate of dimension n, by str.format
+FEASIBILITY_CLAIM = "test-function feasibility, dimension {}"
 # half-width in s = pi (r^2 + E/4) of the band around each t-side pole where
-# the power-series branch replaces the closed form
+# the sinc branch replaces the closed form
 POLE_BAND = 1e-3
 
 
@@ -159,28 +160,16 @@ def legendre_nodes(order: int, dps: int):
 # Spec construction
 # ---------------------------------------------------------------------------
 
-def _sinc2(s, dps):
-    """sin(s/2)^2 / s^2, an entire function, by its power series."""
-    acc = mp.mpf(0)
-    term = mp.mpf(1) / 4
-    k = 1
-    while abs(term) > mp.mpf(10) ** (-dps - 15):
-        acc += term
-        k += 1
-        term = (-1) ** (k + 1) * s ** (2 * k - 2) / (2 * mp.factorial(2 * k))
-    return acc
-
-
 class _TsideTable:
-    """W * int_{t*}^inf of every t-side series sum, folded once per spec.
+    """W * int_1^inf of every t-side series sum, folded once per spec.
 
     Each side is a list of terms const * t^m * series(it).  For every
     distinct grid exponent E the terms collapse to C_m = sum const * c_E
     (one per power m), so outside the pole band the side is a polynomial in
     x = 1/s, s = pi r^2 + pi E/4:
 
-        W e^(-pi r^2 t*) * sum_E sum_j D_{E,j} x^(j+1),
-        D_{E,j} = base^E sum_m C_m m!/(m-j)! t*^(m-j).
+        W e^(-pi r^2) * sum_E sum_j D_{E,j} x^(j+1),
+        D_{E,j} = base^E sum_m C_m m!/(m-j)!.
 
     The same polynomial with |const * c_E| in place of C_m, |D|, bounds the
     sum of the absolute summands, which sizes the round-off guard.
@@ -201,15 +190,11 @@ class _TsideTable:
     one.
     """
 
-    __slots__ = ("dps", "fix", "tstar", "band", "exps", "shift", "bpow",
-                 "width", "sides")
-
-    def __init__(self, sides, tstar, base, dps, fix):
+    def __init__(self, sides, base, dps, fix):
         if any(s.envelope is None for side in sides for _, _, s in side):
             raise MagicError("t-side series must carry a tail envelope")
         self.dps = dps
         self.fix = fix
-        self.tstar = tstar
         # well beyond fix bits, so the fixed-point constants are rounded
         # from the mpf inputs, not from rounded intermediates
         with mp.workprec(fix + 64):
@@ -235,14 +220,14 @@ class _TsideTable:
                     for e, v in series.items():
                         c[index[e]][m] += cm * v
                         c_abs[index[e]][m] += abs(cm * v)
-                    tail += abs(cm) * 8 * (1 + tstar) ** m * \
+                    tail += abs(cm) * 8 * 2 ** m * \
                         series.envelope.tail_bound(series.trunc, base)
 
                 def fold(cs, rnd):
                     # rows over j of the x^(j+1) coefficients D_{E,j}
                     return [[rnd(mp.ldexp(bp * mp.fsum(
-                        cm[m] * math.perm(m, j) * tstar ** (m - j)
-                        for m in range(j, width)), fix))
+                        cm[m] * math.perm(m, j) for m in range(j, width)),
+                        fix))
                         for bp, cm in zip(self.bpow, cs)]
                         for j in range(width)]
 
@@ -253,9 +238,9 @@ class _TsideTable:
 
     def evaluate(self, pi_r2, w_r, g):
         """[(value, error, truncation)] per side at s = pi r^2 + pi E/4 for
-        every E, with g = e^(-pi r^2 t*); the error includes the fixed-point
+        every E, with g = e^(-pi r^2); the error includes the fixed-point
         truncation term."""
-        ts, fix, band = self.tstar, self.fix, self.band
+        fix, band = self.fix, self.band
         one = 1 << 2 * fix
         p = _fixed(pi_r2, fix)
         ss = [p + shift for shift in self.shift]
@@ -263,11 +248,12 @@ class _TsideTable:
         # so the band is marked by s itself
         x = [one // s if abs(s) > band else 0 for s in ss]
         # inside the pole band (reachable only where 8 | E, so W(r) =
-        # sin(s/2)^2 exactly) the sine factor is folded in by series
+        # sin(s/2)^2 exactly) W (C_0/s + C_1 (1/s + 1/s^2)) is read as
+        # sinc(s/2)^2 / 4 (C_0 s + C_1 (s + 1))
         in_band = []
         for k in [k for k, s in enumerate(ss) if abs(s) <= band]:
             s = pi_r2 + mp.pi * self.exps[k] / 4
-            in_band.append((k, s, g * self.bpow[k], _sinc2(s, self.dps)))
+            in_band.append((k, s, g * self.bpow[k], mp.sinc(s / 2) ** 2 / 4))
         powers = [x]
         for _ in range(1, self.width):
             powers.append([a * b >> fix for a, b in zip(powers[-1], x)])
@@ -292,9 +278,8 @@ class _TsideTable:
             for k, s, est, sinc2 in in_band:
                 c0, c1 = c[k][:2]
                 a0, a1 = c_abs[k][:2]
-                total += est * sinc2 * (c0 * s + c1 * (ts * s + 1))
-                abs_total += est * abs(sinc2) * (
-                    a0 * abs(s) + a1 * (ts * abs(s) + 1))
+                total += est * sinc2 * (c0 * s + c1 * (s + 1))
+                abs_total += est * sinc2 * (a0 * abs(s) + a1 * (abs(s) + 1))
             guard = (abs_total + 1) * mp.mpf(10) ** (-(self.dps - 8))
             out.append((total, tail + guard + trunc, trunc))
         return out
@@ -307,7 +292,7 @@ def _fixed(x, fix):
 
 
 class _UsideKernel:
-    """Gauss-Legendre data for int_{u0}^inf u^(-p) Phi(iu) e^(-b/u) du.
+    """Gauss-Legendre data for int_1^inf u^(-p) Phi(iu) e^(-b/u) du.
 
     `nodes` holds -1/u at the nodes.  Every kernel of a spec holds the same
     list, so e^(-b/u) is held once per node and radius for all of them.
@@ -317,9 +302,6 @@ class _UsideKernel:
     decays in the same fixed point is an exact integer dot product.
     `quad_err` bounds the rule's error for every b >= 0.
     """
-
-    __slots__ = ("nodes", "fix", "vals", "abs_vals", "series_err",
-                 "tail_err", "quad_err")
 
     def __init__(self, nodes, fix, vals, series_err, tail_err, quad_err):
         self.nodes = nodes
@@ -363,8 +345,6 @@ class _NodeSeries:
     >= 2 units, and the dot product S of a series within d sum |c_E| units.
     """
 
-    __slots__ = ("e0", "g", "rows", "abs_sums", "prec")
-
     def __init__(self, series_list, fix):
         exps = sorted({e for series in series_list for e in series.coeffs})
         self.e0 = exps[0]
@@ -397,10 +377,10 @@ class _NodeSeries:
 _GUARD_BITS = 16
 
 
-def _uside_kernels(series_list, p, u0, dps):
+def _uside_kernels(series_list, p, dps):
     """One _UsideKernel per series, all on one node set.
 
-    The panel breaks grow geometrically from u0 up to the u_max of the most
+    The panel breaks grow geometrically from 1 up to the u_max of the most
     slowly decaying series, so all kernels are cut at the same point (a
     later cut only shrinks a faster kernel's tail bound).  At each node the
     series are evaluated in the fixed point of `_NodeSeries`.  The weighted
@@ -428,9 +408,8 @@ def _uside_kernels(series_list, p, u0, dps):
         majorant = _NodeSeries([QSeries({e: abs(c) for e, c in s.items()},
                                         s.trunc) for s in series_list], fix)
         prec = fixed.prec
-        u0 = mp.mpf(u0.numerator) / u0.denominator
-        u_max = u0 + (dps + 12) * mp.log(10) * 4 / (mp.pi * min(e1s))
-        breaks = [u0]
+        u_max = 1 + (dps + 12) * mp.log(10) * 4 / (mp.pi * min(e1s))
+        breaks = [mp.mpf(1)]
         while breaks[-1] < u_max:
             breaks.append(breaks[-1] * 2 + 1)
         breaks[-1] = u_max
@@ -484,15 +463,13 @@ def _uside_kernels(series_list, p, u0, dps):
 class MagicFunctionSpec:
     """Precomputed evaluation pipeline for one dimension."""
 
-    def __init__(self, n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS,
-                 tstar=Fraction(1)):
+    def __init__(self, n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS):
         if n not in (8, 24):
             raise MagicError("dimension must be 8 or 24")
         self.n = n
         self.r1_sq = 2 if n == 8 else 4
         self.trunc = trunc
         self.dps = dps
-        self.tstar = frac(tstar)
         self._cache = {}
 
         terms = s_transform_terms(n, trunc)
@@ -508,21 +485,22 @@ class MagicFunctionSpec:
             sign = 1 if ipow == 0 else -1
             const = SymbolicVolume(sign * it.rat, Fraction(it.pi_pow))
             plus_terms.append((it.z_power, const, it.series))
-        self._assert_pole_structure(plus_terms)
         minus_terms = [(0, SymbolicVolume.of(1), psis["psi_minus"])]
-        self._assert_pole_structure(minus_terms)
+        for m, _, series in plus_terms + minus_terms:
+            if any(e < 0 and e % GRID for e in series.coeffs):
+                raise MagicError("pole exponent off the integer-power grid")
+            if m == 2 and series.min_exp < 1:
+                raise MagicError("quadratic-weight series must vanish at the "
+                                 "cusp")
         self._terms = (plus_terms, minus_terms)
 
         # u-side kernels (both carry coefficient +1 after i-absorption)
         minus_term = terms["psi_minus"][0]
         ipow = (minus_term.i_pow + minus_term.z_power) % 4
-        if ipow % 2:
-            raise MagicError("i-absorption failed on the minus kernel")
-        usign = (1 if ipow == 0 else -1) * (1 if minus_term.rat > 0 else -1)
-        if usign != 1 or abs(minus_term.rat) != 1:
+        if ipow % 2 or (-1) ** (ipow // 2) * minus_term.rat != 1:
             raise MagicError("unexpected minus-kernel normalization")
         self.uside_plus, self.uside_minus = _uside_kernels(
-            [psis["psi_plus"], minus_term.series], n // 2, 1 / self.tstar, dps)
+            [psis["psi_plus"], minus_term.series], n // 2, dps)
 
         # combination constants
         kappa1 = plus_terms[1][1]
@@ -545,23 +523,11 @@ class MagicFunctionSpec:
         self.B = self.A * kappa0 * Fraction(g2_res, psi_minus_res)
 
         with mp.workdps(dps + 10):
-            self._base = mp.exp(-mp.pi / 4 * self.tstar.numerator
-                                / self.tstar.denominator)
-            self._tstar_mpf = (mp.mpf(self.tstar.numerator)
-                               / self.tstar.denominator)
+            self._base = mp.exp(-mp.pi / 4)
             self._A = self.A.mpf()
             self._B = self.B.mpf()
-        self._tside = _TsideTable([plus_terms, minus_terms], self._tstar_mpf,
-                                  self._base, dps, self.uside_plus.fix)
-
-    def _assert_pole_structure(self, term_list):
-        for m, _, series in term_list:
-            for e in series.coeffs:
-                if e < 0 and e % GRID != 0:
-                    raise MagicError(
-                        "pole exponent off the integer-power grid")
-            if m == 2 and series.min_exp < 1:
-                raise MagicError("quadratic-weight series must vanish at the cusp")
+        self._tside = _TsideTable([plus_terms, minus_terms], self._base, dps,
+                                  self.uside_plus.fix)
 
     # -- public evaluation ----------------------------------------------------
 
@@ -580,10 +546,9 @@ class MagicFunctionSpec:
         step >= 0; every pair is also put in the pair cache."""
         with mp.workdps(self.dps + 10):
             r0, step = mp.mpf(r0), mp.mpf(step)
-            if not (mp.isfinite(r0) and mp.isfinite(step)):
-                raise MagicError("radius and step must be finite")
-            if r0 < 0 or step < 0:
-                raise MagicError("radius and step must be nonnegative")
+            if not (0 <= r0 < mp.inf and 0 <= step < mp.inf):
+                raise MagicError("radius and step must be finite and "
+                                 "nonnegative")
             out = []
             for k, decay in enumerate(self._decays(r0, step, count)):
                 rv = r0 + k * step
@@ -591,7 +556,7 @@ class MagicFunctionSpec:
                 if key not in self._cache:
                     pi_r2 = mp.pi * (rv * rv)
                     w_r = mp.sin(pi_r2 / 2) ** 2
-                    g = mp.exp(-pi_r2 * self._tstar_mpf)
+                    g = mp.exp(-pi_r2)
                     (p_t, p_terr, _), (m_t, m_terr, _) = self._tside.evaluate(
                         pi_r2, w_r, g)
                     units = 2 * (k + 2) ** 2
@@ -698,21 +663,36 @@ def magic_spec(n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS) -> MagicFunctionSpec:
     return _SPEC_CACHE[key]
 
 
+def spec_for(n, spec=None) -> MagicFunctionSpec:
+    """spec, or the default spec of dimension n; refuses another dimension."""
+    spec = spec or magic_spec(n)
+    if spec.n != n:
+        raise MagicError(f"a dimension-{spec.n} spec is not of dimension {n}")
+    return spec
+
+
+def grid_count(rmax, step) -> int:
+    """Number of points k*step in [0, rmax]; the slack keeps rmax when the
+    binary step lies just above its decimal value."""
+    return int(mp.floor((rmax + 1e-12) / step)) + 1
+
+
 def taylor_quadratic(side, n, spec=None) -> Fraction:
     """Exact coefficient of r^2 at the origin: d/d(r^2) there, since the
     functions are even in r."""
-    return (spec or magic_spec(n)).jet(side, 0)[1]
+    return spec_for(n, spec).jet(side, 0)[1]
 
 
 def ce_bound_from_function(n, spec=None, certificate=None):
     """Density bound f(0) * vol(B_n(r1/2)), exact: f(0) is the exact value
     of the jet at the origin, which a verified certificate proves is 1.
 
-    Requires a verified feasibility certificate.
+    Requires a verified feasibility certificate of dimension n.
     """
-    spec = spec or magic_spec(n)
-    if getattr(certificate, "status", None) != "verified":
-        raise MagicError("feasibility certificate missing or not verified")
+    spec = spec_for(n, spec)
+    if (getattr(certificate, "status", None) != "verified"
+            or certificate.claim != FEASIBILITY_CLAIM.format(n)):
+        raise MagicError(f"feasibility in dimension {n} is not certified")
     with mp.workdps(spec.dps + 10):
         bound = ball_volume(n, Fraction(spec.r1_sq, 4)) * spec.jet("f", 0)[0]
         return CertifiedValue(bound.mpf(), 0)

@@ -178,8 +178,12 @@ def test_criterion_8_certificate_soundness(spec8, lp8):
 
 
 def test_criterion_9_determinism(tmp_path, spec8):
+    import os
+    import pathlib
     import subprocess
     import sys
+
+    import packbound
     outputs = []
     # first run in-process (warm caches), second in a fresh interpreter:
     # byte-identity across cold and warm runs is the determinism contract
@@ -192,10 +196,15 @@ def test_criterion_9_determinism(tmp_path, spec8):
     program, *replay = shlex.split(json.loads(outputs[0])["replay"])
     assert program == "packbound"
     target2 = tmp_path / "two.json"
+    # the fresh interpreter imports the package the tests import
+    src = str(pathlib.Path(packbound.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "packbound.cli", *replay, "--out",
          str(target2)],
-        capture_output=True, text=True, timeout=900)
+        capture_output=True, text=True, env=env, timeout=900)
     assert proc.returncode == 0, proc.stderr[-500:]
     outputs.append(target2.read_bytes())
     ok = outputs[0] == outputs[1]

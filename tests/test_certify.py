@@ -13,6 +13,7 @@ from packbound.certify import (
 from packbound.exact import poly_eval, sturm_count, sturm_roots
 from packbound.codes import zero_code
 from packbound.lattices import construction_a, standard_lattice
+from packbound.magic import MagicError
 from packbound.qseries import CertifiedValue, QSeries, conjugate_psi_minus
 
 
@@ -265,8 +266,34 @@ def test_certify_magic_sweeps_one_grid(spec8):
 
     spec.sweep = counting
     assert certify_magic(8, spec).status == "verified"
-    assert grids == [(0, 400)]
-    assert len(spec._cache) <= 403
+    assert grids == [(0, 401)]
+    assert len(spec._cache) <= 404
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_certify_magic_grid_reaches_rmax(n, request):
+    # the binary 0.02 lies above the decimal one, so floor(rmax / step)
+    # alone would stop one point short of the rmax the steps name
+    spec = copy.copy(request.getfixturevalue(f"spec{n}"))
+    grids = []
+    sweep = spec.sweep
+
+    def recording(r0, step, count):
+        if count > 1:
+            grids.append((r0, step, count))
+        return sweep(r0, step, count)
+
+    spec.sweep = recording
+    certify_magic(n, spec)
+    [(r0, step, count)] = grids
+    rmax = certify_mod._GRID_END[n]
+    with mp.workdps(spec.dps + 10):
+        assert abs(r0 + (count - 1) * step - rmax) < 1e-12
+
+
+def test_certify_magic_refuses_a_spec_of_another_dimension(spec8):
+    with pytest.raises(MagicError):
+        certify_magic(24, spec8)
 
 
 def test_certify_magic_f_step_reads_the_grid_beyond_r1(spec8):

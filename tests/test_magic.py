@@ -9,7 +9,7 @@ from packbound import magic
 from packbound.certify import Certificate
 from packbound.lattices import SymbolicVolume
 from packbound.magic import (
-    MagicError, MagicFunctionSpec, _NodeSeries, ce_bound_from_function,
+    FEASIBILITY_CLAIM, MagicError, _NodeSeries, ce_bound_from_function,
     legendre_nodes, magic_spec, taylor_quadratic,
 )
 from packbound.qseries import QSeries, conjugate_psi_minus, psi_forms
@@ -170,18 +170,17 @@ def test_jet_reads_the_constants_at_call_time(spec8):
 @pytest.mark.parametrize("n", [8, 24])
 def test_eval_far_out_stays_out_of_the_pole_band(n, request, monkeypatch):
     # far out, 2^(2 fix) // s underflows to 0 for every exponent; only a
-    # small s may reach the band's power series, which would not end at
-    # s ~ 1e600
+    # small s may reach the band's sinc(s/2)
     spec = request.getfixturevalue(f"spec{n}")
     spec = copy.copy(spec)
     spec._cache = {}
-    sinc2 = magic._sinc2
+    sinc = mp.sinc
 
-    def in_band_only(s, dps):
-        assert abs(s) <= 2 * magic.POLE_BAND
-        return sinc2(s, dps)
+    def in_band_only(x):
+        assert abs(x) <= magic.POLE_BAND
+        return sinc(x)
 
-    monkeypatch.setattr(magic, "_sinc2", in_band_only)
+    monkeypatch.setattr(mp, "sinc", in_band_only)
     for r in (mp.mpf("1e36"), mp.mpf("1e300")):
         for side in ("f", "f_hat"):
             v = spec.eval(side, r)
@@ -228,19 +227,8 @@ def test_minus_eigenfunction_at_sqrt2(spec8):
         assert abs(slope) > 1
 
 
-def test_split_point_consistency():
-    # same values with the integral split at 3/4, 1, 3/2
-    vals = []
-    for tstar in (Fraction(3, 4), Fraction(1), Fraction(3, 2)):
-        spec = MagicFunctionSpec(8, trunc=300, dps=40, tstar=tstar)
-        v = spec.eval("f", mp.mpf("1.3"))
-        vals.append(v)
-    for v in vals[1:]:
-        assert abs(v.value - vals[0].value) <= v.error + vals[0].error
-
-
-def _uside_reference(series, p, r, u0, dps):
-    """int_{u0}^inf u^-p Phi(iu) e^(-pi r^2/u) du by mp.quad at dps digits,
+def _uside_reference(series, p, r, dps):
+    """int_1^inf u^-p Phi(iu) e^(-pi r^2/u) du by mp.quad at dps digits,
     with Phi the truncated series summed as powers of one exp per point."""
     exps = [e for e, _ in series.items()]
     g = math.gcd(*(e - exps[0] for e in exps))
@@ -255,7 +243,7 @@ def _uside_reference(series, p, r, u0, dps):
                 phi += coeffs.get(e, 0) * y
                 y *= step
             return u ** -p * phi * mp.exp(-b / u)
-        breaks = [mp.mpf(u0)]
+        breaks = [mp.mpf(1)]
         while breaks[-1] < 100:
             breaks.append(2 * breaks[-1] + 1)
         return mp.quad(integrand, breaks + [mp.inf])
@@ -275,7 +263,7 @@ def test_uside_integral_within_bound_against_mp_quad(n, request):
             decay = next(spec._decays(r, 0, 1))
         for kernel, series in kernels:
             q, err = kernel.integral(decay, 8)
-            ref = _uside_reference(series, n // 2, r, 1, 90)
+            ref = _uside_reference(series, n // 2, r, 90)
             with mp.workdps(90):
                 assert abs(q - ref) <= err, (r, series.min_exp)
             assert err <= (1e-48 if n == 8 else 1e-37)
@@ -309,7 +297,7 @@ def test_tside_table_refuses_series_without_envelope():
     # would silently get a zero tail
     series = QSeries({-8: 1, 8: 1}, 100)
     with pytest.raises(MagicError):
-        magic._TsideTable([[(0, SymbolicVolume.of(1), series)]], mp.mpf(1),
+        magic._TsideTable([[(0, SymbolicVolume.of(1), series)]],
                           mp.exp(-mp.pi / 4), 30, 100)
 
 
@@ -320,16 +308,39 @@ def test_ce_bound_requires_certificate(spec8):
         ce_bound_from_function(8, spec8, certificate=Certificate("claim"))
 
 
-def _verified():
-    cert = Certificate(claim="stand-in feasibility")
+def _verified(n):
+    cert = Certificate(claim=FEASIBILITY_CLAIM.format(n))
     cert.add_step("one passed step", "exact", 0, True)
     assert cert.status == "verified"
     return cert
 
 
+def test_ce_bound_refuses_a_spec_of_another_dimension(spec8):
+    # the n = 8 function in the n = 24 ball volume gives 4.7e-7, below the
+    # Leech lattice's density 1.9e-3: a false bound
+    with pytest.raises(MagicError):
+        ce_bound_from_function(24, spec8, certificate=_verified(8))
+    with pytest.raises(MagicError):
+        ce_bound_from_function(24, spec8, certificate=_verified(24))
+
+
+def test_ce_bound_refuses_a_certificate_of_another_claim(spec8, spec24):
+    with pytest.raises(MagicError):
+        ce_bound_from_function(24, spec24, certificate=_verified(8))
+    other = Certificate(claim="series positive on interval")
+    other.add_step("one passed step", "exact", 0, True)
+    with pytest.raises(MagicError):
+        ce_bound_from_function(8, spec8, certificate=other)
+
+
+def test_taylor_quadratic_refuses_a_spec_of_another_dimension(spec8):
+    with pytest.raises(MagicError):
+        taylor_quadratic("f", 24, spec8)
+
+
 def test_ce_bound_8(spec8):
     with mp.workdps(70):
-        b = ce_bound_from_function(8, spec8, certificate=_verified())
+        b = ce_bound_from_function(8, spec8, certificate=_verified(8))
         target = mp.pi ** 4 / 384
         assert abs(b.value - target) / target < 1e-9
         assert b.error == 0
@@ -337,7 +348,7 @@ def test_ce_bound_8(spec8):
 
 def test_ce_bound_24(spec24):
     with mp.workdps(70):
-        b = ce_bound_from_function(24, spec24, certificate=_verified())
+        b = ce_bound_from_function(24, spec24, certificate=_verified(24))
         target = mp.pi ** 12 / mp.factorial(12)
         assert abs(b.value - target) / target < 1e-9
         assert b.error == 0
@@ -630,17 +641,16 @@ def test_uside_series_within_stated_roundoff(n, request):
 
 def _tside_reference(table, pi_r2, dps):
     """Both t-side sums at pi r^2 = pi_r2 from the table's exponents and C_m,
-    term by term in mpf: W(r) * C_m * int_{t*}^inf t^m e^(-st) dt in closed
+    term by term in mpf: W(r) * C_m * int_1^inf t^m e^(-st) dt in closed
     form.  Where 8 | E, W = sin(s/2)^2 cancels the pole at s = 0."""
     with mp.workdps(dps):
         w = mp.sin(pi_r2 / 2) ** 2
-        ts = table.tstar
         out = []
         for side in table.sides:
             total = 0
             for e, cm in zip(table.exps, side[3]):
                 s = pi_r2 + mp.pi * e / 4
-                decay = mp.exp(-s * ts)
+                decay = mp.exp(-s)
                 for m, c in enumerate(cm):
                     for j in range(m + 1):
                         if not c:
@@ -649,8 +659,7 @@ def _tside_reference(table, pi_r2, dps):
                             ws = mp.sinc(s / 2) ** 2 / 4 * s ** (1 - j)
                         else:
                             ws = w / s ** (j + 1)
-                        total += (c * math.perm(m, j) * ts ** (m - j)
-                                  * decay * ws)
+                        total += c * math.perm(m, j) * decay * ws
             out.append(total)
         return out
 
@@ -668,7 +677,7 @@ def test_tside_fixed_point_matches_mpf(n, request):
         with mp.workdps(spec.dps + 10):
             pi_r2 = mp.pi * (r * r)
             got = table.evaluate(pi_r2, mp.sin(pi_r2 / 2) ** 2,
-                                 mp.exp(-pi_r2 * spec._tstar_mpf))
+                                 mp.exp(-pi_r2))
         # the same pi r^2: its rounding is an mpf input, which the guard covers
         want = _tside_reference(table, pi_r2, spec.dps + 40)
         with mp.workdps(spec.dps + 40):
