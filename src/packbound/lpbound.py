@@ -35,7 +35,7 @@ from .exact import (
     frac, poly_add, poly_deriv, poly_eval, sturm_count, sturm_roots,
 )
 from .lattices import ball_volume
-from .simplex import Infeasible, solve_min
+from .simplex import Infeasible, IterationLimit, solve_min
 
 # proven bounds pi > PI_LO, pi < PI_HI
 PI_LO = Fraction(314159265358979, 10 ** 14)
@@ -255,12 +255,16 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     radii, by exact dual simplex, then check the solution with verify_lp
     on [PI_LO, inf).  While the check fails, add a sample near every
     maximum of p where p > 0 (`_positive_maxima`) and solve again, for at
-    most refine_rounds more rounds.
+    most refine_rounds more rounds.  Each round after the first starts the
+    simplex from the previous optimal basis, which the added rows leave
+    dual feasible, so it takes a pivot or two, not a cold solve.
 
     The result carries `bound` only when the check passed and `estimate`
     otherwise; an LP without solution carries neither, with
-    certificate_status "infeasible".  All of it is exact or plain float
-    arithmetic, independent of the mpmath working precision.
+    certificate_status "infeasible", nor does a solve stopped at the
+    simplex's iteration limit, with certificate_status "iteration-limit".
+    All of it is exact or plain float arithmetic, independent of the
+    mpmath working precision.
     """
     _check_family(n, d)
     alpha = Fraction(n, 2) - 1
@@ -288,20 +292,30 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     for r in samples:
         add_sample(math.pi * r * r)
     report = {"rounds": 0, "added": [], "iterations": 0}
+    # the start basis: the columns S and the tight rows T of the last
+    # optimum, T as sample keys since the rows are sorted afresh every
+    # round; all-slack for the first
+    cols, tight_keys = (), ()
     for round_no in range(refine_rounds + 1):
         keys = sorted(rows)
+        index = {y: i for i, y in enumerate(keys)}
         # distinct tiny right-hand sides break the massive degeneracy of
         # the uniform constraint scaling
         rhs = [Fraction(-1) - Fraction(i + 1, 2 ** 24)
                for i in range(len(keys))]
         report["rounds"] = round_no + 1
         try:
-            sol = solve_min(cvec, [rows[y] for y in keys], rhs)
-        except Infeasible:
+            sol = solve_min(cvec, [rows[y] for y in keys], rhs,
+                            (cols, [index[y] for y in tight_keys]))
+        except (Infeasible, IterationLimit) as exc:
             report.update(feasible=False, samples_used=len(rows))
-            return {"method": "sampled", "certificate_status": "infeasible",
+            status = ("infeasible" if isinstance(exc, Infeasible)
+                      else "iteration-limit")
+            return {"method": "sampled", "certificate_status": status,
                     "feasible_report": report}
         report["iterations"] += sol["iterations"]
+        cols, tight = sol["basis"]
+        tight_keys = [keys[t] for t in tight]
         cert = LpCertificate(n, d, tuple(x * s for x, s in
                                          zip(sol["x"], scales)), PI_LO)
         proved = verify_lp(cert).status == "verified"

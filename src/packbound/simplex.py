@@ -1,20 +1,25 @@
 """Revised dual simplex over exact rationals.
 
-Solves   min c.x  subject to  A x <= b,  x >= 0   with c >= 0.
+Solves   min c.x  subject to  A x <= b,  x >= 0.
 
-The all-slack basis is dual feasible when c >= 0, so the dual simplex walks
-straight to optimality without a phase-one.  A basis is a set S of basic
-structural columns and a set T of tight rows (the rows whose slack is
-nonbasic), with |S| = |T| = k.  Every pivot reads the basic values, the
-leaving row of B^-1 [A | I] and the reduced costs off the k x k block
-A[T][S]; no m x (n + m) tableau is stored or updated.
+A basis is a set S of basic structural columns and a set T of tight rows
+(the rows whose slack is nonbasic), with |S| = |T| = k.  The walk starts
+from any dual-feasible basis (S, T), every reduced cost >= 0, and keeps it
+dual feasible, so it needs no phase one.  The default start is the
+all-slack basis (S = T = empty), dual feasible when c >= 0.  Rows appended
+with basic slacks leave every reduced cost unchanged, so an optimal basis
+is a dual-feasible start for the same problem with more rows.  Every pivot
+reads the basic values, the leaving row of B^-1 [A | I] and the reduced
+costs off the k x k block A[T][S]; no m x (n + m) tableau is stored or
+updated.
 
 Each row (with its right-hand side) and the cost vector are scaled once by
 a positive integer to integers, and the block is inverted fraction-free
 (adjugate over determinant), so the pivots run in integer arithmetic.
 Scaling row i scales its slack, which leaves every dual ratio of one
-leaving row multiplied by the same positive factor, so only the basic
-slack values are divided back by the row scale before they are compared.
+leaving row multiplied by the same positive factor and every reduced cost
+with its sign, so only the basic slack values are divided back by the row
+scale before they are compared.
 
 The leaving row is the most negative basic value and the entering column
 the smallest dual ratio, ties to the smallest index; after MAX_ITER // 2
@@ -38,6 +43,10 @@ class SimplexError(ValueError):
 
 class Infeasible(SimplexError):
     pass
+
+
+class IterationLimit(SimplexError):
+    """The walk stopped after MAX_ITER pivots without an optimum."""
 
 
 def _integer_row(values):
@@ -72,18 +81,32 @@ def _adjugate(block):
     return [[sign * v for v in row[k:]] for row in aug], sign * prev
 
 
-def solve_min(c, a_rows, b):
+def _indices(values, size, what):
+    """values as a list of distinct indices in range(size)."""
+    out = list(values)
+    if len(set(out)) != len(out) or not all(
+            isinstance(v, int) and 0 <= v < size for v in out):
+        raise SimplexError(f"start basis: {what} must be distinct indices "
+                           f"in range({size})")
+    return out
+
+
+def solve_min(c, a_rows, b, basis=None):
     """Exact optimum of min c.x s.t. a_rows x <= b, x >= 0.
 
-    Returns dict with x (list of Fractions), objective, iterations and basis
-    (the basic column of every row position; column n + i is the slack of
-    row i).
+    basis is the start (S, T), the basic structural columns and the tight
+    rows; None starts from the all-slack basis.  A start with |S| != |T|,
+    an index repeated or out of range, a singular block A[T][S] or a
+    negative reduced cost raises SimplexError before any pivot.
+
+    Returns dict with x (list of Fractions), objective, iterations (the
+    pivots) and basis, the optimal (S, T), which is a valid start for the
+    same c and a_rows with rows appended.  Raises Infeasible when no x
+    satisfies the rows and IterationLimit after MAX_ITER pivots.
     """
     m = len(a_rows)
     n = len(c)
     c = [frac(v) for v in c]
-    if any(v < 0 for v in c):
-        raise SimplexError("dual simplex start requires c >= 0")
     rows, rhs, row_scale = [], [], []
     for i in range(m):
         ints, scale = _integer_row([frac(v) for v in a_rows[i]]
@@ -92,9 +115,18 @@ def solve_min(c, a_rows, b):
         rhs.append(ints[n])
         row_scale.append(scale)
     cost, _ = _integer_row(c)
-    basis = list(range(n, n + m))
-    basic_cols = []   # S, in the column order of the block
-    tight = []        # T, in the row order of the block
+    # S in the column order of the block, T in its row order
+    basic_cols, tight = [], []
+    if basis is not None:
+        basic_cols = _indices(basis[0], n, "S")
+        tight = _indices(basis[1], m, "T")
+        if len(basic_cols) != len(tight):
+            raise SimplexError("start basis: |S| != |T|")
+    # the basic column at every row position (column n + i is the slack of
+    # row i): a tight row holds a column of S, any other row its own slack
+    positions = list(range(n, n + m))
+    for t, s in zip(tight, basic_cols):
+        positions[t] = s
 
     iterations = 0
     while True:
@@ -103,11 +135,22 @@ def solve_min(c, a_rows, b):
                               for t in tight])
         xs = [sum(a * rhs[t] for a, t in zip(arow, tight)) for arow in adj]
         x_scaled = dict(zip(basic_cols, xs))
+        # reduced costs times det: cost_j det - pi . A[T][j], -pi_r
+        pi = [sum(cost[s] * adj[q][r] for q, s in enumerate(basic_cols))
+              for r in range(len(tight))]
+        in_s = set(basic_cols)
+        if iterations == 0 and (any(v > 0 for v in pi) or any(
+                cost[j] * det < sum(pv * rows[t][j]
+                                    for pv, t in zip(pi, tight))
+                for j in range(n) if j not in in_s)):
+            # every pivot keeps the reduced costs >= 0, so the start must
+            raise SimplexError("start basis is not dual feasible (a reduced "
+                               "cost is negative)")
         # leaving position: a basic value is num / (det * den)
         leave = None
         best_num, best_den = 0, 1
         bland = iterations >= MAX_ITER // 2
-        for p, col in enumerate(basis):
+        for p, col in enumerate(positions):
             if col < n:
                 num, den = x_scaled[col], 1
             else:
@@ -122,11 +165,11 @@ def solve_min(c, a_rows, b):
         if leave is None:
             break
         if iterations >= MAX_ITER:
-            raise SimplexError("iteration limit exceeded")
+            raise IterationLimit("iteration limit exceeded")
         iterations += 1
         # the leaving row of B^-1 [A | I], times det: g . A[T][j] plus
         # base_j for structural column j, and g_r for the slack of tight[r]
-        out = basis[leave]
+        out = positions[leave]
         if out < n:
             g = adj[basic_cols.index(out)]
             base = [0] * n
@@ -135,14 +178,10 @@ def solve_min(c, a_rows, b):
             g = [-sum(row[s] * adj[q][r] for q, s in enumerate(basic_cols))
                  for r in range(len(tight))]
             base = [det * v for v in row]
-        # reduced costs times det: cost_j det - pi . A[T][j], -pi_r
-        pi = [sum(cost[s] * adj[q][r] for q, s in enumerate(basic_cols))
-              for r in range(len(tight))]
         # entering column: smallest ratio reduced cost / -entry over the
         # negative entries, ties to the smallest column index
         enter = None
         best_cost, best_step = 0, 1
-        in_s = set(basic_cols)
         for j in range(n):
             if j in in_s:
                 continue
@@ -159,7 +198,7 @@ def solve_min(c, a_rows, b):
                 enter, best_cost, best_step = n + tight[r], -pi[r], step
         if enter is None:
             raise Infeasible("primal infeasible (no entering column)")
-        basis[leave] = enter
+        positions[leave] = enter
         # the block's row and column orders are free: only the sets matter
         if out < n:
             basic_cols.remove(out)
@@ -175,4 +214,4 @@ def solve_min(c, a_rows, b):
         x[s] = Fraction(v, det)
     objective = sum(ci * xi for ci, xi in zip(c, x))
     return {"x": x, "objective": objective, "iterations": iterations,
-            "basis": tuple(basis)}
+            "basis": (tuple(basic_cols), tuple(tight))}

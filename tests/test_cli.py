@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from packbound import certify, cli, codes, lattices, lpbound, magic
+from packbound import certify, cli, codes, lattices, lpbound, magic, simplex
 from packbound.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig,
     build_parser, dispatch, output_format,
@@ -262,6 +262,22 @@ def test_lpbound_infeasible_is_inconclusive(capsys):
     doc = json.loads(out)
     assert doc["certificate_status"] == "infeasible"
     assert "bound" not in doc and "estimate" not in doc
+
+
+def test_lpbound_iteration_limit_is_inconclusive(monkeypatch, capsys,
+                                                 tmp_path):
+    # a solve stopped at the pivot limit is no answer: exit 3 with its own
+    # status and an artifact, not a usage error
+    monkeypatch.setattr(simplex, "MAX_ITER", 10)
+    out_path = tmp_path / "lp8.json"
+    code, _ = run(["--format", "json", "lpbound", "run", "--dim", "8",
+                   "--degree", "30", "--out", str(out_path)], capsys)
+    assert code == EXIT_INCONCLUSIVE
+    doc = json.loads(out_path.read_text())
+    assert doc["certificate_status"] == "iteration-limit"
+    assert doc["feasible_report"]["feasible"] is False
+    assert "bound" not in doc and "estimate" not in doc
+    assert "certificate" not in doc
 
 
 MALFORMED_CERTS = {

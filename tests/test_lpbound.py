@@ -18,11 +18,12 @@ from packbound.lpbound import (
     PI_HI, PI_LO, LpCertificate, RadialAnsatz, default_samples,
     estimate, laguerre_all, laguerre_coeffs, sampled_lp, verify_lp,
 )
-from packbound.simplex import Infeasible, _adjugate, solve_min
+from packbound import lpbound
+from packbound.simplex import Infeasible, SimplexError, _adjugate, solve_min
 from series_terms import radial_fourier_oracle
 
 try:
-    from hypothesis import given, settings, strategies as st
+    from hypothesis import assume, given, settings, strategies as st
     HAVE_HYPOTHESIS = True
 except ImportError:  # pragma: no cover
     HAVE_HYPOTHESIS = False
@@ -135,7 +136,14 @@ def test_sampled_lp_monotone_in_samples():
 
 
 @pytest.mark.slow
-def test_sampled_lp_e8_window():
+def test_sampled_lp_e8_window(monkeypatch):
+    calls = []
+
+    def recorded(c, a_rows, b, basis=None):
+        calls.append((c, a_rows, b, basis))
+        return solve_min(c, a_rows, b, basis)
+
+    monkeypatch.setattr(lpbound, "solve_min", recorded)
     res = sampled_lp(8, 30)
     report = res["feasible_report"]
     assert report["feasible"], report
@@ -151,11 +159,18 @@ def test_sampled_lp_e8_window():
                                          rel=1e-15)
     assert OPT8 <= res["bound"] <= 1.5 * OPT8
     # the pivoting rules and the refinement fix the walk: eight solves,
-    # 1,535 pivots, 13 samples added to the 96 defaults
-    assert report["iterations"] == 1535
+    # the first from the all-slack basis and each later one from the
+    # previous optimum, 198 pivots in all, 13 samples added to the 96
+    # defaults
+    assert report["iterations"] == 198
     assert report["rounds"] == 8
     assert report["samples_used"] == 109
     assert len(report["added"]) == 13
+    assert len(calls) == 8
+    assert calls[0][3] == ((), []) and all(call[3][1] for call in calls[1:])
+    # the warm start reaches the optimum of a cold solve of the last LP
+    c, a_rows, b, _ = calls[-1]
+    assert res["p0"] == 1 + solve_min(c, a_rows, b)["objective"]
 
 
 def test_sampled_lp_certified_from_the_plain_grid():
@@ -234,6 +249,64 @@ def test_simplex_small():
 def test_simplex_infeasible():
     with pytest.raises(Infeasible):
         solve_min([1], [[1]], [-1])  # x <= -1 with x >= 0
+
+
+# min x1 + 2 x2 s.t. x1 >= 1, x2 >= 1, x1 + x2 >= 3: optimum 4 at (2, 1),
+# with both columns basic and rows 1 and 2 tight
+TOY_LP = ([1, 2], [[-1, 0], [0, -1], [-1, -1]], [-1, -1, -3])
+
+
+def test_simplex_returns_its_optimal_basis():
+    res = solve_min(*TOY_LP)
+    assert res["x"] == [2, 1] and res["objective"] == 4
+    cols, tight = res["basis"]
+    assert sorted(cols) == [0, 1] and sorted(tight) == [1, 2]
+    # started from its own optimum, the walk makes no pivot
+    again = solve_min(*TOY_LP, basis=res["basis"])
+    assert again["iterations"] == 0
+    assert again["x"] == res["x"] and again["basis"] == res["basis"]
+
+
+def test_simplex_warm_start_after_added_row():
+    first = solve_min(*TOY_LP)
+    c, rows, b = TOY_LP
+    # x2 >= 3/2 cuts off (2, 1); the new optimum is (3/2, 3/2)
+    res = solve_min(c, rows + [[0, -2]], b + [-3], basis=first["basis"])
+    assert res["x"] == [Fraction(3, 2), Fraction(3, 2)]
+    assert res["objective"] == solve_min(c, rows + [[0, -2]],
+                                         b + [-3])["objective"]
+    assert res["iterations"] == 1
+
+
+@pytest.mark.parametrize("basis", [
+    # rows 0 and 2 tight: the primal feasible vertex (1, 2) of objective 5,
+    # not dual feasible (the slack of row 0 has reduced cost -1)
+    ((0, 1), (0, 2)),
+    # the block A[1][0] = 0 is singular
+    ((0,), (1,)),
+    # |S| != |T|
+    ((0, 1), (2,)),
+    ((0,), ()),
+    # repeated or out-of-range indices
+    ((0, 0), (1, 2)),
+    ((2,), (0,)),
+    ((-1,), (0,)),
+    ((0,), (3,)),
+    ((0,), (-1,)),
+    ((0,), (1.0,)),
+], ids=["not-dual-feasible", "singular", "more-cols",
+        "more-rows", "repeated-col", "col-past-end", "negative-col",
+        "row-past-end", "negative-row", "float-row"])
+def test_simplex_start_tampering_raises(basis):
+    with pytest.raises(SimplexError) as info:
+        solve_min(*TOY_LP, basis=basis)
+    assert info.type is SimplexError  # neither Infeasible nor a limit
+
+
+def test_simplex_negative_cost_needs_a_start():
+    # a negative cost is a negative reduced cost of the all-slack start
+    with pytest.raises(SimplexError):
+        solve_min([1, -1], TOY_LP[1], TOY_LP[2])
 
 
 def mat_inverse(a):
@@ -333,6 +406,36 @@ if HAVE_HYPOTHESIS:
         x = res["x"]
         assert res["objective"] == best
         assert res["objective"] == sum(ci * v for ci, v in zip(c, x))
+        assert all(v >= 0 for v in x)
+        assert all(sum(a * v for a, v in zip(r, x)) <= bi
+                   for r, bi in zip(rows, b))
+
+
+    @given(small_lps(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_simplex_warm_start_matches_cold_solve(lp, data):
+        # an optimal basis stays dual feasible when rows are appended, so
+        # the warm start must reach the cold optimum, or find the same LP
+        # infeasible
+        c, rows, b = lp
+        assume(_vertex_minimum(c, rows, b) is not None)
+        first = solve_min(c, rows, b)
+        extra = data.draw(st.lists(
+            st.tuples(st.lists(small_q, min_size=len(c), max_size=len(c)),
+                      small_q), min_size=1, max_size=3))
+        rows = rows + [r for r, _ in extra]
+        b = b + [v for _, v in extra]
+        best = _vertex_minimum(c, rows, b)
+        if best is None:
+            with pytest.raises(Infeasible):
+                solve_min(c, rows, b)
+            with pytest.raises(Infeasible):
+                solve_min(c, rows, b, basis=first["basis"])
+            return
+        warm = solve_min(c, rows, b, basis=first["basis"])
+        x = warm["x"]
+        assert warm["objective"] == best == solve_min(c, rows, b)["objective"]
+        assert warm["objective"] == sum(ci * v for ci, v in zip(c, x))
         assert all(v >= 0 for v in x)
         assert all(sum(a * v for a, v in zip(r, x)) <= bi
                    for r, bi in zip(rows, b))
