@@ -245,11 +245,10 @@ def sturm_count(p, lo: Fraction, hi: Fraction = None) -> int:
 _ROOT_WIDTH = Fraction(1, 2 ** 30)
 
 
-def sturm_roots(p, lo: Fraction, hi: Fraction = None) -> list:
-    """The distinct real roots of p in (lo, hi], in increasing order, each
-    as the midpoint of an interval of width at most _ROOT_WIDTH * max(1, |y|)
-    that Sturm bisection shows to hold exactly that root.  Leaving hi out
-    means hi = +inf.
+def sturm_roots(p, lo: Fraction) -> list:
+    """The distinct real roots of p beyond lo, in increasing order, each as
+    the midpoint of an interval of width at most _ROOT_WIDTH * max(1, |y|)
+    that Sturm bisection shows to hold exactly that root.
     """
     p = poly_trim([frac(c) for c in p])
     if not p:
@@ -257,10 +256,8 @@ def sturm_roots(p, lo: Fraction, hi: Fraction = None) -> list:
     lo = frac(lo)
     if len(p) == 1:
         return []
-    if hi is None:
-        # Cauchy: every root has |y| < 1 + max |c_i / c_d|
-        hi = max(lo, 1 + max(abs(c / p[-1]) for c in p[:-1]))
-    hi = frac(hi)
+    # Cauchy: every root has |y| < 1 + max |c_i / c_d|
+    hi = max(lo, 1 + max(abs(c / p[-1]) for c in p[:-1]))
     chain = sturm_chain(p)
     if len(chain[-1]) > 1:
         # the chain ends in gcd(p, p'): bisect the square-free part, whose

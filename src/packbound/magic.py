@@ -11,9 +11,9 @@ sin(pi r^2 / 2)^2 and substituting z = it, the real pipelines are
     M(r) = W(r) * int_0^inf psi_minus(it) e^(-pi r^2 t) dt
 
 and the test function pair is f = A*P + B*M, fhat = A*P - B*M (the minus
-kernel is the eigenvalue -1 part).  All i-factors from dz = i dt and from
-the published complex normalizations are absorbed into the real constants
-A and B:
+kernel is the eigenvalue -1 part).  The S-transform t -> 1/t is stated on
+the axis (`s_transform_terms`), so every coefficient is real; the
+normalizations sit in the real constants A and B:
 
 * A is pinned exactly by f(0) = fhat(0) = 1: the only surviving term at
   r = 0 is the constant coefficient of the middle S-transform series, so
@@ -475,16 +475,10 @@ class MagicFunctionSpec:
         terms = s_transform_terms(n, trunc)
         psis = psi_forms(n, trunc)
 
-        # real t-side decomposition of t^(n/2-2) psi_plus(i/t):
+        # t-side decomposition of t^(n/2-2) psi_plus(i/t):
         #   coefficient * t^m * series(it), coefficient = rat pi^p (exact)
-        plus_terms = []
-        for it in terms["psi_plus"]:
-            ipow = (it.i_pow + it.z_power - (n // 2 - 2)) % 4
-            if ipow % 2:
-                raise MagicError("i-absorption failed: complex residue")
-            sign = 1 if ipow == 0 else -1
-            const = SymbolicVolume(sign * it.rat, Fraction(it.pi_pow))
-            plus_terms.append((it.z_power, const, it.series))
+        plus_terms = [(it.m, SymbolicVolume(it.rat, Fraction(it.pi_pow)),
+                       it.series) for it in terms["psi_plus"]]
         minus_terms = [(0, SymbolicVolume.of(1), psis["psi_minus"])]
         for m, _, series in plus_terms + minus_terms:
             if any(e < 0 and e % GRID for e in series.coeffs):
@@ -494,13 +488,10 @@ class MagicFunctionSpec:
                                  "cusp")
         self._terms = (plus_terms, minus_terms)
 
-        # u-side kernels (both carry coefficient +1 after i-absorption)
-        minus_term = terms["psi_minus"][0]
-        ipow = (minus_term.i_pow + minus_term.z_power) % 4
-        if ipow % 2 or (-1) ** (ipow // 2) * minus_term.rat != 1:
-            raise MagicError("unexpected minus-kernel normalization")
+        # u-side (t = 1/u) kernels: u^(-n/2) times psi_plus(iu) and times
+        # the conjugate minus kernel at iu, both with coefficient 1
         self.uside_plus, self.uside_minus = _uside_kernels(
-            [psis["psi_plus"], minus_term.series], n // 2, dps)
+            [psis["psi_plus"], terms["psi_minus"][0].series], n // 2, dps)
 
         # combination constants
         kappa1 = plus_terms[1][1]
@@ -672,9 +663,9 @@ def spec_for(n, spec=None) -> MagicFunctionSpec:
 
 
 def grid_count(rmax, step) -> int:
-    """Number of points k*step in [0, rmax]; the slack keeps rmax when the
-    binary step lies just above its decimal value."""
-    return int(mp.floor((rmax + 1e-12) / step)) + 1
+    """Number of points k*step in [0, rmax]; a slack of 1e-9 of a step
+    keeps rmax when the binary step lies just above its decimal value."""
+    return int(mp.floor(rmax / step + 1e-9)) + 1
 
 
 def taylor_quadratic(side, n, spec=None) -> Fraction:

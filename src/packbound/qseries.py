@@ -470,25 +470,25 @@ def conjugate_psi_minus(n: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
 
 @dataclass(frozen=True)
 class IntegrandTerm:
-    """coefficient * z^z_power * series(z), coefficient = rat * pi^pi_pow * i^i_pow."""
+    """The real term rat * pi^pi_pow * t^m * series(it) on z = it, t > 0."""
 
     series: QSeries
-    z_power: int
+    m: int
     rat: Fraction
     pi_pow: int = 0
-    i_pow: int = 0
 
 
 @lru_cache(maxsize=None)
 def s_transform_terms(n: int, trunc: int = DEFAULT_TRUNC) -> dict:
-    """Decompositions of the transformed kernels as finite sums of
-    coefficient * z^m * (q-series in z), valid on the whole upper half plane.
+    """The transformed kernels on the imaginary axis as finite sums of
+    `IntegrandTerm`s: "psi_plus" sums to t^(n/2-2) psi_plus(i/t) and
+    "psi_minus" to psi_minus(i/t), for t > 0.
 
-    "psi_plus" expands psi_plus(-1/z) * z^(n/2-2) using the quasi-modular law
-    E2(-1/z) = z^2 E2(z) - 6iz/pi together with the weight laws of E4, E6 and
-    Delta;  "psi_minus" expands psi_minus(-1/z) via the theta swap
-    Theta01(-1/z) = sqrt(z/i) Theta10(z), Theta10(-1/z) = sqrt(z/i) Theta01(z)
-    and Delta(-1/z) = z^12 Delta(z).
+    They follow from the laws on the axis
+    E2(i/t) = -t^2 E2(it) + 6t/pi, E4(i/t) = t^4 E4(it),
+    E6(i/t) = -t^6 E6(it), Delta(i/t) = t^12 Delta(it) and
+    Theta01(i/t) = sqrt(t) Theta10(it), and the same with Theta01 and
+    Theta10 swapped.
     """
     if n not in (8, 24):
         raise QSeriesError("dimension must be 8 or 24")
@@ -499,23 +499,19 @@ def s_transform_terms(n: int, trunc: int = DEFAULT_TRUNC) -> dict:
     if n == 8:
         g1 = e4 * (e2 * e4 - e6) / dlt
         g2 = e4 ** 2 / dlt
-        plus_terms = (
-            IntegrandTerm(psi["psi_plus"], 2, Fraction(1)),
-            # 2c z g1 with c = -6i/pi
-            IntegrandTerm(_fit_envelope(g1, a), 1, Fraction(-12), -1, 1),
-            # c^2 g2 = -36/pi^2 g2
-            IntegrandTerm(_fit_envelope(g2, a), 0, Fraction(-36), -2, 0),
-        )
+        k1 = -12
     else:
         g1 = (e6 * e4 ** 2 * 48 + e6 ** 2 * e2 * 50 - e4 ** 3 * e2 * 98) / dlt ** 2
         g2 = (e6 ** 2 * 25 - e4 ** 3 * 49) / dlt ** 2
-        plus_terms = (
-            IntegrandTerm(psi["psi_plus"], 2, Fraction(1)),
-            IntegrandTerm(_fit_envelope(g1, a), 1, Fraction(-6), -1, 1),
-            IntegrandTerm(_fit_envelope(g2, a), 0, Fraction(-36), -2, 0),
-        )
+        k1 = -6
+    # the 6t/pi of the E2 law gives g1 (once) and g2 (squared)
+    plus_terms = (
+        IntegrandTerm(psi["psi_plus"], 2, Fraction(1)),
+        IntegrandTerm(_fit_envelope(g1, a), 1, Fraction(k1), -1),
+        IntegrandTerm(_fit_envelope(g2, a), 0, Fraction(36), -2),
+    )
     minus_terms = (
-        IntegrandTerm(conjugate_psi_minus(n, trunc), 2 - n // 2, Fraction(-1)),
+        IntegrandTerm(conjugate_psi_minus(n, trunc), 2 - n // 2, Fraction(1)),
     )
     return {"psi_plus": plus_terms, "psi_minus": minus_terms}
 

@@ -44,25 +44,20 @@ def evaluate_at_it(series: QSeries, t, dps: int = 30,
         return CertifiedValue(+total, +(tail + guard))
 
 
-def term_coefficient(term):
-    """rat * pi^pi_pow * i^i_pow of an `IntegrandTerm`, as an mpc."""
-    c = mp.mpc(term.rat.numerator) / term.rat.denominator
-    c *= mp.pi ** term.pi_pow
-    c *= mp.mpc(0, 1) ** (term.i_pow % 4)
-    return c
-
-
 def evaluate_terms_at_it(terms, t, dps: int = 30):
-    """Evaluate sum coeff * (it)^m * series(it) as a complex number."""
+    """Evaluate the real sum of rat * pi^pi_pow * t^m * series(it) over the
+    `IntegrandTerm`s, with an error bound."""
     with mp.workdps(dps + 10):
-        z = mp.mpc(0, 1) * (mp.mpf(t.numerator) / t.denominator
-                            if isinstance(t, Fraction) else mp.mpf(t))
-        total = mp.mpc(0)
+        tv = mp.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) \
+            else mp.mpf(t)
+        total = mp.mpf(0)
         err = mp.mpf(0)
         for term in terms:
             ev = evaluate_at_it(term.series, t, dps=dps)
-            total += term_coefficient(term) * z ** term.z_power * ev.value
-            err += abs(term_coefficient(term) * z ** term.z_power) * ev.error
+            coeff = (mp.mpf(term.rat.numerator) / term.rat.denominator
+                     * mp.pi ** term.pi_pow * tv ** term.m)
+            total += coeff * ev.value
+            err += abs(coeff) * ev.error
         return total, err
 
 

@@ -130,6 +130,14 @@ def test_magic_table(tmp_path, capsys, spec8):
     assert len(lines) == 4  # r = 0, 0.5, 1.0
 
 
+def test_magic_table_stops_at_rmax(capsys, spec8):
+    code, out = run(["magic", "table", "--dim", "8", "--rmax", "1e-14",
+                     "--step", "1e-15"], capsys)
+    assert code == EXIT_OK
+    radii = [float(line.split(",")[0]) for line in out.splitlines()[1:]]
+    assert len(radii) == 11 and radii[-1] <= 1e-14
+
+
 def test_deterministic_artifacts(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):

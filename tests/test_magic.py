@@ -10,7 +10,7 @@ from packbound.certify import Certificate
 from packbound.lattices import SymbolicVolume
 from packbound.magic import (
     FEASIBILITY_CLAIM, MagicError, _NodeSeries, ce_bound_from_function,
-    legendre_nodes, magic_spec, taylor_quadratic,
+    grid_count, legendre_nodes, magic_spec, taylor_quadratic,
 )
 from packbound.qseries import QSeries, conjugate_psi_minus, psi_forms
 from series_terms import eigenfunction, radial_fourier_oracle
@@ -22,6 +22,16 @@ def test_legendre_nodes_integrate_polynomial():
         with mp.workdps(30):
             val = sum(w * x ** 6 for x, w in zip(xs, ws))
             assert abs(val - mp.mpf(2) / 7) < 1e-25
+
+
+def test_grid_count_slack_is_a_fraction_of_a_step():
+    # a binary step just above its decimal value still reaches rmax
+    assert grid_count(11, mp.mpf(0.05)) == 221
+    assert grid_count(8.0, mp.mpf(0.02)) == 401
+    # an absolute slack of 1e-12 would give 1010 points, up to 1.009e-12
+    assert grid_count(1e-14, mp.mpf(1e-15)) == 11
+    # ... and about 1e288 points here
+    assert grid_count(0, mp.mpf(1e-300)) == 1
 
 
 def test_combination_constants_8(spec8):

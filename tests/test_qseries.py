@@ -241,24 +241,31 @@ def test_evaluate_below_floor_raises():
         evaluate_at_it(eisenstein(4), Fraction(1, 4))
 
 
-def test_s_transform_two_way_plus():
-    # psi_plus(-1/z) z^(n/2-2) at z = i equals the decomposition at z = i
+@pytest.mark.parametrize("t", [Fraction(1), Fraction(5, 4)],
+                         ids=["t=1", "t=1.25"])
+def test_s_transform_two_way_plus(t):
+    # t^(n/2-2) psi_plus(i/t) equals the decomposition at it; at t = 1 every
+    # t^m is 1, so only t != 1 tests the powers of t
     with mp.workdps(50):
         for n in (8, 24):
             plus = psi_forms(n)["psi_plus"]
-            direct = evaluate_at_it(plus, 1, dps=40)
-            lhs = direct.value * mp.mpc(0, 1) ** (n // 2 - 2)
-            rhs, err = evaluate_terms_at_it(s_transform_terms(n)["psi_plus"], 1,
+            direct = evaluate_at_it(plus, 1 / t, dps=40)
+            weight = (mp.mpf(t.numerator) / t.denominator) ** (n // 2 - 2)
+            lhs = direct.value * weight
+            rhs, err = evaluate_terms_at_it(s_transform_terms(n)["psi_plus"], t,
                                             dps=40)
             scale = 1 + abs(lhs)
-            assert abs(lhs - rhs) < 1e-12 * scale + err + direct.error
+            assert abs(lhs - rhs) < 1e-12 * scale + err + direct.error * weight
 
 
-def test_s_transform_two_way_minus():
+@pytest.mark.parametrize("t", [Fraction(1), Fraction(5, 4)],
+                         ids=["t=1", "t=1.25"])
+def test_s_transform_two_way_minus(t):
+    # psi_minus(i/t) equals the decomposition at it
     for n in (8, 24):
         minus = psi_forms(n)["psi_minus"]
-        direct = evaluate_at_it(minus, 1, dps=40)
-        rhs, err = evaluate_terms_at_it(s_transform_terms(n)["psi_minus"], 1,
+        direct = evaluate_at_it(minus, 1 / t, dps=40)
+        rhs, err = evaluate_terms_at_it(s_transform_terms(n)["psi_minus"], t,
                                         dps=40)
         assert abs(direct.value - rhs) < 1e-12 + err + direct.error
 
