@@ -48,6 +48,8 @@ EXIT_INCONCLUSIVE = 3
 STATUS_EXIT = {"verified": EXIT_OK, "refuted": EXIT_REFUTED,
                "inconclusive": EXIT_INCONCLUSIVE}
 
+MAX_TABLE_ROWS = 10 ** 6  # the most rows `magic table` writes
+
 # errors raised on bad input; dispatch maps them to EXIT_USAGE, so they can
 # never surface as a traceback with exit 1 ("refuted")
 PACKAGE_ERRORS = (CertifyError, CodeError, LatticeError, lp.LpError,
@@ -180,9 +182,11 @@ def _cmd_qseries(args, cfg):
 def _cmd_magic(args, cfg):
     if args.action == "table" and not (
             math.isfinite(args.step) and args.step > 0
-            and math.isfinite(args.rmax) and args.rmax >= 0):
-        raise MagicError("--step must be finite and positive, "
-                         "--rmax finite and nonnegative")
+            and math.isfinite(args.rmax) and args.rmax >= 0
+            and grid_count(args.rmax, mp.mpf(args.step)) <= MAX_TABLE_ROWS):
+        raise MagicError("--step must be finite and positive, --rmax finite "
+                         "and nonnegative, and the table at most "
+                         f"{MAX_TABLE_ROWS} rows")
     spec = magic_spec(args.dim, trunc=cfg.trunc, dps=cfg.precision)
     if args.action == "eval":
         with mp.workdps(cfg.precision + 10):

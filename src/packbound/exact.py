@@ -1,6 +1,7 @@
 """Exact rational arithmetic helpers: integer/rational square roots, linear
-algebra over Q, Hermite reduction over Z, rational polynomials, and Sturm
-chains for root counting and root isolation.
+algebra over Q, Hermite reduction over Z, rational polynomials, and one
+Sturm chain, of the square-free part in primitive integer polynomials, for
+root counting and root isolation.
 
 Everything in this module is exact; no floating point.
 """
@@ -140,10 +141,6 @@ def poly_add(p, q):
                       for i in range(n)])
 
 
-def poly_neg(p):
-    return [-c for c in p]
-
-
 def poly_eval(p, x):
     acc = Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
     for c in reversed(p):
@@ -162,68 +159,67 @@ def poly_divmod(p, q):
         raise ZeroDivisionError("division by zero polynomial")
     r = [frac(c) for c in p]
     quot = [Fraction(0)] * max(0, len(r) - len(q) + 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    while len(poly_trim(r)) - 1 >= dq and poly_trim(r):
-        r = poly_trim(r)
-        k = len(r) - 1 - dq
-        c = r[-1] / lead
-        quot[k] = c
-        for j in range(len(q)):
-            r[k + j] -= c * q[j]
-        r = r[:-1]
-    return poly_trim(quot), poly_trim(r)
+    for k in reversed(range(len(quot))):
+        quot[k] = c = r[k + len(q) - 1] / q[-1]
+        for j, qj in enumerate(q):
+            r[k + j] -= c * qj
+    return poly_trim(quot), poly_trim(r[:len(q) - 1])
 
 
 def poly_primitive(p):
-    """Scale by a positive rational so coefficients are coprime integers."""
+    """Scale by a positive rational so the coefficients are coprime ints."""
     p = poly_trim(p)
     if not p:
         return p
-    den = 1
-    for c in p:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in p))
     ints = [c.numerator * (den // c.denominator) for c in p]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return [Fraction(v, g) for v in ints]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
 
 
 def sturm_chain(p):
-    """Sturm chain of a nonzero rational polynomial (primitive-scaled)."""
-    p0 = poly_primitive(p)
-    chain = [p0]
-    p1 = poly_primitive(poly_deriv(p0))
-    if p1:
-        chain.append(p1)
+    """Sturm chain of the square-free part of a nonzero rational polynomial,
+    each member a primitive integer polynomial (a positive multiple, so its
+    roots and signs are kept).  If the chain of p ends in a nonconstant
+    gcd(p, p'), it is built once more on p / gcd(p, p')."""
+    chain = [poly_primitive(p)]
+    der = poly_primitive(poly_deriv(chain[0]))
+    if der:
+        chain.append(der)
     while len(chain[-1]) > 1:
         _, r = poly_divmod(chain[-2], chain[-1])
-        r = poly_trim(r)
         if not r:
             break
-        chain.append(poly_primitive(poly_neg(r)))
+        chain.append(poly_primitive([-c for c in r]))
+    if len(chain[-1]) > 1:
+        return sturm_chain(poly_divmod(chain[0], chain[-1])[0])
     return chain
 
 
+def _sign(p, x):
+    """Sign of the integer polynomial p at x = a/b (b > 0), read off the
+    integer sum c_i a^i b^(deg - i) by Horner; x = None stands for +inf."""
+    if x is None:
+        v = p[-1]
+    else:
+        a, b = x.numerator, x.denominator
+        v, bk = 0, 1
+        for c in reversed(p):
+            v = v * a + c * bk
+            bk *= b
+    return (v > 0) - (v < 0)
+
+
 def _sign_variations(chain, x):
-    """Sign changes along the chain at x; x = None stands for +inf, where
-    each sign is that of the leading coefficient."""
-    signs = []
-    for p in chain:
-        v = p[-1] if x is None else poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+    """Sign changes along the chain at x (None for +inf).  For the chain of
+    a square-free p, V(a) - V(b) counts the roots of p in (a, b]."""
+    signs = [s for s in (_sign(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def sturm_count(p, lo: Fraction, hi: Fraction = None) -> int:
     """Number of distinct real roots of p in the open interval (lo, hi);
-    leaving hi out means hi = +inf.
-
-    Endpoint roots are divided out exactly (they do not belong to the open
-    interval), so the count is always well defined.
-    """
+    leaving hi out means hi = +inf."""
     p = poly_trim([frac(c) for c in p])
     if not p:
         raise ValueError("zero polynomial")
@@ -231,14 +227,13 @@ def sturm_count(p, lo: Fraction, hi: Fraction = None) -> int:
     hi = None if hi is None else frac(hi)
     if hi is not None and lo > hi:
         raise ValueError("empty interval")
-    for endpoint in (lo,) if hi is None else (lo, hi):
-        while len(p) > 1 and poly_eval(p, endpoint) == 0:
-            p, rem = poly_divmod(p, [-endpoint, Fraction(1)])
-            assert not rem
-    if len(p) == 1:
+    if lo == hi:
         return 0
     chain = sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    count = _sign_variations(chain, lo) - _sign_variations(chain, hi)
+    if hi is not None and _sign(chain[0], hi) == 0:
+        count -= 1  # the count is of (lo, hi]; a root at hi is outside
+    return count
 
 
 # relative width to which sturm_roots isolates each root
@@ -254,17 +249,10 @@ def sturm_roots(p, lo: Fraction) -> list:
     if not p:
         raise ValueError("zero polynomial")
     lo = frac(lo)
-    if len(p) == 1:
-        return []
     # Cauchy: every root has |y| < 1 + max |c_i / c_d|
-    hi = max(lo, 1 + max(abs(c / p[-1]) for c in p[:-1]))
+    hi = max(lo, 1 + max((abs(c / p[-1]) for c in p[:-1]), default=0))
     chain = sturm_chain(p)
-    if len(chain[-1]) > 1:
-        # the chain ends in gcd(p, p'): bisect the square-free part, whose
-        # chain has no common zero at a multiple root
-        chain = sturm_chain(poly_divmod(p, chain[-1])[0])
     roots = []
-    # V(a) - V(b) counts the roots in (a, b], endpoint roots included
     stack = [(lo, _sign_variations(chain, lo), hi,
               _sign_variations(chain, hi))]
     while stack:
@@ -282,12 +270,7 @@ def sturm_roots(p, lo: Fraction) -> list:
 
 def poly_positive_on(p, lo: Fraction, hi: Fraction) -> bool:
     """Exact check p > 0 on the closed interval [lo, hi]."""
-    p = poly_trim([frac(c) for c in p])
+    p = [frac(c) for c in p]
     lo, hi = frac(lo), frac(hi)
-    if not p:
-        return False
-    if poly_eval(p, lo) <= 0 or poly_eval(p, hi) <= 0:
-        return False
-    if lo == hi:
-        return True
-    return sturm_count(p, lo, hi) == 0
+    return (poly_eval(p, lo) > 0 and poly_eval(p, hi) > 0
+            and sturm_count(p, lo, hi) == 0)

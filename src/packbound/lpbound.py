@@ -212,6 +212,14 @@ class LpCertificate:
             raise LpError(f"malformed certificate: {exc!r}") from exc
 
 
+def _float_str(x) -> str:
+    """str(float(x)), or +-inf, as float rounding gives, past its range."""
+    try:
+        return str(float(x))
+    except OverflowError:
+        return "inf" if x > 0 else "-inf"
+
+
 def verify_lp(cert: LpCertificate) -> Certificate:
     """Exact check of every hypothesis of the certificate's claim: b >= 0,
     y0 <= PI_LO < pi, p(y0) < 0, and no root of p in (y0, inf) by a Sturm
@@ -228,9 +236,10 @@ def verify_lp(cert: LpCertificate) -> Certificate:
     roots = sturm_count(poly, cert.y0)
     out = Certificate(claim=f"Sturm sign certificate n={cert.n} d={cert.d}")
     out.add_step("profile coefficients b >= 0", "exact",
-                 float(min(cert.b, default=0)), all(x >= 0 for x in cert.b))
+                 _float_str(min(cert.b, default=0)),
+                 all(x >= 0 for x in cert.b))
     out.add_step("y0 lies below pi", "exact", str(cert.y0), cert.y0 <= PI_LO)
-    out.add_step("p(y0) < 0", "exact", float(p_y0), p_y0 < 0)
+    out.add_step("p(y0) < 0", "exact", _float_str(p_y0), p_y0 < 0)
     out.add_step("no root of p in (y0, inf)", "exact",
                  f"{roots} roots (Sturm count)", roots == 0)
     return out

@@ -1,4 +1,5 @@
 import copy
+import math
 import random
 from fractions import Fraction
 
@@ -94,10 +95,65 @@ def test_sturm_endpoint_root_deflated():
     # sqrt(2) is interior; endpoint root at 2 of (x-2)(x^2-2)
     q = poly_mul(p, [Fraction(-2), Fraction(1)])
     assert sturm_count(q, 1, 2) == 1
-    # without hi the count runs to +inf; a root at lo is divided out
+    # without hi the count runs to +inf; a root at lo is outside it
     r = poly_mul(q, [Fraction(1), Fraction(1)])  # roots -sqrt2, -1, sqrt2, 2
     assert sturm_count(r, -1) == 2
     assert sturm_count(q, 2) == 0
+
+
+@pytest.mark.parametrize("lead, roots", [
+    (Fraction(1), {Fraction(-3, 2): 2, Fraction(-1): 1, Fraction(0): 3,
+                   Fraction(1, 3): 1, Fraction(2): 2, Fraction(5, 2): 3}),
+    (Fraction(-7, 3), {Fraction(-5, 4): 3, Fraction(1, 7): 2,
+                       Fraction(1, 6): 1, Fraction(4): 3}),
+], ids=["monic", "negative-lead"])
+def test_sturm_roots_at_the_endpoints(lead, roots):
+    # known rational roots of multiplicity 1-3; lo and hi on the roots and
+    # between them, lo == hi among them
+    p = [lead]
+    for r, mult in roots.items():
+        for _ in range(mult):
+            p = poly_mul(p, [-r, Fraction(1)])
+    ys = sorted(roots)
+    points = ys + [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[0] - 1,
+                                                                ys[-1] + 1]
+    for lo in points:
+        beyond = [y for y in ys if y > lo]
+        assert sturm_count(p, lo) == len(beyond)
+        found = sturm_roots(p, lo)
+        assert len(found) == len(beyond)
+        assert all(abs(f - y) <= Fraction(max(1, abs(y)), 2 ** 30)
+                   for f, y in zip(found, beyond))
+        for hi in points:
+            if hi >= lo:
+                inside = [y for y in ys if lo < y < hi]
+                assert sturm_count(p, lo, hi) == len(inside), (lo, hi)
+
+
+def test_sturm_chain_signs_in_integers():
+    # the chain's members are integer polynomials; their integer sign agrees
+    # with poly_eval at dyadics with 52-bit denominators (the sampled LP's
+    # sample keys), at a root, at 0 and, past the Cauchy bound, at +inf
+    from packbound.exact import _sign, sturm_chain
+
+    rng = random.Random(20161014)
+    p = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(9)]
+    p = poly_mul(p, poly_mul([Fraction(-1, 3), Fraction(1)],
+                             [Fraction(-1, 3), Fraction(1)]))
+    chain = sturm_chain(p)
+    assert len(chain[-1]) == 1
+    assert all(type(c) is int for member in chain for c in member)
+    points = [Fraction(0), Fraction(1, 3)]
+    points += [Fraction(rng.randrange(-2 ** 55, 2 ** 55), 2 ** 52)
+               for _ in range(50)]
+    points += [Fraction(math.pi * r * r) for r in (1, 1.5, 2.25, 3)]
+    for member in chain:
+        for x in points:
+            v = poly_eval(member, x)
+            assert _sign(member, x) == (v > 0) - (v < 0)
+        far = 2 + sum(abs(c) for c in member)
+        assert _sign(member, None) == _sign(member, Fraction(far))
+        assert _sign(member, None) == (member[-1] > 0) - (member[-1] < 0)
 
 
 def test_sturm_agrees_with_bisection():

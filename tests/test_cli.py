@@ -138,6 +138,18 @@ def test_magic_table_stops_at_rmax(capsys, spec8):
     assert len(radii) == 11 and radii[-1] <= 1e-14
 
 
+@pytest.mark.parametrize("step", ["1e-300", "1e-6"])
+def test_magic_table_row_limit_is_usage_error(step, monkeypatch, capsys):
+    # checked before the spec is built, so the command returns at once
+    monkeypatch.setattr(cli, "magic_spec",
+                        lambda *a, **k: pytest.fail("spec built"))
+    code = dispatch(["magic", "table", "--dim", "8", "--rmax", "1",
+                     "--step", step])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert f"{cli.MAX_TABLE_ROWS} rows" in captured.err
+
+
 def test_deterministic_artifacts(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for target in (a, b):
@@ -261,6 +273,25 @@ def test_verify_lp_tampering_refuted(lp8_artifacts, tmp_path, capsys):
         assert code == EXIT_REFUTED, step
         log = json.loads(out)["certificate"]["log"]
         assert [s["statement"] for s in log if not s["passed"]] == [step]
+
+
+@pytest.mark.parametrize("b, bound", [
+    (["1e400"], "inf"), (["-1e400", "1"], "-inf"),
+], ids=["huge-b", "huge-negative-b"])
+def test_verify_lp_beyond_float_range_is_refuted(b, bound, tmp_path,
+                                                 capsys):
+    # min(b) and p(y0) lie past the float range; their rendering must not
+    # raise, and the artifact is written
+    path, out_path = tmp_path / "cert.json", tmp_path / "out.json"
+    path.write_text(json.dumps({"certificate": {
+        "n": 8, "d": len(b), "b": b, "y0": "3"}}))
+    code = dispatch(["verify", "lp", "--cert", str(path),
+                     "--out", str(out_path)])
+    assert code == EXIT_REFUTED and capsys.readouterr().err == ""
+    cert = json.loads(out_path.read_text())["certificate"]
+    assert cert["status"] == "refuted"
+    assert {s["statement"]: s["bound"] for s in cert["log"]}[
+        "p(y0) < 0"] == bound
 
 
 def test_lpbound_infeasible_is_inconclusive(capsys):
