@@ -17,9 +17,12 @@ so f(0) = p(0), b >= 0 keeps the transform positive, and f <= 0 for r >= 1
 is p <= 0 on y >= pi.  The sampled LP solves for exact rational b, so p and
 p(0) are exact, and it proves the sign condition on [PI_LO, inf) for the
 rational PI_LO just below pi: p(PI_LO) < 0 and a Sturm count of no root of
-p beyond PI_LO.  The projection gives b in mpmath floats; its rows
-evaluate L_k by the three-term recurrence, which stays accurate where the
-monomial form of p cancels (y near 200, r = 8).
+p beyond PI_LO.  Each entry of an LP row is the exact L_k(y) at a sample,
+column-scaled and rounded once to a float: a fraction-free integer
+recurrence gives it as N_k / D_k, and one int / int division rounds it.
+The projection gives b in mpmath floats; its rows evaluate L_k by the
+three-term recurrence, which stays accurate where the monomial form of p
+cancels (y near 200, r = 8).
 """
 
 from __future__ import annotations
@@ -168,6 +171,37 @@ def _dyadic_row(values):
     return [Fraction(v) if abs(v) >= floor else Fraction(0) for v in floats]
 
 
+def _laguerre_ratios(n: int, d: int, y: Fraction) -> list:
+    """[(N_k, D_k) for k = 1..d] with L_k^(n/2-1)(y) = N_k / D_k, for
+    y = a/q: the three-term recurrence multiplied through by
+    D_k = k! 2^k q^k, which leaves integers and needs no gcd,
+
+        N_(j+1) = (q (4j + 2 + 2 alpha) - 2a) N_j
+                  - 2j (2j + 2 alpha) q^2 N_(j-1),
+
+    from N_0 = 1 and N_1 = q (2 + 2 alpha) - 2a, where 2 alpha = n - 2."""
+    a, q = y.numerator, y.denominator
+    two_alpha = n - 2
+    prev, num, den = 1, q * (2 + two_alpha) - 2 * a, 2 * q
+    out = [(num, den)]
+    for j in range(1, d):
+        prev, num = num, ((q * (4 * j + 2 + two_alpha) - 2 * a) * num
+                          - 2 * j * (2 * j + two_alpha) * q * q * prev)
+        den *= 2 * (j + 1) * q
+        out.append((num, den))
+    return out
+
+
+def _lp_row(n: int, y: Fraction, scales) -> list:
+    """The LP row at the sample y: L_k^(n/2-1)(y) * scales[k-1] for
+    k = 1..len(scales), through _dyadic_row.  Each entry is one int / int
+    true division, correctly rounded as Fraction.__float__ is, so the row
+    equals the one built from exact Fraction values bit for bit."""
+    return _dyadic_row([num * s.numerator / (den * s.denominator)
+                        for (num, den), s
+                        in zip(_laguerre_ratios(n, len(scales), y), scales)])
+
+
 def _pow2_scale(value) -> Fraction:
     """Power of two near |value|, for exact column equilibration."""
     v = abs(float(value))
@@ -175,6 +209,23 @@ def _pow2_scale(value) -> Fraction:
         return Fraction(1)
     e = int(math.floor(math.log2(v)))
     return Fraction(2) ** e
+
+
+# a certificate number longer than this, or with a larger decimal exponent,
+# is malformed: each integer of its Fraction then stays below 2 *
+# MAX_NUMBER_CHARS digits, within str()'s 4,300-digit limit
+MAX_NUMBER_CHARS = 2000
+
+
+def _rational(text: str) -> Fraction:
+    """Fraction(text), refusing, before any integer is built, a text whose
+    length or exponent passes MAX_NUMBER_CHARS (ValueError)."""
+    exponent = text.lower().partition("e")[2]
+    if len(text) > MAX_NUMBER_CHARS or (
+            exponent and abs(int(exponent)) > MAX_NUMBER_CHARS):
+        raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters "
+                         f"or with an exponent beyond {MAX_NUMBER_CHARS}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -207,7 +258,7 @@ class LpCertificate:
                     and all(isinstance(x, str) for x in b + [y0])):
                 raise TypeError("n, d must be positive integers and b, y0 "
                                 "rational strings")
-            return cls(n, d, tuple(Fraction(x) for x in b), Fraction(y0))
+            return cls(n, d, tuple(_rational(x) for x in b), _rational(y0))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise LpError(f"malformed certificate: {exc!r}") from exc
 
@@ -276,25 +327,22 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     mpmath working precision.
     """
     _check_family(n, d)
-    alpha = Fraction(n, 2) - 1
     samples = list(samples) if samples is not None else default_samples()
     # column equilibration: L_k grows like y^k, so the variables are
     # rescaled by powers of two to keep the exact LP's entries small
     # (b_k = scales[k-1] * x_k)
-    probes = [laguerre_all(d, alpha, Fraction(math.pi * r * r))
+    probes = [_laguerre_ratios(n, d, Fraction(math.pi * r * r))
               for r in (2, 4, 8)]
-    scales = [1 / _pow2_scale(max(abs(p[k]) for p in probes))
-              for k in range(1, d + 1)]
-    at_zero = laguerre_all(d, alpha, Fraction(0))
-    cvec = [at_zero[k] * scales[k - 1] for k in range(1, d + 1)]
+    scales = [1 / _pow2_scale(max(abs(num / den) for num, den in column))
+              for column in zip(*probes)]
+    cvec = [Fraction(num, den) * s for (num, den), s
+            in zip(_laguerre_ratios(n, d, Fraction(0)), scales)]
     rows = {}
 
     def add_sample(y):
         y = Fraction(float(y))
         if y not in rows:
-            lag = laguerre_all(d, alpha, y)
-            rows[y] = _dyadic_row([lag[k] * scales[k - 1]
-                                   for k in range(1, d + 1)])
+            rows[y] = _lp_row(n, y, scales)
             return True
         return False
 

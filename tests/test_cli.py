@@ -1,6 +1,7 @@
 import json
 import shlex
 import signal
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -292,6 +293,23 @@ def test_verify_lp_beyond_float_range_is_refuted(b, bound, tmp_path,
     assert cert["status"] == "refuted"
     assert {s["statement"]: s["bound"] for s in cert["log"]}[
         "p(y0) < 0"] == bound
+
+
+@pytest.mark.parametrize("b, y0", [
+    (["1"], "1e5000"), (["1"], "1e100000000"), (["1" * 2001], "3"),
+], ids=["y0-1e5000", "y0-1e100000000", "long-b"])
+def test_verify_lp_oversized_number_is_usage_error(b, y0, tmp_path, capsys):
+    # refused as malformed before Fraction builds the integer: 10^100000000
+    # alone would take far longer, and str() of a 5001-digit integer raises
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"certificate": {
+        "n": 8, "d": len(b), "b": b, "y0": y0}}))
+    start = time.perf_counter()
+    code = dispatch(["verify", "lp", "--cert", str(path)])
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("packbound: ") and err.count("\n") == 1
 
 
 def test_lpbound_infeasible_is_inconclusive(capsys):

@@ -202,6 +202,78 @@ def test_sampled_lp_one_round_bump_refuted():
     assert failed == ["no root of p in (y0, inf)"]
 
 
+def _fraction_rows(n, d):
+    """The reference for the LP's column scales, cost row and rows: exact
+    Fraction Laguerre values, rounded to floats only by _dyadic_row."""
+    alpha = Fraction(n, 2) - 1
+    probes = [laguerre_all(d, alpha, Fraction(math.pi * r * r))
+              for r in (2, 4, 8)]
+    scales = [1 / lpbound._pow2_scale(max(abs(p[k]) for p in probes))
+              for k in range(1, d + 1)]
+    at_zero = laguerre_all(d, alpha, Fraction(0))
+
+    def row(y):
+        lag = laguerre_all(d, alpha, y)
+        return lpbound._dyadic_row([lag[k] * scales[k - 1]
+                                    for k in range(1, d + 1)])
+
+    return scales, [at_zero[k] * scales[k - 1] for k in range(1, d + 1)], row
+
+
+@pytest.mark.parametrize("n, d", [
+    pytest.param(8, 30, marks=pytest.mark.slow), (1, 6), (3, 10),
+])
+def test_sampled_lp_rows_match_fraction_rows(n, d, monkeypatch):
+    # every row of every solve, the defaults and each refinement sample,
+    # is bit for bit the row of the exact values; alpha is a half-integer
+    # for n = 1 and 3
+    calls, maxima = [], []
+    positive_maxima = lpbound._positive_maxima
+
+    def solve(c, a_rows, b, basis=None):
+        calls.append((c, a_rows))
+        return solve_min(c, a_rows, b, basis)
+
+    def maxima_recorded(poly, lo):
+        maxima.append(positive_maxima(poly, lo))
+        return maxima[-1]
+
+    monkeypatch.setattr(lpbound, "solve_min", solve)
+    monkeypatch.setattr(lpbound, "_positive_maxima", maxima_recorded)
+    res = sampled_lp(n, d)
+    scales, cvec, row = _fraction_rows(n, d)
+    keys = {Fraction(math.pi * r * r) for r in default_samples()}
+    round_keys = [sorted(keys)]
+    for found in maxima[:len(calls) - 1]:
+        keys |= {Fraction(float(y)) for y in found}
+        round_keys.append(sorted(keys))
+    expected = {y: row(y) for y in keys}
+    assert len(keys) == res["feasible_report"]["samples_used"]
+    for (c, a_rows), ys in zip(calls, round_keys, strict=True):
+        assert c == cvec
+        assert a_rows == [expected[y] for y in ys]
+
+
+def test_lp_row_matches_fraction_row_at_random_dyadics():
+    rng = random.Random(22)
+    for n, d in [(8, 30), (1, 6), (3, 10)]:
+        scales, _, row = _fraction_rows(n, d)
+        for _ in range(200):
+            y = Fraction(rng.randrange(1, 250 * 2 ** 52 + 1), 2 ** 52)
+            assert lpbound._lp_row(n, y, scales) == row(y), (n, d, y)
+
+
+def test_sampled_lp_builds_no_fraction_laguerre(monkeypatch):
+    # the rows, probes and cost row come from the integer recurrence; the
+    # Fraction one is for the tests and the mpmath ansatz only
+    def refuse(*args):
+        raise AssertionError("sampled_lp called laguerre_all")
+
+    monkeypatch.setattr(lpbound, "laguerre_all", refuse)
+    assert sampled_lp(1, 4)["certificate_status"] == "sturm-certified"
+    assert sampled_lp(6, 16)["certificate_status"] == "sturm-certified"
+
+
 def test_lp_path_imports_no_numpy_or_scipy():
     # the whole lp8 benchmark peaks near 28 MB RSS; importing numpy alone
     # takes a process to 27-31 MB and scipy.optimize to 76-80 MB
