@@ -325,7 +325,7 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int) -> dict:
             f"{lat.name or 'this one'} has Gram determinant {lat.gram_det}")
     max_norm = Fraction(2 * cutoff)
     with mp.workdps(_POISSON_DPS + 10):
-        table = vectors_by_norm(lat, max_norm, budget=max_norm)
+        table = vectors_by_norm(lat, max_norm)
         quantum = lat.norm_quantum()
         rate_g = mp.pi / (mp.mpf(sigma.numerator) / sigma.denominator) ** 2
         rate_gh = mp.pi * (mp.mpf(sigma.numerator) / sigma.denominator) ** 2

@@ -143,8 +143,7 @@ def _cmd_code(args, cfg):
 def _cmd_lattice(args, cfg):
     lat = standard_lattice(args.name, args.n)
     if args.action == "theta":
-        table = vectors_by_norm(lat, Fraction(args.max_norm),
-                                budget=Fraction(args.max_norm))
+        table = vectors_by_norm(lat, Fraction(args.max_norm))
         return EXIT_OK, {"csv": table.to_csv()}
     props = lattice_properties(lat)
     dens = props["density"]

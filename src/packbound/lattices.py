@@ -4,13 +4,13 @@ covolume/density bookkeeping and exact vector counts by squared length.
 
 Conventions
 -----------
-A lattice is stored as an integer matrix ``scaled_basis`` whose rows, scaled
-by ``2**(-scale_exp/2)``, form a basis of the true lattice.  The Gram matrix
-of the true basis is therefore the exact rational matrix
-``scaled_basis @ scaled_basis.T / 2**scale_exp``, and its determinant is
-det(scaled_basis)^2 / 2^(scale_exp * n), computed once when the lattice is
-built (the bases built here are triangular, so the elimination has
-nothing to eliminate).
+A lattice is its exact rational Gram matrix, the Gram determinant and the
+coset data that counts its vectors.  A basis is given as integer rows that,
+scaled by ``2**(-scale_exp/2)``, form a basis of the true lattice, so the
+Gram matrix is ``rows @ rows.T / 2**scale_exp`` and its determinant
+det(rows)^2 / 2^(scale_exp * n), computed once when the lattice is built
+(the bases built here are triangular, so the elimination has nothing to
+eliminate).
 
 Vector counting never lists vectors.  Z^n, the Construction-A lifts and the
 Leech lattice are each a union of code cosets
@@ -21,7 +21,6 @@ by codeword weight.  Z^n is the zero code with M = D = 1, Construction A has
 M = D = 2, and the Leech glue has M = 4, D = 8 and S = 8, the sum condition
 encoding the two glue conditions.  The coset data, the code's weight
 enumerator included, is fixed when the lattice is built (``Cosets``).
-Other lattices are counted by exact recursive enumeration.
 """
 
 from __future__ import annotations
@@ -184,37 +183,25 @@ class Cosets(NamedTuple):
 @dataclass(frozen=True)
 class LatticeDescription:
     dimension: int
-    scale_exp: int
-    scaled_basis: tuple  # rows of ints; true basis = rows * 2^(-scale_exp/2)
     gram: tuple          # rows of Fractions
     gram_det: Fraction   # det(gram), fixed when the lattice is built
     name: str = ""
-    counting: Cosets = None  # None: recursive enumeration
+    counting: Cosets = None  # None: no vector counts
 
     def is_unimodular(self) -> bool:
         """Integral with determinant 1: the lattice is its own dual."""
         return mat_is_integral(self.gram) and self.gram_det == 1
 
     def norm_quantum(self) -> Fraction:
-        """Rational g with every squared vector length in g*Z."""
-        vals = []
-        for i in range(self.dimension):
-            vals.append(self.gram[i][i])
-            for j in range(i + 1, self.dimension):
-                vals.append(2 * self.gram[i][j])
-        # rational gcd: gcd(a/b, c/d) = gcd(a*d, c*b)/(b*d), kept reduced
-        g = Fraction(0)
-        for v in vals:
-            v = abs(frac(v))
-            if v == 0:
-                continue
-            if g == 0:
-                g = v
-            else:
-                g = Fraction(math.gcd(g.numerator * v.denominator,
-                                      v.numerator * g.denominator),
-                             g.denominator * v.denominator)
-        return g if g else Fraction(1)
+        """Rational g with every squared vector length in g*Z: the gcd of
+        the diagonal and of twice the off-diagonal Gram entries."""
+        n = self.dimension
+        vals = [self.gram[i][j] * (1 + (i != j))
+                for i in range(n) for j in range(i, n)]
+        den = math.lcm(*(v.denominator for v in vals))
+        return Fraction(
+            math.gcd(*(v.numerator * (den // v.denominator) for v in vals)),
+            den)
 
 
 def _make_lattice(rows, scale_exp, name="", counting=None):
@@ -228,8 +215,7 @@ def _make_lattice(rows, scale_exp, name="", counting=None):
     det = mat_det(rows) ** 2 / two_s ** n
     if det == 0:
         raise LatticeError("degenerate basis")
-    return LatticeDescription(n, scale_exp, rows, gram, det, name=name,
-                              counting=counting)
+    return LatticeDescription(n, gram, det, name=name, counting=counting)
 
 
 @dataclass(frozen=True)
@@ -389,46 +375,6 @@ def _count_cosets(n: int, cosets: Cosets, max_norm: Fraction):
     return counts
 
 
-def _count_generic(lat: LatticeDescription, max_norm: Fraction):
-    """Recursive enumeration with exact norm checks (small dimensions)."""
-    n = lat.dimension
-    if n > 8:
-        raise EnumerationBudgetError("generic enumeration limited to dim <= 8")
-    gram = [[frac(x) for x in row] for row in lat.gram]
-    # exact LDL^T: gram = L D L^T with unit lower-triangular L
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = gram[i][i] - sum(mu[i][k] ** 2 * d[k] for k in range(i))
-        if d[i] <= 0:
-            raise LatticeError("gram not positive definite")
-        mu[i][i] = Fraction(1)
-        for j in range(i + 1, n):
-            mu[j][i] = (gram[j][i] - sum(mu[j][k] * mu[i][k] * d[k]
-                                         for k in range(i))) / d[i]
-    counts = {}
-
-    def rec(level, remaining, shift_terms, coords):
-        if level < 0:
-            norm = max_norm - remaining
-            counts[norm] = counts.get(norm, 0) + 1
-            return
-        shift = sum(mu[j][level] * coords[j] for j in range(level + 1, n))
-        bound = remaining / d[level]
-        fb = math.isqrt(int(bound)) + 2
-        lo = int(math.floor(-float(shift))) - fb
-        hi = int(math.ceil(-float(shift))) + fb
-        for c in range(lo, hi + 1):
-            contrib = d[level] * (c + shift) ** 2
-            if contrib <= remaining:
-                coords[level] = c
-                rec(level - 1, remaining - contrib, None, coords)
-        coords[level] = 0
-
-    rec(n - 1, frac(max_norm), None, [0] * n)
-    return counts
-
-
 def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
                     budget=Fraction(64)) -> NormCountTable:
     """Exact counts of lattice vectors with squared length <= max_sq_norm.
@@ -444,10 +390,10 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
             f"cutoff {max_norm} exceeds enumeration budget {budget}")
     if lat.dimension > 24:
         raise EnumerationBudgetError("dimension too large")
-    if lat.counting:
-        raw = _count_cosets(lat.dimension, lat.counting, max_norm)
-    else:
-        raw = _count_generic(lat, max_norm)
+    if lat.counting is None:
+        raise LatticeError(f"{lat.name or 'this lattice'}: no coset data "
+                           f"to count its vectors")
+    raw = _count_cosets(lat.dimension, lat.counting, max_norm)
     quantum = lat.norm_quantum()
     counts = []
     v = Fraction(0)

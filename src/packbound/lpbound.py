@@ -49,12 +49,18 @@ class LpError(ValueError):
     pass
 
 
+# the largest degree accepted: the LP's rows and the Sturm check grow about
+# as d^2 in time and in the size of their integers
+MAX_DEGREE = 200
+
+
 def _check_family(n: int, d: int):
-    """The family is defined for dimension n >= 1 and degree d >= 1."""
+    """The family is defined for dimension n >= 1 and degree d >= 1; degrees
+    beyond MAX_DEGREE are refused."""
     if n < 1:
         raise LpError("dimension must be >= 1")
-    if d < 1:
-        raise LpError("degree must be >= 1")
+    if not 1 <= d <= MAX_DEGREE:
+        raise LpError(f"degree must be between 1 and {MAX_DEGREE}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +256,17 @@ class LpCertificate:
 
     @classmethod
     def from_dict(cls, obj) -> "LpCertificate":
-        """Inverse of to_dict: n, d positive integers, b and y0 exact
-        rational strings.  Anything else raises LpError."""
+        """Inverse of to_dict: n, d positive integers, d at most
+        MAX_DEGREE, b and y0 exact rational strings.  Anything else raises
+        LpError."""
         try:
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))
                     and all(isinstance(x, str) for x in b + [y0])):
                 raise TypeError("n, d must be positive integers and b, y0 "
                                 "rational strings")
+            if d > MAX_DEGREE:
+                raise ValueError(f"degree {d} beyond {MAX_DEGREE}")
             return cls(n, d, tuple(_rational(x) for x in b), _rational(y0))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise LpError(f"malformed certificate: {exc!r}") from exc
@@ -349,21 +358,17 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     for r in samples:
         add_sample(math.pi * r * r)
     report = {"rounds": 0, "added": [], "iterations": 0}
-    # the start basis: the columns S and the tight rows T of the last
-    # optimum, T as sample keys since the rows are sorted afresh every
-    # round; all-slack for the first
-    cols, tight_keys = (), ()
+    # the rows stay in arrival order, so the last optimal basis (columns S,
+    # tight rows T) indexes the same rows after new ones are appended
+    basis = None
     for round_no in range(refine_rounds + 1):
-        keys = sorted(rows)
-        index = {y: i for i, y in enumerate(keys)}
-        # distinct tiny right-hand sides break the massive degeneracy of
-        # the uniform constraint scaling
-        rhs = [Fraction(-1) - Fraction(i + 1, 2 ** 24)
-               for i in range(len(keys))]
+        rank = {y: i for i, y in enumerate(sorted(rows), 1)}
+        # distinct tiny right-hand sides, by each sample's rank, break the
+        # massive degeneracy of the uniform constraint scaling
+        rhs = [Fraction(-1) - Fraction(rank[y], 2 ** 24) for y in rows]
         report["rounds"] = round_no + 1
         try:
-            sol = solve_min(cvec, [rows[y] for y in keys], rhs,
-                            (cols, [index[y] for y in tight_keys]))
+            sol = solve_min(cvec, list(rows.values()), rhs, basis)
         except (Infeasible, IterationLimit) as exc:
             report.update(feasible=False, samples_used=len(rows))
             status = ("infeasible" if isinstance(exc, Infeasible)
@@ -371,8 +376,7 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
             return {"method": "sampled", "certificate_status": status,
                     "feasible_report": report}
         report["iterations"] += sol["iterations"]
-        cols, tight = sol["basis"]
-        tight_keys = [keys[t] for t in tight]
+        basis = sol["basis"]
         cert = LpCertificate(n, d, tuple(x * s for x, s in
                                          zip(sol["x"], scales)), PI_LO)
         proved = verify_lp(cert).status == "verified"

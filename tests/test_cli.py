@@ -188,7 +188,7 @@ def test_verify_poisson_sabotaged_counts_refuted(monkeypatch, capsys):
     # sums coincide, so the sabotage would not show)
     vectors_by_norm = certify.vectors_by_norm
 
-    def sabotaged(lat, max_norm, budget):
+    def sabotaged(lat, max_norm, budget=Fraction(64)):
         table = vectors_by_norm(lat, max_norm, budget=budget)
         counts = tuple((v, c + (v == 2)) for v, c in table.counts)
         assert dict(counts)[2] == 241
@@ -341,6 +341,7 @@ MALFORMED_CERTS = {
     "short_b": {"n": 1, "d": 2, "b": ["1/2"], "y0": "3"},
     "nonrational_b": {"n": 1, "d": 1, "b": ["x"], "y0": "3"},
     "no_y0": {"n": 1, "d": 1, "b": ["1/2"]},
+    "huge_d": {"n": 8, "d": 3000, "b": ["0"] * 2999 + ["1"], "y0": "3"},
 }
 
 
@@ -382,6 +383,10 @@ MALFORMED_CERTS = {
     ["lpbound", "run", "--dim", "-2", "--degree", "30"],
     ["lpbound", "run", "--dim", "3", "--degree", "7", "--method", "newton"],
     ["lpbound", "run", "--dim", "1", "--degree", "7", "--method", "newton"],
+    ["lattice", "theta", "--name", "e8", "--max-norm", "100000"],
+    ["verify", "poisson", "--name", "e8", "--cutoff", "100000"],
+    ["lpbound", "run", "--dim", "8", "--degree", "100000"],
+    ["verify", "lp", "--cert", "{huge_d}"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}

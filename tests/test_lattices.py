@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -8,10 +7,11 @@ from packbound.certify import poisson_check
 from packbound.codes import golay24, hamming8, zero_code
 from packbound.exact import mat_det
 from packbound.lattices import (
-    EnumerationBudgetError, SymbolicVolume, _build_leech_from_shift,
-    _make_lattice, ball_volume, construction_a, covolume, density,
-    lattice_properties, standard_lattice, vectors_by_norm,
+    EnumerationBudgetError, LatticeError, SymbolicVolume,
+    _build_leech_from_shift, _make_lattice, ball_volume, construction_a,
+    covolume, density, lattice_properties, standard_lattice, vectors_by_norm,
 )
+from packbound.qseries import QSeries, eisenstein, theta01
 
 
 def test_ball_volume_unit_disc():
@@ -161,18 +161,40 @@ def test_zn2_properties():
     lat = _make_lattice([[2, 0], [0, 1]], 1)
     assert lat.gram == ((2, 0), (0, Fraction(1, 2)))
     assert lat.gram_det == 1
-    assert lattice_properties(lat)["unimodular"] is False
+    assert lat.is_unimodular() is False
 
 
-def test_generic_counting_agrees_with_diagonal():
-    # the coset counter against the recursive path, on lattices with their
-    # counting hint stripped (Construction A, the zero code, Z^n)
-    for lat in (standard_lattice("e8"), construction_a(zero_code(8)),
-                standard_lattice("zn", 4)):
-        stripped = dataclasses.replace(lat, counting=None)
-        a = vectors_by_norm(stripped, 4).as_dict()
-        b = vectors_by_norm(lat, 4).as_dict()
-        assert a == b
+def test_coset_counts_match_theta_series():
+    # the counts of Z^4, sqrt(2) Z^8 and E8 up to squared norm 12 are the
+    # coefficients of Theta00^4, Theta00^8 and E4; a vector of squared norm
+    # v sits at grid exponent 4 v / scale, scale 2 for sqrt(2) Z^8
+    theta00 = theta01()
+    theta00 = QSeries({e: abs(c) for e, c in theta00.coeffs.items()},
+                      theta00.trunc)
+    for lat, form, scale in ((standard_lattice("zn", 4), theta00 ** 4, 1),
+                             (construction_a(zero_code(8)), theta00 ** 8, 2),
+                             (standard_lattice("e8"), eisenstein(4), 1)):
+        counts = vectors_by_norm(lat, 12).as_dict()
+        assert {v: c for v, c in counts.items() if c} == {
+            Fraction(e * scale, 4): c for e, c in form.items()
+            if e * scale <= 48}, lat.name
+
+
+@pytest.mark.parametrize("lat, quantum", [
+    (standard_lattice("zn", 2), 1), (standard_lattice("zn", 24), 1),
+    (standard_lattice("e8"), 2), (standard_lattice("l24"), 2),
+    (standard_lattice("leech"), 2), (construction_a(zero_code(1)), 2),
+    (_make_lattice([[1, 1], [1, -1]], 0), 2),
+    (_make_lattice([[2, 0], [0, 1]], 1), Fraction(1, 2)),
+], ids=["z2", "z24", "e8", "l24", "leech", "sqrt2-z", "rotated-z2",
+        "non-integral"])
+def test_norm_quantum(lat, quantum):
+    assert lat.norm_quantum() == quantum
+
+
+def test_lattice_without_coset_data_is_refused():
+    with pytest.raises(LatticeError, match="no coset data"):
+        vectors_by_norm(_make_lattice([[1, 1], [1, -1]], 0), 4)
 
 
 def test_enumeration_budget():

@@ -167,7 +167,7 @@ def test_sampled_lp_e8_window(monkeypatch):
     assert report["samples_used"] == 109
     assert len(report["added"]) == 13
     assert len(calls) == 8
-    assert calls[0][3] == ((), []) and all(call[3][1] for call in calls[1:])
+    assert calls[0][3] is None and all(call[3][1] for call in calls[1:])
     # the warm start reaches the optimum of a cold solve of the last LP
     c, a_rows, b, _ = calls[-1]
     assert res["p0"] == 1 + solve_min(c, a_rows, b)["objective"]
@@ -242,11 +242,14 @@ def test_sampled_lp_rows_match_fraction_rows(n, d, monkeypatch):
     monkeypatch.setattr(lpbound, "_positive_maxima", maxima_recorded)
     res = sampled_lp(n, d)
     scales, cvec, row = _fraction_rows(n, d)
-    keys = {Fraction(math.pi * r * r) for r in default_samples()}
-    round_keys = [sorted(keys)]
+    # rows in arrival order: the defaults, then each round's new samples
+    keys = list(dict.fromkeys(Fraction(math.pi * r * r)
+                              for r in default_samples()))
+    round_keys = [keys]
     for found in maxima[:len(calls) - 1]:
-        keys |= {Fraction(float(y)) for y in found}
-        round_keys.append(sorted(keys))
+        keys = list(dict.fromkeys(keys + [Fraction(float(y))
+                                          for y in found]))
+        round_keys.append(keys)
     expected = {y: row(y) for y in keys}
     assert len(keys) == res["feasible_report"]["samples_used"]
     for (c, a_rows), ys in zip(calls, round_keys, strict=True):
