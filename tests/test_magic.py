@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 from fractions import Fraction
 
@@ -22,6 +23,41 @@ def test_legendre_nodes_integrate_polynomial():
         with mp.workdps(30):
             val = sum(w * x ** 6 for x, w in zip(xs, ws))
             assert abs(val - mp.mpf(2) / 7) < 1e-25
+    # the highest degree the order-64 rule is exact for
+    xs, ws = legendre_nodes(64, 60)
+    with mp.workdps(80):
+        val = sum(w * x ** 126 for x, w in zip(xs, ws))
+        assert abs(val - mp.mpf(2) / 127) < 1e-70
+
+
+@pytest.mark.parametrize("order", [4, 14, 64])
+@pytest.mark.parametrize("dps", [30, 60, 200])
+def test_legendre_nodes_within_two_units(order, dps):
+    with mp.workdps(dps + 20):
+        prec = mp.mp.prec
+    xs, ws = legendre_nodes(order, dps)
+    ref_xs, ref_ws = legendre_nodes(order, dps + 100)
+    with mp.workdps(dps + 120):
+        unit = 2 * mp.mpf(2) ** -prec
+        for got, ref in zip(xs + ws, ref_xs + ref_ws):
+            assert abs(got - ref) <= unit * abs(ref), (got, ref)
+
+
+@pytest.mark.parametrize("order", [-2, 0, 1, 5])
+def test_legendre_nodes_refuses_odd_or_small_order(order):
+    # an odd order once dropped its middle node: legendre_nodes(5, 30)'s
+    # weights summed to 1.431, and order 1 gave no node at all
+    with pytest.raises(MagicError, match="not even"):
+        legendre_nodes(order, 30)
+
+
+def test_legendre_nodes_refuses_a_newton_that_does_not_converge(monkeypatch):
+    # a step of one whole unit every time never falls under 2^16 units
+    monkeypatch.setattr(magic, "_legendre",
+                        lambda order, x, prec: (1 << prec, 1 << prec))
+    with pytest.raises(MagicError, match="did not converge"):
+        legendre_nodes(6, 17)
+    assert (6, 17) not in magic._GL_CACHE
 
 
 def test_grid_count_slack_is_a_fraction_of_a_step():
@@ -544,6 +580,25 @@ def test_pair_matches_pinned_values(n, request):
                 value, err = mp.mpf(value), mp.mpf(err)
                 assert abs(got.value - value) <= got.error + err, (r2, edge)
                 assert abs(got.error / err - 1) <= 0.01, (r2, edge)
+
+
+# sha256 of the default spec's u-side fixed-point data: a change to the
+# Gauss-Legendre rule or the node sums that moves one bit of it shows here
+USIDE_DIGESTS = {
+    8: "89bf285139dd226b4c161d8555f17b7e802f861c1e04609860118e2e716583af",
+    24: "2666522dfa4f5d15fb7fa378ea287a03c7a0cec07316c0b0f9bde8ec9b1976b8",
+}
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_uside_data_fingerprint(n, request):
+    spec = request.getfixturevalue(f"spec{n}")
+    digest = hashlib.sha256()
+    for kernel in (spec.uside_plus, spec.uside_minus):
+        digest.update(repr(kernel.vals).encode())
+    # _mpf_ tuples, since repr depends on the ambient mp.dps
+    digest.update(repr([u._mpf_ for u in spec.uside_plus.nodes]).encode())
+    assert digest.hexdigest() == USIDE_DIGESTS[n]
 
 
 @pytest.mark.parametrize("r", ["inf", "-inf", "nan"])
