@@ -1,7 +1,11 @@
-"""Exact rational arithmetic helpers: integer/rational square roots, linear
-algebra over Q, Hermite reduction over Z, rational polynomials, and one
-Sturm chain, of the square-free part in primitive integer polynomials, for
-root counting and root isolation.
+"""Exact rational arithmetic helpers: integer/rational square roots, the
+scaling of a rational vector to integers, Hermite reduction over Z,
+rational polynomials, and one Sturm chain, of the square-free part in
+primitive integer polynomials, for root counting and root isolation.
+
+There is no Fraction determinant: a lattice reads its determinant off the
+diagonal of its Hermite-reduced basis, which is triangular, and the exact
+simplex inverts its basis blocks fraction-free (Bareiss).
 
 Everything in this module is exact; no floating point.
 """
@@ -49,36 +53,14 @@ def sqrt_decompose(x: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over Q
+# Rational vectors and matrices
 # ---------------------------------------------------------------------------
 
-def mat_identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_det(a):
-    """Determinant by fraction Gaussian elimination."""
-    n = len(a)
-    m = [[frac(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [m[r][j] - f * m[col][j] for j in range(n)]
-    return det
+def integer_scaled(values):
+    """A rational vector times the lcm of its denominators (an integer
+    vector), and that multiplier."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def mat_is_integral(a) -> bool:
@@ -93,7 +75,9 @@ def hermite_row_basis(rows):
     """Reduce integer generating rows to a Z-basis of their row span.
 
     Classic column-sweep HNF without pivot-size normalization; returns the
-    nonzero rows.  Deterministic.
+    nonzero rows.  Deterministic.  Each returned row's first nonzero entry
+    is positive and lies right of the previous row's, so rows of rank n in
+    n columns give an upper triangular basis with a positive diagonal.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -121,8 +105,7 @@ def hermite_row_basis(rows):
             if m[pivot_row][col] < 0:
                 m[pivot_row] = [-x for x in m[pivot_row]]
             pivot_row += 1
-    basis = [row for row in m[:pivot_row]]
-    return basis
+    return m[:pivot_row]
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +116,6 @@ def poly_trim(p):
     while p and p[-1] == 0:
         p = p[:-1]
     return p
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    return poly_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                      for i in range(n)])
 
 
 def poly_eval(p, x):
@@ -171,8 +148,7 @@ def poly_primitive(p):
     p = poly_trim(p)
     if not p:
         return p
-    den = math.lcm(*(c.denominator for c in p))
-    ints = [c.numerator * (den // c.denominator) for c in p]
+    ints, _ = integer_scaled(p)
     g = math.gcd(*ints)
     return [v // g for v in ints]
 

@@ -5,12 +5,12 @@ covolume/density bookkeeping and exact vector counts by squared length.
 Conventions
 -----------
 A lattice is its exact rational Gram matrix, the Gram determinant and the
-coset data that counts its vectors.  A basis is given as integer rows that,
-scaled by ``2**(-scale_exp/2)``, form a basis of the true lattice, so the
-Gram matrix is ``rows @ rows.T / 2**scale_exp`` and its determinant
-det(rows)^2 / 2^(scale_exp * n), computed once when the lattice is built
-(the bases built here are triangular, so the elimination has nothing to
-eliminate).
+coset data that counts its vectors.  It is given by integer generating rows
+that, scaled by ``2**(-scale_exp/2)``, span the true lattice.  The rows are
+reduced once, by Hermite reduction, to an upper triangular basis B with a
+positive diagonal, so the Gram matrix is ``B @ B.T / 2**scale_exp`` and its
+determinant the squared product of B's diagonal over 2^(scale_exp * n),
+both fixed when the lattice is built.
 
 Vector counting never lists vectors.  Z^n, the Construction-A lifts and the
 Leech lattice are each a union of code cosets
@@ -37,8 +37,7 @@ from .codes import (
     zero_code,
 )
 from .exact import (
-    frac, hermite_row_basis, mat_det, mat_identity, mat_is_integral,
-    sqrt_decompose,
+    frac, hermite_row_basis, integer_scaled, mat_is_integral, sqrt_decompose,
 )
 
 
@@ -198,23 +197,25 @@ class LatticeDescription:
         n = self.dimension
         vals = [self.gram[i][j] * (1 + (i != j))
                 for i in range(n) for j in range(i, n)]
-        den = math.lcm(*(v.denominator for v in vals))
-        return Fraction(
-            math.gcd(*(v.numerator * (den // v.denominator) for v in vals)),
-            den)
+        ints, den = integer_scaled(vals)
+        return Fraction(math.gcd(*ints), den)
 
 
 def _make_lattice(rows, scale_exp, name="", counting=None):
-    n = len(rows)
-    rows = tuple(tuple(int(x) for x in r) for r in rows)
-    two_s = 2 ** scale_exp
-    gram = tuple(
-        tuple(Fraction(sum(rows[i][k] * rows[j][k] for k in range(n)), two_s)
-              for j in range(n))
-        for i in range(n))
-    det = mat_det(rows) ** 2 / two_s ** n
-    if det == 0:
+    """The lattice the integer generating rows span, scaled by
+    2^(-scale_exp/2).  The rows are reduced once to a triangular basis B
+    (``hermite_row_basis``); the Gram matrix is B B^T / 2^scale_exp and its
+    determinant the squared product of B's diagonal over 2^(scale_exp n).
+    Rows of rank below their length raise LatticeError."""
+    n = len(rows[0])
+    basis = hermite_row_basis(rows)
+    if len(basis) != n:
         raise LatticeError("degenerate basis")
+    two_s = 2 ** scale_exp
+    gram = tuple(tuple(Fraction(sum(a * b for a, b in zip(u, v)), two_s)
+                       for v in basis) for u in basis)
+    det = Fraction(math.prod(u[i] for i, u in enumerate(basis)) ** 2,
+                   two_s ** n)
     return LatticeDescription(n, gram, det, name=name, counting=counting)
 
 
@@ -245,15 +246,9 @@ def construction_a(code: BinaryCode, name="") -> LatticeDescription:
     n = code.length
     if n > 24:
         raise LatticeError("construction A limited to n <= 24 here")
-    gens = []
-    for row in code.generator:
-        gens.append([(row >> i) & 1 for i in range(n)])
-    for i in range(n):
-        gens.append([2 * int(i == j) for j in range(n)])
-    basis = hermite_row_basis(gens)
-    if len(basis) != n:
-        raise LatticeError("degenerate generator")
-    return _make_lattice(basis, 1, name=name, counting=Cosets(
+    gens = [[(row >> i) & 1 for i in range(n)] for row in code.generator]
+    gens += [[2 * (i == j) for j in range(n)] for i in range(n)]
+    return _make_lattice(gens, 1, name=name, counting=Cosets(
         weight_enumerator(code), 2, 2, ((0, 1, 0),)))
 
 
@@ -268,23 +263,14 @@ def _build_leech_from_shift(shift_scale: int) -> LatticeDescription:
     """
     code = golay24()
     n = 24
-    gens = []
-    for row in code.generator:
-        gens.append([2 * ((row >> i) & 1) for i in range(n)])
-    for j in range(1, n):
-        g = [0] * n
-        g[0], g[j] = 4, -4
-        gens.append(g)
-    g = [0] * n
-    g[0] = 8
-    gens.append(g)
-    u = [shift_scale] * n
-    u[0] += 4
-    gens.append(u)
-    basis = hermite_row_basis(gens)
-    if len(basis) != n:
-        raise LatticeError("Leech candidate basis degenerate")
-    return _make_lattice(basis, 3, name="leech", counting=Cosets(
+    gens = [[2 * ((row >> i) & 1) for i in range(n)]
+            for row in code.generator]
+    # 4 (e1 - ej) for j > 1, 8 e1 and the glue vector u
+    gens += [[4 * (i == 0) - 4 * (i == j) for i in range(n)]
+             for j in range(1, n)]
+    u = [shift_scale + 4] + [shift_scale] * (n - 1)
+    gens += [[8] + [0] * (n - 1), u]
+    return _make_lattice(gens, 3, name="leech", counting=Cosets(
         weight_enumerator(code), 4, 8,
         ((0, 2, 0), (shift_scale, 2, sum(u))), sum_mod=8))
 
@@ -302,7 +288,8 @@ def standard_lattice(name: str, n: int = None) -> LatticeDescription:
     if name == "zn":
         if not n or n < 1:
             raise LatticeError("zn requires a dimension")
-        lat = _make_lattice(mat_identity(n), 0, name=f"z{n}", counting=Cosets(
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        lat = _make_lattice(eye, 0, name=f"z{n}", counting=Cosets(
             weight_enumerator(zero_code(n)), 1, 1, ((0, 0, 0),)))
     elif name == "e8":
         lat = construction_a(hamming8(), name="e8")

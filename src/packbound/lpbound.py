@@ -20,6 +20,8 @@ rational PI_LO just below pi: p(PI_LO) < 0 and a Sturm count of no root of
 p beyond PI_LO.  Each entry of an LP row is the exact L_k(y) at a sample,
 column-scaled and rounded once to a float: a fraction-free integer
 recurrence gives it as N_k / D_k, and one int / int division rounds it.
+The column scales are powers of two, fixed exactly from bit lengths, and
+the same recurrence, run on integer coefficient lists, gives p itself.
 The projection gives b in mpmath floats; its rows evaluate L_k by the
 three-term recurrence, which stays accurate where the monomial form of p
 cancels (y near 200, r = 8).
@@ -35,7 +37,8 @@ import mpmath as mp
 
 from .certify import Certificate
 from .exact import (
-    frac, poly_add, poly_deriv, poly_eval, sturm_count, sturm_roots,
+    frac, integer_scaled, poly_deriv, poly_eval, poly_trim, sturm_count,
+    sturm_roots,
 )
 from .lattices import ball_volume
 from .simplex import Infeasible, IterationLimit, solve_min
@@ -67,18 +70,6 @@ def _check_family(n: int, d: int):
 # Laguerre polynomials
 # ---------------------------------------------------------------------------
 
-def laguerre_coeffs(k: int, alpha) -> list:
-    """Exact coefficient list of L_k^alpha: sum_j (-1)^j C(k+a, k-j) x^j / j!."""
-    alpha = frac(alpha)
-    coeffs = []
-    for j in range(k + 1):
-        binom = Fraction(1)
-        for t in range(k - j):
-            binom *= (alpha + j + 1 + t) / (t + 1)
-        coeffs.append((-1) ** j * binom / math.factorial(j))
-    return coeffs
-
-
 def laguerre_all(kmax: int, alpha, x):
     """[L_0^alpha(x), ..., L_kmax^alpha(x)] in one pass of the three-term
     recurrence, over exact rationals or mpmath floats following the input
@@ -94,13 +85,29 @@ def laguerre_all(kmax: int, alpha, x):
 
 
 def profile_polynomial(n: int, b) -> list:
-    """Exact coefficients of p(y) = 1 + sum_k b_k L_k^(n/2-1)(y)."""
-    poly = [Fraction(1)]
-    for k, b_k in enumerate(b, start=1):
-        if b_k:  # an LP vertex has few nonzero coefficients
-            lk = laguerre_coeffs(k, Fraction(n, 2) - 1)
-            poly = poly_add(poly, [b_k * c for c in lk])
-    return poly
+    """Exact coefficients of p(y) = 1 + sum_k b_k L_k^(n/2-1)(y).  The
+    integer polynomials N_k = k! 2^k L_k come from _laguerre_ratios'
+    recurrence with y as the variable (q = 1),
+
+        N_(j+1) = (4j + 2 + 2 alpha - 2y) N_j - 2j (2j + 2 alpha) N_(j-1),
+
+    and are summed in integers over the common denominator of the weights
+    b_k / (k! 2^k)."""
+    b = poly_trim(list(b))
+    weights, den = integer_scaled(
+        [Fraction(1)] + [frac(b_k) / (math.factorial(k) * 2 ** k)
+                         for k, b_k in enumerate(b, 1)])
+    two_alpha = n - 2
+    acc = [weights[0]] + [0] * len(b)
+    prev, cur = [1], [2 + two_alpha, -2]
+    for j, w in enumerate(weights[1:], 1):
+        for i, c in enumerate(cur):
+            acc[i] += w * c
+        prev, cur = cur, [
+            (4 * j + 2 + two_alpha) * c - 2 * c_lo
+            - 2 * j * (2 * j + two_alpha) * c_prev
+            for c, c_lo, c_prev in zip(cur + [0], [0] + cur, prev + [0, 0])]
+    return [Fraction(c, den) for c in acc]
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +215,16 @@ def _lp_row(n: int, y: Fraction, scales) -> list:
                         in zip(_laguerre_ratios(n, len(scales), y), scales)])
 
 
-def _pow2_scale(value) -> Fraction:
-    """Power of two near |value|, for exact column equilibration."""
-    v = abs(float(value))
-    if v == 0:
+def _pow2_scale(value: Fraction) -> Fraction:
+    """2^e with 2^e <= |value| < 2^(e+1) (1 for value 0), for exact column
+    equilibration, from the bit lengths of value's numerator and
+    denominator."""
+    a, q = abs(value.numerator), value.denominator
+    if a == 0:
         return Fraction(1)
-    e = int(math.floor(math.log2(v)))
+    e = a.bit_length() - q.bit_length()
+    if a << max(-e, 0) < q << max(e, 0):
+        e -= 1
     return Fraction(2) ** e
 
 
@@ -342,7 +353,8 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     # (b_k = scales[k-1] * x_k)
     probes = [_laguerre_ratios(n, d, Fraction(math.pi * r * r))
               for r in (2, 4, 8)]
-    scales = [1 / _pow2_scale(max(abs(num / den) for num, den in column))
+    scales = [1 / _pow2_scale(max(abs(Fraction(num, den))
+                                  for num, den in column))
               for column in zip(*probes)]
     cvec = [Fraction(num, den) * s for (num, den), s
             in zip(_laguerre_ratios(n, d, Fraction(0)), scales)]

@@ -29,10 +29,9 @@ walk finite.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .exact import frac
+from .exact import frac, integer_scaled
 
 MAX_ITER = 20000
 
@@ -47,13 +46,6 @@ class Infeasible(SimplexError):
 
 class IterationLimit(SimplexError):
     """The walk stopped after MAX_ITER pivots without an optimum."""
-
-
-def _integer_row(values):
-    """A rational row times the lcm of its denominators (an integer row),
-    and that multiplier."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
 def _adjugate(block):
@@ -109,12 +101,12 @@ def solve_min(c, a_rows, b, basis=None):
     c = [frac(v) for v in c]
     rows, rhs, row_scale = [], [], []
     for i in range(m):
-        ints, scale = _integer_row([frac(v) for v in a_rows[i]]
-                                   + [frac(b[i])])
+        ints, scale = integer_scaled([frac(v) for v in a_rows[i]]
+                                     + [frac(b[i])])
         rows.append(ints[:n])
         rhs.append(ints[n])
         row_scale.append(scale)
-    cost, _ = _integer_row(c)
+    cost, _ = integer_scaled(c)
     # S in the column order of the block, T in its row order
     basic_cols, tight = [], []
     if basis is not None:

@@ -1,6 +1,10 @@
+import contextlib
 import json
+import os
 import shlex
 import signal
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -394,23 +398,57 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"certificate": cert}))
     argv = [a.format(**paths) for a in argv]
-
     # a table whose radius never advances must fail the test, not hang it;
     # pytest's Failed is no OSError, so dispatch does not turn it into exit 2
-    def expire(signum, frame):
-        pytest.fail(f"{argv} did not return within 120 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(120)
-    try:
+    with _deadline(argv):
         code = dispatch(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.err.startswith("packbound: ")
     assert captured.err.count("\n") == 1
+
+
+@contextlib.contextmanager
+def _deadline(argv, seconds=120):
+    """Fail the test if the block has not returned within seconds."""
+    def expire(signum, frame):
+        pytest.fail(f"{argv} did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["lpbound", "run", "--dim", "6000", "--degree", "200"],
+     EXIT_INCONCLUSIVE),
+    (["lpbound", "run", "--dim", str(10 ** 20), "--degree", "30"],
+     EXIT_INCONCLUSIVE),
+    (["lpbound", "run", "--dim", "2000", "--degree", "200"],
+     EXIT_INCONCLUSIVE),
+    (["magic", "eval", "--dim", "8", "--r", "1e300"], EXIT_OK),
+    (["verify", "poisson", "--name", "e8", "--sigma", "1e400"],
+     EXIT_INCONCLUSIVE),
+    (["verify", "poisson", "--name", "e8", "--sigma", "100"],
+     EXIT_INCONCLUSIVE),
+], ids=["lp-n6000-d200", "lp-n1e20-d30", "lp-n2000-d200", "eval-r1e300",
+        "poisson-sigma1e400", "poisson-sigma100"])
+def test_extreme_numeric_flags_keep_the_exit_code(argv, expected):
+    # numbers at the edge of or beyond a float's range reach the numerics;
+    # the process must still end with its contract code, not a traceback
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    with _deadline(argv):
+        proc = subprocess.run([sys.executable, "-m", "packbound.cli", *argv],
+                              capture_output=True, text=True, env=env)
+    assert "Traceback" not in proc.stderr, proc.stderr[-500:]
+    assert proc.returncode == expected
 
 
 @pytest.mark.parametrize("argv", [

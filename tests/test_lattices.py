@@ -5,13 +5,14 @@ import pytest
 from packbound import codes, exact, lattices
 from packbound.certify import poisson_check
 from packbound.codes import golay24, hamming8, zero_code
-from packbound.exact import mat_det
+from packbound.exact import integer_scaled
 from packbound.lattices import (
     EnumerationBudgetError, LatticeError, SymbolicVolume,
     _build_leech_from_shift, _make_lattice, ball_volume, construction_a,
     covolume, density, lattice_properties, standard_lattice, vectors_by_norm,
 )
 from packbound.qseries import QSeries, eisenstein, theta01
+from packbound.simplex import _adjugate
 
 
 def test_ball_volume_unit_disc():
@@ -118,12 +119,46 @@ def test_scaled_z_covolume():
     assert cv.is_rational() and cv.rational_value() == 2
 
 
+def _bareiss_det(gram):
+    """det(gram) by Bareiss elimination of the Gram matrix scaled to
+    integers, independent of the Hermite reduction."""
+    n = len(gram)
+    ints, scale = integer_scaled([x for row in gram for x in row])
+    _, det = _adjugate([ints[i * n:(i + 1) * n] for i in range(n)])
+    return Fraction(det, scale ** n)
+
+
 def test_stored_determinant_is_the_gram_determinant():
     for lat in (standard_lattice("zn", 3), standard_lattice("e8"),
                 standard_lattice("l24"), standard_lattice("leech"),
                 _build_leech_from_shift(2), construction_a(zero_code(2)),
-                _make_lattice([[1, 1], [1, -1]], 0)):
-        assert lat.gram_det == mat_det(lat.gram), lat.name
+                _make_lattice([[1, 1], [1, -1]], 0),
+                _make_lattice([[2, 0], [0, 1]], 1),
+                _make_lattice([[3, 1, 0], [1, -2, 5], [0, 4, 1]], 0)):
+        assert lat.gram_det == _bareiss_det(lat.gram), lat.name
+
+
+def test_generating_rows_are_reduced_once():
+    # E8 from the Hamming code's 4 generating rows and 2 e_i: the 12 rows
+    # span the same lattice construction_a builds
+    gens = [[(row >> i) & 1 for i in range(8)] for row in hamming8().generator]
+    gens += [[2 * int(i == j) for j in range(8)] for i in range(8)]
+    assert len(gens) == 12
+    lat, e8 = _make_lattice(gens, 1), standard_lattice("e8")
+    assert (lat.gram, lat.gram_det) == (e8.gram, e8.gram_det)
+    # a hand-given basis that is not triangular stores the Gram matrix of
+    # its reduced basis [[1, 1], [0, 2]], which spans the same lattice
+    rotated = _make_lattice([[1, 1], [1, -1]], 0)
+    assert rotated.gram == ((2, 2), (2, 4)) and rotated.gram_det == 4
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0]], [[0, 0], [0, 0], [0, 0]],
+    [[2, 0, 2], [0, 1, 1], [2, 1, 3], [4, 2, 6]],
+], ids=["dependent", "too-few", "zero", "rank-2-of-4"])
+def test_rows_of_low_rank_are_refused(rows):
+    with pytest.raises(LatticeError, match="degenerate"):
+        _make_lattice(rows, 0)
 
 
 def test_built_lattice_runs_no_elimination_or_enumeration(monkeypatch):
@@ -135,7 +170,7 @@ def test_built_lattice_runs_no_elimination_or_enumeration(monkeypatch):
         raise AssertionError("recomputed after construction")
 
     for module in (exact, lattices):
-        monkeypatch.setattr(module, "mat_det", fail)
+        monkeypatch.setattr(module, "hermite_row_basis", fail)
     for module in (codes, lattices):
         monkeypatch.setattr(module, "weight_enumerator", fail)
     for lat in built:

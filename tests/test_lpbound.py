@@ -16,7 +16,7 @@ from packbound.exact import poly_eval, sturm_count, sturm_roots
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
     PI_HI, PI_LO, LpCertificate, RadialAnsatz, default_samples,
-    estimate, laguerre_all, laguerre_coeffs, sampled_lp, verify_lp,
+    estimate, laguerre_all, profile_polynomial, sampled_lp, verify_lp,
 )
 from packbound import lpbound
 from packbound.simplex import Infeasible, SimplexError, _adjugate, solve_min
@@ -42,16 +42,36 @@ def test_laguerre_base_cases():
 def test_laguerre_at_zero():
     # L_2^3(0) = C(5, 2) = 10
     assert laguerre_all(2, Fraction(3), Fraction(0))[2] == 10
-    assert laguerre_coeffs(2, Fraction(3))[0] == 10
 
 
-def test_laguerre_coeffs_match_recurrence():
-    alpha = Fraction(3)
-    for k in (1, 2, 5):
-        coeffs = laguerre_coeffs(k, alpha)
-        x = Fraction(7, 11)
-        direct = sum(c * x ** j for j, c in enumerate(coeffs))
-        assert direct == laguerre_all(k, alpha, x)[k]
+@pytest.mark.parametrize("n", [1, 3, 8, 24])
+@pytest.mark.parametrize("d", [1, 5, 30, 60])
+def test_profile_polynomial_matches_laguerre_values(n, d):
+    # p, built from the integer recurrence's coefficient lists, against the
+    # Fraction three-term recurrence at rational points, for dense b of both
+    # signs; alpha is a half-integer for n = 1 and 3
+    rng = random.Random(1000 * n + d)
+    b = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
+         for _ in range(d)]
+    poly = profile_polynomial(n, b)
+    assert len(poly) == d + 1
+    for y in (Fraction(0), Fraction(7, 11), PI_LO, Fraction(200),
+              Fraction(-3, 2)):
+        lag = laguerre_all(d, Fraction(n, 2) - 1, y)
+        assert poly_eval(poly, y) == 1 + sum(
+            b_k * l_k for b_k, l_k in zip(b, lag[1:])), (n, d, y)
+
+
+def test_pow2_scale_brackets_the_value():
+    # 2^e <= |value| < 2^(e+1), exactly, at and beside powers of two and
+    # far outside the range of a float
+    for v in (Fraction(1), Fraction(3), Fraction(-1, 3), Fraction(1, 4),
+              Fraction(2 ** 2000 - 1), Fraction(2 ** 2000),
+              Fraction(1, 2 ** 2000 + 1), Fraction(10 ** 700, 3)):
+        s = lpbound._pow2_scale(v)
+        assert s.numerator == 1 or s.denominator == 1
+        assert s <= abs(v) < 2 * s, v
+    assert lpbound._pow2_scale(Fraction(0)) == 1
 
 
 # -- ansatz -------------------------------------------------------------------
