@@ -1,7 +1,6 @@
-"""Verification primitives: positivity of q-series on intervals by
-head-polynomial + tail-bound + Sturm, Poisson summation residuals with
-explicit tails, and the composite certificate for the optimal test
-functions.
+"""Verification: the certificate, a claim with the log of the steps that
+check it; Poisson summation residuals with explicit tails; and the
+composite certificate for the optimal test functions.
 
 Every certificate step is labeled ``exact`` (rational arithmetic all the
 way) or ``numerical`` (high-precision evaluation with a posteriori error
@@ -17,108 +16,13 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from . import exact
-from .exact import frac, poly_eval
+from .exact import frac
 from .lattices import LatticeDescription, vectors_by_norm
 from .magic import FEASIBILITY_CLAIM, grid_count, spec_for
 
 
 class CertifyError(ValueError):
     pass
-
-
-# ---------------------------------------------------------------------------
-# Rational intervals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RationalInterval:
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", frac(self.lo))
-        object.__setattr__(self, "hi", frac(self.hi))
-        if self.lo > self.hi:
-            raise CertifyError("interval endpoints out of order")
-
-    def __add__(self, other):
-        other = _as_interval(other)
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self):
-        return RationalInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other):
-        return self + (-_as_interval(other))
-
-    def __mul__(self, other):
-        other = _as_interval(other)
-        prods = [self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi]
-        return RationalInterval(min(prods), max(prods))
-
-    def contains(self, x) -> bool:
-        return self.lo <= frac(x) <= self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-
-def _as_interval(x):
-    if isinstance(x, RationalInterval):
-        return x
-    x = frac(x)
-    return RationalInterval(x, x)
-
-
-def exp_interval(x, terms: int = 24) -> RationalInterval:
-    """Rational enclosure of e^x for rational x, by scaled Taylor sums."""
-    x = frac(x)
-    # argument reduction: e^x = (e^(x/2^k))^(2^k) with |x/2^k| <= 1/2
-    k = 0
-    y = x
-    while abs(y) > Fraction(1, 2):
-        y /= 2
-        k += 1
-    s = Fraction(0)
-    term = Fraction(1)
-    for j in range(1, terms + 1):
-        s += term
-        term = term * y / j
-    # |remainder| <= 2 |term| on |y| <= 1/2
-    rem = 2 * abs(term)
-    lo, hi = s - rem, s + rem
-    if lo <= 0:
-        raise CertifyError("exp enclosure collapsed; increase terms")
-    for _ in range(k):
-        lo, hi = lo * lo, hi * hi
-    return RationalInterval(lo, hi)
-
-
-def _round_down(x: Fraction, den: int) -> Fraction:
-    return Fraction(math.floor(x * den), den)
-
-
-def _round_up(x: Fraction, den: int) -> Fraction:
-    return Fraction(math.ceil(x * den), den)
-
-
-def nth_root_bounds(x, n: int, bits: int = 64) -> RationalInterval:
-    """Rational enclosure of x^(1/n) for rational x >= 0, by bisection."""
-    x = frac(x)
-    if x < 0:
-        raise CertifyError("negative radicand")
-    if x == 0:
-        return RationalInterval(0, 0)
-    lo, hi = Fraction(0), max(Fraction(1), x)
-    for _ in range(bits):
-        mid = (lo + hi) / 2
-        if mid ** n <= x:
-            lo = mid
-        else:
-            hi = mid
-    return RationalInterval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -162,97 +66,6 @@ class Certificate:
     def to_json(self) -> str:
         return json.dumps({"claim": self.claim, "status": self.status,
                            "log": self.log}, sort_keys=True, indent=1)
-
-
-# ---------------------------------------------------------------------------
-# Positivity of q-series on an interval
-# ---------------------------------------------------------------------------
-
-def certify_positive_tail(series, q_interval: RationalInterval,
-                          head_terms: int = 60) -> Certificate:
-    """Verify series(q) > 0 for q in the interval (0 <= lo <= hi < 1).
-
-    Strategy: exact head polynomial in x = q^(1/8) (after clearing any
-    Laurent pole by the positive prefactor x^(-min)), a rigorous bound T on
-    everything dropped, then a Sturm check that head - T stays positive.
-    """
-    cert = Certificate(claim="series positive on interval")
-    lo, hi = frac(q_interval.lo), frac(q_interval.hi)
-    if hi >= 1:
-        raise CertifyError("interval must stay below q = 1")
-    items = series.items()
-    if not items:
-        cert.add_step("series is identically zero", "exact", 0, False)
-        return cert
-    shift = min(0, items[0][0])
-    if shift < 0 and lo == 0:
-        raise CertifyError("Laurent series needs a positive lower endpoint")
-    head = items[:head_terms]
-    rest = items[head_terms:]
-
-    # x-interval enclosing [lo^(1/8), hi^(1/8)], rounded outward to keep
-    # denominators small in the Sturm chain
-    x_lo = _round_down(nth_root_bounds(lo, 8).lo, 10 ** 9)
-    x_hi = _round_up(nth_root_bounds(hi, 8).hi, 10 ** 9)
-    if x_hi >= 1:
-        raise CertifyError("x enclosure reached 1")
-
-    # head polynomial, pole cleared and with the exponent gcd divided out
-    # (theta-grid series live on coarse subgrids; this keeps degrees small)
-    exps = [e - shift for e, _ in head]
-    g = 0
-    for e in exps:
-        g = math.gcd(g, e)
-    g = max(g, 1)
-    deg = exps[-1] // g
-    p = [Fraction(0)] * (deg + 1)
-    for e, c in head:
-        p[(e - shift) // g] += c
-    y_lo = _round_down(x_lo ** g, 10 ** 12)
-    y_hi = _round_up(x_hi ** g, 10 ** 12)
-    if y_hi >= 1:
-        raise CertifyError("substituted enclosure reached 1")
-
-    # tail bound at x_hi, scaled by the same x^(-shift) >= 1 clearing factor
-    scale_hi = x_hi ** (-shift)
-    t_rest = sum(abs(c) * x_hi ** (e - shift) for e, c in rest)
-    t_env = Fraction(0)
-    if series.envelope is not None:
-        env = series.envelope
-        n0 = series.trunc
-        sqrt_n = nth_root_bounds(Fraction(n0), 2).hi
-        growth = exp_interval(env.a * sqrt_n).hi
-        ratio = x_hi * exp_interval(env.a / (2 * nth_root_bounds(
-            Fraction(n0), 2).lo)).hi
-        if ratio >= 1:
-            cert.add_step("envelope tail closes", "exact", "ratio >= 1", False,
-                          "tail ratio not contracting on this interval",
-                          definite=False)
-            return cert
-        t_env = env.c * growth * x_hi ** n0 / (1 - ratio) * scale_hi
-    t_total = _round_up(t_rest + t_env, 10 ** 30)
-    cert.add_step(
-        "tail bound", "exact head + envelope tail",
-        float(t_total), True,
-        f"{len(head)} head terms, tail <= {float(t_total):.3e}")
-
-    shifted = [c for c in p]
-    shifted[0] -= t_total
-
-    # definite refutation: head + tail still negative at a sample point
-    for y0 in (y_lo, (y_lo + y_hi) / 2, y_hi):
-        if poly_eval(p, y0) + t_total < 0:
-            cert.add_step(
-                f"series value provably negative at y={float(y0):.6f}",
-                "exact", float(poly_eval(p, y0) + t_total), False)
-            return cert
-
-    positive = exact.poly_positive_on(shifted, y_lo, y_hi)
-    cert.add_step(
-        "head minus tail positive on the interval (Sturm)", "exact",
-        0, positive, "" if positive else "increase head_terms",
-        definite=False)
-    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Exact rational arithmetic helpers: integer/rational square roots, the
-scaling of a rational vector to integers, Hermite reduction over Z,
-rational polynomials, and one Sturm chain, of the square-free part in
-primitive integer polynomials, for root counting and root isolation.
+"""Exact rational arithmetic helpers: the one guarded parser of rational
+text, integer/rational square roots, the scaling of a rational vector to
+integers, Hermite reduction over Z, rational polynomials, and one Sturm
+chain, of the square-free part in primitive integer polynomials, for root
+counting and root isolation.
 
 There is no Fraction determinant: a lattice reads its determinant off the
 diagonal of its Hermite-reduced basis, which is triangular, and the exact
@@ -17,10 +18,31 @@ from fractions import Fraction
 
 
 def frac(x) -> Fraction:
-    """Coerce ints/strings/Fractions to Fraction (floats are dyadic-exact)."""
+    """Coerce ints/strings/Fractions to Fraction (floats are dyadic-exact);
+    a string goes through `rational`."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, str):
+        return rational(x)
     return Fraction(x)
+
+
+# a number given as text longer than this, or with a larger decimal
+# exponent, is refused: each integer of its Fraction then stays below
+# 2 * MAX_NUMBER_CHARS digits, within str()'s 4,300-digit limit
+MAX_NUMBER_CHARS = 2000
+
+
+def rational(text: str) -> Fraction:
+    """Fraction(text), refusing, before any integer is built, a text whose
+    length or exponent passes MAX_NUMBER_CHARS (ValueError).  Every number
+    read as text (a command-line flag, a certificate file) is parsed here."""
+    exponent = text.lower().partition("e")[2]
+    if len(text) > MAX_NUMBER_CHARS or (
+            exponent and abs(int(exponent)) > MAX_NUMBER_CHARS):
+        raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters "
+                         f"or with an exponent beyond {MAX_NUMBER_CHARS}")
+    return Fraction(text)
 
 
 def sqrt_decompose(x: Fraction):
@@ -242,11 +264,3 @@ def sturm_roots(p, lo: Fraction) -> list:
         vm = _sign_variations(chain, m)
         stack += [(m, vm, b, vb), (a, va, m, vm)]
     return sorted(roots)
-
-
-def poly_positive_on(p, lo: Fraction, hi: Fraction) -> bool:
-    """Exact check p > 0 on the closed interval [lo, hi]."""
-    p = [frac(c) for c in p]
-    lo, hi = frac(lo), frac(hi)
-    return (poly_eval(p, lo) > 0 and poly_eval(p, hi) > 0
-            and sturm_count(p, lo, hi) == 0)

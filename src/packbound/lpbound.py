@@ -37,8 +37,8 @@ import mpmath as mp
 
 from .certify import Certificate
 from .exact import (
-    frac, integer_scaled, poly_deriv, poly_eval, poly_trim, sturm_count,
-    sturm_roots,
+    frac, integer_scaled, poly_deriv, poly_eval, poly_trim, rational,
+    sturm_count, sturm_roots,
 )
 from .lattices import ball_volume
 from .simplex import Infeasible, IterationLimit, solve_min
@@ -228,23 +228,6 @@ def _pow2_scale(value: Fraction) -> Fraction:
     return Fraction(2) ** e
 
 
-# a certificate number longer than this, or with a larger decimal exponent,
-# is malformed: each integer of its Fraction then stays below 2 *
-# MAX_NUMBER_CHARS digits, within str()'s 4,300-digit limit
-MAX_NUMBER_CHARS = 2000
-
-
-def _rational(text: str) -> Fraction:
-    """Fraction(text), refusing, before any integer is built, a text whose
-    length or exponent passes MAX_NUMBER_CHARS (ValueError)."""
-    exponent = text.lower().partition("e")[2]
-    if len(text) > MAX_NUMBER_CHARS or (
-            exponent and abs(int(exponent)) > MAX_NUMBER_CHARS):
-        raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters "
-                         f"or with an exponent beyond {MAX_NUMBER_CHARS}")
-    return Fraction(text)
-
-
 @dataclass(frozen=True)
 class LpCertificate:
     """Exact witness for a density bound: profile coefficients b (length d)
@@ -278,7 +261,7 @@ class LpCertificate:
                                 "rational strings")
             if d > MAX_DEGREE:
                 raise ValueError(f"degree {d} beyond {MAX_DEGREE}")
-            return cls(n, d, tuple(_rational(x) for x in b), _rational(y0))
+            return cls(n, d, tuple(rational(x) for x in b), rational(y0))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise LpError(f"malformed certificate: {exc!r}") from exc
 
@@ -318,24 +301,27 @@ def verify_lp(cert: LpCertificate) -> Certificate:
 
 def _positive_maxima(poly, lo):
     """Points near the maxima of p on the stretches of [lo, inf) where
-    p > 0, from one Sturm search: the roots of p' beyond lo where p > 0, lo
-    if p(lo) > 0, and, if p grows without end, the Cauchy bound
-    1 + max |c_i / c_d|, beyond which p has no root."""
+    p > 0, from Sturm searches: the roots of p' beyond lo where p > 0, lo
+    if p(lo) > 0, and, if p grows without end, 2 rho + 1, where rho is the
+    largest root of p beyond lo (lo if there is none), so p > 0 there.
+    Unlike the Cauchy bound 1 + max |c_i / c_d|, this point scales with the
+    roots, so a tiny leading coefficient does not carry it past the float
+    range."""
     points = [y for y in sturm_roots(poly_deriv(poly), lo)
               if poly_eval(poly, y) > 0]
     if poly_eval(poly, lo) > 0:
         points.append(lo)
     if poly[-1] > 0:
-        points.append(1 + max(abs(c / poly[-1]) for c in poly[:-1]))
+        points.append(2 * max(sturm_roots(poly, lo), default=lo) + 1)
     return points
 
 
-def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
-    """Minimize p(0) = f(0) over b >= 0 with p(pi r^2) < 0 at the sample
-    radii, by exact dual simplex, then check the solution with verify_lp
-    on [PI_LO, inf).  While the check fails, add a sample near every
-    maximum of p where p > 0 (`_positive_maxima`) and solve again, for at
-    most refine_rounds more rounds.  Each round after the first starts the
+def sampled_lp(n: int, d: int, refine_rounds=12):
+    """Minimize p(0) = f(0) over b >= 0 with p(pi r^2) < 0 at the radii of
+    default_samples(), by exact dual simplex, then check the solution with
+    verify_lp on [PI_LO, inf).  While the check fails, add a sample near
+    every maximum of p where p > 0 (`_positive_maxima`) and solve again, for
+    at most refine_rounds more rounds.  Each round after the first starts the
     simplex from the previous optimal basis, which the added rows leave
     dual feasible, so it takes a pivot or two, not a cold solve.
 
@@ -347,7 +333,6 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
     mpmath working precision.
     """
     _check_family(n, d)
-    samples = list(samples) if samples is not None else default_samples()
     # column equilibration: L_k grows like y^k, so the variables are
     # rescaled by powers of two to keep the exact LP's entries small
     # (b_k = scales[k-1] * x_k)
@@ -367,7 +352,7 @@ def sampled_lp(n: int, d: int, samples=None, refine_rounds=12):
             return True
         return False
 
-    for r in samples:
+    for r in default_samples():
         add_sample(math.pi * r * r)
     report = {"rounds": 0, "added": [], "iterations": 0}
     # the rows stay in arrival order, so the last optimal basis (columns S,

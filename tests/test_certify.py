@@ -8,49 +8,13 @@ import pytest
 
 from packbound import certify as certify_mod
 from packbound.certify import (
-    Certificate, CertifyError, RationalInterval, certify_magic,
-    certify_positive_tail, exp_interval, nth_root_bounds, poisson_check,
+    Certificate, CertifyError, certify_magic, poisson_check,
 )
 from packbound.exact import poly_eval, sturm_count, sturm_roots
 from packbound.codes import zero_code
 from packbound.lattices import construction_a, standard_lattice
 from packbound.magic import MagicError
-from packbound.qseries import CertifiedValue, QSeries, conjugate_psi_minus
-
-
-# -- rational intervals -------------------------------------------------------
-
-def test_interval_arithmetic_encloses():
-    a = RationalInterval(Fraction(1, 3), Fraction(1, 2))
-    b = RationalInterval(Fraction(-2), Fraction(3))
-    s = a + b
-    assert s.lo == Fraction(1, 3) - 2 and s.hi == Fraction(7, 2)
-    p = a * b
-    assert p.contains(Fraction(1, 3) * 3) and p.contains(Fraction(-1))
-
-
-def test_interval_order_enforced():
-    with pytest.raises(CertifyError):
-        RationalInterval(1, 0)
-
-
-def test_exp_interval():
-    e = exp_interval(Fraction(1))
-    with mp.workdps(60):
-        ref = Fraction(mp.nstr(mp.e, 50))
-    assert e.lo <= ref <= e.hi
-    assert e.width() < Fraction(1, 10 ** 15)
-    em = exp_interval(Fraction(-7, 2))
-    with mp.workdps(60):
-        true = Fraction(mp.nstr(mp.exp(mp.mpf("-3.5")), 50))
-        assert em.lo <= true <= em.hi
-        assert em.hi - em.lo < Fraction(1, 10 ** 30)
-
-
-def test_nth_root_bounds():
-    r = nth_root_bounds(Fraction(2), 2)
-    assert r.lo ** 2 <= 2 <= r.hi ** 2
-    assert r.width() < Fraction(1, 10 ** 15)
+from packbound.qseries import CertifiedValue
 
 
 # -- Sturm --------------------------------------------------------------------
@@ -214,41 +178,6 @@ def test_sturm_agrees_with_bisection():
         got = sturm_count(p, lo, hi)
         assert got == count
         assert len([y for y in sturm_roots(p, lo) if y <= hi]) == count
-
-
-# -- positivity ---------------------------------------------------------------
-
-def test_positive_tail_trivial():
-    s = QSeries({0: 1, 8: 1}, 300)  # 1 + q
-    cert = certify_positive_tail(s, RationalInterval(0, Fraction(1, 2)),
-                                 head_terms=5)
-    assert cert.status == "verified"
-
-
-def test_positive_tail_refuted():
-    s = QSeries({0: 1, 8: -3}, 300)  # 1 - 3q, negative from q = 1/3
-    cert = certify_positive_tail(
-        s, RationalInterval(Fraction(1, 2), Fraction(3, 4)), head_terms=5)
-    assert cert.status == "refuted"
-
-
-def test_positive_tail_kernel_instance():
-    # the conjugate minus kernel is positive where the contour integral runs
-    # (q <= e^(-2 pi) ~ 1/535 corresponds to u >= 1)
-    s = conjugate_psi_minus(8)
-    cert = certify_positive_tail(
-        s, RationalInterval(Fraction(1, 10 ** 9), Fraction(1, 500)),
-        head_terms=12)
-    assert cert.status == "verified"
-    assert any("Sturm" in step["statement"] for step in cert.log)
-
-
-def test_positive_tail_monotone_in_head_terms():
-    s = conjugate_psi_minus(8)
-    iv = RationalInterval(Fraction(1, 10 ** 9), Fraction(1, 500))
-    a = certify_positive_tail(s, iv, head_terms=12)
-    b = certify_positive_tail(s, iv, head_terms=13)
-    assert a.status == "verified" and b.status == "verified"
 
 
 # -- Poisson ------------------------------------------------------------------

@@ -435,8 +435,12 @@ def _deadline(argv, seconds=120):
      EXIT_INCONCLUSIVE),
     (["verify", "poisson", "--name", "e8", "--sigma", "100"],
      EXIT_INCONCLUSIVE),
+    (["verify", "poisson", "--name", "e8", "--sigma", "1e5000"], EXIT_USAGE),
+    (["verify", "poisson", "--name", "e8", "--sigma", "1e100000000"],
+     EXIT_USAGE),
 ], ids=["lp-n6000-d200", "lp-n1e20-d30", "lp-n2000-d200", "eval-r1e300",
-        "poisson-sigma1e400", "poisson-sigma100"])
+        "poisson-sigma1e400", "poisson-sigma100", "poisson-sigma1e5000",
+        "poisson-sigma1e100000000"])
 def test_extreme_numeric_flags_keep_the_exit_code(argv, expected):
     # numbers at the edge of or beyond a float's range reach the numerics;
     # the process must still end with its contract code, not a traceback

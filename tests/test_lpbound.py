@@ -147,12 +147,31 @@ def test_sampled_lp_dimension_one():
     assert res["feasible_report"]["feasible"]
 
 
-def test_sampled_lp_monotone_in_samples():
-    base = default_samples()[::4]
-    small = sampled_lp(1, 4, samples=base, refine_rounds=0)
-    big = sampled_lp(1, 4, samples=default_samples(), refine_rounds=0)
+def test_sampled_lp_monotone_in_samples(monkeypatch):
+    full = default_samples()
+    monkeypatch.setattr(lpbound, "default_samples", lambda: full[::4])
+    small = sampled_lp(1, 4, refine_rounds=0)
+    monkeypatch.setattr(lpbound, "default_samples", lambda: full)
+    big = sampled_lp(1, 4, refine_rounds=0)
+    assert small["feasible_report"]["samples_used"] == len(full[::4])
+    assert big["feasible_report"]["samples_used"] == len(full)
     # supersets of constraints cannot lower the minimum
     assert big["p0"] >= small["p0"] - Fraction(1, 10 ** 9)
+
+
+@pytest.mark.parametrize("poly", [
+    [Fraction(-1), 0, Fraction(1, 10 ** 400)],  # roots +-10^200
+    [Fraction(-1), 1],                          # no root beyond PI_LO
+], ids=["tiny-leading", "no-root-beyond"])
+def test_positive_maxima_stay_in_float_range(poly):
+    # a growing p gets a point past its largest root, not at the Cauchy
+    # bound 1 + max |c_i / c_d| (1 + 10^400 for the first), so every point
+    # becomes a sample: a finite float where p > 0
+    points = lpbound._positive_maxima(poly, PI_LO)
+    assert points
+    for y in points:
+        assert math.isfinite(float(y))
+        assert poly_eval(poly, y) > 0
 
 
 @pytest.mark.slow
