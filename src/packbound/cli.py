@@ -356,7 +356,7 @@ def build_parser():
     p.add_argument("--name", default="e8",
                    choices=("e8", "l24", "leech", "zn"))
     p.add_argument("--n", type=int)
-    p.add_argument("--sigma", default="1")
+    p.add_argument("--sigma", default="4/5")
     p.add_argument("--cutoff", type=int, default=25)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--cert")

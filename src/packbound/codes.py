@@ -3,11 +3,13 @@ code, weight enumeration, self-duality and double evenness read off the
 generator.
 
 Codewords are stored as machine integers (bit i = coordinate i, i < length),
-so full enumeration of a dimension-k code walks 2^k XOR combinations.
+and full enumeration of a dimension-k code walks its 2^k words in Gray-code
+order, one XOR per word.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 MAX_ENUM_DIMENSION = 24
@@ -31,7 +33,7 @@ def _string_from_bits(word: int, n: int) -> str:
     return "".join("1" if word >> i & 1 else "0" for i in range(n))
 
 
-def _f2_rank(rows, n):
+def _f2_rank(rows):
     basis = {}
     for row in rows:
         cur = row
@@ -64,24 +66,20 @@ class BinaryCode:
         for row in self.generator:
             if row & ~mask:
                 raise CodeError("generator row exceeds length")
-        if _f2_rank(self.generator, self.length) != self.dimension:
+        if _f2_rank(self.generator) != self.dimension:
             raise CodeError("generator rows not independent over F2")
 
     def codewords(self):
-        """Yield all 2^k codewords (dimension capped for enumeration)."""
+        """Yield all 2^k codewords (dimension capped for enumeration) in
+        Gray-code order: word m is word m - 1 XOR the generator row at the
+        lowest set bit of m."""
         if self.dimension > MAX_ENUM_DIMENSION:
             raise CodeError("dimension too large to enumerate")
-        k = self.dimension
-        for m in range(1 << k):
-            w = 0
-            mm = m
-            i = 0
-            while mm:
-                if mm & 1:
-                    w ^= self.generator[i]
-                mm >>= 1
-                i += 1
-            yield w
+        word = 0
+        yield word
+        for m in range(1, 1 << self.dimension):
+            word ^= self.generator[(m & -m).bit_length() - 1]
+            yield word
 
     def generator_strings(self):
         return [_string_from_bits(row, self.length) for row in self.generator]
@@ -142,10 +140,7 @@ def zero_code(n: int) -> BinaryCode:
 
 def weight_enumerator(code: BinaryCode) -> WeightEnumerator:
     """Exact weight census by full enumeration of the 2^k codewords."""
-    counts = {}
-    for w in code.codewords():
-        wt = bin(w).count("1")
-        counts[wt] = counts.get(wt, 0) + 1
+    counts = Counter(w.bit_count() for w in code.codewords())
     return WeightEnumerator(tuple(sorted(counts.items())))
 
 
@@ -160,7 +155,7 @@ def code_properties(code: BinaryCode) -> dict:
     when it lies in its dual and 4 divides the weight of every row.
     """
     rows = code.generator
-    in_dual = all(bin(a & b).count("1") % 2 == 0 for a in rows for b in rows)
+    in_dual = all((a & b).bit_count() % 2 == 0 for a in rows for b in rows)
     return {"self_dual": in_dual and 2 * code.dimension == code.length,
             "doubly_even": in_dual and all(
-                bin(a).count("1") % 4 == 0 for a in rows)}
+                a.bit_count() % 4 == 0 for a in rows)}

@@ -55,23 +55,15 @@ def sqrt_decompose(x: Fraction):
         raise ValueError("negative radicand")
     if x == 0:
         return Fraction(0), 1
-    # sqrt(p/q) = sqrt(p*q)/q
-    m = x.numerator * x.denominator
-    c = Fraction(1, x.denominator)
-    # extract square part of m
-    square = 1
-    rad = 1
+    # sqrt(p/q) = sqrt(p*q)/q; strip every square d^2 from p*q into c
+    m, c = x.numerator * x.denominator, Fraction(1, x.denominator)
     d = 2
     while d * d <= m:
         while m % (d * d) == 0:
             m //= d * d
-            square *= d
-        if m % d == 0:
-            m //= d
-            rad *= d
+            c *= d
         d += 1
-    rad *= m
-    return c * square, rad
+    return c, m
 
 
 # ---------------------------------------------------------------------------

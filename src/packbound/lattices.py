@@ -137,29 +137,16 @@ class SymbolicVolume:
         return f"{c.numerator}*{body}/{c.denominator}"
 
 
-def gamma_int_or_half(two_x: int) -> SymbolicVolume:
-    """Gamma(two_x / 2) by the recurrence from Gamma(1)=1, Gamma(1/2)=sqrt(pi)."""
-    if two_x <= 0:
-        raise LatticeError("Gamma argument must be positive")
-    if two_x % 2 == 0:
-        k = two_x // 2
-        return SymbolicVolume.of(math.factorial(k - 1))
-    # Gamma(m + 1/2) = (2m-1)!! / 2^m * sqrt(pi)
-    m = (two_x - 1) // 2
-    dd = 1
-    for j in range(1, 2 * m, 2):
-        dd *= j
-    return SymbolicVolume(Fraction(dd, 2 ** m), Fraction(1, 2))
-
-
 def ball_volume(n: int, sq_radius) -> SymbolicVolume:
-    """Exact volume of the n-ball with squared radius sq_radius."""
-    if n < 1:
-        raise LatticeError("dimension must be >= 1")
+    """Exact volume of the n-ball with squared radius r^2 = sq_radius, by
+    V_0 = 1, V_1 = 2r and V_k = V_(k-2) * 2 pi r^2 / k."""
     sq_radius = frac(sq_radius)
-    radius_pow = SymbolicVolume.from_sqrt(sq_radius ** n)
-    pi_pow = SymbolicVolume(Fraction(1), Fraction(n, 2))
-    return radius_pow * pi_pow / gamma_int_or_half(n + 2)
+    if n < 1 or sq_radius < 0:
+        raise LatticeError("need dimension >= 1 and squared radius >= 0")
+    v = SymbolicVolume.from_sqrt(4 * sq_radius if n % 2 else 1)
+    for k in range(2 + n % 2, n + 1, 2):
+        v = v * SymbolicVolume(2 * sq_radius / k, Fraction(1))
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,8 @@ import mpmath as mp
 
 from .certify import Certificate
 from .exact import (
-    frac, integer_scaled, poly_deriv, poly_eval, poly_trim, rational,
-    sturm_count, sturm_roots,
+    frac, integer_scaled, poly_deriv, poly_eval, poly_primitive, poly_trim,
+    rational, sturm_count, sturm_roots,
 )
 from .lattices import ball_volume
 from .simplex import Infeasible, IterationLimit, solve_min
@@ -52,9 +52,11 @@ class LpError(ValueError):
     pass
 
 
-# the largest degree accepted: the LP's rows and the Sturm check grow about
-# as d^2 in time and in the size of their integers
+# the largest degree accepted: the LP's rows grow about as d^2 in time and
+# in the size of their integers; an outside certificate is also held to
+# VERIFY_BUDGET (see LpCertificate.from_dict)
 MAX_DEGREE = 200
+VERIFY_BUDGET = 2_000_000
 
 
 def _check_family(n: int, d: int):
@@ -251,19 +253,31 @@ class LpCertificate:
     @classmethod
     def from_dict(cls, obj) -> "LpCertificate":
         """Inverse of to_dict: n, d positive integers, d at most
-        MAX_DEGREE, b and y0 exact rational strings.  Anything else raises
-        LpError."""
+        MAX_DEGREE, b (d of them) and y0 exact rational strings, and p
+        within budget: D^2 (B + D) <= VERIFY_BUDGET for D the degree and B
+        the largest coefficient bit length of p's primitive integer form
+        (so D <= 125).  Anything else raises LpError.  verify_lp's Sturm
+        chain took about 2.6e-12 D^4.26 B^2 s on random integer p at D = 30
+        to 200, 1.8 times that with a double root: <= 50 s at the budget."""
         try:
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))
                     and all(isinstance(x, str) for x in b + [y0])):
                 raise TypeError("n, d must be positive integers and b, y0 "
                                 "rational strings")
-            if d > MAX_DEGREE:
-                raise ValueError(f"degree {d} beyond {MAX_DEGREE}")
-            return cls(n, d, tuple(rational(x) for x in b), rational(y0))
+            if not len(b) == d <= MAX_DEGREE:
+                raise ValueError(f"{len(b)} coefficients for degree {d} "
+                                 f"(at most {MAX_DEGREE})")
+            cert = cls(n, d, tuple(rational(x) for x in b), rational(y0))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise LpError(f"malformed certificate: {exc!r}") from exc
+        p = poly_primitive(cert.polynomial())
+        deg, bits = len(p) - 1, max(abs(c).bit_length() for c in p)
+        if deg * deg * (bits + deg) > VERIFY_BUDGET:
+            raise LpError(f"certificate beyond the verification budget: "
+                          f"degree {deg} with {bits}-bit coefficients, "
+                          f"{deg}^2 * ({bits} + {deg}) > {VERIFY_BUDGET}")
+        return cert
 
 
 def _float_str(x) -> str:

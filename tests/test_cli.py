@@ -174,6 +174,17 @@ def test_verify_poisson(capsys):
     assert doc["config"]["fmt"] == "json"  # the format written
 
 
+@pytest.mark.parametrize("lattice", [
+    ["e8"], ["l24"], ["leech"], ["zn", "--n", "8"]], ids=lambda a: a[0])
+def test_verify_poisson_default_sigma(lattice, capsys):
+    # the default is 4/5: at sigma = 1 the lattice sum and the dual sum of a
+    # unimodular lattice are one expression, and only the tails are checked
+    code, out = run(["verify", "poisson", "--name", *lattice], capsys)
+    doc = json.loads(out)
+    assert code == EXIT_OK and doc["status"] == "verified"
+    assert doc["sigma"] == "4/5" and " --sigma 4/5 " in doc["replay"]
+
+
 @pytest.mark.parametrize("sigma, cutoff", [("1/10", 5), ("1", 2), ("3", 3)])
 def test_verify_poisson_tails_alone_are_inconclusive(sigma, cutoff, capsys):
     # Poisson summation holds on E8; these residuals exceed the tolerance
@@ -346,6 +357,8 @@ MALFORMED_CERTS = {
     "nonrational_b": {"n": 1, "d": 1, "b": ["x"], "y0": "3"},
     "no_y0": {"n": 1, "d": 1, "b": ["1/2"]},
     "huge_d": {"n": 8, "d": 3000, "b": ["0"] * 2999 + ["1"], "y0": "3"},
+    # its Sturm chain does not end within a minute: beyond the budget
+    "over_budget": {"n": 8, "d": 200, "b": ["1e1999"] * 200, "y0": "3"},
 }
 
 
@@ -391,6 +404,7 @@ MALFORMED_CERTS = {
     ["verify", "poisson", "--name", "e8", "--cutoff", "100000"],
     ["lpbound", "run", "--dim", "8", "--degree", "100000"],
     ["verify", "lp", "--cert", "{huge_d}"],
+    ["verify", "lp", "--cert", "{over_budget}"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}

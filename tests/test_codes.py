@@ -23,6 +23,13 @@ def test_hamming8_codeword_count():
     assert sum(1 for _ in hamming8().codewords()) == 16
 
 
+@pytest.mark.parametrize("code", [hamming8(), golay24(), zero_code(5)],
+                         ids=["hamming8", "golay24", "zero5"])
+def test_codewords_are_distinct(code):
+    # 2^k distinct XOR combinations: the Gray-code walk misses none
+    assert len(set(code.codewords())) == 2 ** code.dimension
+
+
 def test_hamming8_weight_enumerator():
     we = weight_enumerator(hamming8()).as_dict()
     assert we == {0: 1, 4: 14, 8: 1}

@@ -1,11 +1,13 @@
+import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from packbound import codes, exact, lattices
 from packbound.certify import poisson_check
 from packbound.codes import golay24, hamming8, zero_code
-from packbound.exact import integer_scaled
+from packbound.exact import integer_scaled, sqrt_decompose
 from packbound.lattices import (
     EnumerationBudgetError, LatticeError, SymbolicVolume,
     _build_leech_from_shift, _make_lattice, ball_volume, construction_a,
@@ -13,6 +15,12 @@ from packbound.lattices import (
 )
 from packbound.qseries import QSeries, eisenstein, theta01
 from packbound.simplex import _adjugate
+
+try:
+    from hypothesis import given, settings, strategies as st
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover
+    HAVE_HYPOTHESIS = False
 
 
 def test_ball_volume_unit_disc():
@@ -28,6 +36,38 @@ def test_ball_volume_interval():
 def test_ball_volume_dim8():
     v = ball_volume(8, 1)
     assert v.coefficient == Fraction(1, 24) and v.pi_power == 4
+
+
+@pytest.mark.parametrize("sq_radius", [
+    Fraction(1, 4), Fraction(1), Fraction(2), Fraction(3, 8), Fraction(7, 5),
+    Fraction(50, 3), Fraction(1, 2)], ids=str)
+def test_ball_volume_matches_the_gamma_formula(sq_radius):
+    # oracle: pi^(n/2) r^n / Gamma(n/2 + 1) in mpmath, for every n <= 64
+    with mp.workdps(60):
+        r = mp.sqrt(mp.mpf(sq_radius.numerator) / sq_radius.denominator)
+        for n in range(1, 65):
+            expected = mp.pi ** (mp.mpf(n) / 2) * r ** n / mp.gamma(
+                mp.mpf(n) / 2 + 1)
+            assert abs(ball_volume(n, sq_radius).mpf() / expected - 1) < (
+                mp.mpf(10) ** -50), n
+
+
+@pytest.mark.parametrize("n, sq_radius", [(0, 1), (-1, 1), (2, -1), (3, -1)])
+def test_ball_volume_refuses_bad_input(n, sq_radius):
+    with pytest.raises(LatticeError):
+        ball_volume(n, sq_radius)
+
+
+if HAVE_HYPOTHESIS:
+    @given(st.integers(0, 10 ** 4), st.integers(1, 100),
+           st.integers(1, 10 ** 4), st.integers(1, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_sqrt_decompose_is_a_squarefree_split(a, s, b, t):
+        # x = a s^2 / (b t^2), so most draws have square factors to strip
+        x = Fraction(a * s * s, b * t * t)
+        c, r = sqrt_decompose(x)
+        assert c >= 0 and c * c * r == x
+        assert r >= 1 and all(r % (d * d) for d in range(2, math.isqrt(r) + 1))
 
 
 def test_construction_a_e8_covolume_and_min():

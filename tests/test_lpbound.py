@@ -12,10 +12,12 @@ import mpmath as mp
 import pytest
 
 import packbound
-from packbound.exact import poly_eval, sturm_count, sturm_roots
+from packbound.exact import (
+    poly_eval, poly_primitive, sturm_count, sturm_roots,
+)
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    PI_HI, PI_LO, LpCertificate, RadialAnsatz, default_samples,
+    PI_HI, PI_LO, LpCertificate, LpError, RadialAnsatz, default_samples,
     estimate, laguerre_all, profile_polynomial, sampled_lp, verify_lp,
 )
 from packbound import lpbound
@@ -619,3 +621,20 @@ def test_certificate_json_roundtrip(toy_cert):
     again = LpCertificate.from_dict(json.loads(json.dumps(toy_cert.to_dict())))
     assert again == toy_cert
     assert verify_lp(again).status == "verified"
+
+
+def test_from_dict_enforces_the_verification_budget(monkeypatch):
+    # seeded d = 40 with 30-bit b: p has about 1,200-bit coefficients, the
+    # size of the n = 24, d = 40 certificate with a free root position
+    rng = random.Random(40)
+    obj = {"n": 8, "d": 40, "y0": "3", "b": [
+        f"{rng.getrandbits(30) | 1}/{rng.getrandbits(30) | 1}"
+        for _ in range(40)]}
+    p = poly_primitive(LpCertificate.from_dict(obj).polynomial())
+    bits = max(abs(c).bit_length() for c in p)
+    assert len(p) == 41 and 1100 <= bits <= 1300
+    monkeypatch.setattr(lpbound, "VERIFY_BUDGET", 40 ** 2 * (bits + 40))
+    assert LpCertificate.from_dict(obj).d == 40
+    monkeypatch.setattr(lpbound, "VERIFY_BUDGET", 40 ** 2 * (bits + 40) - 1)
+    with pytest.raises(LpError, match="verification budget"):
+        LpCertificate.from_dict(obj)
