@@ -289,7 +289,7 @@ def _cmd_verify(args, cfg):
     with open(args.cert) as fh:
         try:
             obj = json.load(fh)["certificate"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise lp.LpError(f"not an lpbound run artifact: {exc!r}") from exc
     result = lp.verify_lp(lp.LpCertificate.from_dict(obj))
     return STATUS_EXIT[result.status], {"json": {

@@ -92,9 +92,6 @@ class WeightEnumerator:
     def as_dict(self):
         return dict(self.counts)
 
-    def total(self):
-        return sum(c for _, c in self.counts)
-
 
 # Generator matrices in (I | A) block form.  The right blocks come from the
 # vertex adjacency of the tetrahedron (Hamming) and the complemented

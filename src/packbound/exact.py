@@ -1,8 +1,8 @@
 """Exact rational arithmetic helpers: the one guarded parser of rational
 text, integer/rational square roots, the scaling of a rational vector to
 integers, Hermite reduction over Z, rational polynomials, and one Sturm
-chain, of the square-free part in primitive integer polynomials, for root
-counting and root isolation.
+chain, of the square-free part in primitive integer polynomials and divided
+by its gcd, for counting the roots beyond a point and isolating them.
 
 There is no Fraction determinant: a lattice reads its determinant off the
 diagonal of its Hermite-reduced basis, which is triangular, and the exact
@@ -170,8 +170,9 @@ def poly_primitive(p):
 def sturm_chain(p):
     """Sturm chain of the square-free part of a nonzero rational polynomial,
     each member a primitive integer polynomial (a positive multiple, so its
-    roots and signs are kept).  If the chain of p ends in a nonconstant
-    gcd(p, p'), it is built once more on p / gcd(p, p')."""
+    roots and signs are kept).  If the remainder sequence of p ends in a
+    nonconstant g = gcd(p, p'), every member is divided by g: the quotients
+    are a Sturm chain of p / g."""
     chain = [poly_primitive(p)]
     der = poly_primitive(poly_deriv(chain[0]))
     if der:
@@ -181,8 +182,9 @@ def sturm_chain(p):
         if not r:
             break
         chain.append(poly_primitive([-c for c in r]))
-    if len(chain[-1]) > 1:
-        return sturm_chain(poly_divmod(chain[0], chain[-1])[0])
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [poly_primitive(poly_divmod(c, g)[0]) for c in chain]
     return chain
 
 
@@ -207,23 +209,13 @@ def _sign_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count(p, lo: Fraction, hi: Fraction = None) -> int:
-    """Number of distinct real roots of p in the open interval (lo, hi);
-    leaving hi out means hi = +inf."""
+def sturm_count(p, lo: Fraction) -> int:
+    """Number of distinct real roots of p in (lo, +inf)."""
     p = poly_trim([frac(c) for c in p])
     if not p:
         raise ValueError("zero polynomial")
-    lo = frac(lo)
-    hi = None if hi is None else frac(hi)
-    if hi is not None and lo > hi:
-        raise ValueError("empty interval")
-    if lo == hi:
-        return 0
     chain = sturm_chain(p)
-    count = _sign_variations(chain, lo) - _sign_variations(chain, hi)
-    if hi is not None and _sign(chain[0], hi) == 0:
-        count -= 1  # the count is of (lo, hi]; a root at hi is outside
-    return count
+    return _sign_variations(chain, frac(lo)) - _sign_variations(chain, None)
 
 
 # relative width to which sturm_roots isolates each root

@@ -166,6 +166,9 @@ SAMPLE_R_MAX = 8.0
 SAMPLE_COUNT = 96
 # entries of an LP row below 2^-ROW_FLOOR_BITS of its largest are dropped
 ROW_FLOOR_BITS = 50
+# the rounds of sampled_lp after the first, each adding samples at the
+# maxima of p where p > 0
+REFINE_ROUNDS = 12
 
 
 def default_samples():
@@ -258,7 +261,8 @@ class LpCertificate:
         the largest coefficient bit length of p's primitive integer form
         (so D <= 125).  Anything else raises LpError.  verify_lp's Sturm
         chain took about 2.6e-12 D^4.26 B^2 s on random integer p at D = 30
-        to 200, 1.8 times that with a double root: <= 50 s at the budget."""
+        to 200, and as long with a double root (33.3 s against 33.0 s at
+        D = 40, B = 1,250): <= 50 s at the budget."""
         try:
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))
@@ -330,12 +334,12 @@ def _positive_maxima(poly, lo):
     return points
 
 
-def sampled_lp(n: int, d: int, refine_rounds=12):
+def sampled_lp(n: int, d: int):
     """Minimize p(0) = f(0) over b >= 0 with p(pi r^2) < 0 at the radii of
     default_samples(), by exact dual simplex, then check the solution with
     verify_lp on [PI_LO, inf).  While the check fails, add a sample near
     every maximum of p where p > 0 (`_positive_maxima`) and solve again, for
-    at most refine_rounds more rounds.  Each round after the first starts the
+    at most REFINE_ROUNDS more rounds.  Each round after the first starts the
     simplex from the previous optimal basis, which the added rows leave
     dual feasible, so it takes a pivot or two, not a cold solve.
 
@@ -372,7 +376,7 @@ def sampled_lp(n: int, d: int, refine_rounds=12):
     # the rows stay in arrival order, so the last optimal basis (columns S,
     # tight rows T) indexes the same rows after new ones are appended
     basis = None
-    for round_no in range(refine_rounds + 1):
+    for round_no in range(REFINE_ROUNDS + 1):
         rank = {y: i for i, y in enumerate(sorted(rows), 1)}
         # distinct tiny right-hand sides, by each sample's rank, break the
         # massive degeneracy of the uniform constraint scaling
@@ -391,7 +395,7 @@ def sampled_lp(n: int, d: int, refine_rounds=12):
         cert = LpCertificate(n, d, tuple(x * s for x, s in
                                          zip(sol["x"], scales)), PI_LO)
         proved = verify_lp(cert).status == "verified"
-        if proved or round_no == refine_rounds:
+        if proved or round_no == REFINE_ROUNDS:
             break
         added = [y for y in _positive_maxima(cert.polynomial(), PI_LO)
                  if add_sample(y)]

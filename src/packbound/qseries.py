@@ -129,23 +129,17 @@ class QSeries:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other, self.trunc)
         t = min(self.trunc, other.trunc)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return QSeries(out, t)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return QSeries({e: -c for e, c in self.coeffs.items()}, self.trunc)
 
     def __sub__(self, other):
-        return self + (-_coerce(other, self.trunc))
-
-    def __rsub__(self, other):
-        return _coerce(other, self.trunc) - self
+        return self + (-other)
 
     def __mul__(self, other):
         """Product by Kronecker substitution: both operands are packed on
@@ -189,11 +183,6 @@ class QSeries:
             out[e] = v
         return QSeries(out, self.trunc)
 
-    def shift(self, de: int):
-        """Multiply by q^(de/8)."""
-        return QSeries({e + de: c for e, c in self.coeffs.items()},
-                       self.trunc + de)
-
     def inverse(self):
         """1 / self for a leading coefficient of +-1, by the power-series
         recurrence on the exponent subgrid of self."""
@@ -225,21 +214,18 @@ class QSeries:
         return self * other.inverse()
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        # binary powering; validity handled by the multiplications
+        """self ** k for k >= 1 by binary powering; the multiplications
+        carry the validity window."""
+        if k < 1:
+            raise QSeriesError(f"power {k} is not a positive integer")
         out = None
         b = self
-        kk = k
-        while kk:
-            if kk & 1:
+        while k:
+            if k & 1:
                 out = b if out is None else out * b
-            kk >>= 1
-            if kk:
+            k >>= 1
+            if k:
                 b = b * b
-        if out is None:
-            return QSeries({0: 1}, self.trunc - self.min_exp
-                           if not self.is_zero() else self.trunc)
         return out
 
     def dump_csv(self) -> str:
@@ -280,23 +266,6 @@ def _pack(cs, width):
     neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero
                    for c in cs)
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _coerce(x, trunc):
-    if isinstance(x, QSeries):
-        return x
-    return QSeries({0: x}, trunc)
-
-
-def one(trunc=DEFAULT_TRUNC):
-    return QSeries({0: 1}, trunc)
-
-
-def q_power(p, trunc=DEFAULT_TRUNC):
-    e = frac(p) * GRID
-    if e.denominator != 1:
-        raise QSeriesError("exponent not on the 1/8 grid")
-    return QSeries({int(e): 1}, trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +493,3 @@ def s_transform_terms(n: int, trunc: int = DEFAULT_TRUNC) -> dict:
 class CertifiedValue:
     value: object  # mpf
     error: object  # mpf, bound on |true - value|
-
-    def __float__(self):
-        return float(self.value)

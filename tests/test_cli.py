@@ -360,6 +360,11 @@ MALFORMED_CERTS = {
     # its Sturm chain does not end within a minute: beyond the budget
     "over_budget": {"n": 8, "d": 200, "b": ["1e1999"] * 200, "y0": "3"},
 }
+# certificate files as raw text: json.dumps of these would recurse too deeply
+RAW_CERT_FILES = {
+    "nested": "[" * 200000 + "]" * 200000,
+    "nested_cert": '{"certificate": ' + "[" * 200000 + "]" * 200000 + "}",
+}
 
 
 @pytest.mark.parametrize("argv", [
@@ -405,12 +410,17 @@ MALFORMED_CERTS = {
     ["lpbound", "run", "--dim", "8", "--degree", "100000"],
     ["verify", "lp", "--cert", "{huge_d}"],
     ["verify", "lp", "--cert", "{over_budget}"],
+    ["verify", "lp", "--cert", "{nested}"],
+    ["verify", "lp", "--cert", "{nested_cert}"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
     for name, cert in MALFORMED_CERTS.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps({"certificate": cert}))
+    for name, text in RAW_CERT_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
     argv = [a.format(**paths) for a in argv]
     # a table whose radius never advances must fail the test, not hang it;
     # pytest's Failed is no OSError, so dispatch does not turn it into exit 2

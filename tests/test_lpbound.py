@@ -151,10 +151,11 @@ def test_sampled_lp_dimension_one():
 
 def test_sampled_lp_monotone_in_samples(monkeypatch):
     full = default_samples()
+    monkeypatch.setattr(lpbound, "REFINE_ROUNDS", 0)
     monkeypatch.setattr(lpbound, "default_samples", lambda: full[::4])
-    small = sampled_lp(1, 4, refine_rounds=0)
+    small = sampled_lp(1, 4)
     monkeypatch.setattr(lpbound, "default_samples", lambda: full)
-    big = sampled_lp(1, 4, refine_rounds=0)
+    big = sampled_lp(1, 4)
     assert small["feasible_report"]["samples_used"] == len(full[::4])
     assert big["feasible_report"]["samples_used"] == len(full)
     # supersets of constraints cannot lower the minimum
@@ -225,12 +226,13 @@ def test_sampled_lp_certified_from_the_plain_grid():
     assert res["feasible_report"]["rounds"] == 8
 
 
-def test_sampled_lp_one_round_bump_refuted():
+def test_sampled_lp_one_round_bump_refuted(monkeypatch):
     # the first solve's f is positive between samples: on r in
     # (1.5157, 1.5493), where a check on a grid of step 1/256 once passed a
     # bound with f(1.5215) = +3.6e-8 between two grid points, and on
     # (2.1514, 2.1990)
-    res = sampled_lp(8, 30, refine_rounds=0)
+    monkeypatch.setattr(lpbound, "REFINE_ROUNDS", 0)
+    res = sampled_lp(8, 30)
     assert "bound" not in res and res["estimate"] > 0
     assert res["feasible_report"]["feasible"] is False
     assert res["certificate_status"] == "uncertified"
@@ -323,8 +325,9 @@ def test_lp_path_imports_no_numpy_or_scipy():
     # takes a process to 27-31 MB and scipy.optimize to 76-80 MB
     code = ("import sys\n"
             "import packbound.cli\n"
-            "from packbound.lpbound import sampled_lp\n"
-            "sampled_lp(1, 4, refine_rounds=0)\n"
+            "from packbound import lpbound\n"
+            "lpbound.REFINE_ROUNDS = 0\n"
+            "lpbound.sampled_lp(1, 4)\n"
             "print([m for m in ('numpy', 'scipy') if m in sys.modules])\n")
     src = str(pathlib.Path(packbound.__file__).resolve().parents[1])
     env = dict(os.environ)

@@ -7,7 +7,7 @@ import pytest
 from packbound.qseries import (
     GRID, QSeries, QSeriesError, conjugate_psi_minus,
     delta, eisenstein, leech_theta,
-    named_form, one, psi_forms, q_power, s_transform_terms, theta01, theta10,
+    named_form, psi_forms, s_transform_terms, theta01, theta10,
 )
 from series_terms import evaluate_at_it, evaluate_terms_at_it
 
@@ -21,8 +21,8 @@ except ImportError:  # pragma: no cover
 # -- arithmetic -------------------------------------------------------------
 
 def test_mul_basic():
-    a = one(100) + q_power(1, 100)
-    b = one(100) - q_power(1, 100)
+    a = QSeries({0: 1, GRID: 1}, 100)
+    b = QSeries({0: 1, GRID: -1}, 100)
     prod = a * b
     assert prod.q_coeff(0) == 1
     assert prod.q_coeff(1) == 0
@@ -88,12 +88,11 @@ def test_delta_expansion():
 def test_delta_against_eta_product():
     # independent oracle: Delta = q * prod_{n>=1} (1 - q^n)^24
     trunc = 200
-    prod = one(trunc)
+    eta24 = QSeries({GRID: 1}, trunc)
     n = 1
     while GRID * n < trunc:
-        prod = prod * (one(trunc) - q_power(n, trunc))**24
+        eta24 = eta24 * QSeries({0: 1, GRID * n: -1}, trunc)**24
         n += 1
-    eta24 = prod.shift(GRID)
     d = delta(trunc)
     for e in range(0, min(eta24.trunc, d.trunc)):
         assert eta24.coeffs.get(e, 0) == d.coeffs.get(e, 0)
@@ -350,6 +349,22 @@ def test_laurent_product():
         assert inv * b == schoolbook(inv, b)
 
 
+@pytest.mark.parametrize("name", ["1/delta", "psi8_minus", "psi24_minus",
+                                  "theta01", "e4", "psi8_plus", "psi24_plus"])
+def test_pow_is_the_repeated_product(name):
+    # binary powering against the left-to-right product, on series with a
+    # negative leading exponent and with a nonnegative one
+    x = (delta(160).inverse() if name == "1/delta"
+         else named_form(name, 160))
+    prod = x
+    for k in range(1, 31):
+        assert x ** k == prod, k
+        prod = prod * x
+    for k in (0, -1):
+        with pytest.raises(QSeriesError):
+            x ** k
+
+
 def test_zero_product_keeps_window():
     z = QSeries({}, 50)
     assert z * theta10(80) == QSeries({}, 51)
@@ -361,18 +376,18 @@ def test_rational_coefficient_raises():
 
 
 def test_inexact_division_raises():
-    s = one(40) * 14 + q_power(1, 40) * 7
-    assert s / 7 == one(40) * 2 + q_power(1, 40)
+    s = QSeries({0: 14, GRID: 7}, 40)
+    assert s / 7 == QSeries({0: 2, GRID: 1}, 40)
     with pytest.raises(QSeriesError):
-        (s + 1) / 7
+        (s + QSeries({0: 1}, 40)) / 7
     with pytest.raises(QSeriesError):
         s.scale(Fraction(1, 3))
 
 
 def test_non_unit_inverse_raises():
     with pytest.raises(QSeriesError):
-        (one(40) * 2 + q_power(1, 40)).inverse()
-    assert (q_power(1, 40) - 1).inverse().q_coeff(0) == -1
+        QSeries({0: 2, GRID: 1}, 40).inverse()
+    assert QSeries({0: -1, GRID: 1}, 40).inverse().q_coeff(0) == -1
 
 
 if HAVE_HYPOTHESIS:

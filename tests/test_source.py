@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "packbound"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "packbound"
 
 
 def unused_imports(source: str) -> list:
@@ -80,3 +81,73 @@ def test_src_has_no_unused_parameters(path):
     assert [(line, name, param) for line, name, param
             in unused_parameters(path.read_text())
             if not _shared_handler_signature(path, name, param)] == []
+
+
+def _passes(call, index, param) -> bool:
+    """Whether call passes the parameter at positional index (None for a
+    keyword-only one) named param; a *args or **kwargs passes every one."""
+    return (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg in (None, param) for k in call.keywords)
+            or (index is not None and len(call.args) > index))
+
+
+def defaults_never_passed(def_sources, call_sources) -> list:
+    """(function, parameter) for each parameter with a default of a def in
+    def_sources that is called in call_sources but that no call passes.
+    Calls are matched by name, and a call of a class is a call of its
+    __init__; a def with no call is left out."""
+    calls = {}
+    for source in call_sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for source in def_sources:
+        tree = ast.parse(source)
+        owner = {id(n): c.name for c in ast.walk(tree)
+                 if isinstance(c, ast.ClassDef) for n in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = owner.get(id(node))
+            sites = calls.get(cls if node.name == "__init__" else node.name)
+            if not sites:
+                continue
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in node.decorator_list)
+            a = node.args
+            positional = (a.posonlyargs + a.args)[bound:]
+            first = len(positional) - len(a.defaults)
+            params = [(i, p.arg) for i, p in enumerate(positional)
+                      if i >= first]
+            params += [(None, p.arg) for p, default
+                       in zip(a.kwonlyargs, a.kw_defaults) if default]
+            qualname = f"{cls}.{node.name}" if cls else node.name
+            found += [(qualname, param) for i, param in params
+                      if not any(_passes(c, i, param) for c in sites)]
+    return sorted(found)
+
+
+def test_defaults_never_passed_finds_a_constant_option():
+    source = ("def f(a, b=1, *, c=2):\n    return a + b + c\n"
+              "def g(x, y=0, z=0):\n    return x + y + z\n"
+              "def unused(w=3):\n    return w\n"
+              "class K:\n    def __init__(self, p, q=None):\n"
+              "        self.p = p\n"
+              "    def m(self, r, s=5):\n        return r + s\n"
+              "    @staticmethod\n    def h(t=1):\n        return t\n"
+              "f(1, 2)\ng(1, y=2)\ng(*[1, 2, 3])\nK(1).m(3, 4)\nK.h(0)\n")
+    assert defaults_never_passed([source], [source]) == [
+        ("K.__init__", "q"), ("f", "c")]
+
+
+def test_src_defaults_are_overridden():
+    # an option that every caller in the program leaves at its default is
+    # a constant; tests set such a constant with monkeypatch
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    bench = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert defaults_never_passed(sources, sources + bench) == []
