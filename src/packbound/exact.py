@@ -188,25 +188,22 @@ def sturm_chain(p):
     return chain
 
 
-def _sign(p, x):
-    """Sign of the integer polynomial p at x = a/b (b > 0), read off the
-    integer sum c_i a^i b^(deg - i) by Horner; x = None stands for +inf."""
-    if x is None:
-        v = p[-1]
-    else:
-        a, b = x.numerator, x.denominator
-        v, bk = 0, 1
-        for c in reversed(p):
-            v = v * a + c * bk
-            bk *= b
+def _sign(p, a, b):
+    """Sign of the integer polynomial p at a/b, for integers a and b >= 0,
+    read off the homogeneous integer sum c_i a^i b^(deg - i) by Horner;
+    (a, b) = (1, 0) is +inf, where the sum is the leading coefficient."""
+    v, bk = 0, 1
+    for c in reversed(p):
+        v = v * a + c * bk
+        bk *= b
     return (v > 0) - (v < 0)
 
 
-def _sign_variations(chain, x):
-    """Sign changes along the chain at x (None for +inf).  For the chain of
-    a square-free p, V(a) - V(b) counts the roots of p in (a, b]."""
-    signs = [s for s in (_sign(p, x) for p in chain) if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _sign_variations(chain, a, b):
+    """Sign changes along the chain at a/b ((1, 0) for +inf).  For the chain
+    of a square-free p, V(x) - V(y) counts the roots of p in (x, y]."""
+    signs = [s for s in (_sign(p, a, b) for p in chain) if s]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def sturm_count(p, lo: Fraction) -> int:
@@ -215,17 +212,28 @@ def sturm_count(p, lo: Fraction) -> int:
     if not p:
         raise ValueError("zero polynomial")
     chain = sturm_chain(p)
-    return _sign_variations(chain, frac(lo)) - _sign_variations(chain, None)
+    lo = frac(lo)
+    return (_sign_variations(chain, lo.numerator, lo.denominator)
+            - _sign_variations(chain, 1, 0))
 
 
-# relative width to which sturm_roots isolates each root
-_ROOT_WIDTH = Fraction(1, 2 ** 30)
+# sturm_roots isolates each root y to a relative width of 2^-_ROOT_BITS
+_ROOT_BITS = 30
 
 
 def sturm_roots(p, lo: Fraction) -> list:
     """The distinct real roots of p beyond lo, in increasing order, each as
-    the midpoint of an interval of width at most _ROOT_WIDTH * max(1, |y|)
+    the midpoint of an interval of width at most 2^-_ROOT_BITS * max(1, |y|)
     that Sturm bisection shows to hold exactly that root.
+
+    The bisection halves [lo, hi], hi the Cauchy bound, and keeps the halves
+    (a, m], (m, b] that hold a root.  Its endpoints at depth k are integers
+    over den * 2^k.  A doubling search first proves a root bound R:
+    V(R) = V(+inf), so every midpoint m >= R reads V(+inf) without a chain
+    evaluation; R moves no midpoint, so no root.  An interval that holds
+    exactly one root is halved on the sign of chain[0], the square-free
+    part, alone: the root lies in (a, m] when p(m) is 0 or has the sign of
+    p(b).
     """
     p = poly_trim([frac(c) for c in p])
     if not p:
@@ -234,17 +242,43 @@ def sturm_roots(p, lo: Fraction) -> list:
     # Cauchy: every root has |y| < 1 + max |c_i / c_d|
     hi = max(lo, 1 + max((abs(c / p[-1]) for c in p[:-1]), default=0))
     chain = sturm_chain(p)
+    v_inf = _sign_variations(chain, 1, 0)
+    bound = max(Fraction(1), lo + 1)
+    while _sign_variations(chain, bound.numerator,
+                           bound.denominator) != v_inf:
+        bound *= 2
+    # lo, hi and the bound, 1 or (lo + 1) times a power of two, are
+    # integers over den
+    den = math.lcm(lo.denominator, hi.denominator)
+    a, b, bound = int(lo * den), int(hi * den), int(bound * den)
     roots = []
-    stack = [(lo, _sign_variations(chain, lo), hi,
-              _sign_variations(chain, hi))]
+    # no root lies beyond hi, so V(hi) = V(+inf)
+    stack = [(0, a, _sign_variations(chain, a, den), b, v_inf)]
     while stack:
-        a, va, b, vb = stack.pop()
-        if va == vb:
-            continue
-        m = (a + b) / 2
-        if va - vb == 1 and b - a <= _ROOT_WIDTH * max(1, abs(m)):
-            roots.append(m)
-            continue
-        vm = _sign_variations(chain, m)
-        stack += [(m, vm, b, vb), (a, va, m, vm)]
+        k, a, va, b, vb = stack.pop()
+        if va - vb == 1:
+            roots.append(_isolate(chain[0], a, b, den << k))
+        elif va != vb:
+            m = a + b
+            vm = (v_inf if m >= bound << (k + 1)
+                  else _sign_variations(chain, m, den << (k + 1)))
+            stack += [(k + 1, m, vm, 2 * b, vb), (k + 1, 2 * a, va, m, vm)]
     return sorted(roots)
+
+
+def _isolate(p, a, b, den):
+    """The root midpoint of sturm_roots for the one root of the square-free
+    integer polynomial p in (a/den, b/den]: halve on the sign of p until
+    the width is at most 2^-_ROOT_BITS * max(1, |m|)."""
+    sb = _sign(p, b, den)
+    while True:
+        m = a + b
+        # (b - a) / den <= 2^-_ROOT_BITS * max(1, |m| / (2 den))
+        if (b - a) << (_ROOT_BITS + 1) <= max(2 * den, abs(m)):
+            return Fraction(m, 2 * den)
+        den *= 2
+        sm = _sign(p, m, den)
+        if sm in (0, sb):
+            a, b, sb = 2 * a, m, sm
+        else:
+            a, b = m, 2 * b

@@ -182,11 +182,13 @@ def default_samples():
 
 def _dyadic_row(values):
     """Exact dyadic rationalization of a row, flushing entries below the
-    row's relative floor to zero (keeps the exact LP's integers small)."""
+    row's relative floor to zero (keeps the exact LP's integers small), as
+    the (ints, den) pair of exact.integer_scaled that solve_min takes."""
     floats = [float(v) for v in values]
     top = max(abs(v) for v in floats) if floats else 0.0
     floor = top * 2.0 ** -ROW_FLOOR_BITS
-    return [Fraction(v) if abs(v) >= floor else Fraction(0) for v in floats]
+    return integer_scaled([Fraction(v) if abs(v) >= floor else Fraction(0)
+                           for v in floats])
 
 
 def _laguerre_ratios(n: int, d: int, y: Fraction) -> list:
@@ -212,9 +214,10 @@ def _laguerre_ratios(n: int, d: int, y: Fraction) -> list:
 
 def _lp_row(n: int, y: Fraction, scales) -> list:
     """The LP row at the sample y: L_k^(n/2-1)(y) * scales[k-1] for
-    k = 1..len(scales), through _dyadic_row.  Each entry is one int / int
-    true division, correctly rounded as Fraction.__float__ is, so the row
-    equals the one built from exact Fraction values bit for bit."""
+    k = 1..len(scales), through _dyadic_row, so as integers over one
+    denominator.  Each entry is one int / int true division, correctly
+    rounded as Fraction.__float__ is, so the row equals the one built from
+    exact Fraction values bit for bit."""
     return _dyadic_row([num * s.numerator / (den * s.denominator)
                         for (num, den), s
                         in zip(_laguerre_ratios(n, len(scales), y), scales)])
@@ -379,8 +382,9 @@ def sampled_lp(n: int, d: int):
     for round_no in range(REFINE_ROUNDS + 1):
         rank = {y: i for i, y in enumerate(sorted(rows), 1)}
         # distinct tiny right-hand sides, by each sample's rank, break the
-        # massive degeneracy of the uniform constraint scaling
-        rhs = [Fraction(-1) - Fraction(rank[y], 2 ** 24) for y in rows]
+        # massive degeneracy of the uniform constraint scaling:
+        # -1 - rank / 2^24
+        rhs = [Fraction(-2 ** 24 - rank[y], 2 ** 24) for y in rows]
         report["rounds"] = round_no + 1
         try:
             sol = solve_min(cvec, list(rows.values()), rhs, basis)

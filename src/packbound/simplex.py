@@ -13,13 +13,17 @@ reads the basic values, the leaving row of B^-1 [A | I] and the reduced
 costs off the k x k block A[T][S]; no m x (n + m) tableau is stored or
 updated.
 
-Each row (with its right-hand side) and the cost vector are scaled once by
-a positive integer to integers, and the block is inverted fraction-free
-(adjugate over determinant), so the pivots run in integer arithmetic.
-Scaling row i scales its slack, which leaves every dual ratio of one
-leaving row multiplied by the same positive factor and every reduced cost
-with its sign, so only the basic slack values are divided back by the row
-scale before they are compared.
+Rows arrive scaled: each is integers over one positive denominator, the
+pair exact.integer_scaled returns, so a caller that appends rows builds
+each pair once.  A call multiplies row i and its right-hand side b_i by
+the lcm of that denominator and b_i's, and the cost vector by the lcm of
+its denominators, and inverts the block fraction-free (adjugate over
+determinant), so the pivots run in integer arithmetic.  Scaling row i
+scales its slack, which leaves every dual ratio of one leaving row
+multiplied by the same positive factor and every reduced cost with its
+sign, so only the basic slack values are divided back by the row scale
+before they are compared, and a common factor of a row's integers and its
+denominator changes no pivot.
 
 The leaving row is the most negative basic value and the entering column
 the smallest dual ratio, ties to the smallest index; after MAX_ITER // 2
@@ -29,7 +33,9 @@ walk finite.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from .exact import frac, integer_scaled
 
@@ -86,10 +92,13 @@ def _indices(values, size, what):
 def solve_min(c, a_rows, b, basis=None):
     """Exact optimum of min c.x s.t. a_rows x <= b, x >= 0.
 
-    basis is the start (S, T), the basic structural columns and the tight
-    rows; None starts from the all-slack basis.  A start with |S| != |T|,
-    an index repeated or out of range, a singular block A[T][S] or a
-    negative reduced cost raises SimplexError before any pivot.
+    Each row of a_rows is a pair (ints, den) of integers and a positive
+    integer denominator, the row ints / den, as exact.integer_scaled
+    returns it; c and b are rational.  basis is the start (S, T), the basic
+    structural columns and the tight rows; None starts from the all-slack
+    basis.  A start with |S| != |T|, an index repeated or out of range, a
+    singular block A[T][S] or a negative reduced cost raises SimplexError
+    before any pivot.
 
     Returns dict with x (list of Fractions), objective, iterations (the
     pivots) and basis, the optimal (S, T), which is a valid start for the
@@ -99,12 +108,14 @@ def solve_min(c, a_rows, b, basis=None):
     m = len(a_rows)
     n = len(c)
     c = [frac(v) for v in c]
+    # row i times row_scale[i] = lcm(den, the denominator of b_i): integers
     rows, rhs, row_scale = [], [], []
-    for i in range(m):
-        ints, scale = integer_scaled([frac(v) for v in a_rows[i]]
-                                     + [frac(b[i])])
-        rows.append(ints[:n])
-        rhs.append(ints[n])
+    for (ints, den), b_i in zip(a_rows, b, strict=True):
+        b_i = frac(b_i)
+        scale = math.lcm(den, b_i.denominator)
+        rows.append(ints if scale == den else [v * (scale // den)
+                                               for v in ints])
+        rhs.append(b_i.numerator * (scale // b_i.denominator))
         row_scale.append(scale)
     cost, _ = integer_scaled(c)
     # S in the column order of the block, T in its row order
@@ -123,17 +134,24 @@ def solve_min(c, a_rows, b, basis=None):
     iterations = 0
     while True:
         # adj / det is the inverse of A[T][S]; det * x_S = adj b_T
-        adj, det = _adjugate([[rows[t][s] for s in basic_cols]
+        adj, det = _adjugate([list(map(rows[t].__getitem__, basic_cols))
                               for t in tight])
-        xs = [sum(a * rhs[t] for a, t in zip(arow, tight)) for arow in adj]
+        rhs_t = [rhs[t] for t in tight]
+        xs = [sum(map(mul, arow, rhs_t)) for arow in adj]
         x_scaled = dict(zip(basic_cols, xs))
         # reduced costs times det: cost_j det - pi . A[T][j], -pi_r
-        pi = [sum(cost[s] * adj[q][r] for q, s in enumerate(basic_cols))
-              for r in range(len(tight))]
+        cost_s = [cost[s] for s in basic_cols]
+        adj_cols = list(zip(*adj))
+        pi = [sum(map(mul, cost_s, col)) for col in adj_cols]
+        # A[T][j] for every column j
+        cols = list(zip(*(rows[t] for t in tight))) if tight else [()] * n
         in_s = set(basic_cols)
+        # a row's entries in the columns of S, padded with column 0 twice
+        # so that itemgetter returns a tuple for any k; a dot product with a
+        # k-vector through map() stops after k terms
+        pick = itemgetter(*basic_cols, 0, 0)
         if iterations == 0 and (any(v > 0 for v in pi) or any(
-                cost[j] * det < sum(pv * rows[t][j]
-                                    for pv, t in zip(pi, tight))
+                cost[j] * det < sum(map(mul, pi, cols[j]))
                 for j in range(n) if j not in in_s)):
             # every pivot keeps the reduced costs >= 0, so the start must
             raise SimplexError("start basis is not dual feasible (a reduced "
@@ -147,8 +165,7 @@ def solve_min(c, a_rows, b, basis=None):
                 num, den = x_scaled[col], 1
             else:
                 row = rows[col - n]
-                num = det * rhs[col - n] - sum(
-                    row[s] * x for s, x in zip(basic_cols, xs))
+                num = det * rhs[col - n] - sum(map(mul, pick(row), xs))
                 den = row_scale[col - n]
             if num < 0 and (bland or num * best_den < best_num * den):
                 leave, best_num, best_den = p, num, den
@@ -167,8 +184,8 @@ def solve_min(c, a_rows, b, basis=None):
             base = [0] * n
         else:
             row = rows[out - n]
-            g = [-sum(row[s] * adj[q][r] for q, s in enumerate(basic_cols))
-                 for r in range(len(tight))]
+            row_s = pick(row)
+            g = [-sum(map(mul, row_s, col)) for col in adj_cols]
             base = [det * v for v in row]
         # entering column: smallest ratio reduced cost / -entry over the
         # negative entries, ties to the smallest column index
@@ -177,10 +194,9 @@ def solve_min(c, a_rows, b, basis=None):
         for j in range(n):
             if j in in_s:
                 continue
-            col = [rows[t][j] for t in tight]
-            step = -base[j] - sum(gv * a for gv, a in zip(g, col))
+            step = -base[j] - sum(map(mul, g, cols[j]))
             if step > 0:
-                rc = cost[j] * det - sum(pv * a for pv, a in zip(pi, col))
+                rc = cost[j] * det - sum(map(mul, pi, cols[j]))
                 if enter is None or rc * best_step < best_cost * step:
                     enter, best_cost, best_step = j, rc, step
         for r in sorted(range(len(tight)), key=tight.__getitem__):

@@ -10,7 +10,10 @@ from packbound import certify as certify_mod
 from packbound.certify import (
     Certificate, CertifyError, certify_magic, poisson_check,
 )
-from packbound.exact import poly_eval, sturm_count, sturm_roots
+from packbound.exact import (
+    _sign_variations, poly_deriv, poly_eval, poly_trim, sturm_chain,
+    sturm_count, sturm_roots,
+)
 from packbound.codes import zero_code
 from packbound.lattices import construction_a, standard_lattice
 from packbound.magic import MagicError
@@ -103,10 +106,11 @@ def test_sturm_roots_at_the_endpoints(lead, roots):
 
 
 def test_sturm_chain_signs_in_integers():
-    # the chain's members are integer polynomials; their integer sign agrees
-    # with poly_eval at dyadics with 52-bit denominators (the sampled LP's
-    # sample keys), at a root, at 0 and, past the Cauchy bound, at +inf
-    from packbound.exact import _sign, sturm_chain
+    # the chain's members are integer polynomials; their integer sign at
+    # a/b, in lowest terms or not, agrees with poly_eval at dyadics with
+    # 52-bit denominators (the sampled LP's sample keys), at a root, at 0
+    # and, past the Cauchy bound, at +inf, which is (1, 0)
+    from packbound.exact import _sign
 
     rng = random.Random(20161014)
     p = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(9)]
@@ -122,16 +126,18 @@ def test_sturm_chain_signs_in_integers():
     for member in chain:
         for x in points:
             v = poly_eval(member, x)
-            assert _sign(member, x) == (v > 0) - (v < 0)
+            a, b = x.numerator, x.denominator
+            assert _sign(member, a, b) == (v > 0) - (v < 0)
+            assert _sign(member, 6 * a, 6 * b) == (v > 0) - (v < 0)
         far = 2 + sum(abs(c) for c in member)
-        assert _sign(member, None) == _sign(member, Fraction(far))
-        assert _sign(member, None) == (member[-1] > 0) - (member[-1] < 0)
+        assert _sign(member, 1, 0) == _sign(member, far, 1)
+        assert _sign(member, 1, 0) == (member[-1] > 0) - (member[-1] < 0)
 
 
 def test_sturm_agrees_with_bisection():
     # oracle: isolate roots of the squarefree part by sign-change bisection
     # down to width 1e-6, scanning in floats (coefficients are small ints)
-    from packbound.exact import poly_deriv, poly_divmod, poly_trim
+    from packbound.exact import poly_divmod
 
     def poly_gcd(a, b):
         a, b = poly_trim(list(a)), poly_trim(list(b))
@@ -186,6 +192,124 @@ def test_sturm_agrees_with_bisection():
         got = count_between(p, lo, hi)
         assert got == count
         assert len([y for y in sturm_roots(p, lo) if y <= hi]) == count
+
+
+def bisection_roots(p, lo):
+    """The reference for sturm_roots: the same bisection of [lo, hi], hi the
+    Cauchy bound, on Fraction endpoints, with a full chain evaluation at
+    every midpoint, down to a width of 2^-30 * max(1, |m|)."""
+    p = poly_trim([Fraction(c) for c in p])
+    lo = Fraction(lo)
+    hi = max(lo, 1 + max((abs(c / p[-1]) for c in p[:-1]), default=0))
+    chain = sturm_chain(p)
+
+    def variations(x):
+        return _sign_variations(chain, x.numerator, x.denominator)
+
+    roots = []
+    stack = [(lo, variations(lo), hi, variations(hi))]
+    while stack:
+        a, va, b, vb = stack.pop()
+        if va == vb:
+            continue
+        m = (a + b) / 2
+        if va - vb == 1 and b - a <= Fraction(1, 2 ** 30) * max(1, abs(m)):
+            roots.append(m)
+            continue
+        vm = variations(m)
+        stack += [(m, vm, b, vb), (a, va, m, vm)]
+    return sorted(roots)
+
+
+def _random_polynomials(rng):
+    """(p, lo) pairs: repeated roots, a root at lo, near-double roots,
+    60-digit coefficients, a tiny leading coefficient and a root at a
+    midpoint of the bisection."""
+    def from_roots(lead, roots):
+        p = [Fraction(lead)]
+        for r in roots:
+            p = poly_mul(p, [-r, Fraction(1)])
+        return p
+
+    for _ in range(20):
+        roots = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 4))]
+        yield (from_roots(rng.choice([1, -3, Fraction(2, 7)]),
+                          roots * 2 + roots[:1]),
+               Fraction(rng.randint(-60, 10), rng.randint(1, 5)))
+        roots = [Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+                 for _ in range(rng.randint(1, 6))]
+        yield from_roots(1, roots), rng.choice(roots)
+        r = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 4))
+        eps = Fraction(1, 2 ** rng.randint(20, 60))
+        other = [Fraction(rng.randint(-9, 9)) for _ in range(3)] + [1]
+        yield (poly_mul(from_roots(1, [r, r + eps]), other),
+               Fraction(rng.randint(-5, 5)))
+        yield ([Fraction(rng.randint(-10 ** 60, 10 ** 60))
+                for _ in range(rng.randint(2, 9))],
+               Fraction(rng.randint(-10, 10), 3))
+        yield ([Fraction(rng.randint(-99, 99), rng.randint(1, 9))
+                for _ in range(rng.randint(1, 7))]
+               + [Fraction(1, 10 ** rng.randint(10, 80))],
+               Fraction(rng.randint(-3, 3)))
+        # y - r bisected on [r + 1 - 2^j, r + 1]: the j-th midpoint is r
+        r = Fraction(rng.randint(1, 10 ** 4), rng.randint(1, 99))
+        yield [-r, Fraction(1)], r + 1 - 2 ** rng.randint(1, 40)
+
+
+def test_sturm_roots_match_fraction_bisection():
+    # the integer-endpoint bisection, which skips the chain beyond a proven
+    # root bound and halves a one-root interval on one sign, returns the
+    # reference's Fractions exactly
+    checked = 0
+    for p, lo in _random_polynomials(random.Random(20260314)):
+        if any(p):
+            assert sturm_roots(p, lo) == bisection_roots(p, lo), (p, lo)
+            checked += 1
+    assert checked >= 115
+
+
+def test_sturm_roots_match_fraction_bisection_in_the_lp(monkeypatch):
+    # every polynomial the (8, 30) refinement searches, p and p'
+    from packbound import lpbound
+    from packbound.lpbound import PI_LO, sampled_lp
+
+    seen = []
+    positive_maxima = lpbound._positive_maxima
+
+    def recorded(poly, lo):
+        seen.append((poly, lo))
+        return positive_maxima(poly, lo)
+
+    monkeypatch.setattr(lpbound, "_positive_maxima", recorded)
+    sampled_lp(8, 30)
+    assert len(seen) == 7 and all(lo == PI_LO for _, lo in seen)
+    for poly, lo in seen:
+        for q in (poly, poly_deriv(poly)):
+            assert sturm_roots(q, lo) == bisection_roots(q, lo)
+
+
+def test_sturm_roots_skips_the_chain_beyond_a_root_bound(monkeypatch):
+    # prod_(j <= 30) (y - j): its Cauchy bound is about 2^111, and the
+    # bisection from there evaluated the chain 944 times; past the proven
+    # bound 32 no midpoint needs the chain, and a one-root interval needs
+    # none
+    from packbound import exact
+
+    calls = []
+    variations = exact._sign_variations
+
+    def counted(chain, a, b):
+        calls.append((a, b))
+        return variations(chain, a, b)
+
+    p = [Fraction(1)]
+    for j in range(1, 31):
+        p = poly_mul(p, [Fraction(-j), Fraction(1)])
+    monkeypatch.setattr(exact, "_sign_variations", counted)
+    roots = sturm_roots(p, 0)
+    assert [round(y) for y in roots] == list(range(1, 31))
+    assert len(calls) <= 50
 
 
 # -- Poisson ------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 
 import packbound
 from packbound.exact import (
-    poly_eval, poly_primitive, sturm_count, sturm_roots,
+    integer_scaled, poly_eval, poly_primitive, sturm_count, sturm_roots,
 )
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
@@ -215,6 +215,26 @@ def test_sampled_lp_e8_window(monkeypatch):
     assert res["p0"] == 1 + solve_min(c, a_rows, b)["objective"]
 
 
+@pytest.mark.slow
+def test_sampled_lp_walk_at_the_free_root(monkeypatch):
+    # dimension 24 with the root at y0 = 5/2 PI_LO, the default radii
+    # scaled by sqrt(5/2) to match: certified at 4.22 times the optimum
+    # once the density is rescaled by (5/2)^12, after ten solves, 979
+    # pivots and 23 samples added to the 96 defaults
+    lam = Fraction(5, 2)
+    samples = [r * math.sqrt(lam) for r in default_samples()]
+    monkeypatch.setattr(lpbound, "PI_LO", lam * PI_LO)
+    monkeypatch.setattr(lpbound, "default_samples", lambda: samples)
+    res = sampled_lp(24, 30)
+    report = res["feasible_report"]
+    assert res["certificate_status"] == "sturm-certified"
+    assert verify_lp(res["certificate"]).status == "verified"
+    assert report["rounds"] == 10
+    assert report["iterations"] == 979
+    assert report["samples_used"] == 119
+    opt24 = math.pi ** 12 / math.factorial(12)
+    assert round(res["bound"] * float(lam) ** 12 / opt24, 2) == 4.22
+
 def test_sampled_lp_certified_from_the_plain_grid():
     # the geometric grid has no sample near the vector lengths; the
     # refinement alone places them, over eight rounds for n = 6, d = 16
@@ -360,19 +380,24 @@ def test_estimate_newton_leech_within_factor():
 
 # -- simplex ---------------------------------------------------------------------
 
+def int_rows(rows):
+    """Rational rows in solve_min's form, (ints, den) pairs."""
+    return [integer_scaled([Fraction(v) for v in row]) for row in rows]
+
+
 def test_simplex_small():
-    r = solve_min([1], [[-1]], [-3])
+    r = solve_min([1], int_rows([[-1]]), [-3])
     assert r["x"] == [Fraction(3)] and r["objective"] == 3
 
 
 def test_simplex_infeasible():
     with pytest.raises(Infeasible):
-        solve_min([1], [[1]], [-1])  # x <= -1 with x >= 0
+        solve_min([1], int_rows([[1]]), [-1])  # x <= -1 with x >= 0
 
 
 # min x1 + 2 x2 s.t. x1 >= 1, x2 >= 1, x1 + x2 >= 3: optimum 4 at (2, 1),
 # with both columns basic and rows 1 and 2 tight
-TOY_LP = ([1, 2], [[-1, 0], [0, -1], [-1, -1]], [-1, -1, -3])
+TOY_LP = ([1, 2], int_rows([[-1, 0], [0, -1], [-1, -1]]), [-1, -1, -3])
 
 
 def test_simplex_returns_its_optimal_basis():
@@ -390,10 +415,10 @@ def test_simplex_warm_start_after_added_row():
     first = solve_min(*TOY_LP)
     c, rows, b = TOY_LP
     # x2 >= 3/2 cuts off (2, 1); the new optimum is (3/2, 3/2)
-    res = solve_min(c, rows + [[0, -2]], b + [-3], basis=first["basis"])
+    rows = rows + int_rows([[0, -2]])
+    res = solve_min(c, rows, b + [-3], basis=first["basis"])
     assert res["x"] == [Fraction(3, 2), Fraction(3, 2)]
-    assert res["objective"] == solve_min(c, rows + [[0, -2]],
-                                         b + [-3])["objective"]
+    assert res["objective"] == solve_min(c, rows, b + [-3])["objective"]
     assert res["iterations"] == 1
 
 
@@ -519,9 +544,9 @@ if HAVE_HYPOTHESIS:
         best = _vertex_minimum(c, rows, b)
         if best is None:
             with pytest.raises(Infeasible):
-                solve_min(c, rows, b)
+                solve_min(c, int_rows(rows), b)
             return
-        res = solve_min(c, rows, b)
+        res = solve_min(c, int_rows(rows), b)
         x = res["x"]
         assert res["objective"] == best
         assert res["objective"] == sum(ci * v for ci, v in zip(c, x))
@@ -538,7 +563,7 @@ if HAVE_HYPOTHESIS:
         # infeasible
         c, rows, b = lp
         assume(_vertex_minimum(c, rows, b) is not None)
-        first = solve_min(c, rows, b)
+        first = solve_min(c, int_rows(rows), b)
         extra = data.draw(st.lists(
             st.tuples(st.lists(small_q, min_size=len(c), max_size=len(c)),
                       small_q), min_size=1, max_size=3))
@@ -547,17 +572,40 @@ if HAVE_HYPOTHESIS:
         best = _vertex_minimum(c, rows, b)
         if best is None:
             with pytest.raises(Infeasible):
-                solve_min(c, rows, b)
+                solve_min(c, int_rows(rows), b)
             with pytest.raises(Infeasible):
-                solve_min(c, rows, b, basis=first["basis"])
+                solve_min(c, int_rows(rows), b, basis=first["basis"])
             return
-        warm = solve_min(c, rows, b, basis=first["basis"])
+        warm = solve_min(c, int_rows(rows), b, basis=first["basis"])
         x = warm["x"]
-        assert warm["objective"] == best == solve_min(c, rows, b)["objective"]
+        assert warm["objective"] == best == solve_min(
+            c, int_rows(rows), b)["objective"]
         assert warm["objective"] == sum(ci * v for ci, v in zip(c, x))
         assert all(v >= 0 for v in x)
         assert all(sum(a * v for a, v in zip(r, x)) <= bi
                    for r, bi in zip(rows, b))
+
+
+    @given(small_lps(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_simplex_walk_ignores_a_common_row_factor(lp, data):
+        # solve_min reads a row as ints / den, so multiplying both by the
+        # same positive integer changes neither the optimum nor a pivot
+        c, rows, b = lp
+        pairs = int_rows(rows)
+        factors = data.draw(st.lists(st.integers(1, 10 ** 6),
+                                     min_size=len(rows), max_size=len(rows)))
+        scaled = [([v * t for v in ints], den * t)
+                  for (ints, den), t in zip(pairs, factors)]
+        try:
+            expected = solve_min(c, pairs, b)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                solve_min(c, scaled, b)
+            return
+        res = solve_min(c, scaled, b)
+        for key in ("x", "objective", "iterations", "basis"):
+            assert res[key] == expected[key], key
 
 
 # -- Sturm certificates ----------------------------------------------------------
