@@ -1,8 +1,9 @@
 """Exact rational arithmetic helpers: the one guarded parser of rational
 text, integer/rational square roots, the scaling of a rational vector to
 integers, Hermite reduction over Z, rational polynomials, and one Sturm
-chain, of the square-free part in primitive integer polynomials and divided
-by its gcd, for counting the roots beyond a point and isolating them.
+chain, of the square-free part in primitive integer polynomials built from
+integer pseudo-remainders and divided by its gcd, for counting the roots
+beyond a point and isolating them.
 
 There is no Fraction determinant: a lattice reads its determinant off the
 diagonal of its Hermite-reduced basis, which is triangular, and the exact
@@ -167,36 +168,89 @@ def poly_primitive(p):
     return [v // g for v in ints]
 
 
+def _pseudo_remainder(a, b):
+    """lc(b)^(deg a - deg b + 1) times the remainder of the integer
+    polynomial a by the integer polynomial b, deg a >= deg b: every step
+    multiplies by lc(b), so the division stays in integers."""
+    lc, db = b[-1], len(b) - 1
+    r = list(a)
+    for k in reversed(range(len(a) - db)):
+        # r <- lc r - r_top x^k b, whose top coefficient cancels
+        top = r[-1]
+        r = ([lc * v for v in r[:k]]
+             + [lc * v - top * w for v, w in zip(r[k:-1], b)])
+    return poly_trim(r)
+
+
 def sturm_chain(p):
     """Sturm chain of the square-free part of a nonzero rational polynomial,
     each member a primitive integer polynomial (a positive multiple, so its
-    roots and signs are kept).  If the remainder sequence of p ends in a
-    nonconstant g = gcd(p, p'), every member is divided by g: the quotients
-    are a Sturm chain of p / g."""
+    roots and signs are kept).  Each member after p' is the primitive part
+    of -prem(A, B) = -lc(B)^(delta+1) rem(A, B), negated once more when
+    lc(B)^(delta+1) < 0 so that the factor stays positive, for delta =
+    deg A - deg B: the same members as the Fraction remainders, with no
+    Fraction.  If the sequence ends in a nonconstant g = gcd(p, p'), every
+    member is divided by g: the quotients are a Sturm chain of p / g."""
     chain = [poly_primitive(p)]
     der = poly_primitive(poly_deriv(chain[0]))
     if der:
         chain.append(der)
     while len(chain[-1]) > 1:
-        _, r = poly_divmod(chain[-2], chain[-1])
+        a, b = chain[-2], chain[-1]
+        r = _pseudo_remainder(a, b)
         if not r:
             break
-        chain.append(poly_primitive([-c for c in r]))
+        if b[-1] > 0 or (len(a) - len(b)) % 2:
+            r = [-c for c in r]
+        chain.append(poly_primitive(r))
     g = chain[-1]
     if len(g) > 1:
         chain = [poly_primitive(poly_divmod(c, g)[0]) for c in chain]
     return chain
 
 
+# _sign first tries a point a/b with more than _FILTER_BITS bits in a and b
+# together in _FILTER_W-bit fixed point
+_FILTER_BITS = 256
+_FILTER_W = 64
+
+
 def _sign(p, a, b):
     """Sign of the integer polynomial p at a/b, for integers a and b >= 0,
     read off the homogeneous integer sum c_i a^i b^(deg - i) by Horner;
-    (a, b) = (1, 0) is +inf, where the sum is the leading coefficient."""
+    (a, b) = (1, 0) is +inf, where the sum is the leading coefficient.  A
+    point with more than _FILTER_BITS bits in a and b goes to
+    _fixed_point_sign first, and the exact sum decides only what that
+    leaves open."""
+    if b and len(p) > 1 and a.bit_length() + b.bit_length() > _FILTER_BITS:
+        s = _fixed_point_sign(p, a, b)
+        if s is not None:
+            return s
     v, bk = 0, 1
     for c in reversed(p):
         v = v * a + c * bk
         bk *= b
     return (v > 0) - (v < 0)
+
+
+def _fixed_point_sign(p, a, b):
+    """The sign of the nonconstant integer polynomial p at a/b, b > 0, when
+    p(x~) proves it, else None, for x~ = t / 2^W, t = floor(a 2^W / b) and
+    W = _FILTER_W.  |a/b - x~| < 2^-W, and every point between has
+    |y| <= X = floor(|a| / b) + 1, so by the mean value theorem
+    |p(a/b) - p(x~)| < 2^-W sum_i i |c_i| X^(i-1): when |p(x~)| reaches
+    that bound, p(a/b) has its sign.  p(x~) 2^(W deg) is one homogeneous
+    Horner sum on t, which has about W more bits than |a/b|."""
+    deg = len(p) - 1
+    t, x_cap = (a << _FILTER_W) // b, abs(a) // b + 1
+    v, slope = 0, 0
+    for k, c in enumerate(reversed(p)):
+        v = v * t + (c << (_FILTER_W * k))
+    for i in range(deg, 0, -1):
+        slope = slope * x_cap + i * abs(p[i])
+    if abs(v) >= slope << (_FILTER_W * (deg - 1)):
+        return (v > 0) - (v < 0)
+    return None
 
 
 def _sign_variations(chain, a, b):

@@ -263,9 +263,11 @@ class LpCertificate:
         within budget: D^2 (B + D) <= VERIFY_BUDGET for D the degree and B
         the largest coefficient bit length of p's primitive integer form
         (so D <= 125).  Anything else raises LpError.  verify_lp's Sturm
-        chain took about 2.6e-12 D^4.26 B^2 s on random integer p at D = 30
-        to 200, and as long with a double root (33.3 s against 33.0 s at
-        D = 40, B = 1,250): <= 50 s at the budget."""
+        chain, built from integer pseudo-remainders, took about
+        1.3e-12 D^4.26 B^2 s on random integer p at D = 30 to 200 with
+        D^2 B = 2e6 (11.6 s at D = 30 and 40, 13.2 s at 100), and as long
+        with a double root (12.0 s against 11.6 s at D = 40, B = 1,249):
+        <= 20 s at the budget."""
         try:
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))

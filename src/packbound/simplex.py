@@ -18,17 +18,17 @@ pair exact.integer_scaled returns, so a caller that appends rows builds
 each pair once.  A call multiplies row i and its right-hand side b_i by
 the lcm of that denominator and b_i's, and the cost vector by the lcm of
 its denominators, and inverts the block fraction-free (adjugate over
-determinant), so the pivots run in integer arithmetic.  Scaling row i
-scales its slack, which leaves every dual ratio of one leaving row
-multiplied by the same positive factor and every reduced cost with its
-sign, so only the basic slack values are divided back by the row scale
-before they are compared, and a common factor of a row's integers and its
-denominator changes no pivot.
+determinant), so the pivots run in integer arithmetic.
 
-The leaving row is the most negative basic value and the entering column
-the smallest dual ratio, ties to the smallest index; after MAX_ITER // 2
-pivots the leaving row is the first negative one (Bland), which keeps the
-walk finite.
+The leaving variable is the basic one farthest, in Euclidean distance,
+from its bound: a structural x_j < 0 lies |x_j| from x_j >= 0, and the
+slack s_i < 0 of row i lies |s_i| / |a_i| from its hyperplane, the same
+for the row at any scale.  The entering column is the smallest dual
+ratio, which scaling the leaving row multiplies by one positive factor,
+so a common factor of a row's integers and its denominator changes no
+pivot.  Both choices break ties to the smallest index.  After
+MAX_ITER // 2 pivots the leaving row is the first negative one (Bland),
+which keeps the walk finite.
 """
 
 from __future__ import annotations
@@ -108,15 +108,16 @@ def solve_min(c, a_rows, b, basis=None):
     m = len(a_rows)
     n = len(c)
     c = [frac(v) for v in c]
-    # row i times row_scale[i] = lcm(den, the denominator of b_i): integers
-    rows, rhs, row_scale = [], [], []
+    # row i times lcm(den, the denominator of b_i): integers
+    rows, rhs = [], []
     for (ints, den), b_i in zip(a_rows, b, strict=True):
         b_i = frac(b_i)
         scale = math.lcm(den, b_i.denominator)
         rows.append(ints if scale == den else [v * (scale // den)
                                                for v in ints])
         rhs.append(b_i.numerator * (scale // b_i.denominator))
-        row_scale.append(scale)
+    # |row i|^2 of the integer row, 1 for a zero row
+    row_norm2 = [sum(map(mul, row, row)) or 1 for row in rows]
     cost, _ = integer_scaled(c)
     # S in the column order of the block, T in its row order
     basic_cols, tight = [], []
@@ -156,19 +157,23 @@ def solve_min(c, a_rows, b, basis=None):
             # every pivot keeps the reduced costs >= 0, so the start must
             raise SimplexError("start basis is not dual feasible (a reduced "
                                "cost is negative)")
-        # leaving position: a basic value is num / (det * den)
+        # leaving position: the basic variable farthest from its bound, a
+        # structural x_j = num / det at distance |num| / det and a slack
+        # num / (det * scale) of row i at distance |num| / (det * |row i|);
+        # scores num^2 / norm2 compare by cross-multiplication
         leave = None
-        best_num, best_den = 0, 1
+        best_num2, best_norm2 = 0, 1
         bland = iterations >= MAX_ITER // 2
         for p, col in enumerate(positions):
             if col < n:
-                num, den = x_scaled[col], 1
+                num, norm2 = x_scaled[col], 1
             else:
-                row = rows[col - n]
-                num = det * rhs[col - n] - sum(map(mul, pick(row), xs))
-                den = row_scale[col - n]
-            if num < 0 and (bland or num * best_den < best_num * den):
-                leave, best_num, best_den = p, num, den
+                num = det * rhs[col - n] - sum(map(mul, pick(rows[col - n]),
+                                                   xs))
+                norm2 = row_norm2[col - n]
+            if num < 0 and (bland or num * num * best_norm2
+                            > best_num2 * norm2):
+                leave, best_num2, best_norm2 = p, num * num, norm2
                 if bland:
                     break
         if leave is None:

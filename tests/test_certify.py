@@ -10,9 +10,10 @@ from packbound import certify as certify_mod
 from packbound.certify import (
     Certificate, CertifyError, certify_magic, poisson_check,
 )
+from packbound import exact
 from packbound.exact import (
-    _sign_variations, poly_deriv, poly_eval, poly_trim, sturm_chain,
-    sturm_count, sturm_roots,
+    _sign, _sign_variations, poly_deriv, poly_divmod, poly_eval,
+    poly_primitive, poly_trim, sturm_chain, sturm_count, sturm_roots,
 )
 from packbound.codes import zero_code
 from packbound.lattices import construction_a, standard_lattice
@@ -110,8 +111,6 @@ def test_sturm_chain_signs_in_integers():
     # a/b, in lowest terms or not, agrees with poly_eval at dyadics with
     # 52-bit denominators (the sampled LP's sample keys), at a root, at 0
     # and, past the Cauchy bound, at +inf, which is (1, 0)
-    from packbound.exact import _sign
-
     rng = random.Random(20161014)
     p = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(9)]
     p = poly_mul(p, poly_mul([Fraction(-1, 3), Fraction(1)],
@@ -137,8 +136,6 @@ def test_sturm_chain_signs_in_integers():
 def test_sturm_agrees_with_bisection():
     # oracle: isolate roots of the squarefree part by sign-change bisection
     # down to width 1e-6, scanning in floats (coefficients are small ints)
-    from packbound.exact import poly_divmod
-
     def poly_gcd(a, b):
         a, b = poly_trim(list(a)), poly_trim(list(b))
         while b:
@@ -269,20 +266,28 @@ def test_sturm_roots_match_fraction_bisection():
     assert checked >= 115
 
 
-def test_sturm_roots_match_fraction_bisection_in_the_lp(monkeypatch):
-    # every polynomial the (8, 30) refinement searches, p and p'
+def _lp_searches(monkeypatch, n, d, lam=1):
+    """Every (p, lo) that the refinement of sampled_lp(n, d) searches, with
+    the root at y0 = lam PI_LO and the default radii scaled by sqrt(lam)."""
     from packbound import lpbound
-    from packbound.lpbound import PI_LO, sampled_lp
 
     seen = []
     positive_maxima = lpbound._positive_maxima
+    samples = [r * math.sqrt(lam) for r in lpbound.default_samples()]
+    with monkeypatch.context() as patch:
+        patch.setattr(lpbound, "PI_LO", lam * lpbound.PI_LO)
+        patch.setattr(lpbound, "default_samples", lambda: samples)
+        patch.setattr(lpbound, "_positive_maxima", lambda poly, lo: (
+            seen.append((poly, lo)), positive_maxima(poly, lo))[1])
+        lpbound.sampled_lp(n, d)
+    return seen
 
-    def recorded(poly, lo):
-        seen.append((poly, lo))
-        return positive_maxima(poly, lo)
 
-    monkeypatch.setattr(lpbound, "_positive_maxima", recorded)
-    sampled_lp(8, 30)
+def test_sturm_roots_match_fraction_bisection_in_the_lp(monkeypatch):
+    # every polynomial the (8, 30) refinement searches, p and p'
+    from packbound.lpbound import PI_LO
+
+    seen = _lp_searches(monkeypatch, 8, 30)
     assert len(seen) == 7 and all(lo == PI_LO for _, lo in seen)
     for poly, lo in seen:
         for q in (poly, poly_deriv(poly)):
@@ -310,6 +315,88 @@ def test_sturm_roots_skips_the_chain_beyond_a_root_bound(monkeypatch):
     roots = sturm_roots(p, 0)
     assert [round(y) for y in roots] == list(range(1, 31))
     assert len(calls) <= 50
+
+
+def fraction_chain(p):
+    """The reference for sturm_chain: the same chain from Fraction
+    remainders by poly_divmod, each member made primitive."""
+    chain = [poly_primitive(p)]
+    der = poly_primitive(poly_deriv(chain[0]))
+    if der:
+        chain.append(der)
+    while len(chain[-1]) > 1:
+        _, r = poly_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(poly_primitive([-c for c in r]))
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [poly_primitive(poly_divmod(c, g)[0]) for c in chain]
+    return chain
+
+
+def test_sturm_chain_matches_fraction_remainders(monkeypatch):
+    # the integer pseudo-remainder chain is the Fraction remainder chain,
+    # member for member: random integer p with either sign of leading
+    # coefficient, p q^2 with a repeated factor, sparse p whose remainders
+    # drop more than one degree, and every p and p' of the (8, 30) and the
+    # free-root (24, 30) refinements
+    rng = random.Random(20261019)
+    for _ in range(150):
+        p = [rng.randint(-10 ** 6, 10 ** 6)
+             for _ in range(rng.randint(2, 12))]
+        p[-1] = rng.choice([-1, 1]) * rng.randint(1, 99)
+        q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [
+            rng.choice([-2, -1, 1, 3])]
+        sparse = [rng.choice([0, 0, 0, -2, -1, 1, 2])
+                  for _ in range(rng.randint(3, 9))]
+        sparse.append(rng.choice([-3, -1, 2]))
+        for case in (p, poly_mul(p, poly_mul(q, q)), sparse):
+            assert sturm_chain(case) == fraction_chain(case), case
+    lp = (_lp_searches(monkeypatch, 8, 30)
+          + _lp_searches(monkeypatch, 24, 30, Fraction(5, 2)))
+    assert len(lp) == 7 + 9
+    for p, _ in lp:
+        for q in (p, poly_deriv(p)):
+            assert sturm_chain(q) == fraction_chain(q), q
+
+
+def test_fixed_point_sign_matches_the_fraction_sign(monkeypatch):
+    # _sign at random a/b of 1 to 1,000 bits, and within 2^-W of a root,
+    # equals the Fraction sign; the fixed-point filter decides most of the
+    # large points, and the exact sum the ones next to a root
+    outcomes = []
+    fixed_point_sign = exact._fixed_point_sign
+
+    def counted(p, a, b):
+        outcomes.append(fixed_point_sign(p, a, b))
+        return outcomes[-1]
+
+    monkeypatch.setattr(exact, "_fixed_point_sign", counted)
+
+    def fraction_sign(p, x):
+        v = poly_eval(p, x)
+        return (v > 0) - (v < 0)
+
+    rng = random.Random(64)
+    for _ in range(300):
+        p = [rng.randint(-10 ** 30, 10 ** 30)
+             for _ in range(rng.randint(2, 12))]
+        a = rng.getrandbits(rng.randint(1, 1000)) * rng.choice([-1, 1])
+        b = rng.getrandbits(rng.randint(1, 1000)) | 1
+        assert _sign(p, a, b) == fraction_sign(p, Fraction(a, b)), (p, a, b)
+    w = exact._FILTER_W
+    for _ in range(100):
+        root = Fraction(rng.randint(-10 ** 4, 10 ** 4), rng.randint(1, 999))
+        q = [rng.randint(-99, 99) for _ in range(rng.randint(1, 6))] + [1]
+        p = [int(c) for c in poly_mul([-root.numerator, root.denominator],
+                                       q)]
+        eps = Fraction(rng.randint(-2 ** 300, 2 ** 300), 2 ** (w + 301))
+        for x in (root + eps, root):
+            a, b = x.numerator << 300, x.denominator << 300
+            assert _sign(p, a, b) == fraction_sign(p, x), (p, x)
+    decided = sum(s is not None for s in outcomes)
+    assert decided >= 200 and len(outcomes) - decided >= 150
 
 
 # -- Poisson ------------------------------------------------------------------

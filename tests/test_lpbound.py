@@ -177,6 +177,14 @@ def test_positive_maxima_stay_in_float_range(poly):
         assert poly_eval(poly, y) > 0
 
 
+# the exact p(0) of sampled_lp(8, 30)
+E8_WINDOW_P0 = Fraction(
+    "108940446760829163261799274335115600632462044862018025688375"
+    "1693922096434361981/"
+    "471798997756719861947186526044952713667090045898688289352463"
+    "01126343679522429")
+
+
 @pytest.mark.slow
 def test_sampled_lp_e8_window(monkeypatch):
     calls = []
@@ -202,9 +210,9 @@ def test_sampled_lp_e8_window(monkeypatch):
     assert OPT8 <= res["bound"] <= 1.5 * OPT8
     # the pivoting rules and the refinement fix the walk: eight solves,
     # the first from the all-slack basis and each later one from the
-    # previous optimum, 198 pivots in all, 13 samples added to the 96
+    # previous optimum, 95 pivots in all, 13 samples added to the 96
     # defaults
-    assert report["iterations"] == 198
+    assert report["iterations"] == 95
     assert report["rounds"] == 8
     assert report["samples_used"] == 109
     assert len(report["added"]) == 13
@@ -213,13 +221,15 @@ def test_sampled_lp_e8_window(monkeypatch):
     # the warm start reaches the optimum of a cold solve of the last LP
     c, a_rows, b, _ = calls[-1]
     assert res["p0"] == 1 + solve_min(c, a_rows, b)["objective"]
+    # a pivoting rule can move the walk, not the optimum
+    assert res["p0"] == E8_WINDOW_P0
 
 
 @pytest.mark.slow
 def test_sampled_lp_walk_at_the_free_root(monkeypatch):
     # dimension 24 with the root at y0 = 5/2 PI_LO, the default radii
     # scaled by sqrt(5/2) to match: certified at 4.22 times the optimum
-    # once the density is rescaled by (5/2)^12, after ten solves, 979
+    # once the density is rescaled by (5/2)^12, after ten solves, 104
     # pivots and 23 samples added to the 96 defaults
     lam = Fraction(5, 2)
     samples = [r * math.sqrt(lam) for r in default_samples()]
@@ -230,7 +240,7 @@ def test_sampled_lp_walk_at_the_free_root(monkeypatch):
     assert res["certificate_status"] == "sturm-certified"
     assert verify_lp(res["certificate"]).status == "verified"
     assert report["rounds"] == 10
-    assert report["iterations"] == 979
+    assert report["iterations"] == 104
     assert report["samples_used"] == 119
     opt24 = math.pi ** 12 / math.factorial(12)
     assert round(res["bound"] * float(lam) ** 12 / opt24, 2) == 4.22
@@ -393,6 +403,25 @@ def test_simplex_small():
 def test_simplex_infeasible():
     with pytest.raises(Infeasible):
         solve_min([1], int_rows([[1]]), [-1])  # x <= -1 with x >= 0
+
+
+def test_simplex_zero_row_with_negative_rhs_is_infeasible():
+    # 0 <= -1 has no entering column, whatever its norm counts as
+    with pytest.raises(Infeasible):
+        solve_min([1, 1], int_rows([[0, 0], [-1, 0]]), [-1, -2])
+    res = solve_min([1, 1], int_rows([[0, 0], [-1, 0]]), [1, -2])
+    assert res["x"] == [2, 0]
+
+
+def test_simplex_leaves_on_the_farthest_row():
+    # min x1 + x2 s.t. x1 >= 2 and 10 x1 + 10 x2 >= 10: from the all-slack
+    # start the second slack is the most negative value (-10), but the
+    # first row is farther from the start (2 against 10 / sqrt(200)); it
+    # leaves, x1 = 2 enters and satisfies both rows in one pivot, where
+    # leaving on -10 first takes two
+    res = solve_min([1, 1], int_rows([[-1, 0], [-10, -10]]), [-2, -10])
+    assert res["x"] == [2, 0] and res["objective"] == 2
+    assert res["iterations"] == 1 and res["basis"] == ((0,), (0,))
 
 
 # min x1 + 2 x2 s.t. x1 >= 1, x2 >= 1, x1 + x2 >= 3: optimum 4 at (2, 1),
