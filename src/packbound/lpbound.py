@@ -183,12 +183,15 @@ def default_samples():
 def _dyadic_row(values):
     """Exact dyadic rationalization of a row, flushing entries below the
     row's relative floor to zero (keeps the exact LP's integers small), as
-    the (ints, den) pair of exact.integer_scaled that solve_min takes."""
+    the (ints, den) pair of exact.integer_scaled that solve_min takes.  Each
+    float's denominator is a power of two, so the largest is their lcm."""
     floats = [float(v) for v in values]
     top = max(abs(v) for v in floats) if floats else 0.0
     floor = top * 2.0 ** -ROW_FLOOR_BITS
-    return integer_scaled([Fraction(v) if abs(v) >= floor else Fraction(0)
-                           for v in floats])
+    ratios = [v.as_integer_ratio() if abs(v) >= floor else (0, 1)
+              for v in floats]
+    den = max((d for _, d in ratios), default=1)
+    return [p * (den // d) for p, d in ratios], den
 
 
 def _laguerre_ratios(n: int, d: int, y: Fraction) -> list:

@@ -49,13 +49,14 @@ of its exact coefficients with the powers of y = e^(-pi u/4), held in a
 wider fixed point with a proven round-off bound (see `_NodeSeries`).  Both
 kernels share one node set, where e^(-pi r^2 / u) and the weighted
 integrand values are held in the same fixed point, so each quadrature sum
-is an exact integer dot product.  One exp per node anchors a radius; on an
-arithmetic grid r_k = r0 + k h, `sweep` takes three exps per node once and
-then two integer products per node and radius (see `_decays`).  The u-side
-error carries proven round-off terms for the node values (in the series
-error), their truncation and the decays' 2 (k + 2)^2 units.  `pair(r)` is a
-one-radius sweep.  Series truncation tails ride along from the coefficient
-envelopes.
+is an exact integer dot product.  A radius is anchored at all nodes at once
+by a table-driven fixed-point exponential, with no exp per node (see
+`_anchor`); on an arithmetic grid r_k = r0 + k h, `sweep` takes three
+anchors once and then two integer products per node and radius (see
+`_decays`).  The u-side error carries proven round-off terms for the node
+values (in the series error), their truncation and the decays' 2 (k + 2)^2
+units.  `pair(r)` is a one-radius sweep.  Series truncation tails ride
+along from the coefficient envelopes.
 
 Even squared radii
 ------------------
@@ -78,9 +79,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 import mpmath as mp
+from mpmath.libmp.libelefun import ln2_fixed
 
 from .exact import frac
 from .lattices import SymbolicVolume, ball_volume
@@ -187,24 +190,28 @@ class _TsideTable:
     Outside the band it is evaluated in integers scaled by 2^fix: per spec
     pi E/4 (floored), D (to nearest) and |D| (rounded up); per radius
     S = P + SHIFT with P the truncated pi r^2, X = 2^(2 fix) // S and each
-    further power X_(k+1) = X_k X >> fix; each sum is an integer dot product.
+    further power X_(k+1) = X_k X >> fix, formed only where a side reads it;
+    each sum is an integer dot product over the columns (E, j) with |D| > 0
+    (a column with |D| = 0 exactly has D = 0, so dropping it is exact).
     In units of 2^-fix, with |x| <= m (m from max |X|): S is within 2 units
     of the mpf pi r^2 plus the exact pi E/4, so X is within 1 + 2 x^2 /
     (1 - 2 |x| 2^-fix) < e_1 = 2 + 2 m^2; x^k is within e_k = m^(k-1) e_1 +
     m e_(k-1) + 2 (each factor's error against the other factor, their
     product under a unit, the floor); D is under a unit off.  So D X_k is
-    within |D| e_k + m^k 2^fix + e_k units of 2^-2fix: summed over E and j,
-    times W g <= 1, that is the truncation term.  The guard (abs_total + 1)
-    10^-(dps-8) still covers the mpf inputs (D, pi r^2, W, g).  The series
-    tails beyond trunc come from the envelopes, so every series must carry
-    one.
+    within |D| e_k + m^k 2^fix + e_k units of 2^-2fix: summed over the
+    columns read, times W g <= 1, that is the truncation term.  The guard
+    (abs_total + 1) 10^-(dps-8) still covers the mpf inputs (D, pi r^2, W,
+    g).  The series tails beyond trunc come from the envelopes, so every
+    series must carry one.
     """
 
     def __init__(self, sides, base, dps, fix):
         if any(s.envelope is None for side in sides for _, _, s in side):
             raise MagicError("t-side series must carry a tail envelope")
-        self.dps = dps
         self.fix = fix
+        # as rounded at the working precision, dps + 10
+        with mp.workprec(fix):
+            self.guard_scale = mp.mpf(10) ** (-(dps - 8))
         # well beyond fix bits, so the fixed-point constants are rounded
         # from the mpf inputs, not from rounded intermediates
         with mp.workprec(fix + 64):
@@ -243,8 +250,19 @@ class _TsideTable:
 
                 coef = fold(c, lambda d: int(mp.nint(d)))
                 coef_abs = fold(c_abs, lambda d: int(d) + 1)
-                self.sides.append((sum(coef, []), sum(coef_abs, []),
-                                   list(map(sum, coef_abs)), c, c_abs, tail))
+                # per row j the exponents with |D_{E,j}| > 0 (nested in j),
+                # and each one's place in the previous row
+                keep = [[k for k, cs in enumerate(c_abs) if any(cs[j:width])]
+                        for j in range(width)]
+                steps = [[(keep[j - 1].index(k), k) for k in keep[j]]
+                         for j in range(1, width)]
+                read = [(j, k) for j, row in enumerate(keep) for k in row]
+                self.sides.append((
+                    [coef[j][k] for j, k in read],
+                    [coef_abs[j][k] for j, k in read],
+                    [(sum(coef_abs[j][k] for k in row), len(row))
+                     for j, row in enumerate(keep)],
+                    c, c_abs, tail, keep[0], steps))
 
     def evaluate(self, pi_r2, w_r, g):
         """[(value, error, truncation)] per side at s = pi r^2 + pi E/4 for
@@ -264,11 +282,6 @@ class _TsideTable:
         for k in [k for k, s in enumerate(ss) if abs(s) <= band]:
             s = pi_r2 + mp.pi * self.exps[k] / 4
             in_band.append((k, s, g * self.bpow[k], mp.sinc(s / 2) ** 2 / 4))
-        powers = [x]
-        for _ in range(1, self.width):
-            powers.append([a * b >> fix for a, b in zip(powers[-1], x)])
-        flat = [v for row in powers for v in row]
-        flat_abs = list(map(abs, flat))
         # the truncation per power (see the class docstring)
         m = (max(map(abs, x)) >> fix) + 1
         units = [2 + 2 * m * m]
@@ -276,21 +289,26 @@ class _TsideTable:
             units.append(m ** k * units[0] + m * units[-1] + 2)
         scale = w_r * g
         out = []
-        for coef, coef_abs, abs_sums, c, c_abs, tail in self.sides:
-            # map stops at the shorter list, so a side reads as many powers
-            # of x as it has coefficients
-            total = scale * mp.ldexp(sum(map(mul, coef, flat)), -2 * fix)
-            abs_total = scale * mp.ldexp(sum(map(mul, coef_abs, flat_abs)),
-                                         -2 * fix)
+        for coef, coef_abs, rows, c, c_abs, tail, first, steps in self.sides:
+            # the powers of x the side reads, row by row
+            picked = row = [x[k] for k in first]
+            for step in steps:
+                row = [row[i] * x[k] >> fix for i, k in step]
+                picked = picked + row
+            total = scale * mp.ldexp(sum(map(mul, coef, picked)), -2 * fix)
+            abs_total = scale * mp.ldexp(
+                sum(map(mul, coef_abs, map(abs, picked))), -2 * fix)
+            # per row j of the side: sum |D| and the number of columns read
             trunc = scale * mp.ldexp(sum(
-                (d + len(x)) * e + (len(x) * m ** (j + 1) << fix)
-                for j, (d, e) in enumerate(zip(abs_sums, units))), -2 * fix)
+                (d + count) * e + (count * m ** (j + 1) << fix)
+                for j, ((d, count), e) in enumerate(zip(rows, units))),
+                -2 * fix)
             for k, s, est, sinc2 in in_band:
                 c0, c1 = c[k][:2]
                 a0, a1 = c_abs[k][:2]
                 total += est * sinc2 * (c0 * s + c1 * (s + 1))
                 abs_total += est * sinc2 * (a0 * abs(s) + a1 * (abs(s) + 1))
-            guard = (abs_total + 1) * mp.mpf(10) ** (-(self.dps - 8))
+            guard = (abs_total + 1) * self.guard_scale
             out.append((total, tail + guard + trunc, trunc))
         return out
 
@@ -299,6 +317,31 @@ def _fixed(x, fix):
     """x >= 0 as an integer scaled by 2^fix, truncated."""
     _, man, exp, _ = x._mpf_
     return man << (exp + fix) if exp + fix >= 0 else man >> -(exp + fix)
+
+
+_EXP_TABLES = {}
+
+
+def _exp_tables(prec):
+    """Tables T_l[j] = e^(-j 2^(-8l)), l = 1..4, j < 256, and the Taylor
+    coefficients 2^prec // i!, i <= prec // 32, scaled by 2^prec, once per
+    precision.  Table l is b^j for b = e^(-2^(-8l)) (one exp, truncated to
+    prec + 16 bits: under 2 units low), by products floored there: each
+    adds under 3 units, so with the final floor every entry is within 1 +
+    765 2^-16 units of 2^-prec."""
+    if prec not in _EXP_TABLES:
+        wide = prec + 16
+        tables = []
+        for l in range(1, 5):
+            with mp.workprec(wide + 10):
+                b = _fixed(mp.exp(-mp.ldexp(1, -8 * l)), wide)
+            row = [1 << wide]
+            for _ in range(255):
+                row.append(row[-1] * b >> wide)
+            tables.append([t >> 16 for t in row])
+        _EXP_TABLES[prec] = tables, [(1 << prec) // math.factorial(i)
+                                     for i in range(prec // 32 + 1)]
+    return _EXP_TABLES[prec]
 
 
 class _UsideKernel:
@@ -569,32 +612,67 @@ class MagicFunctionSpec:
                 out.append(self._cache[key])
         return out
 
+    @cached_property
+    def _inv_u(self):
+        """(G, every node's 1/u scaled by 2^(fix + G)), G = L + 8 with u <=
+        2^L at every node; exact, as each 1/u has fix bits and is >= 2^-L."""
+        nodes, fix = self.uside_plus.nodes, self.uside_plus.fix
+        guard = 9 - mp.mag(max(nodes))  # the least 1/u is >= 2^(mag - 1)
+        with mp.workprec(fix):
+            return guard, [_fixed(-v, fix + guard) for v in nodes]
+
+    def _anchor(self, scale):
+        """e^(-scale / u) at every node, scaled by 2^fix, for an mpf scale
+        s >= 0: one table-driven fixed-point exponential over all nodes in
+        P = fix + G bits (Tang, ACM TOMS 15 (1989)), within 1.04 units.
+
+        In units of 2^-P: the argument a = floor(S w), S the truncated s and
+        w = 1/u, is below s w by at most s + 2, which moves e^(-s w) by at
+        most 1.01 (2^L/e + 2) (s w >= s 2^-L).  With a = k LN2 + rem, LN2 =
+        ln2_fixed(P) within 2 units moves 2^-k e^(-rem) by 2k 2^-k <= 1.  The
+        top 32 bits of rem < 1 index the tables of `_exp_tables`; e^(-t) for
+        the rest t < 2^-32 is a Horner sum through degree d = P // 32, within
+        2.01 units plus a tail t^(d+1)/(d+1)! under one.  The four table
+        products (factors at most 1, each floored) add 2.02 units each: 13
+        in all.  The last floor, by k + G bits, leaves 1 + (13 + 2^(L+1))
+        2^-G < 1.04 units of 2^-fix.
+        """
+        guard, inv_u = self._inv_u
+        prec = self.uside_plus.fix + guard
+        tables, coefs = _exp_tables(prec)
+        ln2 = ln2_fixed(prec)
+        s = _fixed(scale, prec)
+        split = [divmod(s * w >> prec, ln2) for w in inv_u]
+        low = (1 << prec - 32) - 1
+        ts = [rem & low for _, rem in split]
+        acc = [coefs[-1]] * len(ts)
+        for c in coefs[-2::-1]:
+            acc = [c - (t * e >> prec) for t, e in zip(ts, acc)]
+        for l, table in enumerate(tables, 1):
+            acc = [e * table[rem >> prec - 8 * l & 255] >> prec
+                   for e, (_, rem) in zip(acc, split)]
+        return [e >> k + guard for e, (k, _) in zip(acc, split)]
+
     def _decays(self, r0, h, count):
         """e^(-pi r_k^2 / u) at the shared u-side nodes for r_k = r0 + k*h,
         k < count, as integers scaled by 2^fix.
 
-        One anchor per node and sweep: E_0 by exp and, for more radii,
-        R_0 = e^(-pi (2 r0 h + h^2) / u) and Q = e^(-2 pi h^2 / u).  Then
+        One `_anchor` e^(-s/u) per sweep: E_0 (s = pi r0^2) and, for more
+        radii, R_0 (s = pi (2 r0 h + h^2)) and Q (s = 2 pi h^2).  Then
         E_(k+1) = E_k R_k and R_(k+1) = R_k Q, each product truncated to fix
-        bits.  With r0, h >= 0 every factor is at most 1, so an anchor is
-        off by at most 3 units (exp's rounding, its argument's, the
-        truncation) and a product adds the errors of its factors plus one:
-        E_k is within 2k^2 + 2k + 3 units of the decay at the exact
-        r0 + k h, and rounding r_k moves that decay by under two more, so
-        E_k is within 2 (k + 2)^2 units of the decay at r_k.  Iterated at
-        the spec's working precision, dps + 10.
+        bits.  With r0, h >= 0 every factor is at most 1, so with anchors
+        within 3 units a product adds the errors of its factors plus one:
+        E_k is within 2k^2 + 2k + 3 units of the decay at the exact r0 + k h,
+        and rounding r_k moves that decay by under two more, so E_k is within
+        2 (k + 2)^2 units of the decay at r_k.  Iterated at the spec's
+        working precision, dps + 10.
         """
-        kernel = self.uside_plus
-        fix = kernel.fix
-
-        def anchor(scale):
-            return [_fixed(mp.exp(scale * v), fix) for v in kernel.nodes]
-
-        decay = anchor(mp.pi * (r0 * r0))
+        fix = self.uside_plus.fix
+        decay = self._anchor(mp.pi * (r0 * r0))
         if count > 1:
-            ratio = anchor(mp.pi * h * (2 * r0 + h))
+            ratio = self._anchor(mp.pi * h * (2 * r0 + h))
         if count > 2:
-            q = anchor(2 * mp.pi * h * h)
+            q = self._anchor(2 * mp.pi * h * h)
         for k in range(count):
             yield decay
             if k + 1 < count:

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import shlex
@@ -133,6 +134,26 @@ def test_magic_table(tmp_path, capsys, spec8):
     lines = target.read_text().splitlines()
     assert lines[0] == "r,f,f_err,fhat,fhat_err"
     assert len(lines) == 4  # r = 0, 0.5, 1.0
+
+
+# sha256 of the stdout of magic artifacts: a change to the numerics that
+# moves one byte of them shows here
+ARTIFACT_DIGESTS = {
+    "--format json magic check --dim 8":
+        "893b2b1a238ff7657061ba299e5ffb871eacf1eaefa9d1c15417972590cc37a6",
+    "--format json magic check --dim 24":
+        "70d0471fdbb5a2a19057b6ecd2760b1b970163bb1b018e3ecf5e30a0b8ed27f3",
+    "magic table --dim 8 --rmax 4 --step 0.01":
+        "46d33e476a711d53ccc03b4b9f27ad91d840d3efde2d9c02bb925fe941eb7046",
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_DIGESTS))
+def test_magic_artifact_fingerprint(command, capsys):
+    code, out = run(command.split(), capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ARTIFACT_DIGESTS[command]
 
 
 def test_magic_table_stops_at_rmax(capsys, spec8):

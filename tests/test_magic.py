@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp.libelefun import ln2_fixed
 
 from packbound import magic
 from packbound.certify import Certificate
@@ -753,7 +754,7 @@ def test_tside_fixed_point_matches_mpf(n, request):
                     assert 0 < abs(value - exact) <= trunc, r
 
 
-def test_sweep_calls_exp_three_times_per_node(spec8, monkeypatch):
+def test_sweep_and_pair_take_no_exp_per_node(spec8, monkeypatch):
     shared = len(spec8.uside_plus.nodes)
     calls = []
     exp = mp.exp
@@ -763,9 +764,82 @@ def test_sweep_calls_exp_three_times_per_node(spec8, monkeypatch):
         return exp(x)
 
     monkeypatch.setattr(mp, "exp", counting_exp)
-    # radii no other test evaluates
+    # radii no other test evaluates; each call builds the anchor tables
+    # afresh, with one exp per table
+    monkeypatch.setattr(magic, "_EXP_TABLES", {})
     assert len(spec8.sweep(mp.mpf("2.3456789"), mp.mpf("0.01"), 50)) == 50
-    assert 3 * shared < len(calls) <= 3 * shared + 2 * 50
+    assert 4 <= len(calls) <= 2 * 50 + 4 < shared
+    calls.clear()
+    monkeypatch.setattr(magic, "_EXP_TABLES", {})
+    spec8.pair(mp.mpf("3.4567891"))
+    assert 4 <= len(calls) <= 2 + 4
+
+
+def _boundary_scales(spec, node):
+    """Scales s, exact mpfs, at which the fixed-point argument s/u at the
+    node lands on a multiple of ln 2, on a table-index boundary of its
+    remainder, or one unit below either."""
+    guard, inv_u = spec._inv_u
+    prec = spec.uside_plus.fix + guard
+    ln2 = ln2_fixed(prec)
+    w = inv_u[node]
+    rems = [0, 1, ln2 - 1]
+    for l in range(1, 5):
+        step = 1 << prec - 8 * l
+        rems += [step, step - 1, 0x5A * step, 0x5A * step - 1]
+    # the lower table indices at 0xFF, below ln 2
+    rems.append((0xB0 << prec - 8) + sum(0xFF << prec - 8 * l
+                                         for l in range(2, 5)))
+    scales = []
+    for k in (0, 1, 7, spec.uside_plus.fix):
+        for rem in rems:
+            arg = k * ln2 + rem
+            big = -(-(arg << prec) // w)
+            assert divmod(big * w >> prec, ln2) == (k, rem)
+            with mp.workprec(big.bit_length() + 8):
+                scales.append(mp.ldexp(big, -prec))
+    return scales
+
+
+@pytest.mark.parametrize("dps", [10, 60, 200])
+def test_anchors_within_three_units(dps):
+    # e^(-s/u) at every node against exp at 30 more digits; dps 200 has the
+    # largest u_max, so the widest argument error for G to absorb
+    spec = magic_spec(8, dps=dps)
+    fix = spec.uside_plus.fix
+    nodes = spec.uside_plus.nodes
+    scales = _boundary_scales(spec, len(nodes) // 2)
+    with mp.workdps(dps + 10):
+        h = mp.mpf("0.01")
+        for r in map(mp.mpf, ("0", "1e-20", "0.7", "8.71", "40", "1e3")):
+            # the scales of E_0, R_0 and Q of a sweep from r
+            scales += [mp.pi * (r * r), mp.pi * h * (2 * r + h),
+                       2 * mp.pi * h * h]
+    worst = 0
+    for scale in scales:
+        got = spec._anchor(scale)
+        with mp.workdps(dps + 40):
+            for v, e in zip(nodes, got):
+                exact = mp.ldexp(mp.exp(scale * v), fix)
+                assert abs(e - exact) <= 3, (scale, v)
+                worst = max(worst, abs(e - exact))
+    assert worst > 0.5  # the final floor does truncate
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_short_sweeps_within_stated_units(spec8, count):
+    fix = spec8.uside_plus.fix
+    nodes = spec8.uside_plus.nodes
+    for r in ("0", "1e-20", "0.7", "8.71", "40", "1e3"):
+        with mp.workdps(spec8.dps + 10):
+            r0, h = mp.mpf(r), mp.mpf("0.3")
+            decays = list(spec8._decays(r0, h, count))
+            radii = [r0 + k * h for k in range(count)]
+        with mp.workdps(spec8.dps + 40):
+            for k, (rk, decay) in enumerate(zip(radii, decays)):
+                for v, e in zip(nodes, decay):
+                    exact = mp.ldexp(mp.exp(mp.pi * rk * rk * v), fix)
+                    assert abs(e - exact) <= 2 * (k + 2) ** 2, (r, k, v)
 
 
 @pytest.mark.parametrize("r0, step", [
