@@ -78,10 +78,6 @@ def integer_scaled(values):
     return [v.numerator * (scale // v.denominator) for v in values], scale
 
 
-def mat_is_integral(a) -> bool:
-    return all(frac(x).denominator == 1 for row in a for x in row)
-
-
 # ---------------------------------------------------------------------------
 # Hermite reduction over Z
 # ---------------------------------------------------------------------------

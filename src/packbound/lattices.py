@@ -9,23 +9,25 @@ coset data that counts its vectors.  It is given by integer generating rows
 that, scaled by ``2**(-scale_exp/2)``, span the true lattice.  The rows are
 reduced once, by Hermite reduction, to an upper triangular basis B with a
 positive diagonal, so the Gram matrix is ``B @ B.T / 2**scale_exp`` and its
-determinant the squared product of B's diagonal over 2^(scale_exp * n),
-both fixed when the lattice is built.
+determinant the squared product of B's diagonal over 2^(scale_exp * n).
+Both, with the norm quantum and unimodularity, are fixed at build time.
 
 Vector counting never lists vectors.  Z^n, the Construction-A lifts and the
 Leech lattice are each a union of code cosets
 {w : w = offset + step*c mod M for a codeword c, sum(w) = target mod S} with
 squared length w.w/D, and one counter (``_count_cosets``) extracts their
-counts by squared length from per-coordinate generating polynomials, grouped
-by codeword weight.  Z^n is the zero code with M = D = 1, Construction A has
-M = D = 2, and the Leech glue has M = 4, D = 8 and S = 8, the sum condition
-encoding the two glue conditions.  The coset data, the code's weight
-enumerator included, is fixed when the lattice is built (``Cosets``).
+counts by squared length from per-coordinate generating polynomials, as the
+Horner form of the code's weight enumerator.  Z^n is the zero code with
+M = D = 1, Construction A has M = D = 2, and the Leech glue has M = 4, D = 8
+and S = 8, the sum condition encoding the two glue conditions.  The coset
+data, the code's weight enumerator included, is fixed when the lattice is
+built (``Cosets``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -36,9 +38,7 @@ from .codes import (
     BinaryCode, WeightEnumerator, golay24, hamming8, weight_enumerator,
     zero_code,
 )
-from .exact import (
-    frac, hermite_row_basis, integer_scaled, mat_is_integral, sqrt_decompose,
-)
+from .exact import frac, hermite_row_basis, sqrt_decompose
 
 
 class LatticeError(ValueError):
@@ -171,39 +171,41 @@ class LatticeDescription:
     dimension: int
     gram: tuple          # rows of Fractions
     gram_det: Fraction   # det(gram), fixed when the lattice is built
+    quantum: Fraction    # norm_quantum(), fixed when the lattice is built
+    unimodular: bool     # is_unimodular(), fixed when the lattice is built
     name: str = ""
     counting: Cosets = None  # None: no vector counts
 
     def is_unimodular(self) -> bool:
         """Integral with determinant 1: the lattice is its own dual."""
-        return mat_is_integral(self.gram) and self.gram_det == 1
+        return self.unimodular
 
     def norm_quantum(self) -> Fraction:
         """Rational g with every squared vector length in g*Z: the gcd of
         the diagonal and of twice the off-diagonal Gram entries."""
-        n = self.dimension
-        vals = [self.gram[i][j] * (1 + (i != j))
-                for i in range(n) for j in range(i, n)]
-        ints, den = integer_scaled(vals)
-        return Fraction(math.gcd(*ints), den)
+        return self.quantum
 
 
 def _make_lattice(rows, scale_exp, name="", counting=None):
     """The lattice the integer generating rows span, scaled by
-    2^(-scale_exp/2).  The rows are reduced once to a triangular basis B
-    (``hermite_row_basis``); the Gram matrix is B B^T / 2^scale_exp and its
-    determinant the squared product of B's diagonal over 2^(scale_exp n).
-    Rows of rank below their length raise LatticeError."""
+    2^(-scale_exp/2), built as the module docstring says.  Rows of rank
+    below their length raise LatticeError."""
     n = len(rows[0])
     basis = hermite_row_basis(rows)
     if len(basis) != n:
         raise LatticeError("degenerate basis")
     two_s = 2 ** scale_exp
-    gram = tuple(tuple(Fraction(sum(a * b for a, b in zip(u, v)), two_s)
-                       for v in basis) for u in basis)
+    ints = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
+    gram = tuple(tuple(Fraction(x, two_s) for x in row) for row in ints)
     det = Fraction(math.prod(u[i] for i, u in enumerate(basis)) ** 2,
                    two_s ** n)
-    return LatticeDescription(n, gram, det, name=name, counting=counting)
+    # with g the gcd of B B^T, the quantum is gcd(diagonal, 2 g) / 2^s
+    g = math.gcd(*(x for row in ints for x in row))
+    quantum = Fraction(math.gcd(2 * g, *(u[i] for i, u in enumerate(ints))),
+                       two_s)
+    unimodular = det == 1 and g % two_s == 0
+    return LatticeDescription(n, gram, det, quantum, unimodular, name=name,
+                              counting=counting)
 
 
 @dataclass(frozen=True)
@@ -313,39 +315,44 @@ def density(lat: LatticeDescription) -> SymbolicVolume:
 
 def _count_cosets(n: int, cosets: Cosets, max_norm: Fraction):
     """Counts by squared length of the length-n union of code cosets
-    ``cosets`` describes.
-
-    The per-coordinate factor depends only on the codeword bit, so cosets
-    are grouped by codeword weight.  Each factor is the multiset of
-    (m^2, m mod sum_mod) over m in the coordinate's residue class.
-    """
+    ``cosets`` describes.  A coordinate's factor, F0 or F1 by its codeword
+    bit, is the multiset of (m^2, m mod sum_mod) over m in its residue
+    class.  Each part is the weight enumerator sum_k a_k F1^k F0^(n-k) at
+    its target residue, in Horner form: P_0 = a_0, P_k = P_(k-1) F0 +
+    a_k F1^k with F1^k built one step at a time up to the top weight, 2n
+    products that each drop the squared lengths beyond the cutoff."""
     weights, modulus, denom, parts, sum_mod = cosets
     limit = int(denom * max_norm)
-    counts = {}
+    root = math.isqrt(limit)
+    a = weights.as_dict()
+    top = max(a)
+
+    def times(x, factor):
+        out = {}
+        for (e, s), cx in x.items():
+            for (de, dm), cf in factor:  # sorted by de
+                if e + de > limit:
+                    break
+                key = (e + de, (s + dm) % sum_mod)
+                out[key] = out.get(key, 0) + cx * cf
+        return out
+
+    counts = Counter()
     for offset, step, target in parts:
-        factors = []
-        for bit in (0, 1):
-            residue = (offset + step * bit) % modulus
-            factor = {}
-            for m in range(-math.isqrt(limit), math.isqrt(limit) + 1):
-                if m % modulus == residue:
-                    key = (m * m, m % sum_mod)
-                    factor[key] = factor.get(key, 0) + 1
-            factors.append(factor)
-        for w, mult in weights.counts:
-            state = {(0, 0): 1}
-            for factor in [factors[1]] * w + [factors[0]] * (n - w):
-                nxt = {}
-                for (e, s), cval in state.items():
-                    for (de, dm), fcnt in factor.items():
-                        if e + de <= limit:
-                            key = (e + de, (s + dm) % sum_mod)
-                            nxt[key] = nxt.get(key, 0) + cval * fcnt
-                state = nxt
-            for (e, s), cval in state.items():
-                if s == target % sum_mod:
-                    key = Fraction(e, denom)
-                    counts[key] = counts.get(key, 0) + mult * cval
+        f0, f1 = (sorted(Counter(
+            (m * m, m % sum_mod) for m in range(-root, root + 1)
+            if (m - offset - step * bit) % modulus == 0).items())
+            for bit in (0, 1))
+        state, power = {(0, 0): a[0]}, {(0, 0): 1}
+        for k in range(1, n + 1):
+            state = times(state, f0)
+            if k <= top:
+                power = times(power, f1)
+                for key, c in power.items() if a.get(k) else ():
+                    state[key] = state.get(key, 0) + a[k] * c
+        for (e, s), c in state.items():
+            if s == target % sum_mod:
+                counts[Fraction(e, denom)] += c
     return counts
 
 
@@ -369,11 +376,8 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
                            f"to count its vectors")
     raw = _count_cosets(lat.dimension, lat.counting, max_norm)
     quantum = lat.norm_quantum()
-    counts = []
-    v = Fraction(0)
-    while v <= max_norm:
-        counts.append((v, raw.get(v, 0)))
-        v += quantum
+    counts = [(k * quantum, raw.get(k * quantum, 0))
+              for k in range(int(max_norm / quantum) + 1)]
     extra = {k: c for k, c in raw.items() if c and k % quantum != 0}
     if extra:
         raise LatticeError(f"counts off the norm grid: {extra}")
@@ -381,17 +385,17 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
 
 
 def lattice_properties(lat: LatticeDescription) -> dict:
-    """even / unimodular flags plus minimum squared norm, kissing number and
-    density, from one count of the shortest vectors."""
+    """even (every squared length in 2Z) / unimodular flags plus minimum
+    squared norm, kissing number and density, from one count of the
+    shortest vectors."""
     n = lat.dimension
-    even = (mat_is_integral(lat.gram)
-            and all(frac(lat.gram[i][i]) % 2 == 0 for i in range(n)))
     # some basis vector realizes the smallest diagonal entry, so the minimum
     # is found within that cutoff
     cutoff = min(frac(lat.gram[i][i]) for i in range(n))
     table = vectors_by_norm(lat, cutoff)
     nonzero = [(v, c) for v, c in table.counts if v > 0 and c > 0]
     min_norm, kissing = nonzero[0]
-    return {"even": even, "unimodular": lat.is_unimodular(),
+    return {"even": lat.norm_quantum() % 2 == 0,
+            "unimodular": lat.is_unimodular(),
             "min_sq_norm": min_norm, "kissing": kissing,
             "density": ball_volume(n, frac(min_norm) / 4) / covolume(lat)}

@@ -424,7 +424,6 @@ def test_poisson_e8_off_symmetric_width():
     assert res["residual"] <= 1e-8
 
 
-@pytest.mark.slow
 def test_poisson_leech():
     res = poisson_check(standard_lattice("leech"), Fraction(1), 12)
     assert res["residual"] <= 1e-8

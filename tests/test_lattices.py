@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,13 +7,14 @@ import mpmath as mp
 import pytest
 
 from packbound import codes, exact, lattices
-from packbound.certify import poisson_check
-from packbound.codes import golay24, hamming8, zero_code
+from packbound.certify import CertifyError, poisson_check
+from packbound.codes import BinaryCode, golay24, hamming8, zero_code
 from packbound.exact import integer_scaled, sqrt_decompose
 from packbound.lattices import (
     EnumerationBudgetError, LatticeError, SymbolicVolume,
-    _build_leech_from_shift, _make_lattice, ball_volume, construction_a,
-    covolume, density, lattice_properties, standard_lattice, vectors_by_norm,
+    _build_leech_from_shift, _count_cosets, _make_lattice, ball_volume,
+    construction_a, covolume, density, lattice_properties, standard_lattice,
+    vectors_by_norm,
 )
 from packbound.qseries import QSeries, eisenstein, theta01
 from packbound.simplex import _adjugate
@@ -217,6 +220,78 @@ def test_built_lattice_runs_no_elimination_or_enumeration(monkeypatch):
         assert covolume(lat).rational_value() == 1
         assert lattice_properties(lat)["unimodular"]
         assert poisson_check(lat, 1, 6)["residual"] < 1e-3
+    # the norm quantum and unimodularity are read, not derived again from
+    # the Gram matrix: a copy of E8 that stores quantum 1 and unimodular
+    # False gets a table on the integers and a refused Poisson check
+    doctored = dataclasses.replace(built[1], quantum=Fraction(1),
+                                   unimodular=False)
+    assert vectors_by_norm(doctored, 4).as_dict() == {
+        0: 1, 1: 0, 2: 240, 3: 0, 4: 2160}
+    with pytest.raises(CertifyError, match="unimodular"):
+        poisson_check(doctored, 1, 6)
+
+
+def _count_by_weight_class(n, cosets, max_norm):
+    """Reference counter: F1^w F0^(n-w) built from scratch for each weight
+    class w of the code, times its multiplicity."""
+    weights, modulus, denom, parts, sum_mod = cosets
+    limit = int(denom * max_norm)
+    counts = {}
+    for offset, step, target in parts:
+        factors = []
+        for bit in (0, 1):
+            residue = (offset + step * bit) % modulus
+            factor = {}
+            for m in range(-math.isqrt(limit), math.isqrt(limit) + 1):
+                if m % modulus == residue:
+                    key = (m * m, m % sum_mod)
+                    factor[key] = factor.get(key, 0) + 1
+            factors.append(factor)
+        for w, mult in weights.counts:
+            state = {(0, 0): 1}
+            for factor in [factors[1]] * w + [factors[0]] * (n - w):
+                nxt = {}
+                for (e, s), cval in state.items():
+                    for (de, dm), fcnt in factor.items():
+                        if e + de <= limit:
+                            key = (e + de, (s + dm) % sum_mod)
+                            nxt[key] = nxt.get(key, 0) + cval * fcnt
+                state = nxt
+            for (e, s), cval in state.items():
+                if s == target % sum_mod:
+                    key = Fraction(e, denom)
+                    counts[key] = counts.get(key, 0) + mult * cval
+    return counts
+
+
+@pytest.mark.parametrize("lat, top", [
+    *((standard_lattice("zn", n), 24) for n in (*range(1, 9), 24)),
+    (standard_lattice("e8"), 64), (standard_lattice("l24"), 24),
+    (standard_lattice("leech"), 24), (_build_leech_from_shift(2), 24),
+], ids=[*(f"z{n}" for n in (*range(1, 9), 24)), "e8", "l24", "leech",
+        "leech-scale-2"])
+def test_horner_counts_match_the_weight_class_counts(lat, top):
+    for cutoff in range(0, top + 1, 2):
+        assert _count_cosets(lat.dimension, lat.counting, Fraction(cutoff)) \
+            == _count_by_weight_class(lat.dimension, lat.counting,
+                                      Fraction(cutoff)), cutoff
+
+
+@pytest.mark.parametrize("code", [
+    BinaryCode(4, 1, (0b1111,)), BinaryCode(3, 2, (0b011, 0b110)),
+], ids=["repetition-4", "even-weight-3"])
+def test_gapped_enumerators_match_a_box_enumeration(code):
+    # a_1 = a_2 = a_3 = 0 below the top weight 4, and a top weight 2 below
+    # the length 3: Construction A holds x / sqrt(2) with x mod 2 in the
+    # code, so squared length 6 bounds |x_i| by 3
+    n, words = code.length, set(code.codewords())
+    expected = {}
+    for x in itertools.product(range(-3, 4), repeat=n):
+        norm = Fraction(sum(v * v for v in x), 2)
+        if norm <= 6 and sum((v % 2) << i for i, v in enumerate(x)) in words:
+            expected[norm] = expected.get(norm, 0) + 1
+    table = vectors_by_norm(construction_a(code), 6).as_dict()
+    assert {v: c for v, c in table.items() if c} == expected
 
 
 def test_counts_are_centrally_symmetric():
