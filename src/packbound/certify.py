@@ -1,5 +1,6 @@
 """Verification: the certificate, a claim with the log of the steps that
-check it; Poisson summation residuals with explicit tails; and the
+check it; Poisson summation residuals with explicit tails, each side one
+theta polynomial in x = exp(-rate quantum) over the shell counts; and the
 composite certificate for the optimal test functions.
 
 Every certificate step is labeled ``exact`` (rational arithmetic all the
@@ -10,7 +11,6 @@ bounds).  A certificate verifies only if every step passed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -76,46 +76,46 @@ class Certificate:
 _POISSON_DPS = 40
 
 
-def _shell_count_bound(lat: LatticeDescription, table, quantum):
-    """Envelope n(v) <= C * (v/quantum)^p valid beyond the computed range.
+def _shell_count_bound(lat: LatticeDescription, table):
+    """Envelope n(k quantum) <= C k^p, with integer p, valid beyond the
+    computed range.
 
-    For Z^n (identity Gram matrix) the crude ball bound 3^n (v)^~(n/2) is
+    For Z^n (identity Gram matrix) the crude ball bound 3^n k^ceil(n/2) is
     proven; for the modular-form lattices the divisor-sum structure gives
     degree n/2 - 1, fitted with margin on the computed range.
     """
     n = lat.dimension
+    p = (n + 1) // 2
     if all(lat.gram[i][j] == (i == j) for i in range(n) for j in range(n)):
-        return Fraction(3) ** n, Fraction(n, 2)
-    p = Fraction(n, 2) - 1
-    c = Fraction(1)
-    for v, cnt in table.counts:
-        if v > 0 and cnt > 0:
-            need = Fraction(cnt) / (frac(v) / quantum) ** math.ceil(p)
-            c = max(c, need)
-    return 4 * c, Fraction(math.ceil(p))
+        return Fraction(3) ** n, p
+    p -= 1
+    c = max([Fraction(1)] + [Fraction(cnt, k ** p) for k, (_, cnt)
+                             in enumerate(table.counts) if k and cnt])
+    return 4 * c, p
 
 
-def _lattice_sum(table, rate):
-    """sum counts(v) * exp(-rate * v) over the table."""
-    total = mp.mpf(0)
-    for v, cnt in table.counts:
-        if cnt:
-            total += cnt * mp.exp(-rate * mp.mpf(v.numerator) / v.denominator)
-    return total
+def _poisson_side(table, quantum, c, p, rate):
+    """(head, tail) of sum_v n(v) exp(-rate v) over the lattice, split at
+    the table's cutoff K quantum.  The table has a row n(k quantum) for
+    every k <= K, so the head is a polynomial in x = exp(-rate quantum),
+    summed by Horner's rule.  The tail bounds the shells beyond K through
+    the envelope n(k quantum) <= C k^p and k^p <= K^p e^(p (k - K) / K)
+    for k >= K, a geometric series:
 
+        C K^p x^(K+1) e^(p/K) / (1 - x e^(p/K)),
 
-def _tail_bound(c, p, quantum, cutoff_norm, rate):
-    """Bound sum_{v > cutoff, v in quantum*Z} C (v/q)^p exp(-rate v)."""
-    g = mp.mpf(quantum.numerator) / quantum.denominator
-    m = mp.mpf(cutoff_norm.numerator) / cutoff_norm.denominator
+    infinite when x e^(p/K) >= 1."""
+    x = mp.exp(-rate * mp.mpf(quantum.numerator) / quantum.denominator)
+    head = mp.mpf(0)
+    for _, cnt in reversed(table.counts):
+        head = head * x + cnt
+    top = len(table.counts) - 1
+    growth = mp.exp(mp.mpf(p) / top)
+    if x * growth >= 1:
+        return head, mp.inf
     cf = mp.mpf(c.numerator) / c.denominator
-    pf = math.ceil(p)
-    # (v/q)^p <= (m/q)^p exp(p (v-m) / m) for v >= m
-    ratio = mp.exp(-(rate - pf / m) * g)
-    if ratio >= 1:
-        return mp.inf
-    first = cf * (m / g) ** pf * mp.exp(-(rate) * (m + g) + pf * g / m)
-    return first / (1 - ratio)
+    return head, (cf * top ** p * x ** (top + 1) * growth
+                  / (1 - x * growth))
 
 
 def poisson_check(lat: LatticeDescription, sigma, cutoff: int) -> dict:
@@ -124,7 +124,8 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int) -> dict:
 
     ``cutoff`` counts in theta-series index r (squared length 2r); both the
     lattice sum and the dual sum are truncated there, and explicit Gaussian
-    tail bounds are folded into the reported residual.
+    tail bounds are folded into the reported residual.  Both sides read one
+    count table, each as its theta polynomial (`_poisson_side`).
     """
     try:
         sigma = frac(sigma)
@@ -132,26 +133,23 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int) -> dict:
         raise CertifyError(f"sigma is not a rational number: {exc}") from exc
     if sigma <= 0 or cutoff < 1:
         raise CertifyError("sigma must be positive and cutoff at least 1")
-    if not lat.is_unimodular():
+    if not lat.unimodular:
         raise CertifyError(
             f"the Poisson check needs a unimodular lattice; "
             f"{lat.name or 'this one'} has Gram determinant {lat.gram_det}")
-    max_norm = Fraction(2 * cutoff)
     with mp.workdps(_POISSON_DPS + 10):
-        table = vectors_by_norm(lat, max_norm)
-        quantum = lat.norm_quantum()
-        rate_g = mp.pi / (mp.mpf(sigma.numerator) / sigma.denominator) ** 2
-        rate_gh = mp.pi * (mp.mpf(sigma.numerator) / sigma.denominator) ** 2
-        sig_n = (mp.mpf(sigma.numerator) / sigma.denominator) ** lat.dimension
-        s_lat = _lattice_sum(table, rate_g)
-        s_dual = sig_n * _lattice_sum(table, rate_gh)
-        c, p = _shell_count_bound(lat, table, quantum)
-        tail_lat = _tail_bound(c, p, quantum, max_norm, rate_g)
-        tail_dual = sig_n * _tail_bound(c, p, quantum, max_norm, rate_gh)
-        residual = abs(s_lat - s_dual) + tail_lat + tail_dual
+        table = vectors_by_norm(lat, Fraction(2 * cutoff))
+        c, p = _shell_count_bound(lat, table)
+        s = mp.mpf(sigma.numerator) / sigma.denominator
+        sig_n = s ** lat.dimension
+        s_lat, tail_lat = _poisson_side(table, lat.quantum, c, p,
+                                        mp.pi / s ** 2)
+        s_dual, tail_dual = (sig_n * v for v in _poisson_side(
+            table, lat.quantum, c, p, mp.pi * s ** 2))
+        difference = abs(s_lat - s_dual)
         return {
-            "residual": residual,
-            "difference": abs(s_lat - s_dual),
+            "residual": difference + tail_lat + tail_dual,
+            "difference": difference,
             "tail_lattice": tail_lat,
             "tail_dual": tail_dual,
             "cutoff": cutoff,

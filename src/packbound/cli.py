@@ -29,7 +29,7 @@ from .codes import (
     CodeError, code_properties, golay24, hamming8, weight_enumerator,
 )
 from .lattices import (
-    LatticeError, covolume, density, lattice_properties,
+    LatticeError, covolume, lattice_properties,
     standard_lattice, vectors_by_norm,
 )
 from .qseries import QSeriesError, named_form
@@ -258,7 +258,8 @@ def _cmd_lpbound(args, cfg):
                    "feasible": res["feasible"]}
         key = "estimate"
     if dim in (8, 24) and key:
-        opt = density(standard_lattice("e8" if dim == 8 else "leech"))
+        opt = lattice_properties(
+            standard_lattice("e8" if dim == 8 else "leech"))["density"]
         payload[f"{key}_over_optimal"] = payload[key] / opt.to_float()
     return code, {"text": "\n".join(f"{k}: {v}" for k, v in payload.items()),
                   "json": payload}

@@ -171,19 +171,12 @@ class LatticeDescription:
     dimension: int
     gram: tuple          # rows of Fractions
     gram_det: Fraction   # det(gram), fixed when the lattice is built
-    quantum: Fraction    # norm_quantum(), fixed when the lattice is built
-    unimodular: bool     # is_unimodular(), fixed when the lattice is built
+    # rational g with every squared vector length in g*Z: the gcd of the
+    # diagonal and of twice the off-diagonal Gram entries
+    quantum: Fraction
+    unimodular: bool     # integral with determinant 1: its own dual
     name: str = ""
     counting: Cosets = None  # None: no vector counts
-
-    def is_unimodular(self) -> bool:
-        """Integral with determinant 1: the lattice is its own dual."""
-        return self.unimodular
-
-    def norm_quantum(self) -> Fraction:
-        """Rational g with every squared vector length in g*Z: the gcd of
-        the diagonal and of twice the off-diagonal Gram entries."""
-        return self.quantum
 
 
 def _make_lattice(rows, scale_exp, name="", counting=None):
@@ -296,17 +289,12 @@ def standard_lattice(name: str, n: int = None) -> LatticeDescription:
 
 
 # ---------------------------------------------------------------------------
-# Covolume, density
+# Covolume
 # ---------------------------------------------------------------------------
 
 def covolume(lat: LatticeDescription) -> SymbolicVolume:
     """sqrt(det(gram)), exact (rational times a square root)."""
     return SymbolicVolume.from_sqrt(lat.gram_det)
-
-
-def density(lat: LatticeDescription) -> SymbolicVolume:
-    """Ball of radius r1/2 over the covolume."""
-    return lattice_properties(lat)["density"]
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +363,7 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
         raise LatticeError(f"{lat.name or 'this lattice'}: no coset data "
                            f"to count its vectors")
     raw = _count_cosets(lat.dimension, lat.counting, max_norm)
-    quantum = lat.norm_quantum()
+    quantum = lat.quantum
     counts = [(k * quantum, raw.get(k * quantum, 0))
               for k in range(int(max_norm / quantum) + 1)]
     extra = {k: c for k, c in raw.items() if c and k % quantum != 0}
@@ -395,7 +383,6 @@ def lattice_properties(lat: LatticeDescription) -> dict:
     table = vectors_by_norm(lat, cutoff)
     nonzero = [(v, c) for v, c in table.counts if v > 0 and c > 0]
     min_norm, kissing = nonzero[0]
-    return {"even": lat.norm_quantum() % 2 == 0,
-            "unimodular": lat.is_unimodular(),
+    return {"even": lat.quantum % 2 == 0, "unimodular": lat.unimodular,
             "min_sq_norm": min_norm, "kissing": kissing,
             "density": ball_volume(n, frac(min_norm) / 4) / covolume(lat)}

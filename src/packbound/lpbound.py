@@ -344,12 +344,16 @@ def _positive_maxima(poly, lo):
 
 def sampled_lp(n: int, d: int):
     """Minimize p(0) = f(0) over b >= 0 with p(pi r^2) < 0 at the radii of
-    default_samples(), by exact dual simplex, then check the solution with
-    verify_lp on [PI_LO, inf).  While the check fails, add a sample near
-    every maximum of p where p > 0 (`_positive_maxima`) and solve again, for
-    at most REFINE_ROUNDS more rounds.  Each round after the first starts the
-    simplex from the previous optimal basis, which the added rows leave
-    dual feasible, so it takes a pivot or two, not a cold solve.
+    default_samples(), by exact dual simplex.  After each solve, add a
+    sample near every maximum of p where p > 0 on [PI_LO, inf)
+    (`_positive_maxima`) and solve again; stop at the first round that adds
+    no sample, or after REFINE_ROUNDS more rounds.  Each round after the
+    first starts the simplex from the previous optimal basis, which the
+    added rows leave dual feasible, so it takes a pivot or two, not a cold
+    solve.  verify_lp then checks the final solution once.  A round adds
+    nothing whenever that check would pass: p < 0 on [PI_LO, inf) leaves
+    no maximum with p > 0, no positive p(PI_LO) and a negative leading
+    coefficient, so the proof needs no run in the rounds before.
 
     The result carries `bound` only when the check passed and `estimate`
     otherwise; an LP without solution carries neither, with
@@ -403,14 +407,14 @@ def sampled_lp(n: int, d: int):
         basis = sol["basis"]
         cert = LpCertificate(n, d, tuple(x * s for x, s in
                                          zip(sol["x"], scales)), PI_LO)
-        proved = verify_lp(cert).status == "verified"
-        if proved or round_no == REFINE_ROUNDS:
+        if round_no == REFINE_ROUNDS:
             break
         added = [y for y in _positive_maxima(cert.polynomial(), PI_LO)
                  if add_sample(y)]
         if not added:
             break
         report["added"] += [math.sqrt(y / math.pi) for y in added]
+    proved = verify_lp(cert).status == "verified"
     p0 = 1 + sol["objective"]
     report.update(feasible=proved, samples_used=len(rows))
     return {

@@ -422,12 +422,10 @@ def _minus_kernel(n: int, ta: QSeries, tb: QSeries) -> QSeries:
         s = ((ta ** 12) * (tb ** 8) * 5
              + (ta ** 16) * (tb ** 4) * 5
              + (ta ** 20) * 2) / dlt
-    elif n == 24:
+    else:
         s = ((ta ** 20) * (tb ** 8) * 7
              + (ta ** 24) * (tb ** 4) * 7
              + (ta ** 28) * 2) / dlt ** 2
-    else:
-        raise QSeriesError("dimension must be 8 or 24")
     return _fit_envelope(s, _psi_envelope_scale(n))
 
 

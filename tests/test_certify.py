@@ -16,7 +16,9 @@ from packbound.exact import (
     poly_primitive, poly_trim, sturm_chain, sturm_count, sturm_roots,
 )
 from packbound.codes import zero_code
-from packbound.lattices import construction_a, standard_lattice
+from packbound.lattices import (
+    construction_a, standard_lattice, vectors_by_norm,
+)
 from packbound.magic import MagicError
 from packbound.qseries import CertifiedValue
 
@@ -288,7 +290,7 @@ def test_sturm_roots_match_fraction_bisection_in_the_lp(monkeypatch):
     from packbound.lpbound import PI_LO
 
     seen = _lp_searches(monkeypatch, 8, 30)
-    assert len(seen) == 7 and all(lo == PI_LO for _, lo in seen)
+    assert len(seen) == 8 and all(lo == PI_LO for _, lo in seen)
     for poly, lo in seen:
         for q in (poly, poly_deriv(poly)):
             assert sturm_roots(q, lo) == bisection_roots(q, lo)
@@ -355,7 +357,7 @@ def test_sturm_chain_matches_fraction_remainders(monkeypatch):
             assert sturm_chain(case) == fraction_chain(case), case
     lp = (_lp_searches(monkeypatch, 8, 30)
           + _lp_searches(monkeypatch, 24, 30, Fraction(5, 2)))
-    assert len(lp) == 7 + 9
+    assert len(lp) == 8 + 10
     for p, _ in lp:
         for q in (p, poly_deriv(p)):
             assert sturm_chain(q) == fraction_chain(q), q
@@ -434,6 +436,91 @@ def test_poisson_residual_decreases_with_cutoff():
     r1 = poisson_check(z8, Fraction(1), 10)["residual"]
     r2 = poisson_check(z8, Fraction(1), 20)["residual"]
     assert r2 < r1
+
+
+def _lattice_sum(table, rate):
+    """Reference head: sum counts(v) * exp(-rate * v), one exp per shell."""
+    total = mp.mpf(0)
+    for v, cnt in table.counts:
+        if cnt:
+            total += cnt * mp.exp(-rate * mp.mpf(v.numerator) / v.denominator)
+    return total
+
+
+def _shell_count_bound(lat, table, quantum):
+    """Reference envelope n(v) <= C (v/quantum)^p, p a Fraction."""
+    n = lat.dimension
+    if all(lat.gram[i][j] == (i == j) for i in range(n) for j in range(n)):
+        return Fraction(3) ** n, Fraction(n, 2)
+    p = Fraction(n, 2) - 1
+    c = Fraction(1)
+    for v, cnt in table.counts:
+        if v > 0 and cnt > 0:
+            need = Fraction(cnt) / (exact.frac(v) / quantum) ** math.ceil(p)
+            c = max(c, need)
+    return 4 * c, Fraction(math.ceil(p))
+
+
+def _tail_bound(c, p, quantum, cutoff_norm, rate):
+    """Reference tail: sum_{v > cutoff, v in quantum*Z} C (v/q)^p
+    exp(-rate v), bounded through (v/q)^p <= (m/q)^p exp(p (v-m) / m)."""
+    g = mp.mpf(quantum.numerator) / quantum.denominator
+    m = mp.mpf(cutoff_norm.numerator) / cutoff_norm.denominator
+    cf = mp.mpf(c.numerator) / c.denominator
+    pf = math.ceil(p)
+    # (v/q)^p <= (m/q)^p exp(p (v-m) / m) for v >= m
+    ratio = mp.exp(-(rate - pf / m) * g)
+    if ratio >= 1:
+        return mp.inf
+    first = cf * (m / g) ** pf * mp.exp(-(rate) * (m + g) + pf * g / m)
+    return first / (1 - ratio)
+
+
+_POISSON_LATTICES = [("e8", None), ("leech", None), ("l24", None)] + [
+    ("zn", n) for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("name, n", _POISSON_LATTICES,
+                         ids=[f"{a}{b or ''}" for a, b in _POISSON_LATTICES])
+def test_poisson_side_matches_the_shell_by_shell_sums(name, n):
+    # the Horner head and the tail in k and x agree with one exp per shell
+    # and the tail in v, within 1e-45 relative, at both rates; the envelope
+    # read in k is the one read in v
+    lat = standard_lattice(name, n)
+    with mp.workdps(certify_mod._POISSON_DPS + 10):
+        for cutoff in (1, 12, 25):
+            max_norm = Fraction(2 * cutoff)
+            table = vectors_by_norm(lat, max_norm)
+            c, p = certify_mod._shell_count_bound(lat, table)
+            ref_c, ref_p = _shell_count_bound(lat, table, lat.quantum)
+            assert (c, p) == (ref_c, math.ceil(ref_p))
+            for sigma in (1, Fraction(4, 5), Fraction(1, 2), Fraction(3, 2),
+                          Fraction(7, 3)):
+                s = mp.mpf(sigma.numerator) / sigma.denominator
+                for rate in (mp.pi / s ** 2, mp.pi * s ** 2):
+                    head, tail = certify_mod._poisson_side(
+                        table, lat.quantum, c, p, rate)
+                    ref_head = _lattice_sum(table, rate)
+                    ref_tail = _tail_bound(ref_c, ref_p, lat.quantum, max_norm,
+                                           rate)
+                    where = (cutoff, sigma, rate)
+                    assert abs(head - ref_head) <= 1e-45 * ref_head, where
+                    assert tail == ref_tail or (
+                        abs(tail - ref_tail) <= 1e-45 * ref_tail), where
+
+
+def test_poisson_check_takes_four_exps(monkeypatch):
+    # one exp per side for the head and one for the tail, however many
+    # shells the table holds
+    calls = []
+    exp = mp.exp
+    monkeypatch.setattr(mp, "exp", lambda x: (calls.append(x), exp(x))[1])
+    for lat, cutoff in ((standard_lattice("e8"), 25),
+                        (standard_lattice("leech"), 12),
+                        (standard_lattice("zn", 8), 25)):
+        calls.clear()
+        assert poisson_check(lat, Fraction(4, 5), cutoff)["residual"] < 1e-8
+        assert len(calls) <= 4, lat.name
 
 
 # -- composite certificate ------------------------------------------------------

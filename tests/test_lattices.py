@@ -13,7 +13,7 @@ from packbound.exact import integer_scaled, sqrt_decompose
 from packbound.lattices import (
     EnumerationBudgetError, LatticeError, SymbolicVolume,
     _build_leech_from_shift, _count_cosets, _make_lattice, ball_volume,
-    construction_a, covolume, density, lattice_properties, standard_lattice,
+    construction_a, covolume, lattice_properties, standard_lattice,
     vectors_by_norm,
 )
 from packbound.qseries import QSeries, eisenstein, theta01
@@ -139,19 +139,19 @@ def test_leech_accepted_shift_is_validated():
 
 def test_zn_density_is_one():
     z1 = standard_lattice("zn", 1)
-    d = density(z1)
+    d = lattice_properties(z1)["density"]
     assert d.is_rational() and d.rational_value() == 1
 
 
 def test_e8_density():
-    d = density(standard_lattice("e8"))
+    d = lattice_properties(standard_lattice("e8"))["density"]
     assert d.coefficient == Fraction(1, 384) and d.pi_power == 4
     assert str(d) == "pi^4/384"
     assert abs(d.to_float() - 0.2536695079) < 1e-9
 
 
 def test_leech_density():
-    d = density(standard_lattice("leech"))
+    d = lattice_properties(standard_lattice("leech"))["density"]
     assert d.coefficient == Fraction(1, 479001600) and d.pi_power == 12
 
 
@@ -311,7 +311,7 @@ def test_zn2_properties():
     lat = _make_lattice([[2, 0], [0, 1]], 1)
     assert lat.gram == ((2, 0), (0, Fraction(1, 2)))
     assert lat.gram_det == 1
-    assert lat.is_unimodular() is False
+    assert lat.unimodular is False
 
 
 def test_coset_counts_match_theta_series():
@@ -339,7 +339,7 @@ def test_coset_counts_match_theta_series():
 ], ids=["z2", "z24", "e8", "l24", "leech", "sqrt2-z", "rotated-z2",
         "non-integral"])
 def test_norm_quantum(lat, quantum):
-    assert lat.norm_quantum() == quantum
+    assert lat.quantum == quantum
 
 
 def test_lattice_without_coset_data_is_refused():

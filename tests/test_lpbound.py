@@ -256,6 +256,36 @@ def test_sampled_lp_certified_from_the_plain_grid():
     assert res["feasible_report"]["rounds"] == 8
 
 
+def test_sampled_lp_proves_once(monkeypatch):
+    # the refinement stops at the first round that adds no sample, and the
+    # Sturm proof runs once, on the final certificate
+    calls = []
+    verify = lpbound.verify_lp
+    monkeypatch.setattr(lpbound, "verify_lp",
+                        lambda cert: (calls.append(cert), verify(cert))[1])
+    res = sampled_lp(8, 30)
+    assert res["certificate_status"] == "sturm-certified"
+    assert res["feasible_report"]["rounds"] == 8
+    assert calls == [res["certificate"]]
+    # a run stopped by the round cap is decided by that one proof too
+    calls.clear()
+    capped = sampled_lp(12, 20)
+    assert capped["feasible_report"]["rounds"] == lpbound.REFINE_ROUNDS + 1
+    assert capped["certificate_status"] == "uncertified"
+    assert "bound" not in capped and capped["estimate"] > 0
+    assert calls == [capped["certificate"]]
+
+
+def test_sampled_lp_round_without_samples_is_not_a_proof(monkeypatch):
+    # a round that adds no sample ends the loop but proves nothing: with no
+    # maxima reported, the first solve, positive between samples (see the
+    # test below), stays uncertified
+    monkeypatch.setattr(lpbound, "_positive_maxima", lambda poly, lo: [])
+    res = sampled_lp(8, 30)
+    assert res["feasible_report"]["rounds"] == 1
+    assert res["certificate_status"] == "uncertified" and "bound" not in res
+
+
 def test_sampled_lp_one_round_bump_refuted(monkeypatch):
     # the first solve's f is positive between samples: on r in
     # (1.5157, 1.5493), where a check on a grid of step 1/256 once passed a

@@ -83,6 +83,44 @@ def test_src_has_no_unused_parameters(path):
             if not _shared_handler_signature(path, name, param)] == []
 
 
+def attribute_getters(source: str) -> list:
+    """(line, function) for each def in source whose whole body, after an
+    optional docstring, is `return self.<attr>`: a field read through a
+    call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (len(body) > 1 and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                body = body[1:]
+            ret = body[0]
+            if (len(body) == 1 and isinstance(ret, ast.Return)
+                    and isinstance(ret.value, ast.Attribute)
+                    and isinstance(ret.value.value, ast.Name)
+                    and ret.value.value.id == "self"):
+                found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_attribute_getters_finds_a_stored_field_behind_a_call():
+    source = ("class L:\n    def is_unimodular(self):\n"
+              "        'Its own dual.'\n        return self.unimodular\n"
+              "    def quantum(self):\n        return self.q\n"
+              "    def doc(self):\n        'only a docstring'\n"
+              "    def table(self):\n        return dict(self.rows)\n"
+              "    def other(self, x):\n        return x.q\n"
+              "    def nested(self):\n        return self.a.b\n")
+    assert attribute_getters(source) == [(2, "is_unimodular"), (5, "quantum")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_src_reads_fields_without_getters(path):
+    assert attribute_getters(path.read_text()) == []
+
+
 def _passes(call, index, param) -> bool:
     """Whether call passes the parameter at positional index (None for a
     keyword-only one) named param; a *args or **kwargs passes every one."""
