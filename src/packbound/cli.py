@@ -29,7 +29,7 @@ from .codes import (
     CodeError, code_properties, golay24, hamming8, weight_enumerator,
 )
 from .lattices import (
-    LatticeError, covolume, lattice_properties,
+    LatticeError, ball_volume, covolume, lattice_properties,
     standard_lattice, vectors_by_norm,
 )
 from .qseries import QSeriesError, named_form
@@ -258,8 +258,8 @@ def _cmd_lpbound(args, cfg):
                    "feasible": res["feasible"]}
         key = "estimate"
     if dim in (8, 24) and key:
-        opt = lattice_properties(
-            standard_lattice("e8" if dim == 8 else "leech"))["density"]
+        # E8 and Leech: covolume 1, minimal squared norm 2 and 4
+        opt = ball_volume(dim, Fraction(2 if dim == 8 else 4, 4))
         payload[f"{key}_over_optimal"] = payload[key] / opt.to_float()
     return code, {"text": "\n".join(f"{k}: {v}" for k, v in payload.items()),
                   "json": payload}

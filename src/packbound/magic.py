@@ -44,19 +44,19 @@ integer dot product per side, with a proven truncation term (see
 turn the integrand into u^(-n/2) * (decaying series) * e^(-pi r^2 / u),
 integrated by 64-point Gauss-Legendre panels with a proven Bernstein-ellipse
 error bound, one constant per kernel for every radius (see `_uside_kernels`).
-At spec build each series is summed at every node as an integer dot product
-of its exact coefficients with the powers of y = e^(-pi u/4), held in a
-wider fixed point with a proven round-off bound (see `_NodeSeries`).  Both
+One table-driven fixed-point exponential serves every node at once, with
+no exp per node (`_exp_fixed`).  At spec build it gives y = e^(-pi u/4)
+for the powers with which each series is an integer dot product of its
+exact coefficients, with a proven round-off bound (see `_NodeSeries`); both
 kernels share one node set, where e^(-pi r^2 / u) and the weighted
 integrand values are held in the same fixed point, so each quadrature sum
-is an exact integer dot product.  A radius is anchored at all nodes at once
-by a table-driven fixed-point exponential, with no exp per node (see
+is an exact integer dot product.  It anchors a radius at all nodes (see
 `_anchor`); on an arithmetic grid r_k = r0 + k h, `sweep` takes three
 anchors once and then two integer products per node and radius (see
 `_decays`).  The u-side error carries proven round-off terms for the node
 values (in the series error), their truncation and the decays' 2 (k + 2)^2
 units.  `pair(r)` is a one-radius sweep.  Series truncation tails ride
-along from the coefficient envelopes.
+along from the coefficient envelopes, node by node up to a proven cut.
 
 Even squared radii
 ------------------
@@ -79,7 +79,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import accumulate, repeat
 from operator import mul
 
 import mpmath as mp
@@ -344,6 +345,36 @@ def _exp_tables(prec):
     return _EXP_TABLES[prec]
 
 
+def _exp_fixed(scale, ws, prec, guard):
+    """e^(-scale w) for an mpf scale >= 0 and each integer w >= 0 of `ws`
+    (w scaled by 2^prec), as integers scaled by 2^(prec - guard): one
+    table-driven fixed-point exponential over the whole list (Tang, ACM TOMS
+    15 (1989)).
+
+    In units of 2^-prec, from the argument a = floor(S w), S the truncated
+    scale (the callers bound a's own error): with a = k LN2 + rem, LN2 =
+    ln2_fixed(prec) within 2 units moves 2^-k e^(-rem) by 2k 2^-k <= 1.
+    The top 32 bits of rem < 1 index the tables of `_exp_tables`; e^(-t)
+    for the rest t < 2^-32 is a Horner sum through degree d = prec // 32,
+    within 2.01 units plus a tail t^(d+1)/(d+1)! under one.  The four table
+    products (factors at most 1, each floored) add 2.02 units each: 13 in
+    all before the last floor, by k + guard bits.
+    """
+    tables, coefs = _exp_tables(prec)
+    ln2 = ln2_fixed(prec)
+    s = _fixed(scale, prec)
+    split = [divmod(s * w >> prec, ln2) for w in ws]
+    low = (1 << prec - 32) - 1
+    ts = [rem & low for _, rem in split]
+    acc = [coefs[-1]] * len(ts)
+    for c in coefs[-2::-1]:
+        acc = [c - (t * e >> prec) for t, e in zip(ts, acc)]
+    for l, table in enumerate(tables, 1):
+        acc = [e * table[rem >> prec - 8 * l & 255] >> prec
+               for e, (_, rem) in zip(acc, split)]
+    return [e >> k + guard for e, (k, _) in zip(acc, split)]
+
+
 class _UsideKernel:
     """Gauss-Legendre data for int_1^inf u^(-p) Phi(iu) e^(-b/u) du.
 
@@ -387,12 +418,14 @@ class _NodeSeries:
     y^E, y = e^(-pi u/4), at the exponents E = E0 + g k of the union grid,
     held in a fixed point of F = fix + (bits of the largest |c_E|) +
     _GUARD_BITS bits, so each term's round-off stays below 2^-fix.
-    y^g and y^E0 are truncated from mpf values at F + 10 bits: rounding
-    the argument x moves e^-x by at most x e^-x 2^-(F+10) < 2^-(F+10), and
-    exp and the power add a few units of 2^-(F+10), so with the truncation
-    each is within 2 units of 2^-F.  A power P_(k+1) = P_k y^g >> F is
-    then within rho d_k + 4 units, d_k being P_k's error and rho = y^g <=
-    (Y + 2) 2^-F, Y the stored y^g: rho d_k from P_k, 2 from y^g's error
+    y^g and y^E0 come from one `_exp_fixed` each over all points u, in P =
+    F + G bits, G = L + 8 with u <= 2^L.  In units of 2^-P, the scale c =
+    pi g/4 (or pi E0/4) is rounded at P + 10 bits (moving e^(-c u) under
+    0.001) and u is exact, so a = floor(S u) is below c u by under u + 1,
+    which moves e^(-c u) by at most 1.01 (2^L + 1); the last floor leaves 1
+    + (15 + 1.01 2^L) 2^-G < 1.04 units of 2^-F.  A power P_(k+1) = P_k y^g >>
+    F is then within rho d_k + 4 units, d_k being P_k's error and rho = y^g
+    <= (Y + 2) 2^-F, Y the stored y^g: rho d_k from P_k, 2 from y^g's error
     against P_k <= 1, under 1 from the product of the two errors and under
     1 from the floor.  By induction every power is within d = 4 / (1 - rho)
     >= 2 units, and the dot product S of a series within d sum |c_E| units.
@@ -408,21 +441,23 @@ class _NodeSeries:
         self.prec = fix + max(abs(c).bit_length() for row in self.rows
                               for c in row) + _GUARD_BITS
 
-    def at(self, u):
-        """y = e^(-pi u/4) (an mpf) and, per series, (S, bound): the value
+    def at(self, us):
+        """Per point u > 0 of `us` and per series, (S, bound): the value
         scaled by 2^F and the bound on its round-off in units of 2^-F."""
         prec = self.prec
-        with mp.workprec(prec + 10):
-            y = mp.exp(-mp.pi * u / 4)
-            step = _fixed(y ** self.g, prec)
-            power = _fixed(y ** self.e0, prec)
-        powers = [power]
-        for _ in range(1, len(self.rows[0])):
-            power = power * step >> prec
-            powers.append(power)
-        d = -(-(4 << prec) // ((1 << prec) - step - 2))
-        return y, [(sum(map(mul, row, powers)), d * a)
-                   for row, a in zip(self.rows, self.abs_sums)]
+        guard = mp.mag(max(us)) + 8
+        ws = [_fixed(u, prec + guard) for u in us]
+        with mp.workprec(prec + guard + 10):
+            ys = {e: _exp_fixed(mp.pi * e / 4, ws, prec + guard, guard)
+                  for e in {self.g, self.e0}}
+        out = []
+        for step, power in zip(ys[self.g], ys[self.e0]):
+            row = list(accumulate(repeat(step, len(self.rows[0]) - 1),
+                                  lambda a, b: a * b >> prec, initial=power))
+            d = -(-(4 << prec) // ((1 << prec) - step - 2))
+            out.append([(sum(map(mul, coefs, row)), d * a)
+                        for coefs, a in zip(self.rows, self.abs_sums)])
+        return out
 
 
 # bits of the u-side series evaluation beyond fix + (bits of the largest
@@ -430,17 +465,34 @@ class _NodeSeries:
 _GUARD_BITS = 16
 
 
+def _cut_sum(terms, weights, fix):
+    """sum_i w_i t_i, mpf w_i >= 0, t_i >= 0 non-increasing and drawn lazily
+    from `terms`, up to the first i where t_i times the later weights' sum,
+    rounded up to units of 2^-fix, is at most 2^-64 of the sum so far: that
+    product bounds every later term, so it is added instead of them."""
+    rest = accumulate((_fixed(w, fix) + 1 for w in weights[:0:-1]),
+                      initial=0)
+    total = mp.mpf(0)
+    for w, t, r in zip(weights, terms, list(rest)[::-1]):
+        total += w * t
+        if (cut := t * mp.ldexp(r, -fix)) <= mp.ldexp(total, -64):
+            return total + cut
+    return total
+
+
 def _uside_kernels(series_list, p, dps):
     """One _UsideKernel per series, all on one node set.
 
     The panel breaks grow geometrically from 1 up to the u_max of the most
     slowly decaying series, so all kernels are cut at the same point (a
-    later cut only shrinks a faster kernel's tail bound).  At each node the
-    series are evaluated in the fixed point of `_NodeSeries`.  The weighted
-    value is floor(S W 2^-F), W the weight truncated to fix bits (under a
-    unit low): off by at most (b (W + 1) + |S|) 2^-F units of 2^-fix
-    before the floor (which `integral` counts), b being S's round-off bound.
-    Summed over all nodes, that is the round-off term of `series_err`.
+    later cut only shrinks a faster kernel's tail bound).  The series are
+    evaluated at all nodes at once in the fixed point of `_NodeSeries`.
+    The weighted value is floor(S W 2^-F), W the weight truncated to fix
+    bits (under a unit low): off by at most (b (W + 1) + |S|) 2^-F units of
+    2^-fix before the floor (which `integral` counts), b being S's
+    round-off bound.  Summed over all nodes, that is the round-off term of
+    `series_err`; its truncation term sums w u^-p times the envelope tail,
+    which falls in u (see `_cut_sum`).
 
     On a panel [a, b] the N-point rule is off by at most (b - a)/2 * 64 M /
     (15 (rho^2 - 1) rho^(2N - 2)) if |integrand| <= M on the ellipse with
@@ -466,51 +518,49 @@ def _uside_kernels(series_list, p, dps):
         while breaks[-1] < u_max:
             breaks.append(breaks[-1] * 2 + 1)
         breaks[-1] = u_max
+        panels = list(zip(breaks, breaks[1:]))
 
-        def tails(y):
-            # sum_{E >= trunc} |c_E| y^E by the envelopes, per series
-            return [s.envelope.tail_bound(s.trunc, y) for s in series_list]
-
-        def bound_phi(u):
-            y, sums = majorant.at(u)
-            return [mp.ldexp(s + b, -prec) + t
-                    for (s, b), t in zip(sums, tails(y))]
-
+        # sum_{E >= trunc} |c_E| y^E by the envelope, per series
+        y = cache(lambda u: mp.exp(-mp.pi * u / 4))
+        tails = [lambda u, s=s: s.envelope.tail_bound(s.trunc, y(u))
+                 for s in series_list]
+        # per series, |Phi(iz)| for Re z >= u at u = a/8, ..., 7a/8 of each
+        # panel [a, b] and at u_max
+        sigmas = [a * j / 8 for a, _ in panels for j in range(1, 8)] + [u_max]
+        bounds = [[mp.ldexp(s + b, -prec) + tail(u)
+                   for (s, b), tail in zip(sums, tails)]
+                  for u, sums in zip(sigmas, majorant.at(sigmas))]
         xs, ws = legendre_nodes(_ORDER, dps)
-        nodes = []
-        vals = [[] for _ in series_list]
-        series_err = [mp.mpf(0)] * len(series_list)
+        us, wus = [], []
         quad_err = [mp.mpf(0)] * len(series_list)
-        roundoff = [0] * len(series_list)
-        for a, b in zip(breaks, breaks[1:]):
+        for i, (a, b) in enumerate(panels):
             half = (b - a) / 2
             mid = (b + a) / 2
-            for x, w in zip(xs, ws):
-                u = mid + half * x
-                wu = w * half * u ** (-p)
-                weight = _fixed(wu, fix)
-                nodes.append(-1 / u)
-                y, phis = fixed.at(u)
-                for k, ((s, bound), tail) in enumerate(zip(phis, tails(y))):
-                    vals[k].append(s * weight >> prec)
-                    roundoff[k] += (bound * (weight + 1) + abs(s) >> prec) + 1
-                    # series truncation along the contour (e^(-b/u) <= 1)
-                    series_err[k] += wu * tail
+            us += [mid + half * x for x in xs]
+            wus += [w * half * u ** (-p) for w, u in zip(ws, us[-_ORDER:])]
             panel = [mp.inf] * len(series_list)
-            for sigma in (a * j / 8 for j in range(1, 8)):
+            for sigma, phi in zip(sigmas[7 * i:7 * i + 7], bounds[7 * i:]):
                 c = (mid - sigma) / half
                 rho = c + mp.sqrt(c * c - 1)
                 scale = half * 64 / (15 * (rho * rho - 1) * sigma ** p
                                      * rho ** (2 * _ORDER - 2))
-                panel = [min(e, scale * m)
-                         for e, m in zip(panel, bound_phi(sigma))]
+                panel = [min(e, scale * m) for e, m in zip(panel, phi)]
             quad_err = [q + e for q, e in zip(quad_err, panel)]
+        vals = [[] for _ in series_list]
+        roundoff = [0] * len(series_list)
+        for wu, sums in zip(wus, fixed.at(us)):
+            weight = _fixed(wu, fix)
+            for k, (s, bound) in enumerate(sums):
+                vals[k].append(s * weight >> prec)
+                roundoff[k] += (bound * (weight + 1) + abs(s) >> prec) + 1
+        nodes = [-1 / u for u in us]
         # contour tail beyond u_max: |Phi(iu)| <= A_U e^(-pi e1 (u-U)/4)
         return [_UsideKernel(nodes, fix, vals[k],
-                             series_err[k] + mp.ldexp(roundoff[k], -fix),
+                             _cut_sum(map(tails[k], us), wus, fix)
+                             + mp.ldexp(roundoff[k], -fix),
                              phi * u_max ** (-p) * 4 / (mp.pi * e1s[k]),
                              quad_err[k] * (1 + mp.mpf(2) ** -20))
-                for k, phi in enumerate(bound_phi(u_max))]
+                for k, phi in enumerate(bounds[-1])]
 
 
 class MagicFunctionSpec:
@@ -623,35 +673,14 @@ class MagicFunctionSpec:
 
     def _anchor(self, scale):
         """e^(-scale / u) at every node, scaled by 2^fix, for an mpf scale
-        s >= 0: one table-driven fixed-point exponential over all nodes in
-        P = fix + G bits (Tang, ACM TOMS 15 (1989)), within 1.04 units.
-
-        In units of 2^-P: the argument a = floor(S w), S the truncated s and
+        s >= 0: one `_exp_fixed` over all nodes in P = fix + G bits, within
+        1.04 units.  In units of 2^-P, a = floor(S w), S the truncated s and
         w = 1/u, is below s w by at most s + 2, which moves e^(-s w) by at
-        most 1.01 (2^L/e + 2) (s w >= s 2^-L).  With a = k LN2 + rem, LN2 =
-        ln2_fixed(P) within 2 units moves 2^-k e^(-rem) by 2k 2^-k <= 1.  The
-        top 32 bits of rem < 1 index the tables of `_exp_tables`; e^(-t) for
-        the rest t < 2^-32 is a Horner sum through degree d = P // 32, within
-        2.01 units plus a tail t^(d+1)/(d+1)! under one.  The four table
-        products (factors at most 1, each floored) add 2.02 units each: 13
-        in all.  The last floor, by k + G bits, leaves 1 + (13 + 2^(L+1))
-        2^-G < 1.04 units of 2^-fix.
+        most 1.01 (2^L/e + 2) (s w >= s 2^-L); so the last floor leaves 1 +
+        (13 + 2^(L+1)) 2^-G < 1.04 units of 2^-fix.
         """
         guard, inv_u = self._inv_u
-        prec = self.uside_plus.fix + guard
-        tables, coefs = _exp_tables(prec)
-        ln2 = ln2_fixed(prec)
-        s = _fixed(scale, prec)
-        split = [divmod(s * w >> prec, ln2) for w in inv_u]
-        low = (1 << prec - 32) - 1
-        ts = [rem & low for _, rem in split]
-        acc = [coefs[-1]] * len(ts)
-        for c in coefs[-2::-1]:
-            acc = [c - (t * e >> prec) for t, e in zip(ts, acc)]
-        for l, table in enumerate(tables, 1):
-            acc = [e * table[rem >> prec - 8 * l & 255] >> prec
-                   for e, (_, rem) in zip(acc, split)]
-        return [e >> k + guard for e, (k, _) in zip(acc, split)]
+        return _exp_fixed(scale, inv_u, self.uside_plus.fix + guard, guard)
 
     def _decays(self, r0, h, count):
         """e^(-pi r_k^2 / u) at the shared u-side nodes for r_k = r0 + k*h,

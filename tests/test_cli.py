@@ -257,6 +257,29 @@ def test_lpbound_sampled_ignores_precision(lp8_artifacts):
     assert docs[0]["certificate_status"] == "sturm-certified"
 
 
+def test_lpbound_reads_the_optimal_density_without_a_lattice(
+        lp8_artifacts, monkeypatch, capsys):
+    # the E8 density, pi^4/384, from a lattice build before the patch
+    e8 = lattices.lattice_properties(lattices.standard_lattice("e8"))
+
+    def no_lattice(*args):
+        raise AssertionError("lpbound run built a lattice")
+
+    monkeypatch.setattr(cli, "standard_lattice", no_lattice)
+    monkeypatch.setattr(lattices, "standard_lattice", no_lattice)
+    code, out = run(["--format", "json", "lpbound", "run", "--dim", "8",
+                     "--degree", "30"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["bound_over_optimal"] == (doc["bound"]
+                                         / e8["density"].to_float())
+    # the same document as the artifact written before the patch
+    artifact = json.loads(lp8_artifacts[30].read_text())
+    assert doc.pop("config")["precision"] == 60
+    artifact.pop("config")
+    assert doc == artifact
+
+
 def test_verify_lp_roundtrip(lp8_artifacts, capsys):
     code, out = run(["verify", "lp", "--cert", str(lp8_artifacts[30])],
                     capsys)

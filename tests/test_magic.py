@@ -14,7 +14,8 @@ from packbound.magic import (
     FEASIBILITY_CLAIM, MagicError, _NodeSeries, ce_bound_from_function,
     grid_count, legendre_nodes, magic_spec, taylor_quadratic,
 )
-from packbound.qseries import QSeries, conjugate_psi_minus, psi_forms
+from packbound.qseries import (Envelope, QSeries, conjugate_psi_minus,
+                               psi_forms, s_transform_terms)
 from series_terms import eigenfunction, radial_fourier_oracle
 
 
@@ -693,7 +694,7 @@ def test_uside_series_within_stated_roundoff(n, request):
     for v in spec.uside_plus.nodes[:magic._ORDER:2]:
         with mp.workdps(spec.dps + 10):
             u = -1 / v
-        _, values = fixed.at(u)
+        values, = fixed.at([u])
         with mp.workprec(fixed.prec + 300):
             y = mp.exp(-mp.pi * u / 4)
             for s, (got, bound) in zip(series, values):
@@ -824,6 +825,164 @@ def test_anchors_within_three_units(dps):
                 assert abs(e - exact) <= 3, (scale, v)
                 worst = max(worst, abs(e - exact))
     assert worst > 0.5  # the final floor does truncate
+
+
+def _spec_node_points(spec):
+    """u at every shared node, at the spec's working precision."""
+    with mp.workdps(spec.dps + 10):
+        return [-1 / v for v in spec.uside_plus.nodes]
+
+
+@pytest.mark.parametrize("dps", [10, 60, 200])
+def test_node_exponentials_within_stated_units(dps):
+    # y^E = e^(-pi E u/4) at every node, the first power of a one-term
+    # series (E = g = 1, and E0 = 4 with g = 1), against exp at 30 more
+    # digits
+    spec = magic_spec(8, dps=dps)
+    us = _spec_node_points(spec)
+    worst = 0
+    for e in (1, 4):
+        fixed = _NodeSeries([QSeries({e: 1}, e + 1)], spec.uside_plus.fix)
+        assert (fixed.e0, fixed.g) == (e, 1)
+        got = fixed.at(us)
+        with mp.workdps(dps + 40):
+            for u, [(value, bound)] in zip(us, got):
+                exact = mp.ldexp(mp.exp(-mp.pi * e * u / 4), fixed.prec)
+                assert abs(value - exact) <= 1.04, (e, u)
+                assert bound >= 2
+                worst = max(worst, abs(value - exact))
+    assert worst > 0.5  # the final floor does truncate
+
+
+def _boundary_remainders(prec):
+    """Remainders below ln 2 in units of 2^-prec: 0, one unit above it or
+    below ln 2, and table-index boundaries and one unit below each."""
+    rems = [0, 1, ln2_fixed(prec) - 1]
+    for l in range(1, 5):
+        step = 1 << prec - 8 * l
+        rems += [step, step - 1, 0x5A * step, 0x5A * step - 1]
+    return rems
+
+
+@pytest.mark.parametrize("prec", [95, 127, 287])
+def test_shared_exponential_within_13_units_before_the_last_floor(prec):
+    # at u = 1 with no guard the argument is the exact scale, so each value
+    # is within the 13 units of the tables and the Taylor sum plus the
+    # final floor; prec = 32 m + 31 makes the Taylor tail its largest
+    ln2 = ln2_fixed(prec)
+    for k in (0, 1, 7):
+        for rem in _boundary_remainders(prec):
+            with mp.workprec(prec + 64):
+                scale = mp.ldexp(k * ln2 + rem, -prec)
+            [got] = magic._exp_fixed(scale, [1 << prec], prec, 0)
+            with mp.workprec(prec + 100):
+                exact = mp.ldexp(mp.exp(-scale), prec)
+                assert abs(got - exact) <= 14, (k, rem)
+
+
+@pytest.mark.parametrize("dps", [10, 60, 200])
+def test_shared_exponential_at_boundary_arguments(dps):
+    # _exp_fixed with w = u at every 16th node, the last one (the largest
+    # u) and u = 1, in the precision and guard of _NodeSeries, at scales
+    # that put the argument at u = 1 on a multiple of ln 2, on a
+    # table-index boundary of its remainder, or one unit below either, each
+    # also with 0.99 units of the scale cut off by the truncation
+    spec = magic_spec(8, dps=dps)
+    us = _spec_node_points(spec)
+    us = us[::16] + [us[-1], mp.mpf(1)]
+    series = [psi_forms(8)["psi_plus"], conjugate_psi_minus(8)]
+    guard = mp.mag(max(us)) + 8
+    prec = _NodeSeries(series, spec.uside_plus.fix).prec + guard
+    ws = [magic._fixed(u, prec) for u in us]
+    ln2 = ln2_fixed(prec)
+    worst = 0
+    for k in (0, 1, 7, spec.uside_plus.fix):
+        for rem in _boundary_remainders(prec):
+            for extra in (0, mp.mpf("0.99")):
+                with mp.workprec(prec + 64):
+                    scale = mp.ldexp(k * ln2 + rem + extra, -prec)
+                got = magic._exp_fixed(scale, ws, prec, guard)
+                with mp.workprec(prec + 100):
+                    for u, e in zip(us, got):
+                        exact = mp.ldexp(mp.exp(-scale * u), prec - guard)
+                        assert abs(e - exact) <= 1.04, (k, rem, extra, u)
+                        worst = max(worst, abs(e - exact))
+    assert worst > 0.5
+
+
+def test_cut_sum_adds_a_bound_on_the_rest():
+    # after the first two terms the tails drop 2^-100-fold and stay; the
+    # later weights sum to 3, each 1/3 cut off at 64 bits, so the rest
+    # bound needs both the weight factor and the rounding up
+    with mp.workprec(300):
+        weights = [mp.mpf(1)] + [1 / mp.mpf(3)] * 10
+        tails = [mp.mpf(1)] + [mp.ldexp(1, -100)] * 10
+        full = mp.fsum(w * t for w, t in zip(weights, tails))
+        drawn = []
+
+        def terms():
+            for t in tails:
+                drawn.append(t)
+                yield t
+
+        got = magic._cut_sum(terms(), weights, 64)
+        assert len(drawn) == 2  # the cut draws no later tail
+        assert full <= got <= full * (1 + mp.ldexp(1, -90))
+        # without a cut every term is summed
+        flat = [mp.mpf(1)] * 11
+        assert magic._cut_sum(iter(flat), weights, 64) == sum(weights)
+
+
+@pytest.mark.parametrize("dps", [10, 60, 200])
+@pytest.mark.parametrize("n", [8, 24])
+def test_cut_series_error_bounds_the_full_sum(n, dps, monkeypatch):
+    # each cut tail sum of a u-side build against the sum over every node
+    # of the same tails, taken at 30 more digits
+    records = []
+    cut_sum = magic._cut_sum
+
+    def recording(terms, weights, fix):
+        terms = list(terms)
+        got = cut_sum(iter(terms), weights, fix)
+        with mp.workdps(dps + 40):
+            full = mp.fsum(w * t for w, t in zip(weights, terms))
+        records.append((got, full, mp.mpf(2) ** (8 - fix)))
+        return got
+
+    monkeypatch.setattr(magic, "_cut_sum", recording)
+    series = [psi_forms(n)["psi_plus"],
+              s_transform_terms(n)["psi_minus"][0].series]
+    magic._uside_kernels(series, n // 2, dps)
+    assert len(records) == 2
+    with mp.workdps(dps + 40):
+        for got, full, rounding in records:
+            # the working-precision sum may round below by a few ulps
+            assert got >= full * (1 - rounding)
+            assert got <= full * (1 + mp.mpf(2) ** -50)
+
+
+def test_cold_spec_build_counts(monkeypatch):
+    # with the q-series built, a cold MagicFunctionSpec(8) takes under 100
+    # exps (369 with one per node) and 120 tail bounds (716)
+    psi_forms(8, magic.DEFAULT_TRUNC)
+    s_transform_terms(8, magic.DEFAULT_TRUNC)
+    calls = {"exp": 0, "tail": 0}
+    exp, tail_bound = mp.exp, Envelope.tail_bound
+
+    def counting_exp(x):
+        calls["exp"] += 1
+        return exp(x)
+
+    def counting_tail(self, n_start, x):
+        calls["tail"] += 1
+        return tail_bound(self, n_start, x)
+
+    monkeypatch.setattr(mp, "exp", counting_exp)
+    monkeypatch.setattr(Envelope, "tail_bound", counting_tail)
+    monkeypatch.setattr(magic, "_EXP_TABLES", {})
+    magic.MagicFunctionSpec(8)
+    assert 0 < calls["exp"] <= 100
+    assert 0 < calls["tail"] <= 120
 
 
 @pytest.mark.parametrize("count", [1, 2, 3])

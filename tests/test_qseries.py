@@ -1,9 +1,11 @@
 import hashlib
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from packbound import qseries
 from packbound.qseries import (
     GRID, QSeries, QSeriesError, conjugate_psi_minus,
     delta, eisenstein, leech_theta,
@@ -202,6 +204,75 @@ def test_envelopes_bound_coefficients_to_three_times_trunc():
             worst = max(abs(mp.mpf(v)) / (c * mp.exp(a * mp.sqrt(e)))
                         for e, v in wide[name].items() if e >= 1)
             assert worst <= 1, (name, worst)
+
+
+def _fit_envelope_reference(series, a):
+    """The full scan: C = 3/2 times the largest |c_E| e^(-a sqrt(E)) over
+    every E >= 1, each one at 30 digits."""
+    a = Fraction(a)
+    best = mp.mpf(0)
+    with mp.workdps(30):
+        for e, c in series.coeffs.items():
+            if e < 1:
+                continue
+            v = (abs(mp.mpf(c))
+                 * mp.exp(-mp.mpf(a.numerator) / a.denominator * mp.sqrt(e)))
+            best = max(best, v)
+    return Fraction(3, 2) * Fraction(float(best)) if best else Fraction(1)
+
+
+@pytest.mark.parametrize("trunc", [100, 300, 600])
+@pytest.mark.parametrize("n", [8, 24])
+def test_fit_envelope_matches_the_full_scan(n, trunc, monkeypatch):
+    # every series the kernels fit, built afresh past the caches
+    fitted = []
+    fit = qseries._fit_envelope
+
+    def recording(series, a):
+        out = fit(series, a)
+        fitted.append((series, a, out.envelope))
+        return out
+
+    monkeypatch.setattr(qseries, "_fit_envelope", recording)
+    for build in (psi_forms, s_transform_terms, conjugate_psi_minus):
+        build.__wrapped__(n, trunc)
+    # psi_plus, psi_minus, g1, g2 and the conjugate (more where a cached
+    # build runs for the first time)
+    assert len(fitted) >= 5
+    for series, a, envelope in fitted:
+        assert envelope.c == _fit_envelope_reference(series, a)
+        assert envelope.a == a
+
+
+def test_fit_envelope_settles_a_near_tie_at_30_digits():
+    # c_1 e^-6 and c_4 e^-12 agree to about 1e-19, beyond a float's reach,
+    # and the larger one lies on either side
+    with mp.workdps(40):
+        c1 = 10 ** 20
+        c4 = int(mp.floor(c1 * mp.exp(6)))
+    for coeffs in ({1: c1, 4: c4}, {1: c1, 4: c4 + 1}, {1: -c1, 4: c4 + 1},
+                   {1: c1, 4: c4, 9: 7}, {0: 5}):
+        series = QSeries(coeffs, 10)
+        assert (qseries._fit_envelope(series, 6).envelope.c
+                == _fit_envelope_reference(series, 6)), coeffs
+    # pairs that the float logs rank the wrong way round, with maxima far
+    # enough apart to round to different floats: only the 30-digit
+    # recomputation of both picks the right one
+    misranked = []
+    with mp.workdps(40):
+        for j in range(350, 370):
+            c1 = 7 ** j
+            for k in range(1, 3000, 7):
+                c4 = int(c1 * mp.exp(6) * (1 + k * mp.mpf(10) ** -16))
+                v1, v4 = c1 * mp.exp(-6), c4 * mp.exp(-12)
+                if (math.log(c1) - 6.0 > math.log(c4) - 12.0 and v4 > v1
+                        and float(v1) != float(v4)):
+                    misranked.append({1: c1, 4: c4})
+    assert misranked
+    for coeffs in misranked[:8]:
+        series = QSeries(coeffs, 10)
+        assert (qseries._fit_envelope(series, 6).envelope.c
+                == _fit_envelope_reference(series, 6))
 
 
 # -- evaluation ---------------------------------------------------------------
