@@ -316,18 +316,25 @@ def build_parser():
                         help="output format (default: the command's own)")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def actions(command, text, metavar=None):
+        """One parser per action of command in FORMATS, taking no
+        abbreviations (so `magic table --r` is no --rmax)."""
+        subs = sub.add_parser(command, help=text).add_subparsers(
+            dest="action", required=True, metavar=metavar)
+        return {action: subs.add_parser(action, allow_abbrev=False)
+                for cmd, action in FORMATS if cmd == command}
+
     p = sub.add_parser("code", help="binary code constructions")
     p.add_argument("action", choices=("info",))
     p.add_argument("--name", required=True, choices=("hamming8", "golay24"))
     p.add_argument("--out")
 
-    p = sub.add_parser("lattice", help="lattice constructions")
-    p.add_argument("action", choices=("info", "theta"))
-    p.add_argument("--name", required=True,
-                   choices=("e8", "l24", "leech", "zn"))
-    p.add_argument("--n", type=int, help="dimension for zn")
-    p.add_argument("--max-norm", dest="max_norm", type=int, default=10)
-    p.add_argument("--out")
+    lattice = actions("lattice", "lattice constructions")
+    for p in lattice.values():
+        p.add_argument("--name", required=True,
+                       choices=("e8", "l24", "leech", "zn"))
+        p.add_argument("--n", type=int, help="dimension for zn")
+    lattice["theta"].add_argument("--max-norm", type=int, default=10)
 
     p = sub.add_parser("qseries", help="named q-series")
     p.add_argument("action", choices=("show",))
@@ -335,13 +342,12 @@ def build_parser():
     p.add_argument("--terms", type=int, default=8)
     p.add_argument("--out")
 
-    p = sub.add_parser("magic", help="optimal test functions")
-    p.add_argument("action", choices=("eval", "table", "check"))
-    p.add_argument("--dim", type=int, required=True, choices=(8, 24))
-    p.add_argument("--r", type=float, default=0.0)
-    p.add_argument("--rmax", type=float, default=4.0)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--out")
+    magic = actions("magic", "optimal test functions")
+    for p in magic.values():
+        p.add_argument("--dim", type=int, required=True, choices=(8, 24))
+    magic["eval"].add_argument("--r", type=float, default=0.0)
+    magic["table"].add_argument("--rmax", type=float, default=4.0)
+    magic["table"].add_argument("--step", type=float, default=0.01)
 
     p = sub.add_parser("lpbound", help="linear-programming bound pipeline")
     p.add_argument("action", nargs="?", default="run",
@@ -352,16 +358,17 @@ def build_parser():
                    default="sampled")
     p.add_argument("-o", "--out")
 
-    p = sub.add_parser("verify", help="verification pipelines")
-    p.add_argument("action", metavar="target", choices=("poisson", "lp"))
+    verify = actions("verify", "verification pipelines", "target")
+    p = verify["poisson"]
     p.add_argument("--name", default="e8",
                    choices=("e8", "l24", "leech", "zn"))
     p.add_argument("--n", type=int)
     p.add_argument("--sigma", default="4/5")
     p.add_argument("--cutoff", type=int, default=25)
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--cert")
-    p.add_argument("--out")
+    verify["lp"].add_argument("--cert")
+    for p in (*lattice.values(), *magic.values(), *verify.values()):
+        p.add_argument("--out")
     return parser
 
 

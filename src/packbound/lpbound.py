@@ -245,12 +245,18 @@ class LpCertificate:
     and a rational y0 with b >= 0 (so the transform is nonnegative) and
     p < 0 on [y0, inf) for y0 <= pi (so f <= 0 for r >= 1), where
     p(y) = 1 + sum_k b_k L_k^(n/2-1)(y).  The bound is
-    p(0) * vol(B_n(1/2))."""
+    p(0) * vol(B_n(1/2)).  A b of another length, or d beyond MAX_DEGREE,
+    raises LpError."""
 
     n: int
     d: int
     b: tuple          # Fractions, length d
     y0: Fraction
+
+    def __post_init__(self):
+        if not len(self.b) == self.d <= MAX_DEGREE:
+            raise LpError(f"malformed certificate: {len(self.b)} coefficients "
+                          f"for degree {self.d} (at most {MAX_DEGREE})")
 
     def polynomial(self) -> list:
         return profile_polynomial(self.n, self.b)
@@ -277,6 +283,7 @@ class LpCertificate:
                     and all(isinstance(x, str) for x in b + [y0])):
                 raise TypeError("n, d must be positive integers and b, y0 "
                                 "rational strings")
+            # before any parsing, so a long b is refused unread
             if not len(b) == d <= MAX_DEGREE:
                 raise ValueError(f"{len(b)} coefficients for degree {d} "
                                  f"(at most {MAX_DEGREE})")
@@ -303,14 +310,7 @@ def _float_str(x) -> str:
 def verify_lp(cert: LpCertificate) -> Certificate:
     """Exact check of every hypothesis of the certificate's claim: b >= 0,
     y0 <= PI_LO < pi, p(y0) < 0, and no root of p in (y0, inf) by a Sturm
-    count, which together give p < 0 on [y0, inf).
-
-    A b of the wrong length is malformed rather than refuted and raises
-    LpError.
-    """
-    if len(cert.b) != cert.d:
-        raise LpError(f"malformed certificate: {len(cert.b)} coefficients "
-                      f"for degree {cert.d}")
+    count, which together give p < 0 on [y0, inf)."""
     poly = cert.polynomial()
     p_y0 = poly_eval(poly, cert.y0)
     roots = sturm_count(poly, cert.y0)

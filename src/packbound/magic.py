@@ -44,19 +44,20 @@ integer dot product per side, with a proven truncation term (see
 turn the integrand into u^(-n/2) * (decaying series) * e^(-pi r^2 / u),
 integrated by 64-point Gauss-Legendre panels with a proven Bernstein-ellipse
 error bound, one constant per kernel for every radius (see `_uside_kernels`).
-One table-driven fixed-point exponential serves every node at once, with
-no exp per node (`_exp_fixed`).  At spec build it gives y = e^(-pi u/4)
-for the powers with which each series is an integer dot product of its
-exact coefficients, with a proven round-off bound (see `_NodeSeries`); both
-kernels share one node set, where e^(-pi r^2 / u) and the weighted
-integrand values are held in the same fixed point, so each quadrature sum
-is an exact integer dot product.  It anchors a radius at all nodes (see
+Both kernels share one node set, held once per spec (`_Uside`) with the
+fixed-point 1/u at every node and each kernel's weighted values in the fixed
+point of e^(-pi r^2 / u): one call integrates both by exact integer dot
+products.  One table-driven fixed-point exponential serves every node at
+once, with no exp per node (`_exp_fixed`).  At spec build it gives y =
+e^(-pi u/4) for the powers with which each series is an integer dot product
+of its exact coefficients, with a proven round-off bound (see
+`_NodeSeries`).  From the 1/u table it anchors a radius at all nodes (see
 `_anchor`); on an arithmetic grid r_k = r0 + k h, `sweep` takes three
 anchors once and then two integer products per node and radius (see
 `_decays`).  The u-side error carries proven round-off terms for the node
 values (in the series error), their truncation and the decays' 2 (k + 2)^2
-units.  `pair(r)` is a one-radius sweep.  Series truncation tails ride
-along from the coefficient envelopes, node by node up to a proven cut.
+units.  `pair(r)` is a one-radius sweep.  Series truncation tails ride along
+from the coefficient envelopes, node by node up to a proven cut.
 
 Even squared radii
 ------------------
@@ -79,7 +80,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -375,40 +376,42 @@ def _exp_fixed(scale, ws, prec, guard):
     return [e >> k + guard for e, (k, _) in zip(acc, split)]
 
 
-class _UsideKernel:
-    """Gauss-Legendre data for int_1^inf u^(-p) Phi(iu) e^(-b/u) du.
+class _Uside:
+    """Gauss-Legendre data for int_1^inf u^(-p) Phi(iu) e^(-b/u) du, for
+    every kernel Phi of a spec on one node set, so e^(-b/u) is held once per
+    node and radius for all of them.
 
-    `nodes` holds -1/u at the nodes.  Every kernel of a spec holds the same
-    list, so e^(-b/u) is held once per node and radius for all of them.
-    `vals` holds the weighted integrand values at the nodes as integers
-    scaled by 2^fix (floored from the fixed-point series values; their
-    round-off is part of `series_err`), so each quadrature sum against
-    decays in the same fixed point is an exact integer dot product.
-    `quad_err` bounds the rule's error for every b >= 0.
+    `inv_u` holds each node's 1/u as rounded at the working precision (fix
+    bits), scaled by 2^(fix + G), G = `guard` = L + 8 with u <= 2^L at every
+    node: exact, as each 1/u is >= 2^-L.  Per kernel, `vals` holds the
+    weighted integrand values at the nodes as integers scaled by 2^fix
+    (floored from the fixed-point series values; their round-off is part of
+    the series error), so each quadrature sum against decays in the same
+    fixed point is an exact integer dot product; `errors` holds its series,
+    contour-tail and rule errors, the last for every b >= 0.
     """
 
-    def __init__(self, nodes, fix, vals, series_err, tail_err, quad_err):
-        self.nodes = nodes
+    def __init__(self, fix, inv_u, vals, errors):
         self.fix = fix
+        self.guard = 9 - mp.mag(min(inv_u))  # the least 1/u >= 2^(mag - 1)
+        self.inv_u = [_fixed(v, fix + self.guard) for v in inv_u]
         self.vals = vals
-        self.abs_vals = sum(map(abs, vals))
-        self.series_err = series_err
-        self.tail_err = tail_err
-        self.quad_err = quad_err
+        self.abs_sums = [sum(map(abs, v)) for v in vals]
+        self.errors = errors
 
-    def integral(self, decay, units):
-        """Certified value of the integral from e^(-b/u) at `nodes`, given
-        as integers scaled by 2^fix within `units` units of the exact
-        decay."""
-        fix = self.fix
-        q = mp.ldexp(sum(map(mul, self.vals, decay)), -2 * fix)
-        # per node: the value's floor (under a unit, against a decay of at
-        # most 1) and the decay's error against the value; per sum: its
-        # rounding to working precision
-        count = len(decay)
-        roundoff = mp.ldexp((count << fix)
-                            + (units + 2) * (self.abs_vals + count), -2 * fix)
-        return q, roundoff + self.series_err + self.tail_err + self.quad_err
+    def integrals(self, decay, units):
+        """Per kernel, the certified value of the integral from e^(-b/u) at
+        the nodes, given as integers scaled by 2^fix within `units` units of
+        the exact decay."""
+        fix, count = self.fix, len(decay)
+        # the round-off per node: the value's floor (under a unit, against a
+        # decay of at most 1) and the decay's error against the value; per
+        # sum: its rounding to working precision
+        return [(mp.ldexp(sum(map(mul, vals, decay)), -2 * fix),
+                 sum(errors, mp.ldexp((count << fix) + (units + 2)
+                                      * (abs_sum + count), -2 * fix)))
+                for vals, abs_sum, errors
+                in zip(self.vals, self.abs_sums, self.errors)]
 
 
 class _NodeSeries:
@@ -481,7 +484,7 @@ def _cut_sum(terms, weights, fix):
 
 
 def _uside_kernels(series_list, p, dps):
-    """One _UsideKernel per series, all on one node set.
+    """The `_Uside` of the series: one node set and one 1/u table for all.
 
     The panel breaks grow geometrically from 1 up to the u_max of the most
     slowly decaying series, so all kernels are cut at the same point (a
@@ -489,10 +492,10 @@ def _uside_kernels(series_list, p, dps):
     evaluated at all nodes at once in the fixed point of `_NodeSeries`.
     The weighted value is floor(S W 2^-F), W the weight truncated to fix
     bits (under a unit low): off by at most (b (W + 1) + |S|) 2^-F units of
-    2^-fix before the floor (which `integral` counts), b being S's
+    2^-fix before the floor (which `integrals` counts), b being S's
     round-off bound.  Summed over all nodes, that is the round-off term of
-    `series_err`; its truncation term sums w u^-p times the envelope tail,
-    which falls in u (see `_cut_sum`).
+    the series error; its truncation term sums w u^-p times the envelope
+    tail, which falls in u (see `_cut_sum`).
 
     On a panel [a, b] the N-point rule is off by at most (b - a)/2 * 64 M /
     (15 (rho^2 - 1) rho^(2N - 2)) if |integrand| <= M on the ellipse with
@@ -553,14 +556,13 @@ def _uside_kernels(series_list, p, dps):
             for k, (s, bound) in enumerate(sums):
                 vals[k].append(s * weight >> prec)
                 roundoff[k] += (bound * (weight + 1) + abs(s) >> prec) + 1
-        nodes = [-1 / u for u in us]
         # contour tail beyond u_max: |Phi(iu)| <= A_U e^(-pi e1 (u-U)/4)
-        return [_UsideKernel(nodes, fix, vals[k],
-                             _cut_sum(map(tails[k], us), wus, fix)
-                             + mp.ldexp(roundoff[k], -fix),
-                             phi * u_max ** (-p) * 4 / (mp.pi * e1s[k]),
-                             quad_err[k] * (1 + mp.mpf(2) ** -20))
-                for k, phi in enumerate(bounds[-1])]
+        return _Uside(fix, [1 / u for u in us], vals, [
+            (_cut_sum(map(tails[k], us), wus, fix)
+             + mp.ldexp(roundoff[k], -fix),
+             phi * u_max ** (-p) * 4 / (mp.pi * e1s[k]),
+             quad_err[k] * (1 + mp.mpf(2) ** -20))
+            for k, phi in enumerate(bounds[-1])])
 
 
 class MagicFunctionSpec:
@@ -593,7 +595,7 @@ class MagicFunctionSpec:
 
         # u-side (t = 1/u) kernels: u^(-n/2) times psi_plus(iu) and times
         # the conjugate minus kernel at iu, both with coefficient 1
-        self.uside_plus, self.uside_minus = _uside_kernels(
+        self.uside = _uside_kernels(
             [psis["psi_plus"], terms["psi_minus"][0].series], n // 2, dps)
 
         # combination constants
@@ -621,7 +623,7 @@ class MagicFunctionSpec:
             self._A = self.A.mpf()
             self._B = self.B.mpf()
         self._tside = _TsideTable([plus_terms, minus_terms], self._base, dps,
-                                  self.uside_plus.fix)
+                                  self.uside.fix)
 
     # -- public evaluation ----------------------------------------------------
 
@@ -653,38 +655,28 @@ class MagicFunctionSpec:
                     g = mp.exp(-pi_r2)
                     (p_t, p_terr, _), (m_t, m_terr, _) = self._tside.evaluate(
                         pi_r2, w_r, g)
-                    units = 2 * (k + 2) ** 2
-                    p_u, p_uerr = self.uside_plus.integral(decay, units)
-                    m_u, m_uerr = self.uside_minus.integral(decay, units)
+                    (p_u, p_uerr), (m_u, m_uerr) = self.uside.integrals(
+                        decay, 2 * (k + 2) ** 2)
                     self._cache[key] = (
                         CertifiedValue(p_t + w_r * p_u, p_terr + w_r * p_uerr),
                         CertifiedValue(m_t + w_r * m_u, m_terr + w_r * m_uerr))
                 out.append(self._cache[key])
         return out
 
-    @cached_property
-    def _inv_u(self):
-        """(G, every node's 1/u scaled by 2^(fix + G)), G = L + 8 with u <=
-        2^L at every node; exact, as each 1/u has fix bits and is >= 2^-L."""
-        nodes, fix = self.uside_plus.nodes, self.uside_plus.fix
-        guard = 9 - mp.mag(max(nodes))  # the least 1/u is >= 2^(mag - 1)
-        with mp.workprec(fix):
-            return guard, [_fixed(-v, fix + guard) for v in nodes]
-
     def _anchor(self, scale):
         """e^(-scale / u) at every node, scaled by 2^fix, for an mpf scale
-        s >= 0: one `_exp_fixed` over all nodes in P = fix + G bits, within
-        1.04 units.  In units of 2^-P, a = floor(S w), S the truncated s and
-        w = 1/u, is below s w by at most s + 2, which moves e^(-s w) by at
-        most 1.01 (2^L/e + 2) (s w >= s 2^-L); so the last floor leaves 1 +
-        (13 + 2^(L+1)) 2^-G < 1.04 units of 2^-fix.
+        s >= 0: one `_exp_fixed` over `_Uside.inv_u` in P = fix + G bits,
+        within 1.04 units.  In units of 2^-P, a = floor(S w), S the
+        truncated s and w = 1/u, is below s w by at most s + 2, which moves
+        e^(-s w) by at most 1.01 (2^L/e + 2) (s w >= s 2^-L); so the last
+        floor leaves 1 + (13 + 2^(L+1)) 2^-G < 1.04 units of 2^-fix.
         """
-        guard, inv_u = self._inv_u
-        return _exp_fixed(scale, inv_u, self.uside_plus.fix + guard, guard)
+        side = self.uside
+        return _exp_fixed(scale, side.inv_u, side.fix + side.guard, side.guard)
 
     def _decays(self, r0, h, count):
-        """e^(-pi r_k^2 / u) at the shared u-side nodes for r_k = r0 + k*h,
-        k < count, as integers scaled by 2^fix.
+        """e^(-pi r_k^2 / u) at the nodes of the spec's `_Uside` for r_k =
+        r0 + k*h, k < count, as integers scaled by 2^fix, its fix.
 
         One `_anchor` e^(-s/u) per sweep: E_0 (s = pi r0^2) and, for more
         radii, R_0 (s = pi (2 r0 h + h^2)) and Q (s = 2 pi h^2).  Then
@@ -696,7 +688,7 @@ class MagicFunctionSpec:
         2 (k + 2)^2 units of the decay at r_k.  Iterated at the spec's
         working precision, dps + 10.
         """
-        fix = self.uside_plus.fix
+        fix = self.uside.fix
         decay = self._anchor(mp.pi * (r0 * r0))
         if count > 1:
             ratio = self._anchor(mp.pi * h * (2 * r0 + h))

@@ -356,7 +356,8 @@ def test_verify_lp_beyond_float_range_is_refuted(b, bound, tmp_path,
 
 @pytest.mark.parametrize("b, y0", [
     (["1"], "1e5000"), (["1"], "1e100000000"), (["1" * 2001], "3"),
-], ids=["y0-1e5000", "y0-1e100000000", "long-b"])
+    (["1"] * 10 ** 6, "3"),
+], ids=["y0-1e5000", "y0-1e100000000", "long-b", "many-b"])
 def test_verify_lp_oversized_number_is_usage_error(b, y0, tmp_path, capsys):
     # refused as malformed before Fraction builds the integer: 10^100000000
     # alone would take far longer, and str() of a 5001-digit integer raises
@@ -555,19 +556,59 @@ def test_removed_format_flags_are_usage_errors(argv, capsys):
     assert dispatch(argv) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["lattice", "info", "--name", "e8", "--max-norm", "8"],
+    ["magic", "eval", "--dim", "8", "--rmax", "1"],
+    ["magic", "eval", "--dim", "8", "--step", "0.5"],
+    ["magic", "table", "--dim", "8", "--r", "1"],
+    ["magic", "check", "--dim", "8", "--r", "1"],
+    ["magic", "check", "--dim", "8", "--rmax", "1"],
+    ["magic", "check", "--dim", "8", "--step", "0.5"],
+    ["verify", "poisson", "--name", "e8", "--cert", "lp8.json"],
+    ["verify", "lp", "--cert", "lp8.json", "--name", "e8"],
+    ["verify", "lp", "--cert", "lp8.json", "--n", "8"],
+    ["verify", "lp", "--cert", "lp8.json", "--sigma", "1"],
+    ["verify", "lp", "--cert", "lp8.json", "--cutoff", "5"],
+    ["verify", "lp", "--cert", "lp8.json", "--tolerance", "1e-9"],
+], ids=lambda argv: " ".join(argv[:2] + argv[-2:-1]))
+def test_option_of_another_action_is_usage_error(argv, monkeypatch, capsys):
+    # an action takes only the options its handler reads: any other is
+    # refused by the parser, before any handler runs
+    for name in ("lattice", "magic", "verify"):
+        monkeypatch.setattr(cli, f"_cmd_{name}",
+                            lambda *a: pytest.fail("handler ran"))
+    code = dispatch(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def _readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("packbound ")]
+
+
 def test_readme_command_lines_parse():
     # each line of the "Command line" block parses and asks for a format
     # its command writes; nothing is executed
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
-    lines = [line for line in block.split("```", 1)[0].splitlines()
-             if line.startswith("packbound ")]
+    lines = _readme_command_lines()
     assert len(lines) >= 10
     for line in lines:
         try:
             output_format(build_parser().parse_args(shlex.split(line)[1:]))
         except (SystemExit, ValueError) as exc:
             pytest.fail(f"README line {line!r}: {exc!r}")
+
+
+def test_readme_command_lines_cover_every_action():
+    shown = set()
+    for line in _readme_command_lines():
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        shown.add((args.command, args.action))
+    assert sorted(set(cli.FORMATS) - shown) == []
 
 
 def test_lpbound_run_small(capsys):

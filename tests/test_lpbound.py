@@ -733,6 +733,16 @@ def test_certificate_json_roundtrip(toy_cert):
     assert verify_lp(again).status == "verified"
 
 
+@pytest.mark.parametrize("d, b", [
+    (2, (Fraction(1),)), (lpbound.MAX_DEGREE + 1,
+                          (Fraction(0),) * (lpbound.MAX_DEGREE + 1)),
+], ids=["short-b", "beyond-max-degree"])
+def test_certificate_checks_its_own_shape(d, b):
+    # built directly, not only through from_dict
+    with pytest.raises(LpError, match="malformed certificate"):
+        LpCertificate(1, d, b, PI_LO)
+
+
 def test_from_dict_enforces_the_verification_budget(monkeypatch):
     # seeded d = 40 with 30-bit b: p has about 1,200-bit coefficients, the
     # size of the n = 24, d = 40 certificate with a free root position

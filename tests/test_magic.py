@@ -303,14 +303,12 @@ def test_uside_integral_within_bound_against_mp_quad(n, request):
     # reported error holds, and the order-64 rule's bound is far below the
     # order-32 rule's error (5.4e-23 at r = 0 for n = 8)
     spec = request.getfixturevalue(f"spec{n}")
-    kernels = ((spec.uside_plus, psi_forms(n)["psi_plus"]),
-               (spec.uside_minus, conjugate_psi_minus(n)))
+    kernels = (psi_forms(n)["psi_plus"], conjugate_psi_minus(n))
     for r in ("0", "0.7"):
         with mp.workdps(spec.dps + 10):
             r = mp.mpf(r)
             decay = next(spec._decays(r, 0, 1))
-        for kernel, series in kernels:
-            q, err = kernel.integral(decay, 8)
+        for (q, err), series in zip(spec.uside.integrals(decay, 8), kernels):
             ref = _uside_reference(series, n // 2, r, 90)
             with mp.workdps(90):
                 assert abs(q - ref) <= err, (r, series.min_exp)
@@ -592,14 +590,22 @@ USIDE_DIGESTS = {
 }
 
 
+def _spec_nodes(spec):
+    """-1/u at every shared node, rebuilt exactly from the fixed-point 1/u
+    table: each entry has at most fix significant bits."""
+    side = spec.uside
+    with mp.workprec(side.fix):
+        return [-mp.ldexp(w, -(side.fix + side.guard)) for w in side.inv_u]
+
+
 @pytest.mark.parametrize("n", [8, 24])
 def test_uside_data_fingerprint(n, request):
     spec = request.getfixturevalue(f"spec{n}")
     digest = hashlib.sha256()
-    for kernel in (spec.uside_plus, spec.uside_minus):
-        digest.update(repr(kernel.vals).encode())
+    for vals in spec.uside.vals:
+        digest.update(repr(vals).encode())
     # _mpf_ tuples, since repr depends on the ambient mp.dps
-    digest.update(repr([u._mpf_ for u in spec.uside_plus.nodes]).encode())
+    digest.update(repr([u._mpf_ for u in _spec_nodes(spec)]).encode())
     assert digest.hexdigest() == USIDE_DIGESTS[n]
 
 
@@ -624,10 +630,9 @@ def test_pair_cache_keys_on_working_precision(spec8):
 
 
 def test_pair_shares_uside_nodes(spec8, monkeypatch):
-    plus, minus = spec8.uside_plus, spec8.uside_minus
-    assert plus.nodes is minus.nodes
-    shared = len(plus.nodes)
+    shared = len(spec8.uside.inv_u)
     assert shared == 5 * 64
+    assert [len(vals) for vals in spec8.uside.vals] == [shared, shared]
     calls = []
     exp = mp.exp
 
@@ -665,8 +670,8 @@ def test_sweep_matches_pair(n, start, request):
 
 def test_sweep_decays_within_stated_units(spec8):
     # the fixed-point recurrence against exp at 30 more digits, every node
-    fix = spec8.uside_plus.fix
-    nodes = spec8.uside_plus.nodes
+    fix = spec8.uside.fix
+    nodes = _spec_nodes(spec8)
     with mp.workdps(spec8.dps + 10):
         r0, step = mp.sqrt(2), mp.mpf("0.02")
         decays = list(spec8._decays(r0, step, 401))
@@ -689,9 +694,9 @@ def test_uside_series_within_stated_roundoff(n, request):
     # bits
     spec = request.getfixturevalue(f"spec{n}")
     series = [psi_forms(n)["psi_plus"], conjugate_psi_minus(n)]
-    fixed = _NodeSeries(series, spec.uside_plus.fix)
+    fixed = _NodeSeries(series, spec.uside.fix)
     worst = 0
-    for v in spec.uside_plus.nodes[:magic._ORDER:2]:
+    for v in _spec_nodes(spec)[:magic._ORDER:2]:
         with mp.workdps(spec.dps + 10):
             u = -1 / v
         values, = fixed.at([u])
@@ -756,7 +761,7 @@ def test_tside_fixed_point_matches_mpf(n, request):
 
 
 def test_sweep_and_pair_take_no_exp_per_node(spec8, monkeypatch):
-    shared = len(spec8.uside_plus.nodes)
+    shared = len(spec8.uside.inv_u)
     calls = []
     exp = mp.exp
 
@@ -780,8 +785,8 @@ def _boundary_scales(spec, node):
     """Scales s, exact mpfs, at which the fixed-point argument s/u at the
     node lands on a multiple of ln 2, on a table-index boundary of its
     remainder, or one unit below either."""
-    guard, inv_u = spec._inv_u
-    prec = spec.uside_plus.fix + guard
+    guard, inv_u = spec.uside.guard, spec.uside.inv_u
+    prec = spec.uside.fix + guard
     ln2 = ln2_fixed(prec)
     w = inv_u[node]
     rems = [0, 1, ln2 - 1]
@@ -792,7 +797,7 @@ def _boundary_scales(spec, node):
     rems.append((0xB0 << prec - 8) + sum(0xFF << prec - 8 * l
                                          for l in range(2, 5)))
     scales = []
-    for k in (0, 1, 7, spec.uside_plus.fix):
+    for k in (0, 1, 7, spec.uside.fix):
         for rem in rems:
             arg = k * ln2 + rem
             big = -(-(arg << prec) // w)
@@ -807,8 +812,8 @@ def test_anchors_within_three_units(dps):
     # e^(-s/u) at every node against exp at 30 more digits; dps 200 has the
     # largest u_max, so the widest argument error for G to absorb
     spec = magic_spec(8, dps=dps)
-    fix = spec.uside_plus.fix
-    nodes = spec.uside_plus.nodes
+    fix = spec.uside.fix
+    nodes = _spec_nodes(spec)
     scales = _boundary_scales(spec, len(nodes) // 2)
     with mp.workdps(dps + 10):
         h = mp.mpf("0.01")
@@ -830,7 +835,7 @@ def test_anchors_within_three_units(dps):
 def _spec_node_points(spec):
     """u at every shared node, at the spec's working precision."""
     with mp.workdps(spec.dps + 10):
-        return [-1 / v for v in spec.uside_plus.nodes]
+        return [-1 / v for v in _spec_nodes(spec)]
 
 
 @pytest.mark.parametrize("dps", [10, 60, 200])
@@ -842,7 +847,7 @@ def test_node_exponentials_within_stated_units(dps):
     us = _spec_node_points(spec)
     worst = 0
     for e in (1, 4):
-        fixed = _NodeSeries([QSeries({e: 1}, e + 1)], spec.uside_plus.fix)
+        fixed = _NodeSeries([QSeries({e: 1}, e + 1)], spec.uside.fix)
         assert (fixed.e0, fixed.g) == (e, 1)
         got = fixed.at(us)
         with mp.workdps(dps + 40):
@@ -892,11 +897,11 @@ def test_shared_exponential_at_boundary_arguments(dps):
     us = us[::16] + [us[-1], mp.mpf(1)]
     series = [psi_forms(8)["psi_plus"], conjugate_psi_minus(8)]
     guard = mp.mag(max(us)) + 8
-    prec = _NodeSeries(series, spec.uside_plus.fix).prec + guard
+    prec = _NodeSeries(series, spec.uside.fix).prec + guard
     ws = [magic._fixed(u, prec) for u in us]
     ln2 = ln2_fixed(prec)
     worst = 0
-    for k in (0, 1, 7, spec.uside_plus.fix):
+    for k in (0, 1, 7, spec.uside.fix):
         for rem in _boundary_remainders(prec):
             for extra in (0, mp.mpf("0.99")):
                 with mp.workprec(prec + 64):
@@ -908,6 +913,31 @@ def test_shared_exponential_at_boundary_arguments(dps):
                         assert abs(e - exact) <= 1.04, (k, rem, extra, u)
                         worst = max(worst, abs(e - exact))
     assert worst > 0.5
+
+
+@pytest.mark.parametrize("dps", [10, 60, 200])
+def test_inverse_node_table_is_exact(dps, monkeypatch):
+    # each fixed-point 1/u, times 2^-(fix + guard), is exactly 1/u at the
+    # working precision, for the u at which the node series are summed
+    points = []
+    at = _NodeSeries.at
+
+    def recording(self, us):
+        points.append(list(us))
+        return at(self, us)
+
+    monkeypatch.setattr(_NodeSeries, "at", recording)
+    series = [psi_forms(8)["psi_plus"],
+              s_transform_terms(8)["psi_minus"][0].series]
+    side = magic._uside_kernels(series, 4, dps)
+    us = next(p for p in points if len(p) == len(side.inv_u))
+    assert max(us) <= 2 ** (side.guard - 8)
+    with mp.workdps(dps + 10):
+        assert mp.mp.prec == side.fix
+        for u, w in zip(us, side.inv_u):
+            man, exp = (1 / u).man_exp
+            assert exp + side.fix + side.guard >= 0
+            assert w == man << exp + side.fix + side.guard, u
 
 
 def test_cut_sum_adds_a_bound_on_the_rest():
@@ -987,8 +1017,8 @@ def test_cold_spec_build_counts(monkeypatch):
 
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_short_sweeps_within_stated_units(spec8, count):
-    fix = spec8.uside_plus.fix
-    nodes = spec8.uside_plus.nodes
+    fix = spec8.uside.fix
+    nodes = _spec_nodes(spec8)
     for r in ("0", "1e-20", "0.7", "8.71", "40", "1e3"):
         with mp.workdps(spec8.dps + 10):
             r0, h = mp.mpf(r), mp.mpf("0.3")
