@@ -304,7 +304,7 @@ def _cmd_verify(args, cfg):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="packbound",
+        prog="packbound", allow_abbrev=False,
         description="Exact constructions and certified numerics for the "
                     "sphere-packing bounds in dimensions 8 and 24.")
     parser.add_argument("--precision", type=int, default=DEFAULT_DPS,
@@ -324,7 +324,8 @@ def build_parser():
         return {action: subs.add_parser(action, allow_abbrev=False)
                 for cmd, action in FORMATS if cmd == command}
 
-    p = sub.add_parser("code", help="binary code constructions")
+    p = sub.add_parser("code", allow_abbrev=False,
+                       help="binary code constructions")
     p.add_argument("action", choices=("info",))
     p.add_argument("--name", required=True, choices=("hamming8", "golay24"))
     p.add_argument("--out")
@@ -336,7 +337,7 @@ def build_parser():
         p.add_argument("--n", type=int, help="dimension for zn")
     lattice["theta"].add_argument("--max-norm", type=int, default=10)
 
-    p = sub.add_parser("qseries", help="named q-series")
+    p = sub.add_parser("qseries", allow_abbrev=False, help="named q-series")
     p.add_argument("action", choices=("show",))
     p.add_argument("name")
     p.add_argument("--terms", type=int, default=8)
@@ -349,7 +350,8 @@ def build_parser():
     magic["table"].add_argument("--rmax", type=float, default=4.0)
     magic["table"].add_argument("--step", type=float, default=0.01)
 
-    p = sub.add_parser("lpbound", help="linear-programming bound pipeline")
+    p = sub.add_parser("lpbound", allow_abbrev=False,
+                       help="linear-programming bound pipeline")
     p.add_argument("action", nargs="?", default="run",
                    choices=("run",))
     p.add_argument("--dim", type=int, required=True)

@@ -57,7 +57,11 @@ anchors once and then two integer products per node and radius (see
 `_decays`).  The u-side error carries proven round-off terms for the node
 values (in the series error), their truncation and the decays' 2 (k + 2)^2
 units.  `pair(r)` is a one-radius sweep.  Series truncation tails ride along
-from the coefficient envelopes, node by node up to a proven cut.
+from the coefficient envelopes, node by node up to a proven cut.  A sweep of
+128 radii or more is split across forked processes (see `_spread`): each runs
+the recurrence and the dot products on its block of nodes for every radius,
+and the t-side on its block of radii; their integer sums add up exactly, so
+no value or error bar depends on the number of processes.
 
 Even squared radii
 ------------------
@@ -78,13 +82,17 @@ quadratic Taylor coefficients (the slopes at r_sq = 0) are read off it.
 
 from __future__ import annotations
 
+import marshal
 import math
+import os
+from contextlib import suppress
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate, repeat
 from operator import mul
 
 import mpmath as mp
+from mpmath.libmp import MPZ
 from mpmath.libmp.libelefun import ln2_fixed
 
 from .exact import frac
@@ -399,19 +407,20 @@ class _Uside:
         self.abs_sums = [sum(map(abs, v)) for v in vals]
         self.errors = errors
 
-    def integrals(self, decay, units):
+    def integrals(self, decay, units, sums=None):
         """Per kernel, the certified value of the integral from e^(-b/u) at
         the nodes, given as integers scaled by 2^fix within `units` units of
-        the exact decay."""
-        fix, count = self.fix, len(decay)
+        the exact decay, or from its integer dot products with `vals`."""
+        fix, count = self.fix, len(self.inv_u)
+        sums = sums or [sum(map(mul, vals, decay)) for vals in self.vals]
         # the round-off per node: the value's floor (under a unit, against a
         # decay of at most 1) and the decay's error against the value; per
         # sum: its rounding to working precision
-        return [(mp.ldexp(sum(map(mul, vals, decay)), -2 * fix),
+        return [(mp.ldexp(total, -2 * fix),
                  sum(errors, mp.ldexp((count << fix) + (units + 2)
                                       * (abs_sum + count), -2 * fix)))
-                for vals, abs_sum, errors
-                in zip(self.vals, self.abs_sums, self.errors)]
+                for total, abs_sum, errors
+                in zip(sums, self.abs_sums, self.errors)]
 
 
 class _NodeSeries:
@@ -565,6 +574,59 @@ def _uside_kernels(series_list, p, dps):
             for k, phi in enumerate(bounds[-1])])
 
 
+def _cpus(most):
+    """Up to `most` CPUs this process may run on, first the one it runs on
+    (which a forked child starts on) where /proc tells it; [None], one
+    process, for most < 2 or where processes cannot be forked and bound."""
+    if most < 2 or not hasattr(os, "sched_setaffinity") or \
+            not hasattr(os, "fork"):
+        return [None]
+    cpus = sorted(os.sched_getaffinity(0))
+    with suppress(OSError, ValueError, IndexError):
+        with open("/proc/self/stat") as stat:  # field 39, "processor"
+            here = int(stat.read().rsplit(")", 1)[1].split()[36])
+        cpus.sort(key=lambda cpu: cpu != here)
+    return cpus[:most]
+
+
+def _spread(block, cpus):
+    """[block(w, len(cpus)) for each w]: w = 0 here, on cpus[0], and each
+    other w in a child forked and bound to cpus[w] (a cpuset without load
+    balancing keeps a child on its parent's CPU), which sends its result by
+    `marshal`, leaves by `os._exit` and is reaped here.  A block not sent
+    whole (its child failed, or was not forked) is run here again, as a
+    serial run would."""
+    children = []
+    try:
+        for w in range(1, len(cpus)):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the pipe stays empty
+                pid = None
+            if pid == 0:
+                try:
+                    os.sched_setaffinity(0, {cpus[w]})
+                    with os.fdopen(write, "wb") as sink:
+                        marshal.dump(block(w, len(cpus)), sink)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((os.fdopen(read, "rb"), pid))
+        out = [block(0, len(cpus))]
+        for w, (pipe, _) in enumerate(children, 1):
+            try:
+                out.append(marshal.loads(pipe.read()))
+            except (EOFError, ValueError, TypeError):
+                out.append(block(w, len(cpus)))
+        return out
+    finally:
+        for pipe, pid in children:
+            pipe.close()
+            if pid:
+                os.waitpid(pid, 0)
+
+
 class MagicFunctionSpec:
     """Precomputed evaluation pipeline for one dimension."""
 
@@ -639,31 +701,59 @@ class MagicFunctionSpec:
 
     def sweep(self, r0, step, count):
         """Certified (P, M) at r_k = r0 + k*step for k < count, with r0 and
-        step >= 0; every pair is also put in the pair cache."""
+        step >= 0; every pair is also put in the pair cache.  The radii not
+        cached yet are split across processes (see `_block`): no value
+        depends on how."""
         with mp.workdps(self.dps + 10):
             r0, step = mp.mpf(r0), mp.mpf(step)
             if not (0 <= r0 < mp.inf and 0 <= step < mp.inf):
                 raise MagicError("radius and step must be finite and "
                                  "nonnegative")
-            out = []
-            for k, decay in enumerate(self._decays(r0, step, count)):
-                rv = r0 + k * step
-                key = rv._mpf_
-                if key not in self._cache:
-                    pi_r2 = mp.pi * (rv * rv)
-                    w_r = mp.sin(pi_r2 / 2) ** 2
-                    g = mp.exp(-pi_r2)
-                    (p_t, p_terr, _), (m_t, m_terr, _) = self._tside.evaluate(
-                        pi_r2, w_r, g)
-                    (p_u, p_uerr), (m_u, m_uerr) = self.uside.integrals(
-                        decay, 2 * (k + 2) ** 2)
-                    self._cache[key] = (
-                        CertifiedValue(p_t + w_r * p_u, p_terr + w_r * p_uerr),
-                        CertifiedValue(m_t + w_r * m_u, m_terr + w_r * m_uerr))
-                out.append(self._cache[key])
-        return out
+            keys = [(r0 + k * step)._mpf_ for k in range(count)]
+            todo = [k for k, key in enumerate(keys) if key not in self._cache]
+            # a process per usable CPU, at most one per 64 radii and per 32
+            # nodes
+            cpus = _cpus(min(count // 64, len(self.uside.inv_u) // 32))
+            parts = todo and _spread(partial(self._block, r0, step, count,
+                                             todo), cpus)
+            sums = zip(*(part[0] for part in parts))
+            tside = (t for part in parts for t in part[1])
+            # backwards, so a radius met twice keeps its first, tighter pair
+            for k, rows, t in reversed(list(zip(todo, sums, tside))):
+                w_r, p_t, p_terr, m_t, m_terr = (
+                    mp.make_mpf((sign, MPZ(man), exp, bc))
+                    for sign, man, exp, bc in t)
+                (p_u, p_uerr), (m_u, m_uerr) = self.uside.integrals(
+                    None, 2 * (k + 2) ** 2, list(map(sum, zip(*rows))))
+                self._cache[keys[k]] = (
+                    CertifiedValue(p_t + w_r * p_u, p_terr + w_r * p_uerr),
+                    CertifiedValue(m_t + w_r * m_u, m_terr + w_r * m_uerr))
+            return [self._cache[key] for key in keys]
 
-    def _anchor(self, scale):
+    def _block(self, r0, step, count, todo, w, workers):
+        """Part w of `workers` of a sweep over the radii `todo`: per radius,
+        both kernels' u-side dot products on node block w, and per radius of
+        block w, W(r) and each side's t-side value and error as `_mpf_`
+        tuples with an int mantissa, which `marshal` sends."""
+        size, share = len(self.uside.inv_u), len(todo)
+        nodes = slice(w * size // workers, (w + 1) * size // workers)
+        vals, wanted = [v[nodes] for v in self.uside.vals], set(todo)
+        sums = [[sum(map(mul, v, decay)) for v in vals] for k, decay
+                in enumerate(self._decays(r0, step, count, nodes))
+                if k in wanted]
+        tside = []
+        for k in todo[w * share // workers:(w + 1) * share // workers]:
+            rv = r0 + k * step
+            pi_r2 = mp.pi * (rv * rv)
+            w_r = mp.sin(pi_r2 / 2) ** 2
+            (p_t, p_terr, _), (m_t, m_terr, _) = self._tside.evaluate(
+                pi_r2, w_r, mp.exp(-pi_r2))
+            values = (w_r, p_t, p_terr, m_t, m_terr)
+            tside.append([(sign, int(man), exp, bc)
+                          for sign, man, exp, bc in (v._mpf_ for v in values)])
+        return sums, tside
+
+    def _anchor(self, scale, nodes=slice(None)):
         """e^(-scale / u) at every node, scaled by 2^fix, for an mpf scale
         s >= 0: one `_exp_fixed` over `_Uside.inv_u` in P = fix + G bits,
         within 1.04 units.  In units of 2^-P, a = floor(S w), S the
@@ -672,11 +762,13 @@ class MagicFunctionSpec:
         floor leaves 1 + (13 + 2^(L+1)) 2^-G < 1.04 units of 2^-fix.
         """
         side = self.uside
-        return _exp_fixed(scale, side.inv_u, side.fix + side.guard, side.guard)
+        return _exp_fixed(scale, side.inv_u[nodes], side.fix + side.guard,
+                          side.guard)
 
-    def _decays(self, r0, h, count):
-        """e^(-pi r_k^2 / u) at the nodes of the spec's `_Uside` for r_k =
-        r0 + k*h, k < count, as integers scaled by 2^fix, its fix.
+    def _decays(self, r0, h, count, nodes=slice(None)):
+        """e^(-pi r_k^2 / u) at the nodes of the spec's `_Uside` (or at the
+        slice `nodes` of them) for r_k = r0 + k*h, k < count, as integers
+        scaled by 2^fix, its fix.
 
         One `_anchor` e^(-s/u) per sweep: E_0 (s = pi r0^2) and, for more
         radii, R_0 (s = pi (2 r0 h + h^2)) and Q (s = 2 pi h^2).  Then
@@ -689,11 +781,11 @@ class MagicFunctionSpec:
         working precision, dps + 10.
         """
         fix = self.uside.fix
-        decay = self._anchor(mp.pi * (r0 * r0))
+        decay = self._anchor(mp.pi * (r0 * r0), nodes)
         if count > 1:
-            ratio = self._anchor(mp.pi * h * (2 * r0 + h))
+            ratio = self._anchor(mp.pi * h * (2 * r0 + h), nodes)
         if count > 2:
-            q = self._anchor(2 * mp.pi * h * h)
+            q = self._anchor(2 * mp.pi * h * h, nodes)
         for k in range(count):
             yield decay
             if k + 1 < count:

@@ -584,6 +584,44 @@ def test_option_of_another_action_is_usage_error(argv, monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    "--prec 10 lpbound run --dim 8 --deg 30 --meth newton",
+    "code info --n golay24",
+])
+def test_abbreviated_option_is_usage_error(argv, monkeypatch, capsys):
+    # no parser completes a truncated option into another one
+    for name in ("code", "lpbound"):
+        monkeypatch.setattr(cli, f"_cmd_{name}",
+                            lambda *a: pytest.fail("handler ran"))
+    code = dispatch(argv.split())
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_magic_check_artifact_survives_a_failed_worker(monkeypatch, capsys,
+                                                       cpus, forks):
+    # a child that exits without a result leaves its block of the grid to
+    # the parent: the same bytes, exit 0
+    cpus(2)
+    monkeypatch.setattr(magic, "_SPEC_CACHE", {})
+    parent, block = os.getpid(), magic.MagicFunctionSpec._block
+
+    def failing(self, *args):
+        if os.getpid() != parent:
+            os._exit(1)
+        return block(self, *args)
+
+    monkeypatch.setattr(magic.MagicFunctionSpec, "_block", failing)
+    command = "--format json magic check --dim 8"
+    code, out = run(command.split(), capsys)
+    assert code == EXIT_OK
+    assert forks
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        ARTIFACT_DIGESTS[command]
+
+
 def _readme_command_lines():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]

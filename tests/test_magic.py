@@ -1,6 +1,9 @@
 import copy
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -779,6 +782,127 @@ def test_sweep_and_pair_take_no_exp_per_node(spec8, monkeypatch):
     monkeypatch.setattr(magic, "_EXP_TABLES", {})
     spec8.pair(mp.mpf("3.4567891"))
     assert 4 <= len(calls) <= 2 + 4
+
+
+def _pair_bits(pair):
+    return [(v.value._mpf_, v.error._mpf_) for v in pair]
+
+
+@pytest.mark.parametrize("n, count", [(8, 401), (24, 501)])
+def test_split_sweep_is_bit_identical(n, count, request, cpus, forks,
+                                      monkeypatch):
+    # the certificate grid on 1, 2 and 3 processes: every value and error
+    # bar is the same, and a radius already cached is read, not recomputed
+    spec = request.getfixturevalue(f"spec{n}")
+    blocks, block = [], magic.MagicFunctionSpec._block
+
+    def recording(self, *args):
+        blocks.append(args[-2:])  # in a child the record is lost
+        return block(self, *args)
+
+    monkeypatch.setattr(magic.MagicFunctionSpec, "_block", recording)
+    runs = []
+    for workers in (1, 2, 3):
+        cpus(workers)
+        clone = _fresh_copy(spec)
+        with mp.workdps(spec.dps + 10):
+            step = mp.mpf(0.02)
+            cached = clone.pair(57 * step)
+        forks.clear()
+        blocks.clear()
+        swept = clone.sweep(0, 0.02, count)
+        # each child sent its block: the parent ran only block 0
+        assert len(forks) == workers - 1
+        assert blocks == [(0, workers)]
+        assert swept[57] is cached
+        runs.append([_pair_bits(pair) for pair in swept])
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0][57] != runs[0][56]
+
+
+def test_sweep_keeps_the_first_pair_of_a_repeated_radius(spec8):
+    # with step 0 every k is the same radius: each gets the k = 0 pair, the
+    # one with the tightest decay error
+    swept = _fresh_copy(spec8).sweep(mp.mpf("0.8642"), 0, 3)
+    single = _fresh_copy(spec8).pair(mp.mpf("0.8642"))
+    assert swept[0] is swept[1] is swept[2]
+    assert _pair_bits(swept[0]) == _pair_bits(single)
+
+
+def test_pair_and_short_sweeps_never_fork(spec8, cpus, monkeypatch):
+    cpus(16)
+    monkeypatch.setattr(magic.os, "fork", lambda: pytest.fail("forked"))
+    spec = _fresh_copy(spec8)
+    spec.pair(mp.mpf("1.3579"))
+    assert len(spec.sweep(mp.mpf("1.2468"), mp.mpf("0.02"), 50)) == 50
+
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_setaffinity")),
+    reason="no fork or CPU affinity here")
+
+
+def _one_cpu(k):
+    """k processes' CPUs, all the first one this process may run on."""
+    return [min(os.sched_getaffinity(0))] * k
+
+
+@needs_fork
+def test_spread_runs_every_block_once_in_order(forks):
+    assert magic._spread(lambda w, k: [w, (k, -w)], _one_cpu(3)) == \
+        [[0, (3, 0)], [1, (3, -1)], [2, (3, -2)]]
+    assert len(forks) == 2
+
+
+@needs_fork
+def test_spread_reruns_a_block_its_child_did_not_send(monkeypatch):
+    # a child that dies, a result marshal cannot send and a failed fork
+    # each leave their block to the parent
+    parent = os.getpid()
+
+    def block(w, _):
+        if w == 1 and os.getpid() != parent:
+            os._exit(1)
+        return mp.mpf(w) if w == 2 else w
+
+    assert magic._spread(block, _one_cpu(3)) == [0, 1, mp.mpf(2)]
+
+    def no_fork():
+        raise OSError("no processes left")
+
+    monkeypatch.setattr(magic.os, "fork", no_fork)
+    assert magic._spread(lambda w, _: w, _one_cpu(3)) == [0, 1, 2]
+
+
+@needs_fork
+def test_spread_raises_what_a_serial_run_raises():
+    def block(w, _):
+        return 1 // (w - 1)
+
+    with pytest.raises(ZeroDivisionError):
+        magic._spread(block, _one_cpu(2))
+
+
+@needs_fork
+def test_split_sweep_imports_no_pickle():
+    # the children send their sums by marshal: a sweep that forks imports
+    # no serializer
+    code = """if 1:
+        import os, sys
+        import packbound.magic as magic
+        cpu = min(os.sched_getaffinity(0))
+        os.sched_getaffinity = lambda _: [cpu, cpu]
+        forks, fork = [], os.fork
+        os.fork = lambda: forks.append(1) or fork()
+        magic.magic_spec(8).sweep(0, 0.02, 401)
+        print(len(forks), "pickle" in sys.modules)
+    """
+    src = os.path.dirname(os.path.dirname(magic.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.stdout.split() == ["1", "False"], proc.stderr[-500:]
 
 
 def _boundary_scales(spec, node):
