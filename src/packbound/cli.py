@@ -242,7 +242,7 @@ def _cmd_lpbound(args, cfg):
         key = next((k for k in ("bound", "estimate") if k in res), None)
         if key:
             payload[key] = res[key]
-        # without the Sturm proof (or without any LP solution) nothing is
+        # without the root proof (or without any LP solution) nothing is
         # bounded: inconclusive
         if key != "bound":
             code = EXIT_INCONCLUSIVE

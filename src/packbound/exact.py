@@ -1,9 +1,8 @@
 """Exact rational arithmetic helpers: the one guarded parser of rational
 text, integer/rational square roots, the scaling of a rational vector to
-integers, Hermite reduction over Z, rational polynomials, and one Sturm
-chain, of the square-free part in primitive integer polynomials built from
-integer pseudo-remainders and divided by its gcd, for counting the roots
-beyond a point and isolating them.
+integers, Hermite reduction over Z, rational polynomials, and one root
+test: a Descartes bisection of primitive integer polynomials, which proves
+that no root lies beyond a point or isolates the roots that do.
 
 There is no Fraction determinant: a lattice reads its determinant off the
 diagonal of its Hermite-reduced basis, which is triangular, and the exact
@@ -16,6 +15,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate
+from operator import ne
 
 
 def frac(x) -> Fraction:
@@ -164,47 +165,6 @@ def poly_primitive(p):
     return [v // g for v in ints]
 
 
-def _pseudo_remainder(a, b):
-    """lc(b)^(deg a - deg b + 1) times the remainder of the integer
-    polynomial a by the integer polynomial b, deg a >= deg b: every step
-    multiplies by lc(b), so the division stays in integers."""
-    lc, db = b[-1], len(b) - 1
-    r = list(a)
-    for k in reversed(range(len(a) - db)):
-        # r <- lc r - r_top x^k b, whose top coefficient cancels
-        top = r[-1]
-        r = ([lc * v for v in r[:k]]
-             + [lc * v - top * w for v, w in zip(r[k:-1], b)])
-    return poly_trim(r)
-
-
-def sturm_chain(p):
-    """Sturm chain of the square-free part of a nonzero rational polynomial,
-    each member a primitive integer polynomial (a positive multiple, so its
-    roots and signs are kept).  Each member after p' is the primitive part
-    of -prem(A, B) = -lc(B)^(delta+1) rem(A, B), negated once more when
-    lc(B)^(delta+1) < 0 so that the factor stays positive, for delta =
-    deg A - deg B: the same members as the Fraction remainders, with no
-    Fraction.  If the sequence ends in a nonconstant g = gcd(p, p'), every
-    member is divided by g: the quotients are a Sturm chain of p / g."""
-    chain = [poly_primitive(p)]
-    der = poly_primitive(poly_deriv(chain[0]))
-    if der:
-        chain.append(der)
-    while len(chain[-1]) > 1:
-        a, b = chain[-2], chain[-1]
-        r = _pseudo_remainder(a, b)
-        if not r:
-            break
-        if b[-1] > 0 or (len(a) - len(b)) % 2:
-            r = [-c for c in r]
-        chain.append(poly_primitive(r))
-    g = chain[-1]
-    if len(g) > 1:
-        chain = [poly_primitive(poly_divmod(c, g)[0]) for c in chain]
-    return chain
-
-
 # _sign first tries a point a/b with more than _FILTER_BITS bits in a and b
 # together in _FILTER_W-bit fixed point
 _FILTER_BITS = 256
@@ -212,13 +172,12 @@ _FILTER_W = 64
 
 
 def _sign(p, a, b):
-    """Sign of the integer polynomial p at a/b, for integers a and b >= 0,
-    read off the homogeneous integer sum c_i a^i b^(deg - i) by Horner;
-    (a, b) = (1, 0) is +inf, where the sum is the leading coefficient.  A
+    """Sign of the integer polynomial p at a/b, for integers a and b > 0,
+    read off the homogeneous integer sum c_i a^i b^(deg - i) by Horner.  A
     point with more than _FILTER_BITS bits in a and b goes to
     _fixed_point_sign first, and the exact sum decides only what that
     leaves open."""
-    if b and len(p) > 1 and a.bit_length() + b.bit_length() > _FILTER_BITS:
+    if len(p) > 1 and a.bit_length() + b.bit_length() > _FILTER_BITS:
         s = _fixed_point_sign(p, a, b)
         if s is not None:
             return s
@@ -249,77 +208,99 @@ def _fixed_point_sign(p, a, b):
     return None
 
 
-def _sign_variations(chain, a, b):
-    """Sign changes along the chain at a/b ((1, 0) for +inf).  For the chain
-    of a square-free p, V(x) - V(y) counts the roots of p in (x, y]."""
-    signs = [s for s in (_sign(p, a, b) for p in chain) if s]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def sturm_count(p, lo: Fraction) -> int:
-    """Number of distinct real roots of p in (lo, +inf)."""
-    p = poly_trim([frac(c) for c in p])
-    if not p:
-        raise ValueError("zero polynomial")
-    chain = sturm_chain(p)
-    lo = frac(lo)
-    return (_sign_variations(chain, lo.numerator, lo.denominator)
-            - _sign_variations(chain, 1, 0))
-
-
-# sturm_roots isolates each root y to a relative width of 2^-_ROOT_BITS
+# real_roots isolates each root y to a relative width of 2^-_ROOT_BITS
 _ROOT_BITS = 30
+# real_roots splits no node after _NODE_BUDGET // max(deg, 24) nodes: 2,000
+# up to degree 24, then fewer, so that a repeated root within lpbound's
+# verification budget stops it in under 10 s (see LpCertificate.from_dict)
+_NODE_BUDGET = 48_000
 
 
-def sturm_roots(p, lo: Fraction) -> list:
-    """The distinct real roots of p beyond lo, in increasing order, each as
-    the midpoint of an interval of width at most 2^-_ROOT_BITS * max(1, |y|)
-    that Sturm bisection shows to hold exactly that root.
+def _shift1(h):
+    """h(x + 1) for the integer polynomial h listed highest degree first:
+    each pass of the classic O(deg^2) Taylor shift is one running sum."""
+    h = list(h)
+    for k in range(len(h), 1, -1):
+        h[:k] = accumulate(h[:k])
+    return h
 
-    The bisection halves [lo, hi], hi the Cauchy bound, and keeps the halves
-    (a, m], (m, b] that hold a root.  Its endpoints at depth k are integers
-    over den * 2^k.  A doubling search first proves a root bound R:
-    V(R) = V(+inf), so every midpoint m >= R reads V(+inf) without a chain
-    evaluation; R moves no midpoint, so no root.  An interval that holds
-    exactly one root is halved on the sign of chain[0], the square-free
-    part, alone: the root lies in (a, m] when p(m) is 0 or has the sign of
-    p(b).
+
+def real_roots(p, lo: Fraction):
+    """(roots, unresolved, nodes): the real roots of the nonzero rational
+    polynomial p beyond lo, in increasing order, the intervals that hold the
+    rest, and the nodes counted, by Descartes bisection (Collins-Akritas).
+
+    It halves (lo, hi), hi the Cauchy bound, on the grid whose endpoints at
+    depth k are integers over den * 2^k, from the deepest left node that
+    still reaches the Fujiwara bound.  Node (a, b) holds the integer
+    polynomial q(x) = p(a + (b - a) x), and the sign variations of
+    (x + 1)^deg q(1 / (x + 1)) exceed its roots in (a, b) by an even count.
+    With 0 there is none; with 1 there is one, simple, which _isolate
+    halves on the sign of p as a Sturm bisection of the grid does.  The
+    halves of q are 2^deg q(x / 2) and that shifted by 1, whose constant
+    term is a multiple of p at the midpoint: a root there is returned
+    exactly, and the left half is halved again.
+
+    A repeated root keeps two or more variations at every depth: after
+    _NODE_BUDGET // max(deg, 24) nodes, each node left that shows one comes
+    back unresolved, as (a, b).  So no root is missed.
     """
-    p = poly_trim([frac(c) for c in p])
+    p = poly_primitive([frac(c) for c in p])
     if not p:
         raise ValueError("zero polynomial")
-    lo = frac(lo)
-    # Cauchy: every root has |y| < 1 + max |c_i / c_d|
-    hi = max(lo, 1 + max((abs(c / p[-1]) for c in p[:-1]), default=0))
-    chain = sturm_chain(p)
-    v_inf = _sign_variations(chain, 1, 0)
-    bound = max(Fraction(1), lo + 1)
-    while _sign_variations(chain, bound.numerator,
-                           bound.denominator) != v_inf:
-        bound *= 2
-    # lo, hi and the bound, 1 or (lo + 1) times a power of two, are
-    # integers over den
+    lo, deg = frac(lo), len(p) - 1
+    roots, unresolved, nodes = [], [], 0
+    # Cauchy: every root has |y| < hi = 1 + max |c_i / c_d|; Fujiwara:
+    # |y| <= 2 max |c_i / c_d|^(1 / (deg - i)) < bound, a power of two, as
+    # |c_i / c_d| < 2^(bits(c_i) - bits(c_d) + 1)
+    hi = 1 + max((Fraction(abs(c), abs(p[-1])) for c in p[:-1]), default=0)
+    top = abs(p[-1]).bit_length()
+    bound = 2 << max([0] + [-((top - 1 - abs(c).bit_length()) // (deg - i))
+                            for i, c in enumerate(p[:-1])])
+    if not deg or min(hi, bound) <= lo:
+        return roots, unresolved, nodes
     den = math.lcm(lo.denominator, hi.denominator)
-    a, b, bound = int(lo * den), int(hi * den), int(bound * den)
-    roots = []
-    # no root lies beyond hi, so V(hi) = V(+inf)
-    stack = [(0, a, _sign_variations(chain, a, den), b, v_inf)]
+    a, w = int(lo * den), int((hi - lo) * den)
+    # start from the deepest left node that still holds (lo, bound): the
+    # nodes and midpoints it skips lie beyond every root
+    while 2 * a + w >= bound * den << 1:
+        a, den = 2 * a, 2 * den
+    # den^deg p((a + w x) / den), by Horner on the linear polynomial
+    q, scale = [p[-1]], 1
+    for c in reversed(p[:-1]):
+        scale *= den
+        q = [a * u + w * v for u, v in zip(q + [0], [0] + q)]
+        q[0] += c * scale
+    cap = _NODE_BUDGET // max(deg, 24)
+    # nodes (depth k, left end a over den * 2^k, q, whether p(b) = 0)
+    stack = [(0, a, q, False)]
     while stack:
-        k, a, va, b, vb = stack.pop()
-        if va - vb == 1:
-            roots.append(_isolate(chain[0], a, b, den << k))
-        elif va != vb:
-            m = a + b
-            vm = (v_inf if m >= bound << (k + 1)
-                  else _sign_variations(chain, m, den << (k + 1)))
-            stack += [(k + 1, m, vm, 2 * b, vb), (k + 1, 2 * a, va, m, vm)]
-    return sorted(roots)
+        k, a, q, right_root = stack.pop()
+        nodes += 1
+        # q low degree first is x^deg q(1 / x) high degree first
+        signs = [c > 0 for c in _shift1(q) if c]
+        v = sum(map(ne, signs, signs[1:]))
+        if v == 1 and not right_root:
+            roots.append(_isolate(p, a, a + w, den << k))
+        elif v and nodes >= cap:
+            unresolved.append((Fraction(a, den << k),
+                               Fraction(a + w, den << k)))
+        elif v:
+            half = [c << (deg - i) for i, c in enumerate(q)]
+            right = _shift1(half[::-1])[::-1]
+            m = 2 * a + w
+            if not right[0]:
+                roots.append(Fraction(m, den << (k + 1)))
+            stack += [(k + 1, m, right, right_root),
+                      (k + 1, 2 * a, half, not right[0])]
+    return sorted(roots), unresolved, nodes
 
 
 def _isolate(p, a, b, den):
-    """The root midpoint of sturm_roots for the one root of the square-free
-    integer polynomial p in (a/den, b/den]: halve on the sign of p until
-    the width is at most 2^-_ROOT_BITS * max(1, |m|)."""
+    """The root midpoint of real_roots for the one root, a simple one, of
+    the integer polynomial p in (a/den, b/den), where p(b/den) is not 0:
+    halve on the sign of p until the width is at most
+    2^-_ROOT_BITS * max(1, |m|)."""
     sb = _sign(p, b, den)
     while True:
         m = a + b

@@ -1,6 +1,6 @@
 """The numerical pipeline for the linear-programming density bound:
 Laguerre-parametrized test functions; a sampled LP, solved by exact dual
-simplex, whose solution an exact Sturm check proves feasible; and, in
+simplex, whose solution an exact root test proves feasible; and, in
 dimensions 8 and 24, the least-squares projection of the optimal function
 onto the family (uncertified, so it gives an estimate, not a bound).
 
@@ -16,10 +16,11 @@ With y = pi r^2 and z = pi u^2,
 so f(0) = p(0), b >= 0 keeps the transform positive, and f <= 0 for r >= 1
 is p <= 0 on y >= pi.  The sampled LP solves for exact rational b, so p and
 p(0) are exact, and it proves the sign condition on [PI_LO, inf) for the
-rational PI_LO just below pi: p(PI_LO) < 0 and a Sturm count of no root of
-p beyond PI_LO.  Each entry of an LP row is the exact L_k(y) at a sample,
-column-scaled and rounded once to a float: a fraction-free integer
-recurrence gives it as N_k / D_k, and one int / int division rounds it.
+rational PI_LO just below pi: p(PI_LO) < 0 and a Descartes bisection that
+finds no root of p beyond PI_LO.  Each entry of an LP row is the exact
+L_k(y) at a sample, column-scaled and rounded once to a float: a
+fraction-free integer recurrence gives it as N_k / D_k, and one int / int
+division rounds it.
 The column scales are powers of two, fixed exactly from bit lengths, and
 the same recurrence, run on integer coefficient lists, gives p itself.
 The projection gives b in mpmath floats; its rows evaluate L_k by the
@@ -38,7 +39,7 @@ import mpmath as mp
 from .certify import Certificate
 from .exact import (
     frac, integer_scaled, poly_deriv, poly_eval, poly_primitive, poly_trim,
-    rational, sturm_count, sturm_roots,
+    rational, real_roots,
 )
 from .lattices import ball_volume
 from .simplex import Infeasible, IterationLimit, solve_min
@@ -271,12 +272,10 @@ class LpCertificate:
         MAX_DEGREE, b (d of them) and y0 exact rational strings, and p
         within budget: D^2 (B + D) <= VERIFY_BUDGET for D the degree and B
         the largest coefficient bit length of p's primitive integer form
-        (so D <= 125).  Anything else raises LpError.  verify_lp's Sturm
-        chain, built from integer pseudo-remainders, took about
-        1.3e-12 D^4.26 B^2 s on random integer p at D = 30 to 200 with
-        D^2 B = 2e6 (11.6 s at D = 30 and 40, 13.2 s at 100), and as long
-        with a double root (12.0 s against 11.6 s at D = 40, B = 1,249):
-        <= 20 s at the budget."""
+        (so D <= 125).  Anything else raises LpError.  At the budget's edge,
+        D = 30 to 125, `verify lp` took 5.4 to 9.0 s with a double root,
+        which runs real_roots to its node cap, and at most 3.2 s for random
+        p and for p with D simple roots: <= 20 s at the budget."""
         try:
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))
@@ -309,36 +308,45 @@ def _float_str(x) -> str:
 
 def verify_lp(cert: LpCertificate) -> Certificate:
     """Exact check of every hypothesis of the certificate's claim: b >= 0,
-    y0 <= PI_LO < pi, p(y0) < 0, and no root of p in (y0, inf) by a Sturm
-    count, which together give p < 0 on [y0, inf)."""
+    y0 <= PI_LO < pi, p(y0) < 0, and no root of p in (y0, inf) by
+    real_roots, which together give p < 0 on [y0, inf).  An interval left
+    unresolved (a repeated root) fails that step, but not definitely."""
     poly = cert.polynomial()
     p_y0 = poly_eval(poly, cert.y0)
-    roots = sturm_count(poly, cert.y0)
-    out = Certificate(claim=f"Sturm sign certificate n={cert.n} d={cert.d}")
+    roots, unresolved, nodes = real_roots(poly, cert.y0)
+    out = Certificate(claim=f"sign certificate n={cert.n} d={cert.d}")
     out.add_step("profile coefficients b >= 0", "exact",
                  _float_str(min(cert.b, default=0)),
                  all(x >= 0 for x in cert.b))
     out.add_step("y0 lies below pi", "exact", str(cert.y0), cert.y0 <= PI_LO)
     out.add_step("p(y0) < 0", "exact", _float_str(p_y0), p_y0 < 0)
     out.add_step("no root of p in (y0, inf)", "exact",
-                 f"{roots} roots (Sturm count)", roots == 0)
+                 f"{len(roots)} roots, {len(unresolved)} unresolved "
+                 f"intervals ({nodes} bisection nodes)",
+                 not (roots or unresolved), definite=bool(roots))
     return out
+
+
+def _roots_or_midpoints(poly, lo):
+    """real_roots, with each unresolved interval's midpoint as a root."""
+    roots, unresolved, _ = real_roots(poly, lo)
+    return sorted(roots + [(a + b) / 2 for a, b in unresolved])
 
 
 def _positive_maxima(poly, lo):
     """Points near the maxima of p on the stretches of [lo, inf) where
-    p > 0, from Sturm searches: the roots of p' beyond lo where p > 0, lo
-    if p(lo) > 0, and, if p grows without end, 2 rho + 1, where rho is the
-    largest root of p beyond lo (lo if there is none), so p > 0 there.
-    Unlike the Cauchy bound 1 + max |c_i / c_d|, this point scales with the
-    roots, so a tiny leading coefficient does not carry it past the float
-    range."""
-    points = [y for y in sturm_roots(poly_deriv(poly), lo)
+    p > 0, from root searches (only the final proof counts): the roots of
+    p' beyond lo where p > 0, lo if p(lo) > 0, and, if p grows without end,
+    2 rho + 1, where rho is the largest root of p beyond lo (lo if there is
+    none), so p > 0 there.  Unlike the Cauchy bound 1 + max |c_i / c_d|,
+    this point scales with the roots, so a tiny leading coefficient does
+    not carry it past the float range."""
+    points = [y for y in _roots_or_midpoints(poly_deriv(poly), lo)
               if poly_eval(poly, y) > 0]
     if poly_eval(poly, lo) > 0:
         points.append(lo)
     if poly[-1] > 0:
-        points.append(2 * max(sturm_roots(poly, lo), default=lo) + 1)
+        points.append(2 * max(_roots_or_midpoints(poly, lo), default=lo) + 1)
     return points
 
 
@@ -420,7 +428,7 @@ def sampled_lp(n: int, d: int):
     return {
         "method": "sampled",
         "certificate": cert,
-        "certificate_status": "sturm-certified" if proved else "uncertified",
+        "certificate_status": "certified" if proved else "uncertified",
         "p0": p0,
         "f0": float(p0),
         "bound" if proved else "estimate":

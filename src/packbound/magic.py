@@ -407,12 +407,11 @@ class _Uside:
         self.abs_sums = [sum(map(abs, v)) for v in vals]
         self.errors = errors
 
-    def integrals(self, decay, units, sums=None):
-        """Per kernel, the certified value of the integral from e^(-b/u) at
-        the nodes, given as integers scaled by 2^fix within `units` units of
-        the exact decay, or from its integer dot products with `vals`."""
+    def integrals(self, units, sums):
+        """Per kernel, the certified value of the integral from `sums`, the
+        integer dot products of `vals` with e^(-b/u) at the nodes, given as
+        integers scaled by 2^fix within `units` units of the exact decay."""
         fix, count = self.fix, len(self.inv_u)
-        sums = sums or [sum(map(mul, vals, decay)) for vals in self.vals]
         # the round-off per node: the value's floor (under a unit, against a
         # decay of at most 1) and the decay's error against the value; per
         # sum: its rounding to working precision
@@ -724,7 +723,7 @@ class MagicFunctionSpec:
                     mp.make_mpf((sign, MPZ(man), exp, bc))
                     for sign, man, exp, bc in t)
                 (p_u, p_uerr), (m_u, m_uerr) = self.uside.integrals(
-                    None, 2 * (k + 2) ** 2, list(map(sum, zip(*rows))))
+                    2 * (k + 2) ** 2, list(map(sum, zip(*rows))))
                 self._cache[keys[k]] = (
                     CertifiedValue(p_t + w_r * p_u, p_terr + w_r * p_uerr),
                     CertifiedValue(m_t + w_r * m_u, m_terr + w_r * m_uerr))

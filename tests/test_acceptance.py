@@ -144,7 +144,7 @@ def lp8():
 def test_criterion_7_lp_pipeline(lp8):
     res = lp8
     ok = res["feasible_report"]["feasible"]
-    ok &= res["certificate_status"] == "sturm-certified"
+    ok &= res["certificate_status"] == "certified"
     ok &= OPT8 <= res["bound"] <= 1.5 * OPT8
     detail = f"sampled d=30 bound/optimal {res['bound'] / OPT8:.6f}"
     refined = estimate(8, 45, 60, 300)
@@ -176,7 +176,7 @@ def test_criterion_8_certificate_soundness(spec8, lp8):
     flipped = spec8.flipped_minus_copy()
     sabotage = certify_magic(8, flipped)
     ok &= sabotage.status == "refuted"
-    report(8, ok, f"d=30 Sturm certificate accepted, {rejected}/"
+    report(8, ok, f"d=30 sign certificate accepted, {rejected}/"
                   f"{len(tampered)} tamperings rejected, sign-flipped spec "
                   f"refuted")
 

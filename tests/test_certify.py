@@ -12,8 +12,8 @@ from packbound.certify import (
 )
 from packbound import exact
 from packbound.exact import (
-    _sign, _sign_variations, poly_deriv, poly_divmod, poly_eval,
-    poly_primitive, poly_trim, sturm_chain, sturm_count, sturm_roots,
+    _sign, poly_deriv, poly_divmod, poly_eval, poly_primitive, poly_trim,
+    real_roots,
 )
 from packbound.codes import zero_code
 from packbound.lattices import (
@@ -23,7 +23,7 @@ from packbound.magic import MagicError
 from packbound.qseries import CertifiedValue
 
 
-# -- Sturm --------------------------------------------------------------------
+# -- Real roots ---------------------------------------------------------------
 
 def poly_mul(p, q):
     out = [Fraction(0)] * (len(p) + len(q) - 1)
@@ -33,11 +33,24 @@ def poly_mul(p, q):
     return out
 
 
+def from_roots(lead, roots):
+    p = [Fraction(lead)]
+    for r in roots:
+        p = poly_mul(p, [-r, Fraction(1)])
+    return p
+
+
+def count_beyond(p, x):
+    """Roots of p in (x, inf), each isolated by the Descartes bisection."""
+    roots, unresolved, _ = real_roots(p, x)
+    assert not unresolved
+    return len(roots)
+
+
 def count_between(p, lo, hi):
-    """Distinct roots of p in the open interval (lo, hi), lo < hi, from
-    two counts beyond a point; a root at hi lies in (lo, inf) but not in
-    (lo, hi)."""
-    return (sturm_count(p, lo) - sturm_count(p, hi)
+    """Roots of p in the open interval (lo, hi), lo < hi, from two counts
+    beyond a point; a root at hi lies in (lo, inf) but not in (lo, hi)."""
+    return (count_beyond(p, lo) - count_beyond(p, hi)
             - (poly_eval(p, Fraction(hi)) == 0))
 
 
@@ -49,23 +62,22 @@ def test_sturm_simple():
 
 def test_sturm_cubic():
     # (x-1)(x-2)(x-3) on (0, 5/2) -> 2
-    p = poly_mul(poly_mul([Fraction(-1), Fraction(1)],
-                          [Fraction(-2), Fraction(1)]),
-                 [Fraction(-3), Fraction(1)])
+    p = from_roots(1, [1, 2, 3])
     assert count_between(p, 0, Fraction(5, 2)) == 2
 
 
 def test_sturm_roots_isolates_each_root_once():
-    # (x-1)(x-2)(x-3)^2: the double root is one root
-    p = [Fraction(1)]
-    for r in (1, 2, 3, 3):
-        p = poly_mul(p, [Fraction(-r), Fraction(1)])
-    roots = sturm_roots(p, 0)
-    assert len(roots) == 3
+    # (x-1)(x-2)(x-3)^2: each simple root is isolated once, and the double
+    # root, off the bisection grid, comes back as one unresolved interval
+    p = from_roots(1, [1, 2, 3, 3])
+    roots, unresolved, _ = real_roots(p, 0)
+    assert len(roots) == 2
     assert all(abs(y - r) <= Fraction(r, 2 ** 30)
-               for y, r in zip(roots, (1, 2, 3)))
+               for y, r in zip(roots, (1, 2)))
+    assert len(unresolved) == 1 and unresolved[0][0] < 3 < unresolved[0][1]
     # a root at lo is outside (lo, inf)
-    assert len(sturm_roots(p, 1)) == 2
+    roots, unresolved, _ = real_roots(p, 1)
+    assert len(roots) == 1 and len(unresolved) == 1
 
 
 def test_sturm_endpoint_root_deflated():
@@ -75,8 +87,8 @@ def test_sturm_endpoint_root_deflated():
     assert count_between(q, 1, 2) == 1
     # the count runs to +inf; a root at lo is outside it
     r = poly_mul(q, [Fraction(1), Fraction(1)])  # roots -sqrt2, -1, sqrt2, 2
-    assert sturm_count(r, -1) == 2
-    assert sturm_count(q, 2) == 0
+    assert count_beyond(r, -1) == 2
+    assert count_beyond(q, 2) == 0
 
 
 @pytest.mark.parametrize("lead, roots", [
@@ -86,53 +98,29 @@ def test_sturm_endpoint_root_deflated():
                        Fraction(1, 6): 1, Fraction(4): 3}),
 ], ids=["monic", "negative-lead"])
 def test_sturm_roots_at_the_endpoints(lead, roots):
-    # known rational roots of multiplicity 1-3; lo and hi on the roots and
-    # between them
-    p = [lead]
-    for r, mult in roots.items():
-        for _ in range(mult):
-            p = poly_mul(p, [-r, Fraction(1)])
+    # known rational roots of multiplicity 1-3; lo on the roots and between
+    # them.  Every root beyond lo is accounted for once: isolated (a
+    # repeated one only exactly, at a bisection midpoint) or inside an
+    # unresolved interval; nothing at or below lo is returned,
+    # and every unresolved interval holds a root
+    p = from_roots(lead, [r for r, mult in roots.items()
+                          for _ in range(mult)])
     ys = sorted(roots)
     points = ys + [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[0] - 1,
                                                                 ys[-1] + 1]
     for lo in points:
-        beyond = [y for y in ys if y > lo]
-        assert sturm_count(p, lo) == len(beyond)
-        found = sturm_roots(p, lo)
-        assert len(found) == len(beyond)
-        assert all(abs(f - y) <= Fraction(max(1, abs(y)), 2 ** 30)
-                   for f, y in zip(found, beyond))
-        for hi in points:
-            if hi > lo:
-                inside = [y for y in ys if lo < y < hi]
-                assert count_between(p, lo, hi) == len(inside), (lo, hi)
-
-
-def test_sturm_chain_signs_in_integers():
-    # the chain's members are integer polynomials; their integer sign at
-    # a/b, in lowest terms or not, agrees with poly_eval at dyadics with
-    # 52-bit denominators (the sampled LP's sample keys), at a root, at 0
-    # and, past the Cauchy bound, at +inf, which is (1, 0)
-    rng = random.Random(20161014)
-    p = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(9)]
-    p = poly_mul(p, poly_mul([Fraction(-1, 3), Fraction(1)],
-                             [Fraction(-1, 3), Fraction(1)]))
-    chain = sturm_chain(p)
-    assert len(chain[-1]) == 1
-    assert all(type(c) is int for member in chain for c in member)
-    points = [Fraction(0), Fraction(1, 3)]
-    points += [Fraction(rng.randrange(-2 ** 55, 2 ** 55), 2 ** 52)
-               for _ in range(50)]
-    points += [Fraction(math.pi * r * r) for r in (1, 1.5, 2.25, 3)]
-    for member in chain:
-        for x in points:
-            v = poly_eval(member, x)
-            a, b = x.numerator, x.denominator
-            assert _sign(member, a, b) == (v > 0) - (v < 0)
-            assert _sign(member, 6 * a, 6 * b) == (v > 0) - (v < 0)
-        far = 2 + sum(abs(c) for c in member)
-        assert _sign(member, 1, 0) == _sign(member, far, 1)
-        assert _sign(member, 1, 0) == (member[-1] > 0) - (member[-1] < 0)
+        found, unresolved, _ = real_roots(p, lo)
+        assert all(lo < a for a, _ in unresolved)
+        for y in ys:
+            near = [f for f in found
+                    if abs(f - y) <= Fraction(max(1, abs(y)), 2 ** 30)]
+            inside = [(a, b) for a, b in unresolved if a < y < b]
+            if y <= lo:
+                assert not near and not inside, (lo, y)
+            else:
+                assert len(near) + len(inside) == 1, (lo, y)
+                assert roots[y] == 1 or near in ([], [y]), (lo, y)
+        assert all(any(a < y < b for y in ys) for a, b in unresolved)
 
 
 def test_sturm_agrees_with_bisection():
@@ -188,24 +176,43 @@ def test_sturm_agrees_with_bisection():
             hi += Fraction(1, 7)
         sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
         count = bisection_count(sf, lo, hi)
-        got = count_between(p, lo, hi)
-        assert got == count
-        assert len([y for y in sturm_roots(p, lo) if y <= hi]) == count
+        assert count_between(p, lo, hi) == count
+        assert len([y for y in real_roots(p, lo)[0] if y <= hi]) == count
 
 
-def bisection_roots(p, lo):
-    """The reference for sturm_roots: the same bisection of [lo, hi], hi the
-    Cauchy bound, on Fraction endpoints, with a full chain evaluation at
-    every midpoint, down to a width of 2^-30 * max(1, |m|)."""
+def fraction_chain(p):
+    """The Sturm chain of the square-free part of p from Fraction
+    remainders by poly_divmod, each member made primitive."""
+    chain = [poly_primitive(p)]
+    der = poly_primitive(poly_deriv(chain[0]))
+    if der:
+        chain.append(der)
+    while len(chain[-1]) > 1:
+        _, r = poly_divmod(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(poly_primitive([-c for c in r]))
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [poly_primitive(poly_divmod(c, g)[0]) for c in chain]
+    return chain
+
+
+def bisection_intervals(p, lo):
+    """The reference for real_roots: the Sturm bisection of [lo, hi], hi
+    the Cauchy bound, on Fraction endpoints, with the fraction_chain signs
+    at every midpoint, down to a width of 2^-30 * max(1, |m|); the interval
+    (a, b] of each distinct root beyond lo, in increasing order."""
     p = poly_trim([Fraction(c) for c in p])
     lo = Fraction(lo)
     hi = max(lo, 1 + max((abs(c / p[-1]) for c in p[:-1]), default=0))
-    chain = sturm_chain(p)
+    chain = fraction_chain(p)
 
     def variations(x):
-        return _sign_variations(chain, x.numerator, x.denominator)
+        signs = [v > 0 for v in (poly_eval(q, x) for q in chain) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
 
-    roots = []
+    intervals = []
     stack = [(lo, variations(lo), hi, variations(hi))]
     while stack:
         a, va, b, vb = stack.pop()
@@ -213,23 +220,22 @@ def bisection_roots(p, lo):
             continue
         m = (a + b) / 2
         if va - vb == 1 and b - a <= Fraction(1, 2 ** 30) * max(1, abs(m)):
-            roots.append(m)
+            intervals.append((a, b))
             continue
         vm = variations(m)
         stack += [(m, vm, b, vb), (a, va, m, vm)]
-    return sorted(roots)
+    return sorted(intervals)
+
+
+def bisection_roots(p, lo):
+    """The midpoints of bisection_intervals."""
+    return [(a + b) / 2 for a, b in bisection_intervals(p, lo)]
 
 
 def _random_polynomials(rng):
     """(p, lo) pairs: repeated roots, a root at lo, near-double roots,
     60-digit coefficients, a tiny leading coefficient and a root at a
     midpoint of the bisection."""
-    def from_roots(lead, roots):
-        p = [Fraction(lead)]
-        for r in roots:
-            p = poly_mul(p, [-r, Fraction(1)])
-        return p
-
     for _ in range(20):
         roots = [Fraction(rng.randint(-50, 50), rng.randint(1, 9))
                  for _ in range(rng.randint(1, 4))]
@@ -257,15 +263,27 @@ def _random_polynomials(rng):
 
 
 def test_sturm_roots_match_fraction_bisection():
-    # the integer-endpoint bisection, which skips the chain beyond a proven
-    # root bound and halves a one-root interval on one sign, returns the
-    # reference's Fractions exactly
-    checked = 0
+    # every case without a repeated root beyond lo gives the reference's
+    # roots exactly, in at most 447 nodes; every case with one comes back
+    # unresolved, each reference root isolated as the reference isolates
+    # it or overlapped by an unresolved interval: slower, never missed
+    resolved = repeated = 0
     for p, lo in _random_polynomials(random.Random(20260314)):
-        if any(p):
-            assert sturm_roots(p, lo) == bisection_roots(p, lo), (p, lo)
-            checked += 1
-    assert checked >= 115
+        if not any(p):
+            continue
+        roots, unresolved, nodes = real_roots(p, lo)
+        reference = bisection_intervals(p, lo)
+        if not unresolved:
+            assert roots == [(a + b) / 2 for a, b in reference], (p, lo)
+            assert nodes <= 447
+            resolved += 1
+            continue
+        repeated += 1
+        assert all(any(a < y <= b for a, b in reference) for y in roots)
+        for a, b in reference:
+            assert (a + b) / 2 in roots or any(
+                u < b and a < v for u, v in unresolved), (p, lo)
+    assert (resolved, repeated) == (102, 18)
 
 
 def _lp_searches(monkeypatch, n, d, lam=1):
@@ -293,74 +311,62 @@ def test_sturm_roots_match_fraction_bisection_in_the_lp(monkeypatch):
     assert len(seen) == 8 and all(lo == PI_LO for _, lo in seen)
     for poly, lo in seen:
         for q in (poly, poly_deriv(poly)):
-            assert sturm_roots(q, lo) == bisection_roots(q, lo)
+            roots, unresolved, _ = real_roots(q, lo)
+            assert (roots, unresolved) == (bisection_roots(q, lo), [])
 
 
-def test_sturm_roots_skips_the_chain_beyond_a_root_bound(monkeypatch):
-    # prod_(j <= 30) (y - j): its Cauchy bound is about 2^111, and the
-    # bisection from there evaluated the chain 944 times; past the proven
-    # bound 32 no midpoint needs the chain, and a one-root interval needs
-    # none
-    from packbound import exact
-
-    calls = []
-    variations = exact._sign_variations
-
-    def counted(chain, a, b):
-        calls.append((a, b))
-        return variations(chain, a, b)
-
-    p = [Fraction(1)]
-    for j in range(1, 31):
-        p = poly_mul(p, [Fraction(-j), Fraction(1)])
-    monkeypatch.setattr(exact, "_sign_variations", counted)
-    roots = sturm_roots(p, 0)
+def test_real_roots_isolates_thirty_roots_under_the_cap():
+    # prod_(j <= 30) (y - j), whose Cauchy bound is about 2^111: the
+    # bisection starts below the Fujiwara bound 2^11, so the 30 roots take
+    # a few dozen nodes of the 2,000 the cap allows
+    p = from_roots(1, range(1, 31))
+    hi = 1 + max(abs(c) for c in p[:-1])
+    assert 110 <= hi.numerator.bit_length() <= 112
+    roots, unresolved, nodes = real_roots(p, 0)
     assert [round(y) for y in roots] == list(range(1, 31))
-    assert len(calls) <= 50
+    assert all(abs(y - j) <= Fraction(j, 2 ** 30)
+               for j, y in enumerate(roots, 1))
+    assert not unresolved
+    assert nodes <= 100 < exact._NODE_BUDGET // 30
 
 
-def fraction_chain(p):
-    """The reference for sturm_chain: the same chain from Fraction
-    remainders by poly_divmod, each member made primitive."""
-    chain = [poly_primitive(p)]
-    der = poly_primitive(poly_deriv(chain[0]))
-    if der:
-        chain.append(der)
-    while len(chain[-1]) > 1:
-        _, r = poly_divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(poly_primitive([-c for c in r]))
-    g = chain[-1]
-    if len(g) > 1:
-        chain = [poly_primitive(poly_divmod(c, g)[0]) for c in chain]
-    return chain
+def test_real_roots_skips_only_beyond_the_fujiwara_bound():
+    # 2 y^2 - 3 y - 3 beyond 3/2: its root (3 + sqrt 33) / 4 = 2.186 lies
+    # in the right half of (3/2, 5/2), below the bound 4 that Fujiwara's
+    # factor 2 gives and beyond the 2 that it would without
+    roots, unresolved, nodes = real_roots([-3, -3, 2], Fraction(3, 2))
+    assert len(roots) == 1 and not unresolved and nodes == 1
+    assert abs(roots[0] - (3 + math.sqrt(33)) / 4) < 1e-8
 
 
-def test_sturm_chain_matches_fraction_remainders(monkeypatch):
-    # the integer pseudo-remainder chain is the Fraction remainder chain,
-    # member for member: random integer p with either sign of leading
-    # coefficient, p q^2 with a repeated factor, sparse p whose remainders
-    # drop more than one degree, and every p and p' of the (8, 30) and the
-    # free-root (24, 30) refinements
-    rng = random.Random(20261019)
-    for _ in range(150):
-        p = [rng.randint(-10 ** 6, 10 ** 6)
-             for _ in range(rng.randint(2, 12))]
-        p[-1] = rng.choice([-1, 1]) * rng.randint(1, 99)
-        q = [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [
-            rng.choice([-2, -1, 1, 3])]
-        sparse = [rng.choice([0, 0, 0, -2, -1, 1, 2])
-                  for _ in range(rng.randint(3, 9))]
-        sparse.append(rng.choice([-3, -1, 2]))
-        for case in (p, poly_mul(p, poly_mul(q, q)), sparse):
-            assert sturm_chain(case) == fraction_chain(case), case
-    lp = (_lp_searches(monkeypatch, 8, 30)
-          + _lp_searches(monkeypatch, 24, 30, Fraction(5, 2)))
-    assert len(lp) == 8 + 10
-    for p, _ in lp:
-        for q in (p, poly_deriv(p)):
-            assert sturm_chain(q) == fraction_chain(q), q
+def test_real_roots_finds_a_root_at_a_midpoint_exactly():
+    # (y - 7/2)^2 (1/2 - y) beyond 45/28: the Cauchy bound is 67/4, so the
+    # bisection's third midpoint on the left is 45/28 + (67/4 - 45/28) / 8 =
+    # 7/2, where the double root, which no interval can isolate, is found
+    # exactly
+    p = poly_mul(from_roots(1, [Fraction(7, 2)] * 2),
+                 [Fraction(1, 2), Fraction(-1)])
+    assert real_roots(p, Fraction(45, 28))[:2] == ([Fraction(7, 2)], [])
+    # (y - 10/3)(y - 7/2) beyond -17/3: the Cauchy bound is 38/3, so 7/2
+    # is the first midpoint, and the left half, which holds 10/3 alone, ends
+    # on a root: it is halved again, not isolated towards 7/2
+    roots, unresolved, _ = real_roots(from_roots(1, [Fraction(10, 3),
+                                                     Fraction(7, 2)]),
+                                      Fraction(-17, 3))
+    assert roots[1] == Fraction(7, 2) and not unresolved
+    assert abs(roots[0] - Fraction(10, 3)) <= Fraction(10, 3 * 2 ** 30)
+
+
+def test_real_roots_stops_at_the_cap(monkeypatch):
+    # a double root keeps two variations at every depth: the bisection
+    # splits no node after the cap, and returns each node that still shows
+    # a variation as unresolved, the double root inside one of them
+    monkeypatch.setattr(exact, "_NODE_BUDGET", 24 * 50)
+    p = from_roots(1, [Fraction(1, 3), Fraction(1, 3), 5])
+    roots, unresolved, nodes = real_roots(p, 0)
+    assert len(roots) == 1 and abs(roots[0] - 5) <= Fraction(5, 2 ** 30)
+    assert 50 <= nodes <= 100
+    assert any(a < Fraction(1, 3) < b for a, b in unresolved)
 
 
 def test_fixed_point_sign_matches_the_fraction_sign(monkeypatch):

@@ -17,7 +17,7 @@ from packbound.cli import (
     EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig,
     build_parser, dispatch, output_format,
 )
-from packbound.exact import poly_eval
+from packbound.exact import poly_eval, poly_primitive
 from packbound.lpbound import PI_HI, PI_LO, LpCertificate, laguerre_all
 
 
@@ -254,7 +254,7 @@ def test_lpbound_sampled_ignores_precision(lp8_artifacts):
     docs = [json.loads(p.read_text()) for p in lp8_artifacts.values()]
     assert [d.pop("config")["precision"] for d in docs] == [30, 80]
     assert docs[0] == docs[1]
-    assert docs[0]["certificate_status"] == "sturm-certified"
+    assert docs[0]["certificate_status"] == "certified"
 
 
 def test_lpbound_reads_the_optimal_density_without_a_lattice(
@@ -335,6 +335,35 @@ def test_verify_lp_tampering_refuted(lp8_artifacts, tmp_path, capsys):
         assert [s["statement"] for s in log if not s["passed"]] == [step]
 
 
+@pytest.mark.parametrize("n, b, y0, p, code, found", [
+    # (16 y^2 - 308 y + 1103)^2 (1 - y): double roots at (77 +- sqrt 1517)/8,
+    # both beyond PI_LO and off every bisection grid
+    (3, ["415994/169847", "293056/169847", "256320/169847", "147456/169847",
+         "61440/169847"], str(PI_LO),
+     [1216609, -1896057, 809608, -140016, 10112, -256], EXIT_INCONCLUSIVE,
+     "0 roots, 2 unresolved intervals"),
+    # (2 y - 7)^2 (1 - 2 y): a double root at 7/2, the bisection's third
+    # midpoint from 45/28 towards the Cauchy bound 67/4
+    (1, ["9/4", "0", "3"], "45/28", [49, -126, 60, -8], EXIT_REFUTED,
+     "1 roots, 0 unresolved intervals"),
+], ids=["irrational-double-root", "root-at-a-midpoint"])
+def test_verify_lp_at_the_bisection_cap(n, b, y0, p, code, found, tmp_path,
+                                        capsys):
+    # b >= 0, y0 <= PI_LO and p(y0) < 0 hold, so the root step decides: a
+    # double root the bisection cannot part is inconclusive (its failure is
+    # not definite), never verified; one found exactly at a midpoint refutes
+    cert = LpCertificate(n, len(b), tuple(map(Fraction, b)), Fraction(y0))
+    assert poly_primitive(cert.polynomial()) == p
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"certificate": cert.to_dict()}))
+    got, out = run(["verify", "lp", "--cert", str(path)], capsys)
+    assert got == code
+    log = json.loads(out)["certificate"]["log"]
+    assert [s["statement"] for s in log if not s["passed"]] == [
+        "no root of p in (y0, inf)"]
+    assert log[-1]["bound"].startswith(found)
+
+
 @pytest.mark.parametrize("b, bound", [
     (["1e400"], "inf"), (["-1e400", "1"], "-inf"),
 ], ids=["huge-b", "huge-negative-b"])
@@ -402,7 +431,7 @@ MALFORMED_CERTS = {
     "nonrational_b": {"n": 1, "d": 1, "b": ["x"], "y0": "3"},
     "no_y0": {"n": 1, "d": 1, "b": ["1/2"]},
     "huge_d": {"n": 8, "d": 3000, "b": ["0"] * 2999 + ["1"], "y0": "3"},
-    # its Sturm chain does not end within a minute: beyond the budget
+    # beyond the budget, which keeps a verification under 20 s
     "over_budget": {"n": 8, "d": 200, "b": ["1e1999"] * 200, "y0": "3"},
 }
 # certificate files as raw text: json.dumps of these would recurse too deeply

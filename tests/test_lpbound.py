@@ -13,7 +13,7 @@ import pytest
 
 import packbound
 from packbound.exact import (
-    integer_scaled, poly_eval, poly_primitive, sturm_count, sturm_roots,
+    integer_scaled, poly_eval, poly_primitive, real_roots,
 )
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
@@ -177,6 +177,17 @@ def test_positive_maxima_stay_in_float_range(poly):
         assert poly_eval(poly, y) > 0
 
 
+def test_positive_maxima_sample_an_unresolved_interval():
+    # 15 p = 15000 - 3 y^5 + 200 y^3 - 6000 y, so p' = -(y^2 - 20)^2: its
+    # double root sqrt(20), where p > 0, comes back unresolved, and the
+    # refinement samples the interval's midpoint in its place
+    poly = [Fraction(c, 15) for c in (15000, -6000, 0, 200, 0, -3)]
+    points = lpbound._positive_maxima(poly, PI_LO)
+    assert points[-1] == PI_LO and len(points) == 2
+    assert abs(points[0] - Fraction(math.sqrt(20))) < 1e-12
+    assert poly_eval(poly, points[0]) > 0
+
+
 # the exact p(0) of sampled_lp(8, 30)
 E8_WINDOW_P0 = Fraction(
     "108940446760829163261799274335115600632462044862018025688375"
@@ -197,12 +208,13 @@ def test_sampled_lp_e8_window(monkeypatch):
     res = sampled_lp(8, 30)
     report = res["feasible_report"]
     assert report["feasible"], report
-    assert res["certificate_status"] == "sturm-certified"
+    assert res["certificate_status"] == "certified"
     # the proof itself: b >= 0, p(PI_LO) < 0 and no root of p beyond PI_LO
     cert = res["certificate"]
     poly = cert.polynomial()
     assert cert.y0 == PI_LO and all(x >= 0 for x in cert.b)
-    assert poly_eval(poly, PI_LO) < 0 and sturm_count(poly, PI_LO) == 0
+    assert poly_eval(poly, PI_LO) < 0 and real_roots(poly, PI_LO)[:2] == (
+        [], [])
     # vol(B_8(1/2)) = pi^4/6144, so bound/optimum is p(0)/16 exactly
     assert res["p0"] == poly_eval(poly, 0)
     assert res["bound"] == pytest.approx(float(res["p0"] / 16) * OPT8,
@@ -237,7 +249,7 @@ def test_sampled_lp_walk_at_the_free_root(monkeypatch):
     monkeypatch.setattr(lpbound, "default_samples", lambda: samples)
     res = sampled_lp(24, 30)
     report = res["feasible_report"]
-    assert res["certificate_status"] == "sturm-certified"
+    assert res["certificate_status"] == "certified"
     assert verify_lp(res["certificate"]).status == "verified"
     assert report["rounds"] == 10
     assert report["iterations"] == 104
@@ -251,20 +263,20 @@ def test_sampled_lp_certified_from_the_plain_grid():
     assert default_samples() == sorted(set(default_samples()))
     assert len(default_samples()) == 96
     res = sampled_lp(6, 16)
-    assert res["certificate_status"] == "sturm-certified"
+    assert res["certificate_status"] == "certified"
     assert verify_lp(res["certificate"]).status == "verified"
     assert res["feasible_report"]["rounds"] == 8
 
 
 def test_sampled_lp_proves_once(monkeypatch):
     # the refinement stops at the first round that adds no sample, and the
-    # Sturm proof runs once, on the final certificate
+    # root proof runs once, on the final certificate
     calls = []
     verify = lpbound.verify_lp
     monkeypatch.setattr(lpbound, "verify_lp",
                         lambda cert: (calls.append(cert), verify(cert))[1])
     res = sampled_lp(8, 30)
-    assert res["certificate_status"] == "sturm-certified"
+    assert res["certificate_status"] == "certified"
     assert res["feasible_report"]["rounds"] == 8
     assert calls == [res["certificate"]]
     # a run stopped by the round cap is decided by that one proof too
@@ -297,7 +309,7 @@ def test_sampled_lp_one_round_bump_refuted(monkeypatch):
     assert res["feasible_report"]["feasible"] is False
     assert res["certificate_status"] == "uncertified"
     poly = res["certificate"].polynomial()
-    roots = [math.sqrt(y / math.pi) for y in sturm_roots(poly, PI_LO)]
+    roots = [math.sqrt(y / math.pi) for y in real_roots(poly, PI_LO)[0]]
     assert [round(r, 4) for r in roots] == [1.5157, 1.5493, 2.1514, 2.199]
     assert poly_eval(poly, Fraction(math.pi * 1.5215 ** 2)) > 0
     failed = [s["statement"] for s in verify_lp(res["certificate"]).log
@@ -376,8 +388,8 @@ def test_sampled_lp_builds_no_fraction_laguerre(monkeypatch):
         raise AssertionError("sampled_lp called laguerre_all")
 
     monkeypatch.setattr(lpbound, "laguerre_all", refuse)
-    assert sampled_lp(1, 4)["certificate_status"] == "sturm-certified"
-    assert sampled_lp(6, 16)["certificate_status"] == "sturm-certified"
+    assert sampled_lp(1, 4)["certificate_status"] == "certified"
+    assert sampled_lp(6, 16)["certificate_status"] == "certified"
 
 
 def test_lp_path_imports_no_numpy_or_scipy():
@@ -667,7 +679,7 @@ if HAVE_HYPOTHESIS:
             assert res[key] == expected[key], key
 
 
-# -- Sturm certificates ----------------------------------------------------------
+# -- Sign certificates -----------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def toy_cert():

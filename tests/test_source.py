@@ -129,11 +129,12 @@ def _passes(call, index, param) -> bool:
             or (index is not None and len(call.args) > index))
 
 
-def defaults_never_passed(def_sources, call_sources) -> list:
-    """(function, parameter) for each parameter with a default of a def in
-    def_sources that is called in call_sources but that no call passes.
-    Calls are matched by name, and a call of a class is a call of its
-    __init__; a def with no call is left out."""
+def _parameters(def_sources, call_sources):
+    """(function, positional index or None for a keyword-only one, parameter,
+    whether it has a default, the calls of the function) for each parameter
+    of a def in def_sources that is called in call_sources.  Calls are
+    matched by name, and a call of a class is a call of its __init__; a
+    def with no call is left out, and so is a method's self or cls."""
     calls = {}
     for source in call_sources:
         for node in ast.walk(ast.parse(source)):
@@ -142,7 +143,6 @@ def defaults_never_passed(def_sources, call_sources) -> list:
                 name = f.id if isinstance(f, ast.Name) else getattr(
                     f, "attr", None)
                 calls.setdefault(name, []).append(node)
-    found = []
     for source in def_sources:
         tree = ast.parse(source)
         owner = {id(n): c.name for c in ast.walk(tree)
@@ -160,13 +160,46 @@ def defaults_never_passed(def_sources, call_sources) -> list:
             a = node.args
             positional = (a.posonlyargs + a.args)[bound:]
             first = len(positional) - len(a.defaults)
-            params = [(i, p.arg) for i, p in enumerate(positional)
-                      if i >= first]
-            params += [(None, p.arg) for p, default
-                       in zip(a.kwonlyargs, a.kw_defaults) if default]
             qualname = f"{cls}.{node.name}" if cls else node.name
-            found += [(qualname, param) for i, param in params
-                      if not any(_passes(c, i, param) for c in sites)]
+            for i, p in enumerate(positional):
+                yield qualname, i, p.arg, i >= first, sites
+            for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                yield qualname, None, p.arg, default is not None, sites
+
+
+def defaults_never_passed(def_sources, call_sources) -> list:
+    """(function, parameter) for each parameter with a default of a def in
+    def_sources that is called in call_sources but that no call passes."""
+    return sorted((name, param) for name, i, param, default, sites
+                  in _parameters(def_sources, call_sources)
+                  if default and not any(_passes(c, i, param) for c in sites))
+
+
+def _literal(call, index, param):
+    """The constant that call passes for the parameter at positional index
+    (None for a keyword-only one) named param, as (type, value); None when
+    it passes an expression, or a *args or **kwargs may pass it."""
+    if (any(isinstance(a, ast.Starred) for a in call.args)
+            or any(k.arg is None for k in call.keywords)):
+        return None
+    passed = [k.value for k in call.keywords if k.arg == param]
+    if not passed and index is not None and index < len(call.args):
+        passed = [call.args[index]]
+    if passed and isinstance(passed[0], ast.Constant):
+        return type(passed[0].value), passed[0].value
+    return None
+
+
+def literals_always_passed(def_sources, call_sources) -> list:
+    """(function, parameter) for each parameter without a default of a def
+    in def_sources that every call in call_sources passes as one and the
+    same constant: a constant spelled at each call."""
+    found = []
+    for name, i, param, default, sites in _parameters(def_sources,
+                                                      call_sources):
+        values = {_literal(call, i, param) for call in sites}
+        if not default and len(values) == 1 and None not in values:
+            found.append((name, param))
     return sorted(found)
 
 
@@ -189,3 +222,31 @@ def test_src_defaults_are_overridden():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     bench = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
     assert defaults_never_passed(sources, sources + bench) == []
+
+
+def test_literals_always_passed_finds_a_constant_argument():
+    source = ("def f(a, b, c=1):\n    return a + b + c\n"
+              "def g(x, y):\n    return x + y\n"
+              "def h(t):\n    return t\n"
+              "class K:\n    def m(self, r, s):\n        return r + s\n"
+              "f(1, None, 2)\nf(2, b=None)\ng(1, 2)\ng(1, 3)\ng(*[1, 2])\n"
+              "h(t=0)\nh(False)\nK().m('a', n)\nK().m('a', 2)\n")
+    assert literals_always_passed([source], [source]) == [
+        ("K.m", "r"), ("f", "b")]
+
+
+def _pinned_contrast(name, param) -> bool:
+    """The one exemption: the program builds the Leech lattice from its glue
+    shift at scale 1 only, and the tests pin scale 2, the Niemeier A1^24
+    lattice, as its contrast."""
+    return (name, param) == ("_build_leech_from_shift", "shift_scale")
+
+
+def test_src_parameters_take_more_than_one_value():
+    # a parameter that every call in the program sets to the same constant
+    # is a constant too
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    bench = [p.read_text() for p in sorted((ROOT / "bench").glob("*.py"))]
+    assert [(name, param) for name, param
+            in literals_always_passed(sources, sources + bench)
+            if not _pinned_contrast(name, param)] == []
