@@ -204,15 +204,14 @@ def certify_magic(n: int, spec=None) -> Certificate:
         # point, f at the points beyond r1
         step = mp.mpf(_GRID_STEP)
         rmax = _GRID_END[n]
-        pairs = spec.sweep(0, step, grid_count(rmax, step))
-        worst_f = max(v.value - v.error for v in (
-            spec.combine("f", p, m) for k, (p, m) in enumerate(pairs)
-            if k * step >= r1))
+        values = [spec.combine(p, m)
+                  for p, m in spec.sweep(0, step, grid_count(rmax, step))]
+        worst_f = max(f.value - f.error for k, (f, _) in enumerate(values)
+                      if k * step >= r1)
         cert.add_step(f"f <= 0 on [r1, {rmax}]", "numerical grid",
                       f"max lower bound {float(worst_f):.3e}",
                       worst_f <= 0)
-        worst_h = min(v.value + v.error
-                      for v in (spec.combine("f_hat", p, m) for p, m in pairs))
+        worst_h = min(h.value + h.error for _, h in values)
         cert.add_step(f"fhat >= 0 on [0, {rmax}]", "numerical grid",
                       f"min upper bound {float(worst_h):.3e}",
                       worst_h >= 0)
@@ -224,8 +223,7 @@ def certify_magic(n: int, spec=None) -> Certificate:
         far_wrong = False  # a sign certainly wrong
         margin = mp.inf
         for rr in (rmax + 0.21, rmax + 0.46, rmax + 0.71):
-            vf = spec.eval("f", rr)
-            vh = spec.eval("f_hat", rr)
+            vf, vh = spec.combine(*spec.pair(rr))
             if vf.value >= 0 or vh.value <= 0:
                 far_ok = False
             if vf.value - vf.error >= 0 or vh.value + vh.error <= 0:

@@ -189,8 +189,7 @@ def _cmd_magic(args, cfg):
     spec = magic_spec(args.dim, trunc=cfg.trunc, dps=cfg.precision)
     if args.action == "eval":
         with mp.workdps(cfg.precision + 10):
-            f = spec.eval("f", mp.mpf(args.r))
-            fh = spec.eval("f_hat", mp.mpf(args.r))
+            f, fh = spec.combine(*spec.pair(mp.mpf(args.r)))
         payload = {"dim": args.dim, "r": _nstr(args.r),
                    "f": _nstr(f.value), "f_err": _nstr(f.error, 3),
                    "fhat": _nstr(fh.value), "fhat_err": _nstr(fh.error, 3)}
@@ -204,8 +203,7 @@ def _cmd_magic(args, cfg):
             step = mp.mpf(args.step)
             pairs = spec.sweep(0, step, grid_count(args.rmax, step))
             for k, (p, m) in enumerate(pairs):
-                f = spec.combine("f", p, m)
-                fh = spec.combine("f_hat", p, m)
+                f, fh = spec.combine(p, m)
                 lines.append(",".join([
                     _nstr(k * step, 12), _nstr(f.value), _nstr(f.error, 3),
                     _nstr(fh.value), _nstr(fh.error, 3)]))

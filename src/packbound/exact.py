@@ -2,7 +2,8 @@
 text, integer/rational square roots, the scaling of a rational vector to
 integers, Hermite reduction over Z, rational polynomials, and one root
 test: a Descartes bisection of primitive integer polynomials, which proves
-that no root lies beyond a point or isolates the roots that do.
+that no root lies beyond a point or isolates the roots that do, a repeated
+one on the square-free part (a gcd modulo a prime, confirmed by division).
 
 There is no Fraction determinant: a lattice reads its determinant off the
 diagonal of its Hermite-reduced basis, which is triangular, and the exact
@@ -208,11 +209,12 @@ def _fixed_point_sign(p, a, b):
     return None
 
 
-# real_roots isolates each root y to a relative width of 2^-_ROOT_BITS
+# root_points isolates each root y to a relative width of 2^-_ROOT_BITS
 _ROOT_BITS = 30
-# real_roots splits no node after _NODE_BUDGET // max(deg, 24) nodes: 2,000
+# a bisection splits no node after _NODE_BUDGET // max(deg, 24) nodes: 2,000
 # up to degree 24, then fewer, so that a repeated root within lpbound's
-# verification budget stops it in under 10 s (see LpCertificate.from_dict)
+# verification budget stops the first one in under 10 s (see
+# LpCertificate.from_dict)
 _NODE_BUDGET = 48_000
 
 
@@ -226,29 +228,105 @@ def _shift1(h):
 
 
 def real_roots(p, lo: Fraction):
-    """(roots, unresolved, nodes): the real roots of the nonzero rational
-    polynomial p beyond lo, in increasing order, the intervals that hold the
-    rest, and the nodes counted, by Descartes bisection (Collins-Akritas).
+    """(roots, unresolved, nodes): the distinct real roots of the nonzero
+    rational polynomial p beyond lo, in increasing order, each as an
+    interval (a, b) that holds it alone, or as (y, y) when found exactly;
+    the intervals that hold the rest; and the nodes counted (see _bisect).
+
+    A repeated root keeps two or more variations at every depth, so it
+    stops the bisection of p at the node cap.  Then p / gcd(p, p'), with
+    the roots of p, each simple, is bisected instead (see _squarefree): a
+    repeated root beyond lo is found.  Only roots too close to part within
+    the cap stay unresolved.  So no root is missed."""
+    roots, unresolved, nodes, _ = _roots(p, lo)
+    return sorted((Fraction(a, den), Fraction(b, den))
+                  for a, b, den in roots), unresolved, nodes
+
+
+def root_points(p, lo: Fraction):
+    """The roots of p beyond lo as points: each interval of real_roots
+    halved on the sign of the polynomial bisected (see _isolate), and the
+    midpoint of each unresolved interval in place of its roots."""
+    roots, unresolved, _, q = _roots(p, lo)
+    return sorted([_isolate(q, a, b, den) if a < b else Fraction(a, den)
+                   for a, b, den in roots]
+                  + [(a + b) / 2 for a, b in unresolved])
+
+
+def _roots(p, lo):
+    """real_roots, with the roots as _bisect gives them, and the primitive
+    polynomial bisected last."""
+    p = poly_primitive([frac(c) for c in p])
+    if not p:
+        raise ValueError("zero polynomial")
+    lo = frac(lo)
+    roots, unresolved, nodes = _bisect(p, lo)
+    if unresolved and len(q := _squarefree(p)) < len(p):
+        roots, unresolved, more = _bisect(q, lo)
+        return roots, unresolved, nodes + more, q
+    return roots, unresolved, nodes, p
+
+
+# the exponents e of the Mersenne primes 2^e - 1 from 2^127 - 1 to about
+# 2^(1.26 10^6), the moduli of _squarefree
+_MERSENNE = (127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
+             11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049,
+             216091, 756839, 859433, 1257787)
+
+
+def _squarefree(p):
+    """p / g for the primitive integer polynomial p and g = gcd(p, p'), by
+    the modular method: with gamma = |lc p|, the gcd of the leading
+    coefficients, the monic gcd modulo a prime m times gamma, read in (-m/2,
+    m/2), is gamma / lc(g) times g once m exceeds twice the Landau-Mignotte
+    bound gamma 2^deg ||p||_2 on its coefficients.  The g found is kept only
+    when exact division confirms that it divides p and p': then each root of
+    g is a repeated root of p, so p / g has the roots of p.  Else p."""
+    dp = poly_deriv(p)
+    bits = 2 * (max(abs(c).bit_length() for c in p) + len(p))
+    e = next((e for e in _MERSENNE if e > bits), None)
+    if e is None:
+        return p
+    m, gamma = (1 << e) - 1, abs(p[-1])
+    g = poly_primitive([(c * gamma + m // 2) % m - m // 2
+                        for c in _gcd_mod(p, dp, m)])
+    (q, r), (_, r_dp) = poly_divmod(p, g), poly_divmod(dp, g)
+    return p if r or r_dp else poly_primitive(q)
+
+
+def _gcd_mod(p, q, m):
+    """The monic gcd of the integer polynomials p and q, q nonzero and of
+    lower degree, modulo the prime m, by Euclid."""
+    p, q = [c % m for c in p], [c % m for c in q]
+    while q:
+        inv = pow(q[-1], -1, m)
+        q = [c * inv % m for c in q]
+        for k in range(len(p) - len(q), -1, -1):
+            c = p[k + len(q) - 1]
+            for j, qj in enumerate(q):
+                p[k + j] = (p[k + j] - c * qj) % m
+        p, q = q, poly_trim(p[:len(q) - 1])
+    return p
+
+
+def _bisect(p, lo):
+    """real_roots of the primitive integer polynomial p, by one Descartes
+    bisection (Collins-Akritas), with each root as integers (a, b, den):
+    the interval (a/den, b/den), or a/den exactly when a = b.
 
     It halves (lo, hi), hi the Cauchy bound, on the grid whose endpoints at
     depth k are integers over den * 2^k, from the deepest left node that
     still reaches the Fujiwara bound.  Node (a, b) holds the integer
     polynomial q(x) = p(a + (b - a) x), and the sign variations of
     (x + 1)^deg q(1 / (x + 1)) exceed its roots in (a, b) by an even count.
-    With 0 there is none; with 1 there is one, simple, which _isolate
-    halves on the sign of p as a Sturm bisection of the grid does.  The
-    halves of q are 2^deg q(x / 2) and that shifted by 1, whose constant
-    term is a multiple of p at the midpoint: a root there is returned
-    exactly, and the left half is halved again.
-
-    A repeated root keeps two or more variations at every depth: after
-    _NODE_BUDGET // max(deg, 24) nodes, each node left that shows one comes
-    back unresolved, as (a, b).  So no root is missed.
+    With 0 there is none; with 1 there is one, simple, and the node is
+    returned as its interval.  The halves of q are 2^deg q(x / 2) and that
+    shifted by 1, whose constant term is a multiple of p at the midpoint: a
+    root there is returned exactly, and the left half is halved again.
+    After _NODE_BUDGET // max(deg, 24) nodes, each node left that shows a
+    variation comes back unresolved.
     """
-    p = poly_primitive([frac(c) for c in p])
-    if not p:
-        raise ValueError("zero polynomial")
-    lo, deg = frac(lo), len(p) - 1
+    deg = len(p) - 1
     roots, unresolved, nodes = [], [], 0
     # Cauchy: every root has |y| < hi = 1 + max |c_i / c_d|; Fujiwara:
     # |y| <= 2 max |c_i / c_d|^(1 / (deg - i)) < bound, a power of two, as
@@ -281,7 +359,7 @@ def real_roots(p, lo: Fraction):
         signs = [c > 0 for c in _shift1(q) if c]
         v = sum(map(ne, signs, signs[1:]))
         if v == 1 and not right_root:
-            roots.append(_isolate(p, a, a + w, den << k))
+            roots.append((a, a + w, den << k))
         elif v and nodes >= cap:
             unresolved.append((Fraction(a, den << k),
                                Fraction(a + w, den << k)))
@@ -290,14 +368,14 @@ def real_roots(p, lo: Fraction):
             right = _shift1(half[::-1])[::-1]
             m = 2 * a + w
             if not right[0]:
-                roots.append(Fraction(m, den << (k + 1)))
+                roots.append((m, m, den << (k + 1)))
             stack += [(k + 1, m, right, right_root),
                       (k + 1, 2 * a, half, not right[0])]
-    return sorted(roots), unresolved, nodes
+    return roots, unresolved, nodes
 
 
 def _isolate(p, a, b, den):
-    """The root midpoint of real_roots for the one root, a simple one, of
+    """The root midpoint of root_points for the one root, a simple one, of
     the integer polynomial p in (a/den, b/den), where p(b/den) is not 0:
     halve on the sign of p until the width is at most
     2^-_ROOT_BITS * max(1, |m|)."""

@@ -39,7 +39,7 @@ import mpmath as mp
 from .certify import Certificate
 from .exact import (
     frac, integer_scaled, poly_deriv, poly_eval, poly_primitive, poly_trim,
-    rational, real_roots,
+    rational, real_roots, root_points,
 )
 from .lattices import ball_volume
 from .simplex import Infeasible, IterationLimit, solve_min
@@ -273,9 +273,10 @@ class LpCertificate:
         within budget: D^2 (B + D) <= VERIFY_BUDGET for D the degree and B
         the largest coefficient bit length of p's primitive integer form
         (so D <= 125).  Anything else raises LpError.  At the budget's edge,
-        D = 30 to 125, `verify lp` took 5.4 to 9.0 s with a double root,
-        which runs real_roots to its node cap, and at most 3.2 s for random
-        p and for p with D simple roots: <= 20 s at the budget."""
+        D = 30 to 125, `verify lp` took 4.7 to 9.0 s with a double root,
+        which runs the bisection of p to its node cap before its square-free
+        part is bisected, at most 3.2 s for random p and under 1 s for p
+        with D simple roots: <= 20 s at the budget."""
         try:
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))
@@ -309,8 +310,10 @@ def _float_str(x) -> str:
 def verify_lp(cert: LpCertificate) -> Certificate:
     """Exact check of every hypothesis of the certificate's claim: b >= 0,
     y0 <= PI_LO < pi, p(y0) < 0, and no root of p in (y0, inf) by
-    real_roots, which together give p < 0 on [y0, inf).  An interval left
-    unresolved (a repeated root) fails that step, but not definitely."""
+    real_roots, which together give p < 0 on [y0, inf).  A root found,
+    repeated or not, fails that step definitely; an interval left
+    unresolved (roots too close to part within the node cap) fails it, but
+    not definitely."""
     poly = cert.polynomial()
     p_y0 = poly_eval(poly, cert.y0)
     roots, unresolved, nodes = real_roots(poly, cert.y0)
@@ -327,12 +330,6 @@ def verify_lp(cert: LpCertificate) -> Certificate:
     return out
 
 
-def _roots_or_midpoints(poly, lo):
-    """real_roots, with each unresolved interval's midpoint as a root."""
-    roots, unresolved, _ = real_roots(poly, lo)
-    return sorted(roots + [(a + b) / 2 for a, b in unresolved])
-
-
 def _positive_maxima(poly, lo):
     """Points near the maxima of p on the stretches of [lo, inf) where
     p > 0, from root searches (only the final proof counts): the roots of
@@ -341,12 +338,12 @@ def _positive_maxima(poly, lo):
     none), so p > 0 there.  Unlike the Cauchy bound 1 + max |c_i / c_d|,
     this point scales with the roots, so a tiny leading coefficient does
     not carry it past the float range."""
-    points = [y for y in _roots_or_midpoints(poly_deriv(poly), lo)
+    points = [y for y in root_points(poly_deriv(poly), lo)
               if poly_eval(poly, y) > 0]
     if poly_eval(poly, lo) > 0:
         points.append(lo)
     if poly[-1] > 0:
-        points.append(2 * max(_roots_or_midpoints(poly, lo), default=lo) + 1)
+        points.append(2 * max(root_points(poly, lo), default=lo) + 1)
     return points
 
 
@@ -475,14 +472,14 @@ def _collocation_seed(ans, trunc, dps):
     for j, pair in enumerate(spec.sweep(s / 40, s / 40, 200), 1):
         row = ans.f_rows(mp.mpf(j) / 40)
         rows.append(row[1:])
-        targets.append(scale * spec.combine("f", *pair).value - row[0])
+        targets.append(scale * spec.combine(*pair)[0].value - row[0])
     if n == 24:
         # fhat at u_j / s, u_j = j/10 for j = 1..80
         h = 1 / (10 * s)
         for j, pair in enumerate(spec.sweep(h, h, 80), 1):
             row = ans.fhat_rows(mp.mpf(j) / 10)
             rows.append(row[1:])
-            targets.append(spec.combine("f_hat", *pair).value - row[0])
+            targets.append(spec.combine(*pair)[1].value - row[0])
     b = mp.qr_solve(mp.matrix(rows), mp.matrix(targets))[0]
     return [b[i] for i in range(ans.d)]
 

@@ -46,8 +46,8 @@ integrated by 64-point Gauss-Legendre panels with a proven Bernstein-ellipse
 error bound, one constant per kernel for every radius (see `_uside_kernels`).
 Both kernels share one node set, held once per spec (`_Uside`) with the
 fixed-point 1/u at every node and each kernel's weighted values in the fixed
-point of e^(-pi r^2 / u): one call integrates both by exact integer dot
-products.  One table-driven fixed-point exponential serves every node at
+point of e^(-pi r^2 / u): each kernel's integral is an exact integer dot
+product.  One table-driven fixed-point exponential serves every node at
 once, with no exp per node (`_exp_fixed`).  At spec build it gives y =
 e^(-pi u/4) for the powers with which each series is an integer dot product
 of its exact coefficients, with a proven round-off bound (see
@@ -60,8 +60,10 @@ units.  `pair(r)` is a one-radius sweep.  Series truncation tails ride along
 from the coefficient envelopes, node by node up to a proven cut.  A sweep of
 128 radii or more is split across forked processes (see `_spread`): each runs
 the recurrence and the dot products on its block of nodes for every radius,
-and the t-side on its block of radii; their integer sums add up exactly, so
-no value or error bar depends on the number of processes.
+and the t-side and both error bars on its block of radii (the u-side error
+of radius k depends on k alone); the parent adds the integer sums exactly
+and forms each value with one product and one sum, so no value or error bar
+depends on the number of processes.
 
 Even squared radii
 ------------------
@@ -395,8 +397,10 @@ class _Uside:
     weighted integrand values at the nodes as integers scaled by 2^fix
     (floored from the fixed-point series values; their round-off is part of
     the series error), so each quadrature sum against decays in the same
-    fixed point is an exact integer dot product; `errors` holds its series,
-    contour-tail and rule errors, the last for every b >= 0.
+    fixed point is an exact integer dot product, which `value` scales;
+    `errors` holds its series, contour-tail and rule errors, the last for
+    every b >= 0, which `error` adds to the round-off of decays within a
+    given number of units.
     """
 
     def __init__(self, fix, inv_u, vals, errors):
@@ -407,19 +411,22 @@ class _Uside:
         self.abs_sums = [sum(map(abs, v)) for v in vals]
         self.errors = errors
 
-    def integrals(self, units, sums):
-        """Per kernel, the certified value of the integral from `sums`, the
-        integer dot products of `vals` with e^(-b/u) at the nodes, given as
-        integers scaled by 2^fix within `units` units of the exact decay."""
+    def value(self, total):
+        """A kernel's integral from `total`, the integer dot product of its
+        `vals` with e^(-b/u) at the nodes, the decays given as integers
+        scaled by 2^fix: exact."""
+        return mp.ldexp(total, -2 * self.fix)
+
+    def error(self, units):
+        """Per kernel, the error of `value` when every decay is within
+        `units` units of the exact one: it depends on nothing else."""
         fix, count = self.fix, len(self.inv_u)
         # the round-off per node: the value's floor (under a unit, against a
         # decay of at most 1) and the decay's error against the value; per
         # sum: its rounding to working precision
-        return [(mp.ldexp(total, -2 * fix),
-                 sum(errors, mp.ldexp((count << fix) + (units + 2)
-                                      * (abs_sum + count), -2 * fix)))
-                for total, abs_sum, errors
-                in zip(sums, self.abs_sums, self.errors)]
+        return [sum(errors, mp.ldexp((count << fix) + (units + 2)
+                                     * (abs_sum + count), -2 * fix))
+                for abs_sum, errors in zip(self.abs_sums, self.errors)]
 
 
 class _NodeSeries:
@@ -719,21 +726,22 @@ class MagicFunctionSpec:
             tside = (t for part in parts for t in part[1])
             # backwards, so a radius met twice keeps its first, tighter pair
             for k, rows, t in reversed(list(zip(todo, sums, tside))):
-                w_r, p_t, p_terr, m_t, m_terr = (
+                w_r, p_t, p_err, m_t, m_err = (
                     mp.make_mpf((sign, MPZ(man), exp, bc))
                     for sign, man, exp, bc in t)
-                (p_u, p_uerr), (m_u, m_uerr) = self.uside.integrals(
-                    2 * (k + 2) ** 2, list(map(sum, zip(*rows))))
+                p_u, m_u = map(self.uside.value, map(sum, zip(*rows)))
                 self._cache[keys[k]] = (
-                    CertifiedValue(p_t + w_r * p_u, p_terr + w_r * p_uerr),
-                    CertifiedValue(m_t + w_r * m_u, m_terr + w_r * m_uerr))
+                    CertifiedValue(p_t + w_r * p_u, p_err),
+                    CertifiedValue(m_t + w_r * m_u, m_err))
             return [self._cache[key] for key in keys]
 
     def _block(self, r0, step, count, todo, w, workers):
         """Part w of `workers` of a sweep over the radii `todo`: per radius,
-        both kernels' u-side dot products on node block w, and per radius of
-        block w, W(r) and each side's t-side value and error as `_mpf_`
-        tuples with an int mantissa, which `marshal` sends."""
+        both kernels' u-side dot products on node block w, and per radius
+        r_k of block w, W(r_k), each side's t-side value and its final error
+        bar (the t-side error plus W(r_k) times the u-side one, which
+        depends only on k), as `_mpf_` tuples with an int mantissa, which
+        `marshal` sends."""
         size, share = len(self.uside.inv_u), len(todo)
         nodes = slice(w * size // workers, (w + 1) * size // workers)
         vals, wanted = [v[nodes] for v in self.uside.vals], set(todo)
@@ -747,7 +755,9 @@ class MagicFunctionSpec:
             w_r = mp.sin(pi_r2 / 2) ** 2
             (p_t, p_terr, _), (m_t, m_terr, _) = self._tside.evaluate(
                 pi_r2, w_r, mp.exp(-pi_r2))
-            values = (w_r, p_t, p_terr, m_t, m_terr)
+            p_uerr, m_uerr = self.uside.error(2 * (k + 2) ** 2)
+            values = (w_r, p_t, p_terr + w_r * p_uerr,
+                      m_t, m_terr + w_r * m_uerr)
             tside.append([(sign, int(man), exp, bc)
                           for sign, man, exp, bc in (v._mpf_ for v in values)])
         return sums, tside
@@ -803,19 +813,18 @@ class MagicFunctionSpec:
         return clone
 
     def eval(self, side, r) -> CertifiedValue:
-        return self.combine(side, *self.pair(r))
+        """f (side "f") or fhat ("f_hat") at radius r."""
+        if side not in ("f", "f_hat"):
+            raise MagicError(f"unknown side {side!r}")
+        return self.combine(*self.pair(r))[side == "f_hat"]
 
-    def combine(self, side, p, m) -> CertifiedValue:
-        """f (side "f") or fhat ("f_hat") from a certified pair (P, M)."""
+    def combine(self, p, m):
+        """(f, fhat) from a certified pair (P, M): A P + B M and A P - B M,
+        both within |A| P.error + |B| M.error."""
         with mp.workdps(self.dps + 10):
-            if side == "f":
-                v = self._A * p.value + self._B * m.value
-            elif side == "f_hat":
-                v = self._A * p.value - self._B * m.value
-            else:
-                raise MagicError(f"unknown side {side!r}")
+            ap, bm = self._A * p.value, self._B * m.value
             e = abs(self._A) * p.error + abs(self._B) * m.error
-            return CertifiedValue(v, e)
+            return CertifiedValue(ap + bm, e), CertifiedValue(ap - bm, e)
 
     def jet(self, side, r_sq):
         """Exact (f, d f/d(r^2)) of side "f" or "f_hat" at an even squared

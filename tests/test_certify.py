@@ -13,7 +13,7 @@ from packbound.certify import (
 from packbound import exact
 from packbound.exact import (
     _sign, poly_deriv, poly_divmod, poly_eval, poly_primitive, poly_trim,
-    real_roots,
+    real_roots, root_points,
 )
 from packbound.codes import zero_code
 from packbound.lattices import (
@@ -38,6 +38,15 @@ def from_roots(lead, roots):
     for r in roots:
         p = poly_mul(p, [-r, Fraction(1)])
     return p
+
+
+def poly_gcd(a, b):
+    """A gcd of two rational polynomials by Fraction remainders."""
+    a, b = poly_trim(list(a)), poly_trim(list(b))
+    while b:
+        _, r = poly_divmod(a, b)
+        a, b = b, poly_trim(r)
+    return a
 
 
 def count_beyond(p, x):
@@ -67,17 +76,18 @@ def test_sturm_cubic():
 
 
 def test_sturm_roots_isolates_each_root_once():
-    # (x-1)(x-2)(x-3)^2: each simple root is isolated once, and the double
-    # root, off the bisection grid, comes back as one unresolved interval
+    # (x-1)(x-2)(x-3)^2: each root is returned once, in an interval that
+    # holds it or exactly; the double root stops the bisection of p at the
+    # cap, and the square-free part (x-1)(x-2)(x-3) finds it
     p = from_roots(1, [1, 2, 3, 3])
-    roots, unresolved, _ = real_roots(p, 0)
-    assert len(roots) == 2
+    roots, unresolved, nodes = real_roots(p, 0)
+    assert not unresolved and nodes > exact._NODE_BUDGET // 24
+    assert [a <= r <= b for (a, b), r in zip(roots, (1, 2, 3))] == [True] * 3
     assert all(abs(y - r) <= Fraction(r, 2 ** 30)
-               for y, r in zip(roots, (1, 2)))
-    assert len(unresolved) == 1 and unresolved[0][0] < 3 < unresolved[0][1]
+               for y, r in zip(root_points(p, 0), (1, 2, 3)))
     # a root at lo is outside (lo, inf)
     roots, unresolved, _ = real_roots(p, 1)
-    assert len(roots) == 1 and len(unresolved) == 1
+    assert len(roots) == 2 and not unresolved
 
 
 def test_sturm_endpoint_root_deflated():
@@ -99,40 +109,26 @@ def test_sturm_endpoint_root_deflated():
 ], ids=["monic", "negative-lead"])
 def test_sturm_roots_at_the_endpoints(lead, roots):
     # known rational roots of multiplicity 1-3; lo on the roots and between
-    # them.  Every root beyond lo is accounted for once: isolated (a
-    # repeated one only exactly, at a bisection midpoint) or inside an
-    # unresolved interval; nothing at or below lo is returned,
-    # and every unresolved interval holds a root
+    # them.  Every root beyond lo is isolated once, a repeated one through
+    # the square-free part, and nothing at or below lo is returned
     p = from_roots(lead, [r for r, mult in roots.items()
                           for _ in range(mult)])
     ys = sorted(roots)
     points = ys + [(a + b) / 2 for a, b in zip(ys, ys[1:])] + [ys[0] - 1,
                                                                 ys[-1] + 1]
     for lo in points:
-        found, unresolved, _ = real_roots(p, lo)
-        assert all(lo < a for a, _ in unresolved)
+        assert real_roots(p, lo)[1] == []
+        found = root_points(p, lo)
         for y in ys:
             near = [f for f in found
                     if abs(f - y) <= Fraction(max(1, abs(y)), 2 ** 30)]
-            inside = [(a, b) for a, b in unresolved if a < y < b]
-            if y <= lo:
-                assert not near and not inside, (lo, y)
-            else:
-                assert len(near) + len(inside) == 1, (lo, y)
-                assert roots[y] == 1 or near in ([], [y]), (lo, y)
-        assert all(any(a < y < b for y in ys) for a, b in unresolved)
+            assert len(near) == (y > lo), (lo, y)
+        assert len(found) == len([y for y in ys if y > lo])
 
 
 def test_sturm_agrees_with_bisection():
     # oracle: isolate roots of the squarefree part by sign-change bisection
     # down to width 1e-6, scanning in floats (coefficients are small ints)
-    def poly_gcd(a, b):
-        a, b = poly_trim(list(a)), poly_trim(list(b))
-        while b:
-            _, r = poly_divmod(a, b)
-            a, b = b, poly_trim(r)
-        return a
-
     def bisection_count(p, lo, hi):
         pf = [float(c) for c in p]
 
@@ -177,7 +173,7 @@ def test_sturm_agrees_with_bisection():
         sf, _ = poly_divmod(p, poly_gcd(p, poly_deriv(p)))
         count = bisection_count(sf, lo, hi)
         assert count_between(p, lo, hi) == count
-        assert len([y for y in real_roots(p, lo)[0] if y <= hi]) == count
+        assert len([y for y in root_points(p, lo) if y <= hi]) == count
 
 
 def fraction_chain(p):
@@ -264,25 +260,27 @@ def _random_polynomials(rng):
 
 def test_sturm_roots_match_fraction_bisection():
     # every case without a repeated root beyond lo gives the reference's
-    # roots exactly, in at most 447 nodes; every case with one comes back
-    # unresolved, each reference root isolated as the reference isolates
-    # it or overlapped by an unresolved interval: slower, never missed
+    # roots exactly, in at most 447 nodes; every case with one reaches the
+    # node cap, is bisected again on its square-free part, and returns one
+    # root for each reference root, the two overlapping: never missed, and
+    # nothing unresolved
     resolved = repeated = 0
     for p, lo in _random_polynomials(random.Random(20260314)):
         if not any(p):
             continue
         roots, unresolved, nodes = real_roots(p, lo)
         reference = bisection_intervals(p, lo)
-        if not unresolved:
-            assert roots == [(a + b) / 2 for a, b in reference], (p, lo)
-            assert nodes <= 447
+        assert not unresolved, (p, lo)
+        if nodes <= 447:
+            assert root_points(p, lo) == [(a + b) / 2 for a, b in reference]
             resolved += 1
             continue
         repeated += 1
-        assert all(any(a < y <= b for a, b in reference) for y in roots)
-        for a, b in reference:
-            assert (a + b) / 2 in roots or any(
-                u < b and a < v for u, v in unresolved), (p, lo)
+        assert len(poly_gcd(p, poly_deriv(p))) > 1
+        assert nodes > exact._NODE_BUDGET // max(len(poly_trim(p)) - 1, 24)
+        assert len(roots) == len(reference), (p, lo)
+        for (u, v), (a, b) in zip(roots, reference):
+            assert (u < b and a < v) if u < v else a < u <= b, (p, lo)
     assert (resolved, repeated) == (102, 18)
 
 
@@ -311,8 +309,8 @@ def test_sturm_roots_match_fraction_bisection_in_the_lp(monkeypatch):
     assert len(seen) == 8 and all(lo == PI_LO for _, lo in seen)
     for poly, lo in seen:
         for q in (poly, poly_deriv(poly)):
-            roots, unresolved, _ = real_roots(q, lo)
-            assert (roots, unresolved) == (bisection_roots(q, lo), [])
+            assert real_roots(q, lo)[1] == []
+            assert root_points(q, lo) == bisection_roots(q, lo)
 
 
 def test_real_roots_isolates_thirty_roots_under_the_cap():
@@ -323,10 +321,11 @@ def test_real_roots_isolates_thirty_roots_under_the_cap():
     hi = 1 + max(abs(c) for c in p[:-1])
     assert 110 <= hi.numerator.bit_length() <= 112
     roots, unresolved, nodes = real_roots(p, 0)
-    assert [round(y) for y in roots] == list(range(1, 31))
+    points = root_points(p, 0)
+    assert [round(y) for y in points] == list(range(1, 31))
     assert all(abs(y - j) <= Fraction(j, 2 ** 30)
-               for j, y in enumerate(roots, 1))
-    assert not unresolved
+               for j, y in enumerate(points, 1))
+    assert len(roots) == 30 and not unresolved
     assert nodes <= 100 < exact._NODE_BUDGET // 30
 
 
@@ -335,8 +334,10 @@ def test_real_roots_skips_only_beyond_the_fujiwara_bound():
     # in the right half of (3/2, 5/2), below the bound 4 that Fujiwara's
     # factor 2 gives and beyond the 2 that it would without
     roots, unresolved, nodes = real_roots([-3, -3, 2], Fraction(3, 2))
-    assert len(roots) == 1 and not unresolved and nodes == 1
-    assert abs(roots[0] - (3 + math.sqrt(33)) / 4) < 1e-8
+    assert roots == [(Fraction(3, 2), Fraction(5, 2))]
+    assert not unresolved and nodes == 1
+    [y] = root_points([-3, -3, 2], Fraction(3, 2))
+    assert abs(y - (3 + math.sqrt(33)) / 4) < 1e-8
 
 
 def test_real_roots_finds_a_root_at_a_midpoint_exactly():
@@ -346,27 +347,65 @@ def test_real_roots_finds_a_root_at_a_midpoint_exactly():
     # exactly
     p = poly_mul(from_roots(1, [Fraction(7, 2)] * 2),
                  [Fraction(1, 2), Fraction(-1)])
-    assert real_roots(p, Fraction(45, 28))[:2] == ([Fraction(7, 2)], [])
+    assert real_roots(p, Fraction(45, 28))[:2] == (
+        [(Fraction(7, 2), Fraction(7, 2))], [])
     # (y - 10/3)(y - 7/2) beyond -17/3: the Cauchy bound is 38/3, so 7/2
     # is the first midpoint, and the left half, which holds 10/3 alone, ends
     # on a root: it is halved again, not isolated towards 7/2
-    roots, unresolved, _ = real_roots(from_roots(1, [Fraction(10, 3),
-                                                     Fraction(7, 2)]),
-                                      Fraction(-17, 3))
-    assert roots[1] == Fraction(7, 2) and not unresolved
-    assert abs(roots[0] - Fraction(10, 3)) <= Fraction(10, 3 * 2 ** 30)
+    p = from_roots(1, [Fraction(10, 3), Fraction(7, 2)])
+    roots, unresolved, _ = real_roots(p, Fraction(-17, 3))
+    assert roots[1] == (Fraction(7, 2), Fraction(7, 2)) and not unresolved
+    assert roots[0][0] < Fraction(10, 3) < roots[0][1] < Fraction(7, 2)
+    y = root_points(p, Fraction(-17, 3))[0]
+    assert abs(y - Fraction(10, 3)) <= Fraction(10, 3 * 2 ** 30)
 
 
 def test_real_roots_stops_at_the_cap(monkeypatch):
-    # a double root keeps two variations at every depth: the bisection
-    # splits no node after the cap, and returns each node that still shows
-    # a variation as unresolved, the double root inside one of them
+    # two roots 2^-200 apart keep two variations down to depth 200: the
+    # bisection splits no node after the cap, and returns each node that
+    # still shows a variation as unresolved, the pair inside one of them;
+    # p has no repeated root, so no square-free part is bisected
     monkeypatch.setattr(exact, "_NODE_BUDGET", 24 * 50)
+    near = Fraction(1, 3) + Fraction(1, 2 ** 200)
+    p = from_roots(1, [Fraction(1, 3), near, 5])
+    roots, unresolved, nodes = real_roots(p, 0)
+    assert len(roots) == 1 and roots[0][0] < 5 < roots[0][1]
+    assert 50 <= nodes <= 100
+    assert any(a < Fraction(1, 3) < near < b for a, b in unresolved)
+    # a double root stops the bisection of p the same way; its square-free
+    # part is bisected after it, and the root is found
     p = from_roots(1, [Fraction(1, 3), Fraction(1, 3), 5])
     roots, unresolved, nodes = real_roots(p, 0)
-    assert len(roots) == 1 and abs(roots[0] - 5) <= Fraction(5, 2 ** 30)
-    assert 50 <= nodes <= 100
-    assert any(a < Fraction(1, 3) < b for a, b in unresolved)
+    assert [a < r < b for (a, b), r in zip(roots, (Fraction(1, 3), 5))] == [
+        True, True]
+    assert not unresolved and 50 < nodes <= 150
+
+
+@pytest.mark.parametrize("lo, count", [(0, 1), (-2, 2)])
+def test_real_roots_finds_a_repeated_root(lo, count):
+    # (y - 16/3)^2 (y + 1): 16/3 lies on no bisection grid, so the double
+    # root stops the bisection of p at the cap; p / gcd(p, p') = (y - 16/3)
+    # (y + 1) is bisected then, and both roots come back isolated
+    p = from_roots(1, [Fraction(16, 3), Fraction(16, 3), -1])
+    roots, unresolved, nodes = real_roots(p, lo)
+    assert len(roots) == count and not unresolved
+    assert nodes > exact._NODE_BUDGET // 24
+    assert roots[-1][0] < Fraction(16, 3) < roots[-1][1]
+    points = root_points(p, lo)
+    assert abs(points[-1] - Fraction(16, 3)) <= Fraction(16, 3 * 2 ** 30)
+    assert count == 1 or abs(points[0] + 1) <= Fraction(1, 2 ** 30)
+
+
+def test_squarefree_keeps_only_a_confirmed_divisor(monkeypatch):
+    # the divisor the gcd modulo a prime proposes is kept only when exact
+    # division confirms that it divides p and p': y + 1, a simple factor
+    # of p, does not divide p', and y + 5 divides neither
+    p = poly_primitive(from_roots(1, [Fraction(16, 3)] * 2 + [-1]))
+    assert exact._squarefree(p) == poly_primitive(
+        from_roots(1, [Fraction(16, 3), -1]))
+    for wrong in ([1, 1], [5, 1]):
+        monkeypatch.setattr(exact, "_gcd_mod", lambda p, q, m: wrong)
+        assert exact._squarefree(p) == p
 
 
 def test_fixed_point_sign_matches_the_fraction_sign(monkeypatch):

@@ -340,20 +340,27 @@ def test_verify_lp_tampering_refuted(lp8_artifacts, tmp_path, capsys):
     # both beyond PI_LO and off every bisection grid
     (3, ["415994/169847", "293056/169847", "256320/169847", "147456/169847",
          "61440/169847"], str(PI_LO),
-     [1216609, -1896057, 809608, -140016, 10112, -256], EXIT_INCONCLUSIVE,
-     "0 roots, 2 unresolved intervals"),
+     [1216609, -1896057, 809608, -140016, 10112, -256], EXIT_REFUTED,
+     "2 roots, 0 unresolved intervals"),
+    # that p plus 2^-3000 L_5: each double root parts into two roots (or a
+    # complex pair) about 2^-1500 apart, which the cap leaves unresolved
+    (3, ["415994/169847", "293056/169847", "256320/169847", "147456/169847",
+         str(Fraction(61440, 169847) + Fraction(1, 2 ** 3000))], str(PI_LO),
+     None, EXIT_INCONCLUSIVE, "0 roots, 2 unresolved intervals"),
     # (2 y - 7)^2 (1 - 2 y): a double root at 7/2, the bisection's third
     # midpoint from 45/28 towards the Cauchy bound 67/4
     (1, ["9/4", "0", "3"], "45/28", [49, -126, 60, -8], EXIT_REFUTED,
      "1 roots, 0 unresolved intervals"),
-], ids=["irrational-double-root", "root-at-a-midpoint"])
+], ids=["irrational-double-root", "root-cluster", "root-at-a-midpoint"])
 def test_verify_lp_at_the_bisection_cap(n, b, y0, p, code, found, tmp_path,
                                         capsys):
     # b >= 0, y0 <= PI_LO and p(y0) < 0 hold, so the root step decides: a
-    # double root the bisection cannot part is inconclusive (its failure is
-    # not definite), never verified; one found exactly at a midpoint refutes
+    # double root, found on the square-free part of p once the bisection of
+    # p reaches its cap, or exactly at a midpoint, refutes; roots too close
+    # to part within the cap are inconclusive (the failure is not
+    # definite), never verified
     cert = LpCertificate(n, len(b), tuple(map(Fraction, b)), Fraction(y0))
-    assert poly_primitive(cert.polynomial()) == p
+    assert p is None or poly_primitive(cert.polynomial()) == p
     path = tmp_path / "cert.json"
     path.write_text(json.dumps({"certificate": cert.to_dict()}))
     got, out = run(["verify", "lp", "--cert", str(path)], capsys)

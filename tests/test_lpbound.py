@@ -13,7 +13,8 @@ import pytest
 
 import packbound
 from packbound.exact import (
-    integer_scaled, poly_eval, poly_primitive, real_roots,
+    integer_scaled, poly_deriv, poly_eval, poly_primitive, real_roots,
+    root_points,
 )
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
@@ -178,14 +179,19 @@ def test_positive_maxima_stay_in_float_range(poly):
 
 
 def test_positive_maxima_sample_an_unresolved_interval():
-    # 15 p = 15000 - 3 y^5 + 200 y^3 - 6000 y, so p' = -(y^2 - 20)^2: its
-    # double root sqrt(20), where p > 0, comes back unresolved, and the
-    # refinement samples the interval's midpoint in its place
-    poly = [Fraction(c, 15) for c in (15000, -6000, 0, 200, 0, -3)]
-    points = lpbound._positive_maxima(poly, PI_LO)
-    assert points[-1] == PI_LO and len(points) == 2
-    assert abs(points[0] - Fraction(math.sqrt(20))) < 1e-12
-    assert poly_eval(poly, points[0]) > 0
+    # 15 p = 15000 - 3 y^5 + 200 y^3 + (15 e^2 - 6000) y, so p' = -((y^2 -
+    # 20)^2 - e^2): with e = 2^-3000 its two roots near sqrt(20), where p >
+    # 0, are too close to part within the node cap, and the refinement
+    # samples the unresolved interval's midpoint in their place; with e = 0
+    # the double root sqrt(20) is found on the square-free part of p'
+    for e, tol in ((Fraction(1, 2 ** 3000), 1e-12), (0, 1e-8)):
+        poly = [Fraction(c, 15) for c in (15000, 15 * e * e - 6000, 0, 200,
+                                          0, -3)]
+        points = lpbound._positive_maxima(poly, PI_LO)
+        assert points[-1] == PI_LO and len(points) == 2
+        assert abs(points[0] - Fraction(math.sqrt(20))) < tol
+        assert poly_eval(poly, points[0]) > 0
+        assert bool(real_roots(poly_deriv(poly), PI_LO)[1]) == (e != 0)
 
 
 # the exact p(0) of sampled_lp(8, 30)
@@ -309,7 +315,7 @@ def test_sampled_lp_one_round_bump_refuted(monkeypatch):
     assert res["feasible_report"]["feasible"] is False
     assert res["certificate_status"] == "uncertified"
     poly = res["certificate"].polynomial()
-    roots = [math.sqrt(y / math.pi) for y in real_roots(poly, PI_LO)[0]]
+    roots = [math.sqrt(y / math.pi) for y in root_points(poly, PI_LO)]
     assert [round(r, 4) for r in roots] == [1.5157, 1.5493, 2.1514, 2.199]
     assert poly_eval(poly, Fraction(math.pi * 1.5215 ** 2)) > 0
     failed = [s["statement"] for s in verify_lp(res["certificate"]).log

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from mpmath.libmp.libelefun import ln2_fixed
 
 from packbound import magic
-from packbound.certify import Certificate
+from packbound.certify import Certificate, certify_magic
 from packbound.lattices import SymbolicVolume
 from packbound.magic import (
     FEASIBILITY_CLAIM, MagicError, _NodeSeries, ce_bound_from_function,
@@ -313,7 +314,8 @@ def test_uside_integral_within_bound_against_mp_quad(n, request):
             r = mp.mpf(r)
             decay = next(spec._decays(r, 0, 1))
         sums = [sum(map(mul, vals, decay)) for vals in spec.uside.vals]
-        for (q, err), series in zip(spec.uside.integrals(8, sums), kernels):
+        for total, err, series in zip(sums, spec.uside.error(8), kernels):
+            q = spec.uside.value(total)
             ref = _uside_reference(series, n // 2, r, 90)
             with mp.workdps(90):
                 assert abs(q - ref) <= err, (r, series.min_exp)
@@ -820,6 +822,70 @@ def test_split_sweep_is_bit_identical(n, count, request, cpus, forks,
         runs.append([_pair_bits(pair) for pair in swept])
     assert runs[0] == runs[1] == runs[2]
     assert runs[0][57] != runs[0][56]
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_certificate_is_the_same_on_any_number_of_processes(n, request,
+                                                             cpus, forks):
+    # certify_magic's grid split across 1, 2 and 3 processes: the JSON is
+    # the same, and only the grid sweep forks
+    spec = request.getfixturevalue(f"spec{n}")
+    runs = []
+    for workers in (1, 2, 3):
+        cpus(workers)
+        forks.clear()
+        runs.append(certify_magic(n, _fresh_copy(spec)).to_json())
+        assert len(forks) == workers - 1
+    assert runs[0] == runs[1] == runs[2]
+    assert json.loads(runs[0])["status"] == "verified"
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_uside_error_per_radius_index(n, request):
+    # the u-side error bar of radius k depends on k alone, through the
+    # decays' 2 (k + 2)^2 units: the same bits as the whole-kernel formula
+    # it was split from, at the first, a middle and the last grid radius,
+    # and the grid's error bars are the t-side ones plus W(r) times it
+    spec = request.getfixturevalue(f"spec{n}")
+    side = spec.uside
+    fix, count = side.fix, len(side.inv_u)
+    swept = _fresh_copy(spec).sweep(0, 0.02, 401)
+    with mp.workdps(spec.dps + 10):
+        for k in (0, 57, 400):
+            units = 2 * (k + 2) ** 2
+            old = [sum(errors, mp.ldexp((count << fix) + (units + 2)
+                                        * (sum(map(abs, vals)) + count),
+                                        -2 * fix))
+                   for vals, errors in zip(side.vals, side.errors)]
+            assert [e._mpf_ for e in side.error(units)] == [
+                e._mpf_ for e in old]
+            rv = k * mp.mpf(0.02)
+            pi_r2 = mp.pi * (rv * rv)
+            w_r = mp.sin(pi_r2 / 2) ** 2
+            tside = spec._tside.evaluate(pi_r2, w_r, mp.exp(-pi_r2))
+            assert [v.error._mpf_ for v in swept[k]] == [
+                (t_err + w_r * u_err)._mpf_
+                for (_, t_err, _), u_err in zip(tside, old)]
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_combine_matches_the_per_side_formula(n, request):
+    # (f, fhat) from one call: the same bits as each side formed alone
+    spec = request.getfixturevalue(f"spec{n}")
+    with mp.workdps(spec.dps + 10):
+        radii = [mp.mpf(r) for r in ("0", "0.61", "1.4142", "3.3", "7.9")]
+    for r in radii:
+        p, m = spec.pair(r)
+        got = spec.combine(p, m)
+        with mp.workdps(spec.dps + 10):
+            error = abs(spec._A) * p.error + abs(spec._B) * m.error
+            want = (spec._A * p.value + spec._B * m.value,
+                    spec._A * p.value - spec._B * m.value)
+        assert [(v.value._mpf_, v.error._mpf_) for v in got] == [
+            (w._mpf_, error._mpf_) for w in want]
+        assert [spec.eval(side, r) for side in ("f", "f_hat")] == list(got)
+    with pytest.raises(MagicError):
+        spec.eval("g", radii[1])
 
 
 def test_sweep_keeps_the_first_pair_of_a_repeated_radius(spec8):

@@ -1,6 +1,7 @@
 """Static checks on the package source, with the standard library's ast."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,11 +53,16 @@ def unused_parameters(source: str) -> list:
     return sorted(found)
 
 
+def _dispatched(path, name) -> bool:
+    """Whether name is a cli._cmd_* handler, which dispatch looks up by a
+    name it builds from the command."""
+    return path.name == "cli.py" and name.startswith("_cmd_")
+
+
 def _shared_handler_signature(path, name, param) -> bool:
     """The one exemption: dispatch calls every cli._cmd_* handler as
     handler(args, cfg), so a handler keeps both even if it reads one."""
-    return (path.name == "cli.py" and name.startswith("_cmd_")
-            and param in ("args", "cfg"))
+    return _dispatched(path, name) and param in ("args", "cfg")
 
 
 def test_unused_parameters_finds_what_a_deletion_leaves():
@@ -81,6 +87,59 @@ def test_src_has_no_unused_parameters(path):
     assert [(line, name, param) for line, name, param
             in unused_parameters(path.read_text())
             if not _shared_handler_signature(path, name, param)] == []
+
+
+def _names_read(tree) -> Counter:
+    """How often each name is read in tree: as a name, an attribute or a
+    string constant."""
+    names = Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            names[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names[n.value] += 1
+    return names
+
+
+def uncalled_defs(source: str, call_sources) -> list:
+    """(line, function) for each def in source whose name nothing in
+    call_sources reads outside that def: no call, no reference (a method
+    handed to partial, a function to map) and no string naming it (a
+    tracer wraps a function by name).  Dunder methods, which Python calls,
+    are left out."""
+    read = sum((_names_read(ast.parse(s)) for s in call_sources), Counter())
+    return sorted((node.lineno, node.name)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and not (node.name.startswith("__")
+                           and node.name.endswith("__"))
+                  and read[node.name] <= _names_read(node)[node.name])
+
+
+def test_uncalled_defs_finds_test_only_code():
+    source = ("def used(x):\n    return helper(x)\n"
+              "def helper(x):\n    return x\n"
+              "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+              "def traced():\n    pass\n"
+              "class K:\n    def __init__(self):\n        self.f = self.m\n"
+              "    def m(self):\n        return 1\n"
+              "    def unused(self):\n        return 2\n")
+    callers = "used(1)\nwrap(K, 'traced')\n"
+    assert uncalled_defs(source, [source, callers]) == [
+        (5, "recursive"), (14, "unused")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_src_defs_have_callers(path):
+    # a def that only tests call is code the program does not need
+    calls = [p.read_text() for p in sorted(SRC.glob("*.py"))
+             + sorted((ROOT / "bench").glob("*.py"))]
+    assert [(line, name) for line, name
+            in uncalled_defs(path.read_text(), calls)
+            if not _dispatched(path, name)] == []
 
 
 def attribute_getters(source: str) -> list:
