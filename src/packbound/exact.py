@@ -1,9 +1,10 @@
 """Exact rational arithmetic helpers: the one guarded parser of rational
 text, integer/rational square roots, the scaling of a rational vector to
 integers, Hermite reduction over Z, rational polynomials, and one root
-test: a Descartes bisection of primitive integer polynomials, which proves
-that no root lies beyond a point or isolates the roots that do, a repeated
-one on the square-free part (a gcd modulo a prime, confirmed by division).
+test: one Descartes bisection of the square-free part of a primitive
+integer polynomial (p itself when its gcd with p' modulo 2^127 - 1 is
+constant), which proves that no root lies beyond a point or isolates the
+roots that do.
 
 There is no Fraction determinant: a lattice reads its determinant off the
 diagonal of its Hermite-reduced basis, which is triangular, and the exact
@@ -166,22 +167,9 @@ def poly_primitive(p):
     return [v // g for v in ints]
 
 
-# _sign first tries a point a/b with more than _FILTER_BITS bits in a and b
-# together in _FILTER_W-bit fixed point
-_FILTER_BITS = 256
-_FILTER_W = 64
-
-
 def _sign(p, a, b):
     """Sign of the integer polynomial p at a/b, for integers a and b > 0,
-    read off the homogeneous integer sum c_i a^i b^(deg - i) by Horner.  A
-    point with more than _FILTER_BITS bits in a and b goes to
-    _fixed_point_sign first, and the exact sum decides only what that
-    leaves open."""
-    if len(p) > 1 and a.bit_length() + b.bit_length() > _FILTER_BITS:
-        s = _fixed_point_sign(p, a, b)
-        if s is not None:
-            return s
+    read off the homogeneous integer sum c_i a^i b^(deg - i) by Horner."""
     v, bk = 0, 1
     for c in reversed(p):
         v = v * a + c * bk
@@ -189,32 +177,11 @@ def _sign(p, a, b):
     return (v > 0) - (v < 0)
 
 
-def _fixed_point_sign(p, a, b):
-    """The sign of the nonconstant integer polynomial p at a/b, b > 0, when
-    p(x~) proves it, else None, for x~ = t / 2^W, t = floor(a 2^W / b) and
-    W = _FILTER_W.  |a/b - x~| < 2^-W, and every point between has
-    |y| <= X = floor(|a| / b) + 1, so by the mean value theorem
-    |p(a/b) - p(x~)| < 2^-W sum_i i |c_i| X^(i-1): when |p(x~)| reaches
-    that bound, p(a/b) has its sign.  p(x~) 2^(W deg) is one homogeneous
-    Horner sum on t, which has about W more bits than |a/b|."""
-    deg = len(p) - 1
-    t, x_cap = (a << _FILTER_W) // b, abs(a) // b + 1
-    v, slope = 0, 0
-    for k, c in enumerate(reversed(p)):
-        v = v * t + (c << (_FILTER_W * k))
-    for i in range(deg, 0, -1):
-        slope = slope * x_cap + i * abs(p[i])
-    if abs(v) >= slope << (_FILTER_W * (deg - 1)):
-        return (v > 0) - (v < 0)
-    return None
-
-
 # root_points isolates each root y to a relative width of 2^-_ROOT_BITS
 _ROOT_BITS = 30
 # a bisection splits no node after _NODE_BUDGET // max(deg, 24) nodes: 2,000
-# up to degree 24, then fewer, so that a repeated root within lpbound's
-# verification budget stops the first one in under 10 s (see
-# LpCertificate.from_dict)
+# up to degree 24, then fewer, so that a root cluster within lpbound's
+# verification budget stops it in under 20 s (see LpCertificate.from_dict)
 _NODE_BUDGET = 48_000
 
 
@@ -233,38 +200,32 @@ def real_roots(p, lo: Fraction):
     interval (a, b) that holds it alone, or as (y, y) when found exactly;
     the intervals that hold the rest; and the nodes counted (see _bisect).
 
-    A repeated root keeps two or more variations at every depth, so it
-    stops the bisection of p at the node cap.  Then p / gcd(p, p'), with
-    the roots of p, each simple, is bisected instead (see _squarefree): a
-    repeated root beyond lo is found.  Only roots too close to part within
-    the cap stay unresolved.  So no root is missed."""
-    roots, unresolved, nodes, _ = _roots(p, lo)
+    A repeated root keeps two or more variations at every depth, so the
+    one bisection is of p / gcd(p, p'), which has the roots of p, each
+    simple (see _squarefree): a repeated root beyond lo is found.  Only
+    roots too close to part within the node cap stay unresolved.  So no
+    root is missed."""
+    roots, unresolved, nodes = _roots(p, lo)
     return sorted((Fraction(a, den), Fraction(b, den))
-                  for a, b, den in roots), unresolved, nodes
+                  for a, b, den, _ in roots), unresolved, nodes
 
 
 def root_points(p, lo: Fraction):
     """The roots of p beyond lo as points: each interval of real_roots
-    halved on the sign of the polynomial bisected (see _isolate), and the
+    halved on the sign of its node's polynomial (see _isolate), and the
     midpoint of each unresolved interval in place of its roots."""
-    roots, unresolved, _, q = _roots(p, lo)
-    return sorted([_isolate(q, a, b, den) if a < b else Fraction(a, den)
-                   for a, b, den in roots]
+    roots, unresolved, _ = _roots(p, lo)
+    return sorted([_isolate(q, a, b, den) if q else Fraction(a, den)
+                   for a, b, den, q in roots]
                   + [(a + b) / 2 for a, b in unresolved])
 
 
 def _roots(p, lo):
-    """real_roots, with the roots as _bisect gives them, and the primitive
-    polynomial bisected last."""
+    """real_roots, with the roots as _bisect gives them."""
     p = poly_primitive([frac(c) for c in p])
     if not p:
         raise ValueError("zero polynomial")
-    lo = frac(lo)
-    roots, unresolved, nodes = _bisect(p, lo)
-    if unresolved and len(q := _squarefree(p)) < len(p):
-        roots, unresolved, more = _bisect(q, lo)
-        return roots, unresolved, nodes + more, q
-    return roots, unresolved, nodes, p
+    return _bisect(_squarefree(p), frac(lo))
 
 
 # the exponents e of the Mersenne primes 2^e - 1 from 2^127 - 1 to about
@@ -275,15 +236,22 @@ _MERSENNE = (127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689, 9941,
 
 
 def _squarefree(p):
-    """p / g for the primitive integer polynomial p and g = gcd(p, p'), by
-    the modular method: with gamma = |lc p|, the gcd of the leading
-    coefficients, the monic gcd modulo a prime m times gamma, read in (-m/2,
-    m/2), is gamma / lc(g) times g once m exceeds twice the Landau-Mignotte
-    bound gamma 2^deg ||p||_2 on its coefficients.  The g found is kept only
-    when exact division confirms that it divides p and p': then each root of
-    g is a repeated root of p, so p / g has the roots of p.  Else p."""
+    """p / g for the primitive integer polynomial p and g = gcd(p, p'), or
+    p when g is constant or not confirmed.  The prime m = 2^127 - 1, when
+    it does not divide lc p, keeps the degrees of p and p' (m > deg): then a
+    constant gcd modulo m proves that their resultant is not 0, so p is
+    square-free.  Else, by the modular method: with gamma = |lc p|, the gcd
+    of the leading coefficients, the monic gcd modulo a prime m times gamma,
+    read in (-m/2, m/2), is gamma / lc(g) times g once m exceeds twice the
+    Landau-Mignotte bound 2^deg ||p||_2 on its coefficients.  The g found
+    is kept only when exact division confirms that it divides p and p':
+    then each root of g is a repeated root of p, so p / g has the roots of
+    p."""
     dp = poly_deriv(p)
-    bits = 2 * (max(abs(c).bit_length() for c in p) + len(p))
+    m = (1 << _MERSENNE[0]) - 1
+    if p[-1] % m and len(_gcd_mod(p, dp, m)) == 1:
+        return p
+    bits = max(abs(c).bit_length() for c in p) + 2 * len(p)
     e = next((e for e in _MERSENNE if e > bits), None)
     if e is None:
         return p
@@ -295,9 +263,9 @@ def _squarefree(p):
 
 
 def _gcd_mod(p, q, m):
-    """The monic gcd of the integer polynomials p and q, q nonzero and of
-    lower degree, modulo the prime m, by Euclid."""
-    p, q = [c % m for c in p], [c % m for c in q]
+    """The gcd of the integer polynomials p and q, q of lower degree, modulo
+    the prime m, by Euclid: monic unless q is 0 modulo m."""
+    p, q = poly_trim([c % m for c in p]), poly_trim([c % m for c in q])
     while q:
         inv = pow(q[-1], -1, m)
         q = [c * inv % m for c in q]
@@ -311,13 +279,14 @@ def _gcd_mod(p, q, m):
 
 def _bisect(p, lo):
     """real_roots of the primitive integer polynomial p, by one Descartes
-    bisection (Collins-Akritas), with each root as integers (a, b, den):
-    the interval (a/den, b/den), or a/den exactly when a = b.
+    bisection (Collins-Akritas), with each root as (a, b, den, q): the
+    interval (a/den, b/den) and the polynomial q of its node, or a/den
+    exactly when a = b, with q None.
 
     It halves (lo, hi), hi the Cauchy bound, on the grid whose endpoints at
     depth k are integers over den * 2^k, from the deepest left node that
     still reaches the Fujiwara bound.  Node (a, b) holds the integer
-    polynomial q(x) = p(a + (b - a) x), and the sign variations of
+    polynomial q(x) = c p(a + (b - a) x), c > 0, and the sign variations of
     (x + 1)^deg q(1 / (x + 1)) exceed its roots in (a, b) by an even count.
     With 0 there is none; with 1 there is one, simple, and the node is
     returned as its interval.  The halves of q are 2^deg q(x / 2) and that
@@ -359,7 +328,7 @@ def _bisect(p, lo):
         signs = [c > 0 for c in _shift1(q) if c]
         v = sum(map(ne, signs, signs[1:]))
         if v == 1 and not right_root:
-            roots.append((a, a + w, den << k))
+            roots.append((a, a + w, den << k, q))
         elif v and nodes >= cap:
             unresolved.append((Fraction(a, den << k),
                                Fraction(a + w, den << k)))
@@ -368,26 +337,27 @@ def _bisect(p, lo):
             right = _shift1(half[::-1])[::-1]
             m = 2 * a + w
             if not right[0]:
-                roots.append((m, m, den << (k + 1)))
+                roots.append((m, m, den << (k + 1), None))
             stack += [(k + 1, m, right, right_root),
                       (k + 1, 2 * a, half, not right[0])]
     return roots, unresolved, nodes
 
 
-def _isolate(p, a, b, den):
-    """The root midpoint of root_points for the one root, a simple one, of
-    the integer polynomial p in (a/den, b/den), where p(b/den) is not 0:
-    halve on the sign of p until the width is at most
-    2^-_ROOT_BITS * max(1, |m|)."""
-    sb = _sign(p, b, den)
+def _isolate(q, a, b, den):
+    """The root midpoint of root_points for the one root, a simple one, in
+    (a/den, b/den) of its node's polynomial q, where q(1) is not 0 (see
+    _bisect): halve x in (0, 1) on the sign of q at l / 2^j until the width
+    (b - a) / (den 2^j) is at most 2^-_ROOT_BITS * max(1, |y|), y the
+    midpoint."""
+    w, l, j, sb = b - a, 0, 0, _sign(q, 1, 1)
     while True:
-        m = a + b
-        # (b - a) / den <= 2^-_ROOT_BITS * max(1, |m| / (2 den))
-        if (b - a) << (_ROOT_BITS + 1) <= max(2 * den, abs(m)):
-            return Fraction(m, 2 * den)
-        den *= 2
-        sm = _sign(p, m, den)
+        # x = (2 l + 1) / 2^(j + 1), the midpoint of (l, l + 1) / 2^j
+        m, mden = (a << (j + 1)) + w * (2 * l + 1), den << (j + 1)
+        if w << (_ROOT_BITS + 1) <= max(mden, abs(m)):
+            return Fraction(m, mden)
+        j, l = j + 1, 2 * l
+        sm = _sign(q, l + 1, 1 << j)
         if sm in (0, sb):
-            a, b, sb = 2 * a, m, sm
+            sb = sm
         else:
-            a, b = m, 2 * b
+            l += 1

@@ -44,9 +44,8 @@ from .exact import (
 from .lattices import ball_volume
 from .simplex import Infeasible, IterationLimit, solve_min
 
-# proven bounds pi > PI_LO, pi < PI_HI
+# a proven bound pi > PI_LO
 PI_LO = Fraction(314159265358979, 10 ** 14)
-PI_HI = Fraction(314159265358980, 10 ** 14)
 
 
 class LpError(ValueError):
@@ -273,10 +272,10 @@ class LpCertificate:
         within budget: D^2 (B + D) <= VERIFY_BUDGET for D the degree and B
         the largest coefficient bit length of p's primitive integer form
         (so D <= 125).  Anything else raises LpError.  At the budget's edge,
-        D = 30 to 125, `verify lp` took 4.7 to 9.0 s with a double root,
-        which runs the bisection of p to its node cap before its square-free
-        part is bisected, at most 3.2 s for random p and under 1 s for p
-        with D simple roots: <= 20 s at the budget."""
+        D = 30 to 125, `verify lp` took at most 8.2 s with two roots too
+        close to part, which run the bisection to its node cap, and under
+        1 s with a double root, a random p or b, or D simple roots: <= 20 s
+        at the budget."""
         try:
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))

@@ -17,7 +17,7 @@ from packbound.cli import dispatch
 from packbound.codes import code_properties, golay24, hamming8, weight_enumerator
 from packbound.lattices import covolume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    PI_HI, LpCertificate, estimate, sampled_lp, verify_lp,
+    LpCertificate, estimate, sampled_lp, verify_lp,
 )
 from packbound.magic import ce_bound_from_function, taylor_quadratic
 from packbound.qseries import (
@@ -25,6 +25,8 @@ from packbound.qseries import (
 )
 from series_terms import evaluate_at_it, evaluate_terms_at_it
 
+# a proven bound pi < PI_HI: a certificate with y0 = PI_HI is refuted
+PI_HI = Fraction(314159265358980, 10 ** 14)
 OPT8 = math.pi ** 4 / 384
 OPT24 = math.pi ** 12 / math.factorial(12)
 

@@ -18,7 +18,10 @@ from packbound.cli import (
     build_parser, dispatch, output_format,
 )
 from packbound.exact import poly_eval, poly_primitive
-from packbound.lpbound import PI_HI, PI_LO, LpCertificate, laguerre_all
+from packbound.lpbound import PI_LO, LpCertificate, laguerre_all
+
+# a proven bound pi < PI_HI: a certificate with y0 = PI_HI is refuted
+PI_HI = Fraction(314159265358980, 10 ** 14)
 
 
 def run(argv, capsys):
@@ -335,6 +338,9 @@ def test_verify_lp_tampering_refuted(lp8_artifacts, tmp_path, capsys):
         assert [s["statement"] for s in log if not s["passed"]] == [step]
 
 
+M127 = 2 ** 127 - 1
+
+
 @pytest.mark.parametrize("n, b, y0, p, code, found", [
     # (16 y^2 - 308 y + 1103)^2 (1 - y): double roots at (77 +- sqrt 1517)/8,
     # both beyond PI_LO and off every bisection grid
@@ -347,18 +353,28 @@ def test_verify_lp_tampering_refuted(lp8_artifacts, tmp_path, capsys):
     (3, ["415994/169847", "293056/169847", "256320/169847", "147456/169847",
          str(Fraction(61440, 169847) + Fraction(1, 2 ** 3000))], str(PI_LO),
      None, EXIT_INCONCLUSIVE, "0 roots, 2 unresolved intervals"),
-    # (2 y - 7)^2 (1 - 2 y): a double root at 7/2, the bisection's third
-    # midpoint from 45/28 towards the Cauchy bound 67/4
+    # (2 y - 7)^2 (1 - 2 y): a double root at 7/2, the third midpoint of
+    # p's grid from 45/28 towards its Cauchy bound 67/4; the square-free
+    # part, with Cauchy bound 5, isolates it in its first node
     (1, ["9/4", "0", "3"], "45/28", [49, -126, 60, -8], EXIT_REFUTED,
+     "1 roots, 0 unresolved intervals (1 bisection nodes)"),
+    # (M y - 4 M - 1)^2 (1 - y), M = 2^127 - 1: the prime of the quick
+    # square-free test divides the leading coefficient, so the lift finds
+    # the double root 4 + 1/M; nothing raises, nothing is left unresolved
+    (2, [str(Fraction(6 * M127 ** 2 + 2 * M127 + 1,
+                      2 * M127 * (2 * M127 + 1))),
+         str(Fraction(2, 2 * M127 + 1)), str(Fraction(3 * M127, 2 * M127 + 1))],
+     "3", [(4 * M127 + 1) ** 2, -(4 * M127 + 1) * (6 * M127 + 1),
+           M127 * (9 * M127 + 2), -M127 ** 2], EXIT_REFUTED,
      "1 roots, 0 unresolved intervals"),
-], ids=["irrational-double-root", "root-cluster", "root-at-a-midpoint"])
+], ids=["irrational-double-root", "root-cluster", "root-at-a-midpoint",
+        "lead-a-multiple-of-the-quick-prime"])
 def test_verify_lp_at_the_bisection_cap(n, b, y0, p, code, found, tmp_path,
                                         capsys):
     # b >= 0, y0 <= PI_LO and p(y0) < 0 hold, so the root step decides: a
-    # double root, found on the square-free part of p once the bisection of
-    # p reaches its cap, or exactly at a midpoint, refutes; roots too close
-    # to part within the cap are inconclusive (the failure is not
-    # definite), never verified
+    # double root, found on the square-free part of p, refutes; roots too
+    # close to part within the node cap are inconclusive (the failure is
+    # not definite), never verified
     cert = LpCertificate(n, len(b), tuple(map(Fraction, b)), Fraction(y0))
     assert p is None or poly_primitive(cert.polynomial()) == p
     path = tmp_path / "cert.json"

@@ -18,7 +18,7 @@ from packbound.exact import (
 )
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    PI_HI, PI_LO, LpCertificate, LpError, RadialAnsatz, default_samples,
+    PI_LO, LpCertificate, LpError, RadialAnsatz, default_samples,
     estimate, laguerre_all, profile_polynomial, sampled_lp, verify_lp,
 )
 from packbound import lpbound
@@ -31,6 +31,8 @@ try:
 except ImportError:  # pragma: no cover
     HAVE_HYPOTHESIS = False
 
+# a proven bound pi < PI_HI: a certificate with y0 = PI_HI is refuted
+PI_HI = Fraction(314159265358980, 10 ** 14)
 OPT8 = math.pi ** 4 / 384
 
 

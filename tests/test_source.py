@@ -142,6 +142,44 @@ def test_src_defs_have_callers(path):
             if not _dispatched(path, name)] == []
 
 
+def unread_module_names(source: str, read_sources) -> list:
+    """(line, name) for each name that an assignment at the top level of
+    source binds and that nothing in read_sources reads: as a name, an
+    attribute or a string, as _names_read counts them.  Dunder names, which
+    Python reads, are left out."""
+    read = sum((_names_read(ast.parse(s)) for s in read_sources), Counter())
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            found += [(n.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name)
+                      and not (n.id.startswith("__") and n.id.endswith("__"))
+                      and not read[n.id]]
+    return sorted(found)
+
+
+def test_unread_module_names_finds_a_leftover_constant():
+    source = ("__all__ = ['f']\n_USED = 1\n_LEFT, _RIGHT = 2, 3\n"
+              "_LEFTOVER = 64\nLIMIT: int = 10\n_NAMED = 5\n"
+              "def f():\n    _LOCAL = 7\n    return _USED + _LEFT\n"
+              "class K:\n    _FIELD = 8\n")
+    readers = "import m\nm.LIMIT\nsetattr(m, '_NAMED', 6)\n"
+    assert unread_module_names(source, [source, readers]) == [
+        (3, "_RIGHT"), (4, "_LEFTOVER")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_src_module_names_are_read(path):
+    # a constant that nothing in the program reads is left behind by a
+    # deletion; a test that sets or reads it does not keep it alive
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))
+               + sorted((ROOT / "bench").glob("*.py"))]
+    assert unread_module_names(path.read_text(), sources) == []
+
+
 def attribute_getters(source: str) -> list:
     """(line, function) for each def in source whose whole body, after an
     optional docstring, is `return self.<attr>`: a field read through a
