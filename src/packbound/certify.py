@@ -76,22 +76,31 @@ class Certificate:
 _POISSON_DPS = 40
 
 
-def _shell_count_bound(lat: LatticeDescription, table):
-    """Envelope n(k quantum) <= C k^p, with integer p, valid beyond the
-    computed range.
+# zeta(3) and zeta(11) from above: 16 terms and the integral of x^-s beyond
+_ZETA3, _ZETA11 = (sum(Fraction(1, k ** s) for k in range(1, 17))
+                   + Fraction(1, (s - 1) * 16 ** (s - 1)) for s in (3, 11))
+_E12 = Fraction(65520, 691)  # E12 = 1 + _E12 sum sigma_11(k) q^k
 
-    For Z^n (identity Gram matrix) the crude ball bound 3^n k^ceil(n/2) is
-    proven; for the modular-form lattices the divisor-sum structure gives
-    degree n/2 - 1, fitted with margin on the computed range.
+
+def _shell_count_bound(lat: LatticeDescription, table):
+    """Proven envelope n(k quantum) <= C k^p, with integer p, for k >= 1.
+
+    Z^n (identity Gram matrix) has the crude ball bound 3^n k^ceil(n/2).
+    An even unimodular lattice has quantum 2 and theta series E4 in
+    dimension 8, so n(2k) = 240 sigma_3(k) <= 240 zeta(3) k^3, and
+    E12 + (N2 - _E12) Delta in dimension 24, N2 = n(2), with
+    sigma_11(k) <= zeta(11) k^11 and |tau(k)| <= d(k) k^(11/2) <= 2 k^6
+    (Deligne).  Any other lattice raises CertifyError.
     """
     n = lat.dimension
-    p = (n + 1) // 2
     if all(lat.gram[i][j] == (i == j) for i in range(n) for j in range(n)):
-        return Fraction(3) ** n, p
-    p -= 1
-    c = max([Fraction(1)] + [Fraction(cnt, k ** p) for k, (_, cnt)
-                             in enumerate(table.counts) if k and cnt])
-    return 4 * c, p
+        return Fraction(3) ** n, (n + 1) // 2
+    if lat.unimodular and lat.quantum % 2 == 0 and n in (8, 24):
+        return ((240 * _ZETA3, 3) if n == 8 else
+                (_E12 * _ZETA11 + 2 * abs(table.counts[1][1] - _E12), 11))
+    raise CertifyError(
+        f"no proven shell-count bound for {lat.name or 'this lattice'}: only "
+        f"Z^n and even unimodular lattices of dimension 8 and 24 have one")
 
 
 def _poisson_side(table, quantum, c, p, rate):

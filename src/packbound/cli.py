@@ -315,18 +315,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def actions(command, text, metavar=None):
-        """One parser per action of command in FORMATS, taking no
-        abbreviations (so `magic table --r` is no --rmax)."""
+        """One parser per action of command in FORMATS, each with --out and
+        taking no abbreviations (so `magic table --r` is no --rmax)."""
         subs = sub.add_parser(command, help=text).add_subparsers(
             dest="action", required=True, metavar=metavar)
-        return {action: subs.add_parser(action, allow_abbrev=False)
-                for cmd, action in FORMATS if cmd == command}
+        parsers = {action: subs.add_parser(action, allow_abbrev=False)
+                   for cmd, action in FORMATS if cmd == command}
+        for p in parsers.values():
+            p.add_argument("--out")
+        return parsers
 
-    p = sub.add_parser("code", allow_abbrev=False,
-                       help="binary code constructions")
-    p.add_argument("action", choices=("info",))
+    p = actions("code", "binary code constructions")["info"]
     p.add_argument("--name", required=True, choices=("hamming8", "golay24"))
-    p.add_argument("--out")
 
     lattice = actions("lattice", "lattice constructions")
     for p in lattice.values():
@@ -335,11 +335,9 @@ def build_parser():
         p.add_argument("--n", type=int, help="dimension for zn")
     lattice["theta"].add_argument("--max-norm", type=int, default=10)
 
-    p = sub.add_parser("qseries", allow_abbrev=False, help="named q-series")
-    p.add_argument("action", choices=("show",))
+    p = actions("qseries", "named q-series")["show"]
     p.add_argument("name")
     p.add_argument("--terms", type=int, default=8)
-    p.add_argument("--out")
 
     magic = actions("magic", "optimal test functions")
     for p in magic.values():
@@ -348,15 +346,11 @@ def build_parser():
     magic["table"].add_argument("--rmax", type=float, default=4.0)
     magic["table"].add_argument("--step", type=float, default=0.01)
 
-    p = sub.add_parser("lpbound", allow_abbrev=False,
-                       help="linear-programming bound pipeline")
-    p.add_argument("action", nargs="?", default="run",
-                   choices=("run",))
+    p = actions("lpbound", "linear-programming bound pipeline")["run"]
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--method", choices=("sampled", "newton"),
                    default="sampled")
-    p.add_argument("-o", "--out")
 
     verify = actions("verify", "verification pipelines", "target")
     p = verify["poisson"]
@@ -367,8 +361,6 @@ def build_parser():
     p.add_argument("--cutoff", type=int, default=25)
     p.add_argument("--tolerance", type=float, default=1e-10)
     verify["lp"].add_argument("--cert")
-    for p in (*lattice.values(), *magic.values(), *verify.values()):
-        p.add_argument("--out")
     return parser
 
 

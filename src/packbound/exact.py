@@ -1,10 +1,9 @@
 """Exact rational arithmetic helpers: the one guarded parser of rational
-text, integer/rational square roots, the scaling of a rational vector to
-integers, Hermite reduction over Z, rational polynomials, and one root
-test: one Descartes bisection of the square-free part of a primitive
-integer polynomial (p itself when its gcd with p' modulo 2^127 - 1 is
-constant), which proves that no root lies beyond a point or isolates the
-roots that do.
+text, the scaling of a rational vector to integers, Hermite reduction over
+Z, rational polynomials, and one root test: one Descartes bisection of the
+square-free part of a primitive integer polynomial (p itself when its gcd
+with p' modulo 2^127 - 1 is constant), which proves that no root lies
+beyond a point or isolates the roots that do.
 
 There is no Fraction determinant: a lattice reads its determinant off the
 diagonal of its Hermite-reduced basis, which is triangular, and the exact
@@ -47,27 +46,6 @@ def rational(text: str) -> Fraction:
         raise ValueError(f"number longer than {MAX_NUMBER_CHARS} characters "
                          f"or with an exponent beyond {MAX_NUMBER_CHARS}")
     return Fraction(text)
-
-
-def sqrt_decompose(x: Fraction):
-    """Write sqrt(x) = c * sqrt(r) with c rational and r a squarefree integer.
-
-    Returns (c, r).  x must be nonnegative.
-    """
-    x = frac(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Fraction(0), 1
-    # sqrt(p/q) = sqrt(p*q)/q; strip every square d^2 from p*q into c
-    m, c = x.numerator * x.denominator, Fraction(1, x.denominator)
-    d = 2
-    while d * d <= m:
-        while m % (d * d) == 0:
-            m //= d * d
-            c *= d
-        d += 1
-    return c, m
 
 
 # ---------------------------------------------------------------------------

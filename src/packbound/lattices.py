@@ -38,7 +38,7 @@ from .codes import (
     BinaryCode, WeightEnumerator, golay24, hamming8, weight_enumerator,
     zero_code,
 )
-from .exact import frac, hermite_row_basis, sqrt_decompose
+from .exact import frac, hermite_row_basis
 
 
 class LatticeError(ValueError):
@@ -50,57 +50,44 @@ class EnumerationBudgetError(LatticeError):
 
 
 # ---------------------------------------------------------------------------
-# Symbolic volumes: rational * sqrt(radicand) * pi^(p/2)
+# Symbolic volumes: rational * pi^k
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SymbolicVolume:
-    """Exact constant of the form coefficient * sqrt(radicand) * pi^pi_power.
-
-    ``radicand`` is a squarefree positive integer, ``pi_power`` a half-integer
-    stored as a Fraction.
-    """
+    """Exact constant of the form coefficient * pi^pi_power, with a rational
+    coefficient and an integer power: every ball volume, covolume, density
+    and magic-function constant packbound forms."""
 
     coefficient: Fraction
-    pi_power: Fraction = Fraction(0)
-    radicand: int = 1
+    pi_power: int = 0
 
     @staticmethod
     def of(value) -> "SymbolicVolume":
         return SymbolicVolume(frac(value))
 
-    @staticmethod
-    def from_sqrt(value) -> "SymbolicVolume":
-        c, r = sqrt_decompose(frac(value))
-        return SymbolicVolume(c, Fraction(0), r)
-
     def __mul__(self, other):
         if not isinstance(other, SymbolicVolume):
             other = SymbolicVolume.of(other)
-        c = self.coefficient * other.coefficient
-        rad = self.radicand * other.radicand
-        extra, rad2 = sqrt_decompose(Fraction(rad))
-        return SymbolicVolume(c * extra, self.pi_power + other.pi_power, rad2)
+        return SymbolicVolume(self.coefficient * other.coefficient,
+                              self.pi_power + other.pi_power)
 
     def __truediv__(self, other):
         if not isinstance(other, SymbolicVolume):
             other = SymbolicVolume.of(other)
         if other.coefficient == 0:
             raise ZeroDivisionError
-        inv = SymbolicVolume(
-            1 / (other.coefficient * other.radicand),
-            -other.pi_power, other.radicand)
-        return self * inv
+        return SymbolicVolume(self.coefficient / other.coefficient,
+                              self.pi_power - other.pi_power)
 
     def __neg__(self):
-        return SymbolicVolume(-self.coefficient, self.pi_power, self.radicand)
+        return SymbolicVolume(-self.coefficient, self.pi_power)
 
     def __abs__(self):
-        return SymbolicVolume(abs(self.coefficient), self.pi_power,
-                              self.radicand)
+        return SymbolicVolume(abs(self.coefficient), self.pi_power)
 
     def is_rational(self) -> bool:
-        return self.pi_power == 0 and self.radicand == 1
+        return self.pi_power == 0
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
@@ -109,25 +96,17 @@ class SymbolicVolume:
 
     def mpf(self):
         """The value at the mpmath working precision."""
-        c, p = self.coefficient, Fraction(self.pi_power)
-        return (mp.mpf(c.numerator) / c.denominator * mp.sqrt(self.radicand)
-                * mp.pi ** (mp.mpf(p.numerator) / p.denominator))
+        c = self.coefficient
+        return mp.mpf(c.numerator) / c.denominator * mp.pi ** self.pi_power
 
     def to_float(self) -> float:
-        return (float(self.coefficient) * math.sqrt(self.radicand)
-                * math.pi ** float(self.pi_power))
+        return float(self.coefficient) * math.pi ** self.pi_power
 
     def __str__(self):
-        parts = []
-        c = self.coefficient
-        if self.radicand != 1:
-            parts.append(f"sqrt({self.radicand})")
-        if self.pi_power != 0:
-            p = self.pi_power
-            parts.append("pi" if p == 1 else f"pi^{p}")
-        if not parts:
+        c, p = self.coefficient, self.pi_power
+        if p == 0:
             return str(c)
-        body = "*".join(parts)
+        body = "pi" if p == 1 else f"pi^{p}"
         if c == 1:
             return body
         if c.denominator == 1:
@@ -137,15 +116,25 @@ class SymbolicVolume:
         return f"{c.numerator}*{body}/{c.denominator}"
 
 
+def _rational_sqrt(x: Fraction) -> Fraction:
+    """The exact square root of a rational square; LatticeError for any
+    other x."""
+    num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    if num * num != x.numerator or den * den != x.denominator:
+        raise LatticeError(f"sqrt({x}) is not rational")
+    return Fraction(num, den)
+
+
 def ball_volume(n: int, sq_radius) -> SymbolicVolume:
     """Exact volume of the n-ball with squared radius r^2 = sq_radius, by
-    V_0 = 1, V_1 = 2r and V_k = V_(k-2) * 2 pi r^2 / k."""
+    V_0 = 1, V_1 = 2r and V_k = V_(k-2) * 2 pi r^2 / k.  For odd n, r must
+    be rational (LatticeError otherwise)."""
     sq_radius = frac(sq_radius)
     if n < 1 or sq_radius < 0:
         raise LatticeError("need dimension >= 1 and squared radius >= 0")
-    v = SymbolicVolume.from_sqrt(4 * sq_radius if n % 2 else 1)
+    v = SymbolicVolume.of(_rational_sqrt(4 * sq_radius) if n % 2 else 1)
     for k in range(2 + n % 2, n + 1, 2):
-        v = v * SymbolicVolume(2 * sq_radius / k, Fraction(1))
+        v = v * SymbolicVolume(2 * sq_radius / k, 1)
     return v
 
 
@@ -293,8 +282,8 @@ def standard_lattice(name: str, n: int = None) -> LatticeDescription:
 # ---------------------------------------------------------------------------
 
 def covolume(lat: LatticeDescription) -> SymbolicVolume:
-    """sqrt(det(gram)), exact (rational times a square root)."""
-    return SymbolicVolume.from_sqrt(lat.gram_det)
+    """sqrt(det(gram)), exact; LatticeError when it is not rational."""
+    return SymbolicVolume(_rational_sqrt(lat.gram_det))
 
 
 # ---------------------------------------------------------------------------

@@ -114,12 +114,12 @@ class MagicError(ValueError):
     pass
 
 
-_PI = SymbolicVolume(Fraction(1), Fraction(1))
+_PI = SymbolicVolume(Fraction(1), 1)
 
 
 # Published plus-side combination constants (magnitudes).
-_TABLE_ALPHA = {8: SymbolicVolume(Fraction(1, 8640), Fraction(1)),
-                24: SymbolicVolume(Fraction(1, 113218560), Fraction(1))}
+_TABLE_ALPHA = {8: SymbolicVolume(Fraction(1, 8640), 1),
+                24: SymbolicVolume(Fraction(1, 113218560), 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +650,8 @@ class MagicFunctionSpec:
 
         # t-side decomposition of t^(n/2-2) psi_plus(i/t):
         #   coefficient * t^m * series(it), coefficient = rat pi^p (exact)
-        plus_terms = [(it.m, SymbolicVolume(it.rat, Fraction(it.pi_pow)),
-                       it.series) for it in terms["psi_plus"]]
-        minus_terms = [(0, SymbolicVolume.of(1), psis["psi_minus"])]
+        plus_terms = terms["psi_plus"]
+        minus_terms = ((0, SymbolicVolume.of(1), psis["psi_minus"]),)
         for m, _, series in plus_terms + minus_terms:
             if any(e < 0 and e % GRID for e in series.coeffs):
                 raise MagicError("pole exponent off the integer-power grid")
@@ -664,7 +663,7 @@ class MagicFunctionSpec:
         # u-side (t = 1/u) kernels: u^(-n/2) times psi_plus(iu) and times
         # the conjugate minus kernel at iu, both with coefficient 1
         self.uside = _uside_kernels(
-            [psis["psi_plus"], terms["psi_minus"][0].series], n // 2, dps)
+            [psis["psi_plus"], terms["psi_minus"][0][2]], n // 2, dps)
 
         # combination constants
         kappa1 = plus_terms[1][1]
@@ -696,13 +695,8 @@ class MagicFunctionSpec:
     # -- public evaluation ----------------------------------------------------
 
     def pair(self, r):
-        """Certified (P, M) = (W*I_plus, W*I_minus) at radius r >= 0."""
-        with mp.workdps(self.dps + 10):
-            # keyed on the radius at working precision, not as the caller
-            # would print it
-            key = mp.mpf(r)._mpf_
-        if key in self._cache:
-            return self._cache[key]
+        """Certified (P, M) = (W*I_plus, W*I_minus) at radius r >= 0: a
+        one-radius sweep, so read from the pair cache when there."""
         return self.sweep(r, 0, 1)[0]
 
     def sweep(self, r0, step, count):

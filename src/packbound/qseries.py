@@ -35,6 +35,7 @@ from functools import lru_cache
 import mpmath as mp
 
 from .exact import frac
+from .lattices import SymbolicVolume
 
 GRID = 8  # grid exponents count eighths of a power of q
 DEFAULT_TRUNC = 300
@@ -436,21 +437,12 @@ def conjugate_psi_minus(n: int, trunc: int = DEFAULT_TRUNC) -> QSeries:
     return _minus_kernel(n, theta10(trunc), theta01(trunc))
 
 
-@dataclass(frozen=True)
-class IntegrandTerm:
-    """The real term rat * pi^pi_pow * t^m * series(it) on z = it, t > 0."""
-
-    series: QSeries
-    m: int
-    rat: Fraction
-    pi_pow: int = 0
-
-
 @lru_cache(maxsize=None)
 def s_transform_terms(n: int, trunc: int = DEFAULT_TRUNC) -> dict:
     """The transformed kernels on the imaginary axis as finite sums of
-    `IntegrandTerm`s: "psi_plus" sums to t^(n/2-2) psi_plus(i/t) and
-    "psi_minus" to psi_minus(i/t), for t > 0.
+    terms (m, const, series), each the real const * t^m * series(it) with
+    const an exact rat * pi^k (`SymbolicVolume`): "psi_plus" sums to
+    t^(n/2-2) psi_plus(i/t) and "psi_minus" to psi_minus(i/t), for t > 0.
 
     They follow from the laws on the axis
     E2(i/t) = -t^2 E2(it) + 6t/pi, E4(i/t) = t^4 E4(it),
@@ -474,12 +466,12 @@ def s_transform_terms(n: int, trunc: int = DEFAULT_TRUNC) -> dict:
         k1 = -6
     # the 6t/pi of the E2 law gives g1 (once) and g2 (squared)
     plus_terms = (
-        IntegrandTerm(psi["psi_plus"], 2, Fraction(1)),
-        IntegrandTerm(_fit_envelope(g1, a), 1, Fraction(k1), -1),
-        IntegrandTerm(_fit_envelope(g2, a), 0, Fraction(36), -2),
+        (2, SymbolicVolume.of(1), psi["psi_plus"]),
+        (1, SymbolicVolume(Fraction(k1), -1), _fit_envelope(g1, a)),
+        (0, SymbolicVolume(Fraction(36), -2), _fit_envelope(g2, a)),
     )
     minus_terms = (
-        IntegrandTerm(conjugate_psi_minus(n, trunc), 2 - n // 2, Fraction(1)),
+        (2 - n // 2, SymbolicVolume.of(1), conjugate_psi_minus(n, trunc)),
     )
     return {"psi_plus": plus_terms, "psi_minus": minus_terms}
 

@@ -45,17 +45,16 @@ def evaluate_at_it(series: QSeries, t, dps: int = 30,
 
 
 def evaluate_terms_at_it(terms, t, dps: int = 30):
-    """Evaluate the real sum of rat * pi^pi_pow * t^m * series(it) over the
-    `IntegrandTerm`s, with an error bound."""
+    """Evaluate the real sum of const * t^m * series(it) over the terms
+    (m, const, series) of `s_transform_terms`, with an error bound."""
     with mp.workdps(dps + 10):
         tv = mp.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) \
             else mp.mpf(t)
         total = mp.mpf(0)
         err = mp.mpf(0)
-        for term in terms:
-            ev = evaluate_at_it(term.series, t, dps=dps)
-            coeff = (mp.mpf(term.rat.numerator) / term.rat.denominator
-                     * mp.pi ** term.pi_pow * tv ** term.m)
+        for m, const, series in terms:
+            ev = evaluate_at_it(series, t, dps=dps)
+            coeff = const.mpf() * tv ** m
             total += coeff * ev.value
             err += abs(coeff) * ev.error
         return total, err

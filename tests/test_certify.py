@@ -17,7 +17,7 @@ from packbound.exact import (
 )
 from packbound.codes import zero_code
 from packbound.lattices import (
-    construction_a, standard_lattice, vectors_by_norm,
+    _make_lattice, construction_a, standard_lattice, vectors_by_norm,
 )
 from packbound.magic import MagicError
 from packbound.qseries import CertifiedValue
@@ -448,6 +448,22 @@ def test_squarefree_with_a_leading_coefficient_the_prime_divides():
     assert roots[0][0] < Fraction(k, M127) < roots[0][1]
 
 
+def test_squarefree_lifts_above_twice_the_landau_mignotte_bound(
+        monkeypatch):
+    # the gcd of p and p' is lifted modulo a prime m > 2 * 2^deg ||p||_2.
+    # Here 2^127 - 1, the first Mersenne prime above p's coefficients, is
+    # below that bound, so a lift modulo it would rest on no proof
+    moduli = []
+    gcd_mod = exact._gcd_mod
+    monkeypatch.setattr(exact, "_gcd_mod", lambda p, q, m: (
+        moduli.append(m), gcd_mod(p, q, m))[1])
+    p = poly_primitive(from_roots(1, [1] + list(range(1, 30))))
+    assert exact._squarefree(p) == poly_primitive(from_roots(1, range(1, 30)))
+    bound_sq = 4 ** len(p) * sum(c * c for c in p)  # (2 * 2^deg ||p||_2)^2
+    assert max(c.bit_length() for c in p) < 127 and M127 ** 2 < bound_sq
+    assert moduli[0] == M127 and moduli[1] ** 2 > bound_sq
+
+
 def test_sign_matches_the_fraction_sign():
     # _sign at random a/b of 1 to 1,000 bits, and within 2^-64 of a root,
     # equals the Fraction sign
@@ -486,6 +502,31 @@ def test_poisson_refuses_non_unimodular():
         poisson_check(construction_a(zero_code(1)), Fraction(1), 5)
 
 
+def test_poisson_refuses_a_lattice_without_a_proven_shell_bound():
+    # Z^2 on the basis (1, 1), (0, 1): unimodular and odd, but its Gram
+    # matrix is not the identity, so no proven shell-count bound covers it
+    z2 = standard_lattice("zn", 2)
+    skew = _make_lattice([[1, 1], [0, 1]], 0, name="skew-z2",
+                         counting=z2.counting)
+    assert skew.unimodular and skew.gram != z2.gram
+    assert vectors_by_norm(skew, 8) == vectors_by_norm(z2, 8)
+    with pytest.raises(CertifyError, match="no proven shell-count bound"):
+        poisson_check(skew, Fraction(4, 5), 4)
+
+
+@pytest.mark.parametrize("name, n", [("e8", None), ("leech", None),
+                                     ("l24", None), ("zn", 1), ("zn", 3),
+                                     ("zn", 8)])
+def test_shell_count_bound_holds_through_norm_64(name, n):
+    # every computed shell, up to the enumeration budget, lies under the
+    # proven C k^p
+    lat = standard_lattice(name, n)
+    table = vectors_by_norm(lat, 64)
+    c, p = certify_mod._shell_count_bound(lat, table)
+    assert all(cnt <= c * k ** p
+               for k, (_, cnt) in enumerate(table.counts) if k)
+
+
 def test_poisson_e8():
     res = poisson_check(standard_lattice("e8"), Fraction(1), 25)
     assert res["residual"] <= 1e-10
@@ -519,18 +560,27 @@ def _lattice_sum(table, rate):
     return total
 
 
+def _zeta_upper(s, terms=16):
+    """Reference bound zeta(s) <= sum_{k <= terms} k^-s + terms^(1-s)/(s-1),
+    by the integral of x^-s beyond the last term."""
+    head = sum(Fraction(1, k ** s) for k in range(1, terms + 1))
+    return head + Fraction(terms) ** (1 - s) / (s - 1)
+
+
 def _shell_count_bound(lat, table, quantum):
-    """Reference envelope n(v) <= C (v/quantum)^p, p a Fraction."""
+    """Reference envelope n(v) <= C (v/quantum)^p, p a Fraction: the ball
+    bound for Z^n; 240 zeta(3) k^3 for the E4 theta series of E8; and for
+    an even unimodular lattice in dimension 24, whose theta series is
+    E12 + (N2 - e) Delta with e = 65520/691 and N2 its count at norm 2,
+    e zeta(11) k^11 + 2 |N2 - e| k^6."""
     n = lat.dimension
     if all(lat.gram[i][j] == (i == j) for i in range(n) for j in range(n)):
         return Fraction(3) ** n, Fraction(n, 2)
-    p = Fraction(n, 2) - 1
-    c = Fraction(1)
-    for v, cnt in table.counts:
-        if v > 0 and cnt > 0:
-            need = Fraction(cnt) / (exact.frac(v) / quantum) ** math.ceil(p)
-            c = max(c, need)
-    return 4 * c, Fraction(math.ceil(p))
+    assert quantum == 2
+    if n == 8:
+        return 240 * _zeta_upper(3), Fraction(3)
+    e = Fraction(65520, 691)
+    return e * _zeta_upper(11) + 2 * abs(table.count(2) - e), Fraction(11)
 
 
 def _tail_bound(c, p, quantum, cutoff_norm, rate):

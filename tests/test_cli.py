@@ -150,6 +150,21 @@ ARTIFACT_DIGESTS = {
         "46d33e476a711d53ccc03b4b9f27ad91d840d3efde2d9c02bb925fe941eb7046",
 }
 
+# the same for the exact lattice and LP artifacts, whose densities and
+# optimum ratios read the exact constants rat * pi^k
+EXACT_ARTIFACT_DIGESTS = {
+    "--format json lattice info --name e8":
+        "f313eba604238bac87324a59d574dd5ff0682385e28c6cefd9919dfd44bc5cf1",
+    "--format json lattice info --name l24":
+        "28b387eb62e284c96e23b06b91ba9bb3af00ba936730a9b8ec92e23169ccad76",
+    "--format json lattice info --name leech":
+        "c819673d1ea333b3e82d2a3e7cae9a0730023ab3b360b4bb62dcbb947c6d8219",
+    "--format json lattice info --name zn --n 3":
+        "6c394c1a3239c6db088ea74b3847b2cabe63801b70c6f6994bd4faf65f5735bf",
+    "--format json lpbound run --dim 8 --degree 30":
+        "95855db8201dc9f169323292b9ee38d90346bba055c579e1c4d79cd3b5e89b6a",
+}
+
 
 @pytest.mark.parametrize("command", sorted(ARTIFACT_DIGESTS))
 def test_magic_artifact_fingerprint(command, capsys):
@@ -157,6 +172,14 @@ def test_magic_artifact_fingerprint(command, capsys):
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == \
         ARTIFACT_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(EXACT_ARTIFACT_DIGESTS))
+def test_exact_artifact_fingerprint(command, capsys):
+    code, out = run(command.split(), capsys)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        EXACT_ARTIFACT_DIGESTS[command]
 
 
 def test_magic_table_stops_at_rmax(capsys, spec8):
@@ -622,11 +645,16 @@ def test_removed_format_flags_are_usage_errors(argv, capsys):
     ["verify", "lp", "--cert", "lp8.json", "--sigma", "1"],
     ["verify", "lp", "--cert", "lp8.json", "--cutoff", "5"],
     ["verify", "lp", "--cert", "lp8.json", "--tolerance", "1e-9"],
+    ["lpbound", "--dim", "8", "--degree", "6"],
+    ["lpbound", "run", "--dim", "8", "--degree", "6", "-o", "lp8.json"],
+    ["code", "--name", "golay24", "info"],
+    ["lattice", "--name", "e8", "info"],
 ], ids=lambda argv: " ".join(argv[:2] + argv[-2:-1]))
 def test_option_of_another_action_is_usage_error(argv, monkeypatch, capsys):
     # an action takes only the options its handler reads: any other is
-    # refused by the parser, before any handler runs
-    for name in ("lattice", "magic", "verify"):
+    # refused by the parser, before any handler runs.  Every command names
+    # its action first, and --out has no short form
+    for name in ("code", "lattice", "lpbound", "magic", "verify"):
         monkeypatch.setattr(cli, f"_cmd_{name}",
                             lambda *a: pytest.fail("handler ran"))
     code = dispatch(argv)

@@ -78,15 +78,17 @@ def test_grid_count_slack_is_a_fraction_of_a_step():
 
 
 def test_combination_constants_8(spec8):
-    assert spec8.A == SymbolicVolume(Fraction(-1, 2160), Fraction(1))
+    assert spec8.A == SymbolicVolume(Fraction(-1, 2160), 1)
     # only the product of B with the minus kernel enters the function, and
     # the Taylor/root tests below pin the product
-    assert spec8.B == SymbolicVolume(Fraction(-1, 120), Fraction(-1))
+    assert spec8.B == SymbolicVolume(Fraction(-1, 120), -1)
+    # every constant is rat * pi^k with an integer k
+    assert type(spec8.A.pi_power) is int and type(spec8.B.pi_power) is int
 
 
 def test_combination_constants_24(spec24):
-    assert spec24.A == SymbolicVolume(Fraction(1, 28304640), Fraction(1))
-    assert spec24.B == SymbolicVolume(Fraction(-1, 65520), Fraction(-1))
+    assert spec24.A == SymbolicVolume(Fraction(1, 28304640), 1)
+    assert spec24.B == SymbolicVolume(Fraction(-1, 65520), -1)
 
 
 def test_normalization_at_zero_8(spec8):
@@ -1120,7 +1122,7 @@ def test_inverse_node_table_is_exact(dps, monkeypatch):
 
     monkeypatch.setattr(_NodeSeries, "at", recording)
     series = [psi_forms(8)["psi_plus"],
-              s_transform_terms(8)["psi_minus"][0].series]
+              s_transform_terms(8)["psi_minus"][0][2]]
     side = magic._uside_kernels(series, 4, dps)
     us = next(p for p in points if len(p) == len(side.inv_u))
     assert max(us) <= 2 ** (side.guard - 8)
@@ -1173,7 +1175,7 @@ def test_cut_series_error_bounds_the_full_sum(n, dps, monkeypatch):
 
     monkeypatch.setattr(magic, "_cut_sum", recording)
     series = [psi_forms(n)["psi_plus"],
-              s_transform_terms(n)["psi_minus"][0].series]
+              s_transform_terms(n)["psi_minus"][0][2]]
     magic._uside_kernels(series, n // 2, dps)
     assert len(records) == 2
     with mp.workdps(dps + 40):
