@@ -25,9 +25,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from . import __version__
-from .codes import (
-    CodeError, code_properties, golay24, hamming8, weight_enumerator,
-)
+from .codes import code_properties, golay24, hamming8, weight_enumerator
 from .lattices import (
     LatticeError, ball_volume, covolume, lattice_properties,
     standard_lattice, vectors_by_norm,
@@ -52,8 +50,8 @@ MAX_TABLE_ROWS = 10 ** 6  # the most rows `magic table` writes
 
 # errors raised on bad input; dispatch maps them to EXIT_USAGE, so they can
 # never surface as a traceback with exit 1 ("refuted")
-PACKAGE_ERRORS = (CertifyError, CodeError, LatticeError, lp.LpError,
-                  MagicError, QSeriesError, SimplexError)
+PACKAGE_ERRORS = (CertifyError, LatticeError, lp.LpError, MagicError,
+                  QSeriesError, SimplexError)
 
 # the formats each (command, action) writes; the first is its default
 FORMATS = {
@@ -186,6 +184,8 @@ def _cmd_magic(args, cfg):
         raise MagicError("--step must be finite and positive, --rmax finite "
                          "and nonnegative, and the table at most "
                          f"{MAX_TABLE_ROWS} rows")
+    if args.action == "eval" and not (math.isfinite(args.r) and args.r >= 0):
+        raise MagicError("--r must be finite and nonnegative")
     spec = magic_spec(args.dim, trunc=cfg.trunc, dps=cfg.precision)
     if args.action == "eval":
         with mp.workdps(cfg.precision + 10):

@@ -75,8 +75,6 @@ class SymbolicVolume:
     def __truediv__(self, other):
         if not isinstance(other, SymbolicVolume):
             other = SymbolicVolume.of(other)
-        if other.coefficient == 0:
-            raise ZeroDivisionError
         return SymbolicVolume(self.coefficient / other.coefficient,
                               self.pi_power - other.pi_power)
 
@@ -130,8 +128,6 @@ def ball_volume(n: int, sq_radius) -> SymbolicVolume:
     V_0 = 1, V_1 = 2r and V_k = V_(k-2) * 2 pi r^2 / k.  For odd n, r must
     be rational (LatticeError otherwise)."""
     sq_radius = frac(sq_radius)
-    if n < 1 or sq_radius < 0:
-        raise LatticeError("need dimension >= 1 and squared radius >= 0")
     v = SymbolicVolume.of(_rational_sqrt(4 * sq_radius) if n % 2 else 1)
     for k in range(2 + n % 2, n + 1, 2):
         v = v * SymbolicVolume(2 * sq_radius / k, 1)
@@ -165,17 +161,15 @@ class LatticeDescription:
     quantum: Fraction
     unimodular: bool     # integral with determinant 1: its own dual
     name: str = ""
-    counting: Cosets = None  # None: no vector counts
+    counting: Cosets = None  # every named lattice's; vectors_by_norm reads it
 
 
 def _make_lattice(rows, scale_exp, name="", counting=None):
     """The lattice the integer generating rows span, scaled by
-    2^(-scale_exp/2), built as the module docstring says.  Rows of rank
-    below their length raise LatticeError."""
+    2^(-scale_exp/2), built as the module docstring says.  The rows must
+    have full rank, as the rows of every construction here do."""
     n = len(rows[0])
     basis = hermite_row_basis(rows)
-    if len(basis) != n:
-        raise LatticeError("degenerate basis")
     two_s = 2 ** scale_exp
     ints = [[sum(a * b for a, b in zip(u, v)) for v in basis] for u in basis]
     gram = tuple(tuple(Fraction(x, two_s) for x in row) for row in ints)
@@ -215,8 +209,6 @@ class NormCountTable:
 def construction_a(code: BinaryCode, name="") -> LatticeDescription:
     """Lift a binary code: {x / sqrt(2) : x in Z^n, x mod 2 in code}."""
     n = code.length
-    if n > 24:
-        raise LatticeError("construction A limited to n <= 24 here")
     gens = [[(row >> i) & 1 for i in range(n)] for row in code.generator]
     gens += [[2 * (i == j) for j in range(n)] for i in range(n)]
     return _make_lattice(gens, 1, name=name, counting=Cosets(
@@ -250,15 +242,16 @@ _LATTICE_CACHE = {}
 
 
 def standard_lattice(name: str, n: int = None) -> LatticeDescription:
-    """Named lattices: zn(n), e8, l24, leech; only zn takes a dimension."""
+    """Named lattices: zn(n) for n from 1 to 24, e8, l24, leech; only zn
+    takes a dimension."""
     if n is not None and name != "zn":
         raise LatticeError(f"{name} takes no dimension")
+    if name == "zn" and n not in range(1, 25):
+        raise LatticeError("zn takes a dimension from 1 to 24")
     key = (name, n)
     if key in _LATTICE_CACHE:
         return _LATTICE_CACHE[key]
     if name == "zn":
-        if not n or n < 1:
-            raise LatticeError("zn requires a dimension")
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         lat = _make_lattice(eye, 0, name=f"z{n}", counting=Cosets(
             weight_enumerator(zero_code(n)), 1, 1, ((0, 0, 0),)))
@@ -346,11 +339,6 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
     if max_norm > budget:
         raise EnumerationBudgetError(
             f"cutoff {max_norm} exceeds enumeration budget {budget}")
-    if lat.dimension > 24:
-        raise EnumerationBudgetError("dimension too large")
-    if lat.counting is None:
-        raise LatticeError(f"{lat.name or 'this lattice'}: no coset data "
-                           f"to count its vectors")
     raw = _count_cosets(lat.dimension, lat.counting, max_norm)
     quantum = lat.quantum
     counts = [(k * quantum, raw.get(k * quantum, 0))

@@ -152,8 +152,6 @@ def legendre_nodes(order: int, dps: int):
     2^-p relative of the rule at dps + 120 digits, p the bits of dps + 20
     digits (orders 4, 14, 64, dps 30, 60, 200).  The negatives are mirrored.
     """
-    if order < 2 or order % 2:
-        raise MagicError(f"Gauss-Legendre order {order} is not even and >= 2")
     key = (order, dps)
     if key in _GL_CACHE:
         return _GL_CACHE[key]
@@ -637,8 +635,6 @@ class MagicFunctionSpec:
     """Precomputed evaluation pipeline for one dimension."""
 
     def __init__(self, n, trunc=DEFAULT_TRUNC, dps=DEFAULT_DPS):
-        if n not in (8, 24):
-            raise MagicError("dimension must be 8 or 24")
         self.n = n
         self.r1_sq = 2 if n == 8 else 4
         self.trunc = trunc
@@ -700,15 +696,14 @@ class MagicFunctionSpec:
         return self.sweep(r, 0, 1)[0]
 
     def sweep(self, r0, step, count):
-        """Certified (P, M) at r_k = r0 + k*step for k < count, with r0 and
-        step >= 0; every pair is also put in the pair cache.  The radii not
-        cached yet are split across processes (see `_block`): no value
-        depends on how."""
+        """Certified (P, M) at r_k = r0 + k*step for k < count, for finite
+        r0 >= 0 and step >= 0, which the error bars of `_decays` need: the CLI
+        checks the radii it reads, and the program's own are constants.
+        Every pair is also put in the pair cache.  The radii not cached yet
+        are split across processes (see `_block`): no value depends on
+        how."""
         with mp.workdps(self.dps + 10):
             r0, step = mp.mpf(r0), mp.mpf(step)
-            if not (0 <= r0 < mp.inf and 0 <= step < mp.inf):
-                raise MagicError("radius and step must be finite and "
-                                 "nonnegative")
             keys = [(r0 + k * step)._mpf_ for k in range(count)]
             todo = [k for k, key in enumerate(keys) if key not in self._cache]
             # a process per usable CPU, at most one per 64 radii and per 32
@@ -808,8 +803,6 @@ class MagicFunctionSpec:
 
     def eval(self, side, r) -> CertifiedValue:
         """f (side "f") or fhat ("f_hat") at radius r."""
-        if side not in ("f", "f_hat"):
-            raise MagicError(f"unknown side {side!r}")
         return self.combine(*self.pair(r))[side == "f_hat"]
 
     def combine(self, p, m):

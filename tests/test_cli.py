@@ -532,6 +532,12 @@ RAW_CERT_FILES = {
     ["verify", "lp", "--cert", "{over_budget}"],
     ["verify", "lp", "--cert", "{nested}"],
     ["verify", "lp", "--cert", "{nested_cert}"],
+    ["lattice", "info", "--name", "zn", "--n", "0"],
+    ["lattice", "info", "--name", "zn", "--n", "25"],
+    ["lattice", "theta", "--name", "zn", "--n", "5000"],
+    ["verify", "poisson", "--name", "zn", "--n", "25"],
+    ["magic", "eval", "--dim", "8", "--r", "-0.5"],
+    ["magic", "eval", "--dim", "24", "--r=-inf"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
@@ -550,6 +556,26 @@ def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert captured.err.startswith("packbound: ")
     assert captured.err.count("\n") == 1
+
+
+def test_bad_dimension_or_radius_is_refused_before_any_build(monkeypatch,
+                                                             capsys):
+    # a Z^n basis is n x n and a spec build takes a second, so an --n or
+    # --r out of range is refused where it enters, before either is built
+    def fail(*args, **kwargs):
+        raise AssertionError("built before the input was checked")
+
+    monkeypatch.setattr(lattices, "_make_lattice", fail)
+    monkeypatch.setattr(cli, "magic_spec", fail)
+    for argv in (["lattice", "info", "--name", "zn", "--n", "25"],
+                 ["lattice", "info", "--name", "zn", "--n", "0"],
+                 ["lattice", "theta", "--name", "zn", "--n", "5000"],
+                 ["verify", "poisson", "--name", "zn", "--n", "25"],
+                 ["magic", "eval", "--dim", "8", "--r", "-0.5"],
+                 ["magic", "eval", "--dim", "24", "--r=-inf"],
+                 ["magic", "eval", "--dim", "8", "--r", "nan"]):
+        assert dispatch(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err.startswith("packbound: ")
 
 
 @contextlib.contextmanager

@@ -55,12 +55,6 @@ def test_ball_volume_matches_the_gamma_formula(sq_radius):
                 mp.mpf(10) ** -50), n
 
 
-@pytest.mark.parametrize("n, sq_radius", [(0, 1), (-1, 1), (2, -1), (3, -1)])
-def test_ball_volume_refuses_bad_input(n, sq_radius):
-    with pytest.raises(LatticeError):
-        ball_volume(n, sq_radius)
-
-
 def test_construction_a_e8_covolume_and_min():
     e8 = construction_a(hamming8())
     assert covolume(e8).is_rational()
@@ -184,15 +178,6 @@ def test_generating_rows_are_reduced_once():
     # its reduced basis [[1, 1], [0, 2]], which spans the same lattice
     rotated = _make_lattice([[1, 1], [1, -1]], 0)
     assert rotated.gram == ((2, 2), (2, 4)) and rotated.gram_det == 4
-
-
-@pytest.mark.parametrize("rows", [
-    [[1, 2], [2, 4]], [[1, 0, 0], [0, 1, 0]], [[0, 0], [0, 0], [0, 0]],
-    [[2, 0, 2], [0, 1, 1], [2, 1, 3], [4, 2, 6]],
-], ids=["dependent", "too-few", "zero", "rank-2-of-4"])
-def test_rows_of_low_rank_are_refused(rows):
-    with pytest.raises(LatticeError, match="degenerate"):
-        _make_lattice(rows, 0)
 
 
 def test_built_lattice_runs_no_elimination_or_enumeration(monkeypatch):
@@ -331,11 +316,6 @@ def test_coset_counts_match_theta_series():
         "non-integral"])
 def test_norm_quantum(lat, quantum):
     assert lat.quantum == quantum
-
-
-def test_lattice_without_coset_data_is_refused():
-    with pytest.raises(LatticeError, match="no coset data"):
-        vectors_by_norm(_make_lattice([[1, 1], [1, -1]], 0), 4)
 
 
 def test_enumeration_budget():

@@ -126,6 +126,43 @@ def test_fourier_pairing_oracle():
                 assert abs(oracle - direct) < 1e-6, (n, u)
 
 
+def test_laguerre_gaussians_are_fourier_eigenfunctions():
+    # for alpha = n/2 - 1, L_k^alpha(2 pi r^2) e^(-pi r^2) has the transform
+    # (-1)^k times itself; alpha + 1 in place of alpha breaks the pairing
+    def worst_gap(n, alpha):
+        gap = 0
+        for k in (1, 2, 5):
+            def f(r):
+                return (laguerre_all(k, alpha, 2 * mp.pi * r * r)[k]
+                        * mp.exp(-mp.pi * r * r))
+            for u in (0, mp.mpf("0.5"), 1, 2):
+                oracle = radial_fourier_oracle(n, f, u, dps=20, order=10)
+                gap = max(gap, abs(oracle - (-1) ** k * f(mp.mpf(u))))
+        return gap
+
+    with mp.workdps(30):
+        for n in (8, 24):
+            alpha = mp.mpf(n) / 2 - 1
+            assert worst_gap(n, alpha) < 1e-15, n
+            assert worst_gap(n, alpha + 1) > 1, n
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_laguerre_derivative_is_the_next_family(n):
+    # d/dx L_k^alpha = -L_(k-1)^(alpha+1), exactly: the left side from the
+    # profile polynomial of the unit vector e_k, the right side from the
+    # integer recurrence of dimension n + 2
+    d = 27
+    for x in (Fraction(0), Fraction(7, 11),
+              Fraction(round(2 * math.pi * 50 * 2 ** 8), 2 ** 8)):
+        lower = lpbound._laguerre_ratios(n + 2, d - 1, x)
+        for k in range(1, d + 1):
+            lk = profile_polynomial(n, [0] * (k - 1) + [1])
+            lk[0] -= 1
+            want = -Fraction(*lower[k - 2]) if k > 1 else -1
+            assert poly_eval(poly_deriv(lk), x) == want, (x, k)
+
+
 def test_poisson_pairing_on_e8():
     # sum over the lattice of f equals the dual sum for a unimodular
     # lattice, up to Gaussian-tail truncation at squared length 50

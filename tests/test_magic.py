@@ -50,14 +50,6 @@ def test_legendre_nodes_within_two_units(order, dps):
             assert abs(got - ref) <= unit * abs(ref), (got, ref)
 
 
-@pytest.mark.parametrize("order", [-2, 0, 1, 5])
-def test_legendre_nodes_refuses_odd_or_small_order(order):
-    # an odd order once dropped its middle node: legendre_nodes(5, 30)'s
-    # weights summed to 1.431, and order 1 gave no node at all
-    with pytest.raises(MagicError, match="not even"):
-        legendre_nodes(order, 30)
-
-
 def test_legendre_nodes_refuses_a_newton_that_does_not_converge(monkeypatch):
     # a step of one whole unit every time never falls under 2^16 units
     monkeypatch.setattr(magic, "_legendre",
@@ -409,11 +401,6 @@ def test_ce_bound_24(spec24):
         assert b.error == 0
 
 
-def test_invalid_dimension():
-    with pytest.raises(MagicError):
-        magic_spec(9)
-
-
 # Values and errors of (P, M).  The values agree, within the old error bars,
 # with the per-term t-side loop and the separate u-side quadratures that the
 # exponent table and the shared nodes replaced; the errors carry the
@@ -616,12 +603,6 @@ def test_uside_data_fingerprint(n, request):
     # _mpf_ tuples, since repr depends on the ambient mp.dps
     digest.update(repr([u._mpf_ for u in _spec_nodes(spec)]).encode())
     assert digest.hexdigest() == USIDE_DIGESTS[n]
-
-
-@pytest.mark.parametrize("r", ["inf", "-inf", "nan"])
-def test_pair_rejects_nonfinite_radius(spec8, r):
-    with pytest.raises(MagicError):
-        spec8.pair(mp.mpf(r))
 
 
 def test_pair_cache_keys_on_working_precision(spec8):
@@ -886,8 +867,6 @@ def test_combine_matches_the_per_side_formula(n, request):
         assert [(v.value._mpf_, v.error._mpf_) for v in got] == [
             (w._mpf_, error._mpf_) for w in want]
         assert [spec.eval(side, r) for side in ("f", "f_hat")] == list(got)
-    with pytest.raises(MagicError):
-        spec.eval("g", radii[1])
 
 
 def test_sweep_keeps_the_first_pair_of_a_repeated_radius(spec8):
@@ -1223,12 +1202,3 @@ def test_short_sweeps_within_stated_units(spec8, count):
                 for v, e in zip(nodes, decay):
                     exact = mp.ldexp(mp.exp(mp.pi * rk * rk * v), fix)
                     assert abs(e - exact) <= 2 * (k + 2) ** 2, (r, k, v)
-
-
-@pytest.mark.parametrize("r0, step", [
-    (-1, "0.02"), ("inf", "0.02"), ("nan", "0.02"), ("-inf", "0.02"),
-    (1, "inf"), (1, "nan"), (1, "-0.02"),
-])
-def test_sweep_rejects_bad_radius_or_step(spec8, r0, step):
-    with pytest.raises(MagicError):
-        spec8.sweep(mp.mpf(r0), mp.mpf(step), 3)

@@ -54,12 +54,8 @@ def test_zero_division_raises():
 # -- Eisenstein -------------------------------------------------------------
 
 def test_normalization_constant_240():
-    # 2 / zeta(1 - k) is pinned: -24, 240, -504 for k = 2, 4, 6; no other k
-    # is built
+    # 2 / zeta(1 - k) is pinned: -24, 240, -504 for k = 2, 4, 6
     assert [eisenstein(k).q_coeff(1) for k in (2, 4, 6)] == [-24, 240, -504]
-    for k in (0, 8, 12):
-        with pytest.raises(QSeriesError):
-            eisenstein(k)
 
 
 def test_e4_coefficients():
@@ -73,11 +69,6 @@ def test_e2_coefficient():
 
 def test_e6_coefficient():
     assert eisenstein(6).q_coeff(1) == -504
-
-
-def test_eisenstein_rejects_odd():
-    with pytest.raises(QSeriesError):
-        eisenstein(3)
 
 
 # -- named forms --------------------------------------------------------------
@@ -431,19 +422,11 @@ def test_pow_is_the_repeated_product(name):
     for k in range(1, 31):
         assert x ** k == prod, k
         prod = prod * x
-    for k in (0, -1):
-        with pytest.raises(QSeriesError):
-            x ** k
 
 
 def test_zero_product_keeps_window():
     z = QSeries({}, 50)
     assert z * theta10(80) == QSeries({}, 51)
-
-
-def test_rational_coefficient_raises():
-    with pytest.raises(QSeriesError):
-        QSeries({0: Fraction(1, 7)}, 10)
 
 
 def test_inexact_division_raises():

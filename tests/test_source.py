@@ -1,6 +1,8 @@
 """Static checks on the package source, with the standard library's ast."""
 
 import ast
+import importlib
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -347,3 +349,44 @@ def test_src_parameters_take_more_than_one_value():
     assert [(name, param) for name, param
             in literals_always_passed(sources, sources + bench)
             if not _pinned_contrast(name, param)] == []
+
+
+def raised_names(source: str) -> set:
+    """The names of the exceptions a `raise` in source names: `raise E`,
+    `raise E(...)` or `raise m.E(...)` give E."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                found.add(getattr(exc, "id", None) or exc.attr)
+    return found
+
+
+def test_raised_names_reads_every_spelling():
+    source = ("def f(x):\n    if x:\n        raise KeyError\n"
+              "    raise lp.LpError(f'{x}') from None\n"
+              "def g():\n    try:\n        pass\n    except OSError:\n"
+              "        raise\n    raise ValueError('bad')\n")
+    assert raised_names(source) == {"KeyError", "LpError", "ValueError"}
+
+
+def test_every_error_class_maps_to_a_usage_exit():
+    # dispatch turns PACKAGE_ERRORS into exit 2; an error class outside it
+    # would surface as a traceback with exit 1 ("refuted"), and an entry
+    # that nothing raises is left behind by a deletion
+    from packbound.cli import PACKAGE_ERRORS
+    classes = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"packbound.{path.stem}")
+        classes += [c for _, c in inspect.getmembers(module, inspect.isclass)
+                    if issubclass(c, BaseException)
+                    and c.__module__ == module.__name__]
+    assert classes
+    assert [c.__name__ for c in classes
+            if not issubclass(c, PACKAGE_ERRORS)] == []
+    raised = set().union(*(raised_names(p.read_text())
+                           for p in SRC.glob("*.py")))
+    assert [e.__name__ for e in PACKAGE_ERRORS
+            if not any(issubclass(c, e) for c in classes
+                       if c.__name__ in raised)] == []
