@@ -228,7 +228,6 @@ def _cmd_magic(args, cfg):
 
 def _cmd_lpbound(args, cfg):
     dim, degree = args.dim, args.degree
-    code = EXIT_OK
     if args.method == "sampled":
         res = lp.sampled_lp(dim, degree)
         payload = {"n": dim, "d": degree, "method": "sampled",
@@ -240,10 +239,6 @@ def _cmd_lpbound(args, cfg):
         key = next((k for k in ("bound", "estimate") if k in res), None)
         if key:
             payload[key] = res[key]
-        # without the root proof (or without any LP solution) nothing is
-        # bounded: inconclusive
-        if key != "bound":
-            code = EXIT_INCONCLUSIVE
     else:
         # nothing on this path certifies the sign conditions, so f(0)
         # times the ball volume is reported as an estimate, not a bound,
@@ -259,6 +254,8 @@ def _cmd_lpbound(args, cfg):
         # E8 and Leech: covolume 1, minimal squared norm 2 and 4
         opt = ball_volume(dim, Fraction(2 if dim == 8 else 4, 4))
         payload[f"{key}_over_optimal"] = payload[key] / opt.to_float()
+    # exit 0 only on a proved bound, not on an estimate or no LP solution
+    code = EXIT_OK if "bound" in payload else EXIT_INCONCLUSIVE
     return code, {"text": "\n".join(f"{k}: {v}" for k, v in payload.items()),
                   "json": payload}
 
@@ -283,8 +280,6 @@ def _cmd_verify(args, cfg):
                              f"{args.cutoff} --tolerance {args.tolerance!r}"}
         return STATUS_EXIT[status], {"json": payload}
     # lp
-    if args.cert is None:
-        raise lp.LpError("verify lp requires --cert")
     with open(args.cert) as fh:
         try:
             obj = json.load(fh)["certificate"]
@@ -300,8 +295,16 @@ def _cmd_verify(args, cfg):
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals, like every other usage error, are one
+    `packbound:` line and EXIT_USAGE; its subparsers share the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"packbound: {' '.join(message.split())}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="packbound", allow_abbrev=False,
         description="Exact constructions and certified numerics for the "
                     "sphere-packing bounds in dimensions 8 and 24.")
@@ -360,7 +363,7 @@ def build_parser():
     p.add_argument("--sigma", default="4/5")
     p.add_argument("--cutoff", type=int, default=25)
     p.add_argument("--tolerance", type=float, default=1e-10)
-    verify["lp"].add_argument("--cert")
+    verify["lp"].add_argument("--cert", required=True)
     return parser
 
 
@@ -368,8 +371,8 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0,) else 0
+    except SystemExit as exc:  # 0 after --help, EXIT_USAGE on a refusal
+        return exc.code
     try:
         cfg = RunConfig(precision=args.precision, trunc=args.trunc,
                         fmt=output_format(args)).validate()

@@ -245,18 +245,13 @@ class LpCertificate:
     and a rational y0 with b >= 0 (so the transform is nonnegative) and
     p < 0 on [y0, inf) for y0 <= pi (so f <= 0 for r >= 1), where
     p(y) = 1 + sum_k b_k L_k^(n/2-1)(y).  The bound is
-    p(0) * vol(B_n(1/2)).  A b of another length, or d beyond MAX_DEGREE,
-    raises LpError."""
+    p(0) * vol(B_n(1/2)).  from_dict refuses a b of another length and d
+    beyond MAX_DEGREE."""
 
     n: int
     d: int
     b: tuple          # Fractions, length d
     y0: Fraction
-
-    def __post_init__(self):
-        if not len(self.b) == self.d <= MAX_DEGREE:
-            raise LpError(f"malformed certificate: {len(self.b)} coefficients "
-                          f"for degree {self.d} (at most {MAX_DEGREE})")
 
     def polynomial(self) -> list:
         return profile_polynomial(self.n, self.b)
@@ -375,6 +370,7 @@ def sampled_lp(n: int, d: int):
     scales = [1 / _pow2_scale(max(abs(Fraction(num, den))
                                   for num, den in column))
               for column in zip(*probes)]
+    # the costs L_k(0) * scale > 0 make the all-slack start dual feasible
     cvec = [Fraction(num, den) * s for (num, den), s
             in zip(_laguerre_ratios(n, d, Fraction(0)), scales)]
     rows = {}

@@ -3,15 +3,16 @@
 Solves   min c.x  subject to  A x <= b,  x >= 0.
 
 A basis is a set S of basic structural columns and a set T of tight rows
-(the rows whose slack is nonbasic), with |S| = |T| = k.  The walk starts
-from any dual-feasible basis (S, T), every reduced cost >= 0, and keeps it
-dual feasible, so it needs no phase one.  The default start is the
-all-slack basis (S = T = empty), dual feasible when c >= 0.  Rows appended
-with basic slacks leave every reduced cost unchanged, so an optimal basis
-is a dual-feasible start for the same problem with more rows.  Every pivot
-reads the basic values, the leaving row of B^-1 [A | I] and the reduced
-costs off the k x k block A[T][S]; no m x (n + m) tableau is stored or
-updated.
+(the rows whose slack is nonbasic), with |S| = |T| = k.  The walk needs a
+dual-feasible start (S, T), every reduced cost >= 0, and keeps it dual
+feasible, so it needs no phase one; the start is not checked.  The default
+start is the all-slack basis (S = T = empty), dual feasible when c >= 0.
+Rows appended with basic slacks leave every reduced cost unchanged, so an
+optimal basis is a dual-feasible start for the same problem with more
+rows.  Each pivot enters on a nonzero entry, so every block A[T][S] of the
+walk is nonsingular, and it reads the basic values, the leaving row of
+B^-1 [A | I] and the reduced costs off that block; no m x (n + m) tableau
+is stored or updated.
 
 Rows arrive scaled: each is integers over one positive denominator, the
 pair exact.integer_scaled returns, so a caller that appends rows builds
@@ -63,9 +64,7 @@ def _adjugate(block):
            for i, row in enumerate(block)]
     prev = 1
     for p in range(k):
-        piv = next((i for i in range(p, k) if aug[i][p]), None)
-        if piv is None:
-            raise SimplexError("singular basis block")
+        piv = next(i for i in range(p, k) if aug[i][p])
         aug[p], aug[piv] = aug[piv], aug[p]
         top = aug[p]
         d = top[p]
@@ -79,26 +78,14 @@ def _adjugate(block):
     return [[sign * v for v in row[k:]] for row in aug], sign * prev
 
 
-def _indices(values, size, what):
-    """values as a list of distinct indices in range(size)."""
-    out = list(values)
-    if len(set(out)) != len(out) or not all(
-            isinstance(v, int) and 0 <= v < size for v in out):
-        raise SimplexError(f"start basis: {what} must be distinct indices "
-                           f"in range({size})")
-    return out
-
-
 def solve_min(c, a_rows, b, basis=None):
     """Exact optimum of min c.x s.t. a_rows x <= b, x >= 0.
 
     Each row of a_rows is a pair (ints, den) of integers and a positive
     integer denominator, the row ints / den, as exact.integer_scaled
     returns it; c and b are rational.  basis is the start (S, T), the basic
-    structural columns and the tight rows; None starts from the all-slack
-    basis.  A start with |S| != |T|, an index repeated or out of range, a
-    singular block A[T][S] or a negative reduced cost raises SimplexError
-    before any pivot.
+    structural columns and the tight rows, which must be dual feasible (see
+    the module docstring); None starts from the all-slack basis.
 
     Returns dict with x (list of Fractions), objective, iterations (the
     pivots) and basis, the optimal (S, T), which is a valid start for the
@@ -120,12 +107,7 @@ def solve_min(c, a_rows, b, basis=None):
     row_norm2 = [sum(map(mul, row, row)) or 1 for row in rows]
     cost, _ = integer_scaled(c)
     # S in the column order of the block, T in its row order
-    basic_cols, tight = [], []
-    if basis is not None:
-        basic_cols = _indices(basis[0], n, "S")
-        tight = _indices(basis[1], m, "T")
-        if len(basic_cols) != len(tight):
-            raise SimplexError("start basis: |S| != |T|")
+    basic_cols, tight = map(list, basis or ((), ()))
     # the basic column at every row position (column n + i is the slack of
     # row i): a tight row holds a column of S, any other row its own slack
     positions = list(range(n, n + m))
@@ -151,12 +133,6 @@ def solve_min(c, a_rows, b, basis=None):
         # so that itemgetter returns a tuple for any k; a dot product with a
         # k-vector through map() stops after k terms
         pick = itemgetter(*basic_cols, 0, 0)
-        if iterations == 0 and (any(v > 0 for v in pi) or any(
-                cost[j] * det < sum(map(mul, pi, cols[j]))
-                for j in range(n) if j not in in_s)):
-            # every pivot keeps the reduced costs >= 0, so the start must
-            raise SimplexError("start basis is not dual feasible (a reduced "
-                               "cost is negative)")
         # leaving position: the basic variable farthest from its bound, a
         # structural x_j = num / det at distance |num| / det and a slack
         # num / (det * scale) of row i at distance |num| / (det * |row i|);

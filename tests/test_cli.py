@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import json
@@ -538,6 +539,15 @@ RAW_CERT_FILES = {
     ["verify", "poisson", "--name", "zn", "--n", "25"],
     ["magic", "eval", "--dim", "8", "--r", "-0.5"],
     ["magic", "eval", "--dim", "24", "--r=-inf"],
+    # refused by argparse itself: an unknown command or option, an
+    # abbreviated one, a missing value, a bad choice, and a negative value
+    # given as its own token, which argparse reads as an option
+    ["frobnicate"],
+    ["code", "info", "--name", "golay24", "--bogus"],
+    ["--prec", "10", "code", "info", "--name", "golay24"],
+    ["magic", "eval", "--dim"],
+    ["lpbound", "run", "--dim", "8", "--degree", "30", "--method", "forced"],
+    ["magic", "eval", "--dim", "8", "--r", "-inf"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
@@ -772,7 +782,7 @@ def test_lpbound_vacuous_estimate_reports_infeasible(argv, capsys):
     # a degree-2 projection undercuts the optimum only because it breaks
     # the sign conditions, and says so
     code, out = run(["--format", "json", "lpbound", "run"] + argv, capsys)
-    assert code == EXIT_OK
+    assert code == EXIT_INCONCLUSIVE
     doc = json.loads(out)
     assert doc["d"] == 2
     assert doc["estimate_over_optimal"] < 1
@@ -812,10 +822,48 @@ def test_lpbound_newton_builds_spec_at_run_trunc(monkeypatch):
 def test_lpbound_newton_reports_estimate(capsys):
     code, out = run(["--format", "json", "lpbound", "run", "--dim", "8",
                      "--degree", "30", "--method", "newton"], capsys)
-    assert code == EXIT_OK
+    assert code == EXIT_INCONCLUSIVE
     doc = json.loads(out)
     assert "estimate" in doc and "bound" not in doc
     assert doc["certificate_status"] == "uncertified"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ("--dim 8 --degree 30", EXIT_OK),
+    ("--dim 24 --degree 30", EXIT_INCONCLUSIVE),
+    ("--dim 8 --degree 2 --method newton", EXIT_INCONCLUSIVE),
+], ids=["sampled-bound", "sampled-infeasible", "newton-estimate"])
+def test_lpbound_exits_0_only_on_a_proved_bound(argv, expected, capsys):
+    # one rule for both methods: exit 0 if and only if a bound is printed
+    code, out = run(["--format", "json", "lpbound", "run"] + argv.split(),
+                    capsys)
+    assert code == expected
+    assert (code == EXIT_OK) == ("bound" in json.loads(out))
+
+
+def _parsers(parser):
+    """parser and every parser under it, through its subparser actions."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_every_parser_refuses_in_one_line():
+    # a parser of another class would refuse with argparse's two-line usage
+    parsers = list(_parsers(build_parser()))
+    assert len(parsers) == 1 + len({c for c, _ in cli.FORMATS}) + len(
+        cli.FORMATS)
+    assert [p.prog for p in parsers if not isinstance(p, cli._Parser)] == []
+
+
+@pytest.mark.parametrize("command, action", sorted(cli.FORMATS))
+def test_action_help_exits_0(command, action, capsys):
+    assert dispatch([command, action, "--help"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"usage: packbound {command} {action}")
+    assert captured.err == ""
 
 
 def test_runconfig_validation():
