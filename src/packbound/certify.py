@@ -16,13 +16,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .exact import frac
+from .exact import PackboundError, frac
 from .lattices import LatticeDescription, vectors_by_norm
 from .magic import FEASIBILITY_CLAIM, grid_count, spec_for
-
-
-class CertifyError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +86,7 @@ def _shell_count_bound(lat: LatticeDescription, table):
     dimension 8, so n(2k) = 240 sigma_3(k) <= 240 zeta(3) k^3, and
     E12 + (N2 - _E12) Delta in dimension 24, N2 = n(2), with
     sigma_11(k) <= zeta(11) k^11 and |tau(k)| <= d(k) k^(11/2) <= 2 k^6
-    (Deligne).  Any other lattice raises CertifyError.
+    (Deligne).  Any other lattice raises PackboundError.
     """
     n = lat.dimension
     if all(lat.gram[i][j] == (i == j) for i in range(n) for j in range(n)):
@@ -98,7 +94,7 @@ def _shell_count_bound(lat: LatticeDescription, table):
     if lat.unimodular and lat.quantum % 2 == 0 and n in (8, 24):
         return ((240 * _ZETA3, 3) if n == 8 else
                 (_E12 * _ZETA11 + 2 * abs(table.counts[1][1] - _E12), 11))
-    raise CertifyError(
+    raise PackboundError(
         f"no proven shell-count bound for {lat.name or 'this lattice'}: only "
         f"Z^n and even unimodular lattices of dimension 8 and 24 have one")
 
@@ -139,11 +135,11 @@ def poisson_check(lat: LatticeDescription, sigma, cutoff: int) -> dict:
     try:
         sigma = frac(sigma)
     except (ValueError, ZeroDivisionError) as exc:
-        raise CertifyError(f"sigma is not a rational number: {exc}") from exc
+        raise PackboundError(f"sigma is not a rational number: {exc}") from exc
     if sigma <= 0 or cutoff < 1:
-        raise CertifyError("sigma must be positive and cutoff at least 1")
+        raise PackboundError("sigma must be positive and cutoff at least 1")
     if not lat.unimodular:
-        raise CertifyError(
+        raise PackboundError(
             f"the Poisson check needs a unimodular lattice; "
             f"{lat.name or 'this one'} has Gram determinant {lat.gram_det}")
     with mp.workdps(_POISSON_DPS + 10):

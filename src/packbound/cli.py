@@ -19,22 +19,21 @@ import json
 import math
 import shlex
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import mpmath as mp
 
 from . import __version__
 from .codes import code_properties, golay24, hamming8, weight_enumerator
+from .exact import PackboundError
 from .lattices import (
-    LatticeError, ball_volume, covolume, lattice_properties,
-    standard_lattice, vectors_by_norm,
+    ball_volume, covolume, lattice_properties, standard_lattice,
+    vectors_by_norm,
 )
-from .qseries import QSeriesError, named_form
-from .certify import CertifyError, certify_magic, poisson_check
-from .magic import (DEFAULT_DPS, DEFAULT_TRUNC, MagicError,
-                    ce_bound_from_function, grid_count, magic_spec)
-from .simplex import SimplexError
+from .qseries import named_form
+from .certify import certify_magic, poisson_check
+from .magic import (DEFAULT_DPS, DEFAULT_TRUNC, ce_bound_from_function,
+                    grid_count, magic_spec)
 from . import lpbound as lp
 
 EXIT_OK = 0
@@ -47,11 +46,6 @@ STATUS_EXIT = {"verified": EXIT_OK, "refuted": EXIT_REFUTED,
                "inconclusive": EXIT_INCONCLUSIVE}
 
 MAX_TABLE_ROWS = 10 ** 6  # the most rows `magic table` writes
-
-# errors raised on bad input; dispatch maps them to EXIT_USAGE, so they can
-# never surface as a traceback with exit 1 ("refuted")
-PACKAGE_ERRORS = (CertifyError, LatticeError, lp.LpError, MagicError,
-                  QSeriesError, SimplexError)
 
 # the formats each (command, action) writes; the first is its default
 FORMATS = {
@@ -68,41 +62,28 @@ FORMATS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    precision: int = DEFAULT_DPS
-    trunc: int = DEFAULT_TRUNC
-    fmt: str = "text"
-
-    def validate(self):
-        if not (10 <= self.precision <= 200):
-            raise ValueError("precision out of range [10, 200]")
-        if not (50 <= self.trunc <= 2000):
-            raise ValueError("trunc out of range [50, 2000]")
-        return self
-
-
 def output_format(args) -> str:
     """The format the parsed command line asks for: --format, or the
     command's default.  A format the command does not write raises
-    ValueError."""
+    PackboundError."""
     formats = FORMATS[args.command, args.action]
     fmt = args.fmt or formats[0]
     if fmt not in formats:
-        raise ValueError(f"{args.command} {args.action} writes "
-                         f"{' or '.join(formats)}, not {fmt}")
+        raise PackboundError(f"{args.command} {args.action} writes "
+                             f"{' or '.join(formats)}, not {fmt}")
     return fmt
 
 
-def _emit(rendering, cfg: RunConfig, out_path):
-    """Write one rendering; a JSON one is the artifact's payload, next to
-    the library version and the run configuration."""
-    if cfg.fmt == "json":
+def _emit(rendering, args):
+    """Write one rendering to --out or stdout; a JSON one is the artifact's
+    payload, next to the library version and the run configuration."""
+    if args.fmt == "json":
+        config = {k: vars(args)[k] for k in ("fmt", "precision", "trunc")}
         rendering = json.dumps(
-            {"version": __version__, "config": asdict(cfg), **rendering},
+            {"version": __version__, "config": config, **rendering},
             sort_keys=True, indent=1) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(rendering)
     else:
         sys.stdout.write(rendering if rendering.endswith("\n")
@@ -118,7 +99,7 @@ def _nstr(x, digits=17):
 # per format in FORMATS (a JSON rendering is the artifact's payload)
 # ---------------------------------------------------------------------------
 
-def _cmd_code(args, cfg):
+def _cmd_code(args):
     code = {"hamming8": hamming8, "golay24": golay24}[args.name]()
     weights = weight_enumerator(code).as_dict()
     props = code_properties(code)
@@ -138,7 +119,7 @@ def _cmd_code(args, cfg):
     return EXIT_OK, {"text": text, "json": payload}
 
 
-def _cmd_lattice(args, cfg):
+def _cmd_lattice(args):
     lat = standard_lattice(args.name, args.n)
     if args.action == "theta":
         table = vectors_by_norm(lat, Fraction(args.max_norm))
@@ -163,10 +144,10 @@ def _cmd_lattice(args, cfg):
                      "json": payload}
 
 
-def _cmd_qseries(args, cfg):
+def _cmd_qseries(args):
     if args.terms < 1:
-        raise QSeriesError("--terms must be at least 1")
-    series = named_form(args.name, trunc=cfg.trunc)
+        raise PackboundError("--terms must be at least 1")
+    series = named_form(args.name, trunc=args.trunc)
     terms = [{"exponent_eighths": e, "coefficient": str(c)}
              for e, c in series.items()[:args.terms]]
     body = ", ".join(t["coefficient"] for t in terms)
@@ -176,19 +157,19 @@ def _cmd_qseries(args, cfg):
         "csv": series.dump_csv()}
 
 
-def _cmd_magic(args, cfg):
+def _cmd_magic(args):
     if args.action == "table" and not (
             math.isfinite(args.step) and args.step > 0
             and math.isfinite(args.rmax) and args.rmax >= 0
             and grid_count(args.rmax, mp.mpf(args.step)) <= MAX_TABLE_ROWS):
-        raise MagicError("--step must be finite and positive, --rmax finite "
-                         "and nonnegative, and the table at most "
-                         f"{MAX_TABLE_ROWS} rows")
+        raise PackboundError("--step must be finite and positive, --rmax "
+                             "finite and nonnegative, and the table at most "
+                             f"{MAX_TABLE_ROWS} rows")
     if args.action == "eval" and not (math.isfinite(args.r) and args.r >= 0):
-        raise MagicError("--r must be finite and nonnegative")
-    spec = magic_spec(args.dim, trunc=cfg.trunc, dps=cfg.precision)
+        raise PackboundError("--r must be finite and nonnegative")
+    spec = magic_spec(args.dim, trunc=args.trunc, dps=args.precision)
     if args.action == "eval":
-        with mp.workdps(cfg.precision + 10):
+        with mp.workdps(args.precision + 10):
             f, fh = spec.combine(*spec.pair(mp.mpf(args.r)))
         payload = {"dim": args.dim, "r": _nstr(args.r),
                    "f": _nstr(f.value), "f_err": _nstr(f.error, 3),
@@ -199,7 +180,7 @@ def _cmd_magic(args, cfg):
         return EXIT_OK, {"text": text, "json": payload}
     if args.action == "table":
         lines = ["r,f,f_err,fhat,fhat_err"]
-        with mp.workdps(cfg.precision + 10):
+        with mp.workdps(args.precision + 10):
             step = mp.mpf(args.step)
             pairs = spec.sweep(0, step, grid_count(args.rmax, step))
             for k, (p, m) in enumerate(pairs):
@@ -216,8 +197,8 @@ def _cmd_magic(args, cfg):
         bound = {"value": _nstr(b.value), "error": _nstr(b.error, 3)}
     payload = {"dim": args.dim,
                "certificate": json.loads(cert.to_json()),
-               "replay": f"packbound --precision {cfg.precision} "
-                         f"--trunc {cfg.trunc} --format json magic check "
+               "replay": f"packbound --precision {args.precision} "
+                         f"--trunc {args.trunc} --format json magic check "
                          f"--dim {args.dim}",
                "bound": bound}
     text = (f"certificate: {cert.status}\n"
@@ -226,7 +207,7 @@ def _cmd_magic(args, cfg):
     return STATUS_EXIT[cert.status], {"text": text, "json": payload}
 
 
-def _cmd_lpbound(args, cfg):
+def _cmd_lpbound(args):
     dim, degree = args.dim, args.degree
     if args.method == "sampled":
         res = lp.sampled_lp(dim, degree)
@@ -243,7 +224,7 @@ def _cmd_lpbound(args, cfg):
         # nothing on this path certifies the sign conditions, so f(0)
         # times the ball volume is reported as an estimate, not a bound,
         # with the sign sweep that says whether it is vacuous
-        res = lp.estimate(dim, degree, cfg.precision, cfg.trunc)
+        res = lp.estimate(dim, degree, args.precision, args.trunc)
         payload = {"n": dim, "d": res["d"], "method": "newton",
                    "estimate": res["estimate"], "f0": float(res["f0"]),
                    "certificate_status": "uncertified",
@@ -260,10 +241,10 @@ def _cmd_lpbound(args, cfg):
                   "json": payload}
 
 
-def _cmd_verify(args, cfg):
+def _cmd_verify(args):
     if args.action == "poisson":
         if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
-            raise CertifyError("--tolerance must be finite and nonnegative")
+            raise PackboundError("--tolerance must be finite and nonnegative")
         lat = standard_lattice(args.name, args.n)
         res = poisson_check(lat, args.sigma, args.cutoff)
         # refuted only if the truncated sums differ beyond both tails
@@ -284,7 +265,8 @@ def _cmd_verify(args, cfg):
         try:
             obj = json.load(fh)["certificate"]
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
-            raise lp.LpError(f"not an lpbound run artifact: {exc!r}") from exc
+            raise PackboundError(
+                f"not an lpbound run artifact: {exc!r}") from exc
     result = lp.verify_lp(lp.LpCertificate.from_dict(obj))
     return STATUS_EXIT[result.status], {"json": {
         "certificate": json.loads(result.to_json()),
@@ -296,18 +278,21 @@ def _cmd_verify(args, cfg):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """A parser whose refusals, like every other usage error, are one
-    `packbound:` line and EXIT_USAGE; its subparsers share the class."""
+    """A parser that takes no abbreviations and refuses, like every other
+    usage error, in one `packbound:` line; its subparsers share the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.allow_abbrev = False
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"packbound: {' '.join(message.split())}\n")
 
 
 def build_parser():
-    parser = _Parser(
-        prog="packbound", allow_abbrev=False,
-        description="Exact constructions and certified numerics for the "
-                    "sphere-packing bounds in dimensions 8 and 24.")
+    parser = _Parser(prog="packbound", description="Exact constructions and "
+                     "certified numerics for the sphere-packing bounds in "
+                     "dimensions 8 and 24.")
     parser.add_argument("--precision", type=int, default=DEFAULT_DPS,
                         help="working precision in decimal digits")
     parser.add_argument("--trunc", type=int, default=DEFAULT_TRUNC,
@@ -318,11 +303,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def actions(command, text, metavar=None):
-        """One parser per action of command in FORMATS, each with --out and
-        taking no abbreviations (so `magic table --r` is no --rmax)."""
+        """One parser per action of command in FORMATS, each with --out."""
         subs = sub.add_parser(command, help=text).add_subparsers(
             dest="action", required=True, metavar=metavar)
-        parsers = {action: subs.add_parser(action, allow_abbrev=False)
+        parsers = {action: subs.add_parser(action)
                    for cmd, action in FORMATS if cmd == command}
         for p in parsers.values():
             p.add_argument("--out")
@@ -368,23 +352,21 @@ def build_parser():
 
 
 def dispatch(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # 0 after --help, EXIT_USAGE on a refusal
         return exc.code
-    try:
-        cfg = RunConfig(precision=args.precision, trunc=args.trunc,
-                        fmt=output_format(args)).validate()
-    except ValueError as exc:
-        sys.stderr.write(f"configuration error: {exc}\n")
-        return EXIT_USAGE
     handler = globals()[f"_cmd_{args.command}"]  # _cmd_code, _cmd_lattice, ...
     try:
-        code, renderings = handler(args, cfg)
-        _emit(renderings[cfg.fmt], cfg, args.out)
+        args.fmt = output_format(args)
+        if not 10 <= args.precision <= 200:
+            raise PackboundError("precision out of range [10, 200]")
+        if not 50 <= args.trunc <= 2000:
+            raise PackboundError("trunc out of range [50, 2000]")
+        code, renderings = handler(args)
+        _emit(renderings[args.fmt], args)
         return code
-    except (PACKAGE_ERRORS + (OSError,)) as exc:
+    except (PackboundError, OSError) as exc:
         sys.stderr.write(f"packbound: {' '.join(str(exc).split())}\n")
         return EXIT_USAGE
 

@@ -20,6 +20,10 @@ from itertools import accumulate
 from operator import ne
 
 
+class PackboundError(ValueError):
+    """A refusal: an input the program does not accept or cannot decide."""
+
+
 def frac(x) -> Fraction:
     """Coerce ints/strings/Fractions to Fraction (floats are dyadic-exact);
     a string goes through `rational`."""

@@ -38,15 +38,7 @@ from .codes import (
     BinaryCode, WeightEnumerator, golay24, hamming8, weight_enumerator,
     zero_code,
 )
-from .exact import frac, hermite_row_basis
-
-
-class LatticeError(ValueError):
-    pass
-
-
-class EnumerationBudgetError(LatticeError):
-    pass
+from .exact import PackboundError, frac, hermite_row_basis
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +81,7 @@ class SymbolicVolume:
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
-            raise LatticeError(f"{self} is not rational")
+            raise PackboundError(f"{self} is not rational")
         return self.coefficient
 
     def mpf(self):
@@ -115,18 +107,17 @@ class SymbolicVolume:
 
 
 def _rational_sqrt(x: Fraction) -> Fraction:
-    """The exact square root of a rational square; LatticeError for any
-    other x."""
+    """Exact square root of a rational square; PackboundError otherwise."""
     num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
     if num * num != x.numerator or den * den != x.denominator:
-        raise LatticeError(f"sqrt({x}) is not rational")
+        raise PackboundError(f"sqrt({x}) is not rational")
     return Fraction(num, den)
 
 
 def ball_volume(n: int, sq_radius) -> SymbolicVolume:
     """Exact volume of the n-ball with squared radius r^2 = sq_radius, by
     V_0 = 1, V_1 = 2r and V_k = V_(k-2) * 2 pi r^2 / k.  For odd n, r must
-    be rational (LatticeError otherwise)."""
+    be rational (PackboundError otherwise)."""
     sq_radius = frac(sq_radius)
     v = SymbolicVolume.of(_rational_sqrt(4 * sq_radius) if n % 2 else 1)
     for k in range(2 + n % 2, n + 1, 2):
@@ -187,7 +178,6 @@ def _make_lattice(rows, scale_exp, name="", counting=None):
 @dataclass(frozen=True)
 class NormCountTable:
     counts: tuple  # sorted tuple of (Fraction sq_norm, int count)
-    max_norm: Fraction
 
     def as_dict(self):
         return dict(self.counts)
@@ -245,9 +235,9 @@ def standard_lattice(name: str, n: int = None) -> LatticeDescription:
     """Named lattices: zn(n) for n from 1 to 24, e8, l24, leech; only zn
     takes a dimension."""
     if n is not None and name != "zn":
-        raise LatticeError(f"{name} takes no dimension")
+        raise PackboundError(f"{name} takes no dimension")
     if name == "zn" and n not in range(1, 25):
-        raise LatticeError("zn takes a dimension from 1 to 24")
+        raise PackboundError("zn takes a dimension from 1 to 24")
     key = (name, n)
     if key in _LATTICE_CACHE:
         return _LATTICE_CACHE[key]
@@ -265,7 +255,7 @@ def standard_lattice(name: str, n: int = None) -> LatticeDescription:
         # 48 vectors of norm 2 (Niemeier A1^24); the tests pin both.
         lat = _build_leech_from_shift(1)
     else:
-        raise LatticeError(f"unknown lattice {name!r}")
+        raise PackboundError(f"unknown lattice {name!r}")
     _LATTICE_CACHE[key] = lat
     return lat
 
@@ -275,7 +265,7 @@ def standard_lattice(name: str, n: int = None) -> LatticeDescription:
 # ---------------------------------------------------------------------------
 
 def covolume(lat: LatticeDescription) -> SymbolicVolume:
-    """sqrt(det(gram)), exact; LatticeError when it is not rational."""
+    """sqrt(det(gram)), exact; PackboundError when it is not rational."""
     return SymbolicVolume(_rational_sqrt(lat.gram_det))
 
 
@@ -335,9 +325,9 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
     """
     max_norm = frac(max_sq_norm)
     if max_norm < 0:
-        raise LatticeError(f"negative squared-norm cutoff {max_norm}")
+        raise PackboundError(f"negative squared-norm cutoff {max_norm}")
     if max_norm > budget:
-        raise EnumerationBudgetError(
+        raise PackboundError(
             f"cutoff {max_norm} exceeds enumeration budget {budget}")
     raw = _count_cosets(lat.dimension, lat.counting, max_norm)
     quantum = lat.quantum
@@ -345,8 +335,8 @@ def vectors_by_norm(lat: LatticeDescription, max_sq_norm,
               for k in range(int(max_norm / quantum) + 1)]
     extra = {k: c for k, c in raw.items() if c and k % quantum != 0}
     if extra:
-        raise LatticeError(f"counts off the norm grid: {extra}")
-    return NormCountTable(tuple(counts), max_norm)
+        raise PackboundError(f"counts off the norm grid: {extra}")
+    return NormCountTable(tuple(counts))
 
 
 def lattice_properties(lat: LatticeDescription) -> dict:

@@ -38,18 +38,14 @@ import mpmath as mp
 
 from .certify import Certificate
 from .exact import (
-    frac, integer_scaled, poly_deriv, poly_eval, poly_primitive, poly_trim,
-    rational, real_roots, root_points,
+    PackboundError, frac, integer_scaled, poly_deriv, poly_eval,
+    poly_primitive, poly_trim, rational, real_roots, root_points,
 )
 from .lattices import ball_volume
 from .simplex import Infeasible, IterationLimit, solve_min
 
 # a proven bound pi > PI_LO
 PI_LO = Fraction(314159265358979, 10 ** 14)
-
-
-class LpError(ValueError):
-    pass
 
 
 # the largest degree accepted: the LP's rows grow about as d^2 in time and
@@ -63,9 +59,9 @@ def _check_family(n: int, d: int):
     """The family is defined for dimension n >= 1 and degree d >= 1; degrees
     beyond MAX_DEGREE are refused."""
     if n < 1:
-        raise LpError("dimension must be >= 1")
+        raise PackboundError("dimension must be >= 1")
     if not 1 <= d <= MAX_DEGREE:
-        raise LpError(f"degree must be between 1 and {MAX_DEGREE}")
+        raise PackboundError(f"degree must be between 1 and {MAX_DEGREE}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,11 +262,11 @@ class LpCertificate:
         MAX_DEGREE, b (d of them) and y0 exact rational strings, and p
         within budget: D^2 (B + D) <= VERIFY_BUDGET for D the degree and B
         the largest coefficient bit length of p's primitive integer form
-        (so D <= 125).  Anything else raises LpError.  At the budget's edge,
-        D = 30 to 125, `verify lp` took at most 8.2 s with two roots too
-        close to part, which run the bisection to its node cap, and under
-        1 s with a double root, a random p or b, or D simple roots: <= 20 s
-        at the budget."""
+        (so D <= 125).  Anything else raises PackboundError.  At the
+        budget's edge, D = 30 to 125, `verify lp` took at most 8.2 s with
+        two roots too close to part, which run the bisection to its node
+        cap, and under 1 s with a double root, a random p or b, or D simple
+        roots: <= 20 s at the budget."""
         try:
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))
@@ -283,13 +279,14 @@ class LpCertificate:
                                  f"(at most {MAX_DEGREE})")
             cert = cls(n, d, tuple(rational(x) for x in b), rational(y0))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-            raise LpError(f"malformed certificate: {exc!r}") from exc
+            raise PackboundError(f"malformed certificate: {exc!r}") from exc
         p = poly_primitive(cert.polynomial())
         deg, bits = len(p) - 1, max(abs(c).bit_length() for c in p)
         if deg * deg * (bits + deg) > VERIFY_BUDGET:
-            raise LpError(f"certificate beyond the verification budget: "
-                          f"degree {deg} with {bits}-bit coefficients, "
-                          f"{deg}^2 * ({bits} + {deg}) > {VERIFY_BUDGET}")
+            raise PackboundError(
+                f"certificate beyond the verification budget: "
+                f"degree {deg} with {bits}-bit coefficients, "
+                f"{deg}^2 * ({bits} + {deg}) > {VERIFY_BUDGET}")
         return cert
 
 
@@ -491,8 +488,8 @@ def estimate(n: int, degree: int, dps: int, trunc: int) -> dict:
     `feasible` records whether both stay within 1e-9.
     """
     if n not in (8, 24):
-        raise LpError(f"the collocation estimate needs dimension 8 or 24, "
-                      f"not {n}")
+        raise PackboundError("the collocation estimate needs dimension 8 or "
+                             f"24, not {n}")
     ans = RadialAnsatz(n, degree)
     with mp.workdps(dps):
         b = _collocation_seed(ans, trunc, dps)

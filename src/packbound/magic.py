@@ -97,7 +97,7 @@ import mpmath as mp
 from mpmath.libmp import MPZ
 from mpmath.libmp.libelefun import ln2_fixed
 
-from .exact import frac
+from .exact import PackboundError, frac
 from .lattices import SymbolicVolume, ball_volume
 from .qseries import (CertifiedValue, DEFAULT_TRUNC, GRID, QSeries,
                       psi_forms, s_transform_terms)
@@ -108,10 +108,6 @@ FEASIBILITY_CLAIM = "test-function feasibility, dimension {}"
 # half-width in s = pi (r^2 + E/4) of the band around each t-side pole where
 # the sinc branch replaces the closed form
 POLE_BAND = 1e-3
-
-
-class MagicError(ValueError):
-    pass
 
 
 _PI = SymbolicVolume(Fraction(1), 1)
@@ -169,7 +165,8 @@ def legendre_nodes(order: int, dps: int):
                 if abs(dx) < 1 << 16:
                     break
             else:
-                raise MagicError(f"Gauss-Legendre node {i} did not converge")
+                raise PackboundError(
+                    f"Gauss-Legendre node {i} did not converge")
             upper.append(mp.ldexp(mp.mpf(x), -prec))
             upper_w.append(mp.mpf(2 << 4 * prec)
                            / ((one * one - x * x) * dp * dp))
@@ -217,7 +214,7 @@ class _TsideTable:
 
     def __init__(self, sides, base, dps, fix):
         if any(s.envelope is None for side in sides for _, _, s in side):
-            raise MagicError("t-side series must carry a tail envelope")
+            raise PackboundError("t-side series must carry a tail envelope")
         self.fix = fix
         # as rounded at the working precision, dps + 10
         with mp.workprec(fix):
@@ -520,8 +517,8 @@ def _uside_kernels(series_list, p, dps):
     """
     e1s = [series.min_exp for series in series_list]
     if min(e1s) < 1 or any(s.envelope is None for s in series_list):
-        raise MagicError("u-side kernel must decay at the cusp and carry a "
-                         "tail envelope")
+        raise PackboundError("u-side kernel must decay at the cusp and "
+                             "carry a tail envelope")
     with mp.workdps(dps + 10):
         fix = mp.mp.prec
         fixed = _NodeSeries(series_list, fix)
@@ -650,10 +647,11 @@ class MagicFunctionSpec:
         minus_terms = ((0, SymbolicVolume.of(1), psis["psi_minus"]),)
         for m, _, series in plus_terms + minus_terms:
             if any(e < 0 and e % GRID for e in series.coeffs):
-                raise MagicError("pole exponent off the integer-power grid")
+                raise PackboundError(
+                    "pole exponent off the integer-power grid")
             if m == 2 and series.min_exp < 1:
-                raise MagicError("quadratic-weight series must vanish at the "
-                                 "cusp")
+                raise PackboundError("quadratic-weight series must "
+                                     "vanish at the cusp")
         self._terms = (plus_terms, minus_terms)
 
         # u-side (t = 1/u) kernels: u^(-n/2) times psi_plus(iu) and times
@@ -665,10 +663,11 @@ class MagicFunctionSpec:
         kappa1 = plus_terms[1][1]
         gamma1 = plus_terms[1][2].coeffs.get(0, 0)
         if gamma1 == 0:
-            raise MagicError("middle S-transform series has no constant term")
+            raise PackboundError(
+                "middle S-transform series has no constant term")
         self.A = SymbolicVolume.of(4) / (kappa1 * gamma1)
         if abs(self.A) != _TABLE_ALPHA[n] * 4:
-            raise MagicError(
+            raise PackboundError(
                 f"derived plus constant {self.A!r} does not match the table")
         kappa0 = plus_terms[2][1]
         e1 = -self.r1_sq * 4  # grid exponent of the r1 pole
@@ -676,9 +675,10 @@ class MagicFunctionSpec:
         psi_minus_res = psis["psi_minus"].coeffs.get(e1, 0)
         g1_res = plus_terms[1][2].coeffs.get(e1, 0)
         if psi_minus_res == 0:
-            raise MagicError("minus kernel has no pole at the minimal length")
+            raise PackboundError(
+                "minus kernel has no pole at the minimal length")
         if g1_res != 0:
-            raise MagicError("value constraint at r1 violated")
+            raise PackboundError("value constraint at r1 violated")
         self.B = self.A * kappa0 * Fraction(g2_res, psi_minus_res)
 
         with mp.workdps(dps + 10):
@@ -819,10 +819,10 @@ class MagicFunctionSpec:
         (see the module docstring)."""
         q = frac(r_sq)
         if q < 0 or q.denominator != 1 or q.numerator % 2:
-            raise MagicError(
+            raise PackboundError(
                 f"the jet needs an even squared radius >= 0, not {r_sq}")
         if side not in ("f", "f_hat"):
-            raise MagicError(f"unknown side {side!r}")
+            raise PackboundError(f"unknown side {side!r}")
         minus = self.B if side == "f" else -self.B
         out = [Fraction(0), Fraction(0)]
         for coef, terms in ((self.A, self._terms[0]), (minus, self._terms[1])):
@@ -833,7 +833,7 @@ class MagicFunctionSpec:
                     continue
                 part = coef * const * c / 4 * (_PI if m == 0 else 1)
                 if not part.is_rational():
-                    raise MagicError(f"jet term {part!r} is not rational")
+                    raise PackboundError(f"jet term {part!r} is not rational")
                 # the 1/s^2 pole (m = 1) gives the value, 1/s (m = 0) the
                 # slope
                 out[1 - m] += part.coefficient
@@ -854,7 +854,8 @@ def spec_for(n, spec=None) -> MagicFunctionSpec:
     """spec, or the default spec of dimension n; refuses another dimension."""
     spec = spec or magic_spec(n)
     if spec.n != n:
-        raise MagicError(f"a dimension-{spec.n} spec is not of dimension {n}")
+        raise PackboundError(f"a dimension-{spec.n} spec is not of "
+                             f"dimension {n}")
     return spec
 
 
@@ -879,7 +880,7 @@ def ce_bound_from_function(n, spec=None, certificate=None):
     spec = spec_for(n, spec)
     if (getattr(certificate, "status", None) != "verified"
             or certificate.claim != FEASIBILITY_CLAIM.format(n)):
-        raise MagicError(f"feasibility in dimension {n} is not certified")
+        raise PackboundError(f"feasibility in dimension {n} is not certified")
     with mp.workdps(spec.dps + 10):
         bound = ball_volume(n, Fraction(spec.r1_sq, 4)) * spec.jet("f", 0)[0]
         return CertifiedValue(bound.mpf(), 0)

@@ -5,7 +5,7 @@ exponent E is the monomial q^(E/8).  Coefficients are integers: every
 series built here is integral (E2, E4 and E6 carry -24, 240 and -504, the
 thetas +-2, and the discriminant form has leading coefficient 1, so dividing
 by it stays integral).  A scaling that leaves a fraction and the inverse
-of a series whose leading coefficient is not +-1 raise QSeriesError.
+of a series whose leading coefficient is not +-1 raise PackboundError.
 Products use Kronecker substitution (`_kronecker`).  A series carries a
 truncation bound ``trunc``: coefficients are known exactly for all grid
 exponents < trunc, and arithmetic propagates the correct validity window
@@ -34,15 +34,11 @@ from functools import lru_cache
 
 import mpmath as mp
 
-from .exact import frac
+from .exact import PackboundError, frac
 from .lattices import SymbolicVolume
 
 GRID = 8  # grid exponents count eighths of a power of q
 DEFAULT_TRUNC = 300
-
-
-class QSeriesError(ValueError):
-    pass
 
 
 class Envelope:
@@ -96,7 +92,8 @@ class QSeries:
 
     def coeff(self, e: int) -> int:
         if e >= self.trunc:
-            raise QSeriesError(f"grid exponent {e} beyond validity {self.trunc}")
+            raise PackboundError(
+                f"grid exponent {e} beyond validity {self.trunc}")
         return self.coeffs.get(e, 0)
 
     def q_coeff(self, p) -> int:
@@ -166,8 +163,8 @@ class QSeries:
         for e, c in self.coeffs.items():
             v, rem = divmod(c * num, den)
             if rem:
-                raise QSeriesError(f"scaling by {s} leaves a fraction at "
-                                   f"grid exponent {e}")
+                raise PackboundError(f"scaling by {s} leaves a fraction at "
+                                     f"grid exponent {e}")
             out[e] = v
         return QSeries(out, self.trunc)
 
@@ -175,11 +172,11 @@ class QSeries:
         """1 / self for a leading coefficient of +-1, by the power-series
         recurrence on the exponent subgrid of self."""
         if self.is_zero():
-            raise QSeriesError("division by zero series")
+            raise PackboundError("division by zero series")
         o = self.min_exp
         c0 = self.coeffs[o]
         if c0 not in (1, -1):
-            raise QSeriesError(
+            raise PackboundError(
                 f"inverse needs a leading coefficient of +-1, not {c0}")
         window = self.trunc - o
         step = math.gcd(*(e - o for e in self.coeffs)) or 1
@@ -341,7 +338,7 @@ def named_form(name: str, trunc: int = DEFAULT_TRUNC) -> QSeries:
     }
     key = name.lower()
     if key not in table:
-        raise QSeriesError(f"unknown form {name!r}")
+        raise PackboundError(f"unknown form {name!r}")
     return table[key]()
 
 

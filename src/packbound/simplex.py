@@ -38,20 +38,16 @@ import math
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from .exact import frac, integer_scaled
+from .exact import PackboundError, frac, integer_scaled
 
 MAX_ITER = 20000
 
 
-class SimplexError(ValueError):
+class Infeasible(PackboundError):
     pass
 
 
-class Infeasible(SimplexError):
-    pass
-
-
-class IterationLimit(SimplexError):
+class IterationLimit(PackboundError):
     """The walk stopped after MAX_ITER pivots without an optimum."""
 
 

@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from packbound.exact import frac
+from packbound.exact import PackboundError, frac
 from packbound.magic import legendre_nodes
-from packbound.qseries import CertifiedValue, QSeries, QSeriesError
+from packbound.qseries import CertifiedValue, QSeries
 
 DEFAULT_T_MIN = Fraction(1, 2)
 
@@ -23,7 +23,7 @@ def evaluate_at_it(series: QSeries, t, dps: int = 30,
     floor or if the envelope cannot close the tail.
     """
     if frac(t) < frac(t_min):
-        raise QSeriesError(f"t={t} below validity floor {t_min}")
+        raise PackboundError(f"t={t} below validity floor {t_min}")
     with mp.workdps(dps + 10):
         tv = mp.mpf(t.numerator) / t.denominator if isinstance(t, Fraction) \
             else mp.mpf(t)
@@ -39,7 +39,7 @@ def evaluate_at_it(series: QSeries, t, dps: int = 30,
         else:
             tail = mp.inf
         if not mp.isfinite(tail):
-            raise QSeriesError("tail bound does not close at this t")
+            raise PackboundError("tail bound does not close at this t")
         guard = (abs_total + 1) * mp.mpf(10) ** (-dps - 5)
         return CertifiedValue(+total, +(tail + guard))
 

@@ -15,8 +15,8 @@ import pytest
 
 from packbound import certify, cli, codes, lattices, lpbound, magic, simplex
 from packbound.cli import (
-    EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, RunConfig,
-    build_parser, dispatch, output_format,
+    EXIT_INCONCLUSIVE, EXIT_OK, EXIT_REFUTED, EXIT_USAGE, build_parser,
+    dispatch, output_format,
 )
 from packbound.exact import poly_eval, poly_primitive
 from packbound.lpbound import PI_LO, LpCertificate, laguerre_all
@@ -255,7 +255,7 @@ def test_verify_poisson_sabotaged_counts_refuted(monkeypatch, capsys):
         table = vectors_by_norm(lat, max_norm, budget=budget)
         counts = tuple((v, c + (v == 2)) for v, c in table.counts)
         assert dict(counts)[2] == 241
-        return lattices.NormCountTable(counts, table.max_norm)
+        return lattices.NormCountTable(counts)
 
     monkeypatch.setattr(certify, "vectors_by_norm", sabotaged)
     code, out = run(["verify", "poisson", "--name", "e8", "--sigma", "4/5",
@@ -548,6 +548,13 @@ RAW_CERT_FILES = {
     ["magic", "eval", "--dim"],
     ["lpbound", "run", "--dim", "8", "--degree", "30", "--method", "forced"],
     ["magic", "eval", "--dim", "8", "--r", "-inf"],
+    # a global option out of range or a format the command does not write,
+    # and an abbreviation on a command-level parser (`--he` is no `--help`)
+    ["--precision", "5", "code", "info", "--name", "golay24"],
+    ["--precision", "1000", "code", "info", "--name", "golay24"],
+    ["--trunc", "10", "code", "info", "--name", "golay24"],
+    ["--format", "csv", "code", "info", "--name", "golay24"],
+    ["lpbound", "--he"],
 ])
 def test_bad_input_is_usage_error(argv, tmp_path, capsys):
     paths = {"absent": tmp_path / "absent.json"}
@@ -864,9 +871,3 @@ def test_action_help_exits_0(command, action, capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith(f"usage: packbound {command} {action}")
     assert captured.err == ""
-
-
-def test_runconfig_validation():
-    with pytest.raises(ValueError):
-        RunConfig(precision=1000).validate()
-    assert RunConfig().validate().fmt == "text"

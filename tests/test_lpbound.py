@@ -14,12 +14,12 @@ import pytest
 
 import packbound
 from packbound.exact import (
-    integer_scaled, poly_deriv, poly_divmod, poly_eval, poly_primitive,
-    real_roots, root_points,
+    PackboundError, integer_scaled, poly_deriv, poly_divmod, poly_eval,
+    poly_primitive, real_roots, root_points,
 )
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    PI_LO, LpCertificate, LpError, RadialAnsatz, default_samples,
+    PI_LO, LpCertificate, RadialAnsatz, default_samples,
     estimate, laguerre_all, profile_polynomial, sampled_lp, verify_lp,
 )
 from packbound import lpbound
@@ -875,5 +875,5 @@ def test_from_dict_enforces_the_verification_budget(monkeypatch):
     monkeypatch.setattr(lpbound, "VERIFY_BUDGET", 40 ** 2 * (bits + 40))
     assert LpCertificate.from_dict(obj).d == 40
     monkeypatch.setattr(lpbound, "VERIFY_BUDGET", 40 ** 2 * (bits + 40) - 1)
-    with pytest.raises(LpError, match="verification budget"):
+    with pytest.raises(PackboundError, match="verification budget"):
         LpCertificate.from_dict(obj)

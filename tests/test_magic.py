@@ -14,9 +14,10 @@ from mpmath.libmp.libelefun import ln2_fixed
 
 from packbound import magic
 from packbound.certify import Certificate, certify_magic
+from packbound.exact import PackboundError
 from packbound.lattices import SymbolicVolume
 from packbound.magic import (
-    FEASIBILITY_CLAIM, MagicError, _NodeSeries, ce_bound_from_function,
+    FEASIBILITY_CLAIM, _NodeSeries, ce_bound_from_function,
     grid_count, legendre_nodes, magic_spec, taylor_quadratic,
 )
 from packbound.qseries import (Envelope, QSeries, conjugate_psi_minus,
@@ -54,7 +55,7 @@ def test_legendre_nodes_refuses_a_newton_that_does_not_converge(monkeypatch):
     # a step of one whole unit every time never falls under 2^16 units
     monkeypatch.setattr(magic, "_legendre",
                         lambda order, x, prec: (1 << prec, 1 << prec))
-    with pytest.raises(MagicError, match="did not converge"):
+    with pytest.raises(PackboundError, match="did not converge"):
         legendre_nodes(6, 17)
     assert (6, 17) not in magic._GL_CACHE
 
@@ -200,9 +201,9 @@ def test_jet_value_matches_certified_eval(n, request):
 
 def test_jet_rejects_other_radii(spec8):
     for r_sq in (1, -2, 2.5):
-        with pytest.raises(MagicError):
+        with pytest.raises(PackboundError, match="even squared radius"):
             spec8.jet("f", r_sq)
-    with pytest.raises(MagicError):
+    with pytest.raises(PackboundError, match="unknown side 'g'"):
         spec8.jet("g", 2)
 
 
@@ -343,15 +344,16 @@ def test_tside_table_refuses_series_without_envelope():
     # its truncation tail comes from the envelope, so a series without one
     # would silently get a zero tail
     series = QSeries({-8: 1, 8: 1}, 100)
-    with pytest.raises(MagicError):
+    with pytest.raises(PackboundError, match="tail envelope"):
         magic._TsideTable([[(0, SymbolicVolume.of(1), series)]],
                           mp.exp(-mp.pi / 4), 30, 100)
 
 
 def test_ce_bound_requires_certificate(spec8):
-    with pytest.raises(MagicError):
+    with pytest.raises(PackboundError, match="is not certified"):
         ce_bound_from_function(8, spec8)
-    with pytest.raises(MagicError):  # no step yet: inconclusive
+    # no step yet: inconclusive
+    with pytest.raises(PackboundError, match="is not certified"):
         ce_bound_from_function(8, spec8, certificate=Certificate("claim"))
 
 
@@ -365,23 +367,23 @@ def _verified(n):
 def test_ce_bound_refuses_a_spec_of_another_dimension(spec8):
     # the n = 8 function in the n = 24 ball volume gives 4.7e-7, below the
     # Leech lattice's density 1.9e-3: a false bound
-    with pytest.raises(MagicError):
+    with pytest.raises(PackboundError, match="not of dimension 24"):
         ce_bound_from_function(24, spec8, certificate=_verified(8))
-    with pytest.raises(MagicError):
+    with pytest.raises(PackboundError, match="not of dimension 24"):
         ce_bound_from_function(24, spec8, certificate=_verified(24))
 
 
 def test_ce_bound_refuses_a_certificate_of_another_claim(spec8, spec24):
-    with pytest.raises(MagicError):
+    with pytest.raises(PackboundError, match="is not certified"):
         ce_bound_from_function(24, spec24, certificate=_verified(8))
     other = Certificate(claim="series positive on interval")
     other.add_step("one passed step", "exact", 0, True)
-    with pytest.raises(MagicError):
+    with pytest.raises(PackboundError, match="is not certified"):
         ce_bound_from_function(8, spec8, certificate=other)
 
 
 def test_taylor_quadratic_refuses_a_spec_of_another_dimension(spec8):
-    with pytest.raises(MagicError):
+    with pytest.raises(PackboundError, match="not of dimension 24"):
         taylor_quadratic("f", 24, spec8)
 
 

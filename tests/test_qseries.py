@@ -6,8 +6,9 @@ import mpmath as mp
 import pytest
 
 from packbound import qseries
+from packbound.exact import PackboundError
 from packbound.qseries import (
-    GRID, QSeries, QSeriesError, conjugate_psi_minus,
+    GRID, QSeries, conjugate_psi_minus,
     delta, eisenstein, leech_theta,
     named_form, psi_forms, s_transform_terms, theta01, theta10,
 )
@@ -47,7 +48,7 @@ def test_division_validity_shrinks():
 
 
 def test_zero_division_raises():
-    with pytest.raises(QSeriesError):
+    with pytest.raises(PackboundError, match="division by zero series"):
         QSeries({}, 50).inverse()
 
 
@@ -117,7 +118,7 @@ def test_leech_theta_coefficients():
 
 def test_named_form_lookup():
     assert named_form("E4").q_coeff(1) == 240
-    with pytest.raises(QSeriesError):
+    with pytest.raises(PackboundError, match="unknown form 'nope'"):
         named_form("nope")
 
 
@@ -298,7 +299,7 @@ def test_quasi_modular_law_on_axis():
 
 
 def test_evaluate_below_floor_raises():
-    with pytest.raises(QSeriesError):
+    with pytest.raises(PackboundError, match="below validity floor"):
         evaluate_at_it(eisenstein(4), Fraction(1, 4))
 
 
@@ -432,14 +433,14 @@ def test_zero_product_keeps_window():
 def test_inexact_division_raises():
     s = QSeries({0: 14, GRID: 7}, 40)
     assert s / 7 == QSeries({0: 2, GRID: 1}, 40)
-    with pytest.raises(QSeriesError):
+    with pytest.raises(PackboundError, match="leaves a fraction"):
         (s + QSeries({0: 1}, 40)) / 7
-    with pytest.raises(QSeriesError):
+    with pytest.raises(PackboundError, match="leaves a fraction"):
         s.scale(Fraction(1, 3))
 
 
 def test_non_unit_inverse_raises():
-    with pytest.raises(QSeriesError):
+    with pytest.raises(PackboundError, match="leading coefficient of"):
         QSeries({0: 2, GRID: 1}, 40).inverse()
     assert QSeries({0: -1, GRID: 1}, 40).inverse().q_coeff(0) == -1
 

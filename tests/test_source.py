@@ -61,12 +61,6 @@ def _dispatched(path, name) -> bool:
     return path.name == "cli.py" and name.startswith("_cmd_")
 
 
-def _shared_handler_signature(path, name, param) -> bool:
-    """The one exemption: dispatch calls every cli._cmd_* handler as
-    handler(args, cfg), so a handler keeps both even if it reads one."""
-    return _dispatched(path, name) and param in ("args", "cfg")
-
-
 def test_unused_parameters_finds_what_a_deletion_leaves():
     source = ("def _f2_rank(rows, n):\n    return len(rows)\n"
               "class A:\n    def get(self, key, *, default=None):\n"
@@ -86,9 +80,7 @@ def test_src_has_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_src_has_no_unused_parameters(path):
-    assert [(line, name, param) for line, name, param
-            in unused_parameters(path.read_text())
-            if not _shared_handler_signature(path, name, param)] == []
+    assert unused_parameters(path.read_text()) == []
 
 
 def _names_read(tree) -> Counter:
@@ -371,22 +363,37 @@ def test_raised_names_reads_every_spelling():
     assert raised_names(source) == {"KeyError", "LpError", "ValueError"}
 
 
+def _dispatch_catches(source: str) -> set:
+    """The names of the exceptions an `except` clause of cli.dispatch
+    names, one name or a tuple of them."""
+    [dispatch] = [node for node in ast.parse(source).body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "dispatch"]
+    return {n.id for h in ast.walk(dispatch)
+            if isinstance(h, ast.ExceptHandler) and h.type is not None
+            for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+
+
 def test_every_error_class_maps_to_a_usage_exit():
-    # dispatch turns PACKAGE_ERRORS into exit 2; an error class outside it
-    # would surface as a traceback with exit 1 ("refuted"), and an entry
-    # that nothing raises is left behind by a deletion
-    from packbound.cli import PACKAGE_ERRORS
+    # dispatch turns PackboundError into exit 2; an error class outside it
+    # would surface as a traceback with exit 1 ("refuted"), so every class
+    # the package defines is PackboundError or a subclass of it; a class
+    # that nothing raises, itself or through a subclass, is left behind by
+    # a deletion
+    from packbound.exact import PackboundError
     classes = []
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module(f"packbound.{path.stem}")
         classes += [c for _, c in inspect.getmembers(module, inspect.isclass)
                     if issubclass(c, BaseException)
                     and c.__module__ == module.__name__]
-    assert classes
+    assert PackboundError in classes
     assert [c.__name__ for c in classes
-            if not issubclass(c, PACKAGE_ERRORS)] == []
+            if not issubclass(c, PackboundError)] == []
+    assert "PackboundError" in _dispatch_catches(
+        (SRC / "cli.py").read_text())
     raised = set().union(*(raised_names(p.read_text())
                            for p in SRC.glob("*.py")))
-    assert [e.__name__ for e in PACKAGE_ERRORS
-            if not any(issubclass(c, e) for c in classes
-                       if c.__name__ in raised)] == []
+    assert [c.__name__ for c in classes
+            if not any(issubclass(d, c) for d in classes
+                       if d.__name__ in raised)] == []
