@@ -217,20 +217,16 @@ def _cmd_lpbound(args):
         if "certificate" in res:
             payload.update(f0=res["f0"],
                            certificate=res["certificate"].to_dict())
-        key = next((k for k in ("bound", "estimate") if k in res), None)
-        if key:
-            payload[key] = res[key]
     else:
-        # nothing on this path certifies the sign conditions, so f(0)
-        # times the ball volume is reported as an estimate, not a bound,
-        # with the sign sweep that says whether it is vacuous
-        res = lp.estimate(dim, degree, args.precision, args.trunc)
-        payload = {"n": dim, "d": res["d"], "method": "newton",
-                   "estimate": res["estimate"], "f0": float(res["f0"]),
-                   "certificate_status": "uncertified",
-                   "violations": res["violations"],
-                   "feasible": res["feasible"]}
-        key = "estimate"
+        res = lp.forced_bound(dim, degree)
+        payload = {"n": dim, "d": degree, "method": "forced",
+                   "proof": json.loads(res["proof"].to_json()),
+                   "replay": f"packbound --precision {args.precision} "
+                             f"--trunc {args.trunc} --format json lpbound run "
+                             f"--dim {dim} --degree {degree} --method forced"}
+    key = next((k for k in ("bound", "estimate") if k in res), None)
+    if key:
+        payload[key] = res[key]
     if dim in (8, 24) and key:
         # E8 and Leech: covolume 1, minimal squared norm 2 and 4
         opt = ball_volume(dim, Fraction(2 if dim == 8 else 4, 4))
@@ -336,7 +332,7 @@ def build_parser():
     p = actions("lpbound", "linear-programming bound pipeline")["run"]
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--method", choices=("sampled", "newton"),
+    p.add_argument("--method", choices=("sampled", "forced"),
                    default="sampled")
 
     verify = actions("verify", "verification pipelines", "target")

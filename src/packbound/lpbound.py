@@ -1,14 +1,15 @@
 """The numerical pipeline for the linear-programming density bound:
 Laguerre-parametrized test functions; a sampled LP, solved by exact dual
 simplex, whose solution an exact root test proves feasible; and, in
-dimensions 8 and 24, the least-squares projection of the optimal function
-onto the family (uncertified, so it gives an estimate, not a bound).
+dimensions 8 and 24, the function whose roots are forced at the vector
+lengths, solved for exactly and proved by the same root test.
 
-Normalization: throughout this module the minimal root is scaled to r1 = 1,
-so a feasible function certifies density <= f(0) * vol(B_n(1/2)).
+Normalization: the sampled LP scales the minimal root to r1 = 1, so a
+feasible function certifies density <= f(0) * vol(B_n(1/2)); the forced
+roots keep the lattice's scale (see forced_bound).
 
-Parametrization: every path works on the profile coefficients b_1..b_d.
-With y = pi r^2 and z = pi u^2,
+Parametrization: the sampled LP works on the profile coefficients
+b_1..b_d.  With y = pi r^2 and z = pi u^2,
 
     f(r) = p(y) e^(-y),      p(y) = 1 + sum_k b_k L_k^(n/2-1)(y),
     fhat(u) = q(z) e^(-z),   q(z) = 1 + sum_k b_k z^k / k!,
@@ -23,9 +24,6 @@ fraction-free integer recurrence gives it as N_k / D_k, and one int / int
 division rounds it.
 The column scales are powers of two, fixed exactly from bit lengths, and
 the same recurrence, run on integer coefficient lists, gives p itself.
-The projection gives b in mpmath floats; its rows evaluate L_k by the
-three-term recurrence, which stays accurate where the monomial form of p
-cancels (y near 200, r = 8).
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ import mpmath as mp
 
 from .certify import Certificate
 from .exact import (
-    PackboundError, frac, integer_scaled, poly_deriv, poly_eval,
-    poly_primitive, poly_trim, rational, real_roots, root_points,
+    PackboundError, frac, integer_scaled, poly_deriv, poly_divmod,
+    poly_eval, poly_primitive, poly_trim, rational, real_roots, root_points,
 )
 from .lattices import ball_volume
 from .simplex import Infeasible, IterationLimit, solve_min
@@ -113,14 +111,13 @@ def profile_polynomial(n: int, b) -> list:
 # ---------------------------------------------------------------------------
 
 class RadialAnsatz:
-    """Rows of the degree-d family in dimension n at the mpmath working
-    precision: member k of f(r) is L_k^(n/2-1)(y) e^(-y) at y = pi r^2, and
-    of its transform z^k / k! e^(-z) at z = pi u^2, with the constant member
-    first.  The profile coefficients b weight members 1..d."""
+    """f of the degree-d family in dimension n at the mpmath working
+    precision: member k of f(r) is L_k^(n/2-1)(y) e^(-y) at y = pi r^2,
+    with the constant member first, evaluated by the three-term recurrence.
+    The profile coefficients b weight members 1..d."""
 
     def __init__(self, n: int, d: int):
         _check_family(n, d)
-        self.n = n
         self.d = d
         self.alpha = mp.mpf(n) / 2 - 1  # a half-integer: exact
 
@@ -131,25 +128,9 @@ class RadialAnsatz:
         ey = mp.exp(-y)
         return [lk * ey for lk in laguerre_all(self.d, self.alpha, y)]
 
-    def fhat_rows(self, u):
-        """Row of the transform at u."""
-        uv = mp.mpf(u)
-        z = mp.pi * uv * uv
-        ez = mp.exp(-z)
-        powers = [mp.mpf(1)]  # z^k / k!
-        for k in range(1, self.d + 1):
-            powers.append(powers[-1] * z / k)
-        return [zk * ez for zk in powers]
-
-    @staticmethod
-    def _combine(b, row):
-        return row[0] + sum(bk * rk for bk, rk in zip(b, row[1:]))
-
     def f_value(self, b, r):
-        return self._combine(b, self.f_rows(r))
-
-    def fhat_value(self, b, u):
-        return self._combine(b, self.fhat_rows(u))
+        row = self.f_rows(r)
+        return row[0] + sum(bk * rk for bk, rk in zip(b, row[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -427,74 +408,84 @@ def sampled_lp(n: int, d: int):
 
 
 # ---------------------------------------------------------------------------
-# The collocation projection
+# Forced roots
 # ---------------------------------------------------------------------------
 
-def sign_sweep(ans, b):
-    """Worst sign violations of the pair on a grid of step 1/64 up to r = 8
-    (f beyond 1, transform everywhere), and whether both stay within
-    1e-9."""
-    grid = [mp.mpf(k) / 64 for k in range(8 * 64 + 1)]
-    worst_f = max([mp.mpf(0)] + [ans.f_value(b, r) for r in grid[64:]])
-    worst_h = max([mp.mpf(0)] + [-ans.fhat_value(b, u) for u in grid])
-    return {"violations": (float(worst_f), float(worst_h)),
-            "feasible": bool(worst_f <= 1e-9 and worst_h <= 1e-9)}
+# the largest degree forced_bound takes: n = 24, d = 59 runs in 14-17 s on
+# a 2-core host, inside the 20 s that VERIFY_BUDGET allows `verify lp`
+MAX_FORCED_DEGREE = 59
 
 
-def _collocation_seed(ans, trunc, dps):
-    """Least-squares projection of the certified optimal function, its spec
-    built at series truncation trunc and dps digits, onto the degree-d
-    family, at the working precision: collocation of the function at 200
-    radii up to 5, for n = 24 augmented with the transform at 80 radii up
-    to 8 (these pin the top coefficients when the pure fit leaves them at
-    noise level, at the cost of function-side accuracy).  Each set of
-    radii is one arithmetic sweep of the spec.
+def forced_bound(n: int, d: int) -> dict:
+    """The Cohn-Elkies bound of the degree-d function whose roots are forced
+    at the vector lengths of E8 (n = 8) or Leech (n = 24), proved exactly.
+    With x = 2 pi r^2 and L_k = L_k^(n/2-1), f(r) = P(x) e^(-x/2) for
+    P = sum c_k L_k has the transform Q(x) e^(-x/2), Q = sum (-1)^k c_k L_k.
+    For d = 4m + 3 one rational solve fixes c by P(x_0) = 0, P = P' = 0 at
+    x_1..x_m, Q = Q' = 0 at x_0..x_m and Q(0) = 1, x_j = 2 pi (s + 2j) to 8
+    fractional bits for s the minimal squared norm.  The proof: the forced
+    factors divide P and Q exactly, R_P < 0 on [x_0, inf) and R_Q > 0 on
+    [0, inf) by real_roots, and the bound P(0) / Q(0) (x_0 / 8)^(n/2) /
+    (n/2)! = f(0) / fhat(0) vol(B_n(r_0 / 2)) is at least the lattice's
+    density with PI_LO for pi (the truth check).  `bound` if every step
+    passed, `estimate` otherwise, beside the proof.  Any other n, or a d
+    not 4m + 3 in 3..MAX_FORCED_DEGREE, raises PackboundError."""
+    if n not in (8, 24) or d % 4 != 3 or not 0 < d <= MAX_FORCED_DEGREE:
+        raise PackboundError(f"forced roots need n = 8 or 24 and d = 4m + 3 "
+                             f"<= {MAX_FORCED_DEGREE}, not {n} and {d}")
+    s = 2 if n == 8 else 4
+    x = [Fraction(round(2 * math.pi * (s + 2 * j) * 2 ** 8), 2 ** 8)
+         for j in range((d + 1) // 4)]
 
-    Normalization maps the minimal vector length to 1: the target pair is
-    g(r) = r1^n f(r1 r), ghat(u) = fhat(u / r1).
-    """
-    from .magic import magic_spec
-    n = ans.n
-    spec = magic_spec(n, trunc, dps)
-    s = mp.sqrt(spec.r1_sq)
-    scale = s ** n
-    rows = []
-    targets = []
-    # f at s r_j, r_j = j/40 for j = 1..200
-    for j, pair in enumerate(spec.sweep(s / 40, s / 40, 200), 1):
-        row = ans.f_rows(mp.mpf(j) / 40)
-        rows.append(row[1:])
-        targets.append(scale * spec.combine(*pair)[0].value - row[0])
-    if n == 24:
-        # fhat at u_j / s, u_j = j/10 for j = 1..80
-        h = 1 / (10 * s)
-        for j, pair in enumerate(spec.sweep(h, h, 80), 1):
-            row = ans.fhat_rows(mp.mpf(j) / 10)
-            rows.append(row[1:])
-            targets.append(spec.combine(*pair)[1].value - row[0])
-    b = mp.qr_solve(mp.matrix(rows), mp.matrix(targets))[0]
-    return [b[i] for i in range(ans.d)]
+    def rows_at(y, sign):
+        """The rows of P (sign 1) or Q (sign -1) and of its slope at y."""
+        value = [1] + [Fraction(*v) for v in _laguerre_ratios(n, d, y)]
+        slope = [0, -1] + [-Fraction(*v)
+                           for v in _laguerre_ratios(n + 2, d - 1, y)]
+        return [[sign ** k * v for k, v in enumerate(row)]
+                for row in (value, slope)]
 
-
-def estimate(n: int, degree: int, dps: int, trunc: int) -> dict:
-    """The collocation projection of the certified optimal function, built
-    at series truncation trunc, onto the family, at dps digits, with its
-    sign sweep; dimensions 8 and 24 only, since no optimal function is
-    known elsewhere.
-
-    Nothing here certifies the sign conditions, so f(0) * vol(B_n(1/2)) is
-    reported as an `estimate`, never as a bound.  `violations` holds the
-    worst grid violations of f <= 0 beyond the root and of fhat >= 0;
-    `feasible` records whether both stay within 1e-9.
-    """
-    if n not in (8, 24):
-        raise PackboundError("the collocation estimate needs dimension 8 or "
-                             f"24, not {n}")
-    ans = RadialAnsatz(n, degree)
-    with mp.workdps(dps):
-        b = _collocation_seed(ans, trunc, dps)
-        f0 = ans.f_value(b, 0)
-        return dict(
-            b=b, d=degree, f0=f0,
-            estimate=float(f0) * ball_volume(n, Fraction(1, 4)).to_float(),
-            **sign_sweep(ans, b))
+    rows = (rows_at(x[0], 1)[:1] + [r for y in x[1:] for r in rows_at(y, 1)]
+            + [r for y in x for r in rows_at(y, -1)]
+            + rows_at(Fraction(0), -1)[:1])
+    # Gauss-Jordan on [rows | e_d]; the pivot row is 0 left of col
+    m = [[Fraction(v) for v in row + [int(i == d)]]
+         for i, row in enumerate(rows)]
+    for col in range(d + 1):
+        piv = next(r for r in range(col, d + 1) if m[r][col])
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r, row in enumerate(m):
+            if r != col and row[col]:
+                m[r] = row[:col] + [a - row[col] * b for a, b
+                                    in zip(row[col:], m[col][col:])]
+    proof = Certificate(claim=f"forced-root bound n={n} d={d}")
+    at_zero = []
+    for sign, lo, roots in ((1, x[0], x[:1] + 2 * x[1:]),
+                            (-1, Fraction(0), 2 * x)):
+        name = "PQ"[sign < 0]
+        poly = profile_polynomial(n, [sign ** k * row[-1]
+                                      for k, row in enumerate(m[1:], 1)])
+        poly[0] += m[0][-1] - 1
+        quot, exact = poly, True
+        for y in roots:
+            quot, rem = poly_divmod(quot, [-y, 1])
+            exact = exact and not rem
+        proof.add_step(f"{name} has its forced roots", "exact",
+                       f"quotient of degree {len(quot) - 1}", exact)
+        found, unresolved, nodes = real_roots(quot, lo)
+        signed = sign * poly_eval(quot, lo) < 0
+        proof.add_step(
+            f"R_{name} {'<>'[sign < 0]} 0 on [{_float_str(lo)}, inf)",
+            "exact", f"{len(found)} roots, {len(unresolved)} unresolved "
+            f"intervals ({nodes} bisection nodes)",
+            signed and not (found or unresolved),
+            definite=bool(found) or not signed)
+        at_zero.append(poly[0])
+    h = n // 2
+    bound = at_zero[0] / at_zero[1] * (x[0] / 8) ** h / math.factorial(h)
+    density = (PI_LO * s / 4) ** h / math.factorial(h)
+    proof.add_step("bound >= the density of E8 or Leech, pi as PI_LO",
+                   "exact", _float_str(bound / density), bound >= density)
+    key = "bound" if proof.status == "verified" else "estimate"
+    return {"proof": proof, key: float(bound)}

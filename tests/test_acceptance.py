@@ -17,7 +17,7 @@ from packbound.cli import dispatch
 from packbound.codes import code_properties, golay24, hamming8, weight_enumerator
 from packbound.lattices import covolume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    LpCertificate, estimate, sampled_lp, verify_lp,
+    LpCertificate, forced_bound, sampled_lp, verify_lp,
 )
 from packbound.magic import ce_bound_from_function, taylor_quadratic
 from packbound.qseries import (
@@ -149,14 +149,11 @@ def test_criterion_7_lp_pipeline(lp8):
     ok &= res["certificate_status"] == "certified"
     ok &= OPT8 <= res["bound"] <= 1.5 * OPT8
     detail = f"sampled d=30 bound/optimal {res['bound'] / OPT8:.6f}"
-    refined = estimate(8, 45, 60, 300)
-    # the refinement is uncertified: an estimate close to the optimum,
-    # never labelled a bound
-    ok &= "bound" not in refined
-    ok &= abs(refined["estimate"] / OPT8 - 1) < 1e-6
-    ok &= refined["violations"][0] < 1e-6
-    detail += (f"; refined d=45 estimate/optimal "
-               f"{refined['estimate'] / OPT8:.10f}")
+    forced = forced_bound(8, 27)
+    # the forced roots: a proved bound within 1e-3 of the optimum
+    ratio = forced.get("bound", math.nan) / OPT8 - 1
+    ok &= forced["proof"].status == "verified" and 0 <= ratio <= 1e-3
+    detail += f"; forced d=27 bound/optimal - 1 {ratio:.6e}"
     # validity: the reported bound sits above the known optimal density
     ok &= res["bound"] >= OPT8
     report(7, ok, detail)

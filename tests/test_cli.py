@@ -164,6 +164,10 @@ EXACT_ARTIFACT_DIGESTS = {
         "6c394c1a3239c6db088ea74b3847b2cabe63801b70c6f6994bd4faf65f5735bf",
     "--format json lpbound run --dim 8 --degree 30":
         "95855db8201dc9f169323292b9ee38d90346bba055c579e1c4d79cd3b5e89b6a",
+    "--format json lpbound run --dim 8 --degree 27 --method forced":
+        "19481ae3c1252a8d27ad0fa5f8d6cac9661d8e07f7c76c701b757e837b1bc55b",
+    "--format json lpbound run --dim 24 --degree 27 --method forced":
+        "a962d849387a34a8c36be311340b019816d896fe146981b00740d905e46a1073",
 }
 
 
@@ -319,7 +323,9 @@ def test_verify_lp_roundtrip(lp8_artifacts, capsys):
      "--cutoff", "10"],
     ["verify", "poisson", "--name", "e8", "--tolerance", "1e-09"],
     ["verify", "lp", "--cert", "LP8"],
-], ids=["poisson-zn", "poisson-e8", "lp"])
+    ["--precision", "30", "--format", "json", "lpbound", "run", "--dim",
+     "24", "--degree", "27", "--method", "forced"],
+], ids=["poisson-zn", "poisson-e8", "lp", "lpbound-forced"])
 def test_replay_reproduces_artifact(argv, lp8_artifacts, tmp_path):
     """Each artifact's `replay` command writes the same artifact with the
     same exit code (`magic check`'s replay is criterion 9's cold run)."""
@@ -491,8 +497,8 @@ RAW_CERT_FILES = {
 @pytest.mark.parametrize("argv", [
     ["verify", "lp"],
     ["lpbound", "run", "--dim", "8", "--degree", "0"],
-    ["lpbound", "run", "--dim", "8", "--degree", "-5", "--method", "newton"],
-    ["lpbound", "run", "--dim", "3", "--degree", "0", "--method", "newton"],
+    ["lpbound", "run", "--dim", "8", "--degree", "-5", "--method", "forced"],
+    ["lpbound", "run", "--dim", "3", "--degree", "0", "--method", "forced"],
     ["magic", "eval", "--dim", "8", "--r", "-1"],
     ["qseries", "show", "nope"],
     ["verify", "lp", "--cert", "{short_b}"],
@@ -524,8 +530,8 @@ RAW_CERT_FILES = {
     ["qseries", "show", "e4", "--terms", "0"],
     ["lpbound", "run", "--dim", "0", "--degree", "30"],
     ["lpbound", "run", "--dim", "-2", "--degree", "30"],
-    ["lpbound", "run", "--dim", "3", "--degree", "7", "--method", "newton"],
-    ["lpbound", "run", "--dim", "1", "--degree", "7", "--method", "newton"],
+    ["lpbound", "run", "--dim", "3", "--degree", "7", "--method", "forced"],
+    ["lpbound", "run", "--dim", "1", "--degree", "7", "--method", "forced"],
     ["lattice", "theta", "--name", "e8", "--max-norm", "100000"],
     ["verify", "poisson", "--name", "e8", "--cutoff", "100000"],
     ["lpbound", "run", "--dim", "8", "--degree", "100000"],
@@ -546,7 +552,7 @@ RAW_CERT_FILES = {
     ["code", "info", "--name", "golay24", "--bogus"],
     ["--prec", "10", "code", "info", "--name", "golay24"],
     ["magic", "eval", "--dim"],
-    ["lpbound", "run", "--dim", "8", "--degree", "30", "--method", "forced"],
+    ["lpbound", "run", "--dim", "8", "--degree", "27", "--method", "newton"],
     ["magic", "eval", "--dim", "8", "--r", "-inf"],
     # a global option out of range or a format the command does not write,
     # and an abbreviation on a command-level parser (`--he` is no `--help`)
@@ -668,7 +674,7 @@ def test_format_not_written_is_usage_error(argv, monkeypatch, capsys):
     ["qseries", "show", "e4", "--csv"],
     ["magic", "check", "--dim", "8", "--report", "json"],
     ["verify", "magic", "--dim", "8"],
-    ["lpbound", "run", "--dim", "8", "--degree", "30", "--method", "forced"],
+    ["lpbound", "run", "--dim", "8", "--degree", "27", "--method", "newton"],
 ])
 def test_removed_format_flags_are_usage_errors(argv, capsys):
     assert dispatch(argv) == EXIT_USAGE
@@ -708,7 +714,7 @@ def test_option_of_another_action_is_usage_error(argv, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    "--prec 10 lpbound run --dim 8 --deg 30 --meth newton",
+    "--prec 10 lpbound run --dim 8 --deg 30 --meth forced",
     "code info --n golay24",
 ])
 def test_abbreviated_option_is_usage_error(argv, monkeypatch, capsys):
@@ -782,64 +788,103 @@ def test_lpbound_run_small(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--dim", "8", "--degree", "2", "--method", "newton"],
-    ["--dim", "24", "--degree", "2", "--method", "newton"],
+    ["--dim", "24", "--degree", "3", "--method", "forced"],
+    ["--dim", "24", "--degree", "7", "--method", "forced"],
+    ["--dim", "24", "--degree", "11", "--method", "forced"],
 ])
 def test_lpbound_vacuous_estimate_reports_infeasible(argv, capsys):
-    # a degree-2 projection undercuts the optimum only because it breaks
-    # the sign conditions, and says so
+    # at n = 24 a function with the forced roots of degree 3, 7 or 11
+    # undercuts the optimum only because it breaks the sign conditions,
+    # and says so: both quotient steps fail, an estimate, exit 3
     code, out = run(["--format", "json", "lpbound", "run"] + argv, capsys)
     assert code == EXIT_INCONCLUSIVE
     doc = json.loads(out)
-    assert doc["d"] == 2
-    assert doc["estimate_over_optimal"] < 1
-    assert doc["feasible"] is False
-    assert max(doc["violations"]) > 0
+    assert doc["estimate_over_optimal"] < 1 and "bound" not in doc
+    assert doc["proof"]["status"] == "refuted"
+    assert [s["statement"] for s in doc["proof"]["log"]
+            if not s["passed"]][:2] == ["R_P < 0 on [25.1328125, inf)",
+                                        "R_Q > 0 on [0.0, inf)"]
 
 
-def test_lpbound_newton_other_dimension_fails_before_work(monkeypatch,
-                                                          capsys):
-    # only dimensions 8 and 24 have an optimal function to project
-    monkeypatch.setattr(lpbound, "_collocation_seed",
-                        lambda *a: pytest.fail("projection ran"))
-    code = dispatch(["lpbound", "run", "--dim", "3", "--degree", "7",
-                     "--method", "newton"])
-    captured = capsys.readouterr()
-    assert code == EXIT_USAGE
-    assert captured.out == ""
-    assert "dimension 8 or 24" in captured.err
-
-
-def test_lpbound_newton_builds_spec_at_run_trunc(monkeypatch):
-    # the projected function is built at the run's --trunc and --precision
-    class Built(Exception):
-        pass
-
-    def fake_spec(*args):
-        raise Built(args)
-
-    monkeypatch.setattr(magic, "magic_spec", fake_spec)
-    with pytest.raises(Built) as info:
-        dispatch(["--trunc", "120", "--precision", "30", "lpbound", "run",
-                  "--dim", "8", "--degree", "7", "--method", "newton"])
-    assert info.value.args == ((8, 120, 30),)
-
-
-@pytest.mark.slow
-def test_lpbound_newton_reports_estimate(capsys):
-    code, out = run(["--format", "json", "lpbound", "run", "--dim", "8",
-                     "--degree", "30", "--method", "newton"], capsys)
-    assert code == EXIT_INCONCLUSIVE
+def _forced_failures(argv, capsys):
+    """Exit code and failed proof steps of a forced run; no bound."""
+    code, out = run(["--format", "json", "lpbound", "run", "--method",
+                     "forced"] + argv.split(), capsys)
     doc = json.loads(out)
-    assert "estimate" in doc and "bound" not in doc
-    assert doc["certificate_status"] == "uncertified"
+    assert "bound" not in doc and "estimate" in doc
+    return code, [s["statement"] for s in doc["proof"]["log"]
+                  if not s["passed"]]
+
+
+def test_lpbound_forced_wrong_alpha_fails_the_division(monkeypatch, capsys):
+    # value rows of L_k^(n/2) in place of L_k^(n/2-1): the solved P and Q
+    # lack the forced roots
+    ratios = lpbound._laguerre_ratios
+    monkeypatch.setattr(lpbound, "_laguerre_ratios",
+                        lambda n, d, y: ratios(n + 2, d, y))
+    code, failed = _forced_failures("--dim 8 --degree 27", capsys)
+    assert code == EXIT_INCONCLUSIVE
+    assert failed[:1] == ["P has its forced roots"]
+
+
+def test_lpbound_forced_truth_check(monkeypatch, capsys):
+    # with 3.15 for pi the E8 density exceeds the proved bound, 1.00088
+    # times the optimum: only the truth step fails
+    monkeypatch.setattr(lpbound, "PI_LO", Fraction(315, 100))
+    code, failed = _forced_failures("--dim 8 --degree 27", capsys)
+    assert code == EXIT_INCONCLUSIVE
+    assert failed == ["bound >= the density of E8 or Leech, pi as PI_LO"]
+
+
+@pytest.mark.parametrize("argv", [
+    "--dim 16 --degree 27", "--dim 8 --degree 26", "--dim 8 --degree 63",
+], ids=["dim16", "degree26", "degree63"])
+def test_lpbound_forced_refuses_before_any_solve(argv, monkeypatch, capsys):
+    # only E8 and Leech have the forced roots, at d = 4m + 3 up to
+    # MAX_FORCED_DEGREE
+    monkeypatch.setattr(lpbound, "_laguerre_ratios",
+                        lambda *a: pytest.fail("rows built"))
+    code = dispatch(["lpbound", "run", "--method", "forced"] + argv.split())
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("packbound: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_lpbound_forced_ignores_precision_and_trunc(capsys):
+    docs = []
+    for config in ("--precision 30 --trunc 120", "--precision 80"):
+        code, out = run(config.split() + [
+            "--format", "json", "lpbound", "run", "--dim", "8", "--degree",
+            "7", "--method", "forced"], capsys)
+        assert code == EXIT_OK
+        docs.append(json.loads(out))
+        assert docs[-1].pop("replay").startswith(f"packbound {config} ")
+        docs[-1].pop("config")
+    assert docs[0] == docs[1]
+
+
+def test_verify_lp_refuses_a_forced_artifact(tmp_path, capsys):
+    # a forced run carries its proof, not a sign certificate
+    path = tmp_path / "forced.json"
+    assert dispatch(["--format", "json", "lpbound", "run", "--dim", "8",
+                     "--degree", "7", "--method", "forced", "--out",
+                     str(path)]) == EXIT_OK
+    capsys.readouterr()
+    code = dispatch(["verify", "lp", "--cert", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("packbound: not an lpbound run artifact")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, expected", [
     ("--dim 8 --degree 30", EXIT_OK),
     ("--dim 24 --degree 30", EXIT_INCONCLUSIVE),
-    ("--dim 8 --degree 2 --method newton", EXIT_INCONCLUSIVE),
-], ids=["sampled-bound", "sampled-infeasible", "newton-estimate"])
+    ("--dim 24 --degree 27 --method forced", EXIT_OK),
+    ("--dim 24 --degree 11 --method forced", EXIT_INCONCLUSIVE),
+], ids=["sampled-bound", "sampled-infeasible", "forced-bound",
+        "forced-estimate"])
 def test_lpbound_exits_0_only_on_a_proved_bound(argv, expected, capsys):
     # one rule for both methods: exit 0 if and only if a bound is printed
     code, out = run(["--format", "json", "lpbound", "run"] + argv.split(),

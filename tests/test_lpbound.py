@@ -19,8 +19,8 @@ from packbound.exact import (
 )
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
-    PI_LO, LpCertificate, RadialAnsatz, default_samples,
-    estimate, laguerre_all, profile_polynomial, sampled_lp, verify_lp,
+    PI_LO, LpCertificate, RadialAnsatz, default_samples, forced_bound,
+    laguerre_all, profile_polynomial, sampled_lp, verify_lp,
 )
 from packbound import lpbound
 from packbound.simplex import Infeasible, _adjugate, solve_min
@@ -82,13 +82,22 @@ def test_pow2_scale_brackets_the_value():
 
 # -- ansatz -------------------------------------------------------------------
 
+def fhat_value(b, u):
+    """The transform of RadialAnsatz's f with profile coefficients b at u:
+    q(z) e^(-z) at z = pi u^2, q(z) = 1 + sum_k b_k z^k / k!.  b >= 0 keeps
+    it positive, the half of verify_lp's claim that no root test checks."""
+    z = mp.pi * mp.mpf(u) ** 2
+    return (1 + sum(b_k * z ** k / math.factorial(k)
+                    for k, b_k in enumerate(b, 1))) * mp.exp(-z)
+
+
 def test_zero_ansatz_is_gaussian():
     ans = RadialAnsatz(8, 3)
     with mp.workdps(30):
         for r in (0, mp.mpf("0.7"), 2):
             g = mp.exp(-mp.pi * mp.mpf(r) ** 2)
             assert abs(ans.f_value([0, 0, 0], r) - g) < 1e-25
-            assert abs(ans.fhat_value([0, 0, 0], r) - g) < 1e-25
+            assert abs(fhat_value([0, 0, 0], r) - g) < 1e-25
 
 
 def test_ansatz_value_at_zero():
@@ -101,8 +110,8 @@ def test_ansatz_value_at_zero():
 
 @pytest.mark.parametrize("d", [4, 6])
 def test_ansatz_is_the_certified_profile(d):
-    # the rows that the projection and the sign sweep use evaluate the
-    # same p as the exact certificate of the sampled LP
+    # the mpmath rows of RadialAnsatz evaluate the same p as the exact
+    # certificate of the sampled LP
     cert = sampled_lp(1, d)["certificate"]
     ans = RadialAnsatz(cert.n, cert.d)
     with mp.workdps(40):
@@ -123,7 +132,7 @@ def test_fourier_pairing_oracle():
             f = lambda r: ans.f_value(b, r)
             for u in (0, mp.mpf("0.5"), 1, 2):
                 oracle = radial_fourier_oracle(n, f, u, dps=20, order=10)
-                direct = ans.fhat_value(b, u)
+                direct = fhat_value(b, u)
                 assert abs(oracle - direct) < 1e-6, (n, u)
 
 
@@ -266,6 +275,24 @@ def test_forced_roots_refuse_a_moved_root_or_sign(n, tamper):
     assert not p_exact and not q_exact
 
 
+@pytest.mark.parametrize("n", [8, 24])
+def test_forced_bound_matches_the_oracle(n):
+    # the program's solve and proof against the test's own: the inverse of
+    # the full system and the same divisions, at d = 27
+    x, c = _forced_solution(n)
+    p, q, (r_p, _), (r_q, _) = _forced_quotients(n, x, c)
+    h = n // 2
+    res = forced_bound(n, 27)
+    assert res["proof"].status == "verified"
+    assert res["bound"] == float(p[0] / q[0] * (x[0] / 8) ** h
+                                 / math.factorial(h))
+    assert [s["bound"] for s in res["proof"].log
+            if s["statement"].endswith("forced roots")] == [
+        f"quotient of degree {len(r_p) - 1}",
+        f"quotient of degree {len(r_q) - 1}"] == [
+        "quotient of degree 14", "quotient of degree 13"]
+
+
 def test_poisson_pairing_on_e8():
     # sum over the lattice of f equals the dual sum for a unimodular
     # lattice, up to Gaussian-tail truncation at squared length 50
@@ -280,7 +307,7 @@ def test_poisson_pairing_on_e8():
                 continue
             r = mp.sqrt(mp.mpf(v.numerator) / v.denominator)
             s_f += cnt * ans.f_value(b, r)
-            s_h += cnt * ans.fhat_value(b, r)
+            s_h += cnt * fhat_value(b, r)
         assert abs(s_f - s_h) < 1e-10
 
 
@@ -557,25 +584,6 @@ def test_lp_path_imports_no_numpy_or_scipy():
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr[-500:]
     assert proc.stdout.strip() == "[]"
-
-
-# -- the collocation estimate ----------------------------------------------------
-
-@pytest.mark.slow
-def test_estimate_newton_e8_close_to_optimal():
-    res = estimate(8, 45, 60, 300)
-    # uncertified: reported as an estimate, never as a bound
-    assert "bound" not in res
-    assert abs(res["estimate"] / OPT8 - 1) < 1e-6
-    assert res["violations"][0] < 1e-6
-
-
-@pytest.mark.slow
-def test_estimate_newton_leech_within_factor():
-    opt24 = math.pi ** 12 / math.factorial(12)
-    res = estimate(24, 45, 60, 300)
-    assert "bound" not in res
-    assert abs(res["estimate"] / opt24 - 1) < 1e-5
 
 
 # -- simplex ---------------------------------------------------------------------
