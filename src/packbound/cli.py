@@ -94,6 +94,13 @@ def _nstr(x, digits=17):
     return mp.nstr(mp.mpf(x), digits, strip_zeros=True)
 
 
+def _proof_text(label, cert) -> str:
+    """label: cert's status, then one [ok] or [FAIL] line per step."""
+    return "\n".join([f"{label}: {cert.status}"] + [
+        f"  [{'ok' if s['passed'] else 'FAIL'}] {s['statement']} "
+        f"({s['bound']})" for s in cert.log])
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns its exit code and its renderings, one
 # per format in FORMATS (a JSON rendering is the artifact's payload)
@@ -201,10 +208,8 @@ def _cmd_magic(args):
                          f"--trunc {args.trunc} --format json magic check "
                          f"--dim {args.dim}",
                "bound": bound}
-    text = (f"certificate: {cert.status}\n"
-            + "\n".join(f"  [{'ok' if s['passed'] else 'FAIL'}] "
-                        f"{s['statement']} ({s['bound']})" for s in cert.log))
-    return STATUS_EXIT[cert.status], {"text": text, "json": payload}
+    return STATUS_EXIT[cert.status], {
+        "text": _proof_text("certificate", cert), "json": payload}
 
 
 def _cmd_lpbound(args):
@@ -233,8 +238,9 @@ def _cmd_lpbound(args):
         payload[f"{key}_over_optimal"] = payload[key] / opt.to_float()
     # exit 0 only on a proved bound, not on an estimate or no LP solution
     code = EXIT_OK if "bound" in payload else EXIT_INCONCLUSIVE
-    return code, {"text": "\n".join(f"{k}: {v}" for k, v in payload.items()),
-                  "json": payload}
+    text = "\n".join(_proof_text(k, res["proof"]) if k == "proof"
+                     else f"{k}: {v}" for k, v in payload.items())
+    return code, {"text": text, "json": payload}
 
 
 def _cmd_verify(args):

@@ -1,8 +1,8 @@
 """The numerical pipeline for the linear-programming density bound:
 Laguerre-parametrized test functions; a sampled LP, solved by exact dual
 simplex, whose solution an exact root test proves feasible; and, in
-dimensions 8 and 24, the function whose roots are forced at the vector
-lengths, solved for exactly and proved by the same root test.
+dimensions 8 and 24, the function with roots forced at the vector
+lengths, the forced factors times an exactly solved R_P, proved likewise.
 
 Normalization: the sampled LP scales the minimal root to r1 = 1, so a
 feasible function certifies density <= f(0) * vol(B_n(1/2)); the forced
@@ -411,68 +411,77 @@ def sampled_lp(n: int, d: int):
 # Forced roots
 # ---------------------------------------------------------------------------
 
-# the largest degree forced_bound takes: n = 24, d = 59 runs in 14-17 s on
+# the largest degree forced_bound takes: n = 24, d = 59 runs in 8-10 s on
 # a 2-core host, inside the 20 s that VERIFY_BUDGET allows `verify lp`
 MAX_FORCED_DEGREE = 59
+
+
+def _flip(n: int, p) -> list:
+    """Q = sum (-1)^k c_k L_k from P = sum c_k L_k, L_k = L_k^(n/2-1), as
+    exact monomial coefficients: x^j = j! sum_k (-1)^k C(j + alpha, j - k)
+    L_k goes to terms from (-1)^j x^j down, term_(i-1) = -term_i i
+    (2i + n - 2) / (j - i + 1).  The map is its own inverse."""
+    out = [Fraction(0)] * len(p)
+    for j, c in enumerate(p):
+        term = Fraction((-1) ** j * c)
+        for i in range(j, -1, -1):
+            out[i] += term
+            term = -term * i * (2 * i + n - 2) / (j - i + 1)
+    return out
 
 
 def forced_bound(n: int, d: int) -> dict:
     """The Cohn-Elkies bound of the degree-d function whose roots are forced
     at the vector lengths of E8 (n = 8) or Leech (n = 24), proved exactly.
     With x = 2 pi r^2 and L_k = L_k^(n/2-1), f(r) = P(x) e^(-x/2) for
-    P = sum c_k L_k has the transform Q(x) e^(-x/2), Q = sum (-1)^k c_k L_k.
-    For d = 4m + 3 one rational solve fixes c by P(x_0) = 0, P = P' = 0 at
-    x_1..x_m, Q = Q' = 0 at x_0..x_m and Q(0) = 1, x_j = 2 pi (s + 2j) to 8
-    fractional bits for s the minimal squared norm.  The proof: the forced
-    factors divide P and Q exactly, R_P < 0 on [x_0, inf) and R_Q > 0 on
-    [0, inf) by real_roots, and the bound P(0) / Q(0) (x_0 / 8)^(n/2) /
-    (n/2)! = f(0) / fhat(0) vol(B_n(r_0 / 2)) is at least the lattice's
-    density with PI_LO for pi (the truth check).  `bound` if every step
-    passed, `estimate` otherwise, beside the proof.  Any other n, or a d
-    not 4m + 3 in 3..MAX_FORCED_DEGREE, raises PackboundError."""
+    P = sum c_k L_k has the transform Q(x) e^(-x/2), Q = _flip(n, P).  For
+    d = 4m + 3 and x_j = 2 pi (s + 2j) to 8 fractional bits, s the minimal
+    squared norm, P = F_P R_P for F_P = (x - x_0) prod_(j>=1) (x - x_j)^2,
+    and one solve of side (d + 3) / 2 fixes R_P by Q(0) = 1 and F_Q =
+    F_P (x - x_0) dividing Q.  The proof: F_Q divides Q exactly, R_P < 0 on
+    [x_0, inf) and R_Q = Q / F_Q > 0 on [0, inf) by real_roots, and the
+    bound P(0) / Q(0) (x_0 / 8)^(n/2) / (n/2)! = f(0) / fhat(0)
+    vol(B_n(r_0 / 2)) is at least the lattice's density with PI_LO for pi
+    (the truth check).  `bound` if every step passed, `estimate` otherwise,
+    beside the proof.  Any other n, or a d not 4m + 3 in
+    3..MAX_FORCED_DEGREE, raises PackboundError."""
     if n not in (8, 24) or d % 4 != 3 or not 0 < d <= MAX_FORCED_DEGREE:
         raise PackboundError(f"forced roots need n = 8 or 24 and d = 4m + 3 "
                              f"<= {MAX_FORCED_DEGREE}, not {n} and {d}")
     s = 2 if n == 8 else 4
     x = [Fraction(round(2 * math.pi * (s + 2 * j) * 2 ** 8), 2 ** 8)
          for j in range((d + 1) // 4)]
-
-    def rows_at(y, sign):
-        """The rows of P (sign 1) or Q (sign -1) and of its slope at y."""
-        value = [1] + [Fraction(*v) for v in _laguerre_ratios(n, d, y)]
-        slope = [0, -1] + [-Fraction(*v)
-                           for v in _laguerre_ratios(n + 2, d - 1, y)]
-        return [[sign ** k * v for k, v in enumerate(row)]
-                for row in (value, slope)]
-
-    rows = (rows_at(x[0], 1)[:1] + [r for y in x[1:] for r in rows_at(y, 1)]
-            + [r for y in x for r in rows_at(y, -1)]
-            + rows_at(Fraction(0), -1)[:1])
-    # Gauss-Jordan on [rows | e_d]; the pivot row is 0 left of col
-    m = [[Fraction(v) for v in row + [int(i == d)]]
-         for i, row in enumerate(rows)]
-    for col in range(d + 1):
-        piv = next(r for r in range(col, d + 1) if m[r][col])
+    # F_P = (x - x_0) prod_(j>=1) (x - x_j)^2 and F_Q = F_P (x - x_0)
+    f_p = [Fraction(1)]
+    for y in x[:1] + 2 * x[1:]:
+        f_p = [a - y * b for a, b in zip([0] + f_p, f_p + [0])]
+    f_q = [a - x[0] * b for a, b in zip([0] + f_p, f_p + [0])]
+    # column i: Q of x^i F_P.  Row k < size - 1: coefficient k of Q mod
+    # F_Q; the last row: Q(0).  Gauss-Jordan on [rows | e_last]; the pivot
+    # row is 0 left of col
+    size = (d + 3) // 2
+    flips = [_flip(n, [0] * i + f_p + [0] * (size - 1 - i))
+             for i in range(size)]
+    rems = [poly_divmod(q_i, f_q)[1] + [0] * size for q_i in flips]
+    m = [[rem[k] for rem in rems] + [0] for k in range(size - 1)]
+    m.append([q_i[0] for q_i in flips] + [1])
+    for col in range(size):
+        piv = next(r for r in range(col, size) if m[r][col])
         m[col], m[piv] = m[piv], m[col]
         m[col] = [v / m[col][col] for v in m[col]]
         for r, row in enumerate(m):
             if r != col and row[col]:
                 m[r] = row[:col] + [a - row[col] * b for a, b
                                     in zip(row[col:], m[col][col:])]
+    r_p = [row[-1] for row in m]
+    q = [sum(r * v for r, v in zip(r_p, col)) for col in zip(*flips)]
+    r_q, rem = poly_divmod(q, f_q)
     proof = Certificate(claim=f"forced-root bound n={n} d={d}")
-    at_zero = []
-    for sign, lo, roots in ((1, x[0], x[:1] + 2 * x[1:]),
-                            (-1, Fraction(0), 2 * x)):
+    for sign, lo, quot in ((1, x[0], r_p), (-1, Fraction(0), r_q)):
         name = "PQ"[sign < 0]
-        poly = profile_polynomial(n, [sign ** k * row[-1]
-                                      for k, row in enumerate(m[1:], 1)])
-        poly[0] += m[0][-1] - 1
-        quot, exact = poly, True
-        for y in roots:
-            quot, rem = poly_divmod(quot, [-y, 1])
-            exact = exact and not rem
-        proof.add_step(f"{name} has its forced roots", "exact",
-                       f"quotient of degree {len(quot) - 1}", exact)
+        if sign < 0:
+            proof.add_step("Q has its forced roots", "exact",
+                           f"quotient of degree {len(r_q) - 1}", not rem)
         found, unresolved, nodes = real_roots(quot, lo)
         signed = sign * poly_eval(quot, lo) < 0
         proof.add_step(
@@ -481,9 +490,8 @@ def forced_bound(n: int, d: int) -> dict:
             f"intervals ({nodes} bisection nodes)",
             signed and not (found or unresolved),
             definite=bool(found) or not signed)
-        at_zero.append(poly[0])
     h = n // 2
-    bound = at_zero[0] / at_zero[1] * (x[0] / 8) ** h / math.factorial(h)
+    bound = f_p[0] * r_p[0] / q[0] * (x[0] / 8) ** h / math.factorial(h)
     density = (PI_LO * s / 4) ** h / math.factorial(h)
     proof.add_step("bound >= the density of E8 or Leech, pi as PI_LO",
                    "exact", _float_str(bound / density), bound >= density)

@@ -165,9 +165,9 @@ EXACT_ARTIFACT_DIGESTS = {
     "--format json lpbound run --dim 8 --degree 30":
         "95855db8201dc9f169323292b9ee38d90346bba055c579e1c4d79cd3b5e89b6a",
     "--format json lpbound run --dim 8 --degree 27 --method forced":
-        "19481ae3c1252a8d27ad0fa5f8d6cac9661d8e07f7c76c701b757e837b1bc55b",
+        "a5f6c7ea11d8a832139a79dfdb50ee6b27d0c0ff9855cb71ae517b7b20d8e089",
     "--format json lpbound run --dim 24 --degree 27 --method forced":
-        "a962d849387a34a8c36be311340b019816d896fe146981b00740d905e46a1073",
+        "c9f8e307a7b600a186df90cd1fe9e418ed059da0355c4708b40209dbb8aab8e8",
 }
 
 
@@ -816,15 +816,20 @@ def _forced_failures(argv, capsys):
                   if not s["passed"]]
 
 
-def test_lpbound_forced_wrong_alpha_fails_the_division(monkeypatch, capsys):
-    # value rows of L_k^(n/2) in place of L_k^(n/2-1): the solved P and Q
-    # lack the forced roots
-    ratios = lpbound._laguerre_ratios
-    monkeypatch.setattr(lpbound, "_laguerre_ratios",
-                        lambda n, d, y: ratios(n + 2, d, y))
-    code, failed = _forced_failures("--dim 8 --degree 27", capsys)
-    assert code == EXIT_INCONCLUSIVE
-    assert failed[:1] == ["P has its forced roots"]
+def test_lpbound_forced_wrong_alpha_fails_the_proof(monkeypatch, capsys):
+    # Q from P by the flip of L_k^(n/2-1 -+ 1): at n - 2 every sign proof
+    # passes and only the truth check stops the bound (0.805 times the E8
+    # density, 0.689 times Leech's); at n + 2 both quotients fail
+    flip = lpbound._flip
+    for shift in (-2, 2):
+        monkeypatch.setattr(lpbound, "_flip",
+                            lambda n, p, shift=shift: flip(n + shift, p))
+        for dim in (8, 24):
+            code, failed = _forced_failures(f"--dim {dim} --degree 27",
+                                            capsys)
+            assert code == EXIT_INCONCLUSIVE
+            assert [s.split()[0] for s in failed] == (
+                ["bound"] if shift < 0 else ["R_P", "R_Q", "bound"]), shift
 
 
 def test_lpbound_forced_truth_check(monkeypatch, capsys):
@@ -842,8 +847,8 @@ def test_lpbound_forced_truth_check(monkeypatch, capsys):
 def test_lpbound_forced_refuses_before_any_solve(argv, monkeypatch, capsys):
     # only E8 and Leech have the forced roots, at d = 4m + 3 up to
     # MAX_FORCED_DEGREE
-    monkeypatch.setattr(lpbound, "_laguerre_ratios",
-                        lambda *a: pytest.fail("rows built"))
+    monkeypatch.setattr(lpbound, "_flip",
+                        lambda *a: pytest.fail("system built"))
     code = dispatch(["lpbound", "run", "--method", "forced"] + argv.split())
     captured = capsys.readouterr()
     assert code == EXIT_USAGE and captured.out == ""
@@ -891,6 +896,24 @@ def test_lpbound_exits_0_only_on_a_proved_bound(argv, expected, capsys):
                     capsys)
     assert code == expected
     assert (code == EXIT_OK) == ("bound" in json.loads(out))
+
+
+@pytest.mark.parametrize("command, label", [
+    ("magic check --dim 8", "certificate"),
+    ("lpbound run --dim 24 --degree 11 --method forced", "proof"),
+], ids=["magic-check", "lpbound-forced"])
+def test_text_output_lists_each_proof_step(command, label, capsys):
+    # a certificate prints as its status, then one [ok] or [FAIL] line
+    # per step of the JSON artifact's log, not as a dict
+    _, text = run(command.split(), capsys)
+    _, out = run(["--format", "json"] + command.split(), capsys)
+    cert = json.loads(out)[label]
+    lines = text.splitlines()
+    start = lines.index(f"{label}: {cert['status']}")
+    assert lines[start + 1:start + 1 + len(cert["log"])] == [
+        f"  [{'ok' if s['passed'] else 'FAIL'}] {s['statement']} "
+        f"({s['bound']})" for s in cert["log"]]
+    assert "{" not in text
 
 
 def _parsers(parser):
