@@ -42,8 +42,10 @@ integer reciprocal per exponent, integer products for its powers and one
 integer dot product per side, with a proven truncation term (see
 `_TsideTable`).  On (0, 1] the substitution u = 1/t and the S-transform
 turn the integrand into u^(-n/2) * (decaying series) * e^(-pi r^2 / u),
-integrated by 64-point Gauss-Legendre panels with a proven Bernstein-ellipse
-error bound, one constant per kernel for every radius (see `_uside_kernels`).
+integrated by 64-point Gauss-Legendre panels with breaks 1, 3, 9, 27, ...
+(each three times the last) up to a cut u_max and a proven Bernstein-ellipse
+error bound, one constant per kernel for every radius, which the first panel
+[1, 3] sets (see `_uside_kernels`).
 Both kernels share one node set, held once per spec (`_Uside`) with the
 fixed-point 1/u at every node and each kernel's weighted values in the fixed
 point of e^(-pi r^2 / u): each kernel's integral is an exact integer dot
@@ -53,8 +55,9 @@ e^(-pi u/4) for the powers with which each series is an integer dot product
 of its exact coefficients, with a proven round-off bound (see
 `_NodeSeries`).  From the 1/u table it anchors a radius at all nodes (see
 `_anchor`); on an arithmetic grid r_k = r0 + k h, `sweep` takes three
-anchors once and then two integer products per node and radius (see
-`_decays`).  The u-side error carries proven round-off terms for the node
+anchors once (the first is 1 at r0 = 0, where it takes no exponential) and
+then two integer products per node and radius (see `_decays`).  The u-side
+error carries proven round-off terms for the node
 values (in the series error), their truncation and the decays' 2 (k + 2)^2
 units.  `pair(r)` is a one-radius sweep.  Series truncation tails ride along
 from the coefficient envelopes, node by node up to a proven cut.  A sweep of
@@ -366,9 +369,11 @@ def _exp_fixed(scale, ws, prec, guard):
     products (factors at most 1, each floored) add 2.02 units each: 13 in
     all before the last floor, by k + guard bits.
     """
+    s = _fixed(scale, prec)
+    if not s:  # what the tables give: k = 0, every index 0, all products 1
+        return [1 << prec - guard] * len(ws)
     tables, coefs = _exp_tables(prec)
     ln2 = ln2_fixed(prec)
-    s = _fixed(scale, prec)
     split = [divmod(s * w >> prec, ln2) for w in ws]
     low = (1 << prec - 32) - 1
     ts = [rem & low for _, rem in split]
@@ -496,9 +501,11 @@ def _cut_sum(terms, weights, fix):
 def _uside_kernels(series_list, p, dps):
     """The `_Uside` of the series: one node set and one 1/u table for all.
 
-    The panel breaks grow geometrically from 1 up to the u_max of the most
-    slowly decaying series, so all kernels are cut at the same point (a
-    later cut only shrinks a faster kernel's tail bound).  The series are
+    The panel breaks 1, 3, 9, ... grow by a factor of 3 up to the u_max of
+    the most slowly decaying series, so all kernels are cut at the same
+    point (a later cut only shrinks a faster kernel's tail bound).  The
+    first panel sets the rule error, and the wider later ones, where the
+    integrand has decayed, add under 1e-9 of it.  The series are
     evaluated at all nodes at once in the fixed point of `_NodeSeries`.
     The weighted value is floor(S W 2^-F), W the weight truncated to fix
     bits (under a unit low): off by at most (b (W + 1) + |S|) 2^-F units of
@@ -529,7 +536,7 @@ def _uside_kernels(series_list, p, dps):
         u_max = 1 + (dps + 12) * mp.log(10) * 4 / (mp.pi * min(e1s))
         breaks = [mp.mpf(1)]
         while breaks[-1] < u_max:
-            breaks.append(breaks[-1] * 2 + 1)
+            breaks.append(breaks[-1] * 3)
         breaks[-1] = u_max
         panels = list(zip(breaks, breaks[1:]))
 

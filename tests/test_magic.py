@@ -583,8 +583,8 @@ def test_pair_matches_pinned_values(n, request):
 # sha256 of the default spec's u-side fixed-point data: a change to the
 # Gauss-Legendre rule or the node sums that moves one bit of it shows here
 USIDE_DIGESTS = {
-    8: "89bf285139dd226b4c161d8555f17b7e802f861c1e04609860118e2e716583af",
-    24: "2666522dfa4f5d15fb7fa378ea287a03c7a0cec07316c0b0f9bde8ec9b1976b8",
+    8: "f249860a65552af48a1ded37ed6bb75128c3c182325ec14b9d0b59ed716b318b",
+    24: "367141b7bfa3a917fd036ec6a17bbf40ba1bf2c31a4119898fc46e19f04a0324",
 }
 
 
@@ -622,9 +622,19 @@ def test_pair_cache_keys_on_working_precision(spec8):
 
 
 def test_pair_shares_uside_nodes(spec8, monkeypatch):
+    # the panel breaks 1, 3, 9, ... grow by 3 up to u_max, the cut of the
+    # more slowly decaying kernel: four 64-point panels at dps 60
+    e1 = min(psi_forms(8)["psi_plus"].min_exp, conjugate_psi_minus(8).min_exp)
+    with mp.workdps(spec8.dps + 10):
+        u_max = 1 + (spec8.dps + 12) * mp.log(10) * 4 / (mp.pi * e1)
+    panels = 1
+    while 3 ** panels < u_max:
+        panels += 1
     shared = len(spec8.uside.inv_u)
-    assert shared == 5 * 64
+    assert shared == panels * magic._ORDER == 4 * 64
     assert [len(vals) for vals in spec8.uside.vals] == [shared, shared]
+    spec = _fresh_copy(spec8)
+    spec.pair(mp.mpf("1.2345677"))  # builds the anchors' tables
     calls = []
     exp = mp.exp
 
@@ -633,9 +643,27 @@ def test_pair_shares_uside_nodes(spec8, monkeypatch):
         return exp(x)
 
     monkeypatch.setattr(mp, "exp", counting_exp)
-    spec8.pair(mp.mpf("1.2345678"))  # a radius no other test evaluates
-    # e^(-b/u) once per shared node, plus e^(-pi r^2 t*)
-    assert 0 < len(calls) <= shared + 2
+    spec.pair(mp.mpf("1.2345678"))
+    # no exp per node: only the t-side's e^(-pi r^2)
+    assert len(calls) == 1
+
+
+def test_anchor_at_scale_zero_is_one(spec8):
+    side = spec8.uside
+    assert spec8._anchor(mp.mpf(0)) == [1 << side.fix] * len(side.inv_u)
+
+
+# each kernel's rule error at the default precision, which the first panel
+# [1, 3] sets: a layout that loosens the printed error bars fails here
+RULE_ERRORS = {8: ("1.39666528e-50", "2.56418953e-50"),
+               24: ("5.23582075e-39", "1.07202169e-39")}
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_uside_rule_error_budget(n, request):
+    spec = request.getfixturevalue(f"spec{n}")
+    for (_, _, rule), pinned in zip(spec.uside.errors, RULE_ERRORS[n]):
+        assert abs(rule / mp.mpf(pinned) - 1) < 1e-8, (rule, pinned)
 
 
 def _fresh_copy(spec):
