@@ -6,8 +6,8 @@ with p' modulo 2^127 - 1 is constant), which proves that no root lies
 beyond a point or isolates the roots that do.
 
 There is no Fraction determinant: a lattice reads its determinant off the
-diagonal of its Hermite-reduced basis, which is triangular, and the exact
-simplex inverts its basis blocks fraction-free (Bareiss).
+diagonal of its Hermite-reduced basis, which is triangular, and the simplex
+and the forced-root solve share one fraction-free elimination (Bareiss).
 
 Everything in this module is exact; no floating point.
 """
@@ -61,6 +61,29 @@ def integer_scaled(values):
     vector), and that multiplier."""
     scale = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def fraction_free_solve(block, rhs):
+    """(x, det) with det > 0 and block x = det rhs, for a nonsingular square
+    integer matrix block and integer rows rhs: fraction-free Gauss-Jordan
+    (Bareiss) on [block | rhs], where every division is exact.  With rhs
+    the identity, x / det is block's inverse."""
+    k = len(block)
+    aug = [row + r for row, r in zip(block, rhs, strict=True)]
+    prev = 1
+    for p in range(k):
+        piv = next(i for i in range(p, k) if aug[i][p])
+        aug[p], aug[piv] = aug[piv], aug[p]
+        top = aug[p]
+        d = top[p]
+        for i in range(k):
+            if i != p:
+                f = aug[i][p]
+                aug[i] = [(d * x - f * y) // prev
+                          for x, y in zip(aug[i], top)]
+        prev = d
+    sign = -1 if prev < 0 else 1
+    return [[sign * v for v in row[k:]] for row in aug], sign * prev
 
 
 # ---------------------------------------------------------------------------

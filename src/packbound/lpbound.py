@@ -36,8 +36,9 @@ import mpmath as mp
 
 from .certify import Certificate
 from .exact import (
-    PackboundError, frac, integer_scaled, poly_deriv, poly_divmod,
-    poly_eval, poly_primitive, poly_trim, rational, real_roots, root_points,
+    PackboundError, frac, fraction_free_solve, integer_scaled, poly_deriv,
+    poly_divmod, poly_eval, poly_primitive, poly_trim, rational, real_roots,
+    root_points,
 )
 from .lattices import ball_volume
 from .simplex import Infeasible, IterationLimit, solve_min
@@ -411,7 +412,7 @@ def sampled_lp(n: int, d: int):
 # Forced roots
 # ---------------------------------------------------------------------------
 
-# the largest degree forced_bound takes: n = 24, d = 59 runs in 8-10 s on
+# the largest degree forced_bound takes: n = 24, d = 59 runs in 6.5-7.5 s on
 # a 2-core host, inside the 20 s that VERIFY_BUDGET allows `verify lp`
 MAX_FORCED_DEGREE = 59
 
@@ -457,23 +458,17 @@ def forced_bound(n: int, d: int) -> dict:
         f_p = [a - y * b for a, b in zip([0] + f_p, f_p + [0])]
     f_q = [a - x[0] * b for a, b in zip([0] + f_p, f_p + [0])]
     # column i: Q of x^i F_P.  Row k < size - 1: coefficient k of Q mod
-    # F_Q; the last row: Q(0).  Gauss-Jordan on [rows | e_last]; the pivot
-    # row is 0 left of col
+    # F_Q; the last row: Q(0) = 1.  Every row is scaled to integers, its
+    # right-hand side with it
     size = (d + 3) // 2
     flips = [_flip(n, [0] * i + f_p + [0] * (size - 1 - i))
              for i in range(size)]
     rems = [poly_divmod(q_i, f_q)[1] + [0] * size for q_i in flips]
-    m = [[rem[k] for rem in rems] + [0] for k in range(size - 1)]
-    m.append([q_i[0] for q_i in flips] + [1])
-    for col in range(size):
-        piv = next(r for r in range(col, size) if m[r][col])
-        m[col], m[piv] = m[piv], m[col]
-        m[col] = [v / m[col][col] for v in m[col]]
-        for r, row in enumerate(m):
-            if r != col and row[col]:
-                m[r] = row[:col] + [a - row[col] * b for a, b
-                                    in zip(row[col:], m[col][col:])]
-    r_p = [row[-1] for row in m]
+    rows = [integer_scaled([rem[k] for rem in rems]) for k in range(size - 1)]
+    rows.append(integer_scaled([q_i[0] for q_i in flips]))
+    sol, det = fraction_free_solve([ints for ints, _ in rows],
+                                   [[0]] * (size - 1) + [[rows[-1][1]]])
+    r_p = [Fraction(v, det) for v, in sol]
     q = [sum(r * v for r, v in zip(r_p, col)) for col in zip(*flips)]
     r_q, rem = poly_divmod(q, f_q)
     proof = Certificate(claim=f"forced-root bound n={n} d={d}")

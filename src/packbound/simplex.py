@@ -18,8 +18,8 @@ Rows arrive scaled: each is integers over one positive denominator, the
 pair exact.integer_scaled returns, so a caller that appends rows builds
 each pair once.  A call multiplies row i and its right-hand side b_i by
 the lcm of that denominator and b_i's, and the cost vector by the lcm of
-its denominators, and inverts the block fraction-free (adjugate over
-determinant), so the pivots run in integer arithmetic.
+its denominators, and inverts the block with exact.fraction_free_solve
+(adjugate over determinant), so the pivots run in integer arithmetic.
 
 The leaving variable is the basic one farthest, in Euclidean distance,
 from its bound: a structural x_j < 0 lies |x_j| from x_j >= 0, and the
@@ -38,7 +38,7 @@ import math
 from fractions import Fraction
 from operator import itemgetter, mul
 
-from .exact import PackboundError, frac, integer_scaled
+from .exact import PackboundError, frac, fraction_free_solve, integer_scaled
 
 MAX_ITER = 20000
 
@@ -49,29 +49,6 @@ class Infeasible(PackboundError):
 
 class IterationLimit(PackboundError):
     """The walk stopped after MAX_ITER pivots without an optimum."""
-
-
-def _adjugate(block):
-    """(adj, det) of a nonsingular square integer matrix, signed so that
-    det > 0 and adj / det is its inverse: fraction-free Gauss-Jordan
-    (Bareiss) on [block | I], where every division is exact."""
-    k = len(block)
-    aug = [row + [int(i == j) for j in range(k)]
-           for i, row in enumerate(block)]
-    prev = 1
-    for p in range(k):
-        piv = next(i for i in range(p, k) if aug[i][p])
-        aug[p], aug[piv] = aug[piv], aug[p]
-        top = aug[p]
-        d = top[p]
-        for i in range(k):
-            if i != p:
-                f = aug[i][p]
-                aug[i] = [(d * x - f * y) // prev
-                          for x, y in zip(aug[i], top)]
-        prev = d
-    sign = -1 if prev < 0 else 1
-    return [[sign * v for v in row[k:]] for row in aug], sign * prev
 
 
 def solve_min(c, a_rows, b, basis=None):
@@ -113,8 +90,9 @@ def solve_min(c, a_rows, b, basis=None):
     iterations = 0
     while True:
         # adj / det is the inverse of A[T][S]; det * x_S = adj b_T
-        adj, det = _adjugate([list(map(rows[t].__getitem__, basic_cols))
-                              for t in tight])
+        adj, det = fraction_free_solve(
+            [list(map(rows[t].__getitem__, basic_cols)) for t in tight],
+            [[int(i == j) for j in tight] for i in tight])
         rhs_t = [rhs[t] for t in tight]
         xs = [sum(map(mul, arow, rhs_t)) for arow in adj]
         x_scaled = dict(zip(basic_cols, xs))

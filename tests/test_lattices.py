@@ -9,14 +9,13 @@ import pytest
 from packbound import codes, exact, lattices
 from packbound.certify import poisson_check
 from packbound.codes import BinaryCode, golay24, hamming8, zero_code
-from packbound.exact import PackboundError, integer_scaled
+from packbound.exact import PackboundError, fraction_free_solve, integer_scaled
 from packbound.lattices import (
     SymbolicVolume, _build_leech_from_shift, _count_cosets, _make_lattice,
     ball_volume, construction_a, covolume, lattice_properties,
     standard_lattice, vectors_by_norm,
 )
 from packbound.qseries import QSeries, eisenstein, theta01
-from packbound.simplex import _adjugate
 
 def test_ball_volume_unit_disc():
     v = ball_volume(2, 1)
@@ -151,7 +150,9 @@ def _bareiss_det(gram):
     integers, independent of the Hermite reduction."""
     n = len(gram)
     ints, scale = integer_scaled([x for row in gram for x in row])
-    _, det = _adjugate([ints[i * n:(i + 1) * n] for i in range(n)])
+    _, det = fraction_free_solve(
+        [ints[i * n:(i + 1) * n] for i in range(n)],
+        [[int(i == j) for j in range(n)] for i in range(n)])
     return Fraction(det, scale ** n)
 
 

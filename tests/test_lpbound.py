@@ -14,8 +14,8 @@ import pytest
 
 import packbound
 from packbound.exact import (
-    PackboundError, integer_scaled, poly_deriv, poly_divmod, poly_eval,
-    poly_primitive, real_roots, root_points,
+    PackboundError, fraction_free_solve, integer_scaled, poly_deriv,
+    poly_divmod, poly_eval, poly_primitive, real_roots, root_points,
 )
 from packbound.lattices import ball_volume, standard_lattice, vectors_by_norm
 from packbound.lpbound import (
@@ -23,7 +23,7 @@ from packbound.lpbound import (
     laguerre_all, profile_polynomial, sampled_lp, verify_lp,
 )
 from packbound import lpbound
-from packbound.simplex import Infeasible, _adjugate, solve_min
+from packbound.simplex import Infeasible, solve_min
 from series_terms import radial_fourier_oracle
 
 try:
@@ -298,14 +298,24 @@ def test_forced_roots_refuse_a_moved_root_or_sign(n, tamper):
 
 
 @pytest.mark.parametrize("n", [8, 24])
-def test_forced_bound_matches_the_oracle(n):
+def test_forced_bound_matches_the_oracle(n, monkeypatch):
     # the program's solve in R_P against the test's own inverse of the full
-    # system of value and slope rows in c, at d = 27: the same bound, and
-    # R_Q of the same degree from the one division the program makes
+    # system of value and slope rows in c, at d = 27: the same R_P, so
+    # Q(0) = 1, the same bound, and R_Q of the same degree from the one
+    # division the program makes
     x, c = _forced_solution(n)
-    p, q, _, (r_q, _) = _forced_quotients(n, x, c)
+    p, q, (r_p, _), (r_q, _) = _forced_quotients(n, x, c)
     h = n // 2
+    solves = []
+
+    def spy(block, rhs):
+        sol, det = fraction_free_solve(block, rhs)
+        solves.append([Fraction(v, det) for v, in sol])
+        return sol, det
+
+    monkeypatch.setattr(lpbound, "fraction_free_solve", spy)
     res = forced_bound(n, 27)
+    assert solves == [r_p]
     assert res["proof"].status == "verified"
     assert res["bound"] == float(p[0] / q[0] * (x[0] / 8) ** h
                                  / math.factorial(h))
@@ -672,8 +682,7 @@ def test_simplex_warm_start_after_added_row():
 
 def mat_inverse(a):
     """Exact inverse over Q by Gauss-Jordan elimination, the reference for
-    the simplex's fraction-free block inverse; raises ValueError if
-    singular."""
+    exact.fraction_free_solve; raises ValueError if singular."""
     n = len(a)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a)]
@@ -692,7 +701,8 @@ def mat_inverse(a):
 
 def test_adjugate_is_det_times_inverse():
     # zero pivots force row swaps; 60-bit entries check that every
-    # fraction-free division is exact
+    # fraction-free division is exact.  Against the identity the solve is
+    # the adjugate; against one integer column it is det times inv . rhs
     rng = random.Random(5)
     checked = 0
     for _ in range(300):
@@ -704,9 +714,16 @@ def test_adjugate_is_det_times_inverse():
             inv = mat_inverse(block)
         except ValueError:
             continue
-        adj, det = _adjugate(block)
+        identity = [[int(i == j) for j in range(k)] for i in range(k)]
+        adj, det = fraction_free_solve(block, identity)
         assert det > 0
         assert [[Fraction(v, det) for v in row] for row in adj] == inv
+        rhs = [rng.choice([0, rng.randint(-2 ** 60, 2 ** 60)])
+               for _ in range(k)]
+        x, det_x = fraction_free_solve(block, [[v] for v in rhs])
+        assert det_x == det
+        assert [Fraction(v, det) for v, in x] == [
+            sum(a * b for a, b in zip(row, rhs)) for row in inv]
         checked += 1
     assert checked > 100
 
