@@ -302,12 +302,12 @@ def build_parser():
     parser.add_argument("--format", dest="fmt",
                         choices=("json", "csv", "text"),
                         help="output format (default: the command's own)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command")
 
     def actions(command, text, metavar=None):
         """One parser per action of command in FORMATS, each with --out."""
         subs = sub.add_parser(command, help=text).add_subparsers(
-            dest="action", required=True, metavar=metavar)
+            dest="action", metavar=metavar)
         parsers = {action: subs.add_parser(action)
                    for cmd, action in FORMATS if cmd == command}
         for p in parsers.values():
@@ -358,8 +358,11 @@ def dispatch(argv) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # 0 after --help, EXIT_USAGE on a refusal
         return exc.code
-    handler = globals()[f"_cmd_{args.command}"]  # _cmd_code, _cmd_lattice, ...
     try:
+        # after parse_args, so that an unknown option is named first
+        if getattr(args, "action", None) is None:
+            raise PackboundError("a command and its action are required")
+        handler = globals()[f"_cmd_{args.command}"]  # _cmd_code, _cmd_lattice
         args.fmt = output_format(args)
         if not 10 <= args.precision <= 200:
             raise PackboundError("precision out of range [10, 200]")

@@ -19,11 +19,9 @@ is p <= 0 on y >= pi.  The sampled LP solves for exact rational b, so p and
 p(0) are exact, and it proves the sign condition on [PI_LO, inf) for the
 rational PI_LO just below pi: p(PI_LO) < 0 and a Descartes bisection that
 finds no root of p beyond PI_LO.  Each entry of an LP row is the exact
-L_k(y) at a sample, column-scaled and rounded once to a float: a
-fraction-free integer recurrence gives it as N_k / D_k, and one int / int
-division rounds it.
-The column scales are powers of two, fixed exactly from bit lengths, and
-the same recurrence, run on integer coefficient lists, gives p itself.
+L_k(y) at a sample, scaled by a power of two per column and rounded once
+to a float: a fraction-free integer recurrence gives it as N_k / D_k.  p
+itself comes from _flip, the Laguerre-Fourier map of the forced roots.
 """
 
 from __future__ import annotations
@@ -81,30 +79,33 @@ def laguerre_all(kmax: int, alpha, x):
     return out
 
 
+def _times_x(n: int, q) -> list:
+    """_flip(n, x p) from q = _flip(n, p), with no division: r^2 f has the
+    transform -Laplacian(fhat) / (4 pi^2), in x = 2 pi r^2 the map
+    q -> (n - x) q + (4x - 2n) q' - 4x q''."""
+    return [(n + 4 * k) * c - c_lo - 2 * (k + 1) * (n + 2 * k) * c_hi
+            for k, (c, c_lo, c_hi)
+            in enumerate(zip(q + [0], [0] + q, q[1:] + [0, 0]))]
+
+
+def _flip(n: int, p) -> list:
+    """Q = sum (-1)^k c_k L_k from P = sum c_k L_k, L_k = L_k^(n/2-1), on
+    monomials: Horner's rule on _times_x, exact and its own inverse."""
+    ints, den = integer_scaled(p)
+    q = []
+    for c in reversed(ints):
+        q = _times_x(n, q)
+        q[0] += c
+    return [Fraction(c, den) for c in q]
+
+
 def profile_polynomial(n: int, b) -> list:
-    """Exact coefficients of p(y) = 1 + sum_k b_k L_k^(n/2-1)(y).  The
-    integer polynomials N_k = k! 2^k L_k come from _laguerre_ratios'
-    recurrence with y as the variable (q = 1),
-
-        N_(j+1) = (4j + 2 + 2 alpha - 2y) N_j - 2j (2j + 2 alpha) N_(j-1),
-
-    and are summed in integers over the common denominator of the weights
-    b_k / (k! 2^k)."""
-    b = poly_trim(list(b))
-    weights, den = integer_scaled(
-        [Fraction(1)] + [frac(b_k) / (math.factorial(k) * 2 ** k)
-                         for k, b_k in enumerate(b, 1)])
-    two_alpha = n - 2
-    acc = [weights[0]] + [0] * len(b)
-    prev, cur = [1], [2 + two_alpha, -2]
-    for j, w in enumerate(weights[1:], 1):
-        for i, c in enumerate(cur):
-            acc[i] += w * c
-        prev, cur = cur, [
-            (4 * j + 2 + two_alpha) * c - 2 * c_lo
-            - 2 * j * (2 * j + two_alpha) * c_prev
-            for c, c_lo, c_prev in zip(cur + [0], [0] + cur, prev + [0, 0])]
-    return [Fraction(c, den) for c in acc]
+    """Exact coefficients of p(y) = 1 + sum_k b_k L_k^(n/2-1)(y): p(y) =
+    P(2y) for P = _flip(n, 1 + sum_k b_k x^k / (k! 2^k)), as the flip of
+    x^k / (k! 2^k) is L_k(x/2) = 2^(-k) sum_j C(k + alpha, k - j) L_j(x)."""
+    weights = [frac(b_k) / (math.factorial(k) * 2 ** k)
+               for k, b_k in enumerate(poly_trim([1] + list(b)))]
+    return [c * 2 ** i for i, c in enumerate(_flip(n, weights))]
 
 
 # ---------------------------------------------------------------------------
@@ -412,23 +413,9 @@ def sampled_lp(n: int, d: int):
 # Forced roots
 # ---------------------------------------------------------------------------
 
-# the largest degree forced_bound takes: n = 24, d = 59 runs in 6.5-7.5 s on
+# the largest degree forced_bound takes: n = 24, d = 59 runs in 5.4-5.7 s on
 # a 2-core host, inside the 20 s that VERIFY_BUDGET allows `verify lp`
 MAX_FORCED_DEGREE = 59
-
-
-def _flip(n: int, p) -> list:
-    """Q = sum (-1)^k c_k L_k from P = sum c_k L_k, L_k = L_k^(n/2-1), as
-    exact monomial coefficients: x^j = j! sum_k (-1)^k C(j + alpha, j - k)
-    L_k goes to terms from (-1)^j x^j down, term_(i-1) = -term_i i
-    (2i + n - 2) / (j - i + 1).  The map is its own inverse."""
-    out = [Fraction(0)] * len(p)
-    for j, c in enumerate(p):
-        term = Fraction((-1) ** j * c)
-        for i in range(j, -1, -1):
-            out[i] += term
-            term = -term * i * (2 * i + n - 2) / (j - i + 1)
-    return out
 
 
 def forced_bound(n: int, d: int) -> dict:
@@ -453,23 +440,24 @@ def forced_bound(n: int, d: int) -> dict:
     x = [Fraction(round(2 * math.pi * (s + 2 * j) * 2 ** 8), 2 ** 8)
          for j in range((d + 1) // 4)]
     # F_P = (x - x_0) prod_(j>=1) (x - x_j)^2 and F_Q = F_P (x - x_0)
-    f_p = [Fraction(1)]
-    for y in x[:1] + 2 * x[1:]:
-        f_p = [a - y * b for a, b in zip([0] + f_p, f_p + [0])]
-    f_q = [a - x[0] * b for a, b in zip([0] + f_p, f_p + [0])]
-    # column i: Q of x^i F_P.  Row k < size - 1: coefficient k of Q mod
-    # F_Q; the last row: Q(0) = 1.  Every row is scaled to integers, its
-    # right-hand side with it
+    f_q = [Fraction(1)]
+    for y in x[:1] + 2 * x[1:] + x[:1]:
+        f_p, f_q = f_q, [a - y * b for a, b in zip([0] + f_q, f_q + [0])]
+    # column i: Q of x^i F_P, one _times_x step from column i - 1.  Row
+    # k < size - 1: coefficient k of Q mod F_Q; the last row: Q(0) = 1.
+    # Every row is scaled to integers, its right-hand side with it
     size = (d + 3) // 2
-    flips = [_flip(n, [0] * i + f_p + [0] * (size - 1 - i))
-             for i in range(size)]
+    flips = [_flip(n, f_p)]
+    while len(flips) < size:
+        flips.append(_times_x(n, flips[-1]))
     rems = [poly_divmod(q_i, f_q)[1] + [0] * size for q_i in flips]
     rows = [integer_scaled([rem[k] for rem in rems]) for k in range(size - 1)]
     rows.append(integer_scaled([q_i[0] for q_i in flips]))
     sol, det = fraction_free_solve([ints for ints, _ in rows],
                                    [[0]] * (size - 1) + [[rows[-1][1]]])
     r_p = [Fraction(v, det) for v, in sol]
-    q = [sum(r * v for r, v in zip(r_p, col)) for col in zip(*flips)]
+    q = _flip(n, [sum(r * f_p[k - i] for i, r in enumerate(r_p)
+                      if 0 <= k - i < len(f_p)) for k in range(d + 1)])
     r_q, rem = poly_divmod(q, f_q)
     proof = Certificate(claim=f"forced-root bound n={n} d={d}")
     for sign, lo, quot in ((1, x[0], r_p), (-1, Fraction(0), r_q)):

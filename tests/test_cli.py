@@ -729,6 +729,26 @@ def test_abbreviated_option_is_usage_error(argv, monkeypatch, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("lpbound --he", "unrecognized arguments: --he"),
+    ("code --he", "unrecognized arguments: --he"),
+    ("--he", "unrecognized arguments: --he"),
+    ("--format json lpbound --he=1 --x", "unrecognized arguments: --he=1 --x"),
+    ("lpbound", "a command and its action are required"),
+    ("--format json", "a command and its action are required"),
+    ("lpbound run --dim -3", "the following arguments are required: "
+                             "--degree"),
+])
+def test_unknown_option_is_named_before_a_missing_action(argv, message,
+                                                         capsys):
+    # a command-level option that no parser knows is named as such, not as
+    # the missing command or action it leaves; a negative value is no
+    # option
+    assert dispatch(argv.split()) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"packbound: {message}\n")
+
+
 def test_magic_check_artifact_survives_a_failed_worker(monkeypatch, capsys,
                                                        cpus, forks):
     # a child that exits without a result leaves its block of the grid to
@@ -817,13 +837,14 @@ def _forced_failures(argv, capsys):
 
 
 def test_lpbound_forced_wrong_alpha_fails_the_proof(monkeypatch, capsys):
-    # Q from P by the flip of L_k^(n/2-1 -+ 1): at n - 2 every sign proof
-    # passes and only the truth check stops the bound (0.805 times the E8
-    # density, 0.689 times Leech's); at n + 2 both quotients fail
-    flip = lpbound._flip
+    # Q from P by the Laplacian step, so the flip, of L_k^(n/2-1 -+ 1): at
+    # n - 2 every sign proof passes and only the truth check stops the bound
+    # (0.805 times the E8 density, 0.689 times Leech's); at n + 2 both
+    # quotients fail
+    times_x = lpbound._times_x
     for shift in (-2, 2):
-        monkeypatch.setattr(lpbound, "_flip",
-                            lambda n, p, shift=shift: flip(n + shift, p))
+        monkeypatch.setattr(lpbound, "_times_x",
+                            lambda n, q, shift=shift: times_x(n + shift, q))
         for dim in (8, 24):
             code, failed = _forced_failures(f"--dim {dim} --degree 27",
                                             capsys)

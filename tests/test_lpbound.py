@@ -50,17 +50,44 @@ def test_laguerre_at_zero():
     assert laguerre_all(2, Fraction(3), Fraction(0))[2] == 10
 
 
+def laguerre_polynomials(n, d):
+    """[L_0, ..., L_d] of L_k = L_k^(n/2-1) as exact coefficient lists, a
+    reference independent of lpbound's flip: the integer polynomials
+    N_k = k! 2^k L_k of the three-term recurrence,
+
+        N_(j+1) = (4j + 2 + 2 alpha - 2y) N_j - 2j (2j + 2 alpha) N_(j-1)."""
+    two_alpha = n - 2
+    polys = [[1], [2 + two_alpha, -2]]
+    for j in range(1, d):
+        prev, cur = polys[-2:]
+        polys.append([(4 * j + 2 + two_alpha) * c - 2 * c_lo
+                      - 2 * j * (2 * j + two_alpha) * c_prev
+                      for c, c_lo, c_prev
+                      in zip(cur + [0], [0] + cur, prev + [0, 0])])
+    return [[Fraction(c, math.factorial(k) * 2 ** k) for c in poly]
+            for k, poly in enumerate(polys[:d + 1])]
+
+
+def laguerre_combination(n, c):
+    """sum_k c_k L_k^(n/2-1) as a coefficient list, from the reference."""
+    out = [Fraction(0)] * len(c)
+    for c_k, l_k in zip(c, laguerre_polynomials(n, len(c) - 1)):
+        for i, v in enumerate(l_k):
+            out[i] += c_k * v
+    return out
+
+
 @pytest.mark.parametrize("n", [1, 3, 8, 24])
 @pytest.mark.parametrize("d", [1, 5, 30, 60])
 def test_profile_polynomial_matches_laguerre_values(n, d):
-    # p, built from the integer recurrence's coefficient lists, against the
-    # Fraction three-term recurrence at rational points, for dense b of both
-    # signs; alpha is a half-integer for n = 1 and 3
+    # p, built by the flip, against the reference's coefficient lists and
+    # against the Fraction three-term recurrence at rational points, for
+    # dense b of both signs; alpha is a half-integer for n = 1 and 3
     rng = random.Random(1000 * n + d)
     b = [Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 6))
          for _ in range(d)]
     poly = profile_polynomial(n, b)
-    assert len(poly) == d + 1
+    assert poly == laguerre_combination(n, [1] + b)
     for y in (Fraction(0), Fraction(7, 11), PI_LO, Fraction(200),
               Fraction(-3, 2)):
         lag = laguerre_all(d, Fraction(n, 2) - 1, y)
@@ -160,15 +187,13 @@ def test_laguerre_gaussians_are_fourier_eigenfunctions():
 @pytest.mark.parametrize("n", [8, 24])
 def test_laguerre_derivative_is_the_next_family(n):
     # d/dx L_k^alpha = -L_(k-1)^(alpha+1), exactly: the left side from the
-    # profile polynomial of the unit vector e_k, the right side from the
-    # integer recurrence of dimension n + 2
+    # reference's coefficient lists, the right side from the integer
+    # recurrence of dimension n + 2
     d = 27
     for x in (Fraction(0), Fraction(7, 11),
               Fraction(round(2 * math.pi * 50 * 2 ** 8), 2 ** 8)):
         lower = lpbound._laguerre_ratios(n + 2, d - 1, x)
-        for k in range(1, d + 1):
-            lk = profile_polynomial(n, [0] * (k - 1) + [1])
-            lk[0] -= 1
+        for k, lk in enumerate(laguerre_polynomials(n, d)[1:], 1):
             want = -Fraction(*lower[k - 2]) if k > 1 else -1
             assert poly_eval(poly_deriv(lk), x) == want, (x, k)
 
@@ -176,11 +201,8 @@ def test_laguerre_derivative_is_the_next_family(n):
 @pytest.mark.parametrize("n", [8, 24])
 def test_flip_negates_the_odd_laguerre_polynomials(n):
     # _flip takes P = sum c_k L_k to Q = sum (-1)^k c_k L_k on monomials, so
-    # L_k (profile_polynomial of e_k, less its constant 1) goes to
-    # (-1)^k L_k; the flip of dimension n +- 2 does not
-    for k in range(1, 60):
-        lk = profile_polynomial(n, [0] * (k - 1) + [1])
-        lk[0] -= 1
+    # L_k, from the reference, goes to (-1)^k L_k
+    for k, lk in enumerate(laguerre_polynomials(n, 59)):
         assert lpbound._flip(n, lk) == [(-1) ** k * c for c in lk], k
 
 
@@ -248,12 +270,8 @@ def _forced_quotients(n, x, c):
     """P, Q and their quotients by the forced factors: P by (x - x_1) and
     (x - x_j)^2 for j >= 2, Q by (x - x_j)^2 for every j, as
     (P, Q, (R_P, exact), (R_Q, exact))."""
-    sides = []
-    for sign in (1, -1):
-        poly = profile_polynomial(n, [sign ** k * v
-                                      for k, v in enumerate(c[1:], 1)])
-        poly[0] += c[0] - 1
-        sides.append(poly)
+    sides = [laguerre_combination(n, [sign ** k * v for k, v in enumerate(c)])
+             for sign in (1, -1)]
     doubles = [y for y in x for _ in (0, 1)]
     return (*sides, _divide_out(sides[0], doubles[1:]),
             _divide_out(sides[1], doubles))
