@@ -10,7 +10,6 @@ bounds).  A certificate verifies only if every step passed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,9 +58,8 @@ class Certificate:
             return "verified"
         return "inconclusive"
 
-    def to_json(self) -> str:
-        return json.dumps({"claim": self.claim, "status": self.status,
-                           "log": self.log}, sort_keys=True, indent=1)
+    def to_dict(self) -> dict:
+        return {"claim": self.claim, "status": self.status, "log": self.log}
 
 
 # ---------------------------------------------------------------------------

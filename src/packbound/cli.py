@@ -91,7 +91,8 @@ def _emit(rendering, args):
 
 
 def _nstr(x, digits=17):
-    return mp.nstr(mp.mpf(x), digits, strip_zeros=True)
+    """x to `digits` digits; an mpf as computed, not rounded to 53 bits."""
+    return mp.nstr(mp.convert(x), digits, strip_zeros=True)
 
 
 def _proof_text(label, cert) -> str:
@@ -203,7 +204,7 @@ def _cmd_magic(args):
         b = ce_bound_from_function(args.dim, spec, certificate=cert)
         bound = {"value": _nstr(b.value), "error": _nstr(b.error, 3)}
     payload = {"dim": args.dim,
-               "certificate": json.loads(cert.to_json()),
+               "certificate": cert.to_dict(),
                "replay": f"packbound --precision {args.precision} "
                          f"--trunc {args.trunc} --format json magic check "
                          f"--dim {args.dim}",
@@ -225,7 +226,7 @@ def _cmd_lpbound(args):
     else:
         res = lp.forced_bound(dim, degree)
         payload = {"n": dim, "d": degree, "method": "forced",
-                   "proof": json.loads(res["proof"].to_json()),
+                   "proof": res["proof"].to_dict(),
                    "replay": f"packbound --precision {args.precision} "
                              f"--trunc {args.trunc} --format json lpbound run "
                              f"--dim {dim} --degree {degree} --method forced"}
@@ -271,7 +272,7 @@ def _cmd_verify(args):
                 f"not an lpbound run artifact: {exc!r}") from exc
     result = lp.verify_lp(lp.LpCertificate.from_dict(obj))
     return STATUS_EXIT[result.status], {"json": {
-        "certificate": json.loads(result.to_json()),
+        "certificate": result.to_dict(),
         "replay": f"packbound verify lp --cert {shlex.quote(args.cert)}"}}
 
 

@@ -2,8 +2,9 @@
 text, the scaling of a rational vector to integers, Hermite reduction over
 Z, rational polynomials, and one root test: one Descartes bisection of the
 square-free part of a primitive integer polynomial (p itself when its gcd
-with p' modulo 2^127 - 1 is constant), which proves that no root lies
-beyond a point or isolates the roots that do.
+with p' modulo 2^127 - 1 is constant), from a point up to the power of two
+above its Fujiwara root bound, which proves that no root lies beyond the
+point or isolates the roots that do.
 
 There is no Fraction determinant: a lattice reads its determinant off the
 diagonal of its Hermite-reduced basis, which is triangular, and the simplex
@@ -288,10 +289,10 @@ def _bisect(p, lo):
     interval (a/den, b/den) and the polynomial q of its node, or a/den
     exactly when a = b, with q None.
 
-    It halves (lo, hi), hi the Cauchy bound, on the grid whose endpoints at
-    depth k are integers over den * 2^k, from the deepest left node that
-    still reaches the Fujiwara bound.  Node (a, b) holds the integer
-    polynomial q(x) = c p(a + (b - a) x), c > 0, and the sign variations of
+    It halves (lo, B), B the power of two above the Fujiwara root bound,
+    on the grid whose endpoints at depth k are integers over den * 2^k,
+    den the denominator of lo.  Node (a, b) holds the integer polynomial
+    q(x) = c p(a + (b - a) x), c > 0, and the sign variations of
     (x + 1)^deg q(1 / (x + 1)) exceed its roots in (a, b) by an even count.
     With 0 there is none; with 1 there is one, simple, and the node is
     returned as its interval.  The halves of q are 2^deg q(x / 2) and that
@@ -302,21 +303,15 @@ def _bisect(p, lo):
     """
     deg = len(p) - 1
     roots, unresolved, nodes = [], [], 0
-    # Cauchy: every root has |y| < hi = 1 + max |c_i / c_d|; Fujiwara:
-    # |y| <= 2 max |c_i / c_d|^(1 / (deg - i)) < bound, a power of two, as
-    # |c_i / c_d| < 2^(bits(c_i) - bits(c_d) + 1)
-    hi = 1 + max((Fraction(abs(c), abs(p[-1])) for c in p[:-1]), default=0)
+    # Fujiwara: every root has |y| <= 2 max |c_i / c_d|^(1 / (deg - i))
+    # < bound, a power of two, as |c_i / c_d| < 2^(bits(c_i) - bits(c_d) + 1)
     top = abs(p[-1]).bit_length()
     bound = 2 << max([0] + [-((top - 1 - abs(c).bit_length()) // (deg - i))
                             for i, c in enumerate(p[:-1])])
-    if not deg or min(hi, bound) <= lo:
+    if not deg or bound <= lo:
         return roots, unresolved, nodes
-    den = math.lcm(lo.denominator, hi.denominator)
-    a, w = int(lo * den), int((hi - lo) * den)
-    # start from the deepest left node that still holds (lo, bound): the
-    # nodes and midpoints it skips lie beyond every root
-    while 2 * a + w >= bound * den << 1:
-        a, den = 2 * a, 2 * den
+    den, a = lo.denominator, lo.numerator
+    w = bound * den - a
     # den^deg p((a + w x) / den), by Horner on the linear polynomial
     q, scale = [p[-1]], 1
     for c in reversed(p[:-1]):

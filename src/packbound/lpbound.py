@@ -246,10 +246,10 @@ class LpCertificate:
         within budget: D^2 (B + D) <= VERIFY_BUDGET for D the degree and B
         the largest coefficient bit length of p's primitive integer form
         (so D <= 125).  Anything else raises PackboundError.  At the
-        budget's edge, D = 30 to 125, `verify lp` took at most 8.2 s with
+        budget's edge, D = 30 to 125, `verify lp` took at most 2.5 s with
         two roots too close to part, which run the bisection to its node
-        cap, and under 1 s with a double root, a random p or b, or D simple
-        roots: <= 20 s at the budget."""
+        cap, and under 0.2 s with a double root, a random p or b, or D
+        simple roots: <= 20 s at the budget."""
         try:
             n, d, b, y0 = obj["n"], obj["d"], obj["b"], obj["y0"]
             if not (all(type(v) is int and v >= 1 for v in (n, d))
@@ -413,7 +413,7 @@ def sampled_lp(n: int, d: int):
 # Forced roots
 # ---------------------------------------------------------------------------
 
-# the largest degree forced_bound takes: n = 24, d = 59 runs in 5.4-5.7 s on
+# the largest degree forced_bound takes: n = 24, d = 59 runs in 3.7-4.4 s on
 # a 2-core host, inside the 20 s that VERIFY_BUDGET allows `verify lp`
 MAX_FORCED_DEGREE = 59
 

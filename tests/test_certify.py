@@ -193,14 +193,27 @@ def fraction_chain(p):
     return chain
 
 
+def fujiwara_power(p):
+    """The power of two B above the Fujiwara root bound of p, from its
+    primitive integer form c: |c_i / c_d| < 2^(bits(c_i) - bits(c_d) + 1),
+    so every root has |y| <= 2 max |c_i / c_d|^(1 / (d - i)) < B = 2^(1 +
+    max(0, the ceilings of (bits(c_i) - bits(c_d) + 1) / (d - i)))."""
+    c = poly_primitive(p)
+    d, top = len(c) - 1, abs(c[-1]).bit_length()
+    return 2 ** (1 + max([0] + [
+        math.ceil(Fraction(abs(ci).bit_length() - top + 1, d - i))
+        for i, ci in enumerate(c[:-1])]))
+
+
 def bisection_intervals(p, lo):
-    """The reference for real_roots: the Sturm bisection of [lo, hi], hi
-    the Cauchy bound, on Fraction endpoints, with the fraction_chain signs
-    at every midpoint, down to a width of 2^-30 * max(1, |m|); the interval
-    (a, b] of each distinct root beyond lo, in increasing order."""
+    """The reference for real_roots: the Sturm bisection of [lo, B], B the
+    power of two above the Fujiwara bound, on Fraction endpoints, with the
+    fraction_chain signs at every midpoint, down to a width of 2^-30 *
+    max(1, |m|); the interval (a, b] of each distinct root beyond lo, in
+    increasing order."""
     p = poly_trim([Fraction(c) for c in p])
     lo = Fraction(lo)
-    hi = max(lo, 1 + max((abs(c / p[-1]) for c in p[:-1]), default=0))
+    hi = max(lo, Fraction(fujiwara_power(p)))
     chain = fraction_chain(p)
 
     def variations(x):
@@ -312,11 +325,12 @@ def test_sturm_roots_match_fraction_bisection_in_the_lp(monkeypatch):
 
 def test_real_roots_isolates_thirty_roots_under_the_cap():
     # prod_(j <= 30) (y - j), whose Cauchy bound is about 2^111: the
-    # bisection starts below the Fujiwara bound 2^11, so the 30 roots take
-    # a few dozen nodes of the 2,000 the cap allows
+    # bisection starts at the Fujiwara power of two 2^10, so the 30 roots
+    # take a few dozen nodes of the 2,000 the cap allows
     p = from_roots(1, range(1, 31))
     hi = 1 + max(abs(c) for c in p[:-1])
     assert 110 <= hi.numerator.bit_length() <= 112
+    assert fujiwara_power(p) == 2 ** 10
     roots, unresolved, nodes = real_roots(p, 0)
     points = root_points(p, 0)
     assert [round(y) for y in points] == list(range(1, 31))
@@ -328,33 +342,53 @@ def test_real_roots_isolates_thirty_roots_under_the_cap():
 
 def test_real_roots_skips_only_beyond_the_fujiwara_bound():
     # 2 y^2 - 3 y - 3 beyond 3/2: its root (3 + sqrt 33) / 4 = 2.186 lies
-    # in the right half of (3/2, 5/2), below the bound 4 that Fujiwara's
-    # factor 2 gives and beyond the 2 that it would without
+    # below the bound 4 that Fujiwara's factor 2 gives and beyond the 2
+    # that it would without, so the first node (3/2, 4) holds it alone
     roots, unresolved, nodes = real_roots([-3, -3, 2], Fraction(3, 2))
-    assert roots == [(Fraction(3, 2), Fraction(5, 2))]
+    assert roots == [(Fraction(3, 2), Fraction(4))]
     assert not unresolved and nodes == 1
     [y] = root_points([-3, -3, 2], Fraction(3, 2))
     assert abs(y - (3 + math.sqrt(33)) / 4) < 1e-8
 
 
 def test_real_roots_finds_a_root_at_a_midpoint_exactly():
-    # (y - 7/2)(y - 24/7)(1/2 - y) beyond 11/4: the Cauchy bound is 461/28,
-    # so the node (95/28, 101/28) at depth 6 holds both 24/7 and 7/2, and
-    # its midpoint 7/2 is found exactly
+    # (y - 7/2)(y - 24/7)(1/2 - y) beyond 0: the bisection of (0, 32), 32
+    # its Fujiwara power of two, reaches the node (3, 4) at depth 5, which
+    # holds both 24/7 and 7/2, and its midpoint 7/2 is found exactly
     p = poly_mul(from_roots(1, [Fraction(7, 2), Fraction(24, 7)]),
                  [Fraction(1, 2), Fraction(-1)])
-    roots, unresolved, _ = real_roots(p, Fraction(11, 4))
-    assert roots == [(Fraction(95, 28), Fraction(193, 56)),
+    assert fujiwara_power(p) == 32
+    roots, unresolved, _ = real_roots(p, 0)
+    assert roots == [(0, 2), (Fraction(27, 8), Fraction(55, 16)),
                      (Fraction(7, 2), Fraction(7, 2))] and not unresolved
-    # (y - 10/3)(y - 7/2) beyond -17/3: the Cauchy bound is 38/3, so 7/2
-    # is the first midpoint, and the left half, which holds 10/3 alone, ends
-    # on a root: it is halved again, not isolated towards 7/2
+    # (y - 10/3)(y - 7/2) beyond -25: its Fujiwara power of two is 32, so
+    # 7/2 is the first midpoint, and the left half, which holds 10/3 alone,
+    # ends on a root: it is halved again, not isolated towards 7/2
     p = from_roots(1, [Fraction(10, 3), Fraction(7, 2)])
-    roots, unresolved, _ = real_roots(p, Fraction(-17, 3))
+    assert fujiwara_power(p) == 32
+    roots, unresolved, _ = real_roots(p, -25)
     assert roots[1] == (Fraction(7, 2), Fraction(7, 2)) and not unresolved
     assert roots[0][0] < Fraction(10, 3) < roots[0][1] < Fraction(7, 2)
-    y = root_points(p, Fraction(-17, 3))[0]
+    y = root_points(p, -25)[0]
     assert abs(y - Fraction(10, 3)) <= Fraction(10, 3 * 2 ** 30)
+
+
+def test_real_roots_bisects_dyadically_over_the_denominator_of_lo():
+    # the bisection starts at (lo, B), B a power of two, so for lo = a/q
+    # every end it returns is an integer over q 2^k: 3 y^2 - 10 y + 3
+    # beyond 0 gives (0, 2) and (2, 4), not ends over the denominator of
+    # its Cauchy bound 13/3
+    def dyadic_over(q, x):
+        rest = x.denominator // math.gcd(x.denominator, q)
+        return rest & (rest - 1) == 0
+
+    assert real_roots([3, -10, 3], 0)[0] == [(0, 2), (2, 4)]
+    for p, lo in _random_polynomials(random.Random(49)):
+        if any(p):
+            roots, unresolved, _ = real_roots(p, lo)
+            assert all(dyadic_over(Fraction(lo).denominator, x)
+                       for interval in roots + unresolved
+                       for x in interval), (p, lo)
 
 
 def test_real_roots_stops_at_the_cap(monkeypatch):
@@ -422,7 +456,7 @@ def test_squarefree_p_takes_one_modular_gcd(monkeypatch):
 def test_real_roots_of_a_constant_and_a_line():
     assert real_roots([5], 0) == ([], [], 0) == real_roots([-1], 0)
     assert root_points([5], 0) == []
-    assert real_roots([-3, 2], 0) == ([(Fraction(0), Fraction(5, 2))], [], 1)
+    assert real_roots([-3, 2], 0) == ([(Fraction(0), Fraction(4))], [], 1)
     assert abs(root_points([-3, 2], 0)[0] - Fraction(3, 2)) <= Fraction(
         3, 2 ** 31)
     assert real_roots([-3, 2], 2)[:2] == ([], [])
@@ -649,7 +683,7 @@ def test_poisson_check_takes_four_exps(monkeypatch):
 @pytest.mark.slow
 def test_certify_magic_8(spec8):
     cert = certify_magic(8, spec8)
-    assert cert.status == "verified", cert.to_json()
+    assert cert.status == "verified", cert.to_dict()
 
 
 def test_certify_magic_margin_shortfall_is_inconclusive(spec8, monkeypatch):
@@ -738,7 +772,7 @@ def test_certificate_json_roundtrip():
     cert = Certificate(claim="demo")
     cert.add_step("trivial", "exact", 0, True)
     import json
-    obj = json.loads(cert.to_json())
+    obj = json.loads(json.dumps(cert.to_dict()))
     assert obj["status"] == "verified"
     # the definite flag decides the status but is not part of the record
     assert set(obj["log"][0]) == {"statement", "method", "bound", "passed",

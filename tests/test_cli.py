@@ -11,6 +11,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from packbound import certify, cli, codes, lattices, lpbound, magic, simplex
@@ -121,6 +122,35 @@ def test_magic_eval(capsys, spec8):
     assert "-0.000494" in out
 
 
+def test_magic_eval_prints_the_computed_pair_to_17_digits(capsys, spec8):
+    # each value as computed at the working precision, not rounded to a
+    # double first: f(1.2) ends in ...186, not ...185
+    code, out = run(["--format", "json", "magic", "eval", "--dim", "8",
+                     "--r", "1.2"], capsys)
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    with mp.workdps(magic.DEFAULT_DPS + 10):
+        f, fh = spec8.combine(*spec8.pair(mp.mpf(1.2)))
+        want = [mp.nstr(v.value, 17, strip_zeros=True) for v in (f, fh)]
+    assert [doc["f"], doc["fhat"]] == want
+    assert doc["f"] == "0.016970177255888186" and doc["r"] == "1.2"
+
+
+@pytest.mark.parametrize("n, power, factorial", [(8, 4, 384),
+                                                 (24, 12, 479001600)])
+def test_magic_check_prints_the_exact_density_to_17_digits(
+        n, power, factorial, capsys, request):
+    # the bound is the lattice's density pi^power / factorial, correctly
+    # rounded to 17 digits
+    request.getfixturevalue(f"spec{n}")
+    code, out = run(["--format", "json", "magic", "check", "--dim", str(n)],
+                    capsys)
+    assert code == EXIT_OK
+    with mp.workdps(50):
+        exact = mp.nstr(mp.pi ** power / factorial, 17, strip_zeros=True)
+    assert json.loads(out)["bound"] == {"value": exact, "error": "0.0"}
+
+
 def test_magic_eval_far_radius(capsys, spec8):
     # far beyond the pole band: zero within its error, not a hang
     code, out = run(["--format", "json", "magic", "eval", "--dim", "8",
@@ -144,9 +174,9 @@ def test_magic_table(tmp_path, capsys, spec8):
 # moves one byte of them shows here
 ARTIFACT_DIGESTS = {
     "--format json magic check --dim 8":
-        "893b2b1a238ff7657061ba299e5ffb871eacf1eaefa9d1c15417972590cc37a6",
+        "b63777b5f53f7027933fcfd2f9fad4b2df881038641cc84d45b7a01dc73ffa3b",
     "--format json magic check --dim 24":
-        "70d0471fdbb5a2a19057b6ecd2760b1b970163bb1b018e3ecf5e30a0b8ed27f3",
+        "c765d583c57314ab6c3e437de0d6a17679fc920c1ba1082567821ea2bb7ee62a",
     "magic table --dim 8 --rmax 4 --step 0.01":
         "46d33e476a711d53ccc03b4b9f27ad91d840d3efde2d9c02bb925fe941eb7046",
 }
@@ -163,11 +193,11 @@ EXACT_ARTIFACT_DIGESTS = {
     "--format json lattice info --name zn --n 3":
         "6c394c1a3239c6db088ea74b3847b2cabe63801b70c6f6994bd4faf65f5735bf",
     "--format json lpbound run --dim 8 --degree 30":
-        "95855db8201dc9f169323292b9ee38d90346bba055c579e1c4d79cd3b5e89b6a",
+        "1f9788f2599c2f697db6205d72f49464384157546ea23fa1d05094debb16fed5",
     "--format json lpbound run --dim 8 --degree 27 --method forced":
-        "a5f6c7ea11d8a832139a79dfdb50ee6b27d0c0ff9855cb71ae517b7b20d8e089",
+        "4a8a51d2cb9ffeed463f9aae9af43ac32076dd788384bfeb1d5e9f871172a751",
     "--format json lpbound run --dim 24 --degree 27 --method forced":
-        "c9f8e307a7b600a186df90cd1fe9e418ed059da0355c4708b40209dbb8aab8e8",
+        "1cd0b0c6cf6c3dda4eb0afd894c75d37729058310e3a451121ab94a4620ec9cd",
 }
 
 
@@ -383,9 +413,9 @@ M127 = 2 ** 127 - 1
     (3, ["415994/169847", "293056/169847", "256320/169847", "147456/169847",
          str(Fraction(61440, 169847) + Fraction(1, 2 ** 3000))], str(PI_LO),
      None, EXIT_INCONCLUSIVE, "0 roots, 2 unresolved intervals"),
-    # (2 y - 7)^2 (1 - 2 y): a double root at 7/2, the third midpoint of
-    # p's grid from 45/28 towards its Cauchy bound 67/4; the square-free
-    # part, with Cauchy bound 5, isolates it in its first node
+    # (2 y - 7)^2 (1 - 2 y): a double root at 7/2, which the square-free
+    # part (2 y - 7)(1 - 2 y), whose Fujiwara power of two is 16, isolates
+    # in its first node (45/28, 16)
     (1, ["9/4", "0", "3"], "45/28", [49, -126, 60, -8], EXIT_REFUTED,
      "1 roots, 0 unresolved intervals (1 bisection nodes)"),
     # (M y - 4 M - 1)^2 (1 - y), M = 2^127 - 1: the prime of the quick

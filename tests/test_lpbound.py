@@ -414,10 +414,10 @@ def test_positive_maxima_sample_an_unresolved_interval():
 
 # the exact p(0) of sampled_lp(8, 30)
 E8_WINDOW_P0 = Fraction(
-    "108940446760829163261799274335115600632462044862018025688375"
-    "1693922096434361981/"
-    "471798997756719861947186526044952713667090045898688289352463"
-    "01126343679522429")
+    "817053911842746279665810160759595827320278061380104251653354"
+    "380754138896524701/"
+    "353849491334292739406915888858279012726323532883473729496584"
+    "60989648402900381")
 
 
 @pytest.mark.slow
