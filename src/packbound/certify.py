@@ -219,25 +219,20 @@ def certify_magic(n: int, spec=None) -> Certificate:
                       f"min upper bound {float(worst_h):.3e}",
                       worst_h >= 0)
 
-        # far tail: decaying kernel dominates all error terms by a margin;
-        # sample just past the grid (the value decays toward the certified
-        # error floor), away from even squared radii where both vanish
-        far_ok = True
-        far_wrong = False  # a sign certainly wrong
+        # far tail: decaying kernel dominates all error terms by a margin,
+        # signed, so -1 or below is a sign certainly wrong; sample just past
+        # the grid (the value decays toward the certified error floor), away
+        # from even squared radii where both vanish
         margin = mp.inf
         for rr in (rmax + 0.21, rmax + 0.46, rmax + 0.71):
             vf, vh = spec.combine(*spec.pair(rr))
-            if vf.value >= 0 or vh.value <= 0:
-                far_ok = False
-            if vf.value - vf.error >= 0 or vh.value + vh.error <= 0:
-                far_wrong = True
             margin = min(margin,
-                         abs(vf.value) / max(vf.error, mp.mpf("1e-300")),
-                         abs(vh.value) / max(vh.error, mp.mpf("1e-300")))
+                         -vf.value / max(vf.error, mp.mpf("1e-300")),
+                         vh.value / max(vh.error, mp.mpf("1e-300")))
         cert.add_step(
             f"far decay beyond {rmax}: signs with margin >= {_FAR_MARGIN}",
             "numerical", f"margin {float(margin):.1e}",
-            far_ok and margin >= _FAR_MARGIN, definite=far_wrong)
+            margin >= _FAR_MARGIN, definite=margin <= -1)
 
         # (iii) roots and parities at the first four vector lengths; a
         # slope is d/d(r^2), which has the sign of d/dr at r > 0

@@ -221,7 +221,7 @@ def _cmd_lpbound(args):
                    "certificate_status": res["certificate_status"],
                    "feasible_report": res["feasible_report"]}
         if "certificate" in res:
-            payload.update(f0=res["f0"],
+            payload.update(f0=float(res["p0"]),
                            certificate=res["certificate"].to_dict())
     else:
         res = lp.forced_bound(dim, degree)
@@ -281,15 +281,30 @@ def _cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """A parser that takes no abbreviations and refuses, like every other
-    usage error, in one `packbound:` line; its subparsers share the class."""
+    """A parser that takes no abbreviations and refuses with a
+    PackboundError, like every other usage error; its subparsers share it."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.allow_abbrev = False
 
-    def error(self, message):
-        self.exit(EXIT_USAGE, f"packbound: {' '.join(message.split())}\n")
+    @staticmethod
+    def error(message):
+        raise PackboundError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # a missing required argument is named only if none is unknown; the
+        # parse fails either way, so the requirements are not restored
+        try:
+            return super().parse_known_args(args, namespace)
+        except PackboundError:
+            required = [a for a in self._actions if a.required]
+            for a in required:
+                a.required = False
+            parsed = super().parse_known_args(args, namespace)
+            if not (required and parsed[1]):
+                raise
+            return parsed
 
 
 def build_parser():
@@ -356,11 +371,10 @@ def build_parser():
 
 def dispatch(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # 0 after --help, EXIT_USAGE on a refusal
-        return exc.code
-    try:
-        # after parse_args, so that an unknown option is named first
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise PackboundError(f"unrecognized arguments: {' '.join(extra)}")
+        # after the unknown options, which are named first
         if getattr(args, "action", None) is None:
             raise PackboundError("a command and its action are required")
         handler = globals()[f"_cmd_{args.command}"]  # _cmd_code, _cmd_lattice
@@ -372,6 +386,8 @@ def dispatch(argv) -> int:
         code, renderings = handler(args)
         _emit(renderings[args.fmt], args)
         return code
+    except SystemExit as exc:  # after --help
+        return exc.code
     except (PackboundError, OSError) as exc:
         sys.stderr.write(f"packbound: {' '.join(str(exc).split())}\n")
         return EXIT_USAGE

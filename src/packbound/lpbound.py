@@ -123,15 +123,11 @@ class RadialAnsatz:
         self.d = d
         self.alpha = mp.mpf(n) / 2 - 1  # a half-integer: exact
 
-    def f_rows(self, r):
-        """Row of f at radius r."""
+    def f_value(self, b, r):
         rv = mp.mpf(r)
         y = mp.pi * rv * rv
         ey = mp.exp(-y)
-        return [lk * ey for lk in laguerre_all(self.d, self.alpha, y)]
-
-    def f_value(self, b, r):
-        row = self.f_rows(r)
+        row = [lk * ey for lk in laguerre_all(self.d, self.alpha, y)]
         return row[0] + sum(bk * rk for bk, rk in zip(b, row[1:]))
 
 
@@ -281,26 +277,30 @@ def _float_str(x) -> str:
         return "inf" if x > 0 else "-inf"
 
 
+def _sign_steps(proof: Certificate, name: str, at: str, poly, lo, sign):
+    """Append the steps that prove sign * poly > 0 on [lo, inf), at naming
+    lo: name(at) has the sign, whose failure is definite, and real_roots
+    finds no root of name in (at, inf), a failure definite only on a root
+    found, not on roots too close to part within the node cap."""
+    value = poly_eval(poly, lo)
+    roots, unresolved, nodes = real_roots(poly, lo)
+    proof.add_step(f"{name}({at}) {'<>'[sign > 0]} 0", "exact",
+                   _float_str(value), sign * value > 0)
+    proof.add_step(f"no root of {name} in ({at}, inf)", "exact",
+                   f"{len(roots)} roots, {len(unresolved)} unresolved "
+                   f"intervals ({nodes} bisection nodes)",
+                   not (roots or unresolved), definite=bool(roots))
+
+
 def verify_lp(cert: LpCertificate) -> Certificate:
     """Exact check of every hypothesis of the certificate's claim: b >= 0,
-    y0 <= PI_LO < pi, p(y0) < 0, and no root of p in (y0, inf) by
-    real_roots, which together give p < 0 on [y0, inf).  A root found,
-    repeated or not, fails that step definitely; an interval left
-    unresolved (roots too close to part within the node cap) fails it, but
-    not definitely."""
-    poly = cert.polynomial()
-    p_y0 = poly_eval(poly, cert.y0)
-    roots, unresolved, nodes = real_roots(poly, cert.y0)
+    y0 <= PI_LO < pi, and p < 0 on [y0, inf) by _sign_steps."""
     out = Certificate(claim=f"sign certificate n={cert.n} d={cert.d}")
     out.add_step("profile coefficients b >= 0", "exact",
                  _float_str(min(cert.b, default=0)),
                  all(x >= 0 for x in cert.b))
     out.add_step("y0 lies below pi", "exact", str(cert.y0), cert.y0 <= PI_LO)
-    out.add_step("p(y0) < 0", "exact", _float_str(p_y0), p_y0 < 0)
-    out.add_step("no root of p in (y0, inf)", "exact",
-                 f"{len(roots)} roots, {len(unresolved)} unresolved "
-                 f"intervals ({nodes} bisection nodes)",
-                 not (roots or unresolved), definite=bool(roots))
+    _sign_steps(out, "p", "y0", cert.polynomial(), cert.y0, -1)
     return out
 
 
@@ -381,8 +381,7 @@ def sampled_lp(n: int, d: int):
             report.update(feasible=False, samples_used=len(rows))
             status = ("infeasible" if isinstance(exc, Infeasible)
                       else "iteration-limit")
-            return {"method": "sampled", "certificate_status": status,
-                    "feasible_report": report}
+            return {"certificate_status": status, "feasible_report": report}
         report["iterations"] += sol["iterations"]
         basis = sol["basis"]
         cert = LpCertificate(n, d, tuple(x * s for x, s in
@@ -398,11 +397,9 @@ def sampled_lp(n: int, d: int):
     p0 = 1 + sol["objective"]
     report.update(feasible=proved, samples_used=len(rows))
     return {
-        "method": "sampled",
         "certificate": cert,
         "certificate_status": "certified" if proved else "uncertified",
         "p0": p0,
-        "f0": float(p0),
         "bound" if proved else "estimate":
             float(p0) * ball_volume(n, Fraction(1, 4)).to_float(),
         "feasible_report": report,
@@ -426,13 +423,13 @@ def forced_bound(n: int, d: int) -> dict:
     d = 4m + 3 and x_j = 2 pi (s + 2j) to 8 fractional bits, s the minimal
     squared norm, P = F_P R_P for F_P = (x - x_0) prod_(j>=1) (x - x_j)^2,
     and one solve of side (d + 3) / 2 fixes R_P by Q(0) = 1 and F_Q =
-    F_P (x - x_0) dividing Q.  The proof: F_Q divides Q exactly, R_P < 0 on
-    [x_0, inf) and R_Q = Q / F_Q > 0 on [0, inf) by real_roots, and the
-    bound P(0) / Q(0) (x_0 / 8)^(n/2) / (n/2)! = f(0) / fhat(0)
-    vol(B_n(r_0 / 2)) is at least the lattice's density with PI_LO for pi
-    (the truth check).  `bound` if every step passed, `estimate` otherwise,
-    beside the proof.  Any other n, or a d not 4m + 3 in
-    3..MAX_FORCED_DEGREE, raises PackboundError."""
+    F_P (x - x_0) dividing Q.  The proof: R_P < 0 on [x_0, inf), F_Q
+    divides Q exactly and R_Q = Q / F_Q > 0 on [0, inf), each sign by the
+    two steps of _sign_steps, and the bound P(0) / Q(0) (x_0 / 8)^(n/2) /
+    (n/2)! = f(0) / fhat(0) vol(B_n(r_0 / 2)) is at least the lattice's
+    density with PI_LO for pi (the truth check).  `bound` if every step
+    passed, `estimate` otherwise, beside the proof.  Any other n, or a d
+    not 4m + 3 in 3..MAX_FORCED_DEGREE, raises PackboundError."""
     if n not in (8, 24) or d % 4 != 3 or not 0 < d <= MAX_FORCED_DEGREE:
         raise PackboundError(f"forced roots need n = 8 or 24 and d = 4m + 3 "
                              f"<= {MAX_FORCED_DEGREE}, not {n} and {d}")
@@ -460,19 +457,10 @@ def forced_bound(n: int, d: int) -> dict:
                       if 0 <= k - i < len(f_p)) for k in range(d + 1)])
     r_q, rem = poly_divmod(q, f_q)
     proof = Certificate(claim=f"forced-root bound n={n} d={d}")
-    for sign, lo, quot in ((1, x[0], r_p), (-1, Fraction(0), r_q)):
-        name = "PQ"[sign < 0]
-        if sign < 0:
-            proof.add_step("Q has its forced roots", "exact",
-                           f"quotient of degree {len(r_q) - 1}", not rem)
-        found, unresolved, nodes = real_roots(quot, lo)
-        signed = sign * poly_eval(quot, lo) < 0
-        proof.add_step(
-            f"R_{name} {'<>'[sign < 0]} 0 on [{_float_str(lo)}, inf)",
-            "exact", f"{len(found)} roots, {len(unresolved)} unresolved "
-            f"intervals ({nodes} bisection nodes)",
-            signed and not (found or unresolved),
-            definite=bool(found) or not signed)
+    _sign_steps(proof, "R_P", "x_0", r_p, x[0], -1)
+    proof.add_step("Q has its forced roots", "exact",
+                   f"quotient of degree {len(r_q) - 1}", not rem)
+    _sign_steps(proof, "R_Q", "0", r_q, Fraction(0), 1)
     h = n // 2
     bound = f_p[0] * r_p[0] / q[0] * (x[0] / 8) ** h / math.factorial(h)
     density = (PI_LO * s / 4) ** h / math.factorial(h)

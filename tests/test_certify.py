@@ -695,6 +695,23 @@ def test_certify_magic_margin_shortfall_is_inconclusive(spec8, monkeypatch):
     assert failing == ["far decay beyond 8.0: signs with margin >= 1e+300"]
 
 
+def test_certify_magic_far_sign_wrong_beyond_its_error_refutes(spec8):
+    # the far samples are the only single-radius pair() calls: negated, f
+    # and fhat have the wrong sign beyond their error bars, so the signed
+    # margin is at most -1, a definite failure, and printed negative
+    spec = copy.copy(spec8)
+    pair = spec.pair
+    spec.pair = lambda r: tuple(CertifiedValue(-v.value, v.error)
+                                for v in pair(r))
+    cert = certify_magic(8, spec)
+    assert cert.status == "refuted"
+    failing = [s for s in cert.log if not s["passed"]]
+    assert [s["statement"] for s in failing] == [
+        "far decay beyond 8.0: signs with margin >= 10.0"]
+    assert failing[0]["bound"].startswith("margin -")
+    assert float(failing[0]["bound"].split()[1]) <= -1
+
+
 def test_certify_magic_sweeps_one_grid(spec8):
     # both sign steps read one sweep from r = 0; besides it only the three
     # far samples are single-radius pair() calls, since every step at an

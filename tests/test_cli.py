@@ -195,9 +195,9 @@ EXACT_ARTIFACT_DIGESTS = {
     "--format json lpbound run --dim 8 --degree 30":
         "1f9788f2599c2f697db6205d72f49464384157546ea23fa1d05094debb16fed5",
     "--format json lpbound run --dim 8 --degree 27 --method forced":
-        "4a8a51d2cb9ffeed463f9aae9af43ac32076dd788384bfeb1d5e9f871172a751",
+        "856cc1fb6e740cea80bc6e7dd5bc59235d469aa3761a4e5f34c23cddb12108db",
     "--format json lpbound run --dim 24 --degree 27 --method forced":
-        "1cd0b0c6cf6c3dda4eb0afd894c75d37729058310e3a451121ab94a4620ec9cd",
+        "07a6d7d75bb7a84ba021671cceeca0ca23d7330a89a47eff01260508a857866c",
 }
 
 
@@ -768,12 +768,19 @@ def test_abbreviated_option_is_usage_error(argv, monkeypatch, capsys):
     ("--format json", "a command and its action are required"),
     ("lpbound run --dim -3", "the following arguments are required: "
                              "--degree"),
+    ("lpbound run --he", "unrecognized arguments: --he"),
+    ("lpbound run --dim 8 --he", "unrecognized arguments: --he"),
+    ("magic check --he", "unrecognized arguments: --he"),
+    ("verify lp --he", "unrecognized arguments: --he"),
+    ("qseries show --he", "unrecognized arguments: --he"),
+    ("verify lp", "the following arguments are required: --cert"),
+    ("qseries show", "the following arguments are required: name"),
 ])
 def test_unknown_option_is_named_before_a_missing_action(argv, message,
                                                          capsys):
-    # a command-level option that no parser knows is named as such, not as
-    # the missing command or action it leaves; a negative value is no
-    # option
+    # an option that no parser knows is named as such, not as the missing
+    # command, action or required argument it leaves; a missing one is
+    # still named when nothing else is wrong; a negative value is no option
     assert dispatch(argv.split()) == EXIT_USAGE
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"packbound: {message}\n")
@@ -852,8 +859,8 @@ def test_lpbound_vacuous_estimate_reports_infeasible(argv, capsys):
     assert doc["estimate_over_optimal"] < 1 and "bound" not in doc
     assert doc["proof"]["status"] == "refuted"
     assert [s["statement"] for s in doc["proof"]["log"]
-            if not s["passed"]][:2] == ["R_P < 0 on [25.1328125, inf)",
-                                        "R_Q > 0 on [0.0, inf)"]
+            if not s["passed"]][:2] == ["R_P(x_0) < 0",
+                                        "no root of R_Q in (0, inf)"]
 
 
 def _forced_failures(argv, capsys):
@@ -870,7 +877,7 @@ def test_lpbound_forced_wrong_alpha_fails_the_proof(monkeypatch, capsys):
     # Q from P by the Laplacian step, so the flip, of L_k^(n/2-1 -+ 1): at
     # n - 2 every sign proof passes and only the truth check stops the bound
     # (0.805 times the E8 density, 0.689 times Leech's); at n + 2 both
-    # quotients fail
+    # quotients fail, R_P on its sign at x_0 and R_Q on a root
     times_x = lpbound._times_x
     for shift in (-2, 2):
         monkeypatch.setattr(lpbound, "_times_x",
@@ -879,8 +886,9 @@ def test_lpbound_forced_wrong_alpha_fails_the_proof(monkeypatch, capsys):
             code, failed = _forced_failures(f"--dim {dim} --degree 27",
                                             capsys)
             assert code == EXIT_INCONCLUSIVE
-            assert [s.split()[0] for s in failed] == (
-                ["bound"] if shift < 0 else ["R_P", "R_Q", "bound"]), shift
+            assert failed == ([] if shift < 0 else [
+                "R_P(x_0) < 0", "no root of R_Q in (0, inf)"]) + [
+                "bound >= the density of E8 or Leech, pi as PI_LO"], shift
 
 
 def test_lpbound_forced_truth_check(monkeypatch, capsys):

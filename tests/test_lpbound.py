@@ -13,6 +13,7 @@ import mpmath as mp
 import pytest
 
 import packbound
+from packbound.certify import Certificate
 from packbound.exact import (
     PackboundError, fraction_free_solve, integer_scaled, poly_deriv,
     poly_divmod, poly_eval, poly_primitive, real_roots, root_points,
@@ -861,6 +862,31 @@ if HAVE_HYPOTHESIS:
 
 
 # -- Sign certificates -----------------------------------------------------------
+
+@pytest.mark.parametrize("poly, lo, sign, passed, status, found", [
+    ([-1, 0, -1], 0, -1, [True, True], "verified", "0 roots, 0 unresolved"),
+    ([-5, 1], 6, 1, [True, True], "verified", "0 roots, 0 unresolved"),
+    ([1, 0, 1], 0, -1, [False, True], "refuted", "0 roots, 0 unresolved"),
+    ([-5, 1], 0, -1, [True, False], "refuted", "1 roots, 0 unresolved"),
+    ([-1, 6, -9], 0, -1, [True, False], "refuted", "1 roots, 0 unresolved"),
+    # -(3y - 1)^2 + 2^-3000: two roots 2^-1500 / 3 from 1/3, off every
+    # bisection grid, which the node cap leaves unresolved
+    ([-1 + Fraction(1, 2 ** 3000), 6, -9], 0, -1, [True, False],
+     "inconclusive", "0 roots, 1 unresolved"),
+], ids=["right-sign", "root-below-lo", "wrong-sign", "simple-root",
+        "double-root", "roots-too-close"])
+def test_sign_steps(poly, lo, sign, passed, status, found):
+    # the sign at lo fails definitely; the root step definitely only on a
+    # root found, repeated or not, and not on roots too close to part
+    proof = Certificate(claim="sign of q")
+    lpbound._sign_steps(proof, "q", "a", poly, Fraction(lo), sign)
+    assert [s["statement"] for s in proof.log] == [
+        "q(a) < 0" if sign < 0 else "q(a) > 0", "no root of q in (a, inf)"]
+    assert [s["passed"] for s in proof.log] == passed
+    assert proof.status == status
+    assert proof.log[0]["bound"] == str(float(poly_eval(poly, Fraction(lo))))
+    assert proof.log[1]["bound"].startswith(found + " intervals (")
+
 
 @pytest.fixture(scope="module")
 def toy_cert():

@@ -343,6 +343,47 @@ def test_src_parameters_take_more_than_one_value():
             if not _pinned_contrast(name, param)] == []
 
 
+def calling_defs(source: str, name: str) -> list:
+    """(line, function) for each def in source whose own body, not a nested
+    def's, calls name, as name(...) or module.name(...); a call outside any
+    def counts as "<module>"."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, (child.lineno, child.name))
+                continue
+            f = child.func if isinstance(child, ast.Call) else None
+            if name in (getattr(f, "id", None), getattr(f, "attr", None)):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), (0, "<module>"))
+    return sorted(set(found))
+
+
+def test_calling_defs_finds_each_caller():
+    source = ("from .exact import real_roots\nimport exact\n"
+              "def proof(p):\n    return real_roots(p, 0)\n"
+              "def outer(p):\n    def inner():\n"
+              "        return exact.real_roots(p, 1)\n    return inner\n"
+              "def other(p):\n    return root_points(p, 0)\n"
+              "roots = real_roots([1, 2], 0)\n")
+    assert calling_defs(source, "real_roots") == [
+        (0, "<module>"), (3, "proof"), (6, "inner")]
+
+
+def test_one_function_proves_signs_by_real_roots():
+    # outside exact, one function calls real_roots: the LP path's sign
+    # proofs, sampled and forced, share it, so a second sign-proof path
+    # fails here
+    callers = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+               if path.name != "exact.py"
+               for _, name in calling_defs(path.read_text(), "real_roots")]
+    assert callers == [("lpbound.py", "_sign_steps")]
+
+
 def raised_names(source: str) -> set:
     """The names of the exceptions a `raise` in source names: `raise E`,
     `raise E(...)` or `raise m.E(...)` give E."""
